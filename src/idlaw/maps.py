@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import quadrature
-from .errors import DimensionMismatchError, NotLogIntegrableError
+from .errors import DimensionMismatchError, NotLogIntegrableError, QuadratureError
 from .exponent import CharExponent, as_grid, from_callable, iter_triplets
 from .spectral import (
     Atom,
@@ -141,16 +141,28 @@ def map_exponent_grid(
         raise DimensionMismatchError(
             f"grid shape {Y.shape} does not match dim {phi.dim}"
         )
-    if m.kind == "jbeta":
-        return _jbeta_grid(phi, m.beta, Y, tol)
-    if m.kind == "ubetaf":
-        return _ubetaf_grid(phi, m.beta, Y, tol)
     if m.kind == "i":
-        return _singular_grid(phi, Y, tol, lambda u: 1.0 / u)
+        return _singular_grid(phi, Y, tol, np.ones_like)
+    beta = m.beta
     if m.kind == "ijbeta":
-        beta = m.beta
-        return _singular_grid(phi, Y, tol, lambda u: 1.0 / u - u ** (beta - 1.0))
-    raise AssertionError(m.kind)
+        return _singular_grid(phi, Y, tol, lambda s: -np.expm1(beta * s))
+    # the jbeta and ubetaf kernels are probability densities on (0, 1); for
+    # beta >= 1 they are substituted into forms with a bounded kernel
+    if m.kind == "jbeta" and beta >= 1.0:
+        kern, scale = (lambda w: beta * w ** (beta - 1.0)), (lambda w: w)
+    elif m.kind == "jbeta":
+        kern, scale = np.ones_like, (lambda t: t ** (1.0 / beta))
+    elif beta >= 1.0:
+        kern = lambda z: 2.0 * beta * z ** (beta - 1.0) * (1.0 - z ** beta)
+        scale = lambda z: z
+    else:
+        kern, scale = (lambda v: 2.0 * v), (lambda v: (1.0 - v) ** (1.0 / beta))
+    return _kernel_integral(phi, Y, tol, 0.0, 1.0, kern, scale)
+
+
+# Share of a map's tolerance granted to the inner exponent; the outer
+# quadrature keeps the rest, so inner noise cannot drive its refinement.
+_INNER_SHARE = 0.25
 
 
 def _eval_scaled(phi, Y, scales, tol):
@@ -160,36 +172,20 @@ def _eval_scaled(phi, Y, scales, tol):
     return phi.eval_grid(W, tol).reshape(m, n)
 
 
-def _jbeta_grid(phi, beta, Y, tol):
-    if beta >= 1.0:
-        # substituted form with a bounded kernel for large indices
+def _kernel_integral(phi, Y, tol, a, b, kern, scale, mass=1.0, splits=()):
+    """Integral over (a, b) of kern(x) * Phi(scale(x) Y) dx on the grid Y.
 
-        def f(ws: np.ndarray) -> np.ndarray:
-            kern = beta * ws ** (beta - 1.0)
-            return kern[:, None] * _eval_scaled(phi, Y, ws, tol)
+    Inner errors reach the value weighted by the kernel's mass on (a, b),
+    so the inner exponent gets its share of ``tol`` divided by that mass.
+    """
+    inner_tol = _INNER_SHARE * tol / mass
 
-    else:
+    def f(xs: np.ndarray) -> np.ndarray:
+        return kern(xs)[:, None] * _eval_scaled(phi, Y, scale(xs), inner_tol)
 
-        def f(ts: np.ndarray) -> np.ndarray:
-            return _eval_scaled(phi, Y, ts ** (1.0 / beta), tol)
-
-    val, _ = quadrature.integrate(f, 0.0, 1.0, tol=tol, vectorized=True)
-    return val
-
-
-def _ubetaf_grid(phi, beta, Y, tol):
-    if beta >= 1.0:
-
-        def f(zs: np.ndarray) -> np.ndarray:
-            kern = 2.0 * beta * zs ** (beta - 1.0) * (1.0 - zs ** beta)
-            return kern[:, None] * _eval_scaled(phi, Y, zs, tol)
-
-    else:
-
-        def f(vs: np.ndarray) -> np.ndarray:
-            return (2.0 * vs)[:, None] * _eval_scaled(phi, Y, (1.0 - vs) ** (1.0 / beta), tol)
-
-    val, _ = quadrature.integrate(f, 0.0, 1.0, tol=tol, vectorized=True)
+    val, _ = quadrature.integrate(
+        f, a, b, tol=(1.0 - _INNER_SHARE) * tol, splits=splits, vectorized=True
+    )
     return val
 
 
@@ -202,49 +198,73 @@ def _require_log_moment(phi: CharExponent) -> None:
             )
 
 
-def _singular_grid(phi, Y, tol, kern):
+# Lower-limit walk in s = log u: probes start at u = 8**-5 and step down by
+# a factor 8. The range above the start, where the integrand may still
+# oscillate, is cut at every step. exp(s) must stay a normal double.
+_WALK_STEP = math.log(8.0)
+_WALK_CUTS = _WALK_STEP * np.arange(-5, 0)
+_WALK_FLOOR = math.log(np.finfo(float).tiny)
+
+
+def _singular_grid(phi, Y, tol, weight):
     """Maps with an integrable 1/u-type kernel singularity at u = 0.
 
-    Integrates kern(u) * Phi(u Y) over (eps, 1] adaptively and closes the
-    gap at zero with a midpoint estimate over (0, eps], shrinking eps until
-    two successive estimates agree. Rapid growth of the integrand under
-    refinement is reported as a missing log moment.
+    Integrates in s = log u, where kern(u) du becomes weight(s) ds with
+    0 <= weight <= 1, and the behaviour u**a of the exponent near u = 0
+    becomes exp(a s), which a few smooth panels resolve. The lower limit
+    walks down in fixed steps, probing the integrand at each new limit;
+    probes that stop shrinking are reported as a missing log moment, and
+    a limit past the double range raises QuadratureError. The walk stops
+    once the geometric remainder below the limit, extrapolated from the
+    last two probes, is within a quarter of ``tol``, and the remainder is
+    added to the value. The kernel's mass in s is the range length.
     """
     _require_log_moment(phi)
 
-    def g(us: np.ndarray) -> np.ndarray:
-        return kern(us)[:, None] * _eval_scaled(phi, Y, us, tol)
+    def probe(s: float) -> np.ndarray:
+        ss = np.array([s])
+        inner_tol = _INNER_SHARE * tol / -s
+        return weight(ss)[0] * _eval_scaled(phi, Y, np.exp(ss), inner_tol)[0]
 
-    eps = 1e-4
-    prev_norm = None
+    s_lo = float(_WALK_CUTS[0])
+    prev_norm = float(np.max(np.abs(probe(s_lo))))
     strikes = 0
-    tail = None
     while True:
-        probe = g(eps * np.array([0.25, 0.5, 0.75]))
-        t1 = eps * probe[1]
-        t2 = 0.5 * eps * (probe[0] + probe[2])
-        norm = float(np.max(np.abs(t2)))
-        # for an integrable singularity the mass below eps must shrink with
-        # eps; a stalled (or growing) estimate means the transform diverges
-        if prev_norm is not None and norm > 1e-12 and norm > 0.75 * prev_norm:
+        s_lo -= _WALK_STEP
+        if s_lo < _WALK_FLOOR:
+            raise QuadratureError(
+                "the integrand of the logarithmic map does not decay within "
+                f"the double range (|integrand| {prev_norm:.3e} at u = 1e-300)"
+            )
+        edge = probe(s_lo)
+        norm = float(np.max(np.abs(edge)))
+        if norm == 0.0:
+            tail = edge
+            break
+        # for an integrable singularity the probes must shrink geometrically;
+        # a stalled (or growing) probe means the transform diverges
+        if norm > 1e-12 and norm > 0.75 * prev_norm:
             strikes += 1
             if strikes >= 3:
                 raise NotLogIntegrableError(
                     "the integrand mass near u = 0 does not shrink under "
-                    f"refinement (|tail estimate| {norm:.3e} at eps "
-                    f"{eps:.1e}); the input law appears to lack the "
+                    f"refinement (|integrand| {norm:.3e} at u = "
+                    f"exp({s_lo:.1f})); the input law appears to lack the "
                     "required log moment"
                 )
         else:
             strikes = 0
+        if norm < prev_norm:
+            # integrand ~ edge * exp(rate (s - s_lo)) below s_lo
+            rate = math.log(prev_norm / norm) / _WALK_STEP
+            if norm / rate <= 0.25 * tol:
+                tail = edge / rate
+                break
         prev_norm = norm
-        diff = float(np.max(np.abs(t1 - t2)))
-        if diff <= 1e-12 * (1.0 + norm) or eps <= 1.1e-9:
-            tail = t2
-            break
-        eps /= 8.0
 
-    val, _ = quadrature.integrate(g, eps, 1.0, tol=tol, vectorized=True)
+    val = _kernel_integral(
+        phi, Y, 0.75 * tol, s_lo, 0.0, weight, np.exp, mass=-s_lo, splits=_WALK_CUTS
+    )
     return val + tail
 
 

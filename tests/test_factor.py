@@ -4,9 +4,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import idlaw.factor as factor
-from idlaw.exponent import closed_form
+from idlaw.exponent import closed_form, convolve
 from idlaw.spectral import SpectralMeasure, ray
 
 
@@ -161,6 +163,35 @@ class TestClockCompositionCheck:
         )
         assert rep.passed
         assert rep.lhs[0] == pytest.approx(0.7 * 2.0 / 3.0 * 1j, abs=1e-10)
+
+
+@st.composite
+def finite_activity_laws(draw):
+    """Compound Poisson law, convolved with a Gaussian about half the time."""
+    jumps = draw(
+        st.lists(st.floats(min_value=-3.0, max_value=3.0), min_size=1, max_size=3)
+    )
+    rate = draw(st.floats(min_value=0.5, max_value=3.0))
+    phi = closed_form("compound_poisson", rate=rate, jumps=[[j] for j in jumps])
+    var = draw(st.one_of(st.just(0.0), st.floats(min_value=0.1, max_value=1.0)))
+    return convolve(phi, closed_form("gaussian", cov=var)) if var else phi
+
+
+class TestNestedErrorBudget:
+    @pytest.mark.parametrize(
+        "checker",
+        [
+            factor.verify_factorization,
+            factor.identity_e_check,
+            factor.ubeta_f_membership,
+            factor.clock_composition_check,
+        ],
+    )
+    @settings(max_examples=6, deadline=None)
+    @given(phi=finite_activity_laws(), beta=st.floats(min_value=0.5, max_value=3.0))
+    def test_identity_residual_within_tolerance(self, checker, phi, beta):
+        rep = checker(phi, beta, tol=1e-8)
+        assert rep.passed, rep.summary()
 
 
 class TestSpectralFactorCheck:

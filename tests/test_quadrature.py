@@ -5,8 +5,52 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from idlaw import quadrature
+from idlaw import maps, quadrature
 from idlaw.errors import QuadratureError
+from idlaw.exponent import from_triplet
+from idlaw.spectral import SpectralMeasure, ray
+from idlaw.triplet import LevyTriplet
+
+GAUSS_WEIGHTS = quadrature._GAUSS_WEIGHTS
+GAUSS = GAUSS_WEIGHTS > 0.0
+
+
+def test_gauss_nodes_inside_the_kronrod_table_match_legendre():
+    nodes, weights = np.polynomial.legendre.leggauss(10)
+    assert GAUSS.sum() == 10
+    np.testing.assert_allclose(quadrature._NODES[GAUSS], nodes, rtol=0, atol=1e-15)
+    np.testing.assert_allclose(GAUSS_WEIGHTS[GAUSS], weights, rtol=0, atol=1e-15)
+
+
+def test_rule_degrees_of_exactness():
+    # K21 is exact up to degree 31 and G10 up to degree 19, and no further
+    x = quadrature._NODES
+    for weights, degree in ((quadrature._KRONROD_WEIGHTS, 31), (GAUSS_WEIGHTS, 19)):
+        for deg in range(degree + 2):
+            exact = (1.0 - (-1.0) ** (deg + 1)) / (deg + 1)
+            assert (abs(weights @ x**deg - exact) < 1e-15) == (deg <= degree), deg
+
+
+def test_endpoint_singularity_meets_its_error_estimate():
+    val, err = quadrature.integrate(
+        lambda us: us**-0.4, 0.0, 1.0, tol=1e-8, vectorized=True
+    )
+    miss = abs(complex(val) - 1.0 / 0.6)
+    assert miss <= err <= 1e-8
+
+
+def test_i_map_on_unbounded_power_tail_returns():
+    levy = SpectralMeasure(
+        1,
+        (
+            ray([1.0], atoms=[(0.8, 0.5)], segments=[(0.2, 2.0, 0.4, -2.2)]),
+            ray([-1.0], segments=[(1.5, math.inf, 0.3, -1.6)]),
+        ),
+    )
+    phi = from_triplet(LevyTriplet(1, [0.1], [[0.2]], levy))
+    vals = maps.i_exponent(phi, np.array([[0.0], [2.5]]), 1e-6)
+    assert vals[0] == 0.0
+    assert np.isfinite(vals[1]) and vals[1].real < 0.0
 
 
 def test_smooth_scalar_matches_closed_form():
