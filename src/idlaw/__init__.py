@@ -63,8 +63,10 @@ from .simulate import (
     MCReport,
     SimSpec,
     empirical_cf,
+    mc_report,
     mc_vs_quadrature,
     sample_clocked_integral,
+    sample_integral,
     sample_jbeta_integral,
     sample_time_changed_integral,
     samples_to_csv,

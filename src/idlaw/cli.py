@@ -237,16 +237,9 @@ def _cmd_simulate(args) -> int:
             "the law is not simulable: need drift + Gaussian + finite jump atoms"
         )
     m = _make_map(args.map, args.beta)
-    if m.kind == "jbeta":
-        samples = simulate.sample_jbeta_integral(
-            law.sim, m.beta, args.n, args.seed, workers=args.workers
-        )
-    elif m.kind == "ijbeta":
-        samples = simulate.sample_time_changed_integral(
-            law.sim, m.beta, args.n, args.seed, s_max=args.s_max, workers=args.workers
-        )
-    else:
-        raise LawSpecError(f"no exact sampler for map {m.kind!r}; use jbeta or ijbeta")
+    samples = simulate.sample_integral(
+        law.sim, m, args.n, args.seed, s_max=args.s_max, workers=args.workers
+    )
     if args.out:
         simulate.samples_to_csv(samples, args.out)
         print(f"wrote {samples.shape[0]} samples to {args.out}")
@@ -257,21 +250,8 @@ def _cmd_simulate(args) -> int:
             if args.y is not None
             else factor.default_grid(law.dim, n_points=21)
         )
-        ecf = simulate.empirical_cf(samples, Y, args.seed)
-        target = np.exp(maps.map_exponent_grid(m, law.exponent, Y))
-        z_re = simulate._z_scores(ecf.estimate.real - target.real, ecf.se_real)
-        z_im = simulate._z_scores(ecf.estimate.imag - target.imag, ecf.se_imag)
-        rep = simulate.MCReport(
-            f"mc-{m.kind}",
-            {"map": m.kind, "beta": m.beta, "n": args.n, "seed": args.seed},
-            Y,
-            ecf.estimate,
-            target,
-            z_re,
-            z_im,
-            args.n,
-            args.seed,
-            args.z_max,
+        rep = simulate.mc_report(
+            samples, m, law.exponent, Y, args.seed, z_max=args.z_max, s_max=args.s_max
         )
         print(rep.summary())
         if args.report:

@@ -10,9 +10,11 @@ both integrals sample without discretization error:
   thinned from a rate-lambda envelope by the clock rate 1 - exp(-beta*s),
   Gaussian and drift parts with closed-form coefficients on [0, s_max].
 
-Randomness is counter based: sample k of a run draws from a Philox stream
-keyed by (seed, k), so chunked or parallel execution reproduces the exact
-byte stream of a serial run.
+Randomness is counter based: samples come in blocks of BLOCK = 4096, and
+block b draws all of its samples at once, as arrays, from one Philox stream
+keyed by (seed, b). Sample k is row k % BLOCK of block k // BLOCK, so it does
+not depend on n, and chunked or parallel execution (chunks are whole blocks)
+reproduces the exact byte stream of a serial run.
 """
 
 from __future__ import annotations
@@ -35,8 +37,12 @@ _TAIL_BOUND = 1e-6
 # this pitch, so a larger horizon only appends segments
 _SEG_LEN = 10.0
 
+# samples per Philox stream: sample k is row k % BLOCK of block k // BLOCK
+BLOCK = 4096
+_ROWS = np.arange(BLOCK)
+
 # stream tags: fourth Philox counter word, so the per-purpose streams of one
-# (seed, sample) pair never overlap
+# (seed, block) pair never overlap
 TAG_JBETA = 1
 TAG_TIMECHANGE = 2
 TAG_TIMECHANGE_ALT = 3
@@ -146,41 +152,43 @@ def _cov_factor(cov: np.ndarray) -> np.ndarray:
     return vecs * np.sqrt(vals) @ vecs.T
 
 
-def _philox(seed: int, index: int, tag: int) -> np.random.Generator:
-    bg = np.random.Philox(
-        counter=np.array([0, 0, 0, tag], dtype=np.uint64),
-        key=np.array([seed, index], dtype=np.uint64),
-    )
-    return np.random.Generator(bg)
+def _base_block(
+    g: np.random.Generator, spec: SimSpec, drift_factor: float, var_factor: float
+) -> np.ndarray:
+    """Drift plus Gaussian part of one block, shape (BLOCK, dim)."""
+    x = np.tile(drift_factor * spec.drift, (BLOCK, 1))
+    if spec.has_gaussian:
+        z = g.standard_normal((BLOCK, spec.dim))
+        x += z @ _cov_factor(var_factor * spec.diffusion)
+    return x
+
+
+def _add_jumps(
+    x: np.ndarray,
+    spec: SimSpec,
+    owner: np.ndarray,
+    weight: np.ndarray,
+    u_atom: np.ndarray,
+) -> None:
+    """Scatter-add weight[j] * atom(u_atom[j]) into row owner[j] of x."""
+    # searching the cdf without its last entry keeps the index in range when
+    # the probabilities sum to a hair under 1
+    atoms = spec.jumps[np.searchsorted(spec.jump_cdf()[:-1], u_atom)]
+    for c in range(spec.dim):
+        x[:, c] += np.bincount(owner, weights=weight * atoms[:, c], minlength=BLOCK)
 
 
 # -- the power-kernel integral over (0,1) ---------------------------------------
 
 
-def _jbeta_chunk(spec: SimSpec, beta: float, seed: int, start: int, count: int) -> np.ndarray:
-    d = spec.dim
-    out = np.empty((count, d))
-    det = (beta / (beta + 1.0)) * spec.drift
-    chol = None
-    if spec.has_gaussian:
-        chol = _cov_factor((beta / (beta + 2.0)) * spec.diffusion)
-    cdf = spec.jump_cdf()
-    atoms = spec.jumps
-    inv_beta = 1.0 / beta
-    for i in range(count):
-        g = _philox(seed, start + i, TAG_JBETA)
-        x = det.copy()
-        if chol is not None:
-            x += chol @ g.standard_normal(d)
-        if cdf is not None:
-            k = int(g.poisson(spec.rate))
-            if k:
-                u = g.random(2 * k)
-                w = u[:k] ** inv_beta
-                idx = np.searchsorted(cdf, u[k:])
-                x += w @ atoms[idx]
-        out[i] = x
-    return out
+def _jbeta_block(g: np.random.Generator, spec: SimSpec, beta: float) -> np.ndarray:
+    x = _base_block(g, spec, beta / (beta + 1.0), beta / (beta + 2.0))
+    if spec.has_jumps:
+        counts = g.poisson(spec.rate, BLOCK)
+        k = int(counts.sum())
+        u = g.random(2 * k)
+        _add_jumps(x, spec, np.repeat(_ROWS, counts), u[:k] ** (1.0 / beta), u[k:])
+    return x
 
 
 def sample_jbeta_integral(
@@ -195,14 +203,14 @@ def sample_jbeta_integral(
     Deterministic part gamma*beta/(beta+1); Gaussian part N(0, Sigma*beta/(beta+2));
     jump part sums tau**(1/beta) * J over a Poisson(rate) number of jumps at
     independent uniform times tau. Returns an (n, dim) array. Sample k is a
-    pure function of (spec, beta, seed, k), so worker count never changes
-    the output.
+    pure function of (spec, beta, seed, k // BLOCK, k % BLOCK), so neither n
+    nor the worker count changes it.
     """
     if not beta > 0.0:
         raise ValueError(f"beta must be positive, got {beta}")
     if n < 1:
         raise ValueError(f"need n >= 1 samples, got {n}")
-    return _run_chunked(_jbeta_chunk, (spec, beta, seed), n, workers)
+    return _run_chunked(_jbeta_block, (spec, beta), seed, TAG_JBETA, n, workers)
 
 
 # -- the killed integral against the time-changed process -----------------------
@@ -243,47 +251,30 @@ def truncation_tail_bound(
     return float(np.max(np.abs(est)))
 
 
-def _timechange_chunk(
-    spec: SimSpec,
-    beta: float,
-    s_max: float,
-    seed: int,
-    start: int,
-    count: int,
+def _timechange_block(
+    g: np.random.Generator, spec: SimSpec, beta: float, s_max: float
 ) -> np.ndarray:
-    d = spec.dim
-    out = np.empty((count, d))
-    det = time_change_drift_factor(beta, s_max) * spec.drift
-    chol = None
-    if spec.has_gaussian:
-        chol = _cov_factor(time_change_variance_factor(beta, s_max) * spec.diffusion)
-    cdf = spec.jump_cdf()
-    atoms = spec.jumps
-    n_seg = int(math.ceil(s_max / _SEG_LEN))
-    seg_lo = [j * _SEG_LEN for j in range(n_seg)]
-    seg_len = [min((j + 1) * _SEG_LEN, s_max) - j * _SEG_LEN for j in range(n_seg)]
-    lam = [spec.rate * L for L in seg_len]
-    for i in range(count):
-        g = _philox(seed, start + i, TAG_TIMECHANGE)
-        x = det.copy()
-        if chol is not None:
-            x += chol @ g.standard_normal(d)
-        if cdf is not None:
-            # strictly segment-by-segment draws: the randomness consumed by
-            # segment j depends only on segments <= j, so enlarging s_max
-            # appends new draws without disturbing earlier ones
-            for j in range(n_seg):
-                c = int(g.poisson(lam[j]))
-                if c == 0:
-                    continue
-                u = g.random(3 * c)
-                s = seg_lo[j] + seg_len[j] * u[:c]
-                accept = u[c : 2 * c] < -np.expm1(-beta * s)
-                if np.any(accept):
-                    idx = np.searchsorted(cdf, u[2 * c :][accept])
-                    x += np.exp(-s[accept]) @ atoms[idx]
-        out[i] = x
-    return out
+    x = _base_block(
+        g,
+        spec,
+        time_change_drift_factor(beta, s_max),
+        time_change_variance_factor(beta, s_max),
+    )
+    if spec.has_jumps:
+        # strictly segment-by-segment draws: the randomness consumed by
+        # segment j depends only on segments <= j, so enlarging s_max
+        # appends new draws without disturbing earlier ones
+        for j in range(int(math.ceil(s_max / _SEG_LEN))):
+            lo = j * _SEG_LEN
+            length = min(lo + _SEG_LEN, s_max) - lo
+            counts = g.poisson(spec.rate * length, BLOCK)
+            k = int(counts.sum())
+            u = g.random(3 * k)
+            s = lo + length * u[:k]
+            keep = u[k : 2 * k] < -np.expm1(-beta * s)
+            owner = np.repeat(_ROWS, counts)[keep]
+            _add_jumps(x, spec, owner, np.exp(-s[keep]), u[2 * k :][keep])
+    return x
 
 
 def sample_time_changed_integral(
@@ -314,40 +305,12 @@ def sample_time_changed_integral(
             f"s_max={s_max} discards exponent mass {bound:.3e} >= {_TAIL_BOUND}; "
             "increase the horizon"
         )
-    return _run_chunked(_timechange_chunk, (spec, beta, s_max, seed), n, workers)
+    return _run_chunked(
+        _timechange_block, (spec, beta, s_max), seed, TAG_TIMECHANGE, n, workers
+    )
 
 
 # -- second integral form of the defining identity ------------------------------
-
-
-def _timechange_alt_chunk(
-    spec: SimSpec, beta: float, seed: int, start: int, count: int
-) -> np.ndarray:
-    # integral of t against the process run at clock t**beta on (0, 1):
-    # the inner process jumps at uniform times w, contributing w**(1/beta)
-    d = spec.dim
-    out = np.empty((count, d))
-    det = (beta / (beta + 1.0)) * spec.drift
-    chol = None
-    if spec.has_gaussian:
-        chol = _cov_factor((beta / (beta + 2.0)) * spec.diffusion)
-    cdf = spec.jump_cdf()
-    atoms = spec.jumps
-    inv_beta = 1.0 / beta
-    for i in range(count):
-        g = _philox(seed, start + i, TAG_TIMECHANGE_ALT)
-        x = det.copy()
-        if chol is not None:
-            x += chol @ g.standard_normal(d)
-        if cdf is not None:
-            k = int(g.poisson(spec.rate))
-            if k:
-                u = g.random(2 * k)
-                w = u[:k] ** inv_beta
-                idx = np.searchsorted(cdf, u[k:])
-                x += w @ atoms[idx]
-        out[i] = x
-    return out
 
 
 def sample_clocked_integral(
@@ -355,30 +318,73 @@ def sample_clocked_integral(
 ) -> np.ndarray:
     """Samples of the integral of t against the process at clock t**beta.
 
-    Equal in law to :func:`sample_jbeta_integral` by substitution; drawn
-    from an independent sub-stream of the same seed so the two samplers
-    give statistically independent sample sets.
+    The inner process jumps at uniform times w, contributing w**(1/beta),
+    so the sampler is the power-kernel one. It draws from an independent
+    sub-stream of the same seed so the two samplers give statistically
+    independent sample sets.
     """
     if not beta > 0.0:
         raise ValueError(f"beta must be positive, got {beta}")
     if n < 1:
         raise ValueError(f"need n >= 1 samples, got {n}")
-    return _run_chunked(_timechange_alt_chunk, (spec, beta, seed), n, workers)
+    return _run_chunked(_jbeta_block, (spec, beta), seed, TAG_TIMECHANGE_ALT, n, workers)
+
+
+def sample_integral(
+    spec: SimSpec,
+    m: maps.IntegralMap,
+    n: int,
+    seed: int,
+    s_max: float = 30.0,
+    workers: int = 1,
+) -> np.ndarray:
+    """Exact samples of the random integral whose law is the image under m.
+
+    The power-kernel map uses the unit-interval sampler; the combined
+    logarithmic map uses the time-changed sampler with horizon s_max. The
+    other maps have no exact sampler here.
+    """
+    if m.kind == "jbeta":
+        return sample_jbeta_integral(spec, m.beta, n, seed, workers=workers)
+    if m.kind == "ijbeta":
+        return sample_time_changed_integral(
+            spec, m.beta, n, seed, s_max=s_max, workers=workers
+        )
+    raise ValueError(f"no exact sampler for map kind {m.kind!r}")
 
 
 # -- chunked execution -----------------------------------------------------------
 
 
-def _run_chunked(fn, args: tuple, n: int, workers: int) -> np.ndarray:
+def _sample_blocks(
+    block_fn, args: tuple, seed: int, tag: int, start: int, stop: int
+) -> np.ndarray:
+    """Samples start..stop-1 (start a multiple of BLOCK), one stream per block."""
+    parts = []
+    for b in range(start // BLOCK, (stop - 1) // BLOCK + 1):
+        g = np.random.Generator(
+            np.random.Philox(
+                counter=np.array([0, 0, 0, tag], dtype=np.uint64),
+                key=np.array([seed, b], dtype=np.uint64),
+            )
+        )
+        parts.append(block_fn(g, *args)[: stop - b * BLOCK])
+    return np.concatenate(parts, axis=0)
+
+
+def _run_chunked(
+    block_fn, args: tuple, seed: int, tag: int, n: int, workers: int
+) -> np.ndarray:
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
-    if workers == 1:
-        return fn(*args, 0, n)
-    chunk = (n + workers - 1) // workers
-    starts = list(range(0, n, chunk))
-    with ProcessPoolExecutor(max_workers=workers) as pool:
+    # whole blocks per worker, so every block is drawn by one process
+    chunk = -(-n // (BLOCK * workers)) * BLOCK
+    starts = range(0, n, chunk)
+    if len(starts) == 1:
+        return _sample_blocks(block_fn, args, seed, tag, 0, n)
+    with ProcessPoolExecutor(max_workers=len(starts)) as pool:
         futs = [
-            pool.submit(fn, *args, s, min(chunk, n - s))
+            pool.submit(_sample_blocks, block_fn, args, seed, tag, s, min(s + chunk, n))
             for s in starts
         ]
         parts = [f.result() for f in futs]
@@ -509,6 +515,34 @@ class MCReport:
         return f"{self.label}: worst |z| {self.worst_z:.2f} (limit {self.z_max}) {word}"
 
 
+def mc_report(
+    samples: np.ndarray,
+    m: maps.IntegralMap,
+    phi: CharExponent,
+    y_grid,
+    seed: int,
+    z_max: float = 4.0,
+    s_max: float = 30.0,
+    quad_tol: float | None = None,
+) -> MCReport:
+    """Empirical CF of samples of the m-integral vs. exp of the m-image of phi.
+
+    ``samples`` come from :func:`sample_integral` with the same map, seed
+    and (for ``ijbeta``) horizon ``s_max``, which the report records.
+    """
+    ecf = empirical_cf(samples, y_grid, seed)
+    Y = ecf.y_grid
+    target = np.exp(maps.map_exponent_grid(m, phi, Y, quad_tol))
+    z_re = _z_scores(ecf.estimate.real - target.real, ecf.se_real)
+    z_im = _z_scores(ecf.estimate.imag - target.imag, ecf.se_imag)
+    params = {"map": m.kind, "beta": m.beta, "n": ecf.n, "seed": seed}
+    if m.kind == "ijbeta":
+        params["s_max"] = s_max
+    return MCReport(
+        f"mc-{m.kind}", params, Y, ecf.estimate, target, z_re, z_im, ecf.n, seed, z_max
+    )
+
+
 def mc_vs_quadrature(
     spec: SimSpec,
     m: maps.IntegralMap,
@@ -522,27 +556,13 @@ def mc_vs_quadrature(
 ) -> MCReport:
     """Empirical CF of the sampled integral vs. exp of the mapped exponent.
 
-    The power-kernel map uses the exact unit-interval sampler; the combined
-    logarithmic map uses the time-changed sampler. The other maps have no
-    exact sampler here.
+    :func:`sample_integral` followed by :func:`mc_report` against the
+    driving law's own exponent.
     """
-    if m.kind == "jbeta":
-        samples = sample_jbeta_integral(spec, m.beta, n, seed, workers=workers)
-        params = {"map": "jbeta", "beta": m.beta, "n": n, "seed": seed}
-    elif m.kind == "ijbeta":
-        samples = sample_time_changed_integral(
-            spec, m.beta, n, seed, s_max=s_max, workers=workers
-        )
-        params = {"map": "ijbeta", "beta": m.beta, "n": n, "seed": seed, "s_max": s_max}
-    else:
-        raise ValueError(f"no exact sampler for map kind {m.kind!r}")
-    Y, _ = as_grid(y_grid, spec.dim)
-    ecf = empirical_cf(samples, Y, seed)
-    target = np.exp(maps.map_exponent_grid(m, spec.char_exponent(), Y, quad_tol))
-    z_re = _z_scores(ecf.estimate.real - target.real, ecf.se_real)
-    z_im = _z_scores(ecf.estimate.imag - target.imag, ecf.se_imag)
-    return MCReport(
-        f"mc-{m.kind}", params, Y, ecf.estimate, target, z_re, z_im, n, seed, z_max
+    samples = sample_integral(spec, m, n, seed, s_max=s_max, workers=workers)
+    return mc_report(
+        samples, m, spec.char_exponent(), y_grid, seed,
+        z_max=z_max, s_max=s_max, quad_tol=quad_tol,
     )
 
 

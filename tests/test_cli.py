@@ -222,6 +222,9 @@ class TestSimulate:
         doc = json.loads(rep_path.read_text())
         jsonschema.validate(doc, load_report_schema())
         assert doc["kind"] == "mc"
+        assert doc["params"] == {
+            "map": "ijbeta", "beta": 2.0, "n": 4000, "seed": 3, "s_max": 30.0,
+        }
 
     def test_unsimulable_law(self, capsys, law_files):
         code, _, err = run(

@@ -86,6 +86,59 @@ class TestSamplers:
         two = sim.sample_jbeta_integral(mix_spec(), 2.0, 301, seed=8, workers=2)
         np.testing.assert_array_equal(one, two)
 
+    @pytest.mark.parametrize("sampler", [
+        sim.sample_jbeta_integral, sim.sample_time_changed_integral,
+    ])
+    def test_samples_do_not_depend_on_n(self, sampler):
+        short = sampler(mix_spec(), 1.0, 100, seed=4)
+        long = sampler(mix_spec(), 1.0, 5000, seed=4)
+        assert long[:100].tobytes() == short.tobytes()
+
+    @pytest.mark.parametrize("sampler", [
+        sim.sample_jbeta_integral, sim.sample_time_changed_integral,
+    ])
+    def test_workers_byte_identical_across_blocks(self, sampler):
+        n = 2 * sim.BLOCK + 17
+        runs = [sampler(mix_spec(), 1.0, n, seed=13, workers=w) for w in (1, 2, 3)]
+        assert runs[0].shape == (n, 1)
+        assert runs[1].tobytes() == runs[0].tobytes()
+        assert runs[2].tobytes() == runs[0].tobytes()
+
+    @pytest.mark.parametrize("sampler, mean_factor, var_factor", [
+        (sim.sample_jbeta_integral, 1.5 / 2.5, 1.5 / 3.5),
+        (sim.sample_clocked_integral, 1.5 / 2.5, 1.5 / 3.5),
+        (sim.sample_time_changed_integral,
+         sim.time_change_drift_factor(1.5, 30.0),
+         sim.time_change_variance_factor(1.5, 30.0)),
+    ], ids=["jbeta", "clocked", "timechange"])
+    def test_jump_scatter_add_matches_closed_form_moments(
+        self, sampler, mean_factor, var_factor
+    ):
+        # asymmetric atoms in two coordinates, so each coordinate of the
+        # scatter-add has its own nonzero mean
+        atoms = np.array([[3.0, 0.0], [-1.0, 2.0]])
+        probs = np.array([0.3, 0.7])
+        rate, n = 2.0, 20000
+        spec = sim.SimSpec(2, [0.0, 0.0], 0.0, rate=rate, jumps=atoms, probs=probs)
+        x = sampler(spec, 1.5, n, seed=17)
+        mean_want = rate * mean_factor * (probs @ atoms)
+        var_want = rate * var_factor * (probs @ atoms**2)
+        se = np.sqrt(var_want / n)
+        assert np.all(np.abs(x.mean(axis=0) - mean_want) < 5.0 * se)
+        # the mean does not see which row a jump lands in; the variance does
+        # (0.1 is about seven standard errors of the sample variance here)
+        np.testing.assert_allclose(x.var(axis=0), var_want, rtol=0.1)
+
+    def test_atom_draw_stays_in_range_when_probs_sum_below_one(self):
+        # probabilities may sum to 1 - 1e-12; the largest uniform a stream
+        # can return then lies above the last cdf entry
+        spec = sim.SimSpec(1, [0.0], 0.0, rate=1.0, jumps=[[1.0], [2.0]],
+                           probs=[0.5, 0.5 - 1e-13])
+        x = np.zeros((sim.BLOCK, 1))
+        sim._add_jumps(x, spec, np.array([3]), np.array([1.0]),
+                       np.array([1.0 - 2.0**-53]))
+        assert x[3, 0] == 2.0 and np.count_nonzero(x) == 1
+
     def test_drift_only_integral_is_exact(self):
         x = sim.sample_jbeta_integral(drift_spec(), 1.0, 8, seed=3)
         np.testing.assert_array_equal(x.ravel(), np.full(8, 0.5))
