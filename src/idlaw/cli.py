@@ -39,6 +39,22 @@ _USAGE_ERRORS = (
 )
 
 
+def _count(text: str) -> int:
+    """argparse type for sample and worker counts: an integer >= 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
+def _seed(text: str) -> int:
+    """argparse type for a sampler seed, one 64-bit Philox key word."""
+    value = int(text)
+    if not 0 <= value < 2**64:
+        raise argparse.ArgumentTypeError(f"must be in [0, 2**64), got {value}")
+    return value
+
+
 def _parse_points(text: str, dim: int) -> np.ndarray:
     """'1,2,3' lists scalar points; 'a,b;c,d' separates vectors with ';'."""
     text = text.strip()
@@ -425,20 +441,20 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--cor5-tol", type=float, default=1e-9, dest="cor5_tol")
     sp.add_argument("--y", help="override the verification grid")
     sp.add_argument("--u", type=float, default=1.0, help="area-demo parameter")
-    sp.add_argument("--n", type=int, default=20000, help="MC sample count")
-    sp.add_argument("--seed", type=int, default=0)
+    sp.add_argument("--n", type=_count, default=20000, help="MC sample count")
+    sp.add_argument("--seed", type=_seed, default=0)
     sp.add_argument("--z-max", type=float, default=4.0, dest="z_max")
-    sp.add_argument("--workers", type=int, default=1)
+    sp.add_argument("--workers", type=_count, default=1)
     sp.set_defaults(fn=_cmd_verify)
 
     sp = sub.add_parser("simulate", help="draw exact samples, dump CSV")
     sp.add_argument("--law", required=True)
     sp.add_argument("--map", required=True, choices=["jbeta", "ijbeta"])
     sp.add_argument("--beta", type=float, required=True)
-    sp.add_argument("--n", type=int, required=True)
-    sp.add_argument("--seed", type=int, required=True)
+    sp.add_argument("--n", type=_count, required=True)
+    sp.add_argument("--seed", type=_seed, required=True)
     sp.add_argument("--s-max", type=float, default=30.0, dest="s_max")
-    sp.add_argument("--workers", type=int, default=1)
+    sp.add_argument("--workers", type=_count, default=1)
     sp.add_argument("--out", help="samples CSV path")
     sp.add_argument("--y", help="grid for an empirical-CF comparison")
     sp.add_argument("--report", help="write the comparison report JSON here")

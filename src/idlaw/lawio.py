@@ -248,7 +248,10 @@ def law_from_dict(doc: dict, name: str | None = None) -> LoadedLaw:
             raise LawSpecError(
                 f"unknown closed form {kind!r}; known: {sorted(_CLOSED_FORM_LOADERS)}"
             )
-        law = loader(doc.get("params", {}))
+        try:
+            law = loader(doc.get("params", {}))
+        except KeyError as exc:
+            raise LawSpecError(f"closed form {kind!r} is missing parameter {exc}") from None
         return LoadedLaw(label or law.name, law.exponent, law.triplet, law.sim)
     if "convolve" in doc:
         return _convolve_law(doc["convolve"], label or "convolution")

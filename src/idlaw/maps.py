@@ -332,47 +332,33 @@ def jbeta_inverse(phi_mu: CharExponent, beta: float) -> CharExponent:
 # -- closed-form transformed tails --------------------------------------------
 
 
-def _pow_int_neg(a: float, b: float, beta: float) -> float:
-    """Integral of w**(-beta-1) over (a, b), beta > 0, b may be inf."""
-    if b <= a:
-        return 0.0
-    upper = 0.0 if math.isinf(b) else b ** (-beta)
-    return (a ** (-beta) - upper) / beta
+def _segment_tail_transform(sg: Segment, beta: float, us: np.ndarray) -> np.ndarray:
+    """integral_u^inf tail_sg(w) w**(-beta-1) dw for one power segment.
 
-
-def _pow_int(a: float, b: float, q: float) -> float:
-    """Integral of w**q over (a, b) with 0 < a < b <= inf, convergent cases."""
-    if b <= a:
-        return 0.0
-    e = q + 1.0
-    if math.isinf(b):
-        if e >= 0.0:
-            return math.inf
-        return -(a ** e) / e
-    if e == 0.0:
-        return math.log(b / a)
-    return (b ** e - a ** e) / e
-
-
-def _segment_tail_transform(sg: Segment, beta: float, u: float) -> float:
-    """integral_u^inf tail_sg(w) w**(-beta-1) dw for one power segment."""
+    Vectorized over query radii us > 0. On (u, lo) the segment's tail is
+    its whole mass; from L = max(u, lo) on it is a combination of 1 and
+    w**(p+1), so each piece is a power integral in closed form.
+    """
     c, p, lo, hi = sg.c, sg.p, sg.lo, sg.hi
-    if u >= hi or c == 0.0:
-        return 0.0
-    L = max(u, lo)
-    val = 0.0
-    if u < lo:
-        val += sg.mass_above(lo) * _pow_int_neg(u, lo, beta)
+
+    def p_neg(a, b):
+        # integral of w**(-beta-1) over (a, b); b may be inf
+        return (a ** (-beta) - b ** (-beta)) / beta
+
+    L = np.maximum(us, lo)
+    val = np.zeros_like(us)
+    if lo > 0.0:
+        val += np.where(us < lo, sg.mass_above(lo) * p_neg(np.minimum(us, lo), lo), 0.0)
+    e = p - beta + 1.0
     if math.isinf(hi):
         # p < -1 here, else the tail itself is infinite
-        val += (c / (-(p + 1.0))) * _pow_int(L, math.inf, p - beta)
+        val += (c / (-(p + 1.0))) * (-(L ** e) / e)
     elif p == -1.0:
-        val += c * (math.log(hi / L) * L ** (-beta) / beta - _pow_int_neg(L, hi, beta) / beta)
+        val += c * (np.log(hi / L) * L ** (-beta) / beta - p_neg(L, hi) / beta)
     else:
-        val += (c / (p + 1.0)) * (
-            hi ** (p + 1.0) * _pow_int_neg(L, hi, beta) - _pow_int(L, hi, p - beta)
-        )
-    return val
+        part = np.log(hi / L) if e == 0.0 else (hi ** e - L ** e) / e
+        val += (c / (p + 1.0)) * (hi ** (p + 1.0) * p_neg(L, hi) - part)
+    return np.where(us < hi, val, 0.0)
 
 
 def _grid_tail_transform(gt: GridTail, beta: float, us: np.ndarray) -> np.ndarray:
@@ -429,7 +415,7 @@ def transformed_tail(radial: RadialMeasure, beta: float, us) -> np.ndarray:
         out += at.m * np.maximum(0.0, 1.0 - (us / at.r) ** beta)
     integ = np.zeros_like(us)
     for sg in radial.segments:
-        integ += np.array([_segment_tail_transform(sg, beta, float(u)) for u in us])
+        integ += _segment_tail_transform(sg, beta, us)
     if radial.grid_tail is not None:
         integ += _grid_tail_transform(radial.grid_tail, beta, us)
     out += beta * us ** beta * integ

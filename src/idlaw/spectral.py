@@ -20,6 +20,14 @@ from .errors import DimensionMismatchError, InvalidMeasureError
 from . import quadrature
 
 UNIT_NORM_TOL = 1e-12
+# largest (arguments x nodes) block a grid tail evaluates at once
+GRID_CHUNK_ELEMENTS = 1 << 18
+# share of the tolerance each discarded end of an unbounded-tail contour
+# integral may take; the quadrature gets what the two ends leave
+TAIL_CUT_SHARE = 1e-6
+# arguments per contour quadrature; at the 100-400 abscissas such a
+# quadrature evaluates per integrand call, a batch stays near 20 MB
+TAIL_CHUNK = 4096
 
 
 def _cis_m1(theta: np.ndarray) -> np.ndarray:
@@ -171,44 +179,65 @@ class GridTail:
             t = np.insert(t, k, self.tail_at(1.0))
         return r, t
 
+    @cached_property
+    def _node_weights(self) -> tuple[np.ndarray, np.ndarray]:
+        """The endpoint-average rule folded into per-node weights.
+
+        Each cell gives half its mass to each endpoint, in the first vector
+        when the cell lies in (0, 1] and in the second otherwise; the
+        residual mass past the last node goes to that node. So the first
+        vector is zero on nodes above 1 and the second on nodes below 1.
+        """
+        r, t = self._unit_split
+        half = 0.5 * np.maximum(-np.diff(t), 0.0)
+        below = r[1:] <= 1.0
+        wt_below, wt_above = np.zeros_like(r), np.zeros_like(r)
+        for wts, cells in ((wt_below, half * below), (wt_above, half * ~below)):
+            wts[:-1] += cells
+            wts[1:] += cells
+        (wt_below if r[-1] <= 1.0 else wt_above)[-1] += t[-1]
+        return wt_below, wt_above
+
     def split_integral(self, g_below, g_above) -> float:
         """Stieltjes integral with separate kernels on (0, 1] and (1, inf).
 
         Cells use the endpoint average of whichever kernel covers them
         (exact for kernels linear over a cell); the residual mass past the
-        last node counts as an atom there.
+        last node counts as an atom there. Each kernel is evaluated only
+        on the nodes where it has weight.
         """
-        r, t = self._unit_split
-        below = r[1:] <= 1.0
-        gb = np.asarray(g_below(r), dtype=float)
-        ga = np.asarray(g_above(r), dtype=float)
-        gcell = np.where(below, 0.5 * (gb[:-1] + gb[1:]), 0.5 * (ga[:-1] + ga[1:]))
-        masses = np.maximum(-np.diff(t), 0.0)
-        val = float(np.sum(gcell * masses))
-        val += float(gb[-1] if r[-1] <= 1.0 else ga[-1]) * float(t[-1])
-        return val
+        r = self._unit_split[0]
+        wt_below, wt_above = self._node_weights
+        n_below = int(np.searchsorted(r, 1.0, side="right"))
+        n_above = int(np.searchsorted(r, 1.0, side="left"))
+        val = np.asarray(g_below(r[:n_below]), dtype=float) @ wt_below[:n_below]
+        val += np.asarray(g_above(r[n_above:]), dtype=float) @ wt_above[n_above:]
+        return float(val)
 
     def integral(self, g) -> float:
         """Stieltjes integral of one kernel against the tabulated measure."""
         return self.split_integral(g, g)
 
     def exponent_integral(self, w: np.ndarray) -> np.ndarray:
-        """Jump-part integrand integrated against the tabulated measure."""
-        r, t = self._unit_split
-        theta = np.multiply.outer(np.asarray(w, dtype=float), r)
-        g_plain = _cis_m1(theta)
-        g_comp = g_plain - 1j * theta
-        below = r[1:] <= 1.0
-        gcell = np.where(
-            below,
-            0.5 * (g_comp[:, :-1] + g_comp[:, 1:]),
-            0.5 * (g_plain[:, :-1] + g_plain[:, 1:]),
-        )
-        masses = np.maximum(-np.diff(t), 0.0)
-        val = gcell @ masses
-        last = g_comp[:, -1] if r[-1] <= 1.0 else g_plain[:, -1]
-        val = val + last * float(t[-1])
-        return val
+        """Jump-part integrand integrated against the tabulated measure.
+
+        Below radius 1 the compensated kernel is the plain one minus
+        i*w*r, whose weighted sum is w times a first moment, so the plain
+        kernel exp(i*w*r) - 1 runs once over all nodes, in chunks of
+        ``GRID_CHUNK_ELEMENTS // w.size`` nodes (at least one) to keep
+        temporaries bounded for any batch size.
+        """
+        w = np.atleast_1d(np.asarray(w, dtype=float))
+        r = self._unit_split[0]
+        wt_below, wt_above = self._node_weights
+        weights = wt_below + wt_above
+        half_versine, im = np.zeros(w.shape), -w * float(r @ wt_below)
+        step = max(1, GRID_CHUNK_ELEMENTS // max(w.size, 1))
+        for k in range(0, r.size, step):
+            theta = np.multiply.outer(w, r[k : k + step])
+            half_versine += np.sin(0.5 * theta) ** 2 @ weights[k : k + step]
+            im += np.sin(theta) @ weights[k : k + step]
+        return -2.0 * half_versine + 1j * im
 
     def scaled(self, factor: float) -> "GridTail":
         return GridTail(self.radii, self.tail * factor)
@@ -340,10 +369,13 @@ class RadialMeasure:
         Computes, for each w, the integral of
         exp(i*w*r) - 1 - i*w*r*[r <= 1] over r. Atoms and grid tails are
         summed directly; segments use adaptive quadrature on the finite
-        part and an incomplete-gamma closed form past the last finite
-        endpoint of unbounded segments.
+        part, and past radius max(lo, 1) an unbounded segment is
+        integrated along a contour in the upper half plane, where the
+        oscillation becomes decay. The integrand at -w is the conjugate of
+        the one at w, so each distinct |w| is evaluated once.
         """
-        w = np.atleast_1d(np.asarray(w, dtype=float))
+        signed = np.asarray(w, dtype=float).ravel()
+        w, inverse = np.unique(np.abs(signed), return_inverse=True)
         out = np.zeros(w.shape, dtype=complex)
         if self.atoms:
             rs = np.array([at.r for at in self.atoms])
@@ -355,7 +387,8 @@ class RadialMeasure:
             out += _segment_exponent(sg, w, tol)
         if self.grid_tail is not None:
             out += self.grid_tail.exponent_integral(w)
-        return out
+        out = out[inverse]
+        return np.where(signed < 0.0, np.conj(out), out)
 
     def scaled(self, factor: float) -> "RadialMeasure":
         if factor < 0.0:
@@ -406,7 +439,7 @@ def _segment_exponent(sg: Segment, w: np.ndarray, tol: float | None) -> np.ndarr
     lo_u = max(sg.lo, 1.0)
     if sg.hi > lo_u:
         if math.isinf(sg.hi):
-            out += _segment_exponent_infinite(c, p, lo_u, w)
+            out += _segment_exponent_infinite(c, p, lo_u, w, tol)
         else:
 
             def f_raw(rs: np.ndarray) -> np.ndarray:
@@ -417,27 +450,48 @@ def _segment_exponent(sg: Segment, w: np.ndarray, tol: float | None) -> np.ndarr
     return out
 
 
-def _segment_exponent_infinite(c: float, p: float, lo: float, w: np.ndarray) -> np.ndarray:
-    """Closed form for c * int_lo^inf r**p (exp(i w r) - 1) dr, p < -1.
+def _segment_exponent_infinite(
+    c: float, p: float, lo: float, w: np.ndarray, tol: float
+) -> np.ndarray:
+    """c * int_lo^inf r**p (exp(i w r) - 1) dr for p < -1 and lo >= 1.
 
-    Uses int_lo^inf r**p exp(i w r) dr = (-i w)**(-p-1) * Gamma(p+1, -i lo w)
-    (principal branch), evaluated per w with mpmath.
+    On the contour r = lo + i*lo*u the oscillation turns into decay: for
+    w > 0, int_lo^inf r**p exp(i w r) dr = i exp(i w lo) lo**(p+1)
+    int_0^inf (1 + i u)**p exp(-a u) du with a = w lo. In u = exp(x) that
+    integrand is smooth and decays at both ends, so one batched quadrature
+    in x covers up to ``TAIL_CHUNK`` arguments; w < 0 follows by
+    conjugation and w = 0 gives exactly 0. Each discarded end costs at most
+    ``TAIL_CUT_SHARE * tol``: below u_lo the factor (1 + i u)**p, within
+    |p| u of 1, is replaced by 1 and integrated in closed form; past u_hi
+    the rest is under exp(-a u_hi) / a per unit scale, as |1 + i u|**p <= 1.
     """
-    import mpmath as mp
-
     if p >= -1.0:
         raise InvalidMeasureError(
             f"unbounded segment needs p < -1 for finite mass, got p={p}"
         )
     out = np.zeros(w.shape, dtype=complex)
+    scale = c * lo ** (p + 1.0)
     mass = -(lo ** (p + 1.0)) / (p + 1.0)
-    with mp.workdps(30):
-        for j, wj in enumerate(w):
-            if wj == 0.0:
-                continue
-            z = mp.mpc(0.0, -wj)
-            osc = (z ** (-p - 1.0)) * mp.gammainc(p + 1.0, z * lo)
-            out[j] = c * (complex(osc) - mass)
+    cut = TAIL_CUT_SHARE * tol
+    u_lo = math.sqrt(cut / (0.5 * -p * scale))
+    x_lo = math.log(u_lo)
+    nonzero = np.flatnonzero(w)
+    for k in range(0, nonzero.size, TAIL_CHUNK):
+        idx = nonzero[k : k + TAIL_CHUNK]
+        a = np.abs(w[idx]) * lo
+        a_min = float(a.min())
+        u_hi = max(math.log(scale / (a_min * cut)), 1.0) / a_min
+
+        def f(xs: np.ndarray) -> np.ndarray:
+            u = np.exp(xs)
+            g = scale * u * np.hypot(1.0, u) ** p * np.exp(1j * p * np.arctan(u))
+            return g[:, None] * np.exp(-np.multiply.outer(u, a))
+
+        val, _ = quadrature.integrate(
+            f, x_lo, max(math.log(u_hi), x_lo), tol=tol - 2.0 * cut, vectorized=True
+        )
+        val = 1j * np.exp(1j * a) * (val + scale * -np.expm1(-a * u_lo) / a)
+        out[idx] = np.where(w[idx] > 0.0, val, np.conj(val)) - c * mass
     return out
 
 
@@ -502,9 +556,8 @@ class SpectralMeasure:
         return not self.issues()
 
     def require_valid(self) -> None:
-        problems = self.issues()
-        if problems:
-            raise InvalidMeasureError("; ".join(problems))
+        if not self.is_valid:
+            raise InvalidMeasureError("; ".join(self.issues()))
 
     def min1r2(self) -> float:
         return sum(ray.radial.min1r2() for ray in self.rays)

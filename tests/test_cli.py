@@ -234,6 +234,22 @@ class TestSimulate:
         assert code == 2
         assert "not simulable" in err
 
+    @pytest.mark.parametrize("command", ["simulate", "verify"])
+    @pytest.mark.parametrize("flag, value", [("--n", "0"), ("--workers", "0"), ("--seed", "-1")])
+    def test_bad_sampler_arguments_are_usage_errors(self, capsys, law_files, command, flag, value):
+        args = {"--n": "8", "--seed": "0", "--workers": "1", flag: value}
+        head = (
+            ["simulate", "--map", "jbeta", "--beta", "1"]
+            if command == "simulate"
+            else ["verify", "--identity", "eq2-timechange"]
+        )
+        code, _, err = run(
+            capsys, *head, "--law", law_files["gauss_cp_mix"],
+            *[part for item in args.items() for part in item],
+        )
+        assert code == 2
+        assert f"error: argument {flag}" in err
+
     def test_map_choices_enforced(self, capsys, law_files):
         code, _, _ = run(
             capsys, "simulate", "--law", law_files["cp"], "--map", "i",

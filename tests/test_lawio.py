@@ -66,6 +66,13 @@ class TestClosedFormDocs:
         assert got[(0.6, 0.8)] == (5.0, 0.5)
         assert got[(0.0, 1.0)] == (1.0, 1.5)
 
+    @pytest.mark.parametrize("missing", ["rate", "jumps"])
+    def test_compound_poisson_missing_key_names_it(self, missing):
+        params = {"rate": 1.0, "jumps": [[2.0]]}
+        del params[missing]
+        with pytest.raises(LawSpecError, match=f"missing parameter '{missing}'"):
+            law_from_dict({"closed_form": "compound_poisson", "params": params})
+
     def test_area_law_has_no_triplet_route(self):
         law = law_from_dict({"closed_form": "levy_area_bdlp", "params": {"u": 1.0}})
         assert law.triplet is None and law.sim is None

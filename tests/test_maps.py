@@ -266,6 +266,50 @@ class TestMeasureTransform:
             maps.transformed_tail(rad, beta, us), want, rtol=0, atol=1e-12
         )
 
+    @pytest.mark.parametrize("beta", [0.5, 1.0, 1.3, 2.0, 3.0])
+    @pytest.mark.parametrize(
+        "seg",
+        [
+            Segment(0.0, 0.8, 0.5, -0.5),
+            Segment(0.0, 0.8, 0.5, -1.0),
+            Segment(0.5, 3.0, 0.3, -1.4),
+            Segment(0.5, 3.0, 0.3, -1.0),
+            Segment(0.5, 3.0, 0.3, 0.3),
+            Segment(0.0, math.inf, 0.4, -2.0),
+            Segment(1.5, math.inf, 0.3, -1.6),
+        ],
+    )
+    def test_transformed_tail_matches_scalar_closed_form(self, seg, beta):
+        def neg(a, b):
+            # integral of w**(-beta-1) over (a, b), b may be inf
+            return (a ** -beta - (0.0 if math.isinf(b) else b ** -beta)) / beta
+
+        def pow_int(a, b, q):
+            # integral of w**q over (a, b), convergent cases
+            e = q + 1.0
+            if math.isinf(b):
+                return -(a ** e) / e
+            return math.log(b / a) if e == 0.0 else (b ** e - a ** e) / e
+
+        def scalar(u):
+            c, p, lo, hi = seg.c, seg.p, seg.lo, seg.hi
+            if u >= hi:
+                return 0.0
+            L = max(u, lo)
+            val = seg.mass_above(lo) * neg(u, lo) if u < lo else 0.0
+            if math.isinf(hi):
+                val += c / -(p + 1.0) * pow_int(L, hi, p - beta)
+            elif p == -1.0:
+                val += c * (math.log(hi / L) * L ** -beta / beta - neg(L, hi) / beta)
+            else:
+                val += c / (p + 1.0) * (hi ** (p + 1.0) * neg(L, hi) - pow_int(L, hi, p - beta))
+            return beta * u ** beta * val
+
+        us = np.array([1e-6, 0.1, 0.5, 0.8, 1.0, 2.0, 2.9, 3.0, 3.5, 40.0])
+        want = np.array([scalar(u) for u in us])
+        got = maps.transformed_tail(RadialMeasure((), (seg,), None), beta, us)
+        np.testing.assert_allclose(got, want, rtol=1e-14, atol=1e-15)
+
     def test_segment_image_is_tabulated_consistently(self):
         rad = RadialMeasure((), (Segment(0.5, 3.0, 0.3, -1.4),), None)
         img = maps.jbeta_radial(rad, 1.5)

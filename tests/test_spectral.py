@@ -1,10 +1,20 @@
 import math
+import os
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
 
+import mpmath as mp
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
+import idlaw
+import idlaw.spectral as spectral
+from idlaw import quadrature
 from idlaw import triplet as tripmod
+from idlaw.errors import InvalidMeasureError
 from idlaw.spectral import GridTail, SpectralMeasure, ray
 
 
@@ -139,6 +149,53 @@ class TestExponentIntegrals:
         truth += np.exp(-12.0) * jump_kernel(12.0, w)
         assert abs(got - truth) < 1e-5
 
+    @pytest.mark.parametrize("p", [-1.001, -1.05, -2.5, -2.999])
+    @pytest.mark.parametrize("lo", [1.0, 1e3])
+    def test_unbounded_tail_matches_incomplete_gamma(self, p, lo):
+        # 30-digit reference: int_lo^inf r^p exp(i w r) dr
+        # = (-i w)^(-p-1) Gamma(p+1, -i lo w) on the principal branch
+        ws = np.array([0.0, 1e-12, -1e-12, 1e-6, -1e-6, 5.0, -5.0, 1e3])
+        mass = -(lo ** (p + 1.0)) / (p + 1.0)
+        want = np.zeros(ws.shape, dtype=complex)
+        with mp.workdps(30):
+            for k, w in enumerate(ws):
+                if w != 0.0:
+                    z = mp.mpc(0.0, -w)
+                    want[k] = complex(z ** (-p - 1.0) * mp.gammainc(p + 1.0, z * lo) - mass)
+        got = spectral._segment_exponent_infinite(1.0, p, lo, ws, quadrature.default_tol())
+        assert got[0] == 0.0
+        assert np.max(np.abs(got - want)) < 1e-12
+
+    def test_grid_tail_memory_is_bounded_for_large_batches(self, monkeypatch):
+        # 1e5 arguments against 600 nodes: the dense complex kernel would
+        # take 960 MB; chunking keeps the peak near a few output vectors
+        radii = np.geomspace(1e-3, 1e4, 600)
+        gt = GridTail(radii, 1.0 / radii)
+        w = np.linspace(-5.0, 5.0, 100_000)
+        tracemalloc.start()
+        try:
+            got = gt.exponent_integral(w)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32e6
+        # the chunked sum agrees with the dense endpoint-average rule,
+        # here with chunks a few nodes wide
+        monkeypatch.setattr(spectral, "GRID_CHUNK_ELEMENTS", 7 * 40)
+        sub = w[::2500]
+        r, t = gt._unit_split
+        theta = np.multiply.outer(sub, r)
+        g_plain = np.exp(1j * theta) - 1.0
+        g_comp = g_plain - 1j * theta
+        g_cell = np.where(
+            r[1:] <= 1.0,
+            0.5 * (g_comp[:, :-1] + g_comp[:, 1:]),
+            0.5 * (g_plain[:, :-1] + g_plain[:, 1:]),
+        )
+        want = g_cell @ -np.diff(t) + g_plain[:, -1] * t[-1]
+        assert np.max(np.abs(gt.exponent_integral(sub) - want)) < 1e-11
+        assert np.max(np.abs(got[::2500] - want)) < 1e-11
+
     def test_hermitian_symmetry(self):
         m = SpectralMeasure(
             1,
@@ -177,6 +234,39 @@ class TestValidation:
         m = SpectralMeasure(1, (ray(1.0, atoms=[(2.0, 1.0)], segments=[(0.1, 1.0, 0.5, -0.5)]),))
         rep = tripmod.validate(m)
         assert rep.is_valid and rep.summary().endswith("ok")
+
+
+class TestRequireValid:
+    def test_valid_measure_checks_issues_once(self, monkeypatch):
+        m = SpectralMeasure(1, (ray(1.0, atoms=[(2.0, 1.0)]),))
+        m.require_valid()
+        monkeypatch.setattr(SpectralMeasure, "issues", lambda self: pytest.fail("re-checked"))
+        m.require_valid()
+
+    def test_invalid_measure_names_its_issues(self):
+        m = SpectralMeasure(1, (ray(1.0, atoms=[(2.0, -1.0)]),))
+        with pytest.raises(InvalidMeasureError, match="negative mass"):
+            m.require_valid()
+
+
+def test_triplet_exponent_does_not_import_mpmath():
+    code = (
+        "import math, sys\n"
+        "import numpy as np\n"
+        "from idlaw.spectral import SpectralMeasure, ray\n"
+        "from idlaw.triplet import LevyTriplet\n"
+        "levy = SpectralMeasure(1, (ray(-1.0, segments=[(1.5, math.inf, 0.3, -1.6)]),))\n"
+        "vals = LevyTriplet(1, [0.1], [[0.2]], levy).exponent_grid(np.array([[0.7], [-2.0]]))\n"
+        "assert np.all(np.isfinite(vals))\n"
+        "print('mpmath' in sys.modules)\n"
+    )
+    src = str(Path(idlaw.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "False"
 
 
 class TestMeasureAlgebra:
