@@ -23,7 +23,9 @@ from .exponent import (
     from_triplet,
 )
 from .factor import (
+    IDENTITIES,
     FactorizationReport,
+    Identity,
     LevyAreaCase,
     LevyAreaReport,
     clock_composition_check,
@@ -39,25 +41,22 @@ from .factor import (
 from .lawio import BUILTIN_LAWS, LoadedLaw, builtin_law, law_from_dict, load_law
 from .maps import (
     IntegralMap,
-    InnerClock,
-    i_exponent,
-    i_jbeta_exponent,
+    apply_map,
     i_jbeta_map,
     i_map,
     inner_clock,
     inner_clock_rate,
-    jbeta_exponent,
     jbeta_inverse,
-    jbeta_inverse_exponent,
     jbeta_map,
     jbeta_measure,
     jbeta_radial,
     jbeta_triplet,
     log_moment_preserved,
+    map_exponent_grid,
     transformed_tail,
-    ubeta_f_exponent,
     ubetaf_map,
 )
+from .report import CheckReport
 from .simulate import (
     EmpiricalCF,
     MCReport,
@@ -73,6 +72,6 @@ from .simulate import (
     time_change_equivalence,
 )
 from .spectral import Atom, GridTail, RadialMeasure, Ray, Segment, SpectralMeasure, ray
-from .triplet import LevyTriplet, ValidationReport, exponent_from_triplet, log_moment, validate
+from .triplet import LevyTriplet, ValidationReport, validate
 
 __version__ = "0.1.0"

@@ -15,6 +15,7 @@ import argparse
 import json
 import math
 import sys
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -29,7 +30,20 @@ from .errors import (
 from .lawio import BUILTIN_LAWS, LoadedLaw, builtin_law, law_from_dict, load_law
 from .spectral import SpectralMeasure, ray
 
-IDENTITIES = ("eq3", "eq15", "cor1a", "cor5", "prop2", "eq2-timechange", "area")
+IDENTITIES = tuple(factor.IDENTITIES)
+
+# what a law provides for each kind of identity subject, and what the
+# law must be when it provides none
+_LAW_SUBJECTS = {
+    "exponent": (lambda law: law.exponent, "a law"),
+    "jumps": (
+        lambda law: law.triplet.levy
+        if law.triplet is not None and law.triplet.levy.rays
+        else None,
+        "a law with a nonempty jump measure (triplet form or compound Poisson)",
+    ),
+    "sim": (lambda law: law.sim, "a simulable law (drift + Gaussian + finite jump atoms)"),
+}
 
 _USAGE_ERRORS = (
     LawSpecError,
@@ -52,6 +66,14 @@ def _seed(text: str) -> int:
     value = int(text)
     if not 0 <= value < 2**64:
         raise argparse.ArgumentTypeError(f"must be in [0, 2**64), got {value}")
+    return value
+
+
+def _positive(text: str) -> float:
+    """argparse type for indices, tolerances, horizons and limits: a float > 0."""
+    value = float(text)
+    if not value > 0.0:
+        raise argparse.ArgumentTypeError(f"must be positive, got {value}")
     return value
 
 
@@ -161,11 +183,6 @@ def _cmd_transform(args) -> int:
     if not args.law:
         raise LawSpecError("transform needs --law")
     law = load_law(args.law)
-    if args.map != "jbeta":
-        raise LawSpecError(
-            "only the power-kernel map transforms triplets in closed form; "
-            "use 'eval' for the other maps"
-        )
     if law.triplet is None:
         raise LawSpecError("the law description does not determine a triplet")
     if args.beta is None:
@@ -193,54 +210,25 @@ def _atomic_check_measures() -> list[tuple[str, SpectralMeasure]]:
     return [("one-atom", one), ("two-atom", two)]
 
 
-def _verify_identity(identity, law: LoadedLaw | None, args):
-    """Run one named check; returns an object with .passed/.summary/.to_dict."""
-    beta = args.beta if args.beta is not None else 1.0
-    grid = None
-    if getattr(args, "y", None):
-        grid = _parse_points(args.y, law.dim if law else 1)
-    if identity == "eq3":
-        return factor.verify_factorization(law.exponent, beta, grid=grid, tol=args.tol)
-    if identity == "eq15":
-        return factor.identity_e_check(law.exponent, beta, grid=grid, tol=args.tol)
-    if identity == "cor1a":
-        return factor.ubeta_f_membership(law.exponent, beta, grid=grid, tol=args.tol)
-    if identity == "prop2":
-        return factor.clock_composition_check(law.exponent, beta, grid=grid, tol=args.tol)
-    if identity == "cor5":
-        if law is None or law.triplet is None or not law.triplet.levy.rays:
-            raise LawSpecError(
-                "identity cor5 needs a law with a nonempty jump measure "
-                "(triplet form or compound Poisson)"
-            )
-        return factor.spectral_factor_check(law.triplet.levy, beta, tol=args.cor5_tol)
-    if identity == "eq2-timechange":
-        if law is None or law.sim is None:
-            raise LawSpecError(
-                "identity eq2-timechange needs a simulable law "
-                "(drift + Gaussian + finite jump atoms)"
-            )
-        return simulate.time_change_equivalence(
-            law.sim, beta, args.n, args.seed, z_max=args.z_max, workers=args.workers
-        )
-    if identity == "area":
-        return factor.levy_area_demo(args.u, tol=args.tol)
-    raise LawSpecError(f"unknown identity {identity!r}; known: {', '.join(IDENTITIES)}")
-
-
 def _cmd_verify(args) -> int:
-    if args.identity not in IDENTITIES:
+    entry = factor.IDENTITIES.get(args.identity)
+    if entry is None:
         print(
             f"unknown identity {args.identity!r}; known: {', '.join(IDENTITIES)}",
             file=sys.stderr,
         )
         return 2
-    law = None
-    if args.identity != "area":
+    subject, dim = None, 1
+    if entry.subject is not None:
         if not args.law:
             raise LawSpecError(f"identity {args.identity!r} needs --law")
         law = load_law(args.law)
-    rep = _verify_identity(args.identity, law, args)
+        take, need = _LAW_SUBJECTS[entry.subject]
+        subject, dim = take(law), law.dim
+        if subject is None:
+            raise LawSpecError(f"identity {args.identity} needs {need}")
+    args.grid = _parse_points(args.y, dim) if args.y else None
+    rep = entry.run(subject, getattr(args, entry.param), args)
     print(rep.summary())
     _emit(rep.to_dict(), args.out, args.format)
     return 0 if rep.passed else 1
@@ -284,7 +272,7 @@ def _cmd_area_demo(args) -> int:
         "cosh variant: exponent -> 1 at t=0, so its characteristic function "
         f"tends to e = {math.e:.9f} (deviation from 1: {math.e - 1.0:.9f})"
     )
-    t0 = float(rep.t_grid[0])
+    t0 = float(rep.grid[0])
     print(
         f"  at t={t0:g}: coth form {case.bdlp_exponent(t0):+.9f}, "
         f"cosh form {case.cosh_variant_exponent(t0):+.9f}"
@@ -328,7 +316,7 @@ def _cmd_suite(args) -> int:
     if not identities:
         print("suite config has an empty identity list", file=sys.stderr)
         return 2
-    unknown = [i for i in identities if i not in IDENTITIES]
+    unknown = [i for i in identities if i not in factor.IDENTITIES]
     if unknown:
         print(
             f"unknown identities in config: {unknown}; known: {', '.join(IDENTITIES)}",
@@ -342,53 +330,44 @@ def _cmd_suite(args) -> int:
     mc.update(config.get("mc", {}))
     laws = [_suite_law(entry) for entry in config.get("laws", [])]
 
-    checks = []
-
-    def record(identity, label, rep):
-        entry = {
-            "identity": identity,
-            "label": label,
-            "passed": bool(rep.passed),
-            "params": dict(getattr(rep, "params", {}) or {}),
-        }
-        if hasattr(rep, "max_residual"):
-            entry["max_residual"] = float(rep.max_residual)
-        if hasattr(rep, "worst_z"):
-            entry["worst_z"] = float(rep.worst_z)
-        checks.append(entry)
-        print(f"[{identity}] {label}: {rep.summary()}")
-
-    per_law = {
-        "eq3": factor.verify_factorization,
-        "eq15": factor.identity_e_check,
-        "cor1a": factor.ubeta_f_membership,
-        "prop2": factor.clock_composition_check,
+    subjects = {
+        "exponent": [(law.name, law.exponent) for law in laws],
+        "jumps": _atomic_check_measures(),
+        "sim": [(law.name, law.sim) for law in laws if law.sim is not None],
+        None: [("", None)],
     }
+    sweeps = {
+        "exponent": betas,
+        "jumps": betas,
+        "sim": mc["betas"],
+        None: config.get("area_u", [1.0]),
+    }
+    opts = SimpleNamespace(
+        tol=tol,
+        cor5_tol=cor5_tol,
+        grid=None,
+        n=int(mc["n"]),
+        seed=int(mc["seed"]),
+        z_max=float(mc["z_max"]),
+        workers=1,
+    )
+    checks = []
     for identity in identities:
-        if identity in per_law:
-            for law in laws:
-                for beta in betas:
-                    rep = per_law[identity](law.exponent, beta, tol=tol)
-                    record(identity, f"{law.name} beta={beta:g}", rep)
-        elif identity == "cor5":
-            for label, G in _atomic_check_measures():
-                for beta in betas:
-                    rep = factor.spectral_factor_check(G, beta, tol=cor5_tol)
-                    record(identity, f"{label} beta={beta:g}", rep)
-        elif identity == "eq2-timechange":
-            for law in laws:
-                if law.sim is None:
-                    continue
-                for beta in mc["betas"]:
-                    rep = simulate.time_change_equivalence(
-                        law.sim, float(beta), int(mc["n"]), int(mc["seed"]),
-                        z_max=float(mc["z_max"]),
-                    )
-                    record(identity, f"{law.name} beta={beta:g}", rep)
-        elif identity == "area":
-            for u in config.get("area_u", [1.0]):
-                rep = factor.levy_area_demo(float(u), tol=tol)
-                record(identity, f"u={u:g}", rep)
+        entry = factor.IDENTITIES[identity]
+        for name, subject in subjects[entry.subject]:
+            for value in sweeps[entry.subject]:
+                rep = entry.run(subject, float(value), opts)
+                label = f"{name} {entry.param}={float(value):g}".lstrip()
+                checks.append(
+                    {
+                        "identity": identity,
+                        "label": label,
+                        "passed": bool(rep.passed),
+                        "params": dict(rep.params),
+                        rep.score_key: float(getattr(rep, rep.score_key)),
+                    }
+                )
+                print(f"[{identity}] {label}: {rep.summary()}")
 
     passed = all(c["passed"] for c in checks)
     n_fail = sum(1 for c in checks if not c["passed"])
@@ -415,20 +394,20 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--law", help="path to a law JSON file")
         if with_map:
             sp.add_argument("--map", choices=["jbeta", "i", "ubetaf", "ijbeta"])
-            sp.add_argument("--beta", type=float, help="map index (not for 'i')")
+            sp.add_argument("--beta", type=_positive, help="map index (not for 'i')")
         sp.add_argument("--out", help="write a report to this path")
         sp.add_argument("--format", choices=["json", "csv"], default="json")
 
     sp = sub.add_parser("eval", help="evaluate the (optionally mapped) exponent")
     add_common(sp)
     sp.add_argument("--y", help="evaluation points: 'a,b,c' or 'a,b;c,d' for vectors")
-    sp.add_argument("--tol", type=float, default=None, help="quadrature tolerance")
+    sp.add_argument("--tol", type=_positive, default=None, help="quadrature tolerance")
     sp.set_defaults(fn=_cmd_eval, needs_law=True)
 
     sp = sub.add_parser("transform", help="closed-form triplet transform")
     sp.add_argument("--law", help="path to a law JSON file")
-    sp.add_argument("--map", default="jbeta", choices=["jbeta", "i", "ubetaf", "ijbeta"])
-    sp.add_argument("--beta", type=float)
+    sp.add_argument("--map", default="jbeta", choices=["jbeta"])
+    sp.add_argument("--beta", type=_positive)
     sp.add_argument("--n-grid", type=int, default=None, help="tail tabulation nodes")
     sp.add_argument("--out")
     sp.set_defaults(fn=_cmd_transform, needs_law=True)
@@ -436,34 +415,34 @@ def _build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("verify", help="run one named identity check")
     sp.add_argument("--identity", required=True)
     add_common(sp, with_map=False)
-    sp.add_argument("--beta", type=float, default=None, help="index (default 1)")
-    sp.add_argument("--tol", type=float, default=1e-8, help="identity tolerance")
-    sp.add_argument("--cor5-tol", type=float, default=1e-9, dest="cor5_tol")
+    sp.add_argument("--beta", type=_positive, default=1.0, help="index (default 1)")
+    sp.add_argument("--tol", type=_positive, default=1e-8, help="identity tolerance")
+    sp.add_argument("--cor5-tol", type=_positive, default=1e-9, dest="cor5_tol")
     sp.add_argument("--y", help="override the verification grid")
-    sp.add_argument("--u", type=float, default=1.0, help="area-demo parameter")
+    sp.add_argument("--u", type=_positive, default=1.0, help="area-demo parameter")
     sp.add_argument("--n", type=_count, default=20000, help="MC sample count")
     sp.add_argument("--seed", type=_seed, default=0)
-    sp.add_argument("--z-max", type=float, default=4.0, dest="z_max")
+    sp.add_argument("--z-max", type=_positive, default=4.0, dest="z_max")
     sp.add_argument("--workers", type=_count, default=1)
     sp.set_defaults(fn=_cmd_verify)
 
     sp = sub.add_parser("simulate", help="draw exact samples, dump CSV")
     sp.add_argument("--law", required=True)
     sp.add_argument("--map", required=True, choices=["jbeta", "ijbeta"])
-    sp.add_argument("--beta", type=float, required=True)
+    sp.add_argument("--beta", type=_positive, required=True)
     sp.add_argument("--n", type=_count, required=True)
     sp.add_argument("--seed", type=_seed, required=True)
-    sp.add_argument("--s-max", type=float, default=30.0, dest="s_max")
+    sp.add_argument("--s-max", type=_positive, default=30.0, dest="s_max")
     sp.add_argument("--workers", type=_count, default=1)
     sp.add_argument("--out", help="samples CSV path")
     sp.add_argument("--y", help="grid for an empirical-CF comparison")
     sp.add_argument("--report", help="write the comparison report JSON here")
-    sp.add_argument("--z-max", type=float, default=4.0, dest="z_max")
+    sp.add_argument("--z-max", type=_positive, default=4.0, dest="z_max")
     sp.set_defaults(fn=_cmd_simulate)
 
     sp = sub.add_parser("area-demo", help="stochastic-area factorization demo")
-    sp.add_argument("--u", type=float, default=1.0)
-    sp.add_argument("--tol", type=float, default=1e-8)
+    sp.add_argument("--u", type=_positive, default=1.0)
+    sp.add_argument("--tol", type=_positive, default=1e-8)
     sp.add_argument("--out")
     sp.add_argument("--format", choices=["json", "csv"], default="json")
     sp.set_defaults(fn=_cmd_area_demo)

@@ -7,22 +7,23 @@ background factor is
 
 and the beta-transform of nu factors as (beta-transform of rho) * rho.
 Each checker evaluates both sides of one such identity on a grid and
-reports pointwise residuals. Identity tokens (eq3, eq15, cor1a, cor5,
-prop2, area) form the stable CLI vocabulary for these checks.
+reports pointwise residuals. :data:`IDENTITIES` maps the identity tokens
+(eq3, eq15, cor1a, cor5, prop2, eq2-timechange, area), the stable CLI
+vocabulary, to the checks that run them.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Any, Mapping
+from dataclasses import dataclass
+from typing import Any, Callable
 
 import numpy as np
 
-from . import maps
+from . import maps, simulate
 from .exponent import CharExponent, closed_form, conv_power, convolve, log_sinhc, xcothx
-from .spectral import RadialMeasure, SpectralMeasure
-from .errors import DimensionMismatchError
+from .report import CheckReport
+from .spectral import SpectralMeasure
 
 
 def default_grid(dim: int, n_points: int = 41, span: float = 5.0) -> np.ndarray:
@@ -46,14 +47,12 @@ def default_grid(dim: int, n_points: int = 41, span: float = 5.0) -> np.ndarray:
 
 
 @dataclass(frozen=True, eq=False)
-class FactorizationReport:
+class FactorizationReport(CheckReport):
     """Two exponent evaluations on a common grid, compared pointwise."""
 
-    identity: str
-    params: Mapping[str, Any]
-    grid: np.ndarray
-    lhs: np.ndarray
-    rhs: np.ndarray
+    kind = "identity"
+    template = "{r.identity}: max residual {r.max_residual:.3e} (tol {r.tol:.1e}) {word}"
+
     tol: float
 
     def __post_init__(self):
@@ -71,52 +70,8 @@ class FactorizationReport:
         object.__setattr__(self, "rhs", rhs)
 
     @property
-    def residuals(self) -> np.ndarray:
-        return np.abs(self.lhs - self.rhs)
-
-    @property
     def max_residual(self) -> float:
         return float(self.residuals.max())
-
-    @property
-    def passed(self) -> bool:
-        return self.max_residual < self.tol
-
-    def rows(self) -> list[dict]:
-        out = []
-        for k in range(self.grid.shape[0]):
-            point = self.grid[k]
-            if point.ndim == 0 or point.size == 1:
-                inp = float(np.ravel(point)[0])
-            else:
-                inp = [float(v) for v in point]
-            out.append(
-                {
-                    "input": inp,
-                    "lhs": [self.lhs[k].real, self.lhs[k].imag],
-                    "rhs": [self.rhs[k].real, self.rhs[k].imag],
-                    "residual": float(self.residuals[k]),
-                }
-            )
-        return out
-
-    def to_dict(self) -> dict:
-        return {
-            "kind": "identity",
-            "identity": self.identity,
-            "params": dict(self.params),
-            "tol": self.tol,
-            "max_residual": self.max_residual,
-            "passed": self.passed,
-            "rows": self.rows(),
-        }
-
-    def summary(self) -> str:
-        word = "pass" if self.passed else "FAIL"
-        return (
-            f"{self.identity}: max residual {self.max_residual:.3e} "
-            f"(tol {self.tol:.1e}) {word}"
-        )
 
 
 def _derived_quad_tol(tol: float) -> float:
@@ -147,6 +102,31 @@ def mu_from_rho(phi_rho: CharExponent, beta: float) -> CharExponent:
     return convolve(maps.apply_map(maps.jbeta_map(beta), phi_rho), phi_rho)
 
 
+def _grid_check(
+    identity: str,
+    lhs: CharExponent,
+    rhs: CharExponent,
+    beta: float,
+    grid: np.ndarray | None,
+    tol: float,
+    quad_tol: float | None,
+) -> FactorizationReport:
+    """Evaluate two independently built sides of an identity on one grid."""
+    if quad_tol is None:
+        quad_tol = _derived_quad_tol(tol)
+    if grid is None:
+        grid = default_grid(lhs.dim)
+    grid = np.asarray(grid, dtype=float)
+    return FactorizationReport(
+        identity,
+        {"beta": beta},
+        grid,
+        lhs.eval_grid(grid, quad_tol),
+        rhs.eval_grid(grid, quad_tol),
+        tol,
+    )
+
+
 def verify_factorization(
     phi_nu: CharExponent,
     beta: float,
@@ -155,14 +135,12 @@ def verify_factorization(
     quad_tol: float | None = None,
 ) -> FactorizationReport:
     """Check that the beta-transform of nu equals its two-factor assembly."""
-    if quad_tol is None:
-        quad_tol = _derived_quad_tol(tol)
-    if grid is None:
-        grid = default_grid(phi_nu.dim)
-    grid = np.asarray(grid, dtype=float)
-    lhs = mu_from_rho(rho_from_nu(phi_nu, beta), beta).eval_grid(grid, quad_tol)
-    rhs = maps.apply_map(maps.jbeta_map(beta), phi_nu).eval_grid(grid, quad_tol)
-    return FactorizationReport("eq3", {"beta": beta}, grid, lhs, rhs, tol)
+    return _grid_check(
+        "eq3",
+        mu_from_rho(rho_from_nu(phi_nu, beta), beta),
+        maps.apply_map(maps.jbeta_map(beta), phi_nu),
+        beta, grid, tol, quad_tol,
+    )
 
 
 def identity_e_check(
@@ -178,17 +156,12 @@ def identity_e_check(
     with rho]. Right side: beta-transform of the squared convolution
     power of rho.
     """
-    if quad_tol is None:
-        quad_tol = _derived_quad_tol(tol)
-    if grid is None:
-        grid = default_grid(phi_rho.dim)
-    grid = np.asarray(grid, dtype=float)
-    inner = mu_from_rho(phi_rho, beta)
-    lhs = maps.apply_map(maps.jbeta_map(2.0 * beta), inner).eval_grid(grid, quad_tol)
-    rhs = maps.apply_map(maps.jbeta_map(beta), conv_power(phi_rho, 2.0)).eval_grid(
-        grid, quad_tol
+    return _grid_check(
+        "eq15",
+        maps.apply_map(maps.jbeta_map(2.0 * beta), mu_from_rho(phi_rho, beta)),
+        maps.apply_map(maps.jbeta_map(beta), conv_power(phi_rho, 2.0)),
+        beta, grid, tol, quad_tol,
     )
-    return FactorizationReport("eq15", {"beta": beta}, grid, lhs, rhs, tol)
 
 
 def ubeta_f_membership(
@@ -203,15 +176,13 @@ def ubeta_f_membership(
     Left side: the (1 - sqrt(t))**(1/beta) kernel applied to nu. Right
     side: the (2 beta)-transform of the beta-transform of nu.
     """
-    if quad_tol is None:
-        quad_tol = _derived_quad_tol(tol)
-    if grid is None:
-        grid = default_grid(phi_nu.dim)
-    grid = np.asarray(grid, dtype=float)
-    lhs = maps.map_exponent_grid(maps.ubetaf_map(beta), phi_nu, grid, quad_tol)
     inner = maps.apply_map(maps.jbeta_map(beta), phi_nu)
-    rhs = maps.apply_map(maps.jbeta_map(2.0 * beta), inner).eval_grid(grid, quad_tol)
-    return FactorizationReport("cor1a", {"beta": beta}, grid, lhs, rhs, tol)
+    return _grid_check(
+        "cor1a",
+        maps.apply_map(maps.ubetaf_map(beta), phi_nu),
+        maps.apply_map(maps.jbeta_map(2.0 * beta), inner),
+        beta, grid, tol, quad_tol,
+    )
 
 
 def clock_composition_check(
@@ -227,15 +198,13 @@ def clock_composition_check(
     also the law of integrating exp(-s) against the time-changed process.
     Right side: the logarithmic map applied after the beta-transform.
     """
-    if quad_tol is None:
-        quad_tol = _derived_quad_tol(tol)
-    if grid is None:
-        grid = default_grid(phi_nu.dim)
-    grid = np.asarray(grid, dtype=float)
-    lhs = maps.map_exponent_grid(maps.i_jbeta_map(beta), phi_nu, grid, quad_tol)
     inner = maps.apply_map(maps.jbeta_map(beta), phi_nu)
-    rhs = maps.map_exponent_grid(maps.i_map(), inner, grid, quad_tol)
-    return FactorizationReport("prop2", {"beta": beta}, grid, lhs, rhs, tol)
+    return _grid_check(
+        "prop2",
+        maps.apply_map(maps.i_jbeta_map(beta), phi_nu),
+        maps.apply_map(maps.i_map(), inner),
+        beta, grid, tol, quad_tol,
+    )
 
 
 def default_radius_grid(G: SpectralMeasure, n_points: int = 20) -> np.ndarray:
@@ -349,20 +318,24 @@ class LevyAreaCase:
 
 
 @dataclass(frozen=True, eq=False)
-class LevyAreaReport:
-    """Quadrature-vs-closed-form checks for the stochastic-area law."""
+class LevyAreaReport(CheckReport):
+    """Quadrature-vs-closed-form checks for the stochastic-area law.
 
-    case: LevyAreaCase
-    t_grid: np.ndarray
-    i_part_quad: np.ndarray
-    i_part_closed: np.ndarray
+    The sides are the logarithmic map of the driving exponent (lhs) and
+    the closed-form selfdecomposable part (rhs) on the t grid; the
+    assembled characteristic functions are compared as well.
+    """
+
+    kind = "area"
+    template = "area (u={r.params[u]}): max residual {r.max_residual:.3e} (tol {r.tol:.1e}) {word}"
+
     chi_quad: np.ndarray
     chi_closed: np.ndarray
     tol: float
 
     @property
-    def transform_residuals(self) -> np.ndarray:
-        return np.abs(self.i_part_quad - self.i_part_closed)
+    def case(self) -> LevyAreaCase:
+        return LevyAreaCase(self.params["u"])
 
     @property
     def product_residuals(self) -> np.ndarray:
@@ -370,38 +343,19 @@ class LevyAreaReport:
 
     @property
     def max_residual(self) -> float:
-        return float(
-            max(self.transform_residuals.max(), self.product_residuals.max())
-        )
+        return float(max(self.residuals.max(), self.product_residuals.max()))
 
-    @property
-    def passed(self) -> bool:
-        return self.max_residual < self.tol
-
-    def to_dict(self) -> dict:
-        case = self.case
-        rows = []
-        for k, t in enumerate(self.t_grid):
-            rows.append(
-                {
-                    "input": float(t),
-                    "lhs": [self.i_part_quad[k].real, self.i_part_quad[k].imag],
-                    "rhs": [float(self.i_part_closed[k].real), 0.0],
-                    "residual": float(self.transform_residuals[k]),
-                    "chi_quadrature": [self.chi_quad[k].real, self.chi_quad[k].imag],
-                    "chi_closed_form": [float(self.chi_closed[k].real), 0.0],
-                    "cosh_variant_exponent": float(case.cosh_variant_exponent(t)),
-                }
-            )
+    def _extra_row(self, k: int) -> dict:
         return {
-            "kind": "area",
-            "identity": "area",
-            "params": {"u": case.u},
-            "tol": self.tol,
-            "max_residual": self.max_residual,
-            "max_transform_residual": float(self.transform_residuals.max()),
+            "chi_quadrature": [self.chi_quad[k].real, self.chi_quad[k].imag],
+            "chi_closed_form": [self.chi_closed[k].real, self.chi_closed[k].imag],
+            "cosh_variant_exponent": float(self.case.cosh_variant_exponent(self.grid[k])),
+        }
+
+    def _extra_doc(self) -> dict:
+        return {
+            "max_transform_residual": float(self.residuals.max()),
             "max_product_residual": float(self.product_residuals.max()),
-            "passed": self.passed,
             "cosh_variant": {
                 "exponent_limit_at_zero": 1.0,
                 "cf_limit_at_zero": math.e,
@@ -412,15 +366,7 @@ class LevyAreaReport:
                     "coth form is used everywhere else"
                 ),
             },
-            "rows": rows,
         }
-
-    def summary(self) -> str:
-        word = "pass" if self.passed else "FAIL"
-        return (
-            f"area (u={self.case.u}): max residual {self.max_residual:.3e} "
-            f"(tol {self.tol:.1e}) {word}"
-        )
 
 
 def levy_area_demo(
@@ -451,4 +397,53 @@ def levy_area_demo(
     i_part_closed = case.class_l_exponent(t_grid).astype(complex)
     chi_quad = np.exp(case.bdlp_exponent(t_grid) + i_part_quad)
     chi_closed = case.chi(t_grid).astype(complex)
-    return LevyAreaReport(case, t_grid, i_part_quad, i_part_closed, chi_quad, chi_closed, tol)
+    return LevyAreaReport(
+        "area", {"u": u}, t_grid, i_part_quad, i_part_closed, chi_quad, chi_closed, tol
+    )
+
+
+# -- identity table --------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Identity:
+    """How one identity token is checked.
+
+    ``subject`` names what the check takes: "exponent" (a CharExponent),
+    "jumps" (a SpectralMeasure), "sim" (a simulate.SimSpec) or None.
+    ``run(subject, value, opts)`` returns the report, where ``value`` is
+    the index named by ``param`` and ``opts`` has the attributes tol,
+    cor5_tol, grid, n, seed, z_max and workers.
+    """
+
+    subject: str | None
+    run: Callable[[Any, float, Any], CheckReport]
+    param: str = "beta"
+
+
+# the lambdas look the checks up when they run, so a replaced module
+# attribute (a tracer's wrapper, a test double) takes effect
+IDENTITIES: dict[str, Identity] = {
+    "eq3": Identity(
+        "exponent", lambda phi, beta, o: verify_factorization(phi, beta, o.grid, o.tol)
+    ),
+    "eq15": Identity(
+        "exponent", lambda phi, beta, o: identity_e_check(phi, beta, o.grid, o.tol)
+    ),
+    "cor1a": Identity(
+        "exponent", lambda phi, beta, o: ubeta_f_membership(phi, beta, o.grid, o.tol)
+    ),
+    "cor5": Identity(
+        "jumps", lambda G, beta, o: spectral_factor_check(G, beta, tol=o.cor5_tol)
+    ),
+    "prop2": Identity(
+        "exponent", lambda phi, beta, o: clock_composition_check(phi, beta, o.grid, o.tol)
+    ),
+    "eq2-timechange": Identity(
+        "sim",
+        lambda spec, beta, o: simulate.time_change_equivalence(
+            spec, beta, o.n, o.seed, z_max=o.z_max, workers=o.workers
+        ),
+    ),
+    "area": Identity(None, lambda _, u, o: levy_area_demo(u, tol=o.tol), param="u"),
+}

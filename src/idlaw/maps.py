@@ -29,7 +29,7 @@ import numpy as np
 
 from . import quadrature
 from .errors import DimensionMismatchError, NotLogIntegrableError, QuadratureError
-from .exponent import CharExponent, as_grid, from_callable, iter_triplets
+from .exponent import CharExponent, from_callable, iter_triplets
 from .spectral import (
     Atom,
     GridTail,
@@ -59,9 +59,6 @@ class IntegralMap:
         else:
             if self.beta is None or not self.beta > 0.0:
                 raise ValueError(f"map {self.kind!r} needs beta > 0, got {self.beta}")
-
-    def apply(self, phi: CharExponent) -> CharExponent:
-        return apply_map(self, phi)
 
 
 def jbeta_map(beta: float) -> IntegralMap:
@@ -108,23 +105,6 @@ def inner_clock_rate(beta: float, s) -> np.ndarray:
     if np.any(s < 0.0):
         raise ValueError("clock argument must be nonnegative")
     return -np.expm1(-beta * s)
-
-
-@dataclass(frozen=True)
-class InnerClock:
-    """The deterministic clock driving the time-changed integral form."""
-
-    beta: float
-
-    def __post_init__(self):
-        if not self.beta > 0.0:
-            raise ValueError(f"beta must be positive, got {self.beta}")
-
-    def value(self, s) -> np.ndarray:
-        return inner_clock(self.beta, s)
-
-    def rate(self, s) -> np.ndarray:
-        return inner_clock_rate(self.beta, s)
 
 
 # -- exponent-level maps -------------------------------------------------------
@@ -268,37 +248,8 @@ def _singular_grid(phi, Y, tol, weight):
     return val + tail
 
 
-def jbeta_exponent(phi: CharExponent, beta: float, y, tol: float | None = None):
-    """Transformed exponent of the jbeta map at one point or a grid."""
-    m = jbeta_map(beta)
-    Y, single = as_grid(y, phi.dim)
-    vals = map_exponent_grid(m, phi, Y, tol)
-    return complex(vals[0]) if single else vals
-
-
-def i_exponent(phi: CharExponent, y, tol: float | None = None):
-    """Transformed exponent of the logarithmic-kernel map at a point or grid."""
-    Y, single = as_grid(y, phi.dim)
-    vals = map_exponent_grid(i_map(), phi, Y, tol)
-    return complex(vals[0]) if single else vals
-
-
-def ubeta_f_exponent(phi: CharExponent, beta: float, y, tol: float | None = None):
-    """Transformed exponent of the (1 - sqrt(t))**(1/beta) kernel map."""
-    Y, single = as_grid(y, phi.dim)
-    vals = map_exponent_grid(ubetaf_map(beta), phi, Y, tol)
-    return complex(vals[0]) if single else vals
-
-
-def i_jbeta_exponent(phi: CharExponent, beta: float, y, tol: float | None = None):
-    """Composition of the logarithmic map after the jbeta map, in one kernel."""
-    Y, single = as_grid(y, phi.dim)
-    vals = map_exponent_grid(i_jbeta_map(beta), phi, Y, tol)
-    return complex(vals[0]) if single else vals
-
-
-def jbeta_inverse_exponent(phi_mu: CharExponent, beta: float, y, tol: float | None = None):
-    """Left inverse of the jbeta map on exponents.
+def jbeta_inverse(phi_mu: CharExponent, beta: float) -> CharExponent:
+    """Left inverse of the jbeta map on exponents, as an exponent.
 
     If mu is the jbeta image of nu then s * Phi_mu(s**(1/beta) y) equals the
     integral of Phi_nu over a rescaled range, so its derivative in s at
@@ -307,24 +258,17 @@ def jbeta_inverse_exponent(phi_mu: CharExponent, beta: float, y, tol: float | No
     """
     if not beta > 0.0:
         raise ValueError(f"beta must be positive, got {beta}")
-    Y, single = as_grid(y, phi_mu.dim)
     h = 1e-5
     svals = np.array([1.0 + h, 1.0 - h, 1.0 + 0.5 * h, 1.0 - 0.5 * h])
-    stacked = np.concatenate([(s ** (1.0 / beta)) * Y for s in svals], axis=0)
-    vals = phi_mu.eval_grid(stacked, tol)
-    n = Y.shape[0]
-    F = [svals[k] * vals[k * n : (k + 1) * n] for k in range(4)]
-    d1 = (F[0] - F[1]) / (2.0 * h)
-    d2 = (F[2] - F[3]) / h
-    out = (4.0 * d2 - d1) / 3.0
-    return complex(out[0]) if single else out
-
-
-def jbeta_inverse(phi_mu: CharExponent, beta: float) -> CharExponent:
-    """Inverse transform packaged as an exponent (for further composition)."""
 
     def fn(Y, tol):
-        return jbeta_inverse_exponent(phi_mu, beta, Y, tol)
+        stacked = np.concatenate([(s ** (1.0 / beta)) * Y for s in svals], axis=0)
+        vals = phi_mu.eval_grid(stacked, tol)
+        n = Y.shape[0]
+        F = [svals[k] * vals[k * n : (k + 1) * n] for k in range(4)]
+        d1 = (F[0] - F[1]) / (2.0 * h)
+        d2 = (F[2] - F[3]) / h
+        return (4.0 * d2 - d1) / 3.0
 
     return from_callable(fn, phi_mu.dim, label=f"jbeta_inverse(beta={beta})")
 

@@ -1,4 +1,4 @@
-"""Serialization of check reports: canonical JSON and flat CSV.
+"""Check reports: their shared shape, canonical JSON and flat CSV.
 
 Complex values are encoded as [real, imag] pairs. JSON output is canonical
 (sorted keys, two-space indent, trailing newline) so byte comparison of
@@ -10,7 +10,84 @@ from __future__ import annotations
 
 import io
 import json
+import operator
+from dataclasses import dataclass
 from importlib import resources
+from typing import Any, Callable, ClassVar, Mapping
+
+import numpy as np
+
+
+@dataclass(frozen=True, eq=False)
+class CheckReport:
+    """Shape shared by every check report.
+
+    A check compares a left and a right side pointwise on a grid of
+    inputs and passes when its score is ``within`` its limit. A subclass
+    sets ``kind``, the summary ``template``, and the names of the
+    attributes holding the score and the limit, which also key them in
+    the JSON document; it adds its own per-row and top-level fields
+    through ``_extra_row`` and ``_extra_doc``.
+    """
+
+    kind: ClassVar[str]
+    template: ClassVar[str]
+    score_key: ClassVar[str] = "max_residual"
+    limit_key: ClassVar[str] = "tol"
+    within: ClassVar[Callable[[float, float], bool]] = operator.lt
+    # one-component inputs are written as plain numbers instead of lists
+    scalar_inputs: ClassVar[bool] = True
+
+    identity: str
+    params: Mapping[str, Any]
+    grid: np.ndarray
+    lhs: np.ndarray
+    rhs: np.ndarray
+
+    @property
+    def residuals(self) -> np.ndarray:
+        return np.abs(self.lhs - self.rhs)
+
+    @property
+    def passed(self) -> bool:
+        return self.within(getattr(self, self.score_key), getattr(self, self.limit_key))
+
+    def summary(self) -> str:
+        return self.template.format(r=self, word="pass" if self.passed else "FAIL")
+
+    def _extra_row(self, k: int) -> dict:
+        return {}
+
+    def _extra_doc(self) -> dict:
+        return {}
+
+    def rows(self) -> list[dict]:
+        residuals = self.residuals
+        out = []
+        for k, point in enumerate(self.grid):
+            inp = [float(v) for v in np.atleast_1d(point)]
+            out.append(
+                {
+                    "input": inp[0] if self.scalar_inputs and len(inp) == 1 else inp,
+                    "lhs": [self.lhs[k].real, self.lhs[k].imag],
+                    "rhs": [self.rhs[k].real, self.rhs[k].imag],
+                    "residual": float(residuals[k]),
+                    **self._extra_row(k),
+                }
+            )
+        return out
+
+    def to_dict(self) -> dict:
+        return {
+            "kind": self.kind,
+            "identity": self.identity,
+            "params": dict(self.params),
+            self.score_key: getattr(self, self.score_key),
+            self.limit_key: getattr(self, self.limit_key),
+            "passed": self.passed,
+            "rows": self.rows(),
+            **self._extra_doc(),
+        }
 
 
 def canonical_json(doc: dict) -> str:

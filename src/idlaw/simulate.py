@@ -20,6 +20,7 @@ reproduces the exact byte stream of a serial run.
 from __future__ import annotations
 
 import math
+import operator
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -29,6 +30,7 @@ import numpy as np
 from . import maps, quadrature
 from .errors import LawSpecError
 from .exponent import CharExponent, as_grid, closed_form, convolve
+from .report import CheckReport
 
 _PROB_TOL = 1e-12
 _PSD_TOL = 1e-10
@@ -461,14 +463,16 @@ def _z_scores(diff: np.ndarray, se: np.ndarray) -> np.ndarray:
 
 
 @dataclass(frozen=True, eq=False)
-class MCReport:
-    """Empirical CF against a target CF, pointwise z-scores."""
+class MCReport(CheckReport):
+    """Empirical CF (lhs) against a target CF (rhs), pointwise z-scores."""
 
-    label: str
-    params: dict
-    y_grid: np.ndarray
-    estimate: np.ndarray
-    target: np.ndarray
+    kind = "mc"
+    template = "{r.identity}: worst |z| {r.worst_z:.2f} (limit {r.z_max}) {word}"
+    score_key = "worst_z"
+    limit_key = "z_max"
+    within = operator.le
+    scalar_inputs = False
+
     z_real: np.ndarray
     z_imag: np.ndarray
     n: int
@@ -476,43 +480,29 @@ class MCReport:
     z_max: float
 
     @property
+    def estimate(self) -> np.ndarray:
+        return self.lhs
+
+    @property
+    def target(self) -> np.ndarray:
+        return self.rhs
+
+    @property
+    def residuals(self) -> np.ndarray:
+        # Monte Carlo rows carry the correctly rounded modulus; numpy's
+        # vectorized complex abs can be one ulp off
+        d = self.lhs - self.rhs
+        return np.hypot(d.real, d.imag)
+
+    @property
     def worst_z(self) -> float:
         return float(max(np.max(np.abs(self.z_real)), np.max(np.abs(self.z_imag))))
 
-    @property
-    def passed(self) -> bool:
-        return self.worst_z <= self.z_max
+    def _extra_row(self, k: int) -> dict:
+        return {"z": [float(self.z_real[k]), float(self.z_imag[k])]}
 
-    def rows(self) -> list[dict]:
-        out = []
-        for k in range(len(self.estimate)):
-            out.append(
-                {
-                    "input": [float(v) for v in np.atleast_1d(self.y_grid[k])],
-                    "lhs": [self.estimate[k].real, self.estimate[k].imag],
-                    "rhs": [self.target[k].real, self.target[k].imag],
-                    "residual": float(abs(self.estimate[k] - self.target[k])),
-                    "z": [float(self.z_real[k]), float(self.z_imag[k])],
-                }
-            )
-        return out
-
-    def to_dict(self) -> dict:
-        return {
-            "kind": "mc",
-            "identity": self.label,
-            "params": dict(self.params),
-            "n": self.n,
-            "seed": self.seed,
-            "z_max": self.z_max,
-            "worst_z": self.worst_z,
-            "passed": self.passed,
-            "rows": self.rows(),
-        }
-
-    def summary(self) -> str:
-        word = "pass" if self.passed else "FAIL"
-        return f"{self.label}: worst |z| {self.worst_z:.2f} (limit {self.z_max}) {word}"
+    def _extra_doc(self) -> dict:
+        return {"n": self.n, "seed": self.seed}
 
 
 def mc_report(

@@ -25,9 +25,9 @@ GRID_CHUNK_ELEMENTS = 1 << 18
 # share of the tolerance each discarded end of an unbounded-tail contour
 # integral may take; the quadrature gets what the two ends leave
 TAIL_CUT_SHARE = 1e-6
-# arguments per contour quadrature; at the 100-400 abscissas such a
+# arguments per segment quadrature; at the 100-400 abscissas such a
 # quadrature evaluates per integrand call, a batch stays near 20 MB
-TAIL_CHUNK = 4096
+SEGMENT_CHUNK = 4096
 
 
 def _cis_m1(theta: np.ndarray) -> np.ndarray:
@@ -412,13 +412,24 @@ class RadialMeasure:
 
 
 def _segment_exponent(sg: Segment, w: np.ndarray, tol: float | None) -> np.ndarray:
-    """Jump integrand integrated over one power segment, batched over w."""
+    """Jump integrand integrated over one power segment, batched over w.
+
+    The quadratures run on chunks of at most ``SEGMENT_CHUNK`` arguments, so
+    their (abscissas x arguments) arrays stay bounded for any batch.
+    """
     if tol is None:
         tol = quadrature.default_tol()
     out = np.zeros(w.shape, dtype=complex)
+    if sg.c != 0.0:
+        for j in range(0, w.size, SEGMENT_CHUNK):
+            out[j : j + SEGMENT_CHUNK] = _segment_chunk(sg, w[j : j + SEGMENT_CHUNK], tol)
+    return out
+
+
+def _segment_chunk(sg: Segment, w: np.ndarray, tol: float) -> np.ndarray:
+    """One chunk of arguments of :func:`_segment_exponent`."""
+    out = np.zeros(w.shape, dtype=complex)
     c, p = sg.c, sg.p
-    if c == 0.0:
-        return out
 
     lo_c, hi_c = sg.lo, min(sg.hi, 1.0)
     if hi_c > lo_c:
@@ -459,8 +470,8 @@ def _segment_exponent_infinite(
     w > 0, int_lo^inf r**p exp(i w r) dr = i exp(i w lo) lo**(p+1)
     int_0^inf (1 + i u)**p exp(-a u) du with a = w lo. In u = exp(x) that
     integrand is smooth and decays at both ends, so one batched quadrature
-    in x covers up to ``TAIL_CHUNK`` arguments; w < 0 follows by
-    conjugation and w = 0 gives exactly 0. Each discarded end costs at most
+    in x covers the batch; w < 0 follows by conjugation and w = 0 gives
+    exactly 0. Each discarded end costs at most
     ``TAIL_CUT_SHARE * tol``: below u_lo the factor (1 + i u)**p, within
     |p| u of 1, is replaced by 1 and integrated in closed form; past u_hi
     the rest is under exp(-a u_hi) / a per unit scale, as |1 + i u|**p <= 1.
@@ -475,23 +486,23 @@ def _segment_exponent_infinite(
     cut = TAIL_CUT_SHARE * tol
     u_lo = math.sqrt(cut / (0.5 * -p * scale))
     x_lo = math.log(u_lo)
-    nonzero = np.flatnonzero(w)
-    for k in range(0, nonzero.size, TAIL_CHUNK):
-        idx = nonzero[k : k + TAIL_CHUNK]
-        a = np.abs(w[idx]) * lo
-        a_min = float(a.min())
-        u_hi = max(math.log(scale / (a_min * cut)), 1.0) / a_min
+    idx = np.flatnonzero(w)
+    if idx.size == 0:
+        return out
+    a = np.abs(w[idx]) * lo
+    a_min = float(a.min())
+    u_hi = max(math.log(scale / (a_min * cut)), 1.0) / a_min
 
-        def f(xs: np.ndarray) -> np.ndarray:
-            u = np.exp(xs)
-            g = scale * u * np.hypot(1.0, u) ** p * np.exp(1j * p * np.arctan(u))
-            return g[:, None] * np.exp(-np.multiply.outer(u, a))
+    def f(xs: np.ndarray) -> np.ndarray:
+        u = np.exp(xs)
+        g = scale * u * np.hypot(1.0, u) ** p * np.exp(1j * p * np.arctan(u))
+        return g[:, None] * np.exp(-np.multiply.outer(u, a))
 
-        val, _ = quadrature.integrate(
-            f, x_lo, max(math.log(u_hi), x_lo), tol=tol - 2.0 * cut, vectorized=True
-        )
-        val = 1j * np.exp(1j * a) * (val + scale * -np.expm1(-a * u_lo) / a)
-        out[idx] = np.where(w[idx] > 0.0, val, np.conj(val)) - c * mass
+    val, _ = quadrature.integrate(
+        f, x_lo, max(math.log(u_hi), x_lo), tol=tol - 2.0 * cut, vectorized=True
+    )
+    val = 1j * np.exp(1j * a) * (val + scale * -np.expm1(-a * u_lo) / a)
+    out[idx] = np.where(w[idx] > 0.0, val, np.conj(val)) - c * mass
     return out
 
 

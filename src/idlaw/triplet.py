@@ -129,24 +129,3 @@ def validate(obj: Union[LevyTriplet, SpectralMeasure]) -> ValidationReport:
         return ValidationReport("measure", tuple(obj.issues()))
     raise TypeError(f"cannot validate {type(obj).__name__}")
 
-
-def exponent_from_triplet(
-    triplet: LevyTriplet, y, tol: float | None = None
-) -> complex | np.ndarray:
-    """Evaluate the triplet's exponent at one point or a grid.
-
-    1-d input of length dim is one point; (n, dim) input is a grid.
-    Raises InvalidMeasureError if the jump measure is inadmissible.
-    """
-    y = np.asarray(y, dtype=float)
-    if y.ndim <= 1:
-        return triplet.exponent(y, tol)
-    return triplet.exponent_grid(y, tol)
-
-
-def log_moment(measure: SpectralMeasure | LevyTriplet) -> tuple[float, bool]:
-    """Log moment of the jump measure beyond the unit ball: (value, finite)."""
-    if isinstance(measure, LevyTriplet):
-        measure = measure.levy
-    val = measure.log_moment()
-    return val, bool(np.isfinite(val))

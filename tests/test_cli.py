@@ -250,6 +250,33 @@ class TestSimulate:
         assert code == 2
         assert f"error: argument {flag}" in err
 
+    @pytest.mark.parametrize(
+        "head, flag",
+        [
+            (["eval", "--map", "jbeta"], "--beta"),
+            (["eval"], "--tol"),
+            (["transform"], "--beta"),
+            (["verify", "--identity", "eq3"], "--beta"),
+            (["verify", "--identity", "eq3"], "--tol"),
+            (["verify", "--identity", "cor5"], "--cor5-tol"),
+            (["verify", "--identity", "area"], "--u"),
+            (["verify", "--identity", "eq2-timechange"], "--z-max"),
+            (["simulate", "--map", "jbeta", "--beta", "1", "--n", "8", "--seed", "0"], "--z-max"),
+            (["simulate", "--map", "ijbeta", "--beta", "1", "--n", "8", "--seed", "0"], "--s-max"),
+            (["simulate", "--map", "jbeta", "--n", "8", "--seed", "0"], "--beta"),
+            (["area-demo"], "--u"),
+            (["area-demo"], "--tol"),
+        ],
+    )
+    @pytest.mark.parametrize("value", ["0", "-1"])
+    def test_nonpositive_numeric_flags_are_usage_errors(
+        self, capsys, law_files, head, flag, value
+    ):
+        law = [] if head[0] == "area-demo" else ["--law", law_files["cp"]]
+        code, _, err = run(capsys, *head, *law, f"{flag}={value}")
+        assert code == 2
+        assert f"error: argument {flag}" in err
+
     def test_map_choices_enforced(self, capsys, law_files):
         code, _, _ = run(
             capsys, "simulate", "--law", law_files["cp"], "--map", "i",
@@ -294,6 +321,11 @@ class TestSuite:
         text = out_path.read_text()
         assert text.startswith("identity,label,passed,metric")
         assert "eq3,gaussian beta=1,1," in text
+        json_path = tmp_path / "suite.json"
+        assert run(capsys, "suite", "--config", conf, "--out", str(json_path))[0] == 0
+        checks = json.loads(json_path.read_text())["checks"]
+        assert [c["params"] for c in checks if c["identity"] == "area"] == [{"u": 1.0}]
+        assert {c["params"]["beta"] for c in checks if c["identity"] == "eq3"} == {1.0, 2.0}
 
     def test_failing_suite_exits_one(self, capsys, tmp_path):
         conf = self.write_config(

@@ -250,7 +250,7 @@ class TestAreaLaw:
         rep = factor.levy_area_demo(1.0, t_grid=np.array([1.0, 2.0]))
         assert rep.passed
         # closed-form transform value is log(t/sinh t), -0.161439... at t = 1
-        assert rep.i_part_closed[0] == pytest.approx(
+        assert rep.rhs[0] == pytest.approx(
             -0.16143936157119563361, rel=1e-13
         )
         assert rep.chi_closed[0] == pytest.approx(0.62221185143506075106, rel=1e-12)

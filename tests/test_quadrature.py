@@ -48,7 +48,7 @@ def test_i_map_on_unbounded_power_tail_returns():
         ),
     )
     phi = from_triplet(LevyTriplet(1, [0.1], [[0.2]], levy))
-    vals = maps.i_exponent(phi, np.array([[0.0], [2.5]]), 1e-6)
+    vals = maps.apply_map(maps.i_map(), phi)(np.array([[0.0], [2.5]]), 1e-6)
     assert vals[0] == 0.0
     assert np.isfinite(vals[1]) and vals[1].real < 0.0
 

@@ -236,7 +236,7 @@ class TestMCVsQuadrature:
             n=30000, seed=21,
         )
         assert rep.passed
-        assert rep.label == "mc-jbeta"
+        assert rep.identity == "mc-jbeta"
         assert rep.n == 30000 and rep.seed == 21
 
     def test_mix_singular_map_passes(self):
@@ -245,7 +245,7 @@ class TestMCVsQuadrature:
             n=30000, seed=22,
         )
         assert rep.passed
-        assert rep.label == "mc-ijbeta"
+        assert rep.identity == "mc-ijbeta"
 
     def test_origin_scores_zero(self):
         rep = sim.mc_vs_quadrature(
@@ -272,7 +272,7 @@ class TestTimeChangeEquivalence:
     def test_gaussian_routes_agree(self):
         rep = sim.time_change_equivalence(gauss_spec(), 2.0, n=30000, seed=31)
         assert rep.passed
-        assert rep.label == "eq2-timechange"
+        assert rep.identity == "eq2-timechange"
 
     def test_drift_only_is_basically_exact(self):
         rep = sim.time_change_equivalence(drift_spec(), 2.0, n=32, seed=9)

@@ -196,6 +196,32 @@ class TestExponentIntegrals:
         assert np.max(np.abs(gt.exponent_integral(sub) - want)) < 1e-11
         assert np.max(np.abs(got[::2500] - want)) < 1e-11
 
+    def test_segment_memory_is_bounded_for_large_batches(self, monkeypatch):
+        # 1e5 arguments on a finite segment below the unit radius: one
+        # (abscissas x arguments) array for the whole batch peaked near
+        # 400 MB; per-chunk quadratures keep the peak near 20 MB
+        sg = spectral.Segment(0.0, 0.8, 0.5, -0.7)
+        w = np.linspace(0.0, 5.0, 100_001)[1:]
+        tracemalloc.start()
+        try:
+            spectral._segment_exponent(sg, w, None)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64e6
+        # each chunk meets the tolerance on its own, so chunked and
+        # single-batch results agree within twice the tolerance, for the
+        # compensated, raw and unbounded parts alike
+        tol = quadrature.default_tol()
+        sub = np.linspace(0.05, 8.0, 40)
+        for seg in (sg, spectral.Segment(0.5, 3.0, 0.3, -1.4),
+                    spectral.Segment(1.5, math.inf, 0.3, -1.6)):
+            whole = spectral._segment_exponent(seg, sub, tol)
+            monkeypatch.setattr(spectral, "SEGMENT_CHUNK", 7)
+            chunked = spectral._segment_exponent(seg, sub, tol)
+            monkeypatch.undo()
+            assert np.max(np.abs(chunked - whole)) < 2.0 * tol
+
     def test_hermitian_symmetry(self):
         m = SpectralMeasure(
             1,

@@ -11,7 +11,7 @@ from idlaw.spectral import (
     SpectralMeasure,
     ray,
 )
-from idlaw.triplet import LevyTriplet, log_moment, validate
+from idlaw.triplet import LevyTriplet, validate
 
 
 def empty_measure(dim=1):
@@ -164,13 +164,13 @@ class TestValidation:
 class TestLogMoment:
     def test_single_atom_beyond_unit_ball(self):
         trip = LevyTriplet(1, [0.0], [[0.0]], atom_measure(math.e, 1.0))
-        val, finite = log_moment(trip)
-        assert finite
+        val = trip.log_moment()
+        assert math.isfinite(val)
         assert val == pytest.approx(1.0, abs=1e-15)
 
     def test_atoms_inside_unit_ball_contribute_nothing(self):
-        val, finite = log_moment(atom_measure(0.5, 3.0))
-        assert finite
+        val = atom_measure(0.5, 3.0).log_moment()
+        assert math.isfinite(val)
         assert val == 0.0
 
     def test_power_tail_segment(self):
@@ -178,8 +178,8 @@ class TestLogMoment:
         m = SpectralMeasure(
             1, (ray([1.0], segments=[(1.0, math.inf, 1.0, -2.0)]),)
         )
-        val, finite = log_moment(m)
-        assert finite
+        val = m.log_moment()
+        assert math.isfinite(val)
         assert val == pytest.approx(1.0, rel=1e-12)
 
     def test_mixed_measure_sums_contributions(self):
@@ -187,6 +187,6 @@ class TestLogMoment:
             1,
             (ray([1.0], atoms=[(2.0, 0.5)], segments=[(1.0, math.inf, 1.0, -2.0)]),),
         )
-        val, finite = log_moment(m)
-        assert finite
+        val = m.log_moment()
+        assert math.isfinite(val)
         assert val == pytest.approx(0.5 * math.log(2.0) + 1.0, rel=1e-12)
