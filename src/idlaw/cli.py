@@ -77,6 +77,28 @@ def _positive(text: str) -> float:
     return value
 
 
+def _nodes(text: str) -> int:
+    """argparse type for a tabulation node count: an integer >= 2."""
+    value = int(text)
+    if value < 2:
+        raise argparse.ArgumentTypeError(f"must be at least 2, got {value}")
+    return value
+
+
+def _config_value(parse, value, where: str):
+    """A suite config value, checked by the argparse type of its CLI flag."""
+    try:
+        return parse(str(value))
+    except (argparse.ArgumentTypeError, ValueError) as exc:
+        raise LawSpecError(f"suite config {where}: {exc}") from None
+
+
+def _config_positives(values, where: str) -> list[float]:
+    if not isinstance(values, list):
+        raise LawSpecError(f"suite config {where} must be a list, got {values!r}")
+    return [_config_value(_positive, v, f"{where}[{k}]") for k, v in enumerate(values)]
+
+
 def _parse_points(text: str, dim: int) -> np.ndarray:
     """'1,2,3' lists scalar points; 'a,b;c,d' separates vectors with ';'."""
     text = text.strip()
@@ -159,6 +181,7 @@ def _triplet_doc(trip) -> dict:
                     "hi": ("inf" if math.isinf(s.hi) else s.hi),
                     "c": s.c,
                     "p": s.p,
+                    **({} if s.e is None else {"e": s.e}),
                 }
                 for s in rad.segments
             ],
@@ -323,11 +346,16 @@ def _cmd_suite(args) -> int:
             file=sys.stderr,
         )
         return 2
-    tol = float(config.get("tol", 1e-8))
-    cor5_tol = float(config.get("cor5_tol", 1e-9))
-    betas = [float(b) for b in config.get("betas", [1.0])]
+    tol = _config_value(_positive, config.get("tol", 1e-8), "'tol'")
+    cor5_tol = _config_value(_positive, config.get("cor5_tol", 1e-9), "'cor5_tol'")
+    betas = _config_positives(config.get("betas", [1.0]), "'betas'")
+    area_u = _config_positives(config.get("area_u", [1.0]), "'area_u'")
     mc = dict(DEFAULT_SUITE_CONFIG["mc"])
     mc.update(config.get("mc", {}))
+    mc_betas = _config_positives(mc["betas"], "'mc.betas'")
+    z_max = _config_value(_positive, mc["z_max"], "'mc.z_max'")
+    n = _config_value(_count, mc["n"], "'mc.n'")
+    seed = _config_value(_seed, mc["seed"], "'mc.seed'")
     laws = [_suite_law(entry) for entry in config.get("laws", [])]
 
     subjects = {
@@ -339,16 +367,16 @@ def _cmd_suite(args) -> int:
     sweeps = {
         "exponent": betas,
         "jumps": betas,
-        "sim": mc["betas"],
-        None: config.get("area_u", [1.0]),
+        "sim": mc_betas,
+        None: area_u,
     }
     opts = SimpleNamespace(
         tol=tol,
         cor5_tol=cor5_tol,
         grid=None,
-        n=int(mc["n"]),
-        seed=int(mc["seed"]),
-        z_max=float(mc["z_max"]),
+        n=n,
+        seed=seed,
+        z_max=z_max,
         workers=1,
     )
     checks = []
@@ -356,8 +384,8 @@ def _cmd_suite(args) -> int:
         entry = factor.IDENTITIES[identity]
         for name, subject in subjects[entry.subject]:
             for value in sweeps[entry.subject]:
-                rep = entry.run(subject, float(value), opts)
-                label = f"{name} {entry.param}={float(value):g}".lstrip()
+                rep = entry.run(subject, value, opts)
+                label = f"{name} {entry.param}={value:g}".lstrip()
                 checks.append(
                     {
                         "identity": identity,
@@ -408,7 +436,10 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--law", help="path to a law JSON file")
     sp.add_argument("--map", default="jbeta", choices=["jbeta"])
     sp.add_argument("--beta", type=_positive)
-    sp.add_argument("--n-grid", type=int, default=None, help="tail tabulation nodes")
+    sp.add_argument(
+        "--n-grid", type=_nodes, default=None,
+        help="tail tabulation nodes (grid-tail inputs only)",
+    )
     sp.add_argument("--out")
     sp.set_defaults(fn=_cmd_transform, needs_law=True)
 

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import maps, simulate
 from .exponent import CharExponent, closed_form, conv_power, convolve, log_sinhc, xcothx
-from .report import CheckReport
+from .report import CheckReport, abs_diff
 from .spectral import SpectralMeasure
 
 
@@ -339,7 +339,7 @@ class LevyAreaReport(CheckReport):
 
     @property
     def product_residuals(self) -> np.ndarray:
-        return np.abs(self.chi_quad - self.chi_closed)
+        return abs_diff(self.chi_quad, self.chi_closed)
 
     @property
     def max_residual(self) -> float:

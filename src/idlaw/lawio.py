@@ -7,7 +7,8 @@ A law document takes one of three shapes:
 * triplet: ``{"dim": d, "shift": [...], "cov": [[...]], "levy": {"rays": [...]}}``
   where each ray has a unit ``direction`` plus optional ``atoms``
   ``[{"r":, "m":}]``, ``segments`` ``[{"lo":, "hi": (number or "inf"),
-  "c":, "p":}]`` and ``grid_tail`` ``{"radii": [...], "tail": [...]}``.
+  "c":, "p":}]`` (with an optional ``"e"`` for a log-form segment) and
+  ``grid_tail`` ``{"radii": [...], "tail": [...]}``.
 
 Whenever the description pins down a finite-activity process (drift +
 Gaussian + finitely many jump atoms), a simulation spec is derived so the
@@ -185,6 +186,7 @@ def _ray_from_dict(doc, dim) -> Ray:
     atoms = [(float(a["r"]), float(a["m"])) for a in doc.get("atoms", [])]
     segments = [
         (float(s["lo"]), _parse_hi(s["hi"]), float(s["c"]), float(s["p"]))
+        + ((float(s["e"]),) if s.get("e") is not None else ())
         for s in doc.get("segments", [])
     ]
     gt = None

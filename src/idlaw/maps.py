@@ -11,13 +11,16 @@ exponent scale:
   against a deterministic time change with rate 1 - exp(-beta s).
 
 The ``jbeta`` map also acts on generating triplets in closed form: shift
-and covariance pick up the factors beta/(beta+1) and beta/(beta+2), atoms
-of the jump measure spread into power segments, and general radial parts
-transform through their right tails,
+and covariance pick up the factors beta/(beta+1) and beta/(beta+2), and
+atoms and power segments of the jump measure map to exact sums of power
+segments (:func:`jbeta_radial`). Any radial part transforms through its
+right tail,
 
     tail_out(u) = beta * u**beta * integral_u^inf tail(w) w**(-beta-1) dw,
 
-which this module evaluates exactly piece by piece.
+which this module evaluates exactly piece by piece; only tabulated tails
+and log-form segments have no power-form image and are re-tabulated
+from it.
 """
 
 from __future__ import annotations
@@ -31,12 +34,14 @@ from . import quadrature
 from .errors import DimensionMismatchError, NotLogIntegrableError, QuadratureError
 from .exponent import CharExponent, from_callable, iter_triplets
 from .spectral import (
-    Atom,
     GridTail,
     RadialMeasure,
     Ray,
     Segment,
     SpectralMeasure,
+    _expm1_ratio,
+    _power_ints,
+    log_form_integral,
 )
 from .triplet import LevyTriplet
 
@@ -280,8 +285,10 @@ def _segment_tail_transform(sg: Segment, beta: float, us: np.ndarray) -> np.ndar
     """integral_u^inf tail_sg(w) w**(-beta-1) dw for one power segment.
 
     Vectorized over query radii us > 0. On (u, lo) the segment's tail is
-    its whole mass; from L = max(u, lo) on it is a combination of 1 and
-    w**(p+1), so each piece is a power integral in closed form.
+    its whole mass. From L = max(u, lo) on, swapping the order of
+    integration turns the rest into the integral of c r**p
+    (L**-beta - r**-beta)/beta over (L, hi): two power integrals, taken
+    through expm1 so that neither p + 1 -> 0 nor p - beta + 1 -> 0 cancels.
     """
     c, p, lo, hi = sg.c, sg.p, sg.lo, sg.hi
 
@@ -297,11 +304,9 @@ def _segment_tail_transform(sg: Segment, beta: float, us: np.ndarray) -> np.ndar
     if math.isinf(hi):
         # p < -1 here, else the tail itself is infinite
         val += (c / (-(p + 1.0))) * (-(L ** e) / e)
-    elif p == -1.0:
-        val += c * (np.log(hi / L) * L ** (-beta) / beta - p_neg(L, hi) / beta)
     else:
-        part = np.log(hi / L) if e == 0.0 else (hi ** e - L ** e) / e
-        val += (c / (p + 1.0)) * (hi ** (p + 1.0) * p_neg(L, hi) - part)
+        L = np.minimum(L, hi)
+        val += (c / beta) * (L ** -beta * _power_ints(L, hi, p + 1.0) - _power_ints(L, hi, e))
     return np.where(us < hi, val, 0.0)
 
 
@@ -321,9 +326,8 @@ def _grid_tail_transform(gt: GridTail, beta: float, us: np.ndarray) -> np.ndarra
         return (a ** (-beta) - b ** (-beta)) / beta
 
     def p_one(a, b):
-        if beta == 1.0:
-            return np.log(b / a)
-        return (b ** (1.0 - beta) - a ** (1.0 - beta)) / (1.0 - beta)
+        # integral of w**-beta over (a, b), without cancellation near beta = 1
+        return _power_ints(a, b, 1.0 - beta)
 
     cell_full = alpha * p_neg(r[:-1], r[1:]) + slope * p_one(r[:-1], r[1:])
     suffix = np.concatenate([np.cumsum(cell_full[::-1])[::-1], [0.0]])
@@ -347,7 +351,8 @@ def transformed_tail(radial: RadialMeasure, beta: float, us) -> np.ndarray:
 
     tail_out(u) = beta * u**beta * integral_u^inf tail(w) w**(-beta-1) dw.
     Atoms contribute m * (1 - (u/r)**beta) below their radius; power
-    segments and grid tails integrate in closed form piece by piece.
+    segments and grid tails integrate in closed form piece by piece, and
+    log-form segments by quadrature in log r.
     """
     if not beta > 0.0:
         raise ValueError(f"beta must be positive, got {beta}")
@@ -359,7 +364,16 @@ def transformed_tail(radial: RadialMeasure, beta: float, us) -> np.ndarray:
         out += at.m * np.maximum(0.0, 1.0 - (us / at.r) ** beta)
     integ = np.zeros_like(us)
     for sg in radial.segments:
-        integ += _segment_tail_transform(sg, beta, us)
+        if sg.e is None:
+            integ += _segment_tail_transform(sg, beta, us)
+            continue
+        # a log-form segment's mass above u, each point x weighted by the
+        # chance 1 - (u/x)**beta that t**(1/beta) x stays above u
+        inside = us < sg.hi
+        u_in = us[inside]
+        out[inside] += log_form_integral(
+            sg, np.maximum(u_in, sg.lo), lambda r: 1.0 - (u_in / r) ** beta
+        )
     if radial.grid_tail is not None:
         integ += _grid_tail_transform(radial.grid_tail, beta, us)
     out += beta * us ** beta * integ
@@ -367,6 +381,51 @@ def transformed_tail(radial: RadialMeasure, beta: float, us) -> np.ndarray:
 
 
 # -- triplet-level transform ---------------------------------------------------
+
+
+# A segment image whose exponent offset e = p - beta + 1 is this close to
+# zero is kept in log form: its two power terms, of size 1/|e|, would
+# cancel to about eps/|e| of the density.
+LOG_FORM_BAND = 1e-2
+
+
+def _segment_image_terms(sg: Segment, beta: float) -> tuple[list, Segment | None]:
+    """Image of one power segment as (lo, hi, c, p) power terms.
+
+    With e = p - beta + 1 the image density is c beta u**(beta-1)
+    (hi**e - lo**e)/e on (0, lo) and (c beta/e)(hi**e u**(beta-1) - u**p)
+    on (lo, hi); for hi = inf, where e < 0, only the u**p term remains.
+    Within ``LOG_FORM_BAND`` of e = 0 the (lo, hi) piece comes back as one
+    log-form segment instead, c beta u**p ((hi/u)**e - 1)/e.
+    """
+    lo, hi, p = sg.lo, sg.hi, sg.p
+    e, cb = p - beta + 1.0, sg.c * beta
+    terms = []
+    if math.isinf(hi):
+        if lo > 0.0:
+            terms.append((0.0, lo, cb * lo ** e / -e, beta - 1.0))
+        terms.append((lo, hi, cb / -e, p))
+        return terms, None
+    if lo > 0.0:
+        coef = cb * lo ** e * float(_expm1_ratio(e, math.log(hi / lo)))
+        terms.append((0.0, lo, coef, beta - 1.0))
+    if abs(e) < LOG_FORM_BAND:
+        return terms, Segment(lo, hi, cb, p, e)
+    terms += [(lo, hi, cb * hi ** e / e, beta - 1.0), (lo, hi, -cb / e, p)]
+    return terms, None
+
+
+def _merge_power_terms(terms: list) -> tuple[Segment, ...]:
+    """Sum overlapping power terms by exponent on each range between ends."""
+    cuts = sorted({x for lo, hi, _, _ in terms for x in (lo, hi)})
+    out = []
+    for a, b in zip(cuts, cuts[1:]):
+        coef: dict[float, float] = {}
+        for lo, hi, c, p in terms:
+            if lo <= a and b <= hi:
+                coef[p] = coef.get(p, 0.0) + c
+        out.extend(Segment(a, b, coef[p], p) for p in sorted(coef) if coef[p] != 0.0)
+    return tuple(out)
 
 
 def _rest_breakpoints(rest: RadialMeasure) -> list[float]:
@@ -386,43 +445,45 @@ def jbeta_radial(
 ) -> RadialMeasure:
     """Radial part of the jbeta image of one ray's radial measure.
 
-    Atoms map to exact power segments. Segments and tabulated parts have no
-    power-form image in general, so their transformed tail is evaluated in
-    closed form and re-tabulated on a log-spaced grid wide enough that the
-    discarded pieces are negligible. By default the node count grows with
-    the log-width of the support, so slowly decaying tails keep enough
-    resolution for the oscillatory exponent kernel.
+    Atoms and power segments map exactly. An atom m at r becomes the
+    density m beta u**(beta-1) / r**beta on (0, r); a power segment
+    becomes power terms of exponents beta - 1 and p (see
+    :func:`_segment_image_terms`), or a log-form segment when the two
+    nearly coincide. Terms sharing an exponent are summed on each range
+    between breakpoints, so the image of a nonnegative measure made of
+    atoms and non-overlapping segments carries at most two power terms
+    per range; their sum is certified nonnegative when the measure is
+    validated.
+
+    Grid tails and log-form segments have no power-form image. Their
+    transformed tail is evaluated in closed form (by quadrature for log
+    form) and re-tabulated as a grid tail on a log-spaced grid wide
+    enough that the discarded pieces are negligible; ``n_grid`` sets its
+    node count, which by default grows with the log-width of the support.
     """
-    # each atom at r contributes density m beta u^(beta-1) / r^beta on (0, r);
-    # the contributions share one exponent, so splitting at the sorted radii
-    # and summing coefficients keeps the image exact and non-overlapping
-    cuts = sorted({at.r for at in radial.atoms})
-    new_segments = []
-    lo = 0.0
-    for hi in cuts:
-        c = sum(at.m * beta / at.r ** beta for at in radial.atoms if at.r >= hi)
-        new_segments.append(Segment(lo, hi, c, beta - 1.0))
-        lo = hi
-    new_segments = tuple(new_segments)
-    rest = RadialMeasure((), radial.segments, radial.grid_tail)
+    terms, log_forms, rest_segments = [], [], []
+    for at in radial.atoms:
+        terms.append((0.0, at.r, at.m * beta / at.r ** beta, beta - 1.0))
+    for sg in radial.segments:
+        if sg.e is not None:
+            rest_segments.append(sg)
+            continue
+        seg_terms, log_form = _segment_image_terms(sg, beta)
+        terms += seg_terms
+        if log_form is not None:
+            log_forms.append(log_form)
+    new_segments = _merge_power_terms(terms) + tuple(log_forms)
+    rest = RadialMeasure((), tuple(rest_segments), radial.grid_tail)
     if rest.is_empty():
         return RadialMeasure((), new_segments, None)
 
     bps = _rest_breakpoints(rest)
-    has_infinite = any(math.isinf(sg.hi) for sg in rest.segments)
-    lo_ref = min(bps) if bps else 1.0
+    lo_ref = min(bps)
 
     def tail_out(u: float) -> float:
         return float(transformed_tail(rest, beta, np.array([u]))[0])
 
-    if has_infinite:
-        r_top = 2.0 * max(bps) if bps else 2.0
-        scale = tail_out(lo_ref) + 1e-300
-        while tail_out(r_top) > 1e-10 * scale and r_top < 1e15:
-            r_top *= 2.0
-    else:
-        r_top = max(bps)
-
+    r_top = max(bps)
     r_floor = lo_ref * 1e-2
     while r_floor * r_floor * tail_out(r_floor) > 1e-10 and r_floor > 1e-18:
         r_floor /= 8.0

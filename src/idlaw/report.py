@@ -18,6 +18,15 @@ from typing import Any, Callable, ClassVar, Mapping
 import numpy as np
 
 
+def abs_diff(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """|a - b| elementwise, correctly rounded.
+
+    numpy's vectorized complex abs can be one ulp off; ``np.hypot`` is not.
+    """
+    d = np.asarray(a) - np.asarray(b)
+    return np.hypot(d.real, d.imag)
+
+
 @dataclass(frozen=True, eq=False)
 class CheckReport:
     """Shape shared by every check report.
@@ -46,7 +55,7 @@ class CheckReport:
 
     @property
     def residuals(self) -> np.ndarray:
-        return np.abs(self.lhs - self.rhs)
+        return abs_diff(self.lhs, self.rhs)
 
     @property
     def passed(self) -> bool:

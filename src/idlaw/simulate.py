@@ -488,13 +488,6 @@ class MCReport(CheckReport):
         return self.rhs
 
     @property
-    def residuals(self) -> np.ndarray:
-        # Monte Carlo rows carry the correctly rounded modulus; numpy's
-        # vectorized complex abs can be one ulp off
-        d = self.lhs - self.rhs
-        return np.hypot(d.real, d.imag)
-
-    @property
     def worst_z(self) -> float:
         return float(max(np.max(np.abs(self.z_real)), np.max(np.abs(self.z_imag))))
 

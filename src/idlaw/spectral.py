@@ -3,8 +3,11 @@
 A measure is a finite family of rays. Each ray carries a unit direction and
 a radial measure on (0, inf) made of point atoms, power-law density
 segments c * r**p on (lo, hi] (hi may be inf), and optionally a tabulated
-right-tail function for shapes with no closed form. Admissibility means
-integral of min(1, r**2) against the radial part is finite on every ray.
+right-tail function for shapes with no closed form. Segments may overlap
+and carry negative scales as long as their sum is certified nonnegative;
+that is how the exact jbeta image of a power segment, a difference of two
+power terms, is held. Admissibility means integral of min(1, r**2)
+against the radial part is finite on every ray.
 """
 
 from __future__ import annotations
@@ -28,6 +31,13 @@ TAIL_CUT_SHARE = 1e-6
 # arguments per segment quadrature; at the 100-400 abscissas such a
 # quadrature evaluates per integrand call, a batch stays near 20 MB
 SEGMENT_CHUNK = 4096
+# a signed power sum may dip this far below zero, relative to the sum of
+# its terms' magnitudes, at an end of its range: rounding in terms that
+# cancel exactly there, such as the two terms of a segment image at hi
+SIGN_SLACK = 1e-12
+# absolute tolerance of the quadratures behind the moments of log-form
+# segments; panels at rounding level are accepted whatever their size
+LOG_FORM_TOL = 1e-14
 
 
 def _cis_m1(theta: np.ndarray) -> np.ndarray:
@@ -65,6 +75,25 @@ def _cis_ratio(theta: np.ndarray) -> np.ndarray:
     return np.where(small, series, direct)
 
 
+def _expm1_ratio(e: float, t):
+    """(exp(e*t) - 1)/e without cancellation as e -> 0, where it is t."""
+    t = np.asarray(t, dtype=float)
+    return t if e == 0.0 else np.expm1(e * t) / e
+
+
+def _power_ints(a, b: float, q: float) -> np.ndarray:
+    """Integral of r**(q-1) over (a, b) for each a in [0, b], finite b.
+
+    Written as a**q (exp(q log(b/a)) - 1)/q through expm1, so it stays
+    accurate as q -> 0; from a = 0 it is b**q/q, or inf when q <= 0.
+    """
+    a = np.asarray(a, dtype=float)
+    pos = a > 0.0
+    a_pos = np.where(pos, a, b)
+    at_zero = b ** q / q if q > 0.0 else math.inf
+    return np.where(pos, a_pos ** q * _expm1_ratio(q, np.log(b / a_pos)), at_zero)
+
+
 def _power_int(lo: float, hi: float, p: float) -> float:
     """Integral of r**p over (lo, hi); inf when divergent. Needs 0 <= lo < hi."""
     if hi <= lo:
@@ -74,31 +103,31 @@ def _power_int(lo: float, hi: float, p: float) -> float:
         if q >= 0.0:
             return math.inf
         return -(lo ** q) / q if lo > 0.0 else math.inf
-    if q == 0.0:
-        if lo == 0.0:
-            return math.inf
-        return math.log(hi / lo)
-    if lo == 0.0 and q < 0.0:
-        return math.inf
-    return (hi ** q - lo ** q) / q
+    return float(_power_ints(lo, hi, q))
 
 
 def _log_power_int(lo: float, hi: float, p: float) -> float:
-    """Integral of log(r) * r**p over (lo, hi) with 1 <= lo; inf when divergent."""
+    """Integral of log(r) * r**p over (lo, hi) with 1 <= lo; inf when divergent.
+
+    In r = lo * exp(t) it is lo**q (log(lo) F + G) with q = p + 1,
+    F = integral of exp(q t) and G = integral of t exp(q t) over
+    (0, log(hi/lo)); G takes its power series when q log(hi/lo) is small,
+    where the closed form cancels.
+    """
     if hi <= lo:
         return 0.0
     q = p + 1.0
-
-    def anti(r: float) -> float:
-        if q == 0.0:
-            return 0.5 * math.log(r) ** 2
-        return (r ** q) * (q * math.log(r) - 1.0) / (q * q)
-
     if math.isinf(hi):
         if q >= 0.0:
             return math.inf
-        return -anti(lo)
-    return anti(hi) - anti(lo)
+        return lo ** q * (1.0 - q * math.log(lo)) / (q * q)
+    span = math.log(hi / lo)
+    z = q * span
+    if abs(z) < 0.1:
+        g = span * span * math.fsum(z ** k / (math.factorial(k) * (k + 2)) for k in range(12))
+    else:
+        g = (span * math.exp(z) - math.expm1(z) / q) / q
+    return lo ** q * (math.log(lo) * float(_expm1_ratio(q, span)) + g)
 
 
 @dataclass(frozen=True)
@@ -111,15 +140,106 @@ class Atom:
 
 @dataclass(frozen=True)
 class Segment:
-    """Density c * r**p on (lo, hi); hi may be math.inf."""
+    """Density c * r**p on (lo, hi); hi may be math.inf.
+
+    With ``e`` set, the density is c * r**p * ((hi/r)**e - 1)/e instead,
+    read as c * r**p * log(hi/r) at e = 0, on a finite range: the log
+    form. It is the jbeta image of a power segment on its own range when
+    the image's two power terms, of exponents p and p - e, would cancel.
+    """
 
     lo: float
     hi: float
     c: float
     p: float
+    e: float | None = None
+
+    def factor(self, r):
+        """Density over c * r**p: 1, or ((hi/r)**e - 1)/e in the log form."""
+        if self.e is None:
+            return 1.0
+        return _expm1_ratio(self.e, np.log(self.hi / r))
+
+    def tail(self, u) -> np.ndarray:
+        """Mass of (u, inf), vectorized over u >= 0."""
+        lower = np.maximum(np.asarray(u, dtype=float), self.lo)
+        q = self.p + 1.0
+        if math.isinf(self.hi):
+            with np.errstate(divide="ignore"):
+                return self.c * np.where(q < 0.0, -(lower ** q) / q, math.inf)
+        inside = lower < self.hi
+        start = np.where(inside, lower, self.lo)
+        if self.e is None:
+            piece = self.c * _power_ints(start, self.hi, q)
+        else:
+            piece = _log_form_int(self, start, self.hi, 0.0)
+        return np.where(inside, piece, 0.0)
 
     def mass_above(self, u: float) -> float:
-        return self.c * _power_int(max(self.lo, u), self.hi, self.p)
+        return float(self.tail(u))
+
+    def power_integral(self, a: float, b: float, s: float) -> float:
+        """Integral of r**s against the segment over (a, b); inf when divergent."""
+        lo, hi = max(a, self.lo), min(b, self.hi)
+        if self.e is None:
+            return self.c * _power_int(lo, hi, self.p + s)
+        if hi <= lo:
+            return 0.0
+        if s >= 0.0:
+            return float(_log_form_int(self, lo, hi, s))
+        return float(log_form_integral(self, np.array([lo]), lambda r: r ** s)[0])
+
+    def log_integral_above1(self) -> float:
+        """Integral of log(r) against the segment over r > 1; inf when divergent."""
+        lo = max(self.lo, 1.0)
+        if self.e is None:
+            return self.c * _log_power_int(lo, self.hi, self.p)
+        if self.hi <= lo:
+            return 0.0
+        return float(log_form_integral(self, np.array([lo]), np.log)[0])
+
+
+def _log_form_int(sg: Segment, a, b: float, k: float) -> np.ndarray:
+    """Integral of r**k against a log-form segment over (a, b), closed form.
+
+    Needs lo <= a < b <= hi, vectorized over a, and K = p - e + 1 + k > 0.
+    The density is c r**(K-k-1) times the integral of w**(e-1) over
+    (r, hi), so swapping the order of integration gives, with
+    P_x(a, b) = (b**x - a**x)/x from :func:`_power_ints`,
+
+        c ([P_(K+e)(a, b) - a**K P_e(a, b)] / K + P_K(a, b) P_e(b, hi)).
+
+    At a = 0 the a**K term vanishes, and P_(K+e)(0, b) is inf when the
+    density is not integrable at 0.
+    """
+    e, K = sg.e, sg.p - sg.e + 1.0 + k
+    a = np.asarray(a, dtype=float)
+    pos = a > 0.0
+    a_pos = np.where(pos, a, b)
+    below = np.where(pos, a_pos ** K * _power_ints(a_pos, b, e), 0.0)
+    inner = (_power_ints(a, b, K + e) - below) / K
+    if b < sg.hi:
+        inner = inner + _power_ints(a, b, K) * float(_power_ints(b, sg.hi, e))
+    return sg.c * inner
+
+
+def log_form_integral(sg: Segment, a: np.ndarray, kernel) -> np.ndarray:
+    """Integral of kernel(r) against a log-form segment over (a_j, hi), per a_j.
+
+    Every a_j must lie in (0, hi]. In t = log(r/a_j)/log(hi/a_j) each
+    range becomes (0, 1) and the integrand is smooth, so one batched
+    quadrature covers all starts; ``kernel`` maps radii of shape
+    (abscissas, len(a)) to values of that shape.
+    """
+    a = np.asarray(a, dtype=float)
+    span = np.log(sg.hi / a)
+
+    def f(ts: np.ndarray) -> np.ndarray:
+        r = a * np.exp(np.multiply.outer(ts, span))
+        return span * r * sg.c * r ** sg.p * sg.factor(r) * kernel(r)
+
+    val, _ = quadrature.integrate(f, 0.0, 1.0, tol=LOG_FORM_TOL, vectorized=True)
+    return np.real(val)
 
 
 @dataclass(frozen=True, eq=False)
@@ -274,8 +394,13 @@ class RadialMeasure:
             if sg.lo < 0.0 or not sg.hi > sg.lo:
                 out.append(f"{label}: segment {k} has bad range ({sg.lo}, {sg.hi})")
                 continue
-            if sg.c < 0.0:
-                out.append(f"{label}: segment {k} has negative density scale {sg.c}")
+            if sg.e is not None and not (
+                sg.c >= 0.0 and math.isfinite(sg.hi) and sg.p - sg.e > -1.0
+            ):
+                out.append(
+                    f"{label}: log-form segment {k} needs c >= 0, a finite hi "
+                    f"and p - e > -1, got c={sg.c}, hi={sg.hi}, p={sg.p}, e={sg.e}"
+                )
             if sg.lo == 0.0 and sg.p <= -3.0:
                 out.append(
                     f"{label}: segment {k} (p={sg.p}) makes the r^2 moment "
@@ -286,19 +411,49 @@ class RadialMeasure:
                     f"{label}: segment {k} (p={sg.p}) has infinite mass at "
                     "large radii"
                 )
-        ranged = sorted(
-            (sg.lo, sg.hi, k)
-            for k, sg in enumerate(self.segments)
-            if sg.lo >= 0.0 and sg.hi > sg.lo
-        )
-        for (lo_a, hi_a, ka), (lo_b, hi_b, kb) in zip(ranged, ranged[1:]):
-            if lo_b < hi_a:
-                out.append(
-                    f"{label}: segments {ka} and {kb} overlap on "
-                    f"({lo_b}, {min(hi_a, hi_b)})"
-                )
+        out.extend(self._sign_issues(label))
         if self.grid_tail is not None:
             out.extend(self.grid_tail.issues(label))
+        return out
+
+    def _sign_issues(self, label: str) -> list[str]:
+        """Certify that the power segments sum to a nonnegative density.
+
+        On each range between consecutive segment ends, the terms present
+        are summed by exponent and sorted by it. By Descartes' rule of
+        signs for sums of real powers, the sum has at most as many roots
+        in (0, inf) as its coefficients have sign changes, counted with
+        multiplicity. With at most one change, a sum that is nonnegative
+        at both ends of the range (the limits at 0 and inf are the signs
+        of the lowest and highest terms) is nonnegative on all of it.
+        Log-form segments are nonnegative on their own and not part of
+        the sum. What this cannot certify is reported.
+        """
+        plain = [
+            sg for sg in self.segments
+            if sg.e is None and sg.lo >= 0.0 and sg.hi > sg.lo
+        ]
+        if all(sg.c >= 0.0 for sg in plain):
+            return []
+        out = []
+        cuts = sorted({x for sg in plain for x in (sg.lo, sg.hi)})
+        for a, b in zip(cuts, cuts[1:]):
+            coef: dict[float, float] = {}
+            for sg in plain:
+                if sg.lo <= a and b <= sg.hi:
+                    coef[sg.p] = coef.get(sg.p, 0.0) + sg.c
+            terms = [(p, coef[p]) for p in sorted(coef) if coef[p] != 0.0]
+            if all(c > 0.0 for _, c in terms):
+                continue
+            signs = [c > 0.0 for _, c in terms]
+            changes = sum(x != y for x, y in zip(signs, signs[1:]))
+            if changes > 1 or not (
+                _power_sum_nonnegative(terms, a) and _power_sum_nonnegative(terms, b)
+            ):
+                out.append(
+                    f"{label}: segments on ({a}, {b}) are not certified to "
+                    "sum to a nonnegative density"
+                )
         return out
 
     def min1r2(self) -> float:
@@ -307,9 +462,7 @@ class RadialMeasure:
         for at in self.atoms:
             val += at.m * min(1.0, at.r * at.r)
         for sg in self.segments:
-            lo, hi = sg.lo, sg.hi
-            val += sg.c * _power_int(lo, min(hi, 1.0), sg.p + 2.0)
-            val += sg.c * _power_int(max(lo, 1.0), hi, sg.p)
+            val += sg.power_integral(0.0, 1.0, 2.0) + sg.power_integral(1.0, math.inf, 0.0)
         if self.grid_tail is not None:
             val += self.grid_tail.split_integral(
                 lambda r: r * r, lambda r: np.ones_like(r)
@@ -323,16 +476,7 @@ class RadialMeasure:
         for at in self.atoms:
             val = val + at.m * (u < at.r)
         for sg in self.segments:
-            lower = np.maximum(u, sg.lo)
-            q = sg.p + 1.0
-            with np.errstate(divide="ignore"):
-                if math.isinf(sg.hi):
-                    piece = np.where(q < 0.0, -(lower ** q) / q, math.inf)
-                elif q == 0.0:
-                    piece = np.where(lower < sg.hi, np.log(sg.hi / lower), 0.0)
-                else:
-                    piece = np.where(lower < sg.hi, (sg.hi ** q - lower ** q) / q, 0.0)
-            val = val + sg.c * piece
+            val = val + sg.tail(u)
         if self.grid_tail is not None:
             val = val + self.grid_tail.tail_at(u)
         return val
@@ -344,7 +488,7 @@ class RadialMeasure:
             if at.r > 1.0:
                 val += at.m * math.log(at.r)
         for sg in self.segments:
-            val += sg.c * _log_power_int(max(sg.lo, 1.0), sg.hi, sg.p)
+            val += sg.log_integral_above1()
         if self.grid_tail is not None:
             val += self.grid_tail.split_integral(np.zeros_like, np.log)
         return val
@@ -356,7 +500,7 @@ class RadialMeasure:
             if at.r > 1.0:
                 val += at.m * at.r ** s
         for sg in self.segments:
-            val += sg.c * _power_int(max(sg.lo, 1.0), sg.hi, sg.p + s)
+            val += sg.power_integral(1.0, math.inf, s)
         if self.grid_tail is not None:
             val += self.grid_tail.split_integral(
                 np.zeros_like, lambda r: r ** s
@@ -395,7 +539,7 @@ class RadialMeasure:
             raise ValueError(f"scale factor must be nonnegative, got {factor}")
         return RadialMeasure(
             tuple(Atom(at.r, at.m * factor) for at in self.atoms),
-            tuple(Segment(sg.lo, sg.hi, sg.c * factor, sg.p) for sg in self.segments),
+            tuple(Segment(sg.lo, sg.hi, sg.c * factor, sg.p, sg.e) for sg in self.segments),
             None if self.grid_tail is None else self.grid_tail.scaled(factor),
         )
 
@@ -409,6 +553,21 @@ class RadialMeasure:
         return RadialMeasure(
             self.atoms + other.atoms, self.segments + other.segments, merged
         )
+
+
+def _power_sum_nonnegative(terms: list[tuple[float, float]], x: float) -> bool:
+    """Whether sum of c * x**p over (p, c) terms, sorted by p, is >= 0 at x.
+
+    At x = 0 and x = inf the sum tends to the sign of its lowest and its
+    highest term; elsewhere it may fall short of zero by ``SIGN_SLACK``
+    times the sum of its terms' magnitudes.
+    """
+    if x == 0.0:
+        return terms[0][1] > 0.0
+    if math.isinf(x):
+        return terms[-1][1] > 0.0
+    vals = [c * x ** p for p, c in terms]
+    return math.fsum(vals) >= -SIGN_SLACK * math.fsum(abs(v) for v in vals)
 
 
 def _segment_exponent(sg: Segment, w: np.ndarray, tol: float | None) -> np.ndarray:
@@ -442,7 +601,8 @@ def _segment_chunk(sg: Segment, w: np.ndarray, tol: float) -> np.ndarray:
         def f_comp(vs: np.ndarray) -> np.ndarray:
             r = vs ** k
             theta = r[:, None] * w[None, :]
-            return (c * k * vs ** expo)[:, None] * (w * w)[None, :] * _cis_ratio(theta)
+            dens = c * k * vs ** expo * sg.factor(r)
+            return dens[:, None] * (w * w)[None, :] * _cis_ratio(theta)
 
         val, _ = quadrature.integrate(f_comp, a, b, tol=tol, vectorized=True)
         out += val
@@ -454,7 +614,8 @@ def _segment_chunk(sg: Segment, w: np.ndarray, tol: float) -> np.ndarray:
         else:
 
             def f_raw(rs: np.ndarray) -> np.ndarray:
-                return (c * rs ** p)[:, None] * _cis_m1(rs[:, None] * w[None, :])
+                dens = c * rs ** p * sg.factor(rs)
+                return dens[:, None] * _cis_m1(rs[:, None] * w[None, :])
 
             val, _ = quadrature.integrate(f_raw, lo_u, sg.hi, tol=tol, vectorized=True)
             out += val
@@ -484,14 +645,14 @@ def _segment_exponent_infinite(
     scale = c * lo ** (p + 1.0)
     mass = -(lo ** (p + 1.0)) / (p + 1.0)
     cut = TAIL_CUT_SHARE * tol
-    u_lo = math.sqrt(cut / (0.5 * -p * scale))
+    u_lo = math.sqrt(cut / (0.5 * -p * abs(scale)))
     x_lo = math.log(u_lo)
     idx = np.flatnonzero(w)
     if idx.size == 0:
         return out
     a = np.abs(w[idx]) * lo
     a_min = float(a.min())
-    u_hi = max(math.log(scale / (a_min * cut)), 1.0) / a_min
+    u_hi = max(math.log(abs(scale) / (a_min * cut)), 1.0) / a_min
 
     def f(xs: np.ndarray) -> np.ndarray:
         u = np.exp(xs)
@@ -617,17 +778,20 @@ class SpectralMeasure:
 def ray(
     direction: Sequence[float] | float,
     atoms: Iterable[tuple[float, float]] = (),
-    segments: Iterable[tuple[float, float, float, float]] = (),
+    segments: Iterable[tuple[float, ...]] = (),
     grid_tail: GridTail | None = None,
 ) -> Ray:
-    """Convenience builder: ray from plain tuples."""
+    """Convenience builder: ray from plain tuples.
+
+    Segments are (lo, hi, c, p), or (lo, hi, c, p, e) in log form.
+    """
     if np.isscalar(direction):
         direction = [float(direction)]
     return Ray(
         np.asarray(direction, dtype=float),
         RadialMeasure(
             tuple(Atom(float(r), float(m)) for r, m in atoms),
-            tuple(Segment(float(a), float(b), float(c), float(p)) for a, b, c, p in segments),
+            tuple(Segment(*(float(v) for v in sg)) for sg in segments),
             grid_tail,
         ),
     )

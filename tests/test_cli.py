@@ -196,6 +196,32 @@ class TestTransform:
         code, _, err = run(capsys, "transform", "--law", law_files["cp"])
         assert code == 2
 
+    def segment_law(self, tmp_path, segments):
+        doc = {"dim": 1, "shift": [0.1], "cov": [[0.0]],
+               "levy": {"rays": [{"dir": [1.0], "segments": segments}]}}
+        path = tmp_path / "seg.json"
+        path.write_text(json.dumps(doc))
+        return str(path)
+
+    def test_segment_image_is_exact_and_keeps_the_log_form(self, capsys, tmp_path):
+        # p - beta + 1 = 0: the (0.5, 3) piece of the image is in log form
+        law = self.segment_law(tmp_path, [{"lo": 0.5, "hi": 3.0, "c": 0.3, "p": 0.3}])
+        code, out, _ = run(capsys, "transform", "--law", law, "--beta", "1.3")
+        assert code == 0
+        (ray_,) = json.loads(out)["triplet"]["rays"]
+        assert ray_["grid_tail"] is None
+        assert [s.get("e") for s in ray_["segments"]] == [None, 0.0]
+        assert ray_["segments"][1] == {"lo": 0.5, "hi": 3.0, "c": 0.39, "p": 0.3, "e": 0.0}
+
+    @pytest.mark.parametrize("value", ["0", "1", "-3"])
+    def test_node_count_below_two_is_a_usage_error(self, capsys, law_files, value):
+        code, _, err = run(
+            capsys, "transform", "--law", law_files["cp"], "--beta", "1",
+            f"--n-grid={value}",
+        )
+        assert code == 2
+        assert "error: argument --n-grid" in err
+
 
 class TestSimulate:
     def test_csv_output_worker_invariant(self, capsys, law_files, tmp_path):
@@ -349,6 +375,29 @@ class TestSuite:
         code, _, err = run(capsys, "suite", "--config", conf)
         assert code == 2
         assert "lemma9" in err
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("tol", -1),
+            ("tol", "tight"),
+            ("cor5_tol", 0),
+            ("betas", [-1.0]),
+            ("betas", [1.0, 0.0]),
+            ("area_u", [-2.0]),
+            ("mc", {"z_max": 0}),
+            ("mc", {"betas": [-1.0]}),
+            ("mc", {"n": 0}),
+            ("mc", {"seed": -1}),
+        ],
+    )
+    def test_nonpositive_numbers_are_usage_errors(self, capsys, tmp_path, field, value):
+        conf = self.write_config(
+            tmp_path, {"identities": ["eq3"], "laws": ["gaussian"], field: value}
+        )
+        code, _, err = run(capsys, "suite", "--config", conf)
+        assert code == 2
+        assert err.startswith(f"error: suite config '{field}")
 
     def test_missing_config_file(self, capsys, tmp_path):
         code, _, err = run(capsys, "suite", "--config", str(tmp_path / "no.json"))

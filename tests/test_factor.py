@@ -221,6 +221,23 @@ class TestSpectralFactorCheck:
         rep = factor.spectral_factor_check(G, 1.0, tol=1e-6)
         assert rep.passed
 
+    @pytest.mark.parametrize("beta", [0.5, 1.0, 2.0])
+    @pytest.mark.parametrize(
+        "rays",
+        [
+            (ray([1.0], atoms=[(1.5, 0.7)], segments=[(0.3, 2.0, 0.4, -0.7)]),),
+            (ray([1.0], segments=[(1.0, math.inf, 0.4, -2.5)]),),
+            (ray([1.0], segments=[(0.0, 0.8, 0.5, -1.6)]),),
+            (
+                ray([1.0], atoms=[(0.5, 0.3)], segments=[(0.0, 0.8, 0.5, -1.6)]),
+                ray([-1.0], segments=[(1.0, math.inf, 0.4, -2.5)]),
+            ),
+        ],
+    )
+    def test_segment_measures_pass_tight(self, rays, beta):
+        rep = factor.spectral_factor_check(SpectralMeasure(1, rays), beta, tol=1e-9)
+        assert rep.passed, rep.summary()
+
     def test_beta_validation(self):
         G = SpectralMeasure(1, (ray([1.0], atoms=[(2.0, 1.0)]),))
         with pytest.raises(ValueError):

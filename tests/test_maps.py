@@ -4,10 +4,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
+import idlaw.factor as factor
 import idlaw.maps as maps
-from idlaw.errors import DimensionMismatchError, NotLogIntegrableError
+from idlaw.errors import DimensionMismatchError, InvalidMeasureError, NotLogIntegrableError
 from idlaw.exponent import convolve, from_callable, from_triplet
 from idlaw.spectral import GridTail, RadialMeasure, Segment, SpectralMeasure, ray
 from idlaw.triplet import LevyTriplet
@@ -298,14 +300,123 @@ class TestMeasureTransform:
         got = maps.transformed_tail(RadialMeasure((), (seg,), None), beta, us)
         np.testing.assert_allclose(got, want, rtol=1e-14, atol=1e-15)
 
-    def test_segment_image_is_tabulated_consistently(self):
+    def test_segment_image_is_exact(self):
         rad = RadialMeasure((), (Segment(0.5, 3.0, 0.3, -1.4),), None)
         img = maps.jbeta_radial(rad, 1.5)
+        assert img.atoms == () and img.grid_tail is None
+        # a dense log grid down to 1e-5, plus the breakpoint and radius 1
+        radii = np.union1d(np.geomspace(0.5e-2 / 512, 3.0, 12938), [0.5, 1.0])
+        direct = maps.transformed_tail(rad, 1.5, radii)
+        np.testing.assert_allclose(img.tail(radii), direct, rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize("n_grid", [None, 200])
+    def test_grid_tail_image_is_tabulated_consistently(self, n_grid):
+        radii = np.geomspace(0.5, 3.0, 40)
+        seg_tail = RadialMeasure((), (Segment(0.5, 3.0, 0.3, -1.4),)).tail(radii)
+        rad = RadialMeasure((), (), GridTail(radii, seg_tail))
+        img = maps.jbeta_radial(rad, 1.5, n_grid)
         assert img.atoms == () and img.segments == ()
         gt = img.grid_tail
-        assert isinstance(gt, GridTail)
+        assert gt.radii.size >= (n_grid or 4097)
         direct = maps.transformed_tail(rad, 1.5, gt.radii)
         np.testing.assert_allclose(gt.tail, direct, rtol=0, atol=1e-15)
+
+    def test_grid_tail_transform_is_continuous_across_beta_one(self):
+        radii = np.geomspace(0.5, 3.0, 40)
+        rad = RadialMeasure((), (), GridTail(radii, np.linspace(1.0, 0.0, 40)))
+        us = np.array([0.3, 0.7, 1.5, 2.5])
+        at_one = maps.transformed_tail(rad, 1.0, us)
+        for beta in (1.0 - 1e-12, 1.0 + 1e-12):
+            np.testing.assert_allclose(
+                maps.transformed_tail(rad, beta, us), at_one, rtol=0, atol=1e-11
+            )
+
+    def test_log_form_segment_is_tabulated_when_mapped_again(self):
+        rad = RadialMeasure((), (Segment(0.5, 3.0, 0.39, 0.3, 0.0),))
+        img = maps.jbeta_radial(rad, 2.0)
+        assert img.segments == ()
+        gt = img.grid_tail
+        direct = maps.transformed_tail(rad, 2.0, gt.radii)
+        np.testing.assert_allclose(gt.tail, direct, rtol=0, atol=1e-15)
+        us = np.array([0.2, 0.7, 1.5, 2.9])
+        # between nodes the tabulated tail is linear in r
+        np.testing.assert_allclose(
+            img.tail(us), maps.transformed_tail(rad, 2.0, us), rtol=0, atol=1e-6
+        )
+
+    # e = p - beta + 1 at, and within 1e-7 of, the log form's e = 0
+    NEAR_LOG_FORM = [
+        (Segment(0.5, 3.0, 0.3, 0.3), 1.3),
+        (Segment(0.0, 0.8, 0.5, -0.5), 0.5),
+        (Segment(0.5, 3.0, 0.3, 0.3 + 1e-7), 1.3),
+        (Segment(0.5, 3.0, 0.3, 0.3 - 1e-7), 1.3),
+        (Segment(0.0, 0.8, 0.5, -0.5 + 1e-7), 0.5),
+        (Segment(0.0, 0.8, 0.5, -0.5 - 1e-7), 0.5),
+    ]
+
+    @pytest.mark.parametrize("seg, beta", NEAR_LOG_FORM)
+    def test_image_tail_near_log_form(self, seg, beta):
+        rad = RadialMeasure((), (seg,), None)
+        img = maps.jbeta_radial(rad, beta)
+        assert img.grid_tail is None and img.issues("ray") == []
+        us = np.array([1e-6, 0.1, 0.5, 0.8, 1.0, 2.0, 2.9, 3.0, 3.5])
+        np.testing.assert_allclose(
+            img.tail(us), maps.transformed_tail(rad, beta, us), rtol=0, atol=1e-15
+        )
+
+    @pytest.mark.parametrize("seg, beta", NEAR_LOG_FORM)
+    def test_image_exponent_near_log_form(self, seg, beta, grid9):
+        trip = LevyTriplet(1, [0.1], [[0.0]], SpectralMeasure(1, (ray([1.0], segments=[
+            (seg.lo, seg.hi, seg.c, seg.p)]),)))
+        via_trip = from_triplet(maps.jbeta_triplet(trip, beta)).eval_grid(grid9, 1e-10)
+        via_phi = maps.map_exponent_grid(
+            maps.jbeta_map(beta), from_triplet(trip), grid9, 1e-10
+        )
+        np.testing.assert_allclose(via_trip, via_phi, rtol=0, atol=1e-9)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        data=st.lists(
+            st.tuples(
+                st.floats(0.05, 3.0),  # length of the gap before the segment
+                st.floats(0.05, 3.0),  # segment length
+                st.floats(0.01, 2.0),  # scale c
+                st.floats(-2.9, 1.0),  # power p
+            ),
+            min_size=1,
+            max_size=4,
+        ),
+        first_at_zero=st.booleans(),
+        tail_p=st.one_of(st.none(), st.floats(-2.9, -1.05)),
+        beta=st.floats(0.2, 3.5),
+    )
+    def test_images_of_segment_sets_are_certified(self, data, first_at_zero, tail_p, beta):
+        segments, edge = [], 0.0
+        for k, (gap, length, c, p) in enumerate(data):
+            lo = 0.0 if (k == 0 and first_at_zero) else edge + gap
+            segments.append((lo, lo + length, c, p))
+            edge = lo + length
+        if tail_p is not None:
+            segments.append((edge, math.inf, 0.3, tail_p))
+        src = ray([1.0], atoms=[(1.0, 0.5)], segments=segments).radial
+        img = maps.jbeta_radial(src, beta)
+        assert img.grid_tail is None
+        assert img.issues("ray") == []
+        us = np.array([0.01, 0.3, 1.0, 2.5, 7.0])
+        np.testing.assert_allclose(
+            img.tail(us), maps.transformed_tail(src, beta, us), rtol=1e-12, atol=1e-12
+        )
+
+    def test_signed_pair_with_a_negative_dip_is_refused(self):
+        # the exact image of Segment(0.5, 3, 0.3, -1.4) at beta 1.5 with its
+        # positive term cut by 10%: the density turns negative below hi
+        cb, e = 0.3 * 1.5, -1.4 - 1.5 + 1.0
+        pair = [(0.5, 3.0, 0.9 * cb / -e, -1.4), (0.5, 3.0, cb * 3.0 ** e / e, 0.5)]
+        levy = SpectralMeasure(1, (ray([1.0], segments=pair),))
+        with pytest.raises(InvalidMeasureError, match="nonnegative"):
+            levy.require_valid()
+        exact = [(0.5, 3.0, cb / -e, -1.4), pair[1]]
+        SpectralMeasure(1, (ray([1.0], segments=exact),)).require_valid()
 
     def test_log_moment_finiteness_is_preserved(self):
         src = SpectralMeasure(1, (ray([1.0], atoms=[(math.e, 1.0)]),))
@@ -318,3 +429,45 @@ class TestMeasureTransform:
         src = SpectralMeasure(1, (ray([1.0], atoms=[(0.5, 2.0)]),))
         after, before, same = maps.log_moment_preserved(src, 2.0)
         assert same and before == 0.0 and after == 0.0
+
+
+class TestPanelLawImage:
+    """Atoms, a finite power segment from 0 and an unbounded power tail."""
+
+    @pytest.fixture(scope="class")
+    def trip(self):
+        levy = SpectralMeasure(1, (
+            ray([1.0], atoms=[(2.0, 1.0), (1.0, 0.5)], segments=[(0.0, 0.8, 0.5, -2.2)]),
+            ray([-1.0], segments=[(1.5, math.inf, 0.3, -1.6)]),
+        ))
+        return LevyTriplet(1, [0.25], [[0.2]], levy)
+
+    def test_triplet_image_matches_exponent_image(self, trip):
+        grid = factor.default_grid(1)
+        img = maps.jbeta_triplet(trip, 1.0)
+        assert all(r.radial.grid_tail is None for r in img.levy.rays)
+        via_trip = from_triplet(img).eval_grid(grid, 1e-10)
+        via_phi = maps.map_exponent_grid(
+            maps.jbeta_map(1.0), from_triplet(trip), grid, 1e-10
+        )
+        np.testing.assert_allclose(via_trip, via_phi, rtol=0, atol=1e-8)
+
+    def test_logarithmic_map_of_the_image_is_the_composite_map(self, trip):
+        # prop2 at the triplet level: i after jbeta equals the ijbeta map
+        grid = factor.default_grid(1)
+        img = from_triplet(maps.jbeta_triplet(trip, 1.0))
+        nested = maps.map_exponent_grid(maps.i_map(), img, grid, 1e-8)
+        direct = maps.map_exponent_grid(
+            maps.i_jbeta_map(1.0), from_triplet(trip), grid, 1e-8
+        )
+        np.testing.assert_allclose(nested, direct, rtol=0, atol=1e-8)
+
+    def test_image_of_the_image_is_exact(self, trip):
+        # the second map acts on signed power terms and must certify them
+        grid = np.linspace(-3.0, 3.0, 7)[:, None]
+        once = maps.jbeta_triplet(trip, 1.0)
+        twice = maps.jbeta_triplet(once, 2.0)
+        assert all(r.radial.grid_tail is None for r in twice.levy.rays)
+        via_trip = from_triplet(twice).eval_grid(grid, 1e-10)
+        via_phi = maps.map_exponent_grid(maps.jbeta_map(2.0), from_triplet(once), grid, 1e-10)
+        np.testing.assert_allclose(via_trip, via_phi, rtol=0, atol=1e-8)

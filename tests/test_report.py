@@ -91,6 +91,25 @@ class TestCsvTables:
             report_to_csv({"kind": "movie", "rows": []})
 
 
+class TestResiduals:
+    def test_residuals_are_correctly_rounded_moduli(self):
+        # numpy's complex abs is one ulp off the true modulus on these
+        import mpmath as mp
+
+        d = np.array([
+            -0.1321048632913019 - 0.5022445517110371j,
+            -0.535669373161111 - 1.680333677376483j,
+            0.36159505490948474 - 0.12212012008830882j,
+        ])
+        rep = factor.FactorizationReport(
+            "eq3", {"beta": 1.0}, np.arange(3.0), d, np.zeros(3, dtype=complex), 1.0
+        )
+        with mp.workdps(60):
+            want = [float(mp.sqrt(mp.mpf(z.real) ** 2 + mp.mpf(z.imag) ** 2)) for z in d]
+        assert rep.residuals.tolist() == want
+        assert [row["residual"] for row in rep.rows()] == want
+
+
 class TestWriteReport:
     def test_json_roundtrip(self, tmp_path):
         path = tmp_path / "r.json"

@@ -250,16 +250,116 @@ class TestValidation:
         m = SpectralMeasure(1, (ray([2.0], atoms=[(1.0, 1.0)]),))
         assert not tripmod.validate(m).is_valid
 
-    def test_overlapping_segments_are_flagged(self):
+    def test_segments_summing_to_a_negative_density_are_flagged(self):
+        # overlapping segments are summed; here the sum is -0.5/r on (1.5, 2)
         m = SpectralMeasure(
+            1, (ray(1.0, segments=[(0.5, 2.0, 1.0, -1.0), (1.5, 3.0, -1.5, -1.0)]),)
+        )
+        rep = tripmod.validate(m)
+        assert not rep.is_valid
+        assert any("(1.5, 2.0)" in msg for msg in rep.issues)
+        positive = SpectralMeasure(
             1, (ray(1.0, segments=[(0.5, 2.0, 1.0, -1.0), (1.5, 3.0, 1.0, -1.0)]),)
         )
-        assert not tripmod.validate(m).is_valid
+        assert tripmod.validate(positive).is_valid
+
+    @pytest.mark.parametrize(
+        "terms, valid",
+        [
+            # 1 - 2.2 r + r^2 dips to -0.2 at r = 1.1, both ends positive: two
+            # sign changes, which the certificate does not try to resolve
+            ([(1.0, 0.0), (-2.2, 1.0), (1.0, 2.0)], False),
+            # (1 - r)^2 + 0.01 is positive, but still has two sign changes
+            ([(1.01, 0.0), (-2.0, 1.0), (1.0, 2.0)], False),
+            # 2 - r^-1 on (0.5, 3): one change, zero at 0.5, positive at 3
+            ([(2.0, 0.0), (-1.0, -1.0)], True),
+            # r^-1 - 0.5 on (0.5, 3): one change, negative at 3
+            ([(-0.5, 0.0), (1.0, -1.0)], False),
+        ],
+    )
+    def test_sign_certificate_on_a_range(self, terms, valid):
+        segs = [(0.5, 3.0, c, p) for c, p in terms]
+        m = SpectralMeasure(1, (ray(1.0, segments=segs),))
+        assert tripmod.validate(m).is_valid is valid
+
+    def test_sign_certificate_uses_limits_at_zero_and_infinity(self):
+        # r^-2 - r^-1.5 on (0, 1) is positive near 0 and zero at 1
+        ok = [(0.0, 1.0, 1.0, -2.0), (0.0, 1.0, -1.0, -1.5)]
+        assert tripmod.validate(SpectralMeasure(1, (ray(1.0, segments=ok),))).is_valid
+        # r^-2.5 - r^-2 on (1, inf) is zero at 1 and negative at infinity
+        bad = [(1.0, math.inf, -1.0, -2.0), (1.0, math.inf, 1.0, -2.5)]
+        assert not tripmod.validate(SpectralMeasure(1, (ray(1.0, segments=bad),))).is_valid
 
     def test_clean_measure_validates(self):
         m = SpectralMeasure(1, (ray(1.0, atoms=[(2.0, 1.0)], segments=[(0.1, 1.0, 0.5, -0.5)]),))
         rep = tripmod.validate(m)
         assert rep.is_valid and rep.summary().endswith("ok")
+
+
+class TestLogFormSegment:
+    SEGMENTS = [
+        spectral.Segment(0.0, 0.8, 0.25, -0.5, 0.0),
+        spectral.Segment(0.5, 3.0, 0.39, 0.3, 1e-7),
+        spectral.Segment(0.5, 3.0, 0.39, 0.3, -0.005),
+        spectral.Segment(0.0, 2.0, 0.2, -0.9, -0.008),
+    ]
+
+    @staticmethod
+    def density(sg, r):
+        e = sg.e
+        log_ratio = math.log(sg.hi / r)
+        return sg.c * r ** sg.p * (log_ratio if e == 0.0 else math.expm1(e * log_ratio) / e)
+
+    def moment(self, sg, a, b, g):
+        a, b = max(a, sg.lo), min(b, sg.hi)
+        if b <= a:
+            return 0.0
+        kw = dict(epsabs=1e-15, epsrel=1e-13, limit=200)
+        return quad(lambda r: self.density(sg, r) * g(r), a, b, **kw)[0]
+
+    @pytest.mark.parametrize("sg", SEGMENTS)
+    def test_moments_match_quadrature_of_the_density(self, sg):
+        rad = spectral.RadialMeasure((), (sg,))
+        assert rad.issues("ray") == []
+        for u in (0.0, 0.3, 0.6, 1.0, 2.5):
+            want = self.moment(sg, u, math.inf, lambda r: 1.0)
+            assert float(rad.tail(u)) == pytest.approx(want, rel=1e-11, abs=1e-13)
+        want = self.moment(sg, 0.0, 1.0, lambda r: r * r) + self.moment(
+            sg, 1.0, math.inf, lambda r: 1.0
+        )
+        assert rad.min1r2() == pytest.approx(want, rel=1e-11, abs=1e-13)
+        for s in (-1.3, 0.5):
+            want = self.moment(sg, 1.0, math.inf, lambda r: r ** s)
+            assert rad.power_moment_above1(s) == pytest.approx(want, rel=1e-11, abs=1e-13)
+        want = self.moment(sg, 1.0, math.inf, math.log)
+        assert rad.log_moment() == pytest.approx(want, rel=1e-11, abs=1e-13)
+
+    def test_exponent_matches_quadrature_of_the_density(self):
+        sg = self.SEGMENTS[1]
+        rad = spectral.RadialMeasure((), (sg,))
+        for w in (0.7, -2.0):
+            want = quad(
+                lambda r: self.density(sg, r) * (math.cos(w * r) - 1.0), 0.5, 3.0,
+                epsabs=1e-14, epsrel=1e-13,
+            )[0] + 1j * quad(
+                lambda r: self.density(sg, r) * (math.sin(w * r) - w * r * (r <= 1.0)),
+                0.5, 3.0, epsabs=1e-14, epsrel=1e-13, points=[1.0],
+            )[0]
+            got = rad.exponent_integral(np.array([w]), tol=1e-12)[0]
+            assert abs(got - want) < 1e-11
+
+    @pytest.mark.parametrize(
+        "sg",
+        [
+            spectral.Segment(0.5, 3.0, -0.1, 0.3, 0.0),
+            spectral.Segment(0.5, math.inf, 0.1, -2.0, 0.0),
+            spectral.Segment(0.5, 3.0, 0.1, -1.5, -0.2),
+        ],
+    )
+    def test_inadmissible_log_forms_are_flagged(self, sg):
+        m = SpectralMeasure(1, (spectral.Ray(np.array([1.0]), spectral.RadialMeasure((), (sg,))),))
+        with pytest.raises(InvalidMeasureError, match="log-form"):
+            m.require_valid()
 
 
 class TestRequireValid:
