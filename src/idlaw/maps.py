@@ -42,6 +42,8 @@ from .spectral import (
     _expm1_ratio,
     _power_ints,
     log_form_integral,
+    segments_by_range,
+    segments_nonnegative,
 )
 from .triplet import LevyTriplet
 
@@ -299,7 +301,7 @@ def _segment_tail_transform(sg: Segment, beta: float, us: np.ndarray) -> np.ndar
     L = np.maximum(us, lo)
     val = np.zeros_like(us)
     if lo > 0.0:
-        val += np.where(us < lo, sg.mass_above(lo) * p_neg(np.minimum(us, lo), lo), 0.0)
+        val += np.where(us < lo, float(sg.tail(lo)) * p_neg(np.minimum(us, lo), lo), 0.0)
     e = p - beta + 1.0
     if math.isinf(hi):
         # p < -1 here, else the tail itself is infinite
@@ -390,7 +392,7 @@ LOG_FORM_BAND = 1e-2
 
 
 def _segment_image_terms(sg: Segment, beta: float) -> tuple[list, Segment | None]:
-    """Image of one power segment as (lo, hi, c, p) power terms.
+    """Image of one power segment as power terms, each a Segment.
 
     With e = p - beta + 1 the image density is c beta u**(beta-1)
     (hi**e - lo**e)/e on (0, lo) and (c beta/e)(hi**e u**(beta-1) - u**p)
@@ -403,29 +405,16 @@ def _segment_image_terms(sg: Segment, beta: float) -> tuple[list, Segment | None
     terms = []
     if math.isinf(hi):
         if lo > 0.0:
-            terms.append((0.0, lo, cb * lo ** e / -e, beta - 1.0))
-        terms.append((lo, hi, cb / -e, p))
+            terms.append(Segment(0.0, lo, cb * lo ** e / -e, beta - 1.0))
+        terms.append(Segment(lo, hi, cb / -e, p))
         return terms, None
     if lo > 0.0:
         coef = cb * lo ** e * float(_expm1_ratio(e, math.log(hi / lo)))
-        terms.append((0.0, lo, coef, beta - 1.0))
+        terms.append(Segment(0.0, lo, coef, beta - 1.0))
     if abs(e) < LOG_FORM_BAND:
         return terms, Segment(lo, hi, cb, p, e)
-    terms += [(lo, hi, cb * hi ** e / e, beta - 1.0), (lo, hi, -cb / e, p)]
+    terms += [Segment(lo, hi, cb * hi ** e / e, beta - 1.0), Segment(lo, hi, -cb / e, p)]
     return terms, None
-
-
-def _merge_power_terms(terms: list) -> tuple[Segment, ...]:
-    """Sum overlapping power terms by exponent on each range between ends."""
-    cuts = sorted({x for lo, hi, _, _ in terms for x in (lo, hi)})
-    out = []
-    for a, b in zip(cuts, cuts[1:]):
-        coef: dict[float, float] = {}
-        for lo, hi, c, p in terms:
-            if lo <= a and b <= hi:
-                coef[p] = coef.get(p, 0.0) + c
-        out.extend(Segment(a, b, coef[p], p) for p in sorted(coef) if coef[p] != 0.0)
-    return tuple(out)
 
 
 def _rest_breakpoints(rest: RadialMeasure) -> list[float]:
@@ -452,27 +441,38 @@ def jbeta_radial(
     nearly coincide. Terms sharing an exponent are summed on each range
     between breakpoints, so the image of a nonnegative measure made of
     atoms and non-overlapping segments carries at most two power terms
-    per range; their sum is certified nonnegative when the measure is
-    validated.
+    per range, and each further map adds at most one more; their sum is
+    certified nonnegative when the measure is validated.
 
     Grid tails and log-form segments have no power-form image. Their
     transformed tail is evaluated in closed form (by quadrature for log
     form) and re-tabulated as a grid tail on a log-spaced grid wide
     enough that the discarded pieces are negligible; ``n_grid`` sets its
     node count, which by default grows with the log-width of the support.
+    Both parts of the image must be nonnegative measures of their own, so
+    log-form segments are re-tabulated apart from the power segments only
+    when each part is certified nonnegative; otherwise all segments are
+    re-tabulated together.
     """
     terms, log_forms, rest_segments = [], [], []
     for at in radial.atoms:
-        terms.append((0.0, at.r, at.m * beta / at.r ** beta, beta - 1.0))
+        terms.append(Segment(0.0, at.r, at.m * beta / at.r ** beta, beta - 1.0))
+    plain = [sg for sg in radial.segments if sg.e is None]
+    together = len(plain) < len(radial.segments) and not (
+        all(sg.c >= 0.0 for sg in radial.segments if sg.e is not None)
+        and segments_nonnegative(plain)
+    )
     for sg in radial.segments:
-        if sg.e is not None:
+        if sg.e is not None or together:
             rest_segments.append(sg)
             continue
         seg_terms, log_form = _segment_image_terms(sg, beta)
         terms += seg_terms
         if log_form is not None:
             log_forms.append(log_form)
-    new_segments = _merge_power_terms(terms) + tuple(log_forms)
+    new_segments = tuple(
+        sg for _, _, covering in segments_by_range(terms) for sg in covering
+    ) + tuple(log_forms)
     rest = RadialMeasure((), tuple(rest_segments), radial.grid_tail)
     if rest.is_empty():
         return RadialMeasure((), new_segments, None)

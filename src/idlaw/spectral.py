@@ -31,9 +31,9 @@ TAIL_CUT_SHARE = 1e-6
 # arguments per segment quadrature; at the 100-400 abscissas such a
 # quadrature evaluates per integrand call, a batch stays near 20 MB
 SEGMENT_CHUNK = 4096
-# a signed power sum may dip this far below zero, relative to the sum of
-# its terms' magnitudes, at an end of its range: rounding in terms that
-# cancel exactly there, such as the two terms of a segment image at hi
+# a signed sum of segment densities may dip this far below zero, relative
+# to the sum of its terms' magnitudes: rounding in terms that cancel
+# exactly at a point, such as the two terms of a segment image at hi
 SIGN_SLACK = 1e-12
 # absolute tolerance of the quadratures behind the moments of log-form
 # segments; panels at rounding level are accepted whatever their size
@@ -92,18 +92,6 @@ def _power_ints(a, b: float, q: float) -> np.ndarray:
     a_pos = np.where(pos, a, b)
     at_zero = b ** q / q if q > 0.0 else math.inf
     return np.where(pos, a_pos ** q * _expm1_ratio(q, np.log(b / a_pos)), at_zero)
-
-
-def _power_int(lo: float, hi: float, p: float) -> float:
-    """Integral of r**p over (lo, hi); inf when divergent. Needs 0 <= lo < hi."""
-    if hi <= lo:
-        return 0.0
-    q = p + 1.0
-    if math.isinf(hi):
-        if q >= 0.0:
-            return math.inf
-        return -(lo ** q) / q if lo > 0.0 else math.inf
-    return float(_power_ints(lo, hi, q))
 
 
 def _log_power_int(lo: float, hi: float, p: float) -> float:
@@ -175,19 +163,20 @@ class Segment:
             piece = _log_form_int(self, start, self.hi, 0.0)
         return np.where(inside, piece, 0.0)
 
-    def mass_above(self, u: float) -> float:
-        return float(self.tail(u))
-
     def power_integral(self, a: float, b: float, s: float) -> float:
         """Integral of r**s against the segment over (a, b); inf when divergent."""
         lo, hi = max(a, self.lo), min(b, self.hi)
-        if self.e is None:
-            return self.c * _power_int(lo, hi, self.p + s)
         if hi <= lo:
             return 0.0
-        if s >= 0.0:
-            return float(_log_form_int(self, lo, hi, s))
-        return float(log_form_integral(self, np.array([lo]), lambda r: r ** s)[0])
+        if self.e is None:
+            # r**s times the density is a power density of exponent p + s
+            return float(Segment(lo, hi, self.c, self.p + s).tail(lo))
+        if lo == 0.0 and self.p - self.e + 1.0 + s <= 0.0:
+            return math.inf  # r**s times the density is not integrable at 0
+        if lo > 0.0 and s < 0.0:
+            # the closed form would need p - e + 1 + s > 0
+            return float(log_form_integral(self, np.array([lo]), lambda r: r ** s, hi)[0])
+        return float(_log_form_int(self, lo, hi, s))
 
     def log_integral_above1(self) -> float:
         """Integral of log(r) against the segment over r > 1; inf when divergent."""
@@ -223,16 +212,19 @@ def _log_form_int(sg: Segment, a, b: float, k: float) -> np.ndarray:
     return sg.c * inner
 
 
-def log_form_integral(sg: Segment, a: np.ndarray, kernel) -> np.ndarray:
-    """Integral of kernel(r) against a log-form segment over (a_j, hi), per a_j.
+def log_form_integral(
+    sg: Segment, a: np.ndarray, kernel, b: float | None = None
+) -> np.ndarray:
+    """Integral of kernel(r) against a log-form segment over (a_j, b), per a_j.
 
-    Every a_j must lie in (0, hi]. In t = log(r/a_j)/log(hi/a_j) each
-    range becomes (0, 1) and the integrand is smooth, so one batched
-    quadrature covers all starts; ``kernel`` maps radii of shape
-    (abscissas, len(a)) to values of that shape.
+    ``b`` defaults to the segment's hi, and every a_j must lie in (0, b].
+    In t = log(r/a_j)/log(b/a_j) each range becomes (0, 1) and the
+    integrand is smooth, so one batched quadrature covers all starts;
+    ``kernel`` maps radii of shape (abscissas, len(a)) to values of that
+    shape.
     """
     a = np.asarray(a, dtype=float)
-    span = np.log(sg.hi / a)
+    span = np.log((sg.hi if b is None else b) / a)
 
     def f(ts: np.ndarray) -> np.ndarray:
         r = a * np.exp(np.multiply.outer(ts, span))
@@ -394,12 +386,10 @@ class RadialMeasure:
             if sg.lo < 0.0 or not sg.hi > sg.lo:
                 out.append(f"{label}: segment {k} has bad range ({sg.lo}, {sg.hi})")
                 continue
-            if sg.e is not None and not (
-                sg.c >= 0.0 and math.isfinite(sg.hi) and sg.p - sg.e > -1.0
-            ):
+            if sg.e is not None and not (math.isfinite(sg.hi) and sg.p - sg.e > -1.0):
                 out.append(
-                    f"{label}: log-form segment {k} needs c >= 0, a finite hi "
-                    f"and p - e > -1, got c={sg.c}, hi={sg.hi}, p={sg.p}, e={sg.e}"
+                    f"{label}: log-form segment {k} needs a finite hi and "
+                    f"p - e > -1, got hi={sg.hi}, p={sg.p}, e={sg.e}"
                 )
             if sg.lo == 0.0 and sg.p <= -3.0:
                 out.append(
@@ -417,44 +407,15 @@ class RadialMeasure:
         return out
 
     def _sign_issues(self, label: str) -> list[str]:
-        """Certify that the power segments sum to a nonnegative density.
+        """Ranges on which the segments are not certified to sum to >= 0.
 
-        On each range between consecutive segment ends, the terms present
-        are summed by exponent and sorted by it. By Descartes' rule of
-        signs for sums of real powers, the sum has at most as many roots
-        in (0, inf) as its coefficients have sign changes, counted with
-        multiplicity. With at most one change, a sum that is nonnegative
-        at both ends of the range (the limits at 0 and inf are the signs
-        of the lowest and highest terms) is nonnegative on all of it.
-        Log-form segments are nonnegative on their own and not part of
-        the sum. What this cannot certify is reported.
+        See :func:`_density_nonnegative` for the certificate.
         """
-        plain = [
-            sg for sg in self.segments
-            if sg.e is None and sg.lo >= 0.0 and sg.hi > sg.lo
+        return [
+            f"{label}: segments on ({a}, {b}) are not certified to sum to a "
+            "nonnegative density"
+            for a, b in _uncertified_ranges(self.segments)
         ]
-        if all(sg.c >= 0.0 for sg in plain):
-            return []
-        out = []
-        cuts = sorted({x for sg in plain for x in (sg.lo, sg.hi)})
-        for a, b in zip(cuts, cuts[1:]):
-            coef: dict[float, float] = {}
-            for sg in plain:
-                if sg.lo <= a and b <= sg.hi:
-                    coef[sg.p] = coef.get(sg.p, 0.0) + sg.c
-            terms = [(p, coef[p]) for p in sorted(coef) if coef[p] != 0.0]
-            if all(c > 0.0 for _, c in terms):
-                continue
-            signs = [c > 0.0 for _, c in terms]
-            changes = sum(x != y for x, y in zip(signs, signs[1:]))
-            if changes > 1 or not (
-                _power_sum_nonnegative(terms, a) and _power_sum_nonnegative(terms, b)
-            ):
-                out.append(
-                    f"{label}: segments on ({a}, {b}) are not certified to "
-                    "sum to a nonnegative density"
-                )
-        return out
 
     def min1r2(self) -> float:
         """Integral of min(1, r**2) against the radial measure."""
@@ -555,19 +516,208 @@ class RadialMeasure:
         )
 
 
-def _power_sum_nonnegative(terms: list[tuple[float, float]], x: float) -> bool:
-    """Whether sum of c * x**p over (p, c) terms, sorted by p, is >= 0 at x.
+def segments_by_range(
+    segments: Iterable[Segment],
+) -> list[tuple[float, float, list[Segment]]]:
+    """The segments covering each range between consecutive segment ends.
 
-    At x = 0 and x = inf the sum tends to the sign of its lowest and its
-    highest term; elsewhere it may fall short of zero by ``SIGN_SLACK``
-    times the sum of its terms' magnitudes.
+    Returns (a, b, covering) per range. Power segments on a range are
+    summed by exponent into one Segment(a, b, c, p) each, sorted by p and
+    dropped where they cancel; log-form segments follow unchanged.
     """
-    if x == 0.0:
-        return terms[0][1] > 0.0
-    if math.isinf(x):
-        return terms[-1][1] > 0.0
-    vals = [c * x ** p for p, c in terms]
-    return math.fsum(vals) >= -SIGN_SLACK * math.fsum(abs(v) for v in vals)
+    segments = list(segments)
+    cuts = sorted({x for sg in segments for x in (sg.lo, sg.hi)})
+    out = []
+    for a, b in zip(cuts, cuts[1:]):
+        coef: dict[float, float] = {}
+        log_forms = []
+        for sg in segments:
+            if not (sg.lo <= a and b <= sg.hi):
+                continue
+            if sg.e is None:
+                coef[sg.p] = coef.get(sg.p, 0.0) + sg.c
+            else:
+                log_forms.append(sg)
+        plain = [Segment(a, b, coef[p], p) for p in sorted(coef) if coef[p] != 0.0]
+        out.append((a, b, plain + log_forms))
+    return out
+
+
+def _uncertified_ranges(segments: Iterable[Segment]) -> list[tuple[float, float]]:
+    """Ranges on which well-formed segments are not certified to sum to >= 0."""
+    segs = [sg for sg in segments if sg.lo >= 0.0 and sg.hi > sg.lo]
+    if all(sg.c >= 0.0 for sg in segs):
+        return []
+    return [
+        (a, b) for a, b, covering in segments_by_range(segs)
+        if not _density_nonnegative(covering, a, b)
+    ]
+
+
+def segments_nonnegative(segments: Iterable[Segment]) -> bool:
+    """Whether the segments are certified to sum to a nonnegative density."""
+    return not _uncertified_ranges(segments)
+
+
+# A density on a range, written in t = log r, is certified as a sum of
+# groups (x + y t) exp(p t), held as (p, x, y) sorted by p: a power term
+# is one group with y = 0, a log-form segment one group at e = 0 and two
+# power terms otherwise.
+
+
+def _groups(segments: list[Segment]) -> list[tuple[float, float, float]]:
+    """The segments' density as (p, x, y) groups, summed by p."""
+    acc: dict[float, tuple[float, float]] = {}
+
+    def add(p, x, y=0.0):
+        x0, y0 = acc.get(p, (0.0, 0.0))
+        acc[p] = (x0 + x, y0 + y)
+
+    for sg in segments:
+        if sg.e is None:
+            add(sg.p, sg.c)
+        elif sg.e == 0.0:
+            # c r**p log(hi/r) = (c log(hi) - c t) exp(p t)
+            add(sg.p, sg.c * math.log(sg.hi), -sg.c)
+        else:
+            add(sg.p - sg.e, sg.c * sg.hi ** sg.e / sg.e)
+            add(sg.p, -sg.c / sg.e)
+    return [(p, x, y) for p, (x, y) in sorted(acc.items()) if x != 0.0 or y != 0.0]
+
+
+def _sign(v: float) -> int:
+    return (v > 0.0) - (v < 0.0)
+
+
+def _sign_at(groups: list[tuple[float, float, float]], t: float) -> int:
+    """Sign of the sum of the groups at t, or its limit at t = -inf or inf."""
+    if t == math.inf:
+        _, x, y = groups[-1]
+        return _sign(y) if y != 0.0 else _sign(x)
+    if t == -math.inf:
+        _, x, y = groups[0]
+        return -_sign(y) if y != 0.0 else _sign(x)
+    logs = [p * t for p, _, _ in groups]
+    top = max(logs)
+    return _sign(math.fsum(
+        (x + y * t) * math.exp(lg - top) for (_, x, y), lg in zip(groups, logs)
+    ))
+
+
+def _slope(groups: list[tuple[float, float, float]]) -> list[tuple[float, float, float]]:
+    """Groups of the derivative in t: (x + y t) exp(p t) gives (p x + y + p y t) exp(p t)."""
+    out = [(p, p * x + y, p * y) for p, x, y in groups]
+    return [g for g in out if g[1] != 0.0 or g[2] != 0.0]
+
+
+def _finite_end(groups, end: float, other: float, sign: int) -> float:
+    """A finite t on the side of ``end`` with the sign of the limit there.
+
+    Steps away from ``other`` (or 0) by doubling lengths; the sum tends to
+    that sign, so the walk stops, at the latest where t overflows.
+    """
+    if math.isfinite(end):
+        return end
+    start, step = (other if math.isfinite(other) else 0.0), 1.0
+    direction = 1.0 if end > 0.0 else -1.0
+    t = start + direction * step
+    while _sign_at(groups, t) != sign:
+        step *= 2.0
+        t = start + direction * step
+    return t
+
+
+def _monotone_piece_root(groups, a: float, b: float) -> float | None:
+    """The sign change of a sum of groups monotone on (a, b), if any.
+
+    Infinite ends are replaced by points that already carry the limit's
+    sign; the change is then bisected down to adjacent doubles.
+    """
+    sa, sb = _sign_at(groups, a), _sign_at(groups, b)
+    if sa * sb >= 0:
+        return None
+    a = _finite_end(groups, a, b, sa)
+    b = _finite_end(groups, b, a, sb)
+    while True:
+        mid = 0.5 * (a + b)
+        if not a < mid < b:
+            return mid
+        s = _sign_at(groups, mid)
+        if s == 0:
+            return mid
+        if s == sa:
+            a = mid
+        else:
+            b = mid
+
+
+def _sign_change_points(groups, a: float, b: float) -> list[float]:
+    """Points of (a, b) that include every sign change of a sum of groups.
+
+    One group changes sign at most once, and two pure exponentials too,
+    both in closed form. Otherwise the sum over the lowest exponential,
+    exp(p_1 t), has the same sign changes, and its derivative has one
+    degree of freedom fewer: the lowest group loses its t term, or
+    vanishes when it has none. By Rolle's theorem the derivative's sign
+    changes, found by recursion, split (a, b) into pieces on which the
+    sum is monotone: at most one change each, found by bisection. The
+    piece ends are returned too.
+    """
+    if len(groups) == 1:
+        _, x, y = groups[0]
+        roots = [] if y == 0.0 else [-x / y]
+    elif len(groups) == 2 and groups[0][2] == 0.0 == groups[1][2]:
+        (p0, x0, _), (p1, x1, _) = groups
+        roots = [] if (x0 > 0.0) == (x1 > 0.0) else [math.log(-x0 / x1) / (p1 - p0)]
+    else:
+        p0 = groups[0][0]
+        slope = _slope([(p - p0, x, y) for p, x, y in groups])
+        knots = _sign_change_points(slope, a, b) if slope else []
+        ends = [a, *knots, b]
+        roots = knots + [_monotone_piece_root(groups, u, v) for u, v in zip(ends, ends[1:])]
+    return sorted(t for t in roots if t is not None and a < t < b)
+
+
+def _densities_at(segments: list[Segment], t: float) -> list[float]:
+    """Each segment's density at r = exp(t), all over the largest exp(p t)."""
+    logs = [sg.p * t for sg in segments]
+    top = max(logs)
+    out = []
+    for sg, lg in zip(segments, logs):
+        val = sg.c * math.exp(lg - top)
+        if sg.e is not None:
+            val *= float(_expm1_ratio(sg.e, math.log(sg.hi) - t))
+        out.append(val)
+    return out
+
+
+def _density_nonnegative(segments: list[Segment], a: float, b: float) -> bool:
+    """Whether the segments covering (a, b) sum to a density >= 0 on it.
+
+    In t = log r the minimum over the range lies at an end or at a sign
+    change of the derivative, which :func:`_sign_change_points` brackets
+    exactly. At r = 0 and r = inf the sum has the sign of its limit. At a
+    finite point the density may fall short of zero by ``SIGN_SLACK``
+    times the sum of the segments' magnitudes: rounding in terms that
+    cancel there, such as the two terms of a segment image at hi.
+    """
+    if all(sg.c > 0.0 for sg in segments):
+        return True
+    groups = _groups(segments)
+    if not groups:
+        return True
+    ta = math.log(a) if a > 0.0 else -math.inf
+    tb = math.log(b)
+    if any(math.isinf(t) and _sign_at(groups, t) < 0 for t in (ta, tb)):
+        return False
+    slope = _slope(groups)
+    points = [t for t in (ta, tb) if math.isfinite(t)]
+    points += _sign_change_points(slope, ta, tb) if slope else []
+    for t in points:
+        vals = _densities_at(segments, t)
+        if not math.fsum(vals) >= -SIGN_SLACK * math.fsum(abs(v) for v in vals):
+            return False
+    return True
 
 
 def _segment_exponent(sg: Segment, w: np.ndarray, tol: float | None) -> np.ndarray:

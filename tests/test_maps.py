@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 from scipy.integrate import quad
 
 import idlaw.factor as factor
@@ -286,7 +286,7 @@ class TestMeasureTransform:
             if u >= hi:
                 return 0.0
             L = max(u, lo)
-            val = seg.mass_above(lo) * neg(u, lo) if u < lo else 0.0
+            val = float(seg.tail(lo)) * neg(u, lo) if u < lo else 0.0
             if math.isinf(hi):
                 val += c / -(p + 1.0) * pow_int(L, hi, p - beta)
             elif p == -1.0:
@@ -344,6 +344,16 @@ class TestMeasureTransform:
             img.tail(us), maps.transformed_tail(rad, 2.0, us), rtol=0, atol=1e-6
         )
 
+    def test_negative_log_form_is_tabulated_with_the_other_segments(self):
+        # -0.3 r^0.3 log(3/r) + 0.75 on (0.5, 3) is positive; the log form
+        # alone is not, so its image cannot be a grid tail of its own
+        rad = RadialMeasure((), (Segment(0.5, 3.0, -0.3, 0.3, 0.0), Segment(0.5, 3.0, 0.75, 0.0)))
+        img = maps.jbeta_radial(rad, 1.5)
+        assert img.segments == () and img.issues("ray") == []
+        gt = img.grid_tail
+        direct = maps.transformed_tail(rad, 1.5, gt.radii)
+        np.testing.assert_allclose(gt.tail, direct, rtol=0, atol=1e-15)
+
     # e = p - beta + 1 at, and within 1e-7 of, the log form's e = 0
     NEAR_LOG_FORM = [
         (Segment(0.5, 3.0, 0.3, 0.3), 1.3),
@@ -389,8 +399,11 @@ class TestMeasureTransform:
         first_at_zero=st.booleans(),
         tail_p=st.one_of(st.none(), st.floats(-2.9, -1.05)),
         beta=st.floats(0.2, 3.5),
+        beta2=st.floats(0.2, 3.5),
     )
-    def test_images_of_segment_sets_are_certified(self, data, first_at_zero, tail_p, beta):
+    def test_images_of_segment_sets_are_certified(
+        self, data, first_at_zero, tail_p, beta, beta2
+    ):
         segments, edge = [], 0.0
         for k, (gap, length, c, p) in enumerate(data):
             lo = 0.0 if (k == 0 and first_at_zero) else edge + gap
@@ -406,6 +419,14 @@ class TestMeasureTransform:
         np.testing.assert_allclose(
             img.tail(us), maps.transformed_tail(src, beta, us), rtol=1e-12, atol=1e-12
         )
+        # the image of the image: one more power term per range, whose
+        # coefficients may change sign more than once
+        assume(all(sg.e is None for sg in img.segments))
+        img2 = maps.jbeta_radial(img, beta2)
+        assert img2.issues("ray") == []
+        np.testing.assert_allclose(
+            img2.tail(us), maps.transformed_tail(img, beta2, us), rtol=1e-12, atol=1e-12
+        )
 
     def test_signed_pair_with_a_negative_dip_is_refused(self):
         # the exact image of Segment(0.5, 3, 0.3, -1.4) at beta 1.5 with its
@@ -417,6 +438,34 @@ class TestMeasureTransform:
             levy.require_valid()
         exact = [(0.5, 3.0, cb / -e, -1.4), pair[1]]
         SpectralMeasure(1, (ray([1.0], segments=exact),)).require_valid()
+
+    # the second map of (1, 2) p 0.5 at betas 1 then 0.5 has the density
+    # c (sqrt(u) - sqrt(2))^2 / sqrt(u) on (1, 2): three terms whose
+    # coefficients change sign twice
+    NESTED = [
+        ((1.0, 2.0, 0.7, 0.5), (1.0, 0.5)),
+        ((0.0, 0.8, 0.5, -2.2), (1.0, 2.0)),
+        ((0.3, 2.0, 0.4, -0.7), (0.5, 2.0, 0.7)),
+        ((1.5, math.inf, 0.3, -1.6), (2.0, 0.5, 1.0)),
+    ]
+
+    @pytest.mark.parametrize("seg, betas", NESTED)
+    def test_images_of_images_are_certified_and_exact(self, seg, betas):
+        img = ray([1.0], atoms=[(1.0, 0.5)], segments=[seg]).radial
+        us = np.array([0.05, 0.4, 1.0, 1.3, 1.9, 2.5])
+        for beta in betas:
+            want = maps.transformed_tail(img, beta, us)
+            img = maps.jbeta_radial(img, beta)
+            assert img.grid_tail is None and img.issues("ray") == []
+            np.testing.assert_allclose(img.tail(us), want, rtol=1e-13, atol=1e-14)
+
+    def test_exponent_of_an_image_of_an_image(self, grid9):
+        levy = SpectralMeasure(1, (ray([1.0], segments=[(1.0, 2.0, 0.7, 0.5)]),))
+        once = maps.jbeta_triplet(LevyTriplet(1, [0.1], [[0.0]], levy), 1.0)
+        twice = maps.jbeta_triplet(once, 0.5)
+        via_trip = from_triplet(twice).eval_grid(grid9, 1e-10)
+        via_phi = maps.map_exponent_grid(maps.jbeta_map(0.5), from_triplet(once), grid9, 1e-10)
+        np.testing.assert_allclose(via_trip, via_phi, rtol=0, atol=1e-9)
 
     def test_log_moment_finiteness_is_preserved(self):
         src = SpectralMeasure(1, (ray([1.0], atoms=[(math.e, 1.0)]),))

@@ -18,6 +18,11 @@ from idlaw.errors import InvalidMeasureError
 from idlaw.spectral import GridTail, SpectralMeasure, ray
 
 
+def poly_terms(coefs, shift=0.0):
+    # (c, p) power terms of shift + sum of coefs[k] r^k
+    return [(c + (shift if k == 0 else 0.0), float(k)) for k, c in enumerate(coefs)]
+
+
 def jump_kernel(r, w):
     # integrand of the compensated jump part for a positive ray
     val = np.exp(1j * w * r) - 1.0
@@ -266,21 +271,39 @@ class TestValidation:
     @pytest.mark.parametrize(
         "terms, valid",
         [
-            # 1 - 2.2 r + r^2 dips to -0.2 at r = 1.1, both ends positive: two
-            # sign changes, which the certificate does not try to resolve
+            # 1 - 2.2 r + r^2 dips to -0.21 at r = 1.1, both ends positive
             ([(1.0, 0.0), (-2.2, 1.0), (1.0, 2.0)], False),
-            # (1 - r)^2 + 0.01 is positive, but still has two sign changes
-            ([(1.01, 0.0), (-2.0, 1.0), (1.0, 2.0)], False),
+            # (1 - r)^2 + 0.01 is positive despite two sign changes
+            ([(1.01, 0.0), (-2.0, 1.0), (1.0, 2.0)], True),
+            # (1 - r)^2 touches zero inside the range; 1e-6 less dips below
+            ([(1.0, 0.0), (-2.0, 1.0), (1.0, 2.0)], True),
+            ([(1.0 - 1e-6, 0.0), (-2.0, 1.0), (1.0, 2.0)], False),
             # 2 - r^-1 on (0.5, 3): one change, zero at 0.5, positive at 3
             ([(2.0, 0.0), (-1.0, -1.0)], True),
             # r^-1 - 0.5 on (0.5, 3): one change, negative at 3
             ([(-0.5, 0.0), (1.0, -1.0)], False),
+            # (r - 1)^2 (r - 2)^2 touches zero twice; less 0.01 it dips twice:
+            # the derivative has three terms, so its zeros are bisected
+            (poly_terms([4.0, -12.0, 13.0, -6.0, 1.0]), True),
+            (poly_terms([4.0, -12.0, 13.0, -6.0, 1.0], -0.01), False),
+            # (sqrt(r) - sqrt(2))^2 / sqrt(r), zero at 2, the image of an image
+            ([(2.0, -0.5), (-2.0 * math.sqrt(2.0), 0.0), (1.0, 0.5)], True),
         ],
     )
     def test_sign_certificate_on_a_range(self, terms, valid):
         segs = [(0.5, 3.0, c, p) for c, p in terms]
         m = SpectralMeasure(1, (ray(1.0, segments=segs),))
         assert tripmod.validate(m).is_valid is valid
+
+    @pytest.mark.parametrize("top, valid", [(1.0, True), (1.0 - 6.25e-5, False)])
+    def test_sign_certificate_brackets_zeros_on_an_unbounded_range(self, top, valid):
+        # (u - 1)^2 (u - 2)^2 + 0.01 (u - 2)^2 with u = 0.01/r on (0, inf) is
+        # zero at r = 0.005; 6.25e-5 u^4 less, it dips below zero there only.
+        # The derivative's zero near r = 0.005 lies on a piece reaching
+        # r = 0, so it is bisected from a bracket walked out from that end
+        coefs = [4.04, -12.04, 13.01, -6.0, top]
+        segs = [spectral.Segment(0.0, math.inf, c * 0.01 ** k, -k) for k, c in enumerate(coefs)]
+        assert spectral._density_nonnegative(segs, 0.0, math.inf) is valid
 
     def test_sign_certificate_uses_limits_at_zero_and_infinity(self):
         # r^-2 - r^-1.5 on (0, 1) is positive near 0 and zero at 1
@@ -308,6 +331,8 @@ class TestLogFormSegment:
     def density(sg, r):
         e = sg.e
         log_ratio = math.log(sg.hi / r)
+        if e is None:
+            return sg.c * r ** sg.p
         return sg.c * r ** sg.p * (log_ratio if e == 0.0 else math.expm1(e * log_ratio) / e)
 
     def moment(self, sg, a, b, g):
@@ -334,6 +359,20 @@ class TestLogFormSegment:
         want = self.moment(sg, 1.0, math.inf, math.log)
         assert rad.log_moment() == pytest.approx(want, rel=1e-11, abs=1e-13)
 
+    @pytest.mark.parametrize("sg", SEGMENTS + [spectral.Segment(0.5, 3.0, 0.39, 0.3)])
+    def test_power_integral_stops_at_its_upper_limit(self, sg):
+        for a, b in ((0.6, 2.0), (1.0, math.inf), (0.0, 0.7)):
+            for s in (-1.3, 0.5, 2.0) if a > 0.0 else (0.5, 2.0):
+                want = self.moment(sg, a, b, lambda r: r ** s)
+                got = sg.power_integral(a, b, s)
+                assert got == pytest.approx(want, rel=1e-11, abs=1e-13), (a, b, s)
+
+    def test_power_integral_from_zero_below_the_first_moment(self):
+        sg = self.SEGMENTS[0]  # density 0.25 r^-0.5 log(0.8/r)
+        want = self.moment(sg, 0.0, 0.7, lambda r: r ** -0.3)
+        assert sg.power_integral(0.0, 0.7, -0.3) == pytest.approx(want, rel=1e-11)
+        assert sg.power_integral(0.0, 0.7, -1.3) == math.inf
+
     def test_exponent_matches_quadrature_of_the_density(self):
         sg = self.SEGMENTS[1]
         rad = spectral.RadialMeasure((), (sg,))
@@ -348,18 +387,45 @@ class TestLogFormSegment:
             got = rad.exponent_integral(np.array([w]), tol=1e-12)[0]
             assert abs(got - want) < 1e-11
 
+    @staticmethod
+    def measure(*segments):
+        radial = spectral.RadialMeasure((), segments)
+        return SpectralMeasure(1, (spectral.Ray(np.array([1.0]), radial),))
+
     @pytest.mark.parametrize(
-        "sg",
+        "sg, match",
         [
-            spectral.Segment(0.5, 3.0, -0.1, 0.3, 0.0),
-            spectral.Segment(0.5, math.inf, 0.1, -2.0, 0.0),
-            spectral.Segment(0.5, 3.0, 0.1, -1.5, -0.2),
+            (spectral.Segment(0.5, 3.0, -0.1, 0.3, 0.0), "nonnegative"),
+            (spectral.Segment(0.5, math.inf, 0.1, -2.0, 0.0), "log-form"),
+            (spectral.Segment(0.5, 3.0, 0.1, -1.5, -0.2), "log-form"),
         ],
     )
-    def test_inadmissible_log_forms_are_flagged(self, sg):
-        m = SpectralMeasure(1, (spectral.Ray(np.array([1.0]), spectral.RadialMeasure((), (sg,))),))
-        with pytest.raises(InvalidMeasureError, match="log-form"):
-            m.require_valid()
+    def test_inadmissible_log_forms_are_flagged(self, sg, match):
+        with pytest.raises(InvalidMeasureError, match=match):
+            self.measure(sg).require_valid()
+
+    @pytest.mark.parametrize("e", [0.0, 0.004, -0.004])
+    def test_log_forms_enter_the_sign_certificate(self, e):
+        # 0.3 r^0.3 (log(3/r) near e = 0) on (0.5, 3) is at most 0.3 * 3^0.3
+        # * log(6) < 0.75 at r = 0.5, at r = 2 still positive: a positive
+        # term of 0.75 lifts a negative log form over the whole range, one
+        # of 0.3 only near hi
+        neg = spectral.Segment(0.5, 3.0, -0.3, 0.3, e)
+        self.measure(neg, spectral.Segment(0.5, 3.0, 0.75, 0.0)).require_valid()
+        with pytest.raises(InvalidMeasureError, match="nonnegative"):
+            self.measure(neg, spectral.Segment(0.5, 3.0, 0.3, 0.0)).require_valid()
+
+    @pytest.mark.parametrize("k, valid", [(1.0, True), (1.2, False)])
+    def test_log_form_and_power_terms_of_one_exponent(self, k, valid):
+        # r^0.3 (log(3/r) - k (1 - r/3)) on (0.5, 3): zero at hi, and
+        # log(3/r) >= 1 - r/3, so nonnegative for k <= 1; for k = 1.2 it
+        # dips below zero just under hi
+        segs = (
+            spectral.Segment(0.5, 3.0, 1.0, 0.3, 0.0),
+            spectral.Segment(0.5, 3.0, -k, 0.3),
+            spectral.Segment(0.5, 3.0, k / 3.0, 1.3),
+        )
+        assert self.measure(*segs).is_valid is valid
 
 
 class TestRequireValid:
