@@ -231,26 +231,22 @@ def time_change_drift_factor(beta: float, s_max: float) -> float:
 def truncation_tail_bound(
     spec: SimSpec, beta: float, s_max: float, y_scale: float = 5.0
 ) -> float:
-    """Size of the exponent mass discarded by stopping the integral at s_max.
+    """Bound on the exponent mass discarded by stopping the integral at s_max.
 
-    Bounds |integral over (0, exp(-s_max)] of Phi(u y)(1/u - u**(beta-1)) du|
-    by a two-level midpoint estimate, maximized over the coordinate
-    directions at radius y_scale.
+    Bounds |integral over (0, u_max] of Phi(u y)(1/u - u**(beta-1)) du| for
+    every |y| <= R = y_scale, with u_max = exp(-s_max), in closed form.
+    The law has |Phi(z)| <= (|b| + lambda E|J|)|z| + ||Sigma|| |z|**2 / 2,
+    since |exp(i t) - 1| <= |t|, and the kernel lies in [0, 1/u] on (0, 1),
+    so the mass is at most
+    (|b| + lambda E|J|) R u_max + ||Sigma|| R**2 u_max**2 / 4.
     """
     u_max = math.exp(-s_max)
-    phi = spec.char_exponent()
-    Y = y_scale * np.eye(spec.dim)
-    kern = lambda u: 1.0 / u - u ** (beta - 1.0)
-
-    def piece(us: np.ndarray) -> np.ndarray:
-        vals = phi.eval_grid(
-            (us[:, None, None] * Y[None, :, :]).reshape(-1, spec.dim)
-        ).reshape(len(us), spec.dim)
-        return kern(us)[:, None] * vals
-
-    probe = piece(u_max * np.array([0.25, 0.5, 0.75]))
-    est = 0.5 * u_max * (probe[0] + probe[2])
-    return float(np.max(np.abs(est)))
+    first = float(np.linalg.norm(spec.drift))
+    if spec.has_jumps:
+        first += spec.rate * float(spec.probs @ np.linalg.norm(spec.jumps, axis=1))
+    sigma = float(np.abs(np.linalg.eigvalsh(spec.diffusion)).max())
+    reach = y_scale * u_max
+    return first * reach + sigma * reach * reach / 4.0
 
 
 def _timechange_block(

@@ -25,12 +25,13 @@ from . import quadrature
 UNIT_NORM_TOL = 1e-12
 # largest (arguments x nodes) block a grid tail evaluates at once
 GRID_CHUNK_ELEMENTS = 1 << 18
-# share of the tolerance each discarded end of an unbounded-tail contour
-# integral may take; the quadrature gets what the two ends leave
-TAIL_CUT_SHARE = 1e-6
-# arguments per segment quadrature; at the 100-400 abscissas such a
-# quadrature evaluates per integrand call, a batch stays near 20 MB
+# arguments per segment evaluation: the power series and Gauss-Laguerre
+# arrays of a power segment take at most 53 and 34 columns per argument,
+# and a log-form quadrature 100-400 abscissas, so a batch stays near 20 MB
 SEGMENT_CHUNK = 4096
+# a power segment's exponent takes its power series in a = |w| r up to this
+# a, and the rotated contour integral beyond it
+SERIES_EDGE = 8.0
 # a signed sum of segment densities may dip this far below zero, relative
 # to the sum of its terms' magnitudes: rounding in terms that cancel
 # exactly at a point, such as the two terms of a segment image at hi
@@ -38,6 +39,64 @@ SIGN_SLACK = 1e-12
 # absolute tolerance of the quadratures behind the moments of log-form
 # segments; panels at rounding level are accepted whatever their size
 LOG_FORM_TOL = 1e-14
+
+# 1/k! for k = 0..52; at a = SERIES_EDGE the series terms past k = 52 are
+# below 1e-21
+_INV_FACT = np.array([
+    1.0, 1.0, 0.5,
+    0.16666666666666666, 0.041666666666666664, 0.008333333333333333,
+    0.001388888888888889, 0.0001984126984126984, 2.48015873015873e-05,
+    2.7557319223985893e-06, 2.755731922398589e-07, 2.505210838544172e-08,
+    2.08767569878681e-09, 1.6059043836821613e-10, 1.1470745597729725e-11,
+    7.647163731819816e-13, 4.779477332387385e-14, 2.8114572543455206e-15,
+    1.5619206968586225e-16, 8.22063524662433e-18, 4.110317623312165e-19,
+    1.9572941063391263e-20, 8.896791392450574e-22, 3.868170170630684e-23,
+    1.6117375710961184e-24, 6.446950284384474e-26, 2.4795962632247976e-27,
+    9.183689863795546e-29, 3.279889237069838e-30, 1.1309962886447716e-31,
+    3.7699876288159054e-33, 1.216125041553518e-34, 3.8003907548547434e-36,
+    1.151633562077195e-37, 3.387157535521162e-39, 9.67759295863189e-41,
+    2.6882202662866363e-42, 7.265460179153071e-44, 1.911963205040282e-45,
+    4.902469756513544e-47, 1.2256174391283858e-48, 2.9893108271424046e-50,
+    7.117406731291439e-52, 1.6552108677421951e-53, 3.7618428812322616e-55,
+    8.359650847182804e-57, 1.817315401561479e-58, 3.866628513960594e-60,
+    8.055476070751236e-62, 1.643974708316579e-63, 3.287949416633158e-65,
+    6.446959640457172e-67, 1.2397999308571486e-68,
+])
+_K = np.arange(_INV_FACT.size)
+# i**k / k! as (real, imaginary) columns: real for even k, imaginary for odd
+_I_POW_FACT = np.zeros((_K.size, 2))
+_I_POW_FACT[_K, _K % 2] = (-1.0) ** (_K // 2) * _INV_FACT
+# 34-point Gauss-Laguerre rule: nodes and weights for integrals against
+# exp(-v) over (0, inf), Newton-refined roots of L_34 at 60 digits. On
+# (1 + i v/a)**p it is within 3e-16 of the integral for a >= SERIES_EDGE.
+_LAG_NODES = np.array([
+    4.190992002006911163452e-2, 2.209164019523595841390e-1, 5.433536945565415322697e-1,
+    1.009967765484324819359e+0, 1.621751953473948779074e+0, 2.380014626242268560109e+0,
+    3.286400154001770920844e+0, 4.342910167051681899765e+0, 5.551929289036567917419e+0,
+    6.916256711692261675069e+0, 8.439144795688380320873e+0, 1.012434610894348775657e+1,
+    1.197617070083503476893e+1, 1.399955594701637223161e+1, 1.620015202849429572510e+1,
+    1.858442710740987567739e+1, 2.115979764987496693844e+1, 2.393479130658667085849e+1,
+    2.691925258122364173893e+1, 3.012460565236800554137e+1, 3.356419491650060782801e+1,
+    3.725373335110333272972e+1, 4.121190385773083208524e+1, 4.546118330644089731911e+1,
+    5.002900054129932439726e+1, 5.494941289395278032896e+1, 6.026562168468018078805e+1,
+    6.603391492353076285478e+1, 7.233019307779106538287e+1, 7.926155448779584694028e+1,
+    8.698888681494741893414e+1, 9.577719042218814756345e+1, 1.061334484823827091296e+2,
+    1.193621066777035673611e+2,
+])
+_LAG_WEIGHTS = np.array([
+    1.031503857573014813956e-1, 2.009336243372752199074e-1, 2.290577133034142032816e-1,
+    1.963233093512662694488e-1, 1.352794683850706096368e-1, 7.700290130862782429861e-2,
+    3.668093396700989671854e-2, 1.471880421628160621484e-2, 4.990295392627923671671e-3,
+    1.430809946564664590647e-3, 3.467057685540706932679e-4, 7.087155216351781433017e-5,
+    1.218662032645914998206e-5, 1.756124027700480881875e-6, 2.110776099032559509282e-7,
+    2.104140883091404298652e-8, 1.727915984033780517139e-9, 1.159678783101854008810e-10,
+    6.301977516552361132635e-12, 2.742816924614732108569e-13, 9.438765904261873158517e-15,
+    2.529440327462406600939e-16, 5.183705189158765950900e-18, 7.947967859943877534438e-20,
+    8.876789005200357708038e-22, 6.985695546383358986487e-24, 3.713786539776448258617e-26,
+    1.262566747466236794823e-28, 2.549456478722617600099e-31, 2.755788341805502820773e-34,
+    1.364760308970172188988e-37, 2.399497948459266320979e-41, 9.232070476190765973693e-46,
+    2.283838051318791536557e-51,
+])
 
 
 def _cis_m1(theta: np.ndarray) -> np.ndarray:
@@ -81,8 +140,8 @@ def _expm1_ratio(e: float, t):
     return t if e == 0.0 else np.expm1(e * t) / e
 
 
-def _power_ints(a, b: float, q: float) -> np.ndarray:
-    """Integral of r**(q-1) over (a, b) for each a in [0, b], finite b.
+def _power_ints(a, b, q: float) -> np.ndarray:
+    """Integral of r**(q-1) over (a, b), per pair of 0 <= a <= b < inf.
 
     Written as a**q (exp(q log(b/a)) - 1)/q through expm1, so it stays
     accurate as q -> 0; from a = 0 it is b**q/q, or inf when q <= 0.
@@ -473,11 +532,13 @@ class RadialMeasure:
 
         Computes, for each w, the integral of
         exp(i*w*r) - 1 - i*w*r*[r <= 1] over r. Atoms and grid tails are
-        summed directly; segments use adaptive quadrature on the finite
-        part, and past radius max(lo, 1) an unbounded segment is
-        integrated along a contour in the upper half plane, where the
-        oscillation becomes decay. The integrand at -w is the conjugate of
-        the one at w, so each distinct |w| is evaluated once.
+        summed directly. Power segments take a closed form: a power series
+        in |w| r up to SERIES_EDGE, and past it a fixed Gauss-Laguerre rule
+        along a contour in the upper half plane, where the oscillation
+        becomes decay. Their error is at rounding level whatever ``tol``
+        is, and at any |w|; ``tol`` only sets the adaptive quadrature of
+        log-form segments. The integrand at -w is the conjugate of the one
+        at w, so each distinct |w| is evaluated once.
         """
         signed = np.asarray(w, dtype=float).ravel()
         w, inverse = np.unique(np.abs(signed), return_inverse=True)
@@ -721,22 +782,134 @@ def _density_nonnegative(segments: list[Segment], a: float, b: float) -> bool:
 
 
 def _segment_exponent(sg: Segment, w: np.ndarray, tol: float | None) -> np.ndarray:
-    """Jump integrand integrated over one power segment, batched over w.
+    """Jump integrand integrated over one segment, batched over w.
 
-    The quadratures run on chunks of at most ``SEGMENT_CHUNK`` arguments, so
-    their (abscissas x arguments) arrays stay bounded for any batch.
+    A power segment takes the closed form of :func:`_power_exponent`, whose
+    error is at rounding level whatever ``tol`` is; a log-form segment runs
+    adaptive quadratures to ``tol``. Both work on chunks of at most
+    ``SEGMENT_CHUNK`` arguments, so their per-argument arrays stay bounded
+    for any batch.
     """
     if tol is None:
         tol = quadrature.default_tol()
     out = np.zeros(w.shape, dtype=complex)
     if sg.c != 0.0:
         for j in range(0, w.size, SEGMENT_CHUNK):
-            out[j : j + SEGMENT_CHUNK] = _segment_chunk(sg, w[j : j + SEGMENT_CHUNK], tol)
+            part = w[j : j + SEGMENT_CHUNK]
+            out[j : j + SEGMENT_CHUNK] = (
+                _power_exponent(sg, part) if sg.e is None else _log_form_exponent(sg, part, tol)
+            )
     return out
 
 
-def _segment_chunk(sg: Segment, w: np.ndarray, tol: float) -> np.ndarray:
-    """One chunk of arguments of :func:`_segment_exponent`."""
+def _power_exponent(sg: Segment, w: np.ndarray) -> np.ndarray:
+    """c * integral of r**p (exp(i w r) - 1 - i w r [r <= 1]) over a power segment.
+
+    The range splits at radius 1 into a compensated piece below and a raw
+    piece above, each taken by :func:`_power_piece` at |w|; w < 0 follows
+    by conjugation and w = 0 gives exactly 0.
+    """
+    if math.isinf(sg.hi) and sg.p >= -1.0:
+        raise InvalidMeasureError(
+            f"unbounded segment needs p < -1 for finite mass, got p={sg.p}"
+        )
+    out = np.zeros(w.shape, dtype=complex)
+    idx = np.flatnonzero(w)
+    W = np.abs(w[idx])
+    val = np.zeros(W.shape, dtype=complex)
+    top, bottom = min(sg.hi, 1.0), max(sg.lo, 1.0)
+    if top > sg.lo:
+        val += _power_piece(sg.p, sg.lo, top, W, 2)
+    if sg.hi > bottom:
+        val += _power_piece(sg.p, bottom, sg.hi, W, 1)
+    out[idx] = np.where(w[idx] > 0.0, sg.c * val, sg.c * np.conj(val))
+    return out
+
+
+def _power_piece(p: float, a: float, b: float, W: np.ndarray, k0: int) -> np.ndarray:
+    """Integral of r**p (exp(i W r) - sum over k < k0 of (i W r)**k / k!) over (a, b).
+
+    Batched over W > 0; k0 = 2 is the compensated kernel, k0 = 1 the raw
+    one. Below the edge radius x_e = SERIES_EDGE / W the power series of
+    :func:`_series_int` takes the range. Above it, over (x, b) with
+    x = max(a, x_e), the integral is T(x) - T(b) - P_0 - i W P_1, the last
+    term for k0 = 2 only, where T is :func:`_rotated_tail` (T(inf) = 0)
+    and P_j the integral of r**(p+j) over (x, b) from :func:`_power_ints`.
+    """
+    edge = SERIES_EDGE / W
+    out = np.zeros(W.shape, dtype=complex)
+    below = edge > a
+    if below.any():
+        out[below] = _series_int(p, a, np.minimum(edge[below], b), W[below], k0)
+    above = edge < b
+    if above.any():
+        x, Wa = np.maximum(edge[above], a), W[above]
+        val = _rotated_tail(p, x, Wa)
+        if math.isinf(b):
+            val += x ** (p + 1.0) / (p + 1.0)
+        else:
+            val -= _rotated_tail(p, b, Wa) + _power_ints(x, b, p + 1.0)
+            if k0 == 2:
+                val -= 1j * Wa * _power_ints(x, b, p + 2.0)
+        out[above] += val
+    return out
+
+
+def _series_int(p: float, a: float, top: np.ndarray, W: np.ndarray, k0: int) -> np.ndarray:
+    """The integral of :func:`_power_piece` over (a, top), where W top <= SERIES_EDGE.
+
+    Termwise it is the sum over k >= k0 of (i W)**k / k! times the integral
+    of r**(p+k) over (a, top). With z = W top, rho = a / top and
+    q = p + k + 1, that is top**(p+1) times the sum of
+    (i z)**k / k! * (1 - rho**q) / q, where 1 - rho**q goes through expm1,
+    so no term cancels at its two ends, and (1 - rho**q) / q is read as
+    log(1/rho) at q = 0. Terms stop where z**k / k! falls below 1e-18 of
+    the leading term, or of 1 if that is larger.
+    """
+    z = W * top
+    mags = float(z.max()) ** _K[k0:] * _INV_FACT[k0:]
+    n = k0 + int(np.flatnonzero(mags >= 1e-18 * min(1.0, mags[0]))[-1]) + 1
+    q = p + 1.0 + _K[k0:n]
+    q_safe = np.where(q == 0.0, 1.0, q)
+    terms = np.repeat(z[:, None], n - 1, axis=1).cumprod(axis=1)[:, k0 - 1 :]
+    coef = _I_POW_FACT[k0:n]
+    if a > 0.0:
+        log_rho = np.log(a / top)[:, None]
+        terms *= np.where(q == 0.0, -log_rho, -np.expm1(log_rho * q) / q_safe)
+    else:
+        coef = coef / q_safe[:, None]
+    re, im = (terms @ coef).T
+    return top ** (p + 1.0) * (re + 1j * im)
+
+
+def _rotated_tail(p: float, x, W: np.ndarray) -> np.ndarray:
+    """T(x) = integral of r**p exp(i W r) over (x, inf), for W x >= SERIES_EDGE.
+
+    On the contour r = x (1 + i v / a), a = W x, the oscillation turns into
+    decay: T(x) = i exp(i a) x**p / W times the integral of
+    (1 + i v/a)**p exp(-v) over v > 0, which the fixed Gauss-Laguerre rule
+    takes, with (1 + i s)**p written as |1 + i s|**p exp(i p arctan s).
+    The contour continues T to p >= -1, where the real integral diverges;
+    a difference T(x) - T(b) is the integral over (x, b) for every p. All
+    arguments at the edge, a = SERIES_EDGE, share one Laguerre sum.
+    """
+    a = np.maximum(W * x, SERIES_EDGE)
+    at_edge = a == SERIES_EDGE
+    lag = np.empty(a.shape, dtype=complex)
+    if at_edge.any():
+        lag[at_edge] = _laguerre_sum(p, np.array([SERIES_EDGE]))[0]
+    lag[~at_edge] = _laguerre_sum(p, a[~at_edge])
+    return 1j * np.exp(1j * a) * x ** p / W * lag
+
+
+def _laguerre_sum(p: float, a: np.ndarray) -> np.ndarray:
+    """The Gauss-Laguerre rule on (1 + i v/a)**p, per a."""
+    s = np.multiply.outer(1.0 / a, _LAG_NODES)
+    return np.exp(0.5 * p * np.log1p(s * s) + 1j * p * np.arctan(s)) @ _LAG_WEIGHTS
+
+
+def _log_form_exponent(sg: Segment, w: np.ndarray, tol: float) -> np.ndarray:
+    """Jump integrand over a log-form segment by adaptive quadrature, batched over w."""
     out = np.zeros(w.shape, dtype=complex)
     c, p = sg.c, sg.p
 
@@ -759,61 +932,12 @@ def _segment_chunk(sg: Segment, w: np.ndarray, tol: float) -> np.ndarray:
 
     lo_u = max(sg.lo, 1.0)
     if sg.hi > lo_u:
-        if math.isinf(sg.hi):
-            out += _segment_exponent_infinite(c, p, lo_u, w, tol)
-        else:
+        def f_raw(rs: np.ndarray) -> np.ndarray:
+            dens = c * rs ** p * sg.factor(rs)
+            return dens[:, None] * _cis_m1(rs[:, None] * w[None, :])
 
-            def f_raw(rs: np.ndarray) -> np.ndarray:
-                dens = c * rs ** p * sg.factor(rs)
-                return dens[:, None] * _cis_m1(rs[:, None] * w[None, :])
-
-            val, _ = quadrature.integrate(f_raw, lo_u, sg.hi, tol=tol, vectorized=True)
-            out += val
-    return out
-
-
-def _segment_exponent_infinite(
-    c: float, p: float, lo: float, w: np.ndarray, tol: float
-) -> np.ndarray:
-    """c * int_lo^inf r**p (exp(i w r) - 1) dr for p < -1 and lo >= 1.
-
-    On the contour r = lo + i*lo*u the oscillation turns into decay: for
-    w > 0, int_lo^inf r**p exp(i w r) dr = i exp(i w lo) lo**(p+1)
-    int_0^inf (1 + i u)**p exp(-a u) du with a = w lo. In u = exp(x) that
-    integrand is smooth and decays at both ends, so one batched quadrature
-    in x covers the batch; w < 0 follows by conjugation and w = 0 gives
-    exactly 0. Each discarded end costs at most
-    ``TAIL_CUT_SHARE * tol``: below u_lo the factor (1 + i u)**p, within
-    |p| u of 1, is replaced by 1 and integrated in closed form; past u_hi
-    the rest is under exp(-a u_hi) / a per unit scale, as |1 + i u|**p <= 1.
-    """
-    if p >= -1.0:
-        raise InvalidMeasureError(
-            f"unbounded segment needs p < -1 for finite mass, got p={p}"
-        )
-    out = np.zeros(w.shape, dtype=complex)
-    scale = c * lo ** (p + 1.0)
-    mass = -(lo ** (p + 1.0)) / (p + 1.0)
-    cut = TAIL_CUT_SHARE * tol
-    u_lo = math.sqrt(cut / (0.5 * -p * abs(scale)))
-    x_lo = math.log(u_lo)
-    idx = np.flatnonzero(w)
-    if idx.size == 0:
-        return out
-    a = np.abs(w[idx]) * lo
-    a_min = float(a.min())
-    u_hi = max(math.log(abs(scale) / (a_min * cut)), 1.0) / a_min
-
-    def f(xs: np.ndarray) -> np.ndarray:
-        u = np.exp(xs)
-        g = scale * u * np.hypot(1.0, u) ** p * np.exp(1j * p * np.arctan(u))
-        return g[:, None] * np.exp(-np.multiply.outer(u, a))
-
-    val, _ = quadrature.integrate(
-        f, x_lo, max(math.log(u_hi), x_lo), tol=tol - 2.0 * cut, vectorized=True
-    )
-    val = 1j * np.exp(1j * a) * (val + scale * -np.expm1(-a * u_lo) / a)
-    out[idx] = np.where(w[idx] > 0.0, val, np.conj(val)) - c * mass
+        val, _ = quadrature.integrate(f_raw, lo_u, sg.hi, tol=tol, vectorized=True)
+        out += val
     return out
 
 

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import idlaw.maps as maps
+from idlaw import quadrature
 import idlaw.simulate as sim
 from idlaw.errors import LawSpecError
 
@@ -168,6 +169,34 @@ class TestSamplers:
     def test_too_small_horizon_is_refused(self):
         with pytest.raises(ValueError, match="horizon"):
             sim.sample_time_changed_integral(gauss_spec(), 1.0, 4, seed=1, s_max=2.0)
+
+    @pytest.mark.parametrize("spec", [
+        drift_spec(-0.7),
+        gauss_spec(2.0),
+        sim.SimSpec(1, [0.4], 0.5, rate=3.0, jumps=[[2.0], [-0.5]], probs=[0.25, 0.75]),
+        sim.SimSpec(2, [0.3, -0.2], [[1.0, 0.6], [0.6, 0.5]], rate=1.5,
+                    jumps=[[1.0, -2.0], [0.5, 0.5]]),
+    ])
+    @pytest.mark.parametrize("beta", [0.3, 1.0, 2.5])
+    @pytest.mark.parametrize("s_max", [0.5, 3.0, 12.0])
+    def test_truncation_tail_bound_holds(self, spec, beta, s_max):
+        # the discarded integral over u in (0, exp(-s_max)], in s = -log u:
+        # Phi(exp(-s) y)(1 - exp(-beta s)) over s > s_max, past s_max + 60
+        # below 1e-26 of its size
+        phi = spec.char_exponent()
+        rng = np.random.default_rng(11)
+        dirs = np.vstack([np.eye(spec.dim), rng.normal(size=(4, spec.dim))])
+        Y = 5.0 * dirs / np.linalg.norm(dirs, axis=1)[:, None]
+        Y = np.vstack([Y, 0.5 * Y])
+
+        def f(ss):
+            us = np.exp(-ss)
+            vals = phi.eval_grid((us[:, None, None] * Y[None]).reshape(-1, spec.dim))
+            return vals.reshape(len(ss), -1) * -np.expm1(-beta * ss)[:, None]
+
+        mass, _ = quadrature.integrate(f, s_max, s_max + 60.0, tol=1e-13, vectorized=True)
+        bound = sim.truncation_tail_bound(spec, beta, s_max)
+        assert np.max(np.abs(mass)) <= bound
 
     def test_longer_horizon_keeps_sample_prefix(self):
         a = sim.sample_time_changed_integral(mix_spec(), 1.0, 64, seed=5, s_max=30.0)

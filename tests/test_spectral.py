@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from fractions import Fraction
 from pathlib import Path
 
 import mpmath as mp
@@ -107,6 +108,50 @@ class TestRadialClosedForms:
         assert abs(rad.log_moment() - 0.2 / 2.25) < 1e-12
 
 
+def power_segment_oracle(lo, hi, c, p, w):
+    """30-digit value of c * int r^p (exp(i w r) - 1 - i w r [r <= 1]) dr over (lo, hi).
+
+    From 0 the compensated integral C(x) over (0, x) is, termwise,
+    x^(p+1) sum over k >= 2 of (i W x)^k / (k! (p+k+1)) = x^(p+1) z^2 /
+    (2 (p+3)) 2F2(1, p+3; 3, p+4; z), z = i W x, for every p > -3; above
+    radius 1 the raw kernel adds i W times the integral of r^(p+1), and an
+    unbounded end takes the incomplete gamma function.
+    """
+    if w == 0.0:
+        return 0j
+    W = abs(w)
+    with mp.workdps(30):
+        p_ = mp.mpf(p)
+
+        def comp(x):
+            if x == 0.0:
+                return mp.mpf(0)
+            z = mp.mpc(0, W * x)
+            return mp.mpf(x) ** (p_ + 1) * z * z / (2 * (p_ + 3)) * mp.hyp2f2(1, p_ + 3, 3, p_ + 4, z)
+
+        def power(a, b, s):
+            a, b = mp.mpf(a), mp.mpf(b)
+            return mp.log(b / a) if s == -1 else (b ** (s + 1) - a ** (s + 1)) / (s + 1)
+
+        val = mp.mpf(0)
+        if min(hi, 1.0) > lo:
+            val += comp(min(hi, 1.0)) - comp(lo)
+        bottom = max(lo, 1.0)
+        if math.isinf(hi):
+            z = mp.mpc(0, -W)
+            val += z ** (-p_ - 1) * mp.gammainc(p_ + 1, z * bottom) + bottom ** (p_ + 1) / (p_ + 1)
+        elif hi > bottom:
+            val += comp(hi) - comp(bottom) + mp.mpc(0, W) * power(bottom, hi, p_ + 1)
+        out = complex(c * val)
+    return out if w > 0.0 else out.conjugate()
+
+
+def edge_frequencies(*ends):
+    # |w| just below and above the series/contour switch at each end
+    return [spectral.SERIES_EDGE * (1.0 + d) / x for x in ends for d in (-1e-9, 1e-9)
+            if 0.0 < x < math.inf]
+
+
 class TestExponentIntegrals:
     def test_segment_matches_high_precision_oracle(self):
         m = SpectralMeasure(1, (ray(1.0, segments=[(0.5, 3.0, 0.3, -1.4)]),))
@@ -167,7 +212,9 @@ class TestExponentIntegrals:
                 if w != 0.0:
                     z = mp.mpc(0.0, -w)
                     want[k] = complex(z ** (-p - 1.0) * mp.gammainc(p + 1.0, z * lo) - mass)
-        got = spectral._segment_exponent_infinite(1.0, p, lo, ws, quadrature.default_tol())
+        got = spectral._segment_exponent(
+            spectral.Segment(lo, math.inf, 1.0, p), ws, quadrature.default_tol()
+        )
         assert got[0] == 0.0
         assert np.max(np.abs(got - want)) < 1e-12
 
@@ -226,6 +273,61 @@ class TestExponentIntegrals:
             chunked = spectral._segment_exponent(seg, sub, tol)
             monkeypatch.undo()
             assert np.max(np.abs(chunked - whole)) < 2.0 * tol
+
+    @pytest.mark.parametrize("tol", [1e-10, 1e-11])
+    @pytest.mark.parametrize("W", [1e3, 3e3, 1e4])
+    @pytest.mark.parametrize("p", [-0.7, -1.7, -2.2])
+    def test_power_segment_holds_at_large_frequencies(self, p, W, tol):
+        # the adaptive quadrature this replaced raised QuadratureError here
+        sg = spectral.Segment(0.0, 0.8, 0.5, p)
+        got = spectral._segment_exponent(sg, np.array([W, -W]), tol)
+        want = power_segment_oracle(0.0, 0.8, 0.5, p, W)
+        floor = max(tol, 50.0 * np.finfo(float).eps * abs(want))
+        assert abs(got[0] - want) <= floor
+        assert abs(got[1] - want.conjugate()) <= floor
+
+    @pytest.mark.parametrize("seg", [
+        *[(0.0, 0.8, 0.5, p) for p in (-0.7, -1.0, -1.7, -2.0, -2.2, -2.999)],
+        (0.3, 2.0, 0.5, -0.7),
+        # P_0 and P_1 meet their logarithmic case
+        (0.2, 5.0, 0.5, -2.0),
+        (0.2, 5.0, 0.5, -1.0),
+        *[(lo, math.inf, 0.3, p) for lo in (0.5, 1.5) for p in (-1.001, -2.5, -2.999)],
+    ])
+    def test_power_segment_matches_oracle_on_both_branches(self, seg):
+        # every end, the unit radius included, on both sides of the switch
+        # between the power series and the rotated contour
+        ws = np.array([1e-12, -1e-12, 1e-6, *edge_frequencies(seg[0], seg[1], 1.0)])
+        got = spectral._segment_exponent(spectral.Segment(*seg), ws, None)
+        want = np.array([power_segment_oracle(*seg, w) for w in ws])
+        assert np.all(np.abs(got - want) <= 100.0 * np.finfo(float).eps * np.abs(want))
+
+    def test_power_segments_run_no_quadrature(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("power segments must not call quadrature.integrate")
+
+        monkeypatch.setattr(quadrature, "integrate", refuse)
+        m = SpectralMeasure(1, (
+            ray(1.0, atoms=[(2.0, 1.0)], segments=[(0.0, 0.8, 0.5, -2.2), (0.3, 2.0, 0.5, -0.7)]),
+            ray(-1.0, segments=[(1.5, math.inf, 0.3, -1.6)]),
+        ))
+        vals = m.exponent_jump_integral(np.linspace(-50.0, 50.0, 41)[:, None], 1e-12)
+        assert np.all(np.isfinite(vals))
+
+    def test_series_and_laguerre_tables(self):
+        want = [float(Fraction(1, math.factorial(k))) for k in range(spectral._INV_FACT.size)]
+        assert spectral._INV_FACT.tolist() == want
+        n = spectral._LAG_NODES.size
+        nodes, weights = np.polynomial.laguerre.laggauss(n)
+        # laggauss(34) is itself off by up to 1e-14 in its nodes and 5e-13
+        # in its weights (its moments below miss k! by 3e-14); the literals
+        # are exact to double precision, so they integrate v^k exp(-v) over
+        # (0, inf), that is k!, to rounding for every k < 2n
+        assert np.max(np.abs(spectral._LAG_NODES / nodes - 1.0)) < 1e-13
+        assert np.max(np.abs(spectral._LAG_WEIGHTS / weights - 1.0)) < 1e-11
+        for k in range(2 * n):
+            moment = math.fsum(spectral._LAG_WEIGHTS * spectral._LAG_NODES ** k)
+            assert moment == pytest.approx(math.factorial(k), rel=(k + 4) * 1e-16)
 
     def test_hermitian_symmetry(self):
         m = SpectralMeasure(
