@@ -20,13 +20,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from . import factor, maps, report, simulate
-from .errors import (
-    DimensionMismatchError,
-    InvalidMeasureError,
-    LawSpecError,
-    NotLogIntegrableError,
-    QuadratureError,
-)
+from .errors import INPUT_ERRORS, LawSpecError, QuadratureError
 from .lawio import BUILTIN_LAWS, LoadedLaw, builtin_law, law_from_dict, load_law
 from .spectral import SpectralMeasure, ray
 
@@ -44,13 +38,6 @@ _LAW_SUBJECTS = {
     ),
     "sim": (lambda law: law.sim, "a simulable law (drift + Gaussian + finite jump atoms)"),
 }
-
-_USAGE_ERRORS = (
-    LawSpecError,
-    InvalidMeasureError,
-    DimensionMismatchError,
-    NotLogIntegrableError,
-)
 
 
 def _count(text: str) -> int:
@@ -74,14 +61,6 @@ def _positive(text: str) -> float:
     value = float(text)
     if not value > 0.0:
         raise argparse.ArgumentTypeError(f"must be positive, got {value}")
-    return value
-
-
-def _nodes(text: str) -> int:
-    """argparse type for a tabulation node count: an integer >= 2."""
-    value = int(text)
-    if value < 2:
-        raise argparse.ArgumentTypeError(f"must be at least 2, got {value}")
     return value
 
 
@@ -210,7 +189,7 @@ def _cmd_transform(args) -> int:
         raise LawSpecError("the law description does not determine a triplet")
     if args.beta is None:
         raise LawSpecError("transform needs --beta")
-    out_trip = maps.jbeta_triplet(law.triplet, args.beta, n_grid=args.n_grid)
+    out_trip = maps.jbeta_triplet(law.triplet, args.beta)
     doc = {
         "kind": "transform",
         "law": law.name,
@@ -436,10 +415,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--law", help="path to a law JSON file")
     sp.add_argument("--map", default="jbeta", choices=["jbeta"])
     sp.add_argument("--beta", type=_positive)
-    sp.add_argument(
-        "--n-grid", type=_nodes, default=None,
-        help="tail tabulation nodes (grid-tail inputs only)",
-    )
     sp.add_argument("--out")
     sp.set_defaults(fn=_cmd_transform, needs_law=True)
 
@@ -497,7 +472,7 @@ def main(argv=None) -> int:
     except QuadratureError as exc:
         print(f"quadrature failure: {exc}", file=sys.stderr)
         return 1
-    except _USAGE_ERRORS as exc:
+    except INPUT_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

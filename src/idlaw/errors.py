@@ -17,6 +17,10 @@ class LawSpecError(ValueError):
     """A law description (dict or JSON file) is malformed."""
 
 
+# errors that mean the input is wrong, not that a computation failed
+INPUT_ERRORS = (DimensionMismatchError, InvalidMeasureError, NotLogIntegrableError, LawSpecError)
+
+
 class QuadratureError(RuntimeError):
     """Adaptive quadrature failed to reach the requested tolerance.
 

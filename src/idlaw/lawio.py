@@ -23,10 +23,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import LawSpecError
+from .errors import INPUT_ERRORS, LawSpecError
 from .exponent import CharExponent, closed_form, convolve, from_triplet
 from .simulate import SimSpec
-from .spectral import GridTail, Ray, RadialMeasure, SpectralMeasure, ray
+from .spectral import GridTail, Ray, SpectralMeasure, ray
 from .triplet import LevyTriplet
 
 
@@ -239,7 +239,21 @@ def _triplet_law(doc, name: str) -> LoadedLaw:
 
 
 def law_from_dict(doc: dict, name: str | None = None) -> LoadedLaw:
-    """Build a law from a parsed JSON document."""
+    """Build a law from a parsed JSON document.
+
+    A value that does not read as the number, array or grid it stands for
+    (a ValueError or TypeError from numpy or the measure types) is a
+    malformed description too, and raises LawSpecError.
+    """
+    try:
+        return _law_from_doc(doc, name)
+    except INPUT_ERRORS:
+        raise
+    except (ValueError, TypeError) as exc:
+        raise LawSpecError(f"malformed law description: {exc}") from None
+
+
+def _law_from_doc(doc: dict, name: str | None) -> LoadedLaw:
     if not isinstance(doc, dict):
         raise LawSpecError(f"law description must be a JSON object, got {type(doc).__name__}")
     label = name or doc.get("name")

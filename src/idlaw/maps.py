@@ -170,9 +170,7 @@ def _kernel_integral(phi, Y, tol, a, b, kern, scale, mass=1.0, splits=()):
     def f(xs: np.ndarray) -> np.ndarray:
         return kern(xs)[:, None] * _eval_scaled(phi, Y, scale(xs), inner_tol)
 
-    val, _ = quadrature.integrate(
-        f, a, b, tol=(1.0 - _INNER_SHARE) * tol, splits=splits, vectorized=True
-    )
+    val, _ = quadrature.integrate(f, a, b, tol=(1.0 - _INNER_SHARE) * tol, splits=splits)
     return val
 
 
@@ -429,9 +427,7 @@ def _rest_breakpoints(rest: RadialMeasure) -> list[float]:
     return sorted(set(bps))
 
 
-def jbeta_radial(
-    radial: RadialMeasure, beta: float, n_grid: int | None = None
-) -> RadialMeasure:
+def jbeta_radial(radial: RadialMeasure, beta: float) -> RadialMeasure:
     """Radial part of the jbeta image of one ray's radial measure.
 
     Atoms and power segments map exactly. An atom m at r becomes the
@@ -447,8 +443,8 @@ def jbeta_radial(
     Grid tails and log-form segments have no power-form image. Their
     transformed tail is evaluated in closed form (by quadrature for log
     form) and re-tabulated as a grid tail on a log-spaced grid wide
-    enough that the discarded pieces are negligible; ``n_grid`` sets its
-    node count, which by default grows with the log-width of the support.
+    enough that the discarded pieces are negligible, with 1024 nodes per
+    e-fold of its width, at least 4097 and at most 32769.
     Both parts of the image must be nonnegative measures of their own, so
     log-form segments are re-tabulated apart from the power segments only
     when each part is certified nonnegative; otherwise all segments are
@@ -488,10 +484,8 @@ def jbeta_radial(
     while r_floor * r_floor * tail_out(r_floor) > 1e-10 and r_floor > 1e-18:
         r_floor /= 8.0
 
-    if n_grid is None:
-        efolds = math.log(r_top / r_floor)
-        n_grid = int(min(32769, max(4097, 1024.0 * efolds)))
-    us = np.geomspace(r_floor, r_top, n_grid)
+    n_nodes = int(min(32769, max(4097, 1024.0 * math.log(r_top / r_floor))))
+    us = np.geomspace(r_floor, r_top, n_nodes)
     us = np.union1d(us, [b for b in bps if r_floor < b < r_top] + [1.0])
     us = us[(us >= r_floor) & (us <= r_top)]
     tails = transformed_tail(rest, beta, us)
@@ -499,22 +493,18 @@ def jbeta_radial(
     return RadialMeasure((), new_segments, GridTail(us, tails))
 
 
-def jbeta_measure(
-    measure: SpectralMeasure, beta: float, n_grid: int | None = None
-) -> SpectralMeasure:
+def jbeta_measure(measure: SpectralMeasure, beta: float) -> SpectralMeasure:
     """Jump measure of the jbeta image, ray by ray."""
     measure.require_valid()
     if not beta > 0.0:
         raise ValueError(f"beta must be positive, got {beta}")
     return SpectralMeasure(
         measure.dim,
-        tuple(Ray(r.direction, jbeta_radial(r.radial, beta, n_grid)) for r in measure.rays),
+        tuple(Ray(r.direction, jbeta_radial(r.radial, beta)) for r in measure.rays),
     )
 
 
-def jbeta_triplet(
-    trip: LevyTriplet, beta: float, n_grid: int | None = None
-) -> LevyTriplet:
+def jbeta_triplet(trip: LevyTriplet, beta: float) -> LevyTriplet:
     """Generating triplet of the jbeta image of a law given by its triplet.
 
     shift picks up beta/(beta+1) times (shift + mean of x/|x| beyond the
@@ -530,17 +520,15 @@ def jbeta_triplet(
         correction = correction + w * ray_.direction
     shift = (beta / (beta + 1.0)) * (trip.shift + correction)
     cov = (beta / (beta + 2.0)) * trip.cov
-    return LevyTriplet(trip.dim, shift, cov, jbeta_measure(trip.levy, beta, n_grid))
+    return LevyTriplet(trip.dim, shift, cov, jbeta_measure(trip.levy, beta))
 
 
-def log_moment_preserved(
-    measure: SpectralMeasure, beta: float, n_grid: int | None = None
-) -> tuple[float, float, bool]:
+def log_moment_preserved(measure: SpectralMeasure, beta: float) -> tuple[float, float, bool]:
     """Log moments before and after the jbeta map, plus finiteness agreement.
 
     Returns (transformed, original, same_finiteness). Finiteness of the log
     moment is invariant under the map; the numeric values differ.
     """
     before = measure.log_moment()
-    after = jbeta_measure(measure, beta, n_grid).log_moment()
+    after = jbeta_measure(measure, beta).log_moment()
     return after, before, bool(np.isfinite(after) == np.isfinite(before))

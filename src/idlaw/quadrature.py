@@ -95,16 +95,14 @@ def integrate(
     tol: float | None = None,
     max_depth: int = DEFAULT_MAX_DEPTH,
     splits: Sequence[float] = (),
-    vectorized: bool = False,
 ) -> tuple[np.ndarray, float]:
     """Integrate ``f`` over [a, b] with adaptive G10K21 panels.
 
     Parameters
     ----------
     f : callable
-        With ``vectorized=False``, maps a float to a complex scalar or 1-d
-        complex array. With ``vectorized=True``, maps a float array of
-        shape (m,) to shape (m,) or (m, n); rows must be independent. The
+        Batched integrand: maps a float array of abscissas, shape (m,), to
+        values of shape (m,) or (m, n); rows must be independent. The
         output shape per abscissa must be constant over the interval.
     a, b : float
         Integration limits, ``a <= b``. ``f`` is only evaluated strictly
@@ -124,9 +122,10 @@ def integrate(
     Returns
     -------
     (value, error_estimate)
-        ``value`` has the integrand's per-abscissa shape; scalar in,
-        scalar out. ``error_estimate`` is the sum of the panels' max-norm
-        |K21 - G10|, at most ``tol`` unless a panel hit rounding level.
+        ``value`` has the integrand's per-abscissa shape: a scalar when
+        ``f`` returns shape (m,). ``error_estimate`` is the sum of the
+        panels' max-norm |K21 - G10|, at most ``tol`` unless a panel hit
+        rounding level.
 
     Raises
     ------
@@ -143,15 +142,10 @@ def integrate(
     if b < a:
         raise ValueError(f"reversed limits: [{a}, {b}]")
 
-    if vectorized:
-        fbatch = lambda xs: np.asarray(f(xs), dtype=complex)
-    else:
-        fbatch = lambda xs: np.asarray([f(float(x)) for x in xs], dtype=complex)
-
     shapes = set()
 
     def fv(xs: np.ndarray) -> np.ndarray:
-        out = fbatch(xs)
+        out = np.asarray(f(xs), dtype=complex)
         shapes.add(out.shape[1:])
         if out.ndim not in (1, 2) or out.shape[0] != len(xs) or len(shapes) > 1:
             raise ValueError(

@@ -21,13 +21,11 @@ from __future__ import annotations
 
 import math
 import operator
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
-from typing import Sequence
+from dataclasses import dataclass
 
 import numpy as np
 
-from . import maps, quadrature
+from . import maps
 from .errors import LawSpecError
 from .exponent import CharExponent, as_grid, closed_form, convolve
 from .report import CheckReport
@@ -380,6 +378,8 @@ def _run_chunked(
     starts = range(0, n, chunk)
     if len(starts) == 1:
         return _sample_blocks(block_fn, args, seed, tag, 0, n)
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=len(starts)) as pool:
         futs = [
             pool.submit(_sample_blocks, block_fn, args, seed, tag, s, min(s + chunk, n))

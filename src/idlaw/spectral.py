@@ -13,7 +13,7 @@ against the radial part is finite on every ray.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Sequence
 
@@ -23,7 +23,7 @@ from .errors import DimensionMismatchError, InvalidMeasureError
 from . import quadrature
 
 UNIT_NORM_TOL = 1e-12
-# largest (arguments x nodes) block a grid tail evaluates at once
+# largest (arguments x radii) block the point-mass kernel evaluates at once
 GRID_CHUNK_ELEMENTS = 1 << 18
 # arguments per segment evaluation: the power series and Gauss-Laguerre
 # arrays of a power segment take at most 53 and 34 columns per argument,
@@ -40,28 +40,9 @@ SIGN_SLACK = 1e-12
 # segments; panels at rounding level are accepted whatever their size
 LOG_FORM_TOL = 1e-14
 
-# 1/k! for k = 0..52; at a = SERIES_EDGE the series terms past k = 52 are
-# below 1e-21
-_INV_FACT = np.array([
-    1.0, 1.0, 0.5,
-    0.16666666666666666, 0.041666666666666664, 0.008333333333333333,
-    0.001388888888888889, 0.0001984126984126984, 2.48015873015873e-05,
-    2.7557319223985893e-06, 2.755731922398589e-07, 2.505210838544172e-08,
-    2.08767569878681e-09, 1.6059043836821613e-10, 1.1470745597729725e-11,
-    7.647163731819816e-13, 4.779477332387385e-14, 2.8114572543455206e-15,
-    1.5619206968586225e-16, 8.22063524662433e-18, 4.110317623312165e-19,
-    1.9572941063391263e-20, 8.896791392450574e-22, 3.868170170630684e-23,
-    1.6117375710961184e-24, 6.446950284384474e-26, 2.4795962632247976e-27,
-    9.183689863795546e-29, 3.279889237069838e-30, 1.1309962886447716e-31,
-    3.7699876288159054e-33, 1.216125041553518e-34, 3.8003907548547434e-36,
-    1.151633562077195e-37, 3.387157535521162e-39, 9.67759295863189e-41,
-    2.6882202662866363e-42, 7.265460179153071e-44, 1.911963205040282e-45,
-    4.902469756513544e-47, 1.2256174391283858e-48, 2.9893108271424046e-50,
-    7.117406731291439e-52, 1.6552108677421951e-53, 3.7618428812322616e-55,
-    8.359650847182804e-57, 1.817315401561479e-58, 3.866628513960594e-60,
-    8.055476070751236e-62, 1.643974708316579e-63, 3.287949416633158e-65,
-    6.446959640457172e-67, 1.2397999308571486e-68,
-])
+# 1/k! for k = 0..52, correctly rounded (int / int rounds once); at
+# a = SERIES_EDGE the series terms past k = 52 are below 1e-21
+_INV_FACT = np.array([1 / math.factorial(k) for k in range(53)])
 _K = np.arange(_INV_FACT.size)
 # i**k / k! as (real, imaginary) columns: real for even k, imaginary for odd
 _I_POW_FACT = np.zeros((_K.size, 2))
@@ -289,8 +270,27 @@ def log_form_integral(
         r = a * np.exp(np.multiply.outer(ts, span))
         return span * r * sg.c * r ** sg.p * sg.factor(r) * kernel(r)
 
-    val, _ = quadrature.integrate(f, 0.0, 1.0, tol=LOG_FORM_TOL, vectorized=True)
+    val, _ = quadrature.integrate(f, 0.0, 1.0, tol=LOG_FORM_TOL)
     return np.real(val)
+
+
+def _point_mass_exponent(
+    w: np.ndarray, r: np.ndarray, m: np.ndarray, m_comp: np.ndarray
+) -> np.ndarray:
+    """Jump integrand against point masses m at radii r, batched over signed w.
+
+    The sum of m (exp(i w r) - 1) minus i w times the first moment of the
+    compensated masses ``m_comp`` (those at r <= 1). The plain kernel runs
+    in chunks of ``GRID_CHUNK_ELEMENTS // w.size`` radii (at least one), so
+    temporaries stay bounded for any batch size.
+    """
+    half_versine, im = np.zeros(w.shape), -w * float(r @ m_comp)
+    step = max(1, GRID_CHUNK_ELEMENTS // max(w.size, 1))
+    for k in range(0, r.size, step):
+        theta = np.multiply.outer(w, r[k : k + step])
+        half_versine += np.sin(0.5 * theta) ** 2 @ m[k : k + step]
+        im += np.sin(theta) @ m[k : k + step]
+    return -2.0 * half_versine + 1j * im
 
 
 @dataclass(frozen=True, eq=False)
@@ -390,25 +390,16 @@ class GridTail:
         return self.split_integral(g, g)
 
     def exponent_integral(self, w: np.ndarray) -> np.ndarray:
-        """Jump-part integrand integrated against the tabulated measure.
+        """Jump-part integrand against the tabulated measure, batched over w.
 
-        Below radius 1 the compensated kernel is the plain one minus
-        i*w*r, whose weighted sum is w times a first moment, so the plain
-        kernel exp(i*w*r) - 1 runs once over all nodes, in chunks of
-        ``GRID_CHUNK_ELEMENTS // w.size`` nodes (at least one) to keep
-        temporaries bounded for any batch size.
+        The node weights of the endpoint-average rule are point masses, the
+        ones in (0, 1] compensated; :func:`_point_mass_exponent` sums them.
         """
-        w = np.atleast_1d(np.asarray(w, dtype=float))
-        r = self._unit_split[0]
         wt_below, wt_above = self._node_weights
-        weights = wt_below + wt_above
-        half_versine, im = np.zeros(w.shape), -w * float(r @ wt_below)
-        step = max(1, GRID_CHUNK_ELEMENTS // max(w.size, 1))
-        for k in range(0, r.size, step):
-            theta = np.multiply.outer(w, r[k : k + step])
-            half_versine += np.sin(0.5 * theta) ** 2 @ weights[k : k + step]
-            im += np.sin(theta) @ weights[k : k + step]
-        return -2.0 * half_versine + 1j * im
+        return _point_mass_exponent(
+            np.atleast_1d(np.asarray(w, dtype=float)),
+            self._unit_split[0], wt_below + wt_above, wt_below,
+        )
 
     def scaled(self, factor: float) -> "GridTail":
         return GridTail(self.radii, self.tail * factor)
@@ -528,33 +519,31 @@ class RadialMeasure:
         return val
 
     def exponent_integral(self, w: np.ndarray, tol: float | None = None) -> np.ndarray:
-        """Jump integrand against this measure, batched over arguments w.
+        """Jump integrand against this measure, batched over signed arguments w.
 
         Computes, for each w, the integral of
-        exp(i*w*r) - 1 - i*w*r*[r <= 1] over r. Atoms and grid tails are
-        summed directly. Power segments take a closed form: a power series
-        in |w| r up to SERIES_EDGE, and past it a fixed Gauss-Laguerre rule
-        along a contour in the upper half plane, where the oscillation
-        becomes decay. Their error is at rounding level whatever ``tol``
-        is, and at any |w|; ``tol`` only sets the adaptive quadrature of
-        log-form segments. The integrand at -w is the conjugate of the one
-        at w, so each distinct |w| is evaluated once.
+        exp(i*w*r) - 1 - i*w*r*[r <= 1] over r. Atoms and grid-tail nodes
+        are point masses, summed in bounded chunks by
+        :func:`_point_mass_exponent`. Power segments take a closed form: a
+        power series in |w| r up to SERIES_EDGE, and past it a fixed
+        Gauss-Laguerre rule along a contour in the upper half plane, where
+        the oscillation becomes decay. Their error is at rounding level
+        whatever ``tol`` is, and at any |w|; ``tol`` only sets the adaptive
+        quadrature of log-form segments. Every piece takes w of either
+        sign, so the value at -w is the conjugate of the one at w piece by
+        piece.
         """
-        signed = np.asarray(w, dtype=float).ravel()
-        w, inverse = np.unique(np.abs(signed), return_inverse=True)
+        w = np.asarray(w, dtype=float).ravel()
         out = np.zeros(w.shape, dtype=complex)
         if self.atoms:
-            rs = np.array([at.r for at in self.atoms])
-            ms = np.array([at.m for at in self.atoms])
-            theta = np.multiply.outer(w, rs)
-            g = _cis_m1(theta) - 1j * theta * (rs <= 1.0)
-            out += g @ ms
+            r = np.array([at.r for at in self.atoms])
+            m = np.array([at.m for at in self.atoms])
+            out += _point_mass_exponent(w, r, m, m * (r <= 1.0))
         for sg in self.segments:
             out += _segment_exponent(sg, w, tol)
         if self.grid_tail is not None:
             out += self.grid_tail.exponent_integral(w)
-        out = out[inverse]
-        return np.where(signed < 0.0, np.conj(out), out)
+        return out
 
     def scaled(self, factor: float) -> "RadialMeasure":
         if factor < 0.0:
@@ -782,7 +771,7 @@ def _density_nonnegative(segments: list[Segment], a: float, b: float) -> bool:
 
 
 def _segment_exponent(sg: Segment, w: np.ndarray, tol: float | None) -> np.ndarray:
-    """Jump integrand integrated over one segment, batched over w.
+    """Jump integrand integrated over one segment, batched over signed w.
 
     A power segment takes the closed form of :func:`_power_exponent`, whose
     error is at rounding level whatever ``tol`` is; a log-form segment runs
@@ -927,7 +916,7 @@ def _log_form_exponent(sg: Segment, w: np.ndarray, tol: float) -> np.ndarray:
             dens = c * k * vs ** expo * sg.factor(r)
             return dens[:, None] * (w * w)[None, :] * _cis_ratio(theta)
 
-        val, _ = quadrature.integrate(f_comp, a, b, tol=tol, vectorized=True)
+        val, _ = quadrature.integrate(f_comp, a, b, tol=tol)
         out += val
 
     lo_u = max(sg.lo, 1.0)
@@ -936,7 +925,7 @@ def _log_form_exponent(sg: Segment, w: np.ndarray, tol: float) -> np.ndarray:
             dens = c * rs ** p * sg.factor(rs)
             return dens[:, None] * _cis_m1(rs[:, None] * w[None, :])
 
-        val, _ = quadrature.integrate(f_raw, lo_u, sg.hi, tol=tol, vectorized=True)
+        val, _ = quadrature.integrate(f_raw, lo_u, sg.hi, tol=tol)
         out += val
     return out
 

@@ -62,6 +62,16 @@ class TestEval:
         assert code == 2
         assert "cannot read" in err
 
+    def test_malformed_number_in_law_file_is_usage_error(self, capsys, tmp_path):
+        path = tmp_path / "law.json"
+        path.write_text(json.dumps({
+            "dim": 1, "shift": [0.0],
+            "levy": {"rays": [{"dir": [1.0], "atoms": [{"r": "abc", "m": 1.0}]}]},
+        }))
+        code, _, err = run(capsys, "eval", "--law", str(path), "--y", "1")
+        assert code == 2
+        assert "error: malformed law description" in err
+
 
 class TestVerify:
     def test_factorization_passes_and_writes_golden_report(
@@ -212,15 +222,6 @@ class TestTransform:
         assert ray_["grid_tail"] is None
         assert [s.get("e") for s in ray_["segments"]] == [None, 0.0]
         assert ray_["segments"][1] == {"lo": 0.5, "hi": 3.0, "c": 0.39, "p": 0.3, "e": 0.0}
-
-    @pytest.mark.parametrize("value", ["0", "1", "-3"])
-    def test_node_count_below_two_is_a_usage_error(self, capsys, law_files, value):
-        code, _, err = run(
-            capsys, "transform", "--law", law_files["cp"], "--beta", "1",
-            f"--n-grid={value}",
-        )
-        assert code == 2
-        assert "error: argument --n-grid" in err
 
 
 class TestSimulate:

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from idlaw.errors import LawSpecError
+from idlaw.errors import InvalidMeasureError, LawSpecError
 from idlaw.lawio import BUILTIN_LAWS, builtin_law, law_from_dict, load_law
 
 
@@ -145,6 +145,38 @@ class TestTripletDocs:
         law = law_from_dict(triplet_doc())
         y = 1.3
         assert law.exponent(y) == pytest.approx(law.triplet.exponent([y]), abs=1e-14)
+
+
+MALFORMED_DOCS = {
+    "atom radius": triplet_doc(
+        levy={"rays": [{"dir": [1.0], "atoms": [{"r": "abc", "m": 1.0}]}]}
+    ),
+    "one-node grid tail": triplet_doc(
+        levy={"rays": [{"dir": [1.0], "grid_tail": {"radii": [1.0], "tail": [0.5]}}]}
+    ),
+    "gaussian mean": {"convolve": [{"closed_form": "gaussian", "params": {"mean": "x"}}]},
+    "ragged jumps": {
+        "closed_form": "compound_poisson",
+        "params": {"rate": 1.0, "jumps": [[1.0], [2.0, 3.0]]},
+    },
+}
+
+
+@pytest.mark.parametrize("doc", MALFORMED_DOCS.values(), ids=MALFORMED_DOCS.keys())
+def test_malformed_values_raise_law_spec_error(doc):
+    with pytest.raises(LawSpecError, match="malformed law description"):
+        law_from_dict(doc)
+
+
+def test_own_errors_are_not_rewrapped():
+    doc = triplet_doc()
+    doc["levy"]["rays"][0] = {
+        "dir": [1.0],
+        "segments": [{"lo": 0.0, "hi": 1.0, "c": 1.0, "p": -3.0}],
+    }
+    with pytest.raises(InvalidMeasureError) as exc:
+        law_from_dict(doc)
+    assert not isinstance(exc.value, LawSpecError)
 
 
 class TestConvolveDocs:

@@ -32,9 +32,7 @@ def test_rule_degrees_of_exactness():
 
 
 def test_endpoint_singularity_meets_its_error_estimate():
-    val, err = quadrature.integrate(
-        lambda us: us**-0.4, 0.0, 1.0, tol=1e-8, vectorized=True
-    )
+    val, err = quadrature.integrate(lambda us: us**-0.4, 0.0, 1.0, tol=1e-8)
     miss = abs(complex(val) - 1.0 / 0.6)
     assert miss <= err <= 1e-8
 
@@ -54,16 +52,14 @@ def test_i_map_on_unbounded_power_tail_returns():
 
 
 def test_smooth_scalar_matches_closed_form():
-    val, err = quadrature.integrate(
-        lambda xs: np.exp(-xs * xs), 0.0, 3.0, tol=1e-12, vectorized=True
-    )
+    val, err = quadrature.integrate(lambda xs: np.exp(-xs * xs), 0.0, 3.0, tol=1e-12)
     truth = 0.5 * math.sqrt(math.pi) * math.erf(3.0)
     assert abs(complex(val).real - truth) < 1e-12
     assert err < 1e-12
 
 
 def test_cubic_is_integrated_exactly():
-    val, _ = quadrature.integrate(lambda xs: xs**3, 0.0, 1.0, vectorized=True)
+    val, _ = quadrature.integrate(lambda xs: xs**3, 0.0, 1.0)
     assert abs(complex(val) - 0.25) < 5e-16
 
 
@@ -71,25 +67,23 @@ def test_vector_integrand_components():
     def f(xs):
         return np.stack([np.cos(3.0 * xs), np.sin(5.0 * xs)], axis=1)
 
-    val, _ = quadrature.integrate(f, 0.0, 2.0, tol=1e-12, vectorized=True)
+    val, _ = quadrature.integrate(f, 0.0, 2.0, tol=1e-12)
     truth = np.array([math.sin(6.0) / 3.0, (1.0 - math.cos(10.0)) / 5.0])
     assert np.max(np.abs(val - truth)) < 1e-12
 
 
 def test_complex_integrand():
-    val, _ = quadrature.integrate(
-        lambda xs: np.exp(1j * xs), 0.0, math.pi, tol=1e-12, vectorized=True
-    )
+    val, _ = quadrature.integrate(lambda xs: np.exp(1j * xs), 0.0, math.pi, tol=1e-12)
     assert abs(complex(val) - 2.0j) < 1e-12
 
 
 def test_scalar_callable_path():
-    val, _ = quadrature.integrate(lambda x: 1.0 / (1.0 + x * x), 0.0, 1.0, tol=1e-11)
+    val, _ = quadrature.integrate(lambda xs: 1.0 / (1.0 + xs * xs), 0.0, 1.0, tol=1e-11)
     assert abs(complex(val).real - math.pi / 4.0) < 1e-11
 
 
 def test_degenerate_interval_is_zero():
-    val, err = quadrature.integrate(lambda xs: np.exp(xs), 1.0, 1.0, vectorized=True)
+    val, err = quadrature.integrate(lambda xs: np.exp(xs), 1.0, 1.0)
     assert complex(val) == 0.0
     assert err == 0.0
 
@@ -101,10 +95,10 @@ def test_split_points_handle_kinks():
         return np.abs(xs - third)
 
     truth = 0.5 * (third**2 + (1.0 - third) ** 2)
-    val, _ = quadrature.integrate(f, 0.0, 1.0, tol=1e-12, splits=(third,), vectorized=True)
+    val, _ = quadrature.integrate(f, 0.0, 1.0, tol=1e-12, splits=(third,))
     assert abs(complex(val).real - truth) < 1e-13
     # the kink is still resolvable without a split, just more slowly
-    val2, _ = quadrature.integrate(f, 0.0, 1.0, tol=1e-10, vectorized=True)
+    val2, _ = quadrature.integrate(f, 0.0, 1.0, tol=1e-10)
     assert abs(complex(val2).real - truth) < 1e-9
 
 
@@ -116,7 +110,6 @@ def test_nonconvergence_carries_partial_result():
             1.0,
             tol=1e-14,
             max_depth=4,
-            vectorized=True,
         )
     err = exc.value
     assert err.value is not None
@@ -144,11 +137,9 @@ def test_bad_env_var_is_rejected(monkeypatch):
 def test_linearity_in_the_integrand(a, b):
     f = lambda xs: a * xs * xs
     g = lambda xs: b * xs**3 + xs
-    both, _ = quadrature.integrate(
-        lambda xs: f(xs) + g(xs), 0.0, 1.0, tol=1e-12, vectorized=True
-    )
-    fa, _ = quadrature.integrate(f, 0.0, 1.0, tol=1e-12, vectorized=True)
-    gb, _ = quadrature.integrate(g, 0.0, 1.0, tol=1e-12, vectorized=True)
+    both, _ = quadrature.integrate(lambda xs: f(xs) + g(xs), 0.0, 1.0, tol=1e-12)
+    fa, _ = quadrature.integrate(f, 0.0, 1.0, tol=1e-12)
+    gb, _ = quadrature.integrate(g, 0.0, 1.0, tol=1e-12)
     assert abs(complex(both) - complex(fa) - complex(gb)) < 1e-11
 
 
@@ -156,7 +147,7 @@ def test_linearity_in_the_integrand(a, b):
 @given(c=st.floats(min_value=0.05, max_value=0.95))
 def test_additivity_over_subintervals(c):
     f = lambda xs: np.sin(3.0 * xs) + xs * xs
-    whole, _ = quadrature.integrate(f, 0.0, 1.0, tol=1e-12, vectorized=True)
-    left, _ = quadrature.integrate(f, 0.0, c, tol=1e-12, vectorized=True)
-    right, _ = quadrature.integrate(f, c, 1.0, tol=1e-12, vectorized=True)
+    whole, _ = quadrature.integrate(f, 0.0, 1.0, tol=1e-12)
+    left, _ = quadrature.integrate(f, 0.0, c, tol=1e-12)
+    right, _ = quadrature.integrate(f, c, 1.0, tol=1e-12)
     assert abs(complex(whole) - complex(left) - complex(right)) < 1e-10

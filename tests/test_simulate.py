@@ -194,7 +194,7 @@ class TestSamplers:
             vals = phi.eval_grid((us[:, None, None] * Y[None]).reshape(-1, spec.dim))
             return vals.reshape(len(ss), -1) * -np.expm1(-beta * ss)[:, None]
 
-        mass, _ = quadrature.integrate(f, s_max, s_max + 60.0, tol=1e-13, vectorized=True)
+        mass, _ = quadrature.integrate(f, s_max, s_max + 60.0, tol=1e-13)
         bound = sim.truncation_tail_bound(spec, beta, s_max)
         assert np.max(np.abs(mass)) <= bound
 

@@ -330,16 +330,44 @@ class TestExponentIntegrals:
             assert moment == pytest.approx(math.factorial(k), rel=(k + 4) * 1e-16)
 
     def test_hermitian_symmetry(self):
+        # every piece takes signed arguments: atoms, a power segment, a
+        # log-form segment, a grid tail and an unbounded power segment,
+        # the last one past the series edge at the larger |w|
+        gt = GridTail(np.geomspace(0.5, 4.0, 30), np.linspace(1.0, 0.0, 30))
         m = SpectralMeasure(
             1,
             (
-                ray(1.0, atoms=[(0.4, 0.5), (2.0, 1.0)], segments=[(0.5, 3.0, 0.3, -1.4)]),
-                ray(-1.0, atoms=[(1.5, 0.7)]),
+                ray(
+                    1.0,
+                    atoms=[(0.4, 0.5), (2.0, 1.0)],
+                    segments=[(0.5, 3.0, 0.3, -1.4), (0.5, 3.0, 0.3, 0.3, 0.0)],
+                    grid_tail=gt,
+                ),
+                ray(-1.0, atoms=[(1.5, 0.7)], segments=[(1.5, math.inf, 0.3, -1.6)]),
             ),
         )
-        W = np.linspace(-3.0, 3.0, 13)[:, None]
+        W = np.linspace(-12.0, 12.0, 13)[:, None]
         vals = m.exponent_jump_integral(W)
         assert np.max(np.abs(vals - np.conj(vals[::-1]))) < 1e-13
+
+    def test_atom_memory_is_bounded_for_large_batches(self):
+        # 1,000 atoms x 5,000 arguments: one (arguments x atoms) complex
+        # kernel peaked near 280 MB; the chunked point-mass sum stays small
+        rng = np.random.default_rng(5)
+        r, m = rng.uniform(0.05, 5.0, 1000), rng.uniform(0.1, 2.0, 1000)
+        rad = spectral.RadialMeasure(tuple(spectral.Atom(*a) for a in zip(r, m)))
+        w = np.linspace(-40.0, 40.0, 5000)
+        tracemalloc.start()
+        try:
+            got = rad.exponent_integral(w)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32e6
+        # the per-atom formula, written out on every 50th argument
+        theta = np.multiply.outer(w[::50], r)
+        want = (spectral._cis_m1(theta) - 1j * theta * (r <= 1.0)) @ m
+        assert np.all(np.abs(got[::50] - want) <= 1e-13 * np.abs(want))
 
 
 class TestValidation:
