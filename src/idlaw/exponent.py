@@ -114,12 +114,26 @@ class CharExponent:
     node: _Node
 
     def eval_grid(self, Y: np.ndarray, tol: float | None = None) -> np.ndarray:
-        """Evaluate on a grid of shape (n, dim); returns (n,) complex."""
+        """Evaluate on a grid of shape (n, dim); returns (n,) complex.
+
+        The exponent of a law on R^dim satisfies Phi(-y) = conj Phi(y), and
+        every node keeps that exactly, up to rounding in tabulated tails,
+        which take signed arguments. So on a grid that is its own negative
+        reversed (Y == -Y[::-1], as a symmetric linspace is) only the upper
+        half Y[n // 2:] is evaluated and the lower half is its mirrored
+        conjugate; the nested maps below then see half the columns. Adding
+        0.0 keeps imaginary parts +0.0 where conj would give -0.0.
+        """
         Y = np.asarray(Y, dtype=float)
         if Y.ndim != 2 or Y.shape[1] != self.dim:
             raise DimensionMismatchError(
                 f"grid shape {Y.shape} does not match dim {self.dim}"
             )
+        n = Y.shape[0]
+        # the end rows reject stacked inner batches before the O(n) comparison
+        if n > 1 and np.array_equal(Y[0], -Y[-1]) and np.array_equal(Y, -Y[::-1]):
+            half = np.asarray(self.node.eval(Y[n // 2 :], tol), dtype=complex)
+            return np.concatenate([np.conj(half[n % 2 :][::-1]) + 0.0, half])
         return np.asarray(self.node.eval(Y, tol), dtype=complex)
 
     def __call__(self, y, tol: float | None = None):
@@ -138,7 +152,12 @@ def from_triplet(triplet: LevyTriplet) -> CharExponent:
 
 
 def from_callable(fn, dim: int, label: str = "custom") -> CharExponent:
-    """Wrap fn(Y, tol) -> (n,) complex as an exponent node."""
+    """Wrap fn(Y, tol) -> (n,) complex as an exponent node.
+
+    fn must satisfy fn(-Y) = conj fn(Y), as the exponent of every law on
+    R^dim does: :meth:`CharExponent.eval_grid` evaluates only half of an
+    antisymmetric grid and mirrors the rest by conjugation.
+    """
     return CharExponent(dim, _CallbackNode(fn, label))
 
 

@@ -44,6 +44,13 @@ class LoadedLaw:
         return self.exponent.dim
 
 
+def _object(v, what: str) -> dict:
+    """v itself when it is a JSON object; otherwise LawSpecError naming ``what``."""
+    if not isinstance(v, dict):
+        raise LawSpecError(f"{what} must be a JSON object, got {type(v).__name__}")
+    return v
+
+
 def _as_matrix(v, dim, what):
     arr = np.asarray(v, dtype=float)
     if arr.ndim == 0:
@@ -100,6 +107,8 @@ def _cp_law(params) -> LoadedLaw:
     jumps = np.asarray(params["jumps"], dtype=float)
     if jumps.ndim == 1:
         jumps = jumps[:, None]
+    if jumps.ndim != 2 or 0 in jumps.shape:
+        raise LawSpecError("compound_poisson needs a nonempty jump list")
     probs = params.get("probs")
     if probs is None:
         probs = np.full(jumps.shape[0], 1.0 / jumps.shape[0])
@@ -177,6 +186,7 @@ def _parse_hi(v) -> float:
 
 
 def _ray_from_dict(doc, dim) -> Ray:
+    _object(doc, "ray")
     raw_dir = doc.get("dir", doc.get("direction"))
     if raw_dir is None:
         raise LawSpecError("ray needs a 'dir' entry")
@@ -229,7 +239,8 @@ def _triplet_law(doc, name: str) -> LoadedLaw:
         dim = int(doc["dim"])
         shift = np.asarray(doc["shift"], dtype=float)
         cov = _as_matrix(doc.get("cov", 0.0), dim, "cov")
-        rays = tuple(_ray_from_dict(r, dim) for r in doc.get("levy", {}).get("rays", []))
+        levy = _object(doc.get("levy", {}), "triplet 'levy'")
+        rays = tuple(_ray_from_dict(r, dim) for r in levy.get("rays", []))
     except KeyError as exc:
         raise LawSpecError(f"triplet law is missing field {exc}") from None
     levy = SpectralMeasure(dim, rays)
@@ -254,8 +265,7 @@ def law_from_dict(doc: dict, name: str | None = None) -> LoadedLaw:
 
 
 def _law_from_doc(doc: dict, name: str | None) -> LoadedLaw:
-    if not isinstance(doc, dict):
-        raise LawSpecError(f"law description must be a JSON object, got {type(doc).__name__}")
+    _object(doc, "law description")
     label = name or doc.get("name")
     if "closed_form" in doc:
         kind = doc["closed_form"]
@@ -265,7 +275,7 @@ def _law_from_doc(doc: dict, name: str | None) -> LoadedLaw:
                 f"unknown closed form {kind!r}; known: {sorted(_CLOSED_FORM_LOADERS)}"
             )
         try:
-            law = loader(doc.get("params", {}))
+            law = loader(_object(doc.get("params", {}), f"closed form {kind!r} params"))
         except KeyError as exc:
             raise LawSpecError(f"closed form {kind!r} is missing parameter {exc}") from None
         return LoadedLaw(label or law.name, law.exponent, law.triplet, law.sim)

@@ -300,7 +300,7 @@ def _segment_tail_transform(sg: Segment, beta: float, us: np.ndarray) -> np.ndar
     val = np.zeros_like(us)
     if lo > 0.0:
         val += np.where(us < lo, float(sg.tail(lo)) * p_neg(np.minimum(us, lo), lo), 0.0)
-    e = p - beta + 1.0
+    e = p + (1.0 - beta)
     if math.isinf(hi):
         # p < -1 here, else the tail itself is infinite
         val += (c / (-(p + 1.0))) * (-(L ** e) / e)
@@ -399,7 +399,7 @@ def _segment_image_terms(sg: Segment, beta: float) -> tuple[list, Segment | None
     log-form segment instead, c beta u**p ((hi/u)**e - 1)/e.
     """
     lo, hi, p = sg.lo, sg.hi, sg.p
-    e, cb = p - beta + 1.0, sg.c * beta
+    e, cb = p + (1.0 - beta), sg.c * beta
     terms = []
     if math.isinf(hi):
         if lo > 0.0:

@@ -615,24 +615,28 @@ def segments_nonnegative(segments: Iterable[Segment]) -> bool:
 # power terms otherwise.
 
 
-def _groups(segments: list[Segment]) -> list[tuple[float, float, float]]:
-    """The segments' density as (p, x, y) groups, summed by p."""
+def _summed(terms) -> list[tuple[float, float, float]]:
+    """(p, x, y) terms summed by p into groups sorted by p, zero groups dropped."""
     acc: dict[float, tuple[float, float]] = {}
-
-    def add(p, x, y=0.0):
+    for p, x, y in terms:
         x0, y0 = acc.get(p, (0.0, 0.0))
         acc[p] = (x0 + x, y0 + y)
+    return [(p, x, y) for p, (x, y) in sorted(acc.items()) if x != 0.0 or y != 0.0]
 
+
+def _groups(segments: list[Segment]) -> list[tuple[float, float, float]]:
+    """The segments' density as (p, x, y) groups, summed by p."""
+    terms = []
     for sg in segments:
         if sg.e is None:
-            add(sg.p, sg.c)
+            terms.append((sg.p, sg.c, 0.0))
         elif sg.e == 0.0:
             # c r**p log(hi/r) = (c log(hi) - c t) exp(p t)
-            add(sg.p, sg.c * math.log(sg.hi), -sg.c)
+            terms.append((sg.p, sg.c * math.log(sg.hi), -sg.c))
         else:
-            add(sg.p - sg.e, sg.c * sg.hi ** sg.e / sg.e)
-            add(sg.p, -sg.c / sg.e)
-    return [(p, x, y) for p, (x, y) in sorted(acc.items()) if x != 0.0 or y != 0.0]
+            terms.append((sg.p - sg.e, sg.c * sg.hi ** sg.e / sg.e, 0.0))
+            terms.append((sg.p, -sg.c / sg.e, 0.0))
+    return _summed(terms)
 
 
 def _sign(v: float) -> int:
@@ -655,9 +659,12 @@ def _sign_at(groups: list[tuple[float, float, float]], t: float) -> int:
 
 
 def _slope(groups: list[tuple[float, float, float]]) -> list[tuple[float, float, float]]:
-    """Groups of the derivative in t: (x + y t) exp(p t) gives (p x + y + p y t) exp(p t)."""
-    out = [(p, p * x + y, p * y) for p, x, y in groups]
-    return [g for g in out if g[1] != 0.0 or g[2] != 0.0]
+    """Groups of the derivative in t: (x + y t) exp(p t) gives (p x + y + p y t) exp(p t).
+
+    Exponents shifted by the lowest one (see :func:`_sign_change_points`)
+    can round to the same double, so groups are summed by p again.
+    """
+    return _summed((p, p * x + y, p * y) for p, x, y in groups)
 
 
 def _finite_end(groups, end: float, other: float, sign: int) -> float:

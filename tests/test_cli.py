@@ -1,6 +1,7 @@
 """End-to-end command line behavior, including exit codes and reports."""
 
 import json
+from fractions import Fraction
 from pathlib import Path
 
 import jsonschema
@@ -71,6 +72,23 @@ class TestEval:
         code, _, err = run(capsys, "eval", "--law", str(path), "--y", "1")
         assert code == 2
         assert "error: malformed law description" in err
+
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            {"closed_form": "gaussian", "params": 5},
+            {"dim": 1, "shift": [0.0], "levy": []},
+            {"closed_form": "compound_poisson", "params": {"rate": 1.0, "jumps": []}},
+        ],
+        ids=["params", "levy", "jumps"],
+    )
+    def test_misshapen_law_file_is_usage_error(self, capsys, tmp_path, doc):
+        path = tmp_path / "law.json"
+        path.write_text(json.dumps(doc))
+        code, _, err = run(capsys, "eval", "--law", str(path), "--y", "1")
+        assert code == 2
+        assert err.startswith("error: ")
+        assert "Traceback" not in err
 
 
 class TestVerify:
@@ -214,14 +232,17 @@ class TestTransform:
         return str(path)
 
     def test_segment_image_is_exact_and_keeps_the_log_form(self, capsys, tmp_path):
-        # p - beta + 1 = 0: the (0.5, 3) piece of the image is in log form
+        # p - beta + 1 = 0: the (0.5, 3) piece of the image is in log form,
+        # its e the exact offset of the doubles 0.3 and 1.3, -2**-54
+        e = float(Fraction(0.3) + 1 - Fraction(1.3))
+        assert e == -(2.0 ** -54)
         law = self.segment_law(tmp_path, [{"lo": 0.5, "hi": 3.0, "c": 0.3, "p": 0.3}])
         code, out, _ = run(capsys, "transform", "--law", law, "--beta", "1.3")
         assert code == 0
         (ray_,) = json.loads(out)["triplet"]["rays"]
         assert ray_["grid_tail"] is None
-        assert [s.get("e") for s in ray_["segments"]] == [None, 0.0]
-        assert ray_["segments"][1] == {"lo": 0.5, "hi": 3.0, "c": 0.39, "p": 0.3, "e": 0.0}
+        assert [s.get("e") for s in ray_["segments"]] == [None, e]
+        assert ray_["segments"][1] == {"lo": 0.5, "hi": 3.0, "c": 0.39, "p": 0.3, "e": e}
 
 
 class TestSimulate:

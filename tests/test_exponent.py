@@ -1,11 +1,14 @@
 """Exponent objects: closed forms, algebra, invariants, special functions."""
 
 import math
+from types import SimpleNamespace
 
 import mpmath as mp
 import numpy as np
 import pytest
 
+import idlaw.factor as factor
+import idlaw.maps as maps
 from idlaw.exponent import (
     CharExponent,
     ClosedFormRegistry,
@@ -164,6 +167,93 @@ class TestFromCallableAndTriplets:
 
     def test_iter_triplets_empty_for_closed_forms(self, gaussian_phi):
         assert list(iter_triplets(gaussian_phi)) == []
+
+
+def unfolded(phi, Y, tol=None):
+    """phi on Y in one batch that is not antisymmetric: Y rolled by one row."""
+    return np.roll(phi.eval_grid(np.roll(Y, 1, axis=0), tol), -1)
+
+
+def counted(batches):
+    """A Hermitian callable exponent that records every batch it is given."""
+
+    def fn(Y, tol):
+        batches.append(Y.copy())
+        y = Y[:, 0]
+        return -0.5 * y * y + 0.3j * y
+
+    return from_callable(fn, dim=1, label="counted")
+
+
+# asymmetric jumps, as in the benchmark's identity laws, so that the
+# exponents have imaginary parts for the fold to mirror
+FOLD_CP = closed_form("compound_poisson", rate=2.0, jumps=[[2.0], [-1.25], [0.75]])
+FOLD_LAWS = {"cp": FOLD_CP, "mix": convolve(closed_form("gaussian", cov=0.5), FOLD_CP)}
+
+# one (identity, beta) per check of each law, every beta on each law once
+FOLD_CHECKS = [
+    ("cp", "eq3", 0.5), ("cp", "eq15", 3.0), ("cp", "cor1a", 1.0), ("cp", "prop2", 2.0),
+    ("mix", "eq3", 2.0), ("mix", "eq15", 0.5), ("mix", "cor1a", 3.0), ("mix", "prop2", 1.0),
+]
+
+
+class TestHermitianFold:
+    """eval_grid evaluates half of an antisymmetric grid and mirrors it."""
+
+    GRID = np.linspace(-5.0, 5.0, 41)[:, None]
+
+    @pytest.mark.parametrize("law, identity, beta", FOLD_CHECKS)
+    def test_identity_sides_are_byte_identical(self, law, identity, beta):
+        run = factor.IDENTITIES[identity].run
+        folded = run(FOLD_LAWS[law], beta, SimpleNamespace(grid=self.GRID, tol=1e-8))
+        rolled = run(
+            FOLD_LAWS[law], beta, SimpleNamespace(grid=np.roll(self.GRID, 1, axis=0), tol=1e-8)
+        )
+        assert folded.lhs.tobytes() == np.roll(rolled.lhs, -1).tobytes()
+        assert folded.rhs.tobytes() == np.roll(rolled.rhs, -1).tobytes()
+
+    def test_power_segment_triplet_is_byte_identical(self):
+        m = SpectralMeasure(1, (
+            ray([1.0], atoms=[(1.5, 0.4)],
+                segments=[(0.0, 0.8, 0.5, -0.7), (1.0, math.inf, 0.2, -2.5)]),
+            ray([-1.0], segments=[(0.3, 2.0, 0.6, -1.6)]),
+        ))
+        phi = from_triplet(LevyTriplet(1, [0.2], [[0.5]], m))
+        for psi in (phi, maps.apply_map(maps.i_map(), phi)):
+            want = unfolded(psi, self.GRID, 1e-9)
+            assert psi.eval_grid(self.GRID, 1e-9).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize(
+        "grid, seen",
+        [
+            (np.linspace(-5.0, 5.0, 41), 21),
+            (np.arange(-4.5, 5.0), 5),
+            (np.array([1.0, -1.0, 2.0]), 3),
+            # not exactly antisymmetric: its ends cancel to 6.7e-16
+            (np.linspace(-3.0, 3.0, 20), 20),
+        ],
+    )
+    def test_node_sees_half_of_an_antisymmetric_grid_only(self, grid, seen):
+        batches = []
+        vals = counted(batches).eval_grid(grid[:, None])
+        assert [len(b) for b in batches] == [seen]
+        assert vals.tobytes() == (-0.5 * grid * grid + 0.3j * grid + 0.0).tobytes()
+
+    def test_stacked_inner_batches_are_evaluated_whole(self):
+        batches = []
+        phi = counted(batches)
+        maps._eval_scaled(phi, self.GRID, np.array([0.5, 1.0]), None)
+        assert [len(b) for b in batches] == [82]
+        # a map on the antisymmetric grid folds once at the top: every
+        # batch beneath is stacked from the 21 upper points
+        batches.clear()
+        maps.apply_map(maps.jbeta_map(2.0), phi).eval_grid(self.GRID, 1e-9)
+        assert batches and all(len(b) % 21 == 0 and np.all(b >= 0.0) for b in batches)
+
+    def test_gaussian_keeps_positive_zero_imaginary_parts(self, gaussian_phi):
+        vals = gaussian_phi.eval_grid(self.GRID)
+        assert not np.any(np.signbit(vals.imag))
+        assert vals.tobytes() == unfolded(gaussian_phi, self.GRID).tobytes()
 
 
 class TestGridNormalization:

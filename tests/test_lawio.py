@@ -168,6 +168,25 @@ def test_malformed_values_raise_law_spec_error(doc):
         law_from_dict(doc)
 
 
+MISSHAPEN_DOCS = {
+    "params not an object": (
+        {"closed_form": "gaussian", "params": 5}, "params must be a JSON object"
+    ),
+    "levy not an object": (triplet_doc(levy=[]), "'levy' must be a JSON object"),
+    "ray not an object": (triplet_doc(levy={"rays": ["x"]}), "ray must be a JSON object"),
+    "no jumps": (
+        {"closed_form": "compound_poisson", "params": {"rate": 1.0, "jumps": []}},
+        "nonempty jump list",
+    ),
+}
+
+
+@pytest.mark.parametrize("doc, match", MISSHAPEN_DOCS.values(), ids=MISSHAPEN_DOCS.keys())
+def test_misshapen_documents_raise_law_spec_error(doc, match):
+    with pytest.raises(LawSpecError, match=match):
+        law_from_dict(doc)
+
+
 def test_own_errors_are_not_rewrapped():
     doc = triplet_doc()
     doc["levy"]["rays"][0] = {

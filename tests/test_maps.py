@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 from scipy.integrate import quad
 
 import idlaw.factor as factor
@@ -400,6 +400,15 @@ class TestMeasureTransform:
         beta=st.floats(0.2, 3.5),
         beta2=st.floats(0.2, 3.5),
     )
+    # e = p + (1 - beta) of the second map is 4.7e-35, not 0: p - beta + 1
+    # rounded it to 0, and the log form stored for it dipped below zero
+    @example(data=[(1.0, 1.0, 1.0, 4.695602009556252e-35)], first_at_zero=True,
+             tail_p=None, beta=2.0, beta2=1.0)
+    # the second image holds a power term at p = 0.09375 and a log form
+    # whose other exponent p - e lands on it too: the sign certificate must
+    # take the two as one group (it divided by their difference, zero)
+    @example(data=[(1.0, 1.0, 1.0, 0.0920383834908358)], first_at_zero=False,
+             tail_p=None, beta=0.5, beta2=1.09375)
     def test_images_of_segment_sets_are_certified(
         self, data, first_at_zero, tail_p, beta, beta2
     ):

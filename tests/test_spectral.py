@@ -545,6 +545,22 @@ class TestLogFormSegment:
         with pytest.raises(InvalidMeasureError, match="nonnegative"):
             self.measure(neg, spectral.Segment(0.5, 3.0, 0.3, 0.0)).require_valid()
 
+    def test_exponents_that_round_together_form_one_group(self):
+        # the second jbeta image (betas 0.5 then 1.09375) of an atom (1, 0.5)
+        # and Segment(1, 2, 1, 0.092...) as computed with e = p - beta + 1:
+        # the log form's other exponent p - e is 0.09375 - 1.4e-17, and
+        # shifted by the lowest, -0.5, it rounds onto the power term's
+        segs = (
+            spectral.Segment(0.0, 1.0, 1.2498654942571892, -0.5),
+            spectral.Segment(0.0, 1.0, -1.09857278582122, 0.09375),
+            spectral.Segment(1.0, 2.0, 2.3450704574907832, -0.5),
+            spectral.Segment(1.0, 2.0, -1.553886650529082, 0.09375),
+            spectral.Segment(
+                1.0, 2.0, -0.9237154469199463, 0.0920383834908358, -0.0017116165091641822
+            ),
+        )
+        assert spectral.RadialMeasure((), segs).issues("ray") == []
+
     @pytest.mark.parametrize("k, valid", [(1.0, True), (1.2, False)])
     def test_log_form_and_power_terms_of_one_exponent(self, k, valid):
         # r^0.3 (log(3/r) - k (1 - r/3)) on (0.5, 3): zero at hi, and
