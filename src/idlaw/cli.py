@@ -72,9 +72,16 @@ def _config_value(parse, value, where: str):
         raise LawSpecError(f"suite config {where}: {exc}") from None
 
 
+def _config_typed(value, kind: type, where: str):
+    """A suite config value that must be a JSON object (dict) or array (list)."""
+    if not isinstance(value, kind):
+        noun = "an object" if kind is dict else "a list"
+        raise LawSpecError(f"suite {where} must be {noun}, got {value!r}")
+    return value
+
+
 def _config_positives(values, where: str) -> list[float]:
-    if not isinstance(values, list):
-        raise LawSpecError(f"suite config {where} must be a list, got {values!r}")
+    values = _config_typed(values, list, f"config {where}")
     return [_config_value(_positive, v, f"{where}[{k}]") for k, v in enumerate(values)]
 
 
@@ -90,10 +97,11 @@ def _parse_points(text: str, dim: int) -> np.ndarray:
         pts = [[float(v) for v in chunk.split(",")] for chunk in text.split(";")]
     except ValueError as exc:
         raise LawSpecError(f"cannot parse --y {text!r}: {exc}") from None
-    arr = np.asarray(pts, dtype=float)
-    if arr.shape[1] != dim:
-        raise LawSpecError(f"--y points have {arr.shape[1]} components, law has dim {dim}")
-    return arr
+    sizes = {len(pt) for pt in pts}
+    if sizes != {dim}:
+        got = " or ".join(str(n) for n in sorted(sizes))
+        raise LawSpecError(f"--y points have {got} components, law has dim {dim}")
+    return np.asarray(pts, dtype=float)
 
 
 def _make_map(kind: str | None, beta: float | None) -> maps.IntegralMap:
@@ -309,16 +317,16 @@ def _cmd_suite(args) -> int:
     if args.config:
         try:
             with open(args.config, "r", encoding="utf-8") as fh:
-                config.update(json.load(fh))
+                config.update(_config_typed(json.load(fh), dict, "config"))
         except OSError as exc:
             raise LawSpecError(f"cannot read config {args.config}: {exc}") from exc
         except json.JSONDecodeError as exc:
             raise LawSpecError(f"config is not valid JSON: {exc}") from exc
-    identities = config.get("identities", [])
+    identities = _config_typed(config.get("identities", []), list, "config 'identities'")
     if not identities:
         print("suite config has an empty identity list", file=sys.stderr)
         return 2
-    unknown = [i for i in identities if i not in factor.IDENTITIES]
+    unknown = [i for i in identities if not isinstance(i, str) or i not in factor.IDENTITIES]
     if unknown:
         print(
             f"unknown identities in config: {unknown}; known: {', '.join(IDENTITIES)}",
@@ -330,12 +338,12 @@ def _cmd_suite(args) -> int:
     betas = _config_positives(config.get("betas", [1.0]), "'betas'")
     area_u = _config_positives(config.get("area_u", [1.0]), "'area_u'")
     mc = dict(DEFAULT_SUITE_CONFIG["mc"])
-    mc.update(config.get("mc", {}))
+    mc.update(_config_typed(config.get("mc", {}), dict, "config 'mc'"))
     mc_betas = _config_positives(mc["betas"], "'mc.betas'")
     z_max = _config_value(_positive, mc["z_max"], "'mc.z_max'")
     n = _config_value(_count, mc["n"], "'mc.n'")
     seed = _config_value(_seed, mc["seed"], "'mc.seed'")
-    laws = [_suite_law(entry) for entry in config.get("laws", [])]
+    laws = [_suite_law(e) for e in _config_typed(config.get("laws", []), list, "config 'laws'")]
 
     subjects = {
         "exponent": [(law.name, law.exponent) for law in laws],

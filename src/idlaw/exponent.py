@@ -53,7 +53,7 @@ class _TripletNode(_Node):
     triplet: LevyTriplet
 
     def eval(self, Y, tol):
-        return self.triplet.exponent_grid(Y, tol)
+        return self.triplet.exponent_grid(Y)
 
 
 @dataclass(frozen=True, eq=False)

@@ -14,7 +14,6 @@ batch per level instead of one call per node.
 from __future__ import annotations
 
 import math
-import os
 from typing import Callable, Sequence
 
 import numpy as np
@@ -23,7 +22,6 @@ from .errors import QuadratureError
 
 DEFAULT_TOL = 1e-10
 DEFAULT_MAX_DEPTH = 40
-TOL_ENV_VAR = "IDLAW_QUAD_TOL"
 
 # QUADPACK qk21 (Piessens et al., QUADPACK, 1983): the positive Kronrod
 # abscissas on [-1, 1] in decreasing order down to the centre, their
@@ -75,17 +73,8 @@ _ROUNDOFF = 50.0 * np.finfo(float).eps
 
 
 def default_tol() -> float:
-    """Return the default tolerance, honouring the IDLAW_QUAD_TOL override."""
-    raw = os.environ.get(TOL_ENV_VAR)
-    if raw is None:
-        return DEFAULT_TOL
-    try:
-        tol = float(raw)
-    except ValueError as exc:
-        raise ValueError(f"{TOL_ENV_VAR} must be a float, got {raw!r}") from exc
-    if not tol > 0.0:
-        raise ValueError(f"{TOL_ENV_VAR} must be positive, got {tol}")
-    return tol
+    """The tolerance of every quadrature given none."""
+    return DEFAULT_TOL
 
 
 def integrate(

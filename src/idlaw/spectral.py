@@ -26,11 +26,11 @@ UNIT_NORM_TOL = 1e-12
 # largest (arguments x radii) block the point-mass kernel evaluates at once
 GRID_CHUNK_ELEMENTS = 1 << 18
 # arguments per segment evaluation: the power series and Gauss-Laguerre
-# arrays of a power segment take at most 53 and 34 columns per argument,
-# and a log-form quadrature 100-400 abscissas, so a batch stays near 20 MB
+# arrays of a segment take at most 53 and 34 columns per argument, so with
+# the few such temporaries of a log form a batch stays near 20 MB
 SEGMENT_CHUNK = 4096
-# a power segment's exponent takes its power series in a = |w| r up to this
-# a, and the rotated contour integral beyond it
+# a segment's exponent takes its power series in a = |w| r up to this a,
+# and the rotated contour integral beyond it
 SERIES_EDGE = 8.0
 # a signed sum of segment densities may dip this far below zero, relative
 # to the sum of its terms' magnitudes: rounding in terms that cancel
@@ -87,38 +87,20 @@ def _cis_m1(theta: np.ndarray) -> np.ndarray:
     return -2.0 * np.sin(half) ** 2 + 1j * np.sin(theta)
 
 
-def _sin_m_theta(theta: np.ndarray) -> np.ndarray:
-    """sin(theta) - theta, series branch below 1e-2."""
-    theta = np.asarray(theta, dtype=float)
-    small = np.abs(theta) < 1e-2
-    t2 = theta * theta
-    series = theta * t2 * (-1.0 / 6.0 + t2 * (1.0 / 120.0 - t2 / 5040.0))
-    with np.errstate(invalid="ignore"):
-        direct = np.sin(theta) - theta
-    return np.where(small, series, direct)
-
-
-def _cis_m1_comp(theta: np.ndarray) -> np.ndarray:
-    """exp(i*theta) - 1 - i*theta, stable for small theta."""
-    theta = np.asarray(theta, dtype=float)
-    half = 0.5 * theta
-    return -2.0 * np.sin(half) ** 2 + 1j * _sin_m_theta(theta)
-
-
-def _cis_ratio(theta: np.ndarray) -> np.ndarray:
-    """(exp(i*theta) - 1 - i*theta) / theta**2, finite at theta = 0 (-> -1/2)."""
-    theta = np.asarray(theta, dtype=float)
-    small = np.abs(theta) < 1e-4
-    t_safe = np.where(small, 1.0, theta)
-    direct = _cis_m1_comp(t_safe) / (t_safe * t_safe)
-    series = -0.5 - 1j * theta / 6.0 + theta * theta / 24.0
-    return np.where(small, series, direct)
-
-
 def _expm1_ratio(e: float, t):
-    """(exp(e*t) - 1)/e without cancellation as e -> 0, where it is t."""
-    t = np.asarray(t, dtype=float)
+    """(exp(e*t) - 1)/e without cancellation as e -> 0, where it is t; t may be complex."""
+    t = np.asarray(t)
     return t if e == 0.0 else np.expm1(e * t) / e
+
+
+def _unit_ints(log_rho, x):
+    """Integral of s**(x-1) over (rho, 1), from log(rho) <= 0: (1 - rho**x)/x.
+
+    Through expm1, so it stays accurate as rho -> 1; read as -log(rho) at
+    x = 0, and at rho = 0 it is 1/x, or inf when x <= 0.
+    """
+    x_safe = np.where(x == 0.0, 1.0, x)
+    return np.where(x == 0.0, -log_rho, -np.expm1(log_rho * x) / x_safe)
 
 
 def _power_ints(a, b, q: float) -> np.ndarray:
@@ -197,11 +179,7 @@ class Segment:
                 return self.c * np.where(q < 0.0, -(lower ** q) / q, math.inf)
         inside = lower < self.hi
         start = np.where(inside, lower, self.lo)
-        if self.e is None:
-            piece = self.c * _power_ints(start, self.hi, q)
-        else:
-            piece = _log_form_int(self, start, self.hi, 0.0)
-        return np.where(inside, piece, 0.0)
+        return np.where(inside, self.c * _moment(self, start, self.hi, 0), 0.0)
 
     def power_integral(self, a: float, b: float, s: float) -> float:
         """Integral of r**s against the segment over (a, b); inf when divergent."""
@@ -216,7 +194,7 @@ class Segment:
         if lo > 0.0 and s < 0.0:
             # the closed form would need p - e + 1 + s > 0
             return float(log_form_integral(self, np.array([lo]), lambda r: r ** s, hi)[0])
-        return float(_log_form_int(self, lo, hi, s))
+        return self.c * float(_moment(self, lo, hi, s))
 
     def log_integral_above1(self) -> float:
         """Integral of log(r) against the segment over r > 1; inf when divergent."""
@@ -228,28 +206,52 @@ class Segment:
         return float(log_form_integral(self, np.array([lo]), np.log)[0])
 
 
-def _log_form_int(sg: Segment, a, b: float, k: float) -> np.ndarray:
-    """Integral of r**k against a log-form segment over (a, b), closed form.
+def _moment(sg: Segment, a, b, k) -> np.ndarray:
+    """Integral of r**k against the segment at c = 1 over (a, b).
 
-    Needs lo <= a < b <= hi, vectorized over a, and K = p - e + 1 + k > 0.
-    The density is c r**(K-k-1) times the integral of w**(e-1) over
-    (r, hi), so swapping the order of integration gives, with
-    P_x(a, b) = (b**x - a**x)/x from :func:`_power_ints`,
+    Vectorized over a; a log form's, b**(p + 1 + k) times
+    :func:`_log_form_ratio`, broadcasts over a, b and k alike.
+    """
+    if sg.e is None:
+        return _power_ints(a, b, sg.p + (k + 1.0))
+    return b ** (sg.p + 1.0 + k) * _log_form_ratio(sg, a, b, k)
 
-        c ([P_(K+e)(a, b) - a**K P_e(a, b)] / K + P_K(a, b) P_e(b, hi)).
 
-    At a = 0 the a**K term vanishes, and P_(K+e)(0, b) is inf when the
-    density is not integrable at 0.
+def _log_form_ratio(sg: Segment, a, b, k) -> np.ndarray:
+    """A log form's :func:`_moment` over b**(p + 1 + k), closed form.
+
+    Needs lo <= a <= b <= hi and K = p - e + 1 + k > 0, broadcast over a,
+    b and k. The density at c = 1 is r**(K-k-1) times the integral of
+    u**(e-1) over (r, hi), so swapping the order of integration gives, with
+    rho = a/b and U_x = (1 - rho**x)/x from :func:`_unit_ints`,
+
+        (U_(K+e) - rho**K U_e) / K + U_K F(b),
+
+    where F(b) = ((hi/b)**e - 1)/e is the density factor at b. The
+    rho**K term vanishes at a = 0, where U_(K+e) is inf when the density
+    is not integrable. Every term stays finite for any small b, so the
+    power series of the exponent can take it at any |w|. The first term
+    cancels as rho -> 1: in T = log(1/rho) it is the sum over m >= 1 of
+    h_(m-1) (-T)**(m-1) T**2 / (m+1)!, h_n = q h_(n-1) + K**n, h_0 = 1 and
+    q = K + e, which takes over where max(|q|, K) T < 1.
     """
     e, K = sg.e, sg.p - sg.e + 1.0 + k
-    a = np.asarray(a, dtype=float)
-    pos = a > 0.0
-    a_pos = np.where(pos, a, b)
-    below = np.where(pos, a_pos ** K * _power_ints(a_pos, b, e), 0.0)
-    inner = (_power_ints(a, b, K + e) - below) / K
-    if b < sg.hi:
-        inner = inner + _power_ints(a, b, K) * float(_power_ints(b, sg.hi, e))
-    return sg.c * inner
+    q = K + e
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log_rho = np.log(np.asarray(a, dtype=float) / b)
+        below = np.where(log_rho > -math.inf, np.exp(K * log_rho) * _unit_ints(log_rho, e), 0.0)
+        first = (_unit_ints(log_rho, q) - below) / K
+    near = np.maximum(abs(q), K) * -log_rho < 1.0
+    if np.any(near):
+        T = np.where(near, -log_rho, 0.0)
+        c, h, K_pow = 0.5 * T * T, 1.0, 1.0
+        series = c
+        for m in range(1, 20):
+            c, K_pow = c * -T / (m + 2), K_pow * K
+            h = q * h + K_pow
+            series = series + h * c
+        first = np.where(near, series, first)
+    return first + _unit_ints(log_rho, K) * sg.factor(b)
 
 
 def log_form_integral(
@@ -518,20 +520,19 @@ class RadialMeasure:
             )
         return val
 
-    def exponent_integral(self, w: np.ndarray, tol: float | None = None) -> np.ndarray:
+    def exponent_integral(self, w: np.ndarray) -> np.ndarray:
         """Jump integrand against this measure, batched over signed arguments w.
 
         Computes, for each w, the integral of
         exp(i*w*r) - 1 - i*w*r*[r <= 1] over r. Atoms and grid-tail nodes
         are point masses, summed in bounded chunks by
-        :func:`_point_mass_exponent`. Power segments take a closed form: a
-        power series in |w| r up to SERIES_EDGE, and past it a fixed
-        Gauss-Laguerre rule along a contour in the upper half plane, where
-        the oscillation becomes decay. Their error is at rounding level
-        whatever ``tol`` is, and at any |w|; ``tol`` only sets the adaptive
-        quadrature of log-form segments. Every piece takes w of either
-        sign, so the value at -w is the conjugate of the one at w piece by
-        piece.
+        :func:`_point_mass_exponent`. Segments, power and log form alike,
+        take a closed form (:func:`_segment_exponent`): a power series in
+        |w| r up to SERIES_EDGE, and past it a fixed Gauss-Laguerre rule
+        along a contour in the upper half plane, where the oscillation
+        becomes decay. No piece runs a quadrature, and the error is at
+        rounding level at any |w|. Every piece takes w of either sign, so
+        the value at -w is the conjugate of the one at w piece by piece.
         """
         w = np.asarray(w, dtype=float).ravel()
         out = np.zeros(w.shape, dtype=complex)
@@ -540,7 +541,7 @@ class RadialMeasure:
             m = np.array([at.m for at in self.atoms])
             out += _point_mass_exponent(w, r, m, m * (r <= 1.0))
         for sg in self.segments:
-            out += _segment_exponent(sg, w, tol)
+            out += _segment_exponent(sg, w)
         if self.grid_tail is not None:
             out += self.grid_tail.exponent_integral(w)
         return out
@@ -777,164 +778,134 @@ def _density_nonnegative(segments: list[Segment], a: float, b: float) -> bool:
     return True
 
 
-def _segment_exponent(sg: Segment, w: np.ndarray, tol: float | None) -> np.ndarray:
-    """Jump integrand integrated over one segment, batched over signed w.
+def _segment_exponent(sg: Segment, w: np.ndarray) -> np.ndarray:
+    """c * integral of r**p F(r) (exp(i w r) - 1 - i w r [r <= 1]) over a segment.
 
-    A power segment takes the closed form of :func:`_power_exponent`, whose
-    error is at rounding level whatever ``tol`` is; a log-form segment runs
-    adaptive quadratures to ``tol``. Both work on chunks of at most
-    ``SEGMENT_CHUNK`` arguments, so their per-argument arrays stay bounded
-    for any batch.
+    F is the density factor of :meth:`Segment.factor`: 1 for a power
+    segment, ((hi/r)**e - 1)/e for a log form. The range splits at radius
+    1 into a compensated piece below and a raw piece above, each taken in
+    closed form by :func:`_power_piece` at |w|; w < 0 follows by
+    conjugation, since F is real on the real axis, and w = 0 gives exactly
+    0. Arguments go in chunks of at most ``SEGMENT_CHUNK``, so the
+    per-argument arrays stay bounded for any batch.
     """
-    if tol is None:
-        tol = quadrature.default_tol()
     out = np.zeros(w.shape, dtype=complex)
-    if sg.c != 0.0:
-        for j in range(0, w.size, SEGMENT_CHUNK):
-            part = w[j : j + SEGMENT_CHUNK]
-            out[j : j + SEGMENT_CHUNK] = (
-                _power_exponent(sg, part) if sg.e is None else _log_form_exponent(sg, part, tol)
-            )
-    return out
-
-
-def _power_exponent(sg: Segment, w: np.ndarray) -> np.ndarray:
-    """c * integral of r**p (exp(i w r) - 1 - i w r [r <= 1]) over a power segment.
-
-    The range splits at radius 1 into a compensated piece below and a raw
-    piece above, each taken by :func:`_power_piece` at |w|; w < 0 follows
-    by conjugation and w = 0 gives exactly 0.
-    """
+    if sg.c == 0.0:
+        return out
     if math.isinf(sg.hi) and sg.p >= -1.0:
         raise InvalidMeasureError(
             f"unbounded segment needs p < -1 for finite mass, got p={sg.p}"
         )
-    out = np.zeros(w.shape, dtype=complex)
-    idx = np.flatnonzero(w)
-    W = np.abs(w[idx])
-    val = np.zeros(W.shape, dtype=complex)
     top, bottom = min(sg.hi, 1.0), max(sg.lo, 1.0)
-    if top > sg.lo:
-        val += _power_piece(sg.p, sg.lo, top, W, 2)
-    if sg.hi > bottom:
-        val += _power_piece(sg.p, bottom, sg.hi, W, 1)
-    out[idx] = np.where(w[idx] > 0.0, sg.c * val, sg.c * np.conj(val))
+    for j in range(0, w.size, SEGMENT_CHUNK):
+        part = w[j : j + SEGMENT_CHUNK]
+        idx = np.flatnonzero(part)
+        W = np.abs(part[idx])
+        val = np.zeros(W.shape, dtype=complex)
+        if top > sg.lo:
+            val += _power_piece(sg, sg.lo, top, W, 2)
+        if sg.hi > bottom:
+            val += _power_piece(sg, bottom, sg.hi, W, 1)
+        out[j + idx] = np.where(part[idx] > 0.0, sg.c * val, sg.c * np.conj(val))
     return out
 
 
-def _power_piece(p: float, a: float, b: float, W: np.ndarray, k0: int) -> np.ndarray:
-    """Integral of r**p (exp(i W r) - sum over k < k0 of (i W r)**k / k!) over (a, b).
+def _power_piece(sg: Segment, a: float, b: float, W: np.ndarray, k0: int) -> np.ndarray:
+    """Integral of r**p F(r) (exp(i W r) - sum over k < k0 of (i W r)**k / k!) over (a, b).
 
     Batched over W > 0; k0 = 2 is the compensated kernel, k0 = 1 the raw
     one. Below the edge radius x_e = SERIES_EDGE / W the power series of
     :func:`_series_int` takes the range. Above it, over (x, b) with
     x = max(a, x_e), the integral is T(x) - T(b) - P_0 - i W P_1, the last
     term for k0 = 2 only, where T is :func:`_rotated_tail` (T(inf) = 0)
-    and P_j the integral of r**(p+j) over (x, b) from :func:`_power_ints`.
+    and P_j the integral of r**j against the segment at c = 1 over (x, b)
+    from :func:`_moment`.
     """
     edge = SERIES_EDGE / W
     out = np.zeros(W.shape, dtype=complex)
     below = edge > a
     if below.any():
-        out[below] = _series_int(p, a, np.minimum(edge[below], b), W[below], k0)
+        out[below] = _series_int(sg, a, np.minimum(edge[below], b), W[below], k0)
     above = edge < b
     if above.any():
         x, Wa = np.maximum(edge[above], a), W[above]
-        val = _rotated_tail(p, x, Wa)
+        val = _rotated_tail(sg, x, Wa)
         if math.isinf(b):
-            val += x ** (p + 1.0) / (p + 1.0)
+            val += x ** (sg.p + 1.0) / (sg.p + 1.0)
         else:
-            val -= _rotated_tail(p, b, Wa) + _power_ints(x, b, p + 1.0)
+            val -= _rotated_tail(sg, b, Wa) + _moment(sg, x, b, 0)
             if k0 == 2:
-                val -= 1j * Wa * _power_ints(x, b, p + 2.0)
+                val -= 1j * Wa * _moment(sg, x, b, 1)
         out[above] += val
     return out
 
 
-def _series_int(p: float, a: float, top: np.ndarray, W: np.ndarray, k0: int) -> np.ndarray:
+def _series_int(sg: Segment, a: float, top: np.ndarray, W: np.ndarray, k0: int) -> np.ndarray:
     """The integral of :func:`_power_piece` over (a, top), where W top <= SERIES_EDGE.
 
     Termwise it is the sum over k >= k0 of (i W)**k / k! times the integral
-    of r**(p+k) over (a, top). With z = W top, rho = a / top and
-    q = p + k + 1, that is top**(p+1) times the sum of
-    (i z)**k / k! * (1 - rho**q) / q, where 1 - rho**q goes through expm1,
-    so no term cancels at its two ends, and (1 - rho**q) / q is read as
-    log(1/rho) at q = 0. Terms stop where z**k / k! falls below 1e-18 of
-    the leading term, or of 1 if that is larger.
+    M_k of r**k against the segment at c = 1 over (a, top). With z = W top,
+    that is top**(p+1) times the sum of (i z)**k / k! * M_k / top**(p+1+k).
+    For a power segment, with rho = a / top and q = p + k + 1, the ratio is
+    (1 - rho**q) / q from :func:`_unit_ints`, so no term cancels at its two
+    ends; for a log form it is :func:`_log_form_ratio`. Terms stop where
+    z**k / k! falls below 1e-18 of the leading term, or of 1 if that is
+    larger.
     """
+    p = sg.p
     z = W * top
     mags = float(z.max()) ** _K[k0:] * _INV_FACT[k0:]
     n = k0 + int(np.flatnonzero(mags >= 1e-18 * min(1.0, mags[0]))[-1]) + 1
     q = p + 1.0 + _K[k0:n]
-    q_safe = np.where(q == 0.0, 1.0, q)
     terms = np.repeat(z[:, None], n - 1, axis=1).cumprod(axis=1)[:, k0 - 1 :]
     coef = _I_POW_FACT[k0:n]
-    if a > 0.0:
-        log_rho = np.log(a / top)[:, None]
-        terms *= np.where(q == 0.0, -log_rho, -np.expm1(log_rho * q) / q_safe)
+    if sg.e is not None:
+        terms *= _log_form_ratio(sg, a, top[:, None], _K[k0:n])
+    elif a > 0.0:
+        terms *= _unit_ints(np.log(a / top)[:, None], q)
     else:
-        coef = coef / q_safe[:, None]
+        coef = coef / q[:, None]
     re, im = (terms @ coef).T
     return top ** (p + 1.0) * (re + 1j * im)
 
 
-def _rotated_tail(p: float, x, W: np.ndarray) -> np.ndarray:
-    """T(x) = integral of r**p exp(i W r) over (x, inf), for W x >= SERIES_EDGE.
+def _rotated_tail(sg: Segment, x, W: np.ndarray) -> np.ndarray:
+    """T(x) = integral of r**p F(r) exp(i W r) over (x, inf), for W x >= SERIES_EDGE.
 
     On the contour r = x (1 + i v / a), a = W x, the oscillation turns into
     decay: T(x) = i exp(i a) x**p / W times the integral of
-    (1 + i v/a)**p exp(-v) over v > 0, which the fixed Gauss-Laguerre rule
-    takes, with (1 + i s)**p written as |1 + i s|**p exp(i p arctan s).
-    The contour continues T to p >= -1, where the real integral diverges;
-    a difference T(x) - T(b) is the integral over (x, b) for every p. All
-    arguments at the edge, a = SERIES_EDGE, share one Laguerre sum.
+    (1 + i v/a)**p F(x (1 + i v/a)) exp(-v) over v > 0, which the fixed
+    Gauss-Laguerre rule takes; F is analytic in the upper half plane. The
+    contour continues T to p >= -1, where the real integral diverges; a
+    difference T(x) - T(b) is the integral over (x, b) for every p. For a
+    power segment (F = 1) all arguments at the edge, a = SERIES_EDGE, share
+    one Laguerre sum.
     """
     a = np.maximum(W * x, SERIES_EDGE)
-    at_edge = a == SERIES_EDGE
-    lag = np.empty(a.shape, dtype=complex)
-    if at_edge.any():
-        lag[at_edge] = _laguerre_sum(p, np.array([SERIES_EDGE]))[0]
-    lag[~at_edge] = _laguerre_sum(p, a[~at_edge])
-    return 1j * np.exp(1j * a) * x ** p / W * lag
+    if sg.e is not None:
+        lag = _laguerre_sum(sg, a, x)
+    else:
+        at_edge = a == SERIES_EDGE
+        lag = np.empty(a.shape, dtype=complex)
+        if at_edge.any():
+            lag[at_edge] = _laguerre_sum(sg, np.array([SERIES_EDGE]), x)[0]
+        lag[~at_edge] = _laguerre_sum(sg, a[~at_edge], x)
+    return 1j * np.exp(1j * a) * x ** sg.p / W * lag
 
 
-def _laguerre_sum(p: float, a: np.ndarray) -> np.ndarray:
-    """The Gauss-Laguerre rule on (1 + i v/a)**p, per a."""
+def _laguerre_sum(sg: Segment, a: np.ndarray, x) -> np.ndarray:
+    """The Gauss-Laguerre rule on (1 + i v/a)**p F(x (1 + i v/a)), per a and x.
+
+    With s = v/a, log(1 + i s) is log1p(s**2)/2 + i arctan(s), and F takes
+    log(hi / r) = log(hi / x) - log(1 + i s) on the principal branch; x,
+    a scalar or one per a, is not read for a power segment.
+    """
     s = np.multiply.outer(1.0 / a, _LAG_NODES)
-    return np.exp(0.5 * p * np.log1p(s * s) + 1j * p * np.arctan(s)) @ _LAG_WEIGHTS
-
-
-def _log_form_exponent(sg: Segment, w: np.ndarray, tol: float) -> np.ndarray:
-    """Jump integrand over a log-form segment by adaptive quadrature, batched over w."""
-    out = np.zeros(w.shape, dtype=complex)
-    c, p = sg.c, sg.p
-
-    lo_c, hi_c = sg.lo, min(sg.hi, 1.0)
-    if hi_c > lo_c:
-        # compensated region; substitute r = v**k to flatten the endpoint
-        # singularity of r**(p+2) when p <= -2
-        k = 1 if p > -1.5 else max(1, math.ceil(2.0 / (p + 3.0)))
-        a, b = lo_c ** (1.0 / k), hi_c ** (1.0 / k)
-        expo = k * (p + 3.0) - 1.0
-
-        def f_comp(vs: np.ndarray) -> np.ndarray:
-            r = vs ** k
-            theta = r[:, None] * w[None, :]
-            dens = c * k * vs ** expo * sg.factor(r)
-            return dens[:, None] * (w * w)[None, :] * _cis_ratio(theta)
-
-        val, _ = quadrature.integrate(f_comp, a, b, tol=tol)
-        out += val
-
-    lo_u = max(sg.lo, 1.0)
-    if sg.hi > lo_u:
-        def f_raw(rs: np.ndarray) -> np.ndarray:
-            dens = c * rs ** p * sg.factor(rs)
-            return dens[:, None] * _cis_m1(rs[:, None] * w[None, :])
-
-        val, _ = quadrature.integrate(f_raw, lo_u, sg.hi, tol=tol)
-        out += val
-    return out
+    log_1is = 0.5 * np.log1p(s * s) + 1j * np.arctan(s)
+    f = np.exp(sg.p * log_1is)
+    if sg.e is not None:
+        f *= _expm1_ratio(sg.e, np.log(sg.hi / np.asarray(x))[..., None] - log_1is)
+    return f @ _LAG_WEIGHTS
 
 
 @dataclass(frozen=True, eq=False)
@@ -1008,7 +979,7 @@ class SpectralMeasure:
         """Integral of log(|x|) over |x| > 1; inf when divergent."""
         return sum(ray.radial.log_moment() for ray in self.rays)
 
-    def exponent_jump_integral(self, Y: np.ndarray, tol: float | None = None) -> np.ndarray:
+    def exponent_jump_integral(self, Y: np.ndarray) -> np.ndarray:
         """Jump part of the characteristic exponent on a grid Y of shape (n, d)."""
         Y = np.asarray(Y, dtype=float)
         if Y.ndim != 2 or Y.shape[1] != self.dim:
@@ -1019,7 +990,7 @@ class SpectralMeasure:
         for ray in self.rays:
             if ray.radial.is_empty():
                 continue
-            out += ray.radial.exponent_integral(Y @ ray.direction, tol)
+            out += ray.radial.exponent_integral(Y @ ray.direction)
         return out
 
     def scaled(self, factor: float) -> "SpectralMeasure":

@@ -61,7 +61,7 @@ class LevyTriplet:
         out.extend(self.levy.issues())
         return out
 
-    def exponent_grid(self, Y: np.ndarray, tol: float | None = None) -> np.ndarray:
+    def exponent_grid(self, Y: np.ndarray) -> np.ndarray:
         """Characteristic exponent on a grid Y of shape (n, dim)."""
         Y = np.asarray(Y, dtype=float)
         if Y.ndim != 2 or Y.shape[1] != self.dim:
@@ -71,13 +71,13 @@ class LevyTriplet:
         self.levy.require_valid()
         val = 1j * (Y @ self.shift)
         val = val - 0.5 * np.einsum("ij,jk,ik->i", Y, self.cov, Y)
-        val = val + self.levy.exponent_jump_integral(Y, tol)
+        val = val + self.levy.exponent_jump_integral(Y)
         return val
 
-    def exponent(self, y, tol: float | None = None) -> complex:
+    def exponent(self, y) -> complex:
         """Characteristic exponent at a single argument."""
         y = np.atleast_1d(np.asarray(y, dtype=float))
-        return complex(self.exponent_grid(y[None, :], tol)[0])
+        return complex(self.exponent_grid(y[None, :])[0])
 
     def log_moment(self) -> float:
         return self.levy.log_moment()

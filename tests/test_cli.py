@@ -91,6 +91,25 @@ class TestEval:
         assert "Traceback" not in err
 
 
+    @pytest.mark.parametrize(
+        "y, message",
+        [
+            ("1,2;3", "1 or 2 components"),
+            ("1,2;3,x", "cannot parse"),
+            ("1,2,3;4,5,6", "3 components"),
+        ],
+    )
+    def test_malformed_points_are_usage_errors(self, capsys, tmp_path, y, message):
+        path = tmp_path / "law2.json"
+        path.write_text(json.dumps(
+            {"closed_form": "gaussian", "params": {"mean": [0.0, 0.0], "cov": [[1.0, 0.0], [0.0, 1.0]]}}
+        ))
+        code, _, err = run(capsys, "eval", "--law", str(path), "--y", y)
+        assert code == 2
+        assert err.startswith("error: ") and message in err
+        assert run(capsys, "eval", "--law", str(path), "--y", "1,2;3,4")[0] == 0
+
+
 class TestVerify:
     def test_factorization_passes_and_writes_golden_report(
         self, capsys, law_files, tmp_path
@@ -420,6 +439,23 @@ class TestSuite:
         code, _, err = run(capsys, "suite", "--config", conf)
         assert code == 2
         assert err.startswith(f"error: suite config '{field}")
+
+    @pytest.mark.parametrize(
+        "doc, message",
+        [
+            ({"mc": 5}, "suite config 'mc' must be an object"),
+            ({"identities": ["eq3"], "laws": ["gaussian"], "mc": []}, "suite config 'mc' must be an object"),
+            ([{"identities": ["eq3"]}], "suite config must be an object"),
+            ({"identities": "eq3"}, "suite config 'identities' must be a list"),
+            ({"identities": ["eq3"], "laws": "cp"}, "suite config 'laws' must be a list"),
+            ({"identities": [["eq3"]]}, "unknown identities"),
+        ],
+    )
+    def test_misshapen_config_is_usage_error(self, capsys, tmp_path, doc, message):
+        code, _, err = run(capsys, "suite", "--config", self.write_config(tmp_path, doc))
+        assert code == 2
+        assert message in err
+        assert "Traceback" not in err
 
     def test_missing_config_file(self, capsys, tmp_path):
         code, _, err = run(capsys, "suite", "--config", str(tmp_path / "no.json"))

@@ -116,19 +116,6 @@ def test_nonconvergence_carries_partial_result():
     assert err.error_estimate is not None and err.error_estimate > 1e-14
 
 
-def test_env_var_overrides_default_tolerance(monkeypatch):
-    monkeypatch.setenv(quadrature.TOL_ENV_VAR, "1e-6")
-    assert quadrature.default_tol() == 1e-6
-    monkeypatch.delenv(quadrature.TOL_ENV_VAR)
-    assert quadrature.default_tol() == quadrature.DEFAULT_TOL
-
-
-def test_bad_env_var_is_rejected(monkeypatch):
-    monkeypatch.setenv(quadrature.TOL_ENV_VAR, "zero")
-    with pytest.raises(ValueError):
-        quadrature.default_tol()
-
-
 @settings(max_examples=20, deadline=None)
 @given(
     a=st.floats(min_value=-4.0, max_value=4.0),

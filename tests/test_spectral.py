@@ -1,3 +1,4 @@
+import functools
 import math
 import os
 import subprocess
@@ -146,6 +147,65 @@ def power_segment_oracle(lo, hi, c, p, w):
     return out if w > 0.0 else out.conjugate()
 
 
+@functools.cache
+def gauss_legendre(n):
+    # numpy's nodes and weights on (-1, 1), Newton-refined at the working
+    # precision
+    out = []
+    for x0 in np.polynomial.legendre.leggauss(n)[0]:
+        x = mp.mpf(x0)
+        for _ in range(3):
+            x -= mp.legendre(n, x) / mp.diff(lambda t: mp.legendre(n, t), x)
+        d = mp.diff(lambda t: mp.legendre(n, t), x)
+        out.append((x, 2 / ((1 - x * x) * d * d)))
+    return out
+
+
+def log_form_oracle(lo, hi, c, p, e, w, nodes=16):
+    # 30-digit quadrature of c r^p ((hi/r)^e - 1)/e (exp(i w r) - 1 - i w r [r <= 1])
+    # over (lo, hi) split at 1: equal panels, at least one per oscillation,
+    # of Gauss-Legendre rules, and tanh-sinh on a panel that starts at 0
+    with mp.workdps(30):
+        rule = gauss_legendre(nodes)
+        hi_, p_, e_, W = mp.mpf(hi), mp.mpf(p), mp.mpf(e), mp.mpf(abs(w))
+
+        def f(r, comp):
+            t = mp.log(hi_ / r)
+            theta = mp.mpc(0, W * r)
+            kernel = mp.expm1(theta) - (theta if comp else 0)
+            return r ** p_ * (t if e == 0.0 else mp.expm1(e_ * t) / e_) * kernel
+
+        total = mp.mpc(0)
+        for a, b, comp in ((mp.mpf(lo), min(hi_, 1), True), (max(mp.mpf(lo), 1), hi_, False)):
+            if b <= a:
+                continue
+            n = max(4, int(mp.ceil((b - a) * W / (2 * mp.pi))))
+            ends = [a + (b - a) * k / n for k in range(n + 1)]
+            for u, v in zip(ends, ends[1:]):
+                if u == 0:
+                    total += mp.quad(lambda r: f(r, comp), [u, v])
+                else:
+                    mid, half = (u + v) / 2, (v - u) / 2
+                    total += half * mp.fsum(wt * f(mid + half * x, comp) for x, wt in rule)
+        out = complex(c * total)
+    return out if w > 0.0 else out.conjugate()
+
+
+# admissible log forms (p - e > -1): lo = 0 and lo > 0, e = 0 and near 0,
+# on pieces below, above and across radius 1, and on a short range there
+ORACLE_SEGMENTS = [
+    (0.0, 0.8, 0.25, -0.5, 0.0),
+    (0.5, 3.0, 0.39, 0.3, 1e-7),
+    (0.5, 3.0, 0.39, 0.3, -0.005),
+    (0.0, 2.0, 0.2, -0.9, -0.008),
+    (0.0, 0.8, 0.5, -0.95, 0.003),
+    (0.99, 1.02, 0.7, -0.9, 0.009),
+    (0.3, 4.0, 0.4, -0.7, 0.009),
+    (0.0, 1.0, 0.3, 0.5, -0.005),
+    (1.0, 6.0, 0.2, -0.95, 0.0),
+]
+
+
 def edge_frequencies(*ends):
     # |w| just below and above the series/contour switch at each end
     return [spectral.SERIES_EDGE * (1.0 + d) / x for x in ends for d in (-1e-9, 1e-9)
@@ -212,9 +272,7 @@ class TestExponentIntegrals:
                 if w != 0.0:
                     z = mp.mpc(0.0, -w)
                     want[k] = complex(z ** (-p - 1.0) * mp.gammainc(p + 1.0, z * lo) - mass)
-        got = spectral._segment_exponent(
-            spectral.Segment(lo, math.inf, 1.0, p), ws, quadrature.default_tol()
-        )
+        got = spectral._segment_exponent(spectral.Segment(lo, math.inf, 1.0, p), ws)
         assert got[0] == 0.0
         assert np.max(np.abs(got - want)) < 1e-12
 
@@ -249,28 +307,29 @@ class TestExponentIntegrals:
         assert np.max(np.abs(got[::2500] - want)) < 1e-11
 
     def test_segment_memory_is_bounded_for_large_batches(self, monkeypatch):
-        # 1e5 arguments on a finite segment below the unit radius: one
-        # (abscissas x arguments) array for the whole batch peaked near
-        # 400 MB; per-chunk quadratures keep the peak near 20 MB
+        # 1e5 arguments on a finite segment below the unit radius: the
+        # (arguments x terms) series and Laguerre arrays are built per
+        # chunk, so the peak stays near 20 MB
         sg = spectral.Segment(0.0, 0.8, 0.5, -0.7)
         w = np.linspace(0.0, 5.0, 100_001)[1:]
         tracemalloc.start()
         try:
-            spectral._segment_exponent(sg, w, None)
+            spectral._segment_exponent(sg, w)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 64e6
-        # each chunk meets the tolerance on its own, so chunked and
-        # single-batch results agree within twice the tolerance, for the
-        # compensated, raw and unbounded parts alike
+        # chunked and single-batch results agree within twice the default
+        # tolerance, for the compensated, raw and unbounded parts and a
+        # log form alike
         tol = quadrature.default_tol()
         sub = np.linspace(0.05, 8.0, 40)
         for seg in (sg, spectral.Segment(0.5, 3.0, 0.3, -1.4),
-                    spectral.Segment(1.5, math.inf, 0.3, -1.6)):
-            whole = spectral._segment_exponent(seg, sub, tol)
+                    spectral.Segment(1.5, math.inf, 0.3, -1.6),
+                    spectral.Segment(0.0, 2.0, 0.2, -0.9, -0.008)):
+            whole = spectral._segment_exponent(seg, sub)
             monkeypatch.setattr(spectral, "SEGMENT_CHUNK", 7)
-            chunked = spectral._segment_exponent(seg, sub, tol)
+            chunked = spectral._segment_exponent(seg, sub)
             monkeypatch.undo()
             assert np.max(np.abs(chunked - whole)) < 2.0 * tol
 
@@ -280,7 +339,7 @@ class TestExponentIntegrals:
     def test_power_segment_holds_at_large_frequencies(self, p, W, tol):
         # the adaptive quadrature this replaced raised QuadratureError here
         sg = spectral.Segment(0.0, 0.8, 0.5, p)
-        got = spectral._segment_exponent(sg, np.array([W, -W]), tol)
+        got = spectral._segment_exponent(sg, np.array([W, -W]))
         want = power_segment_oracle(0.0, 0.8, 0.5, p, W)
         floor = max(tol, 50.0 * np.finfo(float).eps * abs(want))
         assert abs(got[0] - want) <= floor
@@ -298,21 +357,29 @@ class TestExponentIntegrals:
         # every end, the unit radius included, on both sides of the switch
         # between the power series and the rotated contour
         ws = np.array([1e-12, -1e-12, 1e-6, *edge_frequencies(seg[0], seg[1], 1.0)])
-        got = spectral._segment_exponent(spectral.Segment(*seg), ws, None)
+        got = spectral._segment_exponent(spectral.Segment(*seg), ws)
         want = np.array([power_segment_oracle(*seg, w) for w in ws])
         assert np.all(np.abs(got - want) <= 100.0 * np.finfo(float).eps * np.abs(want))
 
     def test_power_segments_run_no_quadrature(self, monkeypatch):
         def refuse(*args, **kwargs):
-            raise AssertionError("power segments must not call quadrature.integrate")
+            raise AssertionError("the jump integrand must not call quadrature.integrate")
 
         monkeypatch.setattr(quadrature, "integrate", refuse)
         m = SpectralMeasure(1, (
             ray(1.0, atoms=[(2.0, 1.0)], segments=[(0.0, 0.8, 0.5, -2.2), (0.3, 2.0, 0.5, -0.7)]),
             ray(-1.0, segments=[(1.5, math.inf, 0.3, -1.6)]),
         ))
-        vals = m.exponent_jump_integral(np.linspace(-50.0, 50.0, 41)[:, None], 1e-12)
+        vals = m.exponent_jump_integral(np.linspace(-50.0, 50.0, 41)[:, None])
         assert np.all(np.isfinite(vals))
+        # one radial measure with every primitive: atom, power segment,
+        # log-form segment and grid tail
+        rad = spectral.RadialMeasure(
+            (spectral.Atom(0.4, 0.5),),
+            (spectral.Segment(0.0, 0.8, 0.5, -2.2), spectral.Segment(0.5, 3.0, 0.39, 0.3, -0.005)),
+            GridTail(np.geomspace(0.5, 4.0, 30), np.linspace(1.0, 0.0, 30)),
+        )
+        assert np.all(np.isfinite(rad.exponent_integral(np.linspace(-1e4, 1e4, 41))))
 
     def test_series_and_laguerre_tables(self):
         want = [float(Fraction(1, math.factorial(k))) for k in range(spectral._INV_FACT.size)]
@@ -514,8 +581,31 @@ class TestLogFormSegment:
                 lambda r: self.density(sg, r) * (math.sin(w * r) - w * r * (r <= 1.0)),
                 0.5, 3.0, epsabs=1e-14, epsrel=1e-13, points=[1.0],
             )[0]
-            got = rad.exponent_integral(np.array([w]), tol=1e-12)[0]
+            got = rad.exponent_integral(np.array([w]))[0]
             assert abs(got - want) < 1e-11
+
+    @pytest.mark.parametrize("sg", ORACLE_SEGMENTS)
+    def test_exponent_matches_30_digit_oracle(self, sg):
+        # both ends, the unit radius included, on both sides of the switch
+        # between the power series and the rotated contour; -w gives the
+        # conjugate
+        ws = np.array([0.7, 40.0, -0.7, -40.0, *edge_frequencies(sg[0], sg[1], 1.0)])
+        got = spectral._segment_exponent(spectral.Segment(*sg), ws)
+        want = np.array([log_form_oracle(*sg, w) for w in ws])
+        assert np.all(np.abs(got - want) <= 1e-13 * np.abs(want))
+
+    @pytest.mark.parametrize("sg, want", [
+        # log_form_oracle at w = 1e4: 3184 and 1274 panels, the same value
+        # with 16 and 20 nodes each
+        ((0.0, 2.0, 0.2, -0.9, -0.008), -5.892493727333567 - 2887.480673482906j),
+        ((0.0, 0.8, 0.5, -0.95, 0.003), -16.623561518719743 - 3593.486067505651j),
+    ])
+    def test_exponent_holds_at_large_frequencies(self, sg, want):
+        # the adaptive quadrature this replaced raised QuadratureError here
+        # at tol 1e-12
+        got = spectral._segment_exponent(spectral.Segment(*sg), np.array([1e4, -1e4]))
+        assert abs(got[0] - want) <= 1e-13 * abs(want)
+        assert abs(got[1] - want.conjugate()) <= 1e-13 * abs(want)
 
     @staticmethod
     def measure(*segments):
