@@ -18,6 +18,18 @@ from .errors import DimensionMismatchError, LawSpecError
 from .triplet import LevyTriplet
 
 
+def antisymmetric(Y: np.ndarray) -> bool:
+    """Whether a grid of shape (n, dim), n > 1, is exactly its own negative reversed.
+
+    Then Y[:n // 2] mirrors Y[n % 2 + n // 2:], and a function f with
+    f(-y) = conj f(y) is known on all of Y from its upper half. The end
+    rows reject stacked inner batches before the O(n) comparison.
+    """
+    return (
+        Y.shape[0] > 1 and np.array_equal(Y[0], -Y[-1]) and np.array_equal(Y, -Y[::-1])
+    )
+
+
 def as_grid(y, dim: int) -> tuple[np.ndarray, bool]:
     """Normalize one point or a grid to shape (n, dim); flag scalar input."""
     arr = np.asarray(y, dtype=float)
@@ -129,9 +141,8 @@ class CharExponent:
             raise DimensionMismatchError(
                 f"grid shape {Y.shape} does not match dim {self.dim}"
             )
-        n = Y.shape[0]
-        # the end rows reject stacked inner batches before the O(n) comparison
-        if n > 1 and np.array_equal(Y[0], -Y[-1]) and np.array_equal(Y, -Y[::-1]):
+        if antisymmetric(Y):
+            n = Y.shape[0]
             half = np.asarray(self.node.eval(Y[n // 2 :], tol), dtype=complex)
             return np.concatenate([np.conj(half[n % 2 :][::-1]) + 0.0, half])
         return np.asarray(self.node.eval(Y, tol), dtype=complex)

@@ -162,15 +162,21 @@ def _eval_scaled(phi, Y, scales, tol):
 def _kernel_integral(phi, Y, tol, a, b, kern, scale, mass=1.0, splits=()):
     """Integral over (a, b) of kern(x) * Phi(scale(x) Y) dx on the grid Y.
 
-    Inner errors reach the value weighted by the kernel's mass on (a, b),
-    so the inner exponent gets its share of ``tol`` divided by that mass.
+    Each grid point is one column of the quadrature and refines on its
+    own. Inner errors reach the value weighted by the kernel's mass on
+    (a, b), so the inner exponent gets its share of ``tol`` divided by
+    that mass.
     """
     inner_tol = _INNER_SHARE * tol / mass
 
-    def f(xs: np.ndarray) -> np.ndarray:
-        return kern(xs)[:, None] * _eval_scaled(phi, Y, scale(xs), inner_tol)
+    def f(pairs: np.ndarray) -> np.ndarray:
+        xs = pairs["x"]
+        W = scale(xs)[:, None] * Y.take(pairs["col"], axis=0)
+        return kern(xs) * phi.eval_grid(W, inner_tol)
 
-    val, _ = quadrature.integrate(f, a, b, tol=(1.0 - _INNER_SHARE) * tol, splits=splits)
+    val, _ = quadrature.integrate(
+        f, a, b, tol=(1.0 - _INNER_SHARE) * tol, splits=splits, columns=Y.shape[0]
+    )
     return val
 
 
@@ -212,7 +218,7 @@ def _singular_grid(phi, Y, tol, weight):
         return weight(ss)[0] * _eval_scaled(phi, Y, np.exp(ss), inner_tol)[0]
 
     s_lo = float(_WALK_CUTS[0])
-    prev_norm = float(np.max(np.abs(probe(s_lo))))
+    prev_norm = float(np.max(np.abs(probe(s_lo)), initial=0.0))
     strikes = 0
     while True:
         s_lo -= _WALK_STEP
@@ -222,7 +228,7 @@ def _singular_grid(phi, Y, tol, weight):
                 f"the double range (|integrand| {prev_norm:.3e} at u = 1e-300)"
             )
         edge = probe(s_lo)
-        norm = float(np.max(np.abs(edge)))
+        norm = float(np.max(np.abs(edge), initial=0.0))
         if norm == 0.0:
             tail = edge
             break
@@ -372,7 +378,7 @@ def transformed_tail(radial: RadialMeasure, beta: float, us) -> np.ndarray:
         inside = us < sg.hi
         u_in = us[inside]
         out[inside] += log_form_integral(
-            sg, np.maximum(u_in, sg.lo), lambda r: 1.0 - (u_in / r) ** beta
+            sg, np.maximum(u_in, sg.lo), lambda r, j: 1.0 - (u_in[j] / r) ** beta
         )
     if radial.grid_tail is not None:
         integ += _grid_tail_transform(radial.grid_tail, beta, us)

@@ -1,14 +1,16 @@
-"""Adaptive Gauss–Kronrod quadrature for complex, vector-valued integrands.
+"""Adaptive Gauss–Kronrod quadrature for families of complex integrands.
 
 The integrators in this package evaluate characteristic exponents on whole
-grids of arguments at once, so the integrand maps abscissas to complex
-vectors and the refinement decision uses the max norm across components.
+grids of arguments at once: one integral per grid point, called a column.
 Each panel is integrated with the 21-point Kronrod rule; the 10-point
 Gauss rule embedded in it gives the panel's error estimate |K21 - G10|.
-Refinement is breadth first: the 21 abscissas of every active panel at a
-given depth go into one integrand call. Nested transforms stay affordable
-because an outer integration hands its inner integration one large stacked
-batch per level instead of one call per node.
+The adaptive unit is a (panel, column) pair, accepted on its own estimate
+against its own column's budget, so a column stops refining once it has
+converged, whatever the other columns still need. Refinement is breadth
+first: the 21 abscissas of every active unit at a given depth go into one
+integrand call, as (abscissa, column) pairs. Nested transforms stay
+affordable because an outer integration hands its inner integration one
+large stacked batch per level instead of one call per node.
 """
 
 from __future__ import annotations
@@ -65,8 +67,8 @@ _NODES = np.concatenate([-_XGK, _XGK[-2::-1]])
 _KRONROD_WEIGHTS = np.concatenate([_WGK, _WGK[-2::-1]])
 _GAUSS_WEIGHTS = np.zeros(21)
 _GAUSS_WEIGHTS[1::2] = np.concatenate([_WG, _WG[::-1]])
-# rows give K21 and K21 - G10 in one product with the panel values
-_RULES = np.stack([_KRONROD_WEIGHTS, _KRONROD_WEIGHTS - _GAUSS_WEIGHTS])
+# columns give K21 and K21 - G10 in one product with the unit values
+_RULES = np.stack([_KRONROD_WEIGHTS, _KRONROD_WEIGHTS - _GAUSS_WEIGHTS], axis=1)
 # |K21 - G10| below this multiple of the panel's absolute integral is
 # rounding noise, and further bisection cannot reduce it
 _ROUNDOFF = 50.0 * np.finfo(float).eps
@@ -77,6 +79,10 @@ def default_tol() -> float:
     return DEFAULT_TOL
 
 
+# one integrand argument: an abscissa and the column it is evaluated for
+PAIR = np.dtype([("x", float), ("col", np.intp)])
+
+
 def integrate(
     f: Callable,
     a: float,
@@ -84,43 +90,47 @@ def integrate(
     tol: float | None = None,
     max_depth: int = DEFAULT_MAX_DEPTH,
     splits: Sequence[float] = (),
+    columns: int = 1,
 ) -> tuple[np.ndarray, float]:
-    """Integrate ``f`` over [a, b] with adaptive G10K21 panels.
+    """Integrate each of ``columns`` integrands over [a, b] with adaptive G10K21.
 
     Parameters
     ----------
     f : callable
-        Batched integrand: maps a float array of abscissas, shape (m,), to
-        values of shape (m,) or (m, n); rows must be independent. The
-        output shape per abscissa must be constant over the interval.
+        Batched integrand: maps a 1-d array of dtype :data:`PAIR`, whose
+        fields ``x`` and ``col`` hold abscissas and column indices, to one
+        complex value per pair, shape (m,). Pairs must be independent.
     a, b : float
         Integration limits, ``a <= b``. ``f`` is only evaluated strictly
         inside each panel, so an integrable singularity at a limit is
         allowed.
     tol : float, optional
-        Absolute max-norm tolerance for the whole interval. Defaults to
-        :func:`default_tol`. A panel is accepted once its |K21 - G10| is
-        within its width share of the part of ``tol`` that the panels
-        accepted at earlier depths left unspent.
+        Absolute tolerance of every column. Defaults to
+        :func:`default_tol`. A (panel, column) unit is accepted once its
+        |K21 - G10| is within its width share of the part of ``tol`` that
+        its column's units accepted at earlier depths left unspent.
     max_depth : int
-        Maximum number of interval halvings before a panel is abandoned.
+        Maximum number of interval halvings before a unit is abandoned.
     splits : sequence of float, optional
         Interior break points (e.g. kinks of the integrand). The interval
         is cut there before refinement starts.
+    columns : int
+        Number of integrands, indexed 0 .. columns - 1 by ``col``.
 
     Returns
     -------
-    (value, error_estimate)
-        ``value`` has the integrand's per-abscissa shape: a scalar when
-        ``f`` returns shape (m,). ``error_estimate`` is the sum of the
-        panels' max-norm |K21 - G10|, at most ``tol`` unless a panel hit
-        rounding level.
+    (values, error_estimate)
+        ``values`` has shape (columns,). ``error_estimate`` is the largest
+        column sum of the accepted units' |K21 - G10|, at most ``tol``
+        unless a unit hit rounding level (50 eps of its absolute integral).
+        A column's value and its pairs do not depend on the other columns.
 
     Raises
     ------
     QuadratureError
-        If some panel hits ``max_depth`` and the error estimate is above
-        ``tol``. The exception carries the best value and the estimate.
+        If units of some column hit ``max_depth`` and that column's error
+        estimate is above ``tol``. The exception carries the best values
+        and the worst column's estimate.
     """
     if tol is None:
         tol = default_tol()
@@ -131,61 +141,66 @@ def integrate(
     if b < a:
         raise ValueError(f"reversed limits: [{a}, {b}]")
 
-    shapes = set()
-
-    def fv(xs: np.ndarray) -> np.ndarray:
-        out = np.asarray(f(xs), dtype=complex)
-        shapes.add(out.shape[1:])
-        if out.ndim not in (1, 2) or out.shape[0] != len(xs) or len(shapes) > 1:
-            raise ValueError(
-                f"integrand returned shape {out.shape} for {len(xs)} abscissas "
-                f"(per-abscissa shapes so far: {sorted(shapes)})"
-            )
-        return out.reshape(len(xs), -1)
-
-    if a == b:
-        zero = np.zeros_like(fv(np.array([a]))[0])
-        return (zero[0] if shapes == {()} else zero), 0.0
-
     points = [a]
     for s in sorted(float(s) for s in splits):
         if a < s < b and s != points[-1]:
             points.append(s)
     points.append(b)
-    xl = np.asarray(points[:-1], dtype=float)
-    xr = np.asarray(points[1:], dtype=float)
+    # units are (panel, column) pairs; a column's own units keep one order
+    # whatever the other columns do, so its sums round the same way
+    edges = np.array(points if a < b else [a])
+    xl, xr = np.repeat(edges[:-1], columns), np.repeat(edges[1:], columns)
+    col = np.tile(np.arange(columns), edges.size - 1)
 
-    total = 0.0
-    err_total = 0.0
-    unconverged = False
+    total = np.zeros((2, columns))
+    spent = np.zeros(columns)
+    stuck = np.zeros(columns, dtype=bool)
     depth = 0
     while xl.size:
         k = xl.size
-        mid = 0.5 * (xl + xr)
-        half = 0.5 * (xr - xl)
-        vals = fv((mid[:, None] + half[:, None] * _NODES).ravel()).reshape(k, 21, -1)
-        rules = _RULES @ vals
-        value = half[:, None] * rules[:, 0]
-        err = half * np.abs(rules[:, 1]).max(axis=1)
-        share = 2.0 * half * (max(tol - err_total, 0.0) / (xr - xl).sum())
-        noise = _ROUNDOFF * half * (_KRONROD_WEIGHTS @ np.abs(vals)).max(axis=1)
-        done = (err <= np.maximum(share, noise)) | (mid <= xl) | (mid >= xr)
+        span = xr - xl
+        mid, half = 0.5 * (xl + xr), 0.5 * span
+        pairs = np.empty((k, 21), dtype=PAIR)
+        pairs["x"] = mid[:, None] + half[:, None] * _NODES
+        pairs["col"] = col[:, None]
+        vals = np.ascontiguousarray(f(pairs.reshape(-1)), dtype=complex)
+        if vals.shape != (21 * k,):
+            raise ValueError(f"integrand returned shape {vals.shape} for {21 * k} pairs")
+        vals = vals.reshape(k, 21)
+        # (real, imaginary) x (K21, K21 - G10) per unit, one small product
+        # each, so a unit rounds the same in any batch (one BLAS product
+        # over all units would not)
+        rules = vals.view(float).reshape(k, 21, 2).transpose(0, 2, 1) @ _RULES
+        err = half * np.hypot(rules[:, 0, 1], rules[:, 1, 1])
+        width = np.bincount(col, weights=span, minlength=columns)
+        done = err <= span * (np.maximum(tol - spent, 0.0)[col] / width[col])
+        # units over their share may still be at rounding level, or too
+        # narrow to bisect
+        (rest,) = np.nonzero(~done)
+        noise = _ROUNDOFF * half[rest] * np.einsum("kj,j->k", abs(vals[rest]), _KRONROD_WEIGHTS)
+        mid_r = mid[rest]
+        done[rest] = (err[rest] <= noise) | (mid_r <= xl[rest]) | (mid_r >= xr[rest])
         if depth >= max_depth and not done.all():
-            unconverged = True
+            stuck[col[~done]] = True
             done[:] = True
-        total = total + value[done].sum(axis=0)
-        err_total += float(err[done].sum())
+        value = np.where(done[:, None], half[:, None] * rules[:, :, 0], 0.0)
+        total[0] += np.bincount(col, weights=value[:, 0], minlength=columns)
+        total[1] += np.bincount(col, weights=value[:, 1], minlength=columns)
+        spent += np.bincount(col, weights=np.where(done, err, 0.0), minlength=columns)
         keep = ~done
         xl, xr = np.concatenate([xl[keep], mid[keep]]), np.concatenate([mid[keep], xr[keep]])
+        col = np.concatenate([col[keep], col[keep]])
         depth += 1
 
-    value = total[0] if shapes == {()} else total
-    if unconverged and err_total > tol:
+    values = np.empty(columns, dtype=complex)
+    values.real, values.imag = total
+    worst = float(spent.max(initial=0.0))
+    if np.any(stuck & (spent > tol)):
         raise QuadratureError(
             f"Gauss-Kronrod quadrature did not converge on [{a}, {b}]: "
-            f"error estimate {err_total:.3e} > tol {tol:.3e} with panels "
-            f"left at max depth {max_depth}",
-            value=value,
-            error_estimate=err_total,
+            f"worst column error estimate {worst:.3e} > tol {tol:.3e} with "
+            f"units left at max depth {max_depth}",
+            value=values,
+            error_estimate=worst,
         )
-    return value, err_total
+    return values, worst

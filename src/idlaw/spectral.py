@@ -193,7 +193,7 @@ class Segment:
             return math.inf  # r**s times the density is not integrable at 0
         if lo > 0.0 and s < 0.0:
             # the closed form would need p - e + 1 + s > 0
-            return float(log_form_integral(self, np.array([lo]), lambda r: r ** s, hi)[0])
+            return float(log_form_integral(self, np.array([lo]), lambda r, j: r ** s, hi)[0])
         return self.c * float(_moment(self, lo, hi, s))
 
     def log_integral_above1(self) -> float:
@@ -203,7 +203,7 @@ class Segment:
             return self.c * _log_power_int(lo, self.hi, self.p)
         if self.hi <= lo:
             return 0.0
-        return float(log_form_integral(self, np.array([lo]), np.log)[0])
+        return float(log_form_integral(self, np.array([lo]), lambda r, j: np.log(r))[0])
 
 
 def _moment(sg: Segment, a, b, k) -> np.ndarray:
@@ -257,22 +257,23 @@ def _log_form_ratio(sg: Segment, a, b, k) -> np.ndarray:
 def log_form_integral(
     sg: Segment, a: np.ndarray, kernel, b: float | None = None
 ) -> np.ndarray:
-    """Integral of kernel(r) against a log-form segment over (a_j, b), per a_j.
+    """Integral of kernel(r, j) against a log-form segment over (a_j, b), per a_j.
 
     ``b`` defaults to the segment's hi, and every a_j must lie in (0, b].
     In t = log(r/a_j)/log(b/a_j) each range becomes (0, 1) and the
-    integrand is smooth, so one batched quadrature covers all starts;
-    ``kernel`` maps radii of shape (abscissas, len(a)) to values of that
-    shape.
+    integrand is smooth, so one batched quadrature covers all starts, one
+    column per a_j; ``kernel`` maps radii and their start indices j, two
+    arrays of one shape, to values of that shape.
     """
     a = np.asarray(a, dtype=float)
     span = np.log((sg.hi if b is None else b) / a)
 
-    def f(ts: np.ndarray) -> np.ndarray:
-        r = a * np.exp(np.multiply.outer(ts, span))
-        return span * r * sg.c * r ** sg.p * sg.factor(r) * kernel(r)
+    def f(pairs: np.ndarray) -> np.ndarray:
+        j = pairs["col"]
+        r = a[j] * np.exp(pairs["x"] * span[j])
+        return span[j] * r * sg.c * r ** sg.p * sg.factor(r) * kernel(r, j)
 
-    val, _ = quadrature.integrate(f, 0.0, 1.0, tol=LOG_FORM_TOL)
+    val, _ = quadrature.integrate(f, 0.0, 1.0, tol=LOG_FORM_TOL, columns=a.size)
     return np.real(val)
 
 

@@ -108,6 +108,21 @@ class TestMappedInvariants:
                 )
                 assert np.all(vals.real <= 1e-12)
 
+    @pytest.mark.parametrize(
+        "m",
+        [maps.jbeta_map(1.3), maps.i_map(), maps.ubetaf_map(0.5), maps.i_jbeta_map(2.0)],
+        ids=lambda m: m.kind,
+    )
+    def test_empty_grids_map_to_empty_arrays(self, mix_phi, m):
+        empty = np.zeros((0, 1))
+        inner = maps.apply_map(maps.jbeta_map(2.0), mix_phi)
+        for vals in (
+            maps.map_exponent_grid(m, mix_phi, empty),
+            maps.apply_map(m, mix_phi).eval_grid(empty),
+            maps.apply_map(m, inner).eval_grid(empty, 1e-8),
+        ):
+            assert vals.shape == (0,) and vals.dtype == complex
+
 
 class TestAlgebraicStructure:
     def test_maps_commute(self, gaussian_phi, cp_phi):

@@ -15,6 +15,22 @@ GAUSS_WEIGHTS = quadrature._GAUSS_WEIGHTS
 GAUSS = GAUSS_WEIGHTS > 0.0
 
 
+def integrate_one(g, a, b, **kwargs):
+    """One column whose integrand g maps abscissas to values."""
+    val, err = quadrature.integrate(lambda pairs: g(pairs["x"]), a, b, **kwargs)
+    assert val.shape == (1,)
+    return val[0], err
+
+
+def integrate_rows(g, a, b, **kwargs):
+    """One column per entry of g's rows: g maps (m,) abscissas to (m, n)."""
+    n = np.shape(g(np.array([0.5 * (a + b)])))[1]
+    return quadrature.integrate(
+        lambda pairs: g(pairs["x"])[np.arange(pairs.size), pairs["col"]],
+        a, b, columns=n, **kwargs,
+    )
+
+
 def test_gauss_nodes_inside_the_kronrod_table_match_legendre():
     nodes, weights = np.polynomial.legendre.leggauss(10)
     assert GAUSS.sum() == 10
@@ -32,7 +48,7 @@ def test_rule_degrees_of_exactness():
 
 
 def test_endpoint_singularity_meets_its_error_estimate():
-    val, err = quadrature.integrate(lambda us: us**-0.4, 0.0, 1.0, tol=1e-8)
+    val, err = integrate_one(lambda us: us**-0.4, 0.0, 1.0, tol=1e-8)
     miss = abs(complex(val) - 1.0 / 0.6)
     assert miss <= err <= 1e-8
 
@@ -52,14 +68,14 @@ def test_i_map_on_unbounded_power_tail_returns():
 
 
 def test_smooth_scalar_matches_closed_form():
-    val, err = quadrature.integrate(lambda xs: np.exp(-xs * xs), 0.0, 3.0, tol=1e-12)
+    val, err = integrate_one(lambda xs: np.exp(-xs * xs), 0.0, 3.0, tol=1e-12)
     truth = 0.5 * math.sqrt(math.pi) * math.erf(3.0)
     assert abs(complex(val).real - truth) < 1e-12
     assert err < 1e-12
 
 
 def test_cubic_is_integrated_exactly():
-    val, _ = quadrature.integrate(lambda xs: xs**3, 0.0, 1.0)
+    val, _ = integrate_one(lambda xs: xs**3, 0.0, 1.0)
     assert abs(complex(val) - 0.25) < 5e-16
 
 
@@ -67,23 +83,23 @@ def test_vector_integrand_components():
     def f(xs):
         return np.stack([np.cos(3.0 * xs), np.sin(5.0 * xs)], axis=1)
 
-    val, _ = quadrature.integrate(f, 0.0, 2.0, tol=1e-12)
+    val, _ = integrate_rows(f, 0.0, 2.0, tol=1e-12)
     truth = np.array([math.sin(6.0) / 3.0, (1.0 - math.cos(10.0)) / 5.0])
     assert np.max(np.abs(val - truth)) < 1e-12
 
 
 def test_complex_integrand():
-    val, _ = quadrature.integrate(lambda xs: np.exp(1j * xs), 0.0, math.pi, tol=1e-12)
+    val, _ = integrate_one(lambda xs: np.exp(1j * xs), 0.0, math.pi, tol=1e-12)
     assert abs(complex(val) - 2.0j) < 1e-12
 
 
 def test_scalar_callable_path():
-    val, _ = quadrature.integrate(lambda xs: 1.0 / (1.0 + xs * xs), 0.0, 1.0, tol=1e-11)
+    val, _ = integrate_one(lambda xs: 1.0 / (1.0 + xs * xs), 0.0, 1.0, tol=1e-11)
     assert abs(complex(val).real - math.pi / 4.0) < 1e-11
 
 
 def test_degenerate_interval_is_zero():
-    val, err = quadrature.integrate(lambda xs: np.exp(xs), 1.0, 1.0)
+    val, err = integrate_one(lambda xs: np.exp(xs), 1.0, 1.0)
     assert complex(val) == 0.0
     assert err == 0.0
 
@@ -95,16 +111,16 @@ def test_split_points_handle_kinks():
         return np.abs(xs - third)
 
     truth = 0.5 * (third**2 + (1.0 - third) ** 2)
-    val, _ = quadrature.integrate(f, 0.0, 1.0, tol=1e-12, splits=(third,))
+    val, _ = integrate_one(f, 0.0, 1.0, tol=1e-12, splits=(third,))
     assert abs(complex(val).real - truth) < 1e-13
     # the kink is still resolvable without a split, just more slowly
-    val2, _ = quadrature.integrate(f, 0.0, 1.0, tol=1e-10)
+    val2, _ = integrate_one(f, 0.0, 1.0, tol=1e-10)
     assert abs(complex(val2).real - truth) < 1e-9
 
 
 def test_nonconvergence_carries_partial_result():
     with pytest.raises(QuadratureError) as exc:
-        quadrature.integrate(
+        integrate_one(
             lambda xs: np.cos(1000.0 * xs),
             0.0,
             1.0,
@@ -124,9 +140,9 @@ def test_nonconvergence_carries_partial_result():
 def test_linearity_in_the_integrand(a, b):
     f = lambda xs: a * xs * xs
     g = lambda xs: b * xs**3 + xs
-    both, _ = quadrature.integrate(lambda xs: f(xs) + g(xs), 0.0, 1.0, tol=1e-12)
-    fa, _ = quadrature.integrate(f, 0.0, 1.0, tol=1e-12)
-    gb, _ = quadrature.integrate(g, 0.0, 1.0, tol=1e-12)
+    both, _ = integrate_one(lambda xs: f(xs) + g(xs), 0.0, 1.0, tol=1e-12)
+    fa, _ = integrate_one(f, 0.0, 1.0, tol=1e-12)
+    gb, _ = integrate_one(g, 0.0, 1.0, tol=1e-12)
     assert abs(complex(both) - complex(fa) - complex(gb)) < 1e-11
 
 
@@ -134,7 +150,104 @@ def test_linearity_in_the_integrand(a, b):
 @given(c=st.floats(min_value=0.05, max_value=0.95))
 def test_additivity_over_subintervals(c):
     f = lambda xs: np.sin(3.0 * xs) + xs * xs
-    whole, _ = quadrature.integrate(f, 0.0, 1.0, tol=1e-12)
-    left, _ = quadrature.integrate(f, 0.0, c, tol=1e-12)
-    right, _ = quadrature.integrate(f, c, 1.0, tol=1e-12)
+    whole, _ = integrate_one(f, 0.0, 1.0, tol=1e-12)
+    left, _ = integrate_one(f, 0.0, c, tol=1e-12)
+    right, _ = integrate_one(f, c, 1.0, tol=1e-12)
     assert abs(complex(whole) - complex(left) - complex(right)) < 1e-10
+
+
+def powers(exps):
+    """Integrand with column j equal to x**exps[j]; records the columns it sees."""
+    exps = np.asarray(exps, dtype=float)
+    seen = []
+
+    def f(pairs):
+        seen.append(pairs["col"].copy())
+        return pairs["x"] ** exps[pairs["col"]]
+
+    return f, seen
+
+
+def test_easy_columns_do_not_ride_along_with_a_hard_one():
+    # column 0 has an endpoint singularity and refines deep toward 0; the
+    # smooth columns beside it keep the values and pairs of their solo runs
+    exps = [-0.4, 1.0, 2.5, 7.0]
+    f, seen = powers(exps)
+    vals, _ = quadrature.integrate(f, 0.0, 1.0, tol=1e-8, columns=len(exps))
+    counts = np.bincount(np.concatenate(seen), minlength=len(exps))
+    assert counts[0] > 10 * counts[1:].max()
+    for j, p in enumerate(exps):
+        g, solo_seen = powers([p])
+        solo, _ = quadrature.integrate(g, 0.0, 1.0, tol=1e-8)
+        assert solo.tobytes() == vals[j : j + 1].tobytes()
+        assert sum(c.size for c in solo_seen) == counts[j]
+    assert np.max(np.abs(vals - 1.0 / (np.asarray(exps) + 1.0))) < 1e-8
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    exps=st.lists(st.floats(min_value=-0.3, max_value=4.0), min_size=1, max_size=6),
+    freqs=st.lists(st.floats(min_value=-30.0, max_value=30.0), min_size=6, max_size=6),
+    tol=st.sampled_from([1e-6, 1e-8, 1e-10]),
+)
+def test_every_column_meets_tol_against_its_closed_form(exps, freqs, tol):
+    p = np.asarray(exps)
+    w = np.asarray(freqs[: p.size])
+
+    def f(pairs):
+        x, j = pairs["x"], pairs["col"]
+        return x ** p[j] + np.exp(1j * w[j] * x)
+
+    vals, err = quadrature.integrate(f, 0.0, 1.0, tol=tol, columns=p.size)
+    # the integral of exp(i w x) over (0, 1), in real arithmetic
+    safe = np.where(w == 0.0, 1.0, w)
+    osc_re = np.where(w == 0.0, 1.0, np.sin(w) / safe)
+    osc_im = 2.0 * np.sin(0.5 * w) ** 2 / safe
+    truth = 1.0 / (p + 1.0) + osc_re + 1j * osc_im
+    assert np.all(np.abs(vals - truth) <= tol)
+    assert err <= tol
+
+
+def test_nonconvergence_carries_the_worst_column():
+    freqs = np.array([1.0, 1000.0, 3.0])
+
+    def f(pairs):
+        return np.cos(freqs[pairs["col"]] * pairs["x"])
+
+    with pytest.raises(QuadratureError) as exc:
+        quadrature.integrate(f, 0.0, 1.0, tol=1e-14, max_depth=4, columns=3)
+    with pytest.raises(QuadratureError) as solo:
+        quadrature.integrate(
+            lambda pairs: np.cos(1000.0 * pairs["x"]), 0.0, 1.0, tol=1e-14, max_depth=4
+        )
+    assert exc.value.error_estimate == solo.value.error_estimate > 1e-14
+    # the easy columns converged and carry their values
+    easy = exc.value.value[[0, 2]]
+    assert np.max(np.abs(easy - np.sin(freqs[[0, 2]]) / freqs[[0, 2]])) < 1e-14
+
+
+def test_integrand_takes_one_array_counted_by_size():
+    # instrumentation wraps the integrand as integrand(xs) -> f(xs) and
+    # counts np.size(xs) as the pairs evaluated
+    calls = []
+
+    def f(*args, **kwargs):
+        assert len(args) == 1 and not kwargs
+        (pairs,) = args
+        calls.append((np.size(pairs), pairs.shape))
+        assert pairs.dtype.names == ("x", "col")
+        return np.exp(pairs["x"]) * (1.0 + pairs["col"])
+
+    vals, _ = quadrature.integrate(f, 0.0, 1.0, tol=1e-12, splits=(0.5,), columns=3)
+    assert calls and all(shape == (size,) and size % 21 == 0 for size, shape in calls)
+    # one depth: two panels for each of three columns, 21 pairs per unit
+    assert calls[0][0] == 2 * 3 * 21
+    assert np.max(np.abs(vals - math.expm1(1.0) * np.arange(1.0, 4.0))) < 1e-12
+
+
+def test_zero_columns_integrate_to_an_empty_array():
+    def f(pairs):
+        raise AssertionError("no pairs to evaluate")
+
+    vals, err = quadrature.integrate(f, 0.0, 1.0, columns=0)
+    assert vals.shape == (0,) and vals.dtype == complex and err == 0.0

@@ -189,12 +189,12 @@ class TestSamplers:
         Y = 5.0 * dirs / np.linalg.norm(dirs, axis=1)[:, None]
         Y = np.vstack([Y, 0.5 * Y])
 
-        def f(ss):
-            us = np.exp(-ss)
-            vals = phi.eval_grid((us[:, None, None] * Y[None]).reshape(-1, spec.dim))
-            return vals.reshape(len(ss), -1) * -np.expm1(-beta * ss)[:, None]
+        def f(pairs):
+            ss = pairs["x"]
+            vals = phi.eval_grid(np.exp(-ss)[:, None] * Y[pairs["col"]])
+            return vals * -np.expm1(-beta * ss)
 
-        mass, _ = quadrature.integrate(f, s_max, s_max + 60.0, tol=1e-13)
+        mass, _ = quadrature.integrate(f, s_max, s_max + 60.0, tol=1e-13, columns=len(Y))
         bound = sim.truncation_tail_bound(spec, beta, s_max)
         assert np.max(np.abs(mass)) <= bound
 
@@ -242,6 +242,26 @@ class TestEmpiricalCF:
         assert ecf.se_real[0] == pytest.approx(
             re.std(ddof=1) / math.sqrt(len(x)), rel=1e-12
         )
+
+    @pytest.mark.parametrize("n_points", [20, 21])
+    def test_antisymmetric_grid_mirrors_the_upper_half(self, n_points):
+        x = np.random.default_rng(8).normal(0.3, 1.0, size=(3000, 2))
+        upper = np.linspace(0.1, 2.0, n_points // 2)[:, None] * np.array([1.0, -0.5])
+        grid = np.concatenate([-upper[::-1], np.zeros((n_points % 2, 2)), upper])
+        ecf = sim.empirical_cf(x, grid)
+        lower, upper = slice(0, n_points // 2), slice(n_points // 2 + n_points % 2, None)
+        assert ecf.estimate[lower].tobytes() == (
+            np.conj(ecf.estimate[upper][::-1]) + 0.0
+        ).tobytes()
+        assert np.array_equal(ecf.se_real[lower], ecf.se_real[upper][::-1])
+        assert np.array_equal(ecf.se_imag[lower], ecf.se_imag[upper][::-1])
+        # a grid that is not antisymmetric (rolled by one row) is computed whole
+        whole = sim.empirical_cf(x, np.roll(grid, 1, axis=0))
+        for got, want in (
+            (ecf.estimate, whole.estimate), (ecf.se_real, whole.se_real),
+            (ecf.se_imag, whole.se_imag),
+        ):
+            np.testing.assert_allclose(got, np.roll(want, -1), rtol=0, atol=1e-15)
 
     def test_empty_input_raises(self):
         with pytest.raises(ValueError):
