@@ -161,7 +161,8 @@ def integrate(
         span = xr - xl
         mid, half = 0.5 * (xl + xr), 0.5 * span
         pairs = np.empty((k, 21), dtype=PAIR)
-        pairs["x"] = mid[:, None] + half[:, None] * _NODES
+        # (nodes, units) order runs the arithmetic along long rows
+        pairs["x"] = (_NODES[:, None] * half + mid).T
         pairs["col"] = col[:, None]
         vals = np.ascontiguousarray(f(pairs.reshape(-1)), dtype=complex)
         if vals.shape != (21 * k,):
@@ -174,12 +175,11 @@ def integrate(
         err = half * np.hypot(rules[:, 0, 1], rules[:, 1, 1])
         width = np.bincount(col, weights=span, minlength=columns)
         done = err <= span * (np.maximum(tol - spent, 0.0)[col] / width[col])
-        # units over their share may still be at rounding level, or too
-        # narrow to bisect
-        (rest,) = np.nonzero(~done)
-        noise = _ROUNDOFF * half[rest] * np.einsum("kj,j->k", abs(vals[rest]), _KRONROD_WEIGHTS)
-        mid_r = mid[rest]
-        done[rest] = (err[rest] <= noise) | (mid_r <= xl[rest]) | (mid_r >= xr[rest])
+        if not done.all():
+            # units over their share may still be at rounding level, or
+            # too narrow to bisect
+            noise = _ROUNDOFF * half * np.einsum("kj,j->k", abs(vals), _KRONROD_WEIGHTS)
+            done |= (err <= noise) | (mid <= xl) | (mid >= xr)
         if depth >= max_depth and not done.all():
             stuck[col[~done]] = True
             done[:] = True
@@ -188,8 +188,9 @@ def integrate(
         total[1] += np.bincount(col, weights=value[:, 1], minlength=columns)
         spent += np.bincount(col, weights=np.where(done, err, 0.0), minlength=columns)
         keep = ~done
-        xl, xr = np.concatenate([xl[keep], mid[keep]]), np.concatenate([mid[keep], xr[keep]])
-        col = np.concatenate([col[keep], col[keep]])
+        cut, col = mid[keep], col[keep]
+        xl, xr = np.concatenate([xl[keep], cut]), np.concatenate([cut, xr[keep]])
+        col = np.concatenate([col, col])
         depth += 1
 
     values = np.empty(columns, dtype=complex)

@@ -108,6 +108,16 @@ class TestMappedInvariants:
                 )
                 assert np.all(vals.real <= 1e-12)
 
+    @pytest.mark.parametrize("beta", [0.5, 1.3, 1.7])
+    def test_nested_map_columns_meet_tol(self, mix_phi, beta):
+        # prop2's right side: columns converge apart, each within tol of a
+        # reference computed at a much tighter tolerance
+        img = maps.apply_map(maps.i_map(), maps.apply_map(maps.jbeta_map(beta), mix_phi))
+        grid = np.linspace(-5.0, 5.0, 11)[:, None]
+        got = img.eval_grid(grid, 1e-7)
+        ref = img.eval_grid(grid, 1e-11)
+        assert np.max(np.abs(got - ref)) <= 1e-7
+
     @pytest.mark.parametrize(
         "m",
         [maps.jbeta_map(1.3), maps.i_map(), maps.ubetaf_map(0.5), maps.i_jbeta_map(2.0)],
