@@ -19,15 +19,12 @@ from .triplet import LevyTriplet
 
 
 def antisymmetric(Y: np.ndarray) -> bool:
-    """Whether a grid of shape (n, dim), n > 1, is exactly its own negative reversed.
+    """Whether the grid Y, shape (n, dim), n > 1, is exactly its own negative reversed.
 
-    Then Y[:n // 2] mirrors Y[n % 2 + n // 2:], and a function f with
-    f(-y) = conj f(y) is known on all of Y from its upper half. The end
-    rows reject stacked inner batches before the O(n) comparison.
+    Its lower half then mirrors its upper half Y[n // 2:]. The end rows
+    reject stacked inner batches before the O(n) comparison.
     """
-    return (
-        Y.shape[0] > 1 and np.array_equal(Y[0], -Y[-1]) and np.array_equal(Y, -Y[::-1])
-    )
+    return Y.shape[0] > 1 and np.array_equal(Y[0], -Y[-1]) and np.array_equal(Y, -Y[::-1])
 
 
 def as_grid(y, dim: int) -> tuple[np.ndarray, bool]:
@@ -130,9 +127,8 @@ class CharExponent:
 
         The exponent of a law on R^dim satisfies Phi(-y) = conj Phi(y), and
         every node keeps that exactly, up to rounding in tabulated tails,
-        which take signed arguments. So on a grid that is its own negative
-        reversed (Y == -Y[::-1], as a symmetric linspace is) only the upper
-        half Y[n // 2:] is evaluated and the lower half is its mirrored
+        which take signed arguments. So on an :func:`antisymmetric` grid
+        only the upper half is evaluated and the lower half is its mirrored
         conjugate; the nested maps below then see half the columns. Adding
         0.0 keeps imaginary parts +0.0 where conj would give -0.0.
         """

@@ -444,21 +444,19 @@ def empirical_cf(samples: np.ndarray, y_grid, seed: int | None = None) -> Empiri
         raise ValueError("need at least one grid point")
     n = samples.shape[0]
     fold = antisymmetric(Y)
-    half = Y[Y.shape[0] // 2 :] if fold else Y
-    theta = samples @ half.T
+    theta = samples @ (Y[Y.shape[0] // 2 :] if fold else Y).T
     re = np.cos(theta)
     im = np.sin(theta)
     est = re.mean(axis=0) + 1j * im.mean(axis=0)
     # one-ulp guard: the mean of unit-modulus terms cannot exceed modulus 1
     mod = np.abs(est)
     est = np.where(mod > 1.0, est / mod, est)
-    se_re = re.std(axis=0, ddof=1) / math.sqrt(n) if n > 1 else np.zeros(half.shape[0])
-    se_im = im.std(axis=0, ddof=1) / math.sqrt(n) if n > 1 else np.zeros(half.shape[0])
+    se_re = re.std(axis=0, ddof=1) / math.sqrt(n) if n > 1 else np.zeros(est.size)
+    se_im = im.std(axis=0, ddof=1) / math.sqrt(n) if n > 1 else np.zeros(est.size)
     if fold:
-        m = Y.shape[0] % 2
-        est = np.concatenate([np.conj(est[m:][::-1]) + 0.0, est])
-        se_re = np.concatenate([se_re[m:][::-1], se_re])
-        se_im = np.concatenate([se_im[m:][::-1], se_im])
+        lower = slice(Y.shape[0] % 2, None)
+        est = np.concatenate([np.conj(est[lower][::-1]) + 0.0, est])
+        se_re, se_im = (np.concatenate([se[lower][::-1], se]) for se in (se_re, se_im))
     return EmpiricalCF(Y, est, se_re, se_im, n, seed)
 
 
