@@ -454,9 +454,9 @@ def empirical_cf(samples: np.ndarray, y_grid, seed: int | None = None) -> Empiri
     se_re = re.std(axis=0, ddof=1) / math.sqrt(n) if n > 1 else np.zeros(est.size)
     se_im = im.std(axis=0, ddof=1) / math.sqrt(n) if n > 1 else np.zeros(est.size)
     if fold:
-        lower = slice(Y.shape[0] % 2, None)
-        est = np.concatenate([np.conj(est[lower][::-1]) + 0.0, est])
-        se_re, se_im = (np.concatenate([se[lower][::-1], se]) for se in (se_re, se_im))
+        mirrored = slice(Y.shape[0] % 2, None)
+        est = np.concatenate([np.conj(est[mirrored][::-1]) + 0.0, est])
+        se_re, se_im = (np.concatenate([se[mirrored][::-1], se]) for se in (se_re, se_im))
     return EmpiricalCF(Y, est, se_re, se_im, n, seed)
 
 
