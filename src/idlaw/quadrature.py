@@ -123,7 +123,8 @@ def integrate(
         ``values`` has shape (columns,). ``error_estimate`` is the largest
         column sum of the accepted units' |K21 - G10|, at most ``tol``
         unless a unit hit rounding level (50 eps of its absolute integral).
-        A column's value and its pairs do not depend on the other columns.
+        A column's value and its pairs do not depend on the other columns,
+        as long as each pair's integrand value does not.
 
     Raises
     ------
