@@ -18,15 +18,6 @@ from .errors import DimensionMismatchError, LawSpecError
 from .triplet import LevyTriplet
 
 
-def antisymmetric(Y: np.ndarray) -> bool:
-    """Whether the grid Y, shape (n, dim), n > 1, is exactly its own negative reversed.
-
-    Its lower half then mirrors its upper half Y[n // 2:]. The end rows
-    reject stacked inner batches before the O(n) comparison.
-    """
-    return Y.shape[0] > 1 and np.array_equal(Y[0], -Y[-1]) and np.array_equal(Y, -Y[::-1])
-
-
 def as_grid(y, dim: int) -> tuple[np.ndarray, bool]:
     """Normalize one point or a grid to shape (n, dim); flag scalar input."""
     arr = np.asarray(y, dtype=float)
@@ -127,8 +118,9 @@ class CharExponent:
 
         The exponent of a law on R^dim satisfies Phi(-y) = conj Phi(y), and
         every node keeps that exactly, up to rounding in tabulated tails,
-        which take signed arguments. So on an :func:`antisymmetric` grid
-        only the upper half is evaluated and the lower half is its mirrored
+        which take signed arguments. So on a grid that is its own negative
+        reversed (Y == -Y[::-1], as a symmetric linspace is) only the upper
+        half Y[n // 2:] is evaluated and the lower half is its mirrored
         conjugate; the nested maps below then see half the columns. Adding
         0.0 keeps imaginary parts +0.0 where conj would give -0.0.
         """
@@ -137,8 +129,9 @@ class CharExponent:
             raise DimensionMismatchError(
                 f"grid shape {Y.shape} does not match dim {self.dim}"
             )
-        if antisymmetric(Y):
-            n = Y.shape[0]
+        n = Y.shape[0]
+        # the end rows reject stacked inner batches before the O(n) comparison
+        if n > 1 and np.array_equal(Y[0], -Y[-1]) and np.array_equal(Y, -Y[::-1]):
             half = np.asarray(self.node.eval(Y[n // 2 :], tol), dtype=complex)
             return np.concatenate([np.conj(half[n % 2 :][::-1]) + 0.0, half])
         return np.asarray(self.node.eval(Y, tol), dtype=complex)

@@ -152,13 +152,6 @@ def map_exponent_grid(
 _INNER_SHARE = 0.25
 
 
-def _eval_scaled(phi, Y, scales, tol):
-    """Exponent values at scales[k] * Y for every k, shape (len(scales), n)."""
-    m, n = scales.shape[0], Y.shape[0]
-    W = (scales[:, None, None] * Y[None, :, :]).reshape(m * n, Y.shape[1])
-    return phi.eval_grid(W, tol).reshape(m, n)
-
-
 def _kernel_integral(phi, Y, tol, a, b, kern, scale, mass=1.0, splits=()):
     """Integral over (a, b) of kern(x) * Phi(scale(x) Y) dx on the grid Y.
 
@@ -214,8 +207,7 @@ def _singular_grid(phi, Y, tol, weight):
 
     def probe(s: float) -> np.ndarray:
         ss = np.array([s])
-        inner_tol = _INNER_SHARE * tol / -s
-        return weight(ss)[0] * _eval_scaled(phi, Y, np.exp(ss), inner_tol)[0]
+        return weight(ss)[0] * phi.eval_grid(np.exp(ss)[0] * Y, _INNER_SHARE * tol / -s)
 
     s_lo = float(_WALK_CUTS[0])
     prev_norm = float(np.max(np.abs(probe(s_lo)), initial=0.0))

@@ -27,7 +27,7 @@ import numpy as np
 
 from . import maps
 from .errors import LawSpecError
-from .exponent import CharExponent, antisymmetric, as_grid, closed_form, convolve
+from .exponent import CharExponent, as_grid, closed_form, convolve
 from .report import CheckReport
 
 _PROB_TOL = 1e-12
@@ -428,12 +428,7 @@ class EmpiricalCF:
 
 
 def empirical_cf(samples: np.ndarray, y_grid, seed: int | None = None) -> EmpiricalCF:
-    """Mean of exp(i <y, X>) over the samples, with componentwise SEs.
-
-    On an antisymmetric grid only the upper half is computed: the
-    estimate at -y is the conjugate of the one at y, and the SEs are the
-    same.
-    """
+    """Mean of exp(i <y, X>) over the samples, with componentwise SEs."""
     samples = np.asarray(samples, dtype=float)
     if samples.ndim == 1:
         samples = samples[:, None]
@@ -443,20 +438,15 @@ def empirical_cf(samples: np.ndarray, y_grid, seed: int | None = None) -> Empiri
     if Y.shape[0] == 0:
         raise ValueError("need at least one grid point")
     n = samples.shape[0]
-    fold = antisymmetric(Y)
-    theta = samples @ (Y[Y.shape[0] // 2 :] if fold else Y).T
+    theta = samples @ Y.T
     re = np.cos(theta)
     im = np.sin(theta)
     est = re.mean(axis=0) + 1j * im.mean(axis=0)
     # one-ulp guard: the mean of unit-modulus terms cannot exceed modulus 1
     mod = np.abs(est)
     est = np.where(mod > 1.0, est / mod, est)
-    se_re = re.std(axis=0, ddof=1) / math.sqrt(n) if n > 1 else np.zeros(est.size)
-    se_im = im.std(axis=0, ddof=1) / math.sqrt(n) if n > 1 else np.zeros(est.size)
-    if fold:
-        mirrored = slice(Y.shape[0] % 2, None)
-        est = np.concatenate([np.conj(est[mirrored][::-1]) + 0.0, est])
-        se_re, se_im = (np.concatenate([se[mirrored][::-1], se]) for se in (se_re, se_im))
+    se_re = re.std(axis=0, ddof=1) / math.sqrt(n) if n > 1 else np.zeros(Y.shape[0])
+    se_im = im.std(axis=0, ddof=1) / math.sqrt(n) if n > 1 else np.zeros(Y.shape[0])
     return EmpiricalCF(Y, est, se_re, se_im, n, seed)
 
 

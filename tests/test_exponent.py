@@ -242,7 +242,7 @@ class TestHermitianFold:
     def test_stacked_inner_batches_are_evaluated_whole(self):
         batches = []
         phi = counted(batches)
-        maps._eval_scaled(phi, self.GRID, np.array([0.5, 1.0]), None)
+        phi.eval_grid(np.concatenate([0.5 * self.GRID, self.GRID]))
         assert [len(b) for b in batches] == [82]
         # a map on the antisymmetric grid folds once at the top: every
         # batch beneath is stacked from the 21 upper points

@@ -243,26 +243,6 @@ class TestEmpiricalCF:
             re.std(ddof=1) / math.sqrt(len(x)), rel=1e-12
         )
 
-    @pytest.mark.parametrize("n_points", [20, 21])
-    def test_antisymmetric_grid_mirrors_the_upper_half(self, n_points):
-        x = np.random.default_rng(8).normal(0.3, 1.0, size=(3000, 2))
-        upper = np.linspace(0.1, 2.0, n_points // 2)[:, None] * np.array([1.0, -0.5])
-        grid = np.concatenate([-upper[::-1], np.zeros((n_points % 2, 2)), upper])
-        ecf = sim.empirical_cf(x, grid)
-        lower, upper = slice(0, n_points // 2), slice(n_points // 2 + n_points % 2, None)
-        assert ecf.estimate[lower].tobytes() == (
-            np.conj(ecf.estimate[upper][::-1]) + 0.0
-        ).tobytes()
-        assert np.array_equal(ecf.se_real[lower], ecf.se_real[upper][::-1])
-        assert np.array_equal(ecf.se_imag[lower], ecf.se_imag[upper][::-1])
-        # a grid that is not antisymmetric (rolled by one row) is computed whole
-        whole = sim.empirical_cf(x, np.roll(grid, 1, axis=0))
-        for got, want in (
-            (ecf.estimate, whole.estimate), (ecf.se_real, whole.se_real),
-            (ecf.se_imag, whole.se_imag),
-        ):
-            np.testing.assert_allclose(got, np.roll(want, -1), rtol=0, atol=1e-15)
-
     def test_empty_input_raises(self):
         with pytest.raises(ValueError):
             sim.empirical_cf(np.zeros(0), [1.0])
