@@ -8,7 +8,12 @@ both integrals sample without discretization error:
   at uniform times tau with a Poisson count;
 * the killed integral of exp(-s) against the time-changed process: jumps
   thinned from a rate-lambda envelope by the clock rate 1 - exp(-beta*s),
-  Gaussian and drift parts with closed-form coefficients on [0, s_max].
+  two uniforms per envelope jump (the accept uniform, rescaled by the
+  clock rate, also picks the atom), Gaussian and drift parts with
+  closed-form coefficients on [0, s_max].
+
+Empirical characteristic functions take one tangent per term (half-angle
+formulas for cos and sin) and report two-pass standard errors.
 
 Randomness is counter based: samples come in blocks of BLOCK = 4096, and
 block b draws all of its samples at once, as arrays, from one Philox stream
@@ -173,9 +178,11 @@ def _add_jumps(
     """Scatter-add weight[j] * atom(u_atom[j]) into row owner[j] of x."""
     # searching the cdf without its last entry keeps the index in range when
     # the probabilities sum to a hair under 1
-    atoms = spec.jumps[np.searchsorted(spec.jump_cdf()[:-1], u_atom)]
-    for c in range(spec.dim):
-        x[:, c] += np.bincount(owner, weights=weight * atoms[:, c], minlength=BLOCK)
+    idx = np.searchsorted(spec.jump_cdf()[:-1], u_atom)
+    for c, atoms in enumerate(spec.jumps.T):
+        terms = atoms[idx]
+        terms *= weight
+        x[:, c] += np.bincount(owner, weights=terms, minlength=BLOCK)
 
 
 # -- the power-kernel integral over (0,1) ---------------------------------------
@@ -265,11 +272,22 @@ def _timechange_block(
             length = min(lo + _SEG_LEN, s_max) - lo
             counts = g.poisson(spec.rate * length, BLOCK)
             k = int(counts.sum())
-            u = g.random(3 * k)
-            s = lo + length * u[:k]
-            keep = u[k : 2 * k] < -np.expm1(-beta * s)
-            owner = np.repeat(_ROWS, counts)[keep]
-            _add_jumps(x, spec, owner, np.exp(-s[keep]), u[2 * k :][keep])
+            u = g.random(2 * k)
+            # the first half becomes minus the envelope times, -(lo + length u)
+            neg_s, v = u[:k], u[k:]
+            neg_s *= -length
+            neg_s -= lo
+            clock = neg_s * beta
+            np.expm1(clock, out=clock)
+            np.negative(clock, out=clock)
+            keep = v < clock
+            # an accepted v is uniform on [0, clock(s)), so v / clock(s) is a
+            # fresh uniform, independent of s, and picks the atom; a rejected
+            # jump is never divided (its clock may be 0) and gets weight 0
+            np.divide(v, clock, out=v, where=keep)
+            weight = np.exp(neg_s, out=neg_s)
+            weight *= keep
+            _add_jumps(x, spec, np.repeat(_ROWS, counts), weight, v)
     return x
 
 
@@ -285,9 +303,13 @@ def sample_time_changed_integral(
 
     The inner clock s + (exp(-beta s) - 1)/beta has rate 1 - exp(-beta s),
     so jumps are thinned from a rate-lambda envelope on [0, s_max]; each
-    accepted jump J at time s contributes exp(-s) * J. Drift and Gaussian
-    parts use the closed-form kernel integrals over [0, s_max]. Raises if
-    the discarded tail beyond s_max is not negligible.
+    accepted jump J at time s contributes exp(-s) * J. An envelope jump
+    costs two uniforms, a time u and an accept v; an accepted v is uniform
+    on [0, clock rate), so v / clock rate is a fresh uniform that picks J.
+    The envelope is drawn segment by segment, so a larger s_max only
+    appends draws. Drift and Gaussian parts use the closed-form kernel
+    integrals over [0, s_max]. Raises if the discarded tail beyond s_max
+    is not negligible.
     """
     if not beta > 0.0:
         raise ValueError(f"beta must be positive, got {beta}")
@@ -428,7 +450,14 @@ class EmpiricalCF:
 
 
 def empirical_cf(samples: np.ndarray, y_grid, seed: int | None = None) -> EmpiricalCF:
-    """Mean of exp(i <y, X>) over the samples, with componentwise SEs."""
+    """Mean of exp(i <y, X>) over the samples, with componentwise SEs.
+
+    Each term takes one libm call, the tangent of the half angle
+    t = tan(<y, X>/2): cos = (1 - t**2)/(1 + t**2) and sin = 2t/(1 + t**2)
+    are within 2.3e-16 of the exact values (t reaches about 1.6e16 next to
+    odd multiples of pi, and t**2 stays finite). The SEs are the two-pass
+    ddof=1 standard deviations of the real and imaginary parts over sqrt(n).
+    """
     samples = np.asarray(samples, dtype=float)
     if samples.ndim == 1:
         samples = samples[:, None]
@@ -438,16 +467,32 @@ def empirical_cf(samples: np.ndarray, y_grid, seed: int | None = None) -> Empiri
     if Y.shape[0] == 0:
         raise ValueError("need at least one grid point")
     n = samples.shape[0]
-    theta = samples @ Y.T
-    re = np.cos(theta)
-    im = np.sin(theta)
-    est = re.mean(axis=0) + 1j * im.mean(axis=0)
+    # one contiguous row of half angles per grid point (halving Y is exact)
+    t = (0.5 * Y) @ samples.T
+    np.tan(t, out=t)
+    t2 = t * t
+    den = t2 + 1.0
+    re = np.subtract(1.0, t2, out=t2)
+    re /= den
+    im = np.add(t, t, out=t)
+    im /= den
+    mean_re = re.mean(axis=1)
+    mean_im = im.mean(axis=1)
+    est = mean_re + 1j * mean_im
     # one-ulp guard: the mean of unit-modulus terms cannot exceed modulus 1
     mod = np.abs(est)
     est = np.where(mod > 1.0, est / mod, est)
-    se_re = re.std(axis=0, ddof=1) / math.sqrt(n) if n > 1 else np.zeros(Y.shape[0])
-    se_im = im.std(axis=0, ddof=1) / math.sqrt(n) if n > 1 else np.zeros(Y.shape[0])
-    return EmpiricalCF(Y, est, se_re, se_im, n, seed)
+    return EmpiricalCF(Y, est, _row_se(re, mean_re), _row_se(im, mean_im), n, seed)
+
+
+def _row_se(terms: np.ndarray, mean: np.ndarray) -> np.ndarray:
+    """Standard error of each row's mean, two-pass; overwrites terms."""
+    n = terms.shape[1]
+    if n == 1:
+        return np.zeros(len(mean))
+    terms -= mean[:, None]
+    terms *= terms
+    return np.sqrt(terms.sum(axis=1) / (n - 1)) / math.sqrt(n)
 
 
 def _z_scores(diff: np.ndarray, se: np.ndarray) -> np.ndarray:

@@ -1,7 +1,9 @@
 """Monte Carlo samplers, empirical CFs, and simulation-vs-quadrature checks."""
 
 import math
+import warnings
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -140,6 +142,69 @@ class TestSamplers:
                        np.array([1.0 - 2.0**-53]))
         assert x[3, 0] == 2.0 and np.count_nonzero(x) == 1
 
+    def test_time_change_atom_pick_matches_closed_form_moments(self):
+        # one atom per coordinate with unequal probabilities: coordinate c
+        # sees only the jumps whose accept uniform picked atom c
+        atoms = np.diag([1.0, -2.0, 3.0])
+        probs = np.array([0.1, 0.3, 0.6])
+        rate, n, beta = 2.0, 20000, 1.5
+        spec = sim.SimSpec(3, np.zeros(3), 0.0, rate=rate, jumps=atoms, probs=probs)
+        x = sim.sample_time_changed_integral(spec, beta, n, seed=23)
+        mean_want = rate * sim.time_change_drift_factor(beta, 30.0) * (probs @ atoms)
+        var_want = rate * sim.time_change_variance_factor(beta, 30.0) * (probs @ atoms**2)
+        se = np.sqrt(var_want / n)
+        assert np.all(np.abs(x.mean(axis=0) - mean_want) < 5.0 * se)
+        np.testing.assert_allclose(x.var(axis=0), var_want, rtol=0.1)
+
+    class _ScriptedStream:
+        """Stands in for a block's Generator: scripted counts and uniforms."""
+
+        def __init__(self, counts, uniforms):
+            self.counts = list(counts)
+            self.uniforms = list(uniforms)
+
+        def poisson(self, lam, size):
+            return self.counts.pop(0)
+
+        def random(self, size):
+            out = self.uniforms.pop(0)
+            assert out.shape == (size,)
+            return out
+
+    def _one_jump_block(self, spec, beta, u_time, v):
+        # one envelope jump, on row 3 in the first segment; the other two
+        # segments of s_max = 30 stay empty
+        counts = np.zeros(sim.BLOCK, dtype=np.int64)
+        counts[3] = 1
+        empty = np.zeros(sim.BLOCK, dtype=np.int64)
+        stream = self._ScriptedStream(
+            [counts, empty, empty], [np.array([u_time, v]), np.zeros(0), np.zeros(0)]
+        )
+        return sim._timechange_block(stream, spec, beta, 30.0)
+
+    def test_accept_uniform_just_below_the_clock_picks_an_atom_in_range(self):
+        # v / clock(s) comes out at most 1 - 2**-53, above the last cdf entry
+        # when the probabilities sum to 1 - 1e-13
+        spec = sim.SimSpec(1, [0.0], 0.0, rate=1.0, jumps=[[1.0], [2.0]],
+                           probs=[0.5, 0.5 - 1e-13])
+        beta, u_time = 0.7, 0.3
+        s = 10.0 * u_time
+        clock = -np.expm1(-beta * s)
+        v = np.nextafter(clock, 0.0)
+        assert v / clock > 1.0 - 1e-13
+        x = self._one_jump_block(spec, beta, u_time, v)
+        assert x[3, 0] == math.exp(-s) * 2.0 and np.count_nonzero(x) == 1
+
+    def test_time_uniform_at_zero_adds_nothing_and_does_not_warn(self):
+        # s = 0 has clock rate 0, so no accept uniform passes and nothing is
+        # divided by the zero clock
+        spec = sim.SimSpec(1, [0.0], 0.0, rate=1.0, jumps=[[1.0], [2.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for v in (0.0, 0.5):
+                x = self._one_jump_block(spec, 1.0, 0.0, v)
+                assert np.count_nonzero(x) == 0
+
     def test_drift_only_integral_is_exact(self):
         x = sim.sample_jbeta_integral(drift_spec(), 1.0, 8, seed=3)
         np.testing.assert_array_equal(x.ravel(), np.full(8, 0.5))
@@ -256,6 +321,62 @@ class TestEmpiricalCF:
         ecf = sim.empirical_cf(x, np.linspace(-5.0, 5.0, 21), seed=seed)
         assert np.all(np.abs(ecf.estimate) <= 1.0)
         assert ecf.n == 512 and ecf.seed == seed
+
+    def test_half_angle_terms_match_mpmath(self):
+        # one sample at 1 with the angles as grid points: row k of the
+        # estimate is the single term exp(i theta_k)
+        mags = np.logspace(-8.0, 6.0, 141)
+        near_pi = []
+        for k in (1, 3, 1001):
+            for toward in (0.0, np.inf):
+                t = k * np.pi
+                for _ in range(4):
+                    near_pi.append(t)
+                    t = np.nextafter(t, toward)
+        near_pi = np.array(near_pi)
+        assert np.max(np.abs(np.tan(near_pi / 2.0))) > 1e16
+        theta = np.concatenate([mags, -mags, near_pi, -near_pi])
+        ecf = sim.empirical_cf([1.0], theta)
+        with mp.workprec(120):
+            want = np.array([complex(mp.cos(mp.mpf(t)), mp.sin(mp.mpf(t)))
+                             for t in theta])
+        assert np.max(np.abs(ecf.estimate.real - want.real)) <= 4e-16
+        assert np.max(np.abs(ecf.estimate.imag - want.imag)) <= 4e-16
+
+    def test_zero_row_is_exactly_one_with_zero_se(self):
+        x = np.random.default_rng(5).normal(size=(300, 2))
+        ecf = sim.empirical_cf(x, [[0.0, 0.0], [1.0, -0.5]])
+        assert ecf.estimate[0] == 1.0 + 0.0j
+        assert ecf.se_real[0] == 0.0 and ecf.se_imag[0] == 0.0
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        dim=st.integers(1, 2),
+        n=st.integers(2, 64),
+        m=st.integers(1, 6),
+        data=st.data(),
+    )
+    def test_matches_cos_sin_two_pass_reference(self, dim, n, m, data):
+        def block(rows, bound):
+            vals = st.floats(-bound, bound)
+            flat = data.draw(st.lists(vals, min_size=rows * dim, max_size=rows * dim))
+            return np.array(flat).reshape(rows, dim)
+
+        x, y = block(n, 50.0), block(m, 5.0)
+        ecf = sim.empirical_cf(x, y)
+        theta = y @ x.T
+        cos, sin = np.cos(theta), np.sin(theta)
+        np.testing.assert_allclose(
+            ecf.estimate, cos.mean(axis=1) + 1j * sin.mean(axis=1), rtol=0, atol=1e-14
+        )
+        # a term error of up to 4e-16, and each mean's rounding (under
+        # n * eps), move an SE by at most their sum over sqrt(n - 1), however
+        # small the SE is
+        floor = (4e-16 + 2 * n * np.finfo(float).eps) / math.sqrt(n - 1)
+        for got, terms in ((ecf.se_real, cos), (ecf.se_imag, sin)):
+            dev = terms - terms.mean(axis=1, keepdims=True)
+            want = np.sqrt((dev * dev).sum(axis=1) / (n - 1)) / math.sqrt(n)
+            np.testing.assert_allclose(got, want, rtol=1e-13, atol=floor)
 
 
 class TestMCVsQuadrature:
