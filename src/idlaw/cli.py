@@ -1,9 +1,9 @@
 """Command-line front end.
 
 Subcommands: ``eval`` (exponent values, optionally mapped), ``transform``
-(closed-form triplet transform), ``verify`` (identity checks by name),
-``simulate`` (exact samplers + CSV dumps), ``area-demo`` (stochastic-area
-factorization), ``suite`` (batch of identity checks from a config).
+(closed-form triplet transform), ``verify`` (identity checks by name, the
+stochastic-area factorization among them), ``simulate`` (exact samplers +
+CSV dumps), ``suite`` (batch of identity checks from a config).
 
 Exit codes: 0 success / all checks pass; 1 a check failed or quadrature
 did not converge; 2 usage or input error.
@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from types import SimpleNamespace
 
@@ -21,7 +20,7 @@ import numpy as np
 
 from . import factor, maps, report, simulate
 from .errors import INPUT_ERRORS, LawSpecError, QuadratureError
-from .lawio import BUILTIN_LAWS, LoadedLaw, builtin_law, law_from_dict, load_law
+from .lawio import BUILTIN_LAWS, LoadedLaw, builtin_law, law_from_dict, load_law, triplet_to_dict
 from .spectral import SpectralMeasure, ray
 
 IDENTITIES = tuple(factor.IDENTITIES)
@@ -155,40 +154,6 @@ def _cmd_eval(args) -> int:
     return 0
 
 
-def _triplet_doc(trip) -> dict:
-    rays = []
-    for ray_ in trip.levy.rays:
-        rad = ray_.radial
-        entry = {
-            "dir": [float(v) for v in ray_.direction],
-            "atoms": [{"r": a.r, "m": a.m} for a in rad.atoms],
-            "segments": [
-                {
-                    "lo": s.lo,
-                    "hi": ("inf" if math.isinf(s.hi) else s.hi),
-                    "c": s.c,
-                    "p": s.p,
-                    **({} if s.e is None else {"e": s.e}),
-                }
-                for s in rad.segments
-            ],
-        }
-        if rad.grid_tail is not None:
-            entry["grid_tail"] = {
-                "radii": [float(v) for v in rad.grid_tail.radii],
-                "tail": [float(v) for v in rad.grid_tail.tail],
-            }
-        else:
-            entry["grid_tail"] = None
-        rays.append(entry)
-    return {
-        "dim": trip.dim,
-        "shift": [float(v) for v in trip.shift],
-        "cov": [[float(v) for v in row] for row in trip.cov],
-        "rays": rays,
-    }
-
-
 def _cmd_transform(args) -> int:
     if not args.law:
         raise LawSpecError("transform needs --law")
@@ -203,7 +168,7 @@ def _cmd_transform(args) -> int:
         "law": law.name,
         "map": "jbeta",
         "beta": args.beta,
-        "triplet": _triplet_doc(out_trip),
+        "triplet": triplet_to_dict(out_trip),
     }
     if args.out:
         report.write_report(doc, args.out, "json")
@@ -272,23 +237,6 @@ def _cmd_simulate(args) -> int:
             report.write_report(rep.to_dict(), args.report, "json")
         code = 0 if rep.passed else 1
     return code
-
-
-def _cmd_area_demo(args) -> int:
-    rep = factor.levy_area_demo(args.u, tol=args.tol)
-    case = rep.case
-    print(rep.summary())
-    print(
-        "cosh variant: exponent -> 1 at t=0, so its characteristic function "
-        f"tends to e = {math.e:.9f} (deviation from 1: {math.e - 1.0:.9f})"
-    )
-    t0 = float(rep.grid[0])
-    print(
-        f"  at t={t0:g}: coth form {case.bdlp_exponent(t0):+.9f}, "
-        f"cosh form {case.cosh_variant_exponent(t0):+.9f}"
-    )
-    _emit(rep.to_dict(), args.out, args.format)
-    return 0 if rep.passed else 1
 
 
 DEFAULT_SUITE_CONFIG = {
@@ -433,7 +381,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--tol", type=_positive, default=1e-8, help="identity tolerance")
     sp.add_argument("--cor5-tol", type=_positive, default=1e-9, dest="cor5_tol")
     sp.add_argument("--y", help="override the verification grid")
-    sp.add_argument("--u", type=_positive, default=1.0, help="area-demo parameter")
+    sp.add_argument("--u", type=_positive, default=1.0, help="area parameter")
     sp.add_argument("--n", type=_count, default=20000, help="MC sample count")
     sp.add_argument("--seed", type=_seed, default=0)
     sp.add_argument("--z-max", type=_positive, default=4.0, dest="z_max")
@@ -453,13 +401,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--report", help="write the comparison report JSON here")
     sp.add_argument("--z-max", type=_positive, default=4.0, dest="z_max")
     sp.set_defaults(fn=_cmd_simulate)
-
-    sp = sub.add_parser("area-demo", help="stochastic-area factorization demo")
-    sp.add_argument("--u", type=_positive, default=1.0)
-    sp.add_argument("--tol", type=_positive, default=1e-8)
-    sp.add_argument("--out")
-    sp.add_argument("--format", choices=["json", "csv"], default="json")
-    sp.set_defaults(fn=_cmd_area_demo)
 
     sp = sub.add_parser("suite", help="batch of identity checks from a config")
     sp.add_argument("--config", help="JSON config; defaults to the builtin suite")

@@ -6,7 +6,7 @@ class DimensionMismatchError(ValueError):
 
 
 class InvalidMeasureError(ValueError):
-    """A jump measure violates an integrability or positivity requirement."""
+    """A jump measure or covariance violates an integrability, symmetry or positivity rule."""
 
 
 class NotLogIntegrableError(ValueError):

@@ -1,16 +1,16 @@
 """Characteristic exponents as composable evaluation trees.
 
 A CharExponent wraps a node that can evaluate the exponent on a grid of
-arguments. Nodes cover triplet-backed laws, registered closed forms,
-rescaling (convolution powers), sums (convolution), integral transforms,
-and raw callables. Keeping the structure symbolic lets transforms nest
+arguments. Nodes cover triplet-backed laws, rescaling (convolution
+powers), sums (convolution), integral transforms, and callables, closed
+forms among them. Keeping the structure symbolic lets transforms nest
 without committing to a measure representation at every level.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Callable, Mapping
+from dataclasses import dataclass
+from typing import Any, Callable
 
 import numpy as np
 
@@ -57,16 +57,6 @@ class _TripletNode(_Node):
 
 
 @dataclass(frozen=True, eq=False)
-class _ClosedFormNode(_Node):
-    name: str
-    params: Mapping[str, Any]
-    fn: Callable[[np.ndarray], np.ndarray]
-
-    def eval(self, Y, tol):
-        return np.asarray(self.fn(Y), dtype=complex)
-
-
-@dataclass(frozen=True, eq=False)
 class _ScaleNode(_Node):
     factor: float
     inner: _Node
@@ -100,7 +90,6 @@ class _MappedNode(_Node):
 @dataclass(frozen=True, eq=False)
 class _CallbackNode(_Node):
     fn: Callable[[np.ndarray, float | None], np.ndarray]
-    label: str
 
     def eval(self, Y, tol):
         return np.asarray(self.fn(Y, tol), dtype=complex)
@@ -142,23 +131,19 @@ class CharExponent:
         vals = self.eval_grid(Y, tol)
         return complex(vals[0]) if single else vals
 
-    def cf(self, y, tol: float | None = None):
-        """Characteristic function exp(exponent)."""
-        return np.exp(self.__call__(y, tol))
-
 
 def from_triplet(triplet: LevyTriplet) -> CharExponent:
     return CharExponent(triplet.dim, _TripletNode(triplet))
 
 
-def from_callable(fn, dim: int, label: str = "custom") -> CharExponent:
+def from_callable(fn, dim: int) -> CharExponent:
     """Wrap fn(Y, tol) -> (n,) complex as an exponent node.
 
     fn must satisfy fn(-Y) = conj fn(Y), as the exponent of every law on
     R^dim does: :meth:`CharExponent.eval_grid` evaluates only half of an
     antisymmetric grid and mirrors the rest by conjugation.
     """
-    return CharExponent(dim, _CallbackNode(fn, label))
+    return CharExponent(dim, _CallbackNode(fn))
 
 
 def convolve(*exponents: CharExponent) -> CharExponent:
@@ -230,42 +215,41 @@ def log_sinhc(x: np.ndarray) -> np.ndarray:
     return out
 
 
-# -- closed-form registry -----------------------------------------------------
+# -- closed forms ---------------------------------------------------------------
 
 
-class ClosedFormRegistry:
-    """Name -> builder map for exponents with analytic formulas.
+def jump_atoms(jumps, probs=None) -> tuple[np.ndarray, np.ndarray]:
+    """Jump atoms as (k, dim) rows, with their probabilities.
 
-    A builder takes keyword params and returns (dim, eval_fn, params) where
-    eval_fn maps an (n, dim) grid to (n,) complex exponent values.
+    A 1-d list is one column. Probabilities default to uniform and must be
+    nonnegative, one per atom, and sum to 1 within 1e-12.
     """
-
-    def __init__(self):
-        self._builders: dict[str, Callable] = {}
-
-    def register(self, name: str, builder: Callable) -> None:
-        if name in self._builders:
-            raise ValueError(f"closed form {name!r} already registered")
-        self._builders[name] = builder
-
-    def names(self) -> tuple[str, ...]:
-        return tuple(sorted(self._builders))
-
-    def build(self, name: str, **params) -> CharExponent:
-        if name not in self._builders:
-            raise LawSpecError(
-                f"unknown closed form {name!r}; available: {', '.join(self.names())}"
-            )
-        dim, fn, canon = self._builders[name](**params)
-        return CharExponent(dim, _ClosedFormNode(name, canon, fn))
-
-
-registry = ClosedFormRegistry()
+    jumps = np.asarray(jumps, dtype=float)
+    if jumps.ndim == 1:
+        jumps = jumps[:, None]
+    if jumps.ndim != 2 or 0 in jumps.shape:
+        raise LawSpecError("compound Poisson part needs a nonempty jump list of shape (k, dim)")
+    k = jumps.shape[0]
+    if probs is None:
+        probs = np.full(k, 1.0 / k)
+    else:
+        probs = np.asarray(probs, dtype=float)
+    if probs.shape != (k,) or np.any(probs < 0.0):
+        raise LawSpecError("jump probabilities must be nonnegative, one per atom")
+    if abs(probs.sum() - 1.0) > 1e-12:
+        raise LawSpecError(f"jump probabilities sum to {probs.sum()!r}, not 1")
+    return jumps, probs
 
 
 def closed_form(name: str, **params) -> CharExponent:
-    """Look up a registered closed-form exponent."""
-    return registry.build(name, **params)
+    """The closed-form exponent ``name`` with the given parameters."""
+    builder = CLOSED_FORMS.get(name)
+    if builder is None:
+        raise LawSpecError(
+            f"unknown closed form {name!r}; available: {', '.join(sorted(CLOSED_FORMS))}"
+        )
+    dim, fn = builder(**params)
+    return CharExponent(dim, _CallbackNode(fn))
 
 
 def _build_gaussian(mean=0.0, cov=1.0):
@@ -277,42 +261,29 @@ def _build_gaussian(mean=0.0, cov=1.0):
     if cov.shape != (dim, dim):
         raise LawSpecError(f"gaussian cov shape {cov.shape} does not match dim {dim}")
 
-    def fn(Y):
+    def fn(Y, tol):
         return 1j * (Y @ mean) - 0.5 * np.einsum("ij,jk,ik->i", Y, cov, Y)
 
-    return dim, fn, {"mean": mean.tolist(), "cov": cov.tolist()}
+    return dim, fn
 
 
 def _build_dirac(shift):
     shift = np.atleast_1d(np.asarray(shift, dtype=float))
     dim = shift.shape[0]
 
-    def fn(Y):
+    def fn(Y, tol):
         return 1j * (Y @ shift)
 
-    return dim, fn, {"shift": shift.tolist()}
+    return dim, fn
 
 
 def _build_compound_poisson(rate, jumps, probs=None):
     rate = float(rate)
     if rate < 0.0:
         raise LawSpecError(f"compound_poisson rate must be >= 0, got {rate}")
-    jumps = np.asarray(jumps, dtype=float)
-    if jumps.ndim == 1:
-        jumps = jumps[:, None]
-    if jumps.ndim != 2 or jumps.shape[0] == 0:
-        raise LawSpecError("compound_poisson needs a nonempty jump list")
-    m, dim = jumps.shape
-    if probs is None:
-        probs = np.full(m, 1.0 / m)
-    else:
-        probs = np.asarray(probs, dtype=float)
-    if probs.shape != (m,) or np.any(probs < 0.0):
-        raise LawSpecError("compound_poisson probs must be nonnegative, one per jump")
-    if abs(probs.sum() - 1.0) > 1e-12:
-        raise LawSpecError(f"compound_poisson probs sum to {probs.sum()!r}, not 1")
+    jumps, probs = jump_atoms(jumps, probs)
 
-    def fn(Y):
+    def fn(Y, tol):
         theta = Y @ jumps.T
         # real cos/sin beat complex exp on the large stacked batches the
         # nested transforms generate
@@ -320,7 +291,7 @@ def _build_compound_poisson(rate, jumps, probs=None):
         im = np.sin(theta) @ probs
         return rate * (re + 1j * im)
 
-    return dim, fn, {"rate": rate, "jumps": jumps.tolist(), "probs": probs.tolist()}
+    return jumps.shape[1], fn
 
 
 def _build_levy_area_bdlp(u):
@@ -332,14 +303,18 @@ def _build_levy_area_bdlp(u):
     if u <= 0.0:
         raise LawSpecError(f"levy_area_bdlp needs u > 0, got {u}")
 
-    def fn(Y):
+    def fn(Y, tol):
         t = Y[:, 0]
         return (1.0 - xcothx(t * u)).astype(complex)
 
-    return 1, fn, {"u": u}
+    return 1, fn
 
 
-registry.register("gaussian", _build_gaussian)
-registry.register("dirac", _build_dirac)
-registry.register("compound_poisson", _build_compound_poisson)
-registry.register("levy_area_bdlp", _build_levy_area_bdlp)
+# name -> builder taking keyword params and returning (dim, fn), where
+# fn(Y, tol) maps an (n, dim) grid to (n,) complex values and ignores tol
+CLOSED_FORMS: dict[str, Callable] = {
+    "gaussian": _build_gaussian,
+    "dirac": _build_dirac,
+    "compound_poisson": _build_compound_poisson,
+    "levy_area_bdlp": _build_levy_area_bdlp,
+}

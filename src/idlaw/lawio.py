@@ -5,10 +5,11 @@ A law document takes one of three shapes:
 * closed form: ``{"closed_form": "gaussian", "params": {...}}``
 * convolution: ``{"convolve": [doc, doc, ...]}``
 * triplet: ``{"dim": d, "shift": [...], "cov": [[...]], "levy": {"rays": [...]}}``
-  where each ray has a unit ``direction`` plus optional ``atoms``
-  ``[{"r":, "m":}]``, ``segments`` ``[{"lo":, "hi": (number or "inf"),
-  "c":, "p":}]`` (with an optional ``"e"`` for a log-form segment) and
-  ``grid_tail`` ``{"radii": [...], "tail": [...]}``.
+  plus an optional ``"name"``, and no other keys. Each ray has a unit
+  ``direction`` plus optional ``atoms`` ``[{"r":, "m":}]``, ``segments``
+  ``[{"lo":, "hi": (number or "inf"), "c":, "p":}]`` (with an optional
+  ``"e"`` for a log-form segment) and ``grid_tail``
+  ``{"radii": [...], "tail": [...]}``.
 
 Whenever the description pins down a finite-activity process (drift +
 Gaussian + finitely many jump atoms), a simulation spec is derived so the
@@ -24,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import INPUT_ERRORS, LawSpecError
-from .exponent import CharExponent, closed_form, convolve, from_triplet
+from .exponent import CharExponent, closed_form, convolve, from_triplet, jump_atoms
 from .simulate import SimSpec
 from .spectral import GridTail, Ray, SpectralMeasure, ray
 from .triplet import LevyTriplet
@@ -104,16 +105,7 @@ def _cp_triplet(rate, jumps, probs) -> LevyTriplet:
 
 def _cp_law(params) -> LoadedLaw:
     rate = float(params["rate"])
-    jumps = np.asarray(params["jumps"], dtype=float)
-    if jumps.ndim == 1:
-        jumps = jumps[:, None]
-    if jumps.ndim != 2 or 0 in jumps.shape:
-        raise LawSpecError("compound_poisson needs a nonempty jump list")
-    probs = params.get("probs")
-    if probs is None:
-        probs = np.full(jumps.shape[0], 1.0 / jumps.shape[0])
-    else:
-        probs = np.asarray(probs, dtype=float)
+    jumps, probs = jump_atoms(params["jumps"], params.get("probs"))
     d = jumps.shape[1]
     exp_ = closed_form("compound_poisson", rate=rate, jumps=jumps, probs=probs)
     trip = _cp_triplet(rate, jumps, probs) if rate > 0.0 else LevyTriplet(
@@ -235,6 +227,11 @@ def _atoms_only_sim(trip: LevyTriplet) -> SimSpec | None:
 
 
 def _triplet_law(doc, name: str) -> LoadedLaw:
+    unknown = sorted(set(doc) - {"name", "dim", "shift", "cov", "levy"})
+    if unknown:
+        raise LawSpecError(
+            f"triplet law has unknown fields {unknown}; known: name, dim, shift, cov, levy"
+        )
     try:
         dim = int(doc["dim"])
         shift = np.asarray(doc["shift"], dtype=float)
@@ -245,8 +242,43 @@ def _triplet_law(doc, name: str) -> LoadedLaw:
         raise LawSpecError(f"triplet law is missing field {exc}") from None
     levy = SpectralMeasure(dim, rays)
     trip = LevyTriplet(dim, shift, cov, levy)
-    trip.levy.require_valid()
+    trip.require_valid()
     return LoadedLaw(name, from_triplet(trip), trip, _atoms_only_sim(trip))
+
+
+def triplet_to_dict(trip: LevyTriplet) -> dict:
+    """The triplet law document of ``trip``, which :func:`law_from_dict` reads back."""
+    rays = []
+    for ray_ in trip.levy.rays:
+        rad = ray_.radial
+        entry = {
+            "dir": [float(v) for v in ray_.direction],
+            "atoms": [{"r": a.r, "m": a.m} for a in rad.atoms],
+            "segments": [
+                {
+                    "lo": s.lo,
+                    "hi": ("inf" if math.isinf(s.hi) else s.hi),
+                    "c": s.c,
+                    "p": s.p,
+                    **({} if s.e is None else {"e": s.e}),
+                }
+                for s in rad.segments
+            ],
+        }
+        if rad.grid_tail is not None:
+            entry["grid_tail"] = {
+                "radii": [float(v) for v in rad.grid_tail.radii],
+                "tail": [float(v) for v in rad.grid_tail.tail],
+            }
+        else:
+            entry["grid_tail"] = None
+        rays.append(entry)
+    return {
+        "dim": trip.dim,
+        "shift": [float(v) for v in trip.shift],
+        "cov": [[float(v) for v in row] for row in trip.cov],
+        "levy": {"rays": rays},
+    }
 
 
 def law_from_dict(doc: dict, name: str | None = None) -> LoadedLaw:

@@ -273,7 +273,7 @@ def jbeta_inverse(phi_mu: CharExponent, beta: float) -> CharExponent:
         d2 = (F[2] - F[3]) / h
         return (4.0 * d2 - d1) / 3.0
 
-    return from_callable(fn, phi_mu.dim, label=f"jbeta_inverse(beta={beta})")
+    return from_callable(fn, phi_mu.dim)
 
 
 # -- closed-form transformed tails --------------------------------------------
@@ -511,7 +511,7 @@ def jbeta_triplet(trip: LevyTriplet, beta: float) -> LevyTriplet:
     """
     if not beta > 0.0:
         raise ValueError(f"beta must be positive, got {beta}")
-    trip.levy.require_valid()
+    trip.require_valid()
     correction = np.zeros(trip.dim)
     for ray_ in trip.levy.rays:
         w = ray_.radial.power_moment_above1(-beta)

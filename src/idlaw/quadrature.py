@@ -23,7 +23,8 @@ import numpy as np
 from .errors import QuadratureError
 
 DEFAULT_TOL = 1e-10
-DEFAULT_MAX_DEPTH = 40
+# interval halvings before a unit is abandoned
+MAX_DEPTH = 40
 
 # QUADPACK qk21 (Piessens et al., QUADPACK, 1983): the positive Kronrod
 # abscissas on [-1, 1] in decreasing order down to the centre, their
@@ -88,7 +89,6 @@ def integrate(
     a: float,
     b: float,
     tol: float | None = None,
-    max_depth: int = DEFAULT_MAX_DEPTH,
     splits: Sequence[float] = (),
     columns: int = 1,
 ) -> tuple[np.ndarray, float]:
@@ -109,8 +109,6 @@ def integrate(
         :func:`default_tol`. A (panel, column) unit is accepted once its
         |K21 - G10| is within its width share of the part of ``tol`` that
         its column's units accepted at earlier depths left unspent.
-    max_depth : int
-        Maximum number of interval halvings before a unit is abandoned.
     splits : sequence of float, optional
         Interior break points (e.g. kinks of the integrand). The interval
         is cut there before refinement starts.
@@ -129,7 +127,7 @@ def integrate(
     Raises
     ------
     QuadratureError
-        If units of some column hit ``max_depth`` and that column's error
+        If units of some column hit :data:`MAX_DEPTH` and that column's error
         estimate is above ``tol``. The exception carries the best values
         and the worst column's estimate.
     """
@@ -181,7 +179,7 @@ def integrate(
             # too narrow to bisect
             noise = _ROUNDOFF * half * np.einsum("kj,j->k", abs(vals), _KRONROD_WEIGHTS)
             done |= (err <= noise) | (mid <= xl) | (mid >= xr)
-        if depth >= max_depth and not done.all():
+        if depth >= MAX_DEPTH and not done.all():
             stuck[col[~done]] = True
             done[:] = True
         value = np.where(done[:, None], half[:, None] * rules[:, :, 0], 0.0)
@@ -201,7 +199,7 @@ def integrate(
         raise QuadratureError(
             f"Gauss-Kronrod quadrature did not converge on [{a}, {b}]: "
             f"worst column error estimate {worst:.3e} > tol {tol:.3e} with "
-            f"units left at max depth {max_depth}",
+            f"units left at max depth {MAX_DEPTH}",
             value=values,
             error_estimate=worst,
         )

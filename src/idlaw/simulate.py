@@ -32,10 +32,9 @@ import numpy as np
 
 from . import maps
 from .errors import LawSpecError
-from .exponent import CharExponent, as_grid, closed_form, convolve
+from .exponent import CharExponent, as_grid, closed_form, convolve, jump_atoms
 from .report import CheckReport
 
-_PROB_TOL = 1e-12
 _PSD_TOL = 1e-10
 _TAIL_BOUND = 1e-6
 # envelope segments for the thinned jump times live on an absolute grid of
@@ -88,20 +87,9 @@ class SimSpec:
         if rate > 0.0:
             if jumps is None:
                 raise LawSpecError("positive jump rate needs a jump atom list")
-            jumps = np.asarray(jumps, dtype=float)
-            if jumps.ndim == 1:
-                jumps = jumps[:, None]
-            if jumps.ndim != 2 or jumps.shape[0] == 0 or jumps.shape[1] != self.dim:
+            jumps, probs = jump_atoms(jumps, probs)
+            if jumps.shape[1] != self.dim:
                 raise LawSpecError(f"jump atoms must have shape (k, {self.dim})")
-            k = jumps.shape[0]
-            if probs is None:
-                probs = np.full(k, 1.0 / k)
-            else:
-                probs = np.asarray(probs, dtype=float).reshape(-1)
-            if probs.shape != (k,) or np.any(probs < 0.0):
-                raise LawSpecError("jump probabilities must be nonnegative, one per atom")
-            if abs(probs.sum() - 1.0) > _PROB_TOL:
-                raise LawSpecError(f"jump probabilities sum to {probs.sum()!r}, not 1")
         else:
             jumps = None if jumps is None else np.asarray(jumps, dtype=float)
             probs = None
@@ -432,24 +420,9 @@ class EmpiricalCF:
     se_real: np.ndarray
     se_imag: np.ndarray
     n: int
-    seed: int | None = None
-
-    def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "seed": self.seed,
-            "rows": [
-                {
-                    "y": [float(v) for v in np.atleast_1d(self.y_grid[k])],
-                    "estimate": [self.estimate[k].real, self.estimate[k].imag],
-                    "se": [float(self.se_real[k]), float(self.se_imag[k])],
-                }
-                for k in range(len(self.estimate))
-            ],
-        }
 
 
-def empirical_cf(samples: np.ndarray, y_grid, seed: int | None = None) -> EmpiricalCF:
+def empirical_cf(samples: np.ndarray, y_grid) -> EmpiricalCF:
     """Mean of exp(i <y, X>) over the samples, with componentwise SEs.
 
     Each term takes one libm call, the tangent of the half angle
@@ -482,7 +455,7 @@ def empirical_cf(samples: np.ndarray, y_grid, seed: int | None = None) -> Empiri
     # one-ulp guard: the mean of unit-modulus terms cannot exceed modulus 1
     mod = np.abs(est)
     est = np.where(mod > 1.0, est / mod, est)
-    return EmpiricalCF(Y, est, _row_se(re, mean_re), _row_se(im, mean_im), n, seed)
+    return EmpiricalCF(Y, est, _row_se(re, mean_re), _row_se(im, mean_im), n)
 
 
 def _row_se(terms: np.ndarray, mean: np.ndarray) -> np.ndarray:
@@ -547,16 +520,15 @@ def mc_report(
     seed: int,
     z_max: float = 4.0,
     s_max: float = 30.0,
-    quad_tol: float | None = None,
 ) -> MCReport:
     """Empirical CF of samples of the m-integral vs. exp of the m-image of phi.
 
     ``samples`` come from :func:`sample_integral` with the same map, seed
     and (for ``ijbeta``) horizon ``s_max``, which the report records.
     """
-    ecf = empirical_cf(samples, y_grid, seed)
+    ecf = empirical_cf(samples, y_grid)
     Y = ecf.y_grid
-    target = np.exp(maps.map_exponent_grid(m, phi, Y, quad_tol))
+    target = np.exp(maps.map_exponent_grid(m, phi, Y))
     z_re = _z_scores(ecf.estimate.real - target.real, ecf.se_real)
     z_im = _z_scores(ecf.estimate.imag - target.imag, ecf.se_imag)
     params = {"map": m.kind, "beta": m.beta, "n": ecf.n, "seed": seed}
@@ -576,7 +548,6 @@ def mc_vs_quadrature(
     z_max: float = 4.0,
     s_max: float = 30.0,
     workers: int = 1,
-    quad_tol: float | None = None,
 ) -> MCReport:
     """Empirical CF of the sampled integral vs. exp of the mapped exponent.
 
@@ -586,7 +557,7 @@ def mc_vs_quadrature(
     samples = sample_integral(spec, m, n, seed, s_max=s_max, workers=workers)
     return mc_report(
         samples, m, spec.char_exponent(), y_grid, seed,
-        z_max=z_max, s_max=s_max, quad_tol=quad_tol,
+        z_max=z_max, s_max=s_max,
     )
 
 
@@ -612,8 +583,8 @@ def time_change_equivalence(
     Y, _ = as_grid(y_grid, spec.dim)
     s1 = sample_jbeta_integral(spec, beta, n, seed, workers=workers)
     s2 = sample_clocked_integral(spec, beta, n, seed, workers=workers)
-    e1 = empirical_cf(s1, Y, seed)
-    e2 = empirical_cf(s2, Y, seed)
+    e1 = empirical_cf(s1, Y)
+    e2 = empirical_cf(s2, Y)
     se_re = np.hypot(e1.se_real, e2.se_real)
     se_im = np.hypot(e1.se_imag, e2.se_imag)
     z_re = _z_scores(e1.estimate.real - e2.estimate.real, se_re)

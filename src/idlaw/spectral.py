@@ -335,9 +335,6 @@ class GridTail:
         u = np.asarray(u, dtype=float)
         return np.interp(u, self.radii, self.tail, left=self.tail[0], right=0.0)
 
-    def cell_masses(self) -> np.ndarray:
-        return np.maximum(-np.diff(self.tail), 0.0)
-
     @cached_property
     def _unit_split(self) -> tuple[np.ndarray, np.ndarray]:
         """Node/tail arrays with a node inserted at radius 1.
@@ -387,10 +384,6 @@ class GridTail:
         val = np.asarray(g_below(r[:n_below]), dtype=float) @ wt_below[:n_below]
         val += np.asarray(g_above(r[n_above:]), dtype=float) @ wt_above[n_above:]
         return float(val)
-
-    def integral(self, g) -> float:
-        """Stieltjes integral of one kernel against the tabulated measure."""
-        return self.split_integral(g, g)
 
     def exponent_integral(self, w: np.ndarray) -> np.ndarray:
         """Jump-part integrand against the tabulated measure, batched over w.

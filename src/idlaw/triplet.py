@@ -11,6 +11,7 @@ with the compensation cutoff fixed at the closed unit ball.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Union
 
 import numpy as np
@@ -50,16 +51,25 @@ class LevyTriplet:
         object.__setattr__(self, "shift", shift)
         object.__setattr__(self, "cov", cov)
 
+    @cached_property
+    def _cov_issues(self) -> tuple[str, ...]:
+        cov = self.cov
+        # exact symmetry, the usual case, skips the slower tolerance test
+        if not (np.array_equal(cov, cov.T) or np.allclose(cov, cov.T, atol=PSD_TOL)):
+            return ("cov is not symmetric",)
+        eigs = np.linalg.eigvalsh(cov)
+        if eigs.size and eigs.min() < -PSD_TOL * max(1.0, eigs.max()):
+            return (f"cov has negative eigenvalue {eigs.min():.3e}",)
+        return ()
+
     def issues(self) -> list[str]:
-        out = []
-        if not np.allclose(self.cov, self.cov.T, atol=PSD_TOL):
-            out.append("cov is not symmetric")
-        else:
-            eigs = np.linalg.eigvalsh(self.cov)
-            if eigs.size and eigs.min() < -PSD_TOL * max(1.0, eigs.max()):
-                out.append(f"cov has negative eigenvalue {eigs.min():.3e}")
-        out.extend(self.levy.issues())
-        return out
+        return [*self._cov_issues, *self.levy.issues()]
+
+    def require_valid(self) -> None:
+        """Raise InvalidMeasureError unless the covariance and jump measure are admissible."""
+        if self._cov_issues:
+            raise InvalidMeasureError("; ".join(self._cov_issues))
+        self.levy.require_valid()
 
     def exponent_grid(self, Y: np.ndarray) -> np.ndarray:
         """Characteristic exponent on a grid Y of shape (n, dim)."""
@@ -68,7 +78,7 @@ class LevyTriplet:
             raise DimensionMismatchError(
                 f"grid shape {Y.shape} does not match dim {self.dim}"
             )
-        self.levy.require_valid()
+        self.require_valid()
         val = 1j * (Y @ self.shift)
         val = val - 0.5 * np.einsum("ij,jk,ik->i", Y, self.cov, Y)
         val = val + self.levy.exponent_jump_integral(Y)

@@ -10,10 +10,19 @@ import pytest
 
 import idlaw.cli as cli
 import idlaw.factor as factor
+import idlaw.maps as maps
 from idlaw.errors import QuadratureError
+from idlaw.exponent import from_triplet
+from idlaw.lawio import law_from_dict, load_law, triplet_to_dict
 from idlaw.report import load_report_schema
 
 GOLDEN = Path(__file__).parent / "golden"
+
+
+def write_law(tmp_path, doc) -> str:
+    path = tmp_path / "law.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
 
 
 def run(capsys, *argv):
@@ -201,6 +210,26 @@ class TestVerify:
         assert "quadrature failure:" in err
 
 
+# covariances that are not positive semidefinite, beside a jump segment
+SEGMENT = {"segments": [{"lo": 0.5, "hi": 2.0, "c": 1.0, "p": 0.0}]}
+BAD_COV_LAWS = {
+    "negative": {"dim": 1, "shift": [0.0], "cov": [[-1.0]],
+                 "levy": {"rays": [{"dir": [1.0], **SEGMENT}]}},
+    "asymmetric": {"dim": 2, "shift": [0.0, 0.0], "cov": [[1.0, 0.9], [0.0, 1.0]],
+                   "levy": {"rays": [{"dir": [1.0, 0.0], **SEGMENT}]}},
+}
+
+
+@pytest.mark.parametrize("kind", BAD_COV_LAWS)
+@pytest.mark.parametrize("command", ["eval", "transform"])
+def test_invalid_covariance_is_refused(capsys, tmp_path, command, kind):
+    law = write_law(tmp_path, BAD_COV_LAWS[kind])
+    beta = ["--beta", "1"] if command == "transform" else []
+    code, out, err = run(capsys, command, "--law", law, *beta)
+    assert code == 2
+    assert "error: cov" in err and not out
+
+
 class TestTransform:
     def test_stdout_document(self, capsys, law_files):
         code, out, _ = run(
@@ -209,7 +238,8 @@ class TestTransform:
         assert code == 0
         doc = json.loads(out)
         assert doc["kind"] == "transform"
-        rays = doc["triplet"]["rays"]
+        jsonschema.validate(doc, load_report_schema())
+        rays = doc["triplet"]["levy"]["rays"]
         assert {tuple(r["dir"]) for r in rays} == {(1.0,), (-1.0,)}
         seg = rays[0]["segments"][0]
         assert seg["lo"] == 0.0 and seg["hi"] == 2.0
@@ -243,12 +273,34 @@ class TestTransform:
         code, _, err = run(capsys, "transform", "--law", law_files["cp"])
         assert code == 2
 
-    def segment_law(self, tmp_path, segments):
+    def segment_law(self, tmp_path, segments, atoms=()):
         doc = {"dim": 1, "shift": [0.1], "cov": [[0.0]],
-               "levy": {"rays": [{"dir": [1.0], "segments": segments}]}}
-        path = tmp_path / "seg.json"
-        path.write_text(json.dumps(doc))
-        return str(path)
+               "levy": {"rays": [{"dir": [1.0], "segments": segments, "atoms": list(atoms)}]}}
+        return write_law(tmp_path, doc)
+
+    @pytest.mark.parametrize("beta", [0.5, 1.0, 1.3])
+    def test_image_reloads_as_the_same_triplet(self, capsys, tmp_path, beta):
+        law = self.segment_law(
+            tmp_path,
+            [
+                {"lo": 0.2, "hi": 2.0, "c": 0.3, "p": 0.5},
+                {"lo": 1.0, "hi": "inf", "c": 0.2, "p": -2.5},
+            ],
+            atoms=[{"r": 0.5, "m": 1.0}],
+        )
+        code, out, _ = run(capsys, "transform", "--law", law, "--beta", str(beta))
+        assert code == 0
+        doc = json.loads(out)["triplet"]
+        image = law_from_dict(doc).triplet
+        assert triplet_to_dict(image) == doc
+        direct = maps.jbeta_triplet(load_law(law).triplet, beta)
+        grid = factor.default_grid(1)
+        assert (
+            from_triplet(image).eval_grid(grid).tobytes()
+            == from_triplet(direct).eval_grid(grid).tobytes()
+        )
+        twice = maps.jbeta_triplet(direct, beta)
+        assert triplet_to_dict(maps.jbeta_triplet(image, beta)) == triplet_to_dict(twice)
 
     def test_segment_image_is_exact_and_keeps_the_log_form(self, capsys, tmp_path):
         # p - beta + 1 = 0: the (0.5, 3) piece of the image is in log form,
@@ -258,7 +310,7 @@ class TestTransform:
         law = self.segment_law(tmp_path, [{"lo": 0.5, "hi": 3.0, "c": 0.3, "p": 0.3}])
         code, out, _ = run(capsys, "transform", "--law", law, "--beta", "1.3")
         assert code == 0
-        (ray_,) = json.loads(out)["triplet"]["rays"]
+        (ray_,) = json.loads(out)["triplet"]["levy"]["rays"]
         assert ray_["grid_tail"] is None
         assert [s.get("e") for s in ray_["segments"]] == [None, e]
         assert ray_["segments"][1] == {"lo": 0.5, "hi": 3.0, "c": 0.39, "p": 0.3, "e": e}
@@ -331,15 +383,16 @@ class TestSimulate:
             (["simulate", "--map", "jbeta", "--beta", "1", "--n", "8", "--seed", "0"], "--z-max"),
             (["simulate", "--map", "ijbeta", "--beta", "1", "--n", "8", "--seed", "0"], "--s-max"),
             (["simulate", "--map", "jbeta", "--n", "8", "--seed", "0"], "--beta"),
-            (["area-demo"], "--u"),
-            (["area-demo"], "--tol"),
+            # the area check as it is run, without a law
+            (["verify", "--identity=area"], "--u"),
+            (["verify", "--identity=area"], "--tol"),
         ],
     )
     @pytest.mark.parametrize("value", ["0", "-1"])
     def test_nonpositive_numeric_flags_are_usage_errors(
         self, capsys, law_files, head, flag, value
     ):
-        law = [] if head[0] == "area-demo" else ["--law", law_files["cp"]]
+        law = [] if head[-1] == "--identity=area" else ["--law", law_files["cp"]]
         code, _, err = run(capsys, *head, *law, f"{flag}={value}")
         assert code == 2
         assert f"error: argument {flag}" in err
@@ -355,9 +408,8 @@ class TestSimulate:
 class TestAreaDemo:
     def test_matches_golden_report(self, capsys, tmp_path):
         path = tmp_path / "area.json"
-        code, out, _ = run(capsys, "area-demo", "--u", "1.0", "--out", str(path))
+        code, _, _ = run(capsys, "verify", "--identity", "area", "--u", "1.0", "--out", str(path))
         assert code == 0
-        assert "cosh" in out
         assert path.read_bytes() == (GOLDEN / "area_demo_u1.json").read_bytes()
 
 
@@ -366,6 +418,11 @@ class TestSuite:
         path = tmp_path / "conf.json"
         path.write_text(json.dumps(doc))
         return str(path)
+
+    def test_default_stdout_matches_golden(self, capsys):
+        code, out, _ = run(capsys, "suite")
+        assert code == 0
+        assert out.encode() == (GOLDEN / "suite_default.txt").read_bytes()
 
     def test_small_suite_passes_with_csv_report(self, capsys, tmp_path):
         conf = self.write_config(

@@ -7,7 +7,9 @@ import numpy as np
 import pytest
 
 from idlaw.errors import InvalidMeasureError, LawSpecError
+from idlaw.exponent import closed_form
 from idlaw.lawio import BUILTIN_LAWS, builtin_law, law_from_dict, load_law
+from idlaw.simulate import SimSpec
 
 
 def triplet_doc(**kw):
@@ -184,6 +186,39 @@ MISSHAPEN_DOCS = {
 @pytest.mark.parametrize("doc, match", MISSHAPEN_DOCS.values(), ids=MISSHAPEN_DOCS.keys())
 def test_misshapen_documents_raise_law_spec_error(doc, match):
     with pytest.raises(LawSpecError, match=match):
+        law_from_dict(doc)
+
+
+# jump atoms that every route refuses: (jumps, probs, message)
+BAD_ATOMS = {
+    "empty": ([], None, "nonempty jump list"),
+    "negative probability": ([[1.0], [2.0]], [1.5, -0.5], "nonnegative"),
+    "sum off by 2e-12": ([[1.0], [2.0]], [0.5, 0.5 + 2e-12], "sum to"),
+    "wrong shape": ([[[1.0]]], None, "nonempty jump list"),
+    "one probability short": ([[1.0], [2.0]], [1.0], "one per atom"),
+}
+ATOM_ROUTES = {
+    "closed_form": lambda j, p: closed_form("compound_poisson", rate=1.0, jumps=j, probs=p),
+    "SimSpec": lambda j, p: SimSpec(1, [0.0], 0.0, rate=1.0, jumps=j, probs=p),
+    "law document": lambda j, p: law_from_dict({
+        "closed_form": "compound_poisson",
+        "params": {"rate": 1.0, "jumps": j, **({} if p is None else {"probs": p})},
+    }),
+}
+
+
+@pytest.mark.parametrize("route", ATOM_ROUTES)
+@pytest.mark.parametrize("case", BAD_ATOMS)
+def test_bad_jump_atoms_are_refused_on_every_route(route, case):
+    jumps, probs, match = BAD_ATOMS[case]
+    with pytest.raises(LawSpecError, match=match):
+        ATOM_ROUTES[route](jumps, probs)
+
+
+def test_triplet_with_unknown_top_level_key_is_refused():
+    # a transform output of the old layout put "rays" beside "levy"
+    doc = triplet_doc(levy={}, rays=[{"dir": [1.0], "atoms": [{"r": 0.5, "m": 2.0}]}])
+    with pytest.raises(LawSpecError, match="unknown fields \\['rays'\\]"):
         law_from_dict(doc)
 
 

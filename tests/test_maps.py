@@ -212,7 +212,7 @@ class TestInnerClock:
 
 class TestDivergenceDetection:
     def test_law_without_log_moment_is_refused(self):
-        bad = from_callable(no_log_moment, dim=1, label="slowlog")
+        bad = from_callable(no_log_moment, dim=1)
         with pytest.raises(NotLogIntegrableError):
             mapped(maps.i_map(), bad, 1.0, 1e-8)
 

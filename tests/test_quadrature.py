@@ -110,15 +110,10 @@ def test_split_points_handle_kinks():
     assert abs(complex(val2).real - truth) < 1e-9
 
 
-def test_nonconvergence_carries_partial_result():
+def test_nonconvergence_carries_partial_result(monkeypatch):
+    monkeypatch.setattr(quadrature, "MAX_DEPTH", 4)
     with pytest.raises(QuadratureError) as exc:
-        integrate_one(
-            lambda xs: np.cos(1000.0 * xs),
-            0.0,
-            1.0,
-            tol=1e-14,
-            max_depth=4,
-        )
+        integrate_one(lambda xs: np.cos(1000.0 * xs), 0.0, 1.0, tol=1e-14)
     err = exc.value
     assert err.value is not None
     assert err.error_estimate is not None and err.error_estimate > 1e-14
@@ -200,18 +195,17 @@ def test_every_column_meets_tol_against_its_closed_form(exps, freqs, tol):
     assert err <= tol
 
 
-def test_nonconvergence_carries_the_worst_column():
+def test_nonconvergence_carries_the_worst_column(monkeypatch):
+    monkeypatch.setattr(quadrature, "MAX_DEPTH", 4)
     freqs = np.array([1.0, 1000.0, 3.0])
 
     def f(pairs):
         return np.cos(freqs[pairs["col"]] * pairs["x"])
 
     with pytest.raises(QuadratureError) as exc:
-        quadrature.integrate(f, 0.0, 1.0, tol=1e-14, max_depth=4, columns=3)
+        quadrature.integrate(f, 0.0, 1.0, tol=1e-14, columns=3)
     with pytest.raises(QuadratureError) as solo:
-        quadrature.integrate(
-            lambda pairs: np.cos(1000.0 * pairs["x"]), 0.0, 1.0, tol=1e-14, max_depth=4
-        )
+        quadrature.integrate(lambda pairs: np.cos(1000.0 * pairs["x"]), 0.0, 1.0, tol=1e-14)
     assert exc.value.error_estimate == solo.value.error_estimate > 1e-14
     # the easy columns converged and carry their values
     easy = exc.value.value[[0, 2]]

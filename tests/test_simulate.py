@@ -318,9 +318,9 @@ class TestEmpiricalCF:
     @given(st.integers(min_value=0, max_value=2**31))
     def test_modulus_never_exceeds_one(self, seed):
         x = np.random.default_rng(seed).standard_cauchy(size=512)
-        ecf = sim.empirical_cf(x, np.linspace(-5.0, 5.0, 21), seed=seed)
+        ecf = sim.empirical_cf(x, np.linspace(-5.0, 5.0, 21))
         assert np.all(np.abs(ecf.estimate) <= 1.0)
-        assert ecf.n == 512 and ecf.seed == seed
+        assert ecf.n == 512
 
     def test_half_angle_terms_match_mpmath(self):
         # one sample at 1 with the angles as grid points: row k of the
