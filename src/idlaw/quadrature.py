@@ -25,6 +25,10 @@ from .errors import QuadratureError
 DEFAULT_TOL = 1e-10
 # interval halvings before a unit is abandoned
 MAX_DEPTH = 40
+# (abscissa, column) pairs handed to the integrand in one call, 26x the
+# largest batch the test suite and the benchmark workloads reach (316,428);
+# past it refinement stops, since a nested integrand's memory grows with it
+MAX_PAIRS = 1 << 23
 
 # QUADPACK qk21 (Piessens et al., QUADPACK, 1983): the positive Kronrod
 # abscissas on [-1, 1] in decreasing order down to the centre, their
@@ -122,14 +126,21 @@ def integrate(
         column sum of the accepted units' |K21 - G10|, at most ``tol``
         unless a unit hit rounding level (50 eps of its absolute integral).
         A column's value and its pairs do not depend on the other columns,
-        as long as each pair's integrand value does not.
+        as long as each pair's integrand value does not depend on the batch
+        it rides in. Closed-form and point-mass leaves keep that; the
+        triplet leaf does not (a power segment's series length follows its
+        batch's largest |w|, and its shift, covariance and ray projections
+        are matrix products), so a map over a triplet law rounds a column
+        with its batch.
 
     Raises
     ------
     QuadratureError
         If units of some column hit :data:`MAX_DEPTH` and that column's error
-        estimate is above ``tol``. The exception carries the best values
-        and the worst column's estimate.
+        estimate is above ``tol``, or if the active units of a depth would
+        hand the integrand more than :data:`MAX_PAIRS` pairs. The exception
+        carries the best values and the worst column's estimate; with the
+        pair cap, the units still active count at their last estimate.
     """
     if tol is None:
         tol = default_tol()
@@ -155,8 +166,12 @@ def integrate(
     spent = np.zeros(columns)
     stuck = np.zeros(columns, dtype=bool)
     depth = 0
+    # the previous depth's units: (column, half width, rules, estimate, rejected)
+    last = None
     while xl.size:
         k = xl.size
+        if 21 * k > MAX_PAIRS:
+            raise _over_pair_cap(a, b, tol, 21 * k, total, spent, last)
         span = xr - xl
         mid, half = 0.5 * (xl + xr), 0.5 * span
         pairs = np.empty((k, 21), dtype=PAIR)
@@ -187,6 +202,7 @@ def integrate(
         total[1] += np.bincount(col, weights=value[:, 1], minlength=columns)
         spent += np.bincount(col, weights=np.where(done, err, 0.0), minlength=columns)
         keep = ~done
+        last = (col, half, rules, err, keep)
         cut, col = mid[keep], col[keep]
         xl, xr = np.concatenate([xl[keep], cut]), np.concatenate([cut, xr[keep]])
         col = np.concatenate([col, col])
@@ -204,3 +220,32 @@ def integrate(
             error_estimate=worst,
         )
     return values, worst
+
+
+def _over_pair_cap(a, b, tol, n_pairs, total, spent, last) -> QuadratureError:
+    """The error raised for a depth over :data:`MAX_PAIRS`.
+
+    Its values are the accepted units' plus the last K21 value of each unit
+    still active, and its estimate adds theirs; before any depth ran, the
+    values are 0 and the estimate is inf.
+    """
+    columns = spent.size
+    best, err = total.copy(), spent.copy()
+    if last is None:
+        err[:] = math.inf
+    else:
+        col, half, rules, unit_err, keep = last
+        col = col[keep]
+        best[0] += np.bincount(col, weights=half[keep] * rules[keep, 0, 0], minlength=columns)
+        best[1] += np.bincount(col, weights=half[keep] * rules[keep, 1, 0], minlength=columns)
+        err += np.bincount(col, weights=unit_err[keep], minlength=columns)
+    values = np.empty(columns, dtype=complex)
+    values.real, values.imag = best
+    worst = float(err.max(initial=0.0))
+    return QuadratureError(
+        f"Gauss-Kronrod quadrature on [{a}, {b}] stopped: the next depth would "
+        f"evaluate {n_pairs} pairs, over MAX_PAIRS = {MAX_PAIRS}; worst column "
+        f"error estimate {worst:.3e} against tol {tol:.3e}",
+        value=values,
+        error_estimate=worst,
+    )

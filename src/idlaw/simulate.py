@@ -34,8 +34,8 @@ from . import maps
 from .errors import LawSpecError
 from .exponent import CharExponent, as_grid, closed_form, convolve, jump_atoms
 from .report import CheckReport
+from .triplet import cov_issues
 
-_PSD_TOL = 1e-10
 _TAIL_BOUND = 1e-6
 # envelope segments for the thinned jump times live on an absolute grid of
 # this pitch, so a larger horizon only appends segments
@@ -74,11 +74,9 @@ class SimSpec:
             diff = float(diff) * np.eye(self.dim)
         if diff.shape != (self.dim, self.dim):
             raise LawSpecError(f"diffusion shape {diff.shape} != ({self.dim}, {self.dim})")
-        if not np.allclose(diff, diff.T, atol=1e-12):
-            raise LawSpecError("diffusion matrix must be symmetric")
-        eigs = np.linalg.eigvalsh(diff)
-        if eigs.min() < -_PSD_TOL:
-            raise LawSpecError(f"diffusion matrix not PSD (min eig {eigs.min():.3e})")
+        issues = cov_issues(diff)
+        if issues:
+            raise LawSpecError("; ".join(issues))
         rate = float(self.rate)
         if rate < 0.0:
             raise LawSpecError(f"jump rate must be >= 0, got {rate}")

@@ -8,6 +8,12 @@ and carry negative scales as long as their sum is certified nonnegative;
 that is how the exact jbeta image of a power segment, a difference of two
 power terms, is held. Admissibility means integral of min(1, r**2)
 against the radial part is finite on every ray.
+
+Point masses, atoms and tabulated-tail nodes alike, and the closed-form
+compound-Poisson exponent share one kernel for exp(i theta) - 1,
+:func:`_cis_m1`: one tangent per angle, summed over atoms in a fixed
+order in cache-sized blocks, so a row's value does not depend on its
+batch.
 """
 
 from __future__ import annotations
@@ -23,8 +29,9 @@ from .errors import DimensionMismatchError, InvalidMeasureError
 from . import quadrature
 
 UNIT_NORM_TOL = 1e-12
-# largest (arguments x radii) block the point-mass kernel evaluates at once
-GRID_CHUNK_ELEMENTS = 1 << 18
+# largest (atoms x rows) block the exp(i theta) - 1 kernel evaluates at
+# once: its two float temporaries of 128 KiB each stay in cache
+CIS_CHUNK_ELEMENTS = 1 << 14
 # arguments per segment evaluation: the power series and Gauss-Laguerre
 # arrays of a segment take at most 53 and 34 columns per argument, so with
 # the few such temporaries of a log form a batch stays near 20 MB
@@ -80,11 +87,56 @@ _LAG_WEIGHTS = np.array([
 ])
 
 
-def _cis_m1(theta: np.ndarray) -> np.ndarray:
-    """exp(i*theta) - 1 without cancellation near theta = 0."""
-    theta = np.asarray(theta, dtype=float)
-    half = 0.5 * theta
-    return -2.0 * np.sin(half) ** 2 + 1j * np.sin(theta)
+def _cis_m1(Y: np.ndarray, J: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """Sum over atoms k of m_k (exp(i theta_jk) - 1), per row j of Y.
+
+    The angles are theta_jk = sum over c of Y[j, c] J[k, c], built as
+    elementwise products in column order, never a matrix product. Each
+    angle takes one libm call, the tangent of the half angle
+    t = tan(theta/2): with q = t/(1 + t**2), cos(theta) - 1 = -2 t q and
+    sin(theta) = 2 q, so there is no cancellation near theta = 0, and t**2
+    stays finite next to odd multiples of pi, where t is largest. Atoms go
+    in tiles of at most ``CIS_CHUNK_ELEMENTS`` and rows in blocks that keep
+    (atoms x rows) within it, so temporaries stay in cache whatever the
+    batch size. A block's atoms are summed by halving, in an order set by
+    the tile's atom count alone, and tiles add in order; so every row
+    rounds the same in any batch.
+    """
+    Y = np.asarray(Y, dtype=float)
+    # halving is exact, so the half angles are the rounded angles halved
+    H = 0.5 * np.asarray(J, dtype=float)
+    m2 = 2.0 * np.asarray(m, dtype=float)[:, None]
+    n, (K, d) = Y.shape[0], H.shape
+    out = np.zeros(n, dtype=complex)
+    re, im = out.real, out.imag
+    tile = max(1, min(K, CIS_CHUNK_ELEMENTS))
+    rows = max(1, CIS_CHUNK_ELEMENTS // tile)
+    for a in range(0, K, tile):
+        h, w = H[a : a + tile], m2[a : a + tile]
+        for lo in range(0, n, rows):
+            y = Y[lo : lo + rows]
+            t = h[:, :1] * y[:, 0]
+            for c in range(1, d):
+                t += h[:, c : c + 1] * y[:, c]
+            np.tan(t, out=t)
+            q = t * t
+            q += 1.0
+            np.divide(t, q, out=q)
+            q *= w  # 2 m sin(theta/2) cos(theta/2) = m sin(theta)
+            t *= q  # -m (cos(theta) - 1)
+            re[lo : lo + rows] -= _fold_sum(t)
+            im[lo : lo + rows] += _fold_sum(q)
+    return out
+
+
+def _fold_sum(v: np.ndarray) -> np.ndarray:
+    """Sum of the rows of v, by halving in place (overwrites v)."""
+    k = v.shape[0]
+    while k > 1:
+        h = k // 2
+        v[:h] += v[k - h : k]
+        k -= h
+    return v[0]
 
 
 def _expm1_ratio(e: float, t):
@@ -282,18 +334,12 @@ def _point_mass_exponent(
 ) -> np.ndarray:
     """Jump integrand against point masses m at radii r, batched over signed w.
 
-    The sum of m (exp(i w r) - 1) minus i w times the first moment of the
-    compensated masses ``m_comp`` (those at r <= 1). The plain kernel runs
-    in chunks of ``GRID_CHUNK_ELEMENTS // w.size`` radii (at least one), so
-    temporaries stay bounded for any batch size.
+    The sum of m (exp(i w r) - 1), from :func:`_cis_m1`, minus i w times the
+    first moment of the compensated masses ``m_comp`` (those at r <= 1).
     """
-    half_versine, im = np.zeros(w.shape), -w * float(r @ m_comp)
-    step = max(1, GRID_CHUNK_ELEMENTS // max(w.size, 1))
-    for k in range(0, r.size, step):
-        theta = np.multiply.outer(w, r[k : k + step])
-        half_versine += np.sin(0.5 * theta) ** 2 @ m[k : k + step]
-        im += np.sin(theta) @ m[k : k + step]
-    return -2.0 * half_versine + 1j * im
+    out = _cis_m1(w[:, None], r[:, None], m)
+    out.imag -= w * float(r @ m_comp)
+    return out
 
 
 @dataclass(frozen=True, eq=False)

@@ -22,6 +22,25 @@ from .spectral import SpectralMeasure
 PSD_TOL = 1e-10
 
 
+def cov_issues(cov: np.ndarray) -> tuple[str, ...]:
+    """Why ``cov`` is not a covariance matrix; empty when it is one.
+
+    The one rule for triplets and samplers alike: symmetric within PSD_TOL
+    times max(1, largest |entry|), and no eigenvalue below -PSD_TOL times
+    max(1, largest eigenvalue).
+    """
+    cov = np.asarray(cov, dtype=float)
+    # exact symmetry, the usual case, skips the slower tolerance test
+    if not np.array_equal(cov, cov.T):
+        scale = max(1.0, float(np.abs(cov).max()))
+        if not np.all(np.abs(cov - cov.T) <= PSD_TOL * scale):
+            return ("cov is not symmetric",)
+    eigs = np.linalg.eigvalsh(cov)
+    if eigs.size and eigs.min() < -PSD_TOL * max(1.0, eigs.max()):
+        return (f"cov has negative eigenvalue {eigs.min():.3e}",)
+    return ()
+
+
 @dataclass(frozen=True, eq=False)
 class LevyTriplet:
     """Shift vector, covariance matrix, and jump measure of one law."""
@@ -53,14 +72,7 @@ class LevyTriplet:
 
     @cached_property
     def _cov_issues(self) -> tuple[str, ...]:
-        cov = self.cov
-        # exact symmetry, the usual case, skips the slower tolerance test
-        if not (np.array_equal(cov, cov.T) or np.allclose(cov, cov.T, atol=PSD_TOL)):
-            return ("cov is not symmetric",)
-        eigs = np.linalg.eigvalsh(cov)
-        if eigs.size and eigs.min() < -PSD_TOL * max(1.0, eigs.max()):
-            return (f"cov has negative eigenvalue {eigs.min():.3e}",)
-        return ()
+        return cov_issues(self.cov)
 
     def issues(self) -> list[str]:
         return [*self._cov_issues, *self.levy.issues()]

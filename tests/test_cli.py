@@ -1,6 +1,9 @@
 """End-to-end command line behavior, including exit codes and reports."""
 
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -8,6 +11,7 @@ import jsonschema
 import numpy as np
 import pytest
 
+import idlaw
 import idlaw.cli as cli
 import idlaw.factor as factor
 import idlaw.maps as maps
@@ -29,6 +33,18 @@ def run(capsys, *argv):
     code = cli.main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def test_module_entry_point_runs_the_cli():
+    src = str(Path(idlaw.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    out = subprocess.run(
+        [sys.executable, "-m", "idlaw", "suite", "--help"],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert out.returncode == 0, out.stderr
+    assert "--config" in out.stdout
 
 
 class TestParsing:

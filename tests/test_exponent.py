@@ -2,13 +2,17 @@
 
 import math
 from types import SimpleNamespace
+from unittest import mock
 
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import idlaw.factor as factor
 import idlaw.maps as maps
+import idlaw.spectral as spectral
 from idlaw.exponent import (
     CLOSED_FORMS,
     CharExponent,
@@ -274,6 +278,110 @@ class TestGridNormalization:
             as_grid(np.zeros((4, 3)), 2)
         with pytest.raises(DimensionMismatchError):
             as_grid(np.zeros((2, 2, 2)), 2)
+
+
+def _closed_form_case(name: str, dim: int, k: int, rng) -> dict:
+    """Random parameters of one closed form."""
+    if name == "gaussian":
+        a = rng.normal(size=(dim, dim))
+        return {"mean": rng.normal(size=dim), "cov": a @ a.T}
+    if name == "dirac":
+        return {"shift": rng.normal(size=dim)}
+    if name == "compound_poisson":
+        sign = rng.choice([-1.0, 1.0], size=(k, dim))
+        probs = rng.uniform(0.1, 1.0, k)
+        return {
+            "rate": rng.uniform(0.1, 5.0),
+            "jumps": sign * rng.uniform(0.01, 5.0, (k, dim)),
+            "probs": probs / probs.sum(),
+        }
+    return {"u": rng.uniform(0.1, 3.0)}
+
+
+def _rows_alone_and_in_batch(fn, Y: np.ndarray, positions) -> list[int]:
+    """Positions whose row, evaluated alone, differs in any byte from the batch."""
+    batch = fn(Y)
+    return [j for j in positions if fn(Y[j : j + 1]).tobytes() != batch[j : j + 1].tobytes()]
+
+
+class TestBatchIndependence:
+    """A leaf row has the same bytes in whatever batch it rides.
+
+    Nested quadrature takes column independence for granted: a column's
+    value must not depend on which other columns share its integrand
+    batches. Matrix products and einsum round a row differently with the
+    batch's size and alignment, so the leaves sum in a fixed order.
+    """
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        name=st.sampled_from(sorted(CLOSED_FORMS)),
+        dim=st.integers(min_value=1, max_value=2),
+        k=st.integers(min_value=1, max_value=13),
+        n=st.integers(min_value=1, max_value=20_000),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    def test_closed_form_rows(self, name, dim, k, n, seed):
+        rng = np.random.default_rng(seed)
+        dim = 1 if name == "levy_area_bdlp" else dim
+        phi = closed_form(name, **_closed_form_case(name, dim, k, rng))
+        Y = rng.uniform(-1.0, 1.0, (n, dim)) * 10.0 ** rng.uniform(-3.0, 2.0, (n, 1))
+        positions = rng.integers(0, n, 8)
+        assert _rows_alone_and_in_batch(phi.eval_grid, Y, positions) == []
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        k=st.integers(min_value=1, max_value=200),
+        n=st.integers(min_value=1, max_value=20_000),
+        budget=st.sampled_from([spectral.CIS_CHUNK_ELEMENTS, 128]),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    def test_point_mass_rows(self, k, n, budget, seed):
+        # a budget below the atom count also splits the atoms into tiles,
+        # of one row each, so those batches stay short
+        n = n if budget == spectral.CIS_CHUNK_ELEMENTS else 1 + n % 1000
+        rng = np.random.default_rng(seed)
+        r, m = rng.uniform(0.01, 5.0, k), rng.uniform(0.0, 2.0, k)
+        w = rng.uniform(-50.0, 50.0, n)
+
+        def fn(w_rows):
+            return spectral._point_mass_exponent(w_rows, r, m, m * (r <= 1.0))
+
+        with mock.patch.object(spectral, "CIS_CHUNK_ELEMENTS", budget):
+            assert _rows_alone_and_in_batch(fn, w, rng.integers(0, n, 8)) == []
+
+
+class TestCompoundPoissonAccuracy:
+    """The compound-Poisson exponent against 40-digit mpmath.
+
+    Jumps and weights are dyadic, so every angle y*j and weight is exact
+    and the error is the kernel's and the atom sum's alone; it is relative
+    to the sum of the terms' moduli.
+    """
+
+    jumps = np.array([1.0, -2.0, 0.5])
+    probs = np.array([0.5, 0.25, 0.25])
+
+    def _want(self, y: float) -> tuple[complex, float]:
+        total, scale = mp.mpc(0), mp.mpf(0)
+        for j, p in zip(self.jumps, self.probs):
+            half = mp.mpf(y) * mp.mpf(j) / 2
+            term = p * mp.mpc(-2 * mp.sin(half) ** 2, mp.sin(2 * half))
+            total += term
+            scale += abs(term)
+        return complex(total), float(scale)
+
+    def test_matches_mpmath_over_magnitudes_and_near_odd_multiples_of_pi(self):
+        phi = closed_form("compound_poisson", rate=1.0, jumps=self.jumps, probs=self.probs)
+        rng = np.random.default_rng(3)
+        ys = rng.choice([-1.0, 1.0], 600) * 10.0 ** rng.uniform(-12.0, 3.0, 600)
+        odd_pi = (2 * np.arange(160) + 1) * math.pi
+        ys = np.concatenate([ys, np.nextafter(odd_pi, 0.0), np.nextafter(odd_pi, 1e4)])
+        got = phi.eval_grid(ys[:, None])
+        with mp.workdps(40):
+            for y, g in zip(ys, got):
+                want, scale = self._want(y)
+                assert abs(g - want) <= 1e-15 * scale, y
 
 
 class TestSpecialFunctions:

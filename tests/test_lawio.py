@@ -143,6 +143,35 @@ class TestTripletDocs:
         with pytest.raises(Exception):
             law_from_dict(doc)
 
+    @pytest.mark.parametrize(
+        "cov, want",
+        [
+            ([[1.0, 1e-11], [0.0, 1.0]], "loaded"),
+            ([[1e12, 1.0], [0.0, 1e12]], "loaded"),
+            ([[1.0, 1e-3], [0.0, 1.0]], "cov is not symmetric"),
+            ([[1.0, 0.0], [0.0, -1e-3]], "cov has negative eigenvalue -1.000e-03"),
+        ],
+    )
+    def test_one_covariance_rule_with_or_without_a_sampler(self, cov, want):
+        # an atoms-only law also builds a sampler spec and a segment drops
+        # it; the sampler spec must judge the covariance as the triplet does
+        def verdict(build):
+            try:
+                build()
+            except ValueError as exc:
+                return str(exc)
+            return "loaded"
+
+        atoms = {"dir": [1.0, 0.0], "atoms": [{"r": 0.5, "m": 2.0}]}
+        segment = {"dir": [0.0, 1.0], "segments": [{"lo": 0.5, "hi": 2.0, "c": 1.0, "p": 0.0}]}
+        docs = [
+            {"dim": 2, "shift": [0.0, 0.0], "cov": cov, "levy": {"rays": rays}}
+            for rays in ([atoms], [atoms, segment])
+        ]
+        assert verdict(lambda: law_from_dict(docs[0])) == want
+        assert verdict(lambda: law_from_dict(docs[1])) == want
+        assert verdict(lambda: SimSpec(2, [0.0, 0.0], cov)) == want
+
     def test_exponent_matches_triplet_route(self):
         law = law_from_dict(triplet_doc())
         y = 1.3

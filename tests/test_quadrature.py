@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from idlaw import maps, quadrature
+from idlaw import lawio, maps, quadrature
 from idlaw.errors import QuadratureError
 from idlaw.exponent import from_triplet
 from idlaw.spectral import SpectralMeasure, ray
@@ -210,6 +210,51 @@ def test_nonconvergence_carries_the_worst_column(monkeypatch):
     # the easy columns converged and carry their values
     easy = exc.value.value[[0, 2]]
     assert np.max(np.abs(easy - np.sin(freqs[[0, 2]]) / freqs[[0, 2]])) < 1e-14
+
+
+def test_pair_cap_raises_with_the_best_values(monkeypatch):
+    # cos(1000 x) needs about 64 units per column; a cap of 21 pairs per
+    # unit times 24 units stops it while its easy neighbours have converged
+    monkeypatch.setattr(quadrature, "MAX_PAIRS", 21 * 24)
+    freqs = np.array([1.0, 1000.0, 3.0])
+    calls = []
+
+    def f(pairs):
+        calls.append(pairs.size)
+        return np.cos(freqs[pairs["col"]] * pairs["x"])
+
+    with pytest.raises(QuadratureError, match="MAX_PAIRS") as exc:
+        quadrature.integrate(f, 0.0, 1.0, tol=1e-14, columns=3)
+    assert max(calls) <= quadrature.MAX_PAIRS
+    truth = np.sin(freqs) / freqs
+    best = exc.value.value
+    assert np.max(np.abs(best[[0, 2]] - truth[[0, 2]])) < 1e-14
+    # the hard column counts its active units at their last estimate, which
+    # the reported worst estimate covers
+    assert abs(best[1] - truth[1]) <= exc.value.error_estimate
+    assert 1e-14 < exc.value.error_estimate < math.inf
+
+
+def test_pair_cap_before_any_estimate_reports_an_infinite_one(monkeypatch):
+    monkeypatch.setattr(quadrature, "MAX_PAIRS", 21 * 2)
+
+    def f(pairs):
+        raise AssertionError("nothing may be evaluated over the cap")
+
+    with pytest.raises(QuadratureError) as exc:
+        quadrature.integrate(f, 0.0, 1.0, columns=3)
+    assert exc.value.error_estimate == math.inf
+    assert np.array_equal(exc.value.value, np.zeros(3, dtype=complex))
+
+
+def test_nested_map_over_the_pair_cap_raises_a_typed_error(monkeypatch):
+    # a nested map's inner batch holds every active outer pair times its
+    # own; over the cap it ends in QuadratureError, never in MemoryError
+    monkeypatch.setattr(quadrature, "MAX_PAIRS", 50_000)
+    phi = lawio.builtin_law("gauss_cp_mix").exponent
+    nested = maps.apply_map(maps.i_map(), maps.apply_map(maps.jbeta_map(1.3), phi))
+    with pytest.raises(QuadratureError, match="MAX_PAIRS"):
+        nested.eval_grid(np.linspace(-5.0, 5.0, 41)[:, None], 1e-12)
 
 
 def test_integrand_takes_one_array_counted_by_size():

@@ -289,8 +289,8 @@ class TestExponentIntegrals:
             tracemalloc.stop()
         assert peak < 32e6
         # the chunked sum agrees with the dense endpoint-average rule,
-        # here with chunks a few nodes wide
-        monkeypatch.setattr(spectral, "GRID_CHUNK_ELEMENTS", 7 * 40)
+        # here also in blocks of one row and fewer atoms than the nodes
+        monkeypatch.setattr(spectral, "CIS_CHUNK_ELEMENTS", 7 * 40)
         sub = w[::2500]
         r, t = gt._unit_split
         theta = np.multiply.outer(sub, r)
@@ -432,8 +432,39 @@ class TestExponentIntegrals:
         assert peak < 32e6
         # the per-atom formula, written out on every 50th argument
         theta = np.multiply.outer(w[::50], r)
-        want = (spectral._cis_m1(theta) - 1j * theta * (r <= 1.0)) @ m
+        cis_m1 = -2.0 * np.sin(0.5 * theta) ** 2 + 1j * np.sin(theta)
+        want = (cis_m1 - 1j * theta * (r <= 1.0)) @ m
         assert np.all(np.abs(got[::50] - want) <= 1e-13 * np.abs(want))
+
+
+class TestCisKernel:
+    """exp(i theta) - 1 from one half-angle tangent, against 40-digit mpmath."""
+
+    @staticmethod
+    def _rel_errors(theta: np.ndarray) -> np.ndarray:
+        got = spectral._cis_m1(theta[:, None], np.ones((1, 1)), np.ones(1))
+        out = []
+        with mp.workdps(40):
+            for th, g in zip(theta, got):
+                half = mp.mpf(th) / 2
+                want = mp.mpc(-2 * mp.sin(half) ** 2, mp.sin(2 * half))
+                out.append(float(abs(g - want) / abs(want)))
+        return np.array(out)
+
+    def test_relative_error_from_1e_minus_12_to_1e3(self):
+        rng = np.random.default_rng(11)
+        theta = rng.choice([-1.0, 1.0], 3000) * 10.0 ** rng.uniform(-12.0, 3.0, 3000)
+        assert self._rel_errors(theta).max() <= 1e-15
+
+    def test_relative_error_next_to_odd_multiples_of_pi(self):
+        # tan(theta/2) reaches about 1.6e16 here, and t**2 stays finite
+        odd_pi = (2 * np.arange(160) + 1) * math.pi
+        theta = np.concatenate([np.nextafter(odd_pi, 0.0), odd_pi, np.nextafter(odd_pi, 1e4)])
+        assert self._rel_errors(np.concatenate([theta, -theta])).max() <= 1e-15
+
+    def test_zero_angle_is_exactly_zero(self):
+        got = spectral._cis_m1(np.zeros((3, 2)), np.ones((4, 2)), np.ones(4))
+        assert got.tobytes() == np.zeros(3, dtype=complex).tobytes()
 
 
 class TestValidation:
