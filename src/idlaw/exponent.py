@@ -21,7 +21,7 @@ from typing import Any, Callable
 import numpy as np
 
 from .errors import DimensionMismatchError, LawSpecError
-from .spectral import _cis_m1
+from .spectral import _cis_m1, _dot, _quad_form
 from .triplet import LevyTriplet
 
 
@@ -259,14 +259,6 @@ def closed_form(name: str, **params) -> CharExponent:
     return CharExponent(dim, _CallbackNode(fn))
 
 
-def _dot(Y: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Y @ v as a sum of columns in order, so each row rounds alike in any batch."""
-    out = np.zeros(Y.shape[0])
-    for c in range(Y.shape[1]):
-        out += Y[:, c] * v[c]
-    return out
-
-
 def _build_gaussian(mean=0.0, cov=1.0):
     mean = np.atleast_1d(np.asarray(mean, dtype=float))
     dim = mean.shape[0]
@@ -277,9 +269,7 @@ def _build_gaussian(mean=0.0, cov=1.0):
         raise LawSpecError(f"gaussian cov shape {cov.shape} does not match dim {dim}")
 
     def fn(Y, tol):
-        quad = np.zeros(Y.shape[0])
-        for c in range(dim):
-            quad += _dot(Y, cov[c]) * Y[:, c]
+        quad = _quad_form(Y, cov)
         return 1j * _dot(Y, mean) - 0.5 * quad
 
     return dim, fn

@@ -127,11 +127,10 @@ def integrate(
         unless a unit hit rounding level (50 eps of its absolute integral).
         A column's value and its pairs do not depend on the other columns,
         as long as each pair's integrand value does not depend on the batch
-        it rides in. Closed-form and point-mass leaves keep that; the
-        triplet leaf does not (a power segment's series length follows its
-        batch's largest |w|, and its shift, covariance and ray projections
-        are matrix products), so a map over a triplet law rounds a column
-        with its batch.
+        it rides in. Closed-form, point-mass and atoms-only triplet leaves
+        keep that; power segments do not (a segment's series length follows
+        its batch's largest |w|), so a map over a triplet law with power
+        segments rounds a column with its batch.
 
     Raises
     ------

@@ -12,14 +12,25 @@ both integrals sample without discretization error:
   clock rate, also picks the atom), Gaussian and drift parts with
   closed-form coefficients on [0, s_max].
 
+A jump's atom is the index of its uniform in the jump cdf, found by a
+branch-free bisection over a table padded to a power of two.
+
 Empirical characteristic functions take one tangent per term (half-angle
-formulas for cos and sin) and report two-pass standard errors.
+formulas for cos and sin) and report two-pass standard errors. They run
+over the grid in row blocks of at most ECF_CHUNK_ELEMENTS (grid points x
+samples) elements, at least one row, so memory stays at a few rows of
+samples however large the grid.
 
 Randomness is counter based: samples come in blocks of BLOCK = 4096, and
 block b draws all of its samples at once, as arrays, from one Philox stream
 keyed by (seed, b). Sample k is row k % BLOCK of block k // BLOCK, so it does
 not depend on n, and chunked or parallel execution (chunks are whole blocks)
-reproduces the exact byte stream of a serial run.
+reproduces the exact byte stream of a serial run. The last block of a run
+may keep only its first rows. It still draws every row's normals and Poisson
+counts, whose share of the stream varies, and every jump time; the uniforms
+after the times, and all per-jump work, are only for the kept rows' jumps.
+Between segments the stream skips the unused uniforms exactly, so the kept
+rows are those of a whole block.
 """
 
 from __future__ import annotations
@@ -27,6 +38,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -44,6 +56,12 @@ _SEG_LEN = 10.0
 # samples per Philox stream: sample k is row k % BLOCK of block k // BLOCK
 BLOCK = 4096
 _ROWS = np.arange(BLOCK)
+# keys per pass of the atom pick: its three buffers (about 270 KiB) stay in
+# cache, and the chunks are long enough that numpy's per-call cost is small
+PICK_CHUNK = 1 << 14
+# largest (grid points x samples) row block of the empirical CF: its three
+# float planes of 256 KiB each stay in cache
+ECF_CHUNK_ELEMENTS = 1 << 15
 
 # stream tags: fourth Philox counter word, so the per-purpose streams of one
 # (seed, block) pair never overlap
@@ -110,6 +128,24 @@ class SimSpec:
             return None
         return np.cumsum(self.probs)
 
+    @cached_property
+    def _pick_table(self) -> np.ndarray:
+        """The cdf without its last entry, padded with +inf to a power of two.
+
+        Leaving the last entry out keeps the picked index in range when the
+        probabilities sum to a hair under 1; the padding holds at least one
+        +inf, so the bisection of :func:`_pick_atoms` never runs off the end.
+        """
+        inner = self.jump_cdf()[:-1]
+        table = np.full(1 << len(inner).bit_length(), np.inf)
+        table[: len(inner)] = inner
+        return table
+
+    @cached_property
+    def _gauss_roots(self) -> dict[float, np.ndarray]:
+        """Square roots of var_factor * diffusion by var_factor, one eigh each."""
+        return {}
+
     def char_exponent(self) -> CharExponent:
         """Exponent of the law at unit time: log E exp(i <y, X_1>)."""
         parts = []
@@ -149,9 +185,54 @@ def _base_block(
     """Drift plus Gaussian part of one block, shape (BLOCK, dim)."""
     x = np.tile(drift_factor * spec.drift, (BLOCK, 1))
     if spec.has_gaussian:
+        # all BLOCK rows: a normal takes a variable share of the stream
         z = g.standard_normal((BLOCK, spec.dim))
-        x += z @ _cov_factor(var_factor * spec.diffusion)
+        roots = spec._gauss_roots
+        if var_factor not in roots:
+            roots[var_factor] = _cov_factor(var_factor * spec.diffusion)
+        x += z @ roots[var_factor]
     return x
+
+
+def _skip(bitgen: np.random.BitGenerator, m: int) -> None:
+    """Move a Philox stream past m 64-bit draws, as m uniforms would.
+
+    A counter step yields four draws: the rest of the current four come from
+    the buffer, whole steps from ``advance`` and the remainder by drawing.
+    """
+    head = min(m, 4 - bitgen.state["buffer_pos"])
+    bitgen.random_raw(head)
+    m -= head
+    # advance(0) would drop a partly used buffer
+    if m >= 4:
+        bitgen.advance(m // 4)
+    bitgen.random_raw(m % 4)
+
+
+def _pick_atoms(table: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """np.searchsorted(table, u) for a table padded with +inf to a power of two.
+
+    A branch-free bisection: at each level, a key moves its index up by the
+    step when the entry step - 1 past the index is below it. Keys go in
+    chunks through reused buffers, since a fresh temporary per level costs
+    more than the level.
+    """
+    idx = np.zeros(len(u), dtype=np.intp)
+    steps = [1 << e for e in reversed(range(len(table).bit_length() - 1))]
+    if not steps:
+        return idx
+    entry = np.empty(min(len(u), PICK_CHUNK))
+    below = np.empty(len(entry), dtype=bool)
+    moves = np.empty(len(entry), dtype=np.intp)
+    for a in range(0, len(u), PICK_CHUNK):
+        i, key = idx[a : a + PICK_CHUNK], u[a : a + PICK_CHUNK]
+        e, f, m = entry[: len(i)], below[: len(i)], moves[: len(i)]
+        for step in steps:
+            # a view that starts step - 1 entries in reads table[i + step - 1]
+            table[step - 1 :].take(i, out=e, mode="clip")
+            np.less(e, key, out=f)
+            i += np.multiply(f, step, out=m) if step > 1 else f
+    return idx
 
 
 def _add_jumps(
@@ -162,9 +243,7 @@ def _add_jumps(
     u_atom: np.ndarray,
 ) -> None:
     """Scatter-add weight[j] * atom(u_atom[j]) into row owner[j] of x."""
-    # searching the cdf without its last entry keeps the index in range when
-    # the probabilities sum to a hair under 1
-    idx = np.searchsorted(spec.jump_cdf()[:-1], u_atom)
+    idx = _pick_atoms(spec._pick_table, u_atom)
     for c, atoms in enumerate(spec.jumps.T):
         terms = atoms[idx]
         terms *= weight
@@ -174,14 +253,19 @@ def _add_jumps(
 # -- the power-kernel integral over (0,1) ---------------------------------------
 
 
-def _jbeta_block(g: np.random.Generator, spec: SimSpec, beta: float) -> np.ndarray:
+def _jbeta_block(
+    g: np.random.Generator, spec: SimSpec, beta: float, rows: int = BLOCK
+) -> np.ndarray:
+    """The first ``rows`` samples of one block, shape (rows, dim)."""
     x = _base_block(g, spec, beta / (beta + 1.0), beta / (beta + 2.0))
     if spec.has_jumps:
         counts = g.poisson(spec.rate, BLOCK)
-        k = int(counts.sum())
-        u = g.random(2 * k)
-        _add_jumps(x, spec, np.repeat(_ROWS, counts), u[:k] ** (1.0 / beta), u[k:])
-    return x
+        kept = counts[:rows]
+        k, km = int(counts.sum()), int(kept.sum())
+        # the k jump times, then the atom uniforms of the km kept jumps only
+        u = g.random(k + km)
+        _add_jumps(x, spec, np.repeat(_ROWS[:rows], kept), u[:km] ** (1.0 / beta), u[k:])
+    return x[:rows]
 
 
 def sample_jbeta_integral(
@@ -241,8 +325,9 @@ def truncation_tail_bound(
 
 
 def _timechange_block(
-    g: np.random.Generator, spec: SimSpec, beta: float, s_max: float
+    g: np.random.Generator, spec: SimSpec, beta: float, s_max: float, rows: int = BLOCK
 ) -> np.ndarray:
+    """The first ``rows`` samples of one block, shape (rows, dim)."""
     x = _base_block(
         g,
         spec,
@@ -257,10 +342,16 @@ def _timechange_block(
             lo = j * _SEG_LEN
             length = min(lo + _SEG_LEN, s_max) - lo
             counts = g.poisson(spec.rate * length, BLOCK)
-            k = int(counts.sum())
-            u = g.random(2 * k)
-            # the first half becomes minus the envelope times, -(lo + length u)
-            neg_s, v = u[:k], u[k:]
+            kept = counts[:rows]
+            k, km = int(counts.sum()), int(kept.sum())
+            # the k envelope times, then the accept uniforms of the km kept
+            # jumps; the stream skips the other k - km exactly, so the next
+            # segment draws what it draws in a whole block
+            u = g.random(k + km)
+            if km < k:
+                _skip(g.bit_generator, k - km)
+            # the kept times become minus the envelope times, -(lo + length u)
+            neg_s, v = u[:km], u[k:]
             neg_s *= -length
             neg_s -= lo
             clock = neg_s * beta
@@ -273,8 +364,8 @@ def _timechange_block(
             np.divide(v, clock, out=v, where=keep)
             weight = np.exp(neg_s, out=neg_s)
             weight *= keep
-            _add_jumps(x, spec, np.repeat(_ROWS, counts), weight, v)
-    return x
+            _add_jumps(x, spec, np.repeat(_ROWS[:rows], kept), weight, v)
+    return x[:rows]
 
 
 def sample_time_changed_integral(
@@ -372,7 +463,7 @@ def _sample_blocks(
                 key=np.array([seed, b], dtype=np.uint64),
             )
         )
-        parts.append(block_fn(g, *args)[: stop - b * BLOCK])
+        parts.append(block_fn(g, *args, min(BLOCK, stop - b * BLOCK)))
     return np.concatenate(parts, axis=0)
 
 
@@ -428,6 +519,8 @@ def empirical_cf(samples: np.ndarray, y_grid) -> EmpiricalCF:
     are within 2.3e-16 of the exact values (t reaches about 1.6e16 next to
     odd multiples of pi, and t**2 stays finite). The SEs are the two-pass
     ddof=1 standard deviations of the real and imaginary parts over sqrt(n).
+    Grid points go in row blocks of at most ``ECF_CHUNK_ELEMENTS`` elements
+    (at least one row), through one reused (3, rows, n) buffer.
     """
     samples = np.asarray(samples, dtype=float)
     if samples.ndim == 1:
@@ -437,23 +530,36 @@ def empirical_cf(samples: np.ndarray, y_grid) -> EmpiricalCF:
     Y, _ = as_grid(y_grid, samples.shape[1])
     if Y.shape[0] == 0:
         raise ValueError("need at least one grid point")
-    n = samples.shape[0]
-    # one contiguous row of half angles per grid point (halving Y is exact)
-    t = (0.5 * Y) @ samples.T
-    np.tan(t, out=t)
-    t2 = t * t
-    den = t2 + 1.0
-    re = np.subtract(1.0, t2, out=t2)
-    re /= den
-    im = np.add(t, t, out=t)
-    im /= den
-    mean_re = re.mean(axis=1)
-    mean_im = im.mean(axis=1)
+    n, m = samples.shape[0], Y.shape[0]
+    # one contiguous row of half angles per grid point (halving Y is exact),
+    # summed over coordinates in order and reduced along the row, so a row
+    # has the same bytes in any row block (a matrix product would not)
+    half, xt = 0.5 * Y, np.ascontiguousarray(samples.T)
+    rows = max(1, min(m, ECF_CHUNK_ELEMENTS // n))
+    buf = np.empty((3, rows, n))
+    mean_re, mean_im, se_re, se_im = np.empty((4, m))
+    for a in range(0, m, rows):
+        b = min(a + rows, m)
+        t, t2, den = buf[:, : b - a]
+        np.multiply(half[a:b, :1], xt[0], out=t)
+        for c in range(1, len(xt)):
+            t += np.multiply(half[a:b, c : c + 1], xt[c], out=t2)
+        np.tan(t, out=t)
+        np.multiply(t, t, out=t2)
+        np.add(t2, 1.0, out=den)
+        re = np.subtract(1.0, t2, out=t2)
+        re /= den
+        im = np.add(t, t, out=t)
+        im /= den
+        mean_re[a:b] = re.mean(axis=1)
+        mean_im[a:b] = im.mean(axis=1)
+        se_re[a:b] = _row_se(re, mean_re[a:b])
+        se_im[a:b] = _row_se(im, mean_im[a:b])
     est = mean_re + 1j * mean_im
     # one-ulp guard: the mean of unit-modulus terms cannot exceed modulus 1
     mod = np.abs(est)
     est = np.where(mod > 1.0, est / mod, est)
-    return EmpiricalCF(Y, est, _row_se(re, mean_re), _row_se(im, mean_im), n)
+    return EmpiricalCF(Y, est, se_re, se_im, n)
 
 
 def _row_se(terms: np.ndarray, mean: np.ndarray) -> np.ndarray:

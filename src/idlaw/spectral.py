@@ -129,6 +129,22 @@ def _cis_m1(Y: np.ndarray, J: np.ndarray, m: np.ndarray) -> np.ndarray:
     return out
 
 
+def _dot(Y: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Y @ v as a sum of columns in order, so each row rounds alike in any batch."""
+    out = np.zeros(Y.shape[0])
+    for c in range(Y.shape[1]):
+        out += Y[:, c] * v[c]
+    return out
+
+
+def _quad_form(Y: np.ndarray, S: np.ndarray) -> np.ndarray:
+    """<y, S y> for each row y of Y, summed in order like :func:`_dot`."""
+    out = np.zeros(Y.shape[0])
+    for c in range(Y.shape[1]):
+        out += _dot(Y, S[c]) * Y[:, c]
+    return out
+
+
 def _fold_sum(v: np.ndarray) -> np.ndarray:
     """Sum of the rows of v, by halving in place (overwrites v)."""
     k = v.shape[0]
@@ -1030,7 +1046,7 @@ class SpectralMeasure:
         for ray in self.rays:
             if ray.radial.is_empty():
                 continue
-            out += ray.radial.exponent_integral(Y @ ray.direction)
+            out += ray.radial.exponent_integral(_dot(Y, ray.direction))
         return out
 
     def scaled(self, factor: float) -> "SpectralMeasure":

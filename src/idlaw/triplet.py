@@ -17,7 +17,7 @@ from typing import Union
 import numpy as np
 
 from .errors import DimensionMismatchError, InvalidMeasureError
-from .spectral import SpectralMeasure
+from .spectral import SpectralMeasure, _dot, _quad_form
 
 PSD_TOL = 1e-10
 
@@ -91,8 +91,8 @@ class LevyTriplet:
                 f"grid shape {Y.shape} does not match dim {self.dim}"
             )
         self.require_valid()
-        val = 1j * (Y @ self.shift)
-        val = val - 0.5 * np.einsum("ij,jk,ik->i", Y, self.cov, Y)
+        quad = _quad_form(Y, self.cov)
+        val = 1j * _dot(Y, self.shift) - 0.5 * quad
         val = val + self.levy.exponent_jump_integral(Y)
         return val
 

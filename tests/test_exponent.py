@@ -350,6 +350,26 @@ class TestBatchIndependence:
         with mock.patch.object(spectral, "CIS_CHUNK_ELEMENTS", budget):
             assert _rows_alone_and_in_batch(fn, w, rng.integers(0, n, 8)) == []
 
+    @settings(max_examples=20, deadline=None)
+    @given(
+        k=st.integers(min_value=1, max_value=4),
+        n=st.integers(min_value=1, max_value=5000),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    def test_atoms_only_triplet_rows(self, k, n, seed):
+        # the shift, the covariance and each ray's projection sum in order
+        rng = np.random.default_rng(seed)
+        a = rng.normal(size=(2, 2))
+        rays = []
+        for _ in range(k):
+            d = rng.normal(size=2)
+            atoms = zip(rng.uniform(0.1, 3.0, 3), rng.uniform(0.0, 2.0, 3))
+            rays.append(ray(d / np.linalg.norm(d), atoms=atoms))
+        law = LevyTriplet(2, rng.normal(size=2), a @ a.T, SpectralMeasure(2, rays))
+        Y = rng.uniform(-1.0, 1.0, (n, 2)) * 10.0 ** rng.uniform(-3.0, 2.0, (n, 1))
+        positions = rng.integers(0, n, 8)
+        assert _rows_alone_and_in_batch(law.exponent_grid, Y, positions) == []
+
 
 class TestCompoundPoissonAccuracy:
     """The compound-Poisson exponent against 40-digit mpmath.

@@ -1,6 +1,7 @@
 """Monte Carlo samplers, empirical CFs, and simulation-vs-quadrature checks."""
 
 import math
+import tracemalloc
 import warnings
 
 import mpmath as mp
@@ -12,6 +13,7 @@ import idlaw.maps as maps
 from idlaw import quadrature
 import idlaw.simulate as sim
 from idlaw.errors import LawSpecError
+from idlaw.factor import default_grid
 
 
 def drift_spec(b=1.0):
@@ -141,6 +143,57 @@ class TestSamplers:
         sim._add_jumps(x, spec, np.array([3]), np.array([1.0]),
                        np.array([1.0 - 2.0**-53]))
         assert x[3, 0] == 2.0 and np.count_nonzero(x) == 1
+
+    @settings(max_examples=40, deadline=None)
+    @given(k=st.integers(1, 2000), seed=st.integers(0, 2**32 - 1))
+    def test_atom_pick_matches_searchsorted(self, k, seed):
+        # some atoms have probability 0, so the cdf has ties; the keys are 0,
+        # the largest uniform below 1, every cdf entry and its neighbours,
+        # and more than one chunk of random keys
+        rng = np.random.default_rng(seed)
+        probs = rng.uniform(0.0, 1.0, k) * (rng.random(k) > 0.2)
+        probs[rng.integers(k)] = 1.0
+        probs *= (1.0 - 1e-13) / probs.sum()
+        spec = sim.SimSpec(1, [0.0], 0.0, rate=1.0, jumps=np.arange(k)[:, None],
+                           probs=probs)
+        cdf = spec.jump_cdf()
+        u = np.concatenate([
+            [0.0, 1.0 - 2.0**-53], cdf, np.nextafter(cdf, 0.0), np.nextafter(cdf, 1.0),
+            rng.random(sim.PICK_CHUNK + 17),
+        ])
+        u = u[u < 1.0]
+        want = np.searchsorted(cdf[:-1], u)
+        np.testing.assert_array_equal(sim._pick_atoms(spec._pick_table, u), want)
+
+    @pytest.mark.parametrize("offset", range(12))
+    def test_skip_matches_draw_and_discard(self, offset):
+        def stream():
+            return np.random.Generator(np.random.Philox(key=np.array([7, 3], dtype=np.uint64)))
+
+        for m in [0, *range(1, 10), 1001, 1002, 1003, 1004]:
+            drawn, skipped = stream(), stream()
+            drawn.random(offset)
+            skipped.random(offset)
+            drawn.random(m)
+            sim._skip(skipped.bit_generator, m)
+            assert skipped.random(9).tobytes() == drawn.random(9).tobytes()
+            assert skipped.poisson(3.0, 9).tobytes() == drawn.poisson(3.0, 9).tobytes()
+
+    @pytest.mark.parametrize("spec", [
+        sim.SimSpec(1, [0.2], 0.7, rate=2.0, jumps=[[1.5]]),
+        sim.SimSpec(1, [0.0], 1.0, rate=2.0, jumps=[[2.0], [-2.0]]),
+        sim.SimSpec(2, [0.3, -0.2], [[1.0, 0.6], [0.6, 0.5]], rate=1.5,
+                    jumps=[[1.0, -2.0], [0.5, 0.5], [-1.5, 0.25]], probs=[0.2, 0.5, 0.3]),
+    ], ids=["dim1-K1", "dim1-K2", "dim2-K3"])
+    @pytest.mark.parametrize("j, m", [(0, 1), (1, 17), (1, sim.BLOCK - 1)])
+    def test_partial_block_is_a_prefix_of_the_whole_block(self, spec, j, m):
+        # the last block draws only its kept rows' per-jump uniforms and
+        # skips the rest; its rows must still be those of a whole block
+        n = j * sim.BLOCK + m
+        for sampler in (sim.sample_jbeta_integral, sim.sample_clocked_integral,
+                        sim.sample_time_changed_integral):
+            whole = sampler(spec, 0.7, (j + 1) * sim.BLOCK, seed=19)
+            assert sampler(spec, 0.7, n, seed=19).tobytes() == whole[:n].tobytes()
 
     def test_time_change_atom_pick_matches_closed_form_moments(self):
         # one atom per coordinate with unequal probabilities: coordinate c
@@ -377,6 +430,31 @@ class TestEmpiricalCF:
             dev = terms - terms.mean(axis=1, keepdims=True)
             want = np.sqrt((dev * dev).sum(axis=1) / (n - 1)) / math.sqrt(n)
             np.testing.assert_allclose(got, want, rtol=1e-13, atol=floor)
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_row_block_budget_does_not_change_a_byte(self, dim, monkeypatch):
+        rng = np.random.default_rng(dim)
+        x = 3.0 * rng.normal(size=(1000, dim))
+        Y = default_grid(dim, n_points=21)
+        got = []
+        # one row per block, two rows, and the whole grid in one block
+        for budget in (1, 2 * len(x), len(Y) * len(x)):
+            monkeypatch.setattr(sim, "ECF_CHUNK_ELEMENTS", budget)
+            ecf = sim.empirical_cf(x, Y)
+            got.append((ecf.estimate.tobytes(), ecf.se_real.tobytes(), ecf.se_imag.tobytes()))
+        assert got[1] == got[0] and got[2] == got[0]
+
+    def test_memory_stays_bounded_at_large_n(self):
+        x = np.random.default_rng(8).normal(size=200_000)
+        Y = np.linspace(-5.0, 5.0, 41)
+        tracemalloc.start()
+        try:
+            sim.empirical_cf(x, Y)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the (41 x 200,000) half-angle array alone is 62.6 MiB
+        assert peak < 16 * 2**20
 
 
 class TestMCVsQuadrature:
