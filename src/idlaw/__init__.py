@@ -48,11 +48,9 @@ from .maps import (
     inner_clock_rate,
     jbeta_inverse,
     jbeta_map,
-    jbeta_measure,
-    jbeta_radial,
     jbeta_triplet,
-    log_moment_preserved,
     map_exponent_grid,
+    map_triplet,
     transformed_tail,
     ubetaf_map,
 )

@@ -160,15 +160,13 @@ def _cmd_transform(args) -> int:
     law = load_law(args.law)
     if law.triplet is None:
         raise LawSpecError("the law description does not determine a triplet")
-    if args.beta is None:
-        raise LawSpecError("transform needs --beta")
-    out_trip = maps.jbeta_triplet(law.triplet, args.beta)
+    m = _make_map(args.map, args.beta)
     doc = {
         "kind": "transform",
         "law": law.name,
-        "map": "jbeta",
-        "beta": args.beta,
-        "triplet": triplet_to_dict(out_trip),
+        "map": m.kind,
+        "beta": m.beta,
+        "triplet": triplet_to_dict(maps.map_triplet(m, law.triplet)),
     }
     if args.out:
         report.write_report(doc, args.out, "json")
@@ -356,7 +354,7 @@ def _build_parser() -> argparse.ArgumentParser:
     def add_common(sp, with_map=True):
         sp.add_argument("--law", help="path to a law JSON file")
         if with_map:
-            sp.add_argument("--map", choices=["jbeta", "i", "ubetaf", "ijbeta"])
+            sp.add_argument("--map", choices=list(maps.POWER_KERNELS))
             sp.add_argument("--beta", type=_positive, help="map index (not for 'i')")
         sp.add_argument("--out", help="write a report to this path")
         sp.add_argument("--format", choices=["json", "csv"], default="json")
@@ -369,8 +367,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("transform", help="closed-form triplet transform")
     sp.add_argument("--law", help="path to a law JSON file")
-    sp.add_argument("--map", default="jbeta", choices=["jbeta"])
-    sp.add_argument("--beta", type=_positive)
+    sp.add_argument("--map", default="jbeta", choices=list(maps.POWER_KERNELS))
+    sp.add_argument("--beta", type=_positive, help="map index (not for 'i')")
     sp.add_argument("--out")
     sp.set_defaults(fn=_cmd_transform, needs_law=True)
 

@@ -176,23 +176,6 @@ def conv_power(exponent: CharExponent, c: float) -> CharExponent:
     return CharExponent(exponent.dim, _ScaleNode(c, exponent.node))
 
 
-def iter_triplets(exponent: CharExponent):
-    """Yield every triplet leaf reachable from this exponent's tree."""
-
-    def walk(node: _Node):
-        if isinstance(node, _TripletNode):
-            yield node.triplet
-        elif isinstance(node, _ScaleNode):
-            yield from walk(node.inner)
-        elif isinstance(node, _SumNode):
-            for part in node.parts:
-                yield from walk(part)
-        elif isinstance(node, _MappedNode):
-            yield from walk(node.inner.node)
-
-    yield from walk(exponent.node)
-
-
 # -- numerically stable scalar kernels used by closed forms ------------------
 
 

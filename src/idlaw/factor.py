@@ -246,8 +246,9 @@ def spectral_factor_check(
 
     grids, lhs_parts, rhs_parts = [], [], []
     rays = G.rays if G.rays else ()
+    kernel = maps.POWER_KERNELS["jbeta"](2.0 * beta)
     for ray_ in rays:
-        m_rad = maps.jbeta_radial(ray_.radial, 2.0 * beta).scaled(0.5)
+        m_rad = maps._radial_image(ray_.radial, kernel).scaled(0.5)
         lhs = maps.transformed_tail(m_rad, beta, radius_grid) + m_rad.tail(radius_grid)
         rhs = maps.transformed_tail(ray_.radial, beta, radius_grid)
         grids.append(radius_grid)

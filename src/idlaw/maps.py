@@ -10,13 +10,14 @@ exponent scale:
   the composition of ``i`` after ``jbeta``, also realized by integrating
   against a deterministic time change with rate 1 - exp(-beta s).
 
-The ``jbeta`` map also acts on generating triplets in closed form: shift
-and covariance pick up the factors beta/(beta+1) and beta/(beta+2), and
-atoms and power segments of the jump measure map to exact sums of power
-segments (:func:`jbeta_radial`). Any radial part transforms through its
-right tail,
+Every map also acts on generating triplets in closed form
+(:func:`map_triplet`). In u, each kernel is a short sum of power kernels
+kappa * u**(a-1) du, and each power kernel scales shift and covariance by
+kappa/(a+1) and kappa/(a+2) and maps atoms and power segments of the jump
+measure to exact sums of power segments. Any radial part transforms
+through its right tail,
 
-    tail_out(u) = beta * u**beta * integral_u^inf tail(w) w**(-beta-1) dw,
+    tail_out(u) = kappa * u**a * integral_u^inf tail(w) w**(-a-1) dw,
 
 which this module evaluates exactly piece by piece; only tabulated tails
 and log-form segments have no power-form image and are re-tabulated
@@ -32,7 +33,7 @@ import numpy as np
 
 from . import quadrature
 from .errors import DimensionMismatchError, NotLogIntegrableError, QuadratureError
-from .exponent import CharExponent, from_callable, iter_triplets
+from .exponent import CharExponent, from_callable
 from .spectral import (
     GridTail,
     RadialMeasure,
@@ -41,13 +42,21 @@ from .spectral import (
     SpectralMeasure,
     _expm1_ratio,
     _power_ints,
+    _t_exp_ints,
     log_form_integral,
     segments_by_range,
     segments_nonnegative,
 )
 from .triplet import LevyTriplet
 
-_KINDS = ("jbeta", "i", "ubetaf", "ijbeta")
+# Each map's kernel on u in (0, 1) as a sum of power kernels kappa * u**(a-1),
+# listed as (kappa, a) and built from the map's beta
+POWER_KERNELS = {
+    "jbeta": lambda b: ((b, b),),
+    "i": lambda b: ((1.0, 0.0),),
+    "ubetaf": lambda b: ((2.0 * b, b), (-2.0 * b, 2.0 * b)),
+    "ijbeta": lambda b: ((1.0, 0.0), (-1.0, b)),
+}
 
 
 @dataclass(frozen=True)
@@ -58,8 +67,10 @@ class IntegralMap:
     beta: float | None = None
 
     def __post_init__(self):
-        if self.kind not in _KINDS:
-            raise ValueError(f"unknown map kind {self.kind!r}; expected one of {_KINDS}")
+        if self.kind not in POWER_KERNELS:
+            raise ValueError(
+                f"unknown map kind {self.kind!r}; expected one of {tuple(POWER_KERNELS)}"
+            )
         if self.kind == "i":
             if self.beta is not None:
                 raise ValueError("map 'i' takes no index beta")
@@ -173,15 +184,6 @@ def _kernel_integral(phi, Y, tol, a, b, kern, scale, mass=1.0, splits=()):
     return val
 
 
-def _require_log_moment(phi: CharExponent) -> None:
-    for trip in iter_triplets(phi):
-        if not math.isfinite(trip.log_moment()):
-            raise NotLogIntegrableError(
-                "the input law has an infinite log moment beyond the unit "
-                "ball, so the logarithmic integral transform diverges"
-            )
-
-
 # Lower-limit walk in s = log u: probes start at u = 8**-5 and step down by
 # a factor 8. The range above the start, where the integrand may still
 # oscillate, is cut at every step. exp(s) must stay a normal double.
@@ -196,14 +198,14 @@ def _singular_grid(phi, Y, tol, weight):
     Integrates in s = log u, where kern(u) du becomes weight(s) ds with
     0 <= weight <= 1, and the behaviour u**a of the exponent near u = 0
     becomes exp(a s), which a few smooth panels resolve. The lower limit
-    walks down in fixed steps, probing the integrand at each new limit;
-    probes that stop shrinking are reported as a missing log moment, and
-    a limit past the double range raises QuadratureError. The walk stops
-    once the geometric remainder below the limit, extrapolated from the
-    last two probes, is within a quarter of ``tol``, and the remainder is
-    added to the value. The kernel's mass in s is the range length.
+    walks down in fixed steps, probing the integrand at each new limit.
+    The geometric remainder below the limit is extrapolated from the last
+    two probes; the walk stops once it is within a quarter of ``tol``, and
+    it is added to the value. Probes that stop shrinking while the
+    remainder does not shrink either are reported as a missing log
+    moment, and a limit past the double range raises QuadratureError. The
+    kernel's mass in s is the range length.
     """
-    _require_log_moment(phi)
 
     def probe(s: float) -> np.ndarray:
         ss = np.array([s])
@@ -211,7 +213,7 @@ def _singular_grid(phi, Y, tol, weight):
 
     s_lo = float(_WALK_CUTS[0])
     prev_norm = float(np.max(np.abs(probe(s_lo)), initial=0.0))
-    strikes = 0
+    prev_rest, strikes = math.inf, 0
     while True:
         s_lo -= _WALK_STEP
         if s_lo < _WALK_FLOOR:
@@ -224,9 +226,13 @@ def _singular_grid(phi, Y, tol, weight):
         if norm == 0.0:
             tail = edge
             break
+        # integrand ~ edge * exp(rate (s - s_lo)) below s_lo
+        rate = math.log(prev_norm / norm) / _WALK_STEP if norm < prev_norm else 0.0
+        rest = norm / rate if rate > 0.0 else math.inf
         # for an integrable singularity the probes must shrink geometrically;
-        # a stalled (or growing) probe means the transform diverges
-        if norm > 1e-12 and norm > 0.75 * prev_norm:
+        # a stalled (or growing) probe whose remainder does not shrink either
+        # means the transform diverges
+        if norm > 1e-12 and norm > 0.75 * prev_norm and not rest < prev_rest:
             strikes += 1
             if strikes >= 3:
                 raise NotLogIntegrableError(
@@ -237,13 +243,10 @@ def _singular_grid(phi, Y, tol, weight):
                 )
         else:
             strikes = 0
-        if norm < prev_norm:
-            # integrand ~ edge * exp(rate (s - s_lo)) below s_lo
-            rate = math.log(prev_norm / norm) / _WALK_STEP
-            if norm / rate <= 0.25 * tol:
-                tail = edge / rate
-                break
-        prev_norm = norm
+        if rest <= 0.25 * tol:
+            tail = edge / rate
+            break
+        prev_norm, prev_rest = norm, rest
 
     val = _kernel_integral(
         phi, Y, 0.75 * tol, s_lo, 0.0, weight, np.exp, mass=-s_lo, splits=_WALK_CUTS
@@ -279,37 +282,51 @@ def jbeta_inverse(phi_mu: CharExponent, beta: float) -> CharExponent:
 # -- closed-form transformed tails --------------------------------------------
 
 
-def _segment_tail_transform(sg: Segment, beta: float, us: np.ndarray) -> np.ndarray:
-    """integral_u^inf tail_sg(w) w**(-beta-1) dw for one power segment.
+def _p_neg(a: float, x, y):
+    """Integral of w**(-a-1) over (x, y); y may be inf for a > 0."""
+    return np.log(y / x) if a == 0.0 else (x ** (-a) - y ** (-a)) / a
+
+
+def _mass_above(kappa: float, a: float, x) -> np.ndarray:
+    """kappa times the integral of t**(a-1) over (x, 1), zero for x >= 1.
+
+    The share of a unit mass at radius r that one power kernel carries
+    above u = x r: kappa (1 - x**a)/a, or -kappa log(x) at a = 0.
+    """
+    x = np.minimum(x, 1.0)
+    return -kappa * np.log(x) if a == 0.0 else kappa / a * (1.0 - x ** a)
+
+
+def _segment_tail_transform(sg: Segment, a: float, us: np.ndarray) -> np.ndarray:
+    """integral_u^inf tail_sg(w) w**(-a-1) dw for one power segment.
 
     Vectorized over query radii us > 0. On (u, lo) the segment's tail is
     its whole mass. From L = max(u, lo) on, swapping the order of
     integration turns the rest into the integral of c r**p
-    (L**-beta - r**-beta)/beta over (L, hi): two power integrals, taken
-    through expm1 so that neither p + 1 -> 0 nor p - beta + 1 -> 0 cancels.
+    (L**-a - r**-a)/a over (L, hi): two power integrals, taken through
+    expm1 so that neither p + 1 -> 0 nor p - a + 1 -> 0 cancels. At a = 0
+    the weight is log(r/L), and the rest is c L**(p+1) times the integral
+    of t exp((p+1) t) over (0, log(hi/L)).
     """
     c, p, lo, hi = sg.c, sg.p, sg.lo, sg.hi
-
-    def p_neg(a, b):
-        # integral of w**(-beta-1) over (a, b); b may be inf
-        return (a ** (-beta) - b ** (-beta)) / beta
-
     L = np.maximum(us, lo)
     val = np.zeros_like(us)
     if lo > 0.0:
-        val += np.where(us < lo, float(sg.tail(lo)) * p_neg(np.minimum(us, lo), lo), 0.0)
-    e = p + (1.0 - beta)
+        val += np.where(us < lo, float(sg.tail(lo)) * _p_neg(a, np.minimum(us, lo), lo), 0.0)
+    e = p + (1.0 - a)
+    L = np.minimum(L, hi)
     if math.isinf(hi):
         # p < -1 here, else the tail itself is infinite
         val += (c / (-(p + 1.0))) * (-(L ** e) / e)
+    elif a == 0.0:
+        val += c * L ** (p + 1.0) * _t_exp_ints(p + 1.0, np.log(hi / L))
     else:
-        L = np.minimum(L, hi)
-        val += (c / beta) * (L ** -beta * _power_ints(L, hi, p + 1.0) - _power_ints(L, hi, e))
+        val += (c / a) * (L ** -a * _power_ints(L, hi, p + 1.0) - _power_ints(L, hi, e))
     return np.where(us < hi, val, 0.0)
 
 
-def _grid_tail_transform(gt: GridTail, beta: float, us: np.ndarray) -> np.ndarray:
-    """integral_u^inf tail_gt(w) w**(-beta-1) dw, vectorized over query radii.
+def _grid_tail_transform(gt: GridTail, a: float, us: np.ndarray) -> np.ndarray:
+    """integral_u^inf tail_gt(w) w**(-a-1) dw, vectorized over query radii.
 
     The tabulated tail is linear on each cell and zero past the last node,
     so every cell integrates in closed form; suffix sums make the whole
@@ -320,14 +337,11 @@ def _grid_tail_transform(gt: GridTail, beta: float, us: np.ndarray) -> np.ndarra
     slope = np.diff(T) / np.diff(r)
     alpha = T[:-1] - slope * r[:-1]
 
-    def p_neg(a, b):
-        return (a ** (-beta) - b ** (-beta)) / beta
+    def p_one(x, y):
+        # integral of w**-a over (x, y), without cancellation near a = 1
+        return _power_ints(x, y, 1.0 - a)
 
-    def p_one(a, b):
-        # integral of w**-beta over (a, b), without cancellation near beta = 1
-        return _power_ints(a, b, 1.0 - beta)
-
-    cell_full = alpha * p_neg(r[:-1], r[1:]) + slope * p_one(r[:-1], r[1:])
+    cell_full = alpha * _p_neg(a, r[:-1], r[1:]) + slope * p_one(r[:-1], r[1:])
     suffix = np.concatenate([np.cumsum(cell_full[::-1])[::-1], [0.0]])
 
     us = np.asarray(us, dtype=float)
@@ -336,80 +350,86 @@ def _grid_tail_transform(gt: GridTail, beta: float, us: np.ndarray) -> np.ndarra
     if np.any(inside):
         ui = np.minimum(np.maximum(us[inside], r[0]), r[-1])
         idx = np.clip(np.searchsorted(r, ui, side="right") - 1, 0, len(r) - 2)
-        partial = alpha[idx] * p_neg(ui, r[idx + 1]) + slope[idx] * p_one(ui, r[idx + 1])
+        partial = alpha[idx] * _p_neg(a, ui, r[idx + 1]) + slope[idx] * p_one(ui, r[idx + 1])
         vals = partial + suffix[idx + 1]
         below = us[inside] < r[0]
-        vals = vals + np.where(below, T[0] * p_neg(np.maximum(us[inside], 1e-300), r[0]), 0.0)
+        vals = vals + np.where(below, T[0] * _p_neg(a, np.maximum(us[inside], 1e-300), r[0]), 0.0)
         out[inside] = vals
     return out
 
 
-def transformed_tail(radial: RadialMeasure, beta: float, us) -> np.ndarray:
-    """Right tail of the jbeta image of a radial measure, evaluated exactly.
+def _kernel_tail(radial: RadialMeasure, kappa: float, a: float, us) -> np.ndarray:
+    """Right tail of the image of a radial measure under one power kernel.
 
-    tail_out(u) = beta * u**beta * integral_u^inf tail(w) w**(-beta-1) dw.
-    Atoms contribute m * (1 - (u/r)**beta) below their radius; power
-    segments and grid tails integrate in closed form piece by piece, and
-    log-form segments by quadrature in log r.
+    tail_out(u) = kappa * u**a * integral_u^inf tail(w) w**(-a-1) dw.
+    Atoms contribute m times :func:`_mass_above` at u/r; power segments
+    and grid tails integrate in closed form piece by piece, and log-form
+    segments by quadrature in log r.
     """
-    if not beta > 0.0:
-        raise ValueError(f"beta must be positive, got {beta}")
     us = np.atleast_1d(np.asarray(us, dtype=float))
     if np.any(us <= 0.0):
         raise ValueError("tail queries must be at positive radii")
     out = np.zeros_like(us)
     for at in radial.atoms:
-        out += at.m * np.maximum(0.0, 1.0 - (us / at.r) ** beta)
+        out += at.m * _mass_above(kappa, a, us / at.r)
     integ = np.zeros_like(us)
     for sg in radial.segments:
         if sg.e is None:
-            integ += _segment_tail_transform(sg, beta, us)
+            integ += _segment_tail_transform(sg, a, us)
             continue
         # a log-form segment's mass above u, each point x weighted by the
-        # chance 1 - (u/x)**beta that t**(1/beta) x stays above u
+        # share of it that the kernel carries above u
         inside = us < sg.hi
         u_in = us[inside]
         out[inside] += log_form_integral(
-            sg, np.maximum(u_in, sg.lo), lambda r, j: 1.0 - (u_in[j] / r) ** beta
+            sg, np.maximum(u_in, sg.lo), lambda r, j: _mass_above(kappa, a, u_in[j] / r)
         )
     if radial.grid_tail is not None:
-        integ += _grid_tail_transform(radial.grid_tail, beta, us)
-    out += beta * us ** beta * integ
+        integ += _grid_tail_transform(radial.grid_tail, a, us)
+    out += kappa * us ** a * integ
     return out
+
+
+def transformed_tail(radial: RadialMeasure, beta: float, us) -> np.ndarray:
+    """Right tail of the jbeta image of a radial measure, evaluated exactly:
+    :func:`_kernel_tail` at kappa = a = beta."""
+    if not beta > 0.0:
+        raise ValueError(f"beta must be positive, got {beta}")
+    return _kernel_tail(radial, beta, beta, us)
 
 
 # -- triplet-level transform ---------------------------------------------------
 
 
-# A segment image whose exponent offset e = p - beta + 1 is this close to
+# A segment image whose exponent offset e = p - a + 1 is this close to
 # zero is kept in log form: its two power terms, of size 1/|e|, would
 # cancel to about eps/|e| of the density.
 LOG_FORM_BAND = 1e-2
 
 
-def _segment_image_terms(sg: Segment, beta: float) -> tuple[list, Segment | None]:
-    """Image of one power segment as power terms, each a Segment.
+def _segment_image_terms(sg: Segment, kappa: float, a: float) -> tuple[list, Segment | None]:
+    """Image of one power segment under one power kernel, as Segments.
 
-    With e = p - beta + 1 the image density is c beta u**(beta-1)
-    (hi**e - lo**e)/e on (0, lo) and (c beta/e)(hi**e u**(beta-1) - u**p)
+    With e = p - a + 1 the image density is c kappa u**(a-1)
+    (hi**e - lo**e)/e on (0, lo) and (c kappa/e)(hi**e u**(a-1) - u**p)
     on (lo, hi); for hi = inf, where e < 0, only the u**p term remains.
     Within ``LOG_FORM_BAND`` of e = 0 the (lo, hi) piece comes back as one
-    log-form segment instead, c beta u**p ((hi/u)**e - 1)/e.
+    log-form segment instead, c kappa u**p ((hi/u)**e - 1)/e.
     """
     lo, hi, p = sg.lo, sg.hi, sg.p
-    e, cb = p + (1.0 - beta), sg.c * beta
+    e, cb = p + (1.0 - a), sg.c * kappa
     terms = []
     if math.isinf(hi):
         if lo > 0.0:
-            terms.append(Segment(0.0, lo, cb * lo ** e / -e, beta - 1.0))
+            terms.append(Segment(0.0, lo, cb * lo ** e / -e, a - 1.0))
         terms.append(Segment(lo, hi, cb / -e, p))
         return terms, None
     if lo > 0.0:
         coef = cb * lo ** e * float(_expm1_ratio(e, math.log(hi / lo)))
-        terms.append(Segment(0.0, lo, coef, beta - 1.0))
+        terms.append(Segment(0.0, lo, coef, a - 1.0))
     if abs(e) < LOG_FORM_BAND:
         return terms, Segment(lo, hi, cb, p, e)
-    terms += [Segment(lo, hi, cb * hi ** e / e, beta - 1.0), Segment(lo, hi, -cb / e, p)]
+    terms += [Segment(lo, hi, cb * hi ** e / e, a - 1.0), Segment(lo, hi, -cb / e, p)]
     return terms, None
 
 
@@ -425,18 +445,17 @@ def _rest_breakpoints(rest: RadialMeasure) -> list[float]:
     return sorted(set(bps))
 
 
-def jbeta_radial(radial: RadialMeasure, beta: float) -> RadialMeasure:
-    """Radial part of the jbeta image of one ray's radial measure.
+def _radial_image(radial: RadialMeasure, kernel) -> RadialMeasure:
+    """Radial part of the image of one ray's radial measure under a kernel.
 
-    Atoms and power segments map exactly. An atom m at r becomes the
-    density m beta u**(beta-1) / r**beta on (0, r); a power segment
-    becomes power terms of exponents beta - 1 and p (see
+    ``kernel`` is a sequence of power kernels (kappa, a). Atoms and power
+    segments map exactly: under each power kernel an atom m at r becomes
+    the density m kappa u**(a-1) / r**a on (0, r), and a power segment
+    becomes power terms of exponents a - 1 and p (see
     :func:`_segment_image_terms`), or a log-form segment when the two
     nearly coincide. Terms sharing an exponent are summed on each range
-    between breakpoints, so the image of a nonnegative measure made of
-    atoms and non-overlapping segments carries at most two power terms
-    per range, and each further map adds at most one more; their sum is
-    certified nonnegative when the measure is validated.
+    between breakpoints, and their sum is certified nonnegative when the
+    measure is validated.
 
     Grid tails and log-form segments have no power-form image. Their
     transformed tail is evaluated in closed form (by quadrature for log
@@ -448,22 +467,22 @@ def jbeta_radial(radial: RadialMeasure, beta: float) -> RadialMeasure:
     when each part is certified nonnegative; otherwise all segments are
     re-tabulated together.
     """
-    terms, log_forms, rest_segments = [], [], []
-    for at in radial.atoms:
-        terms.append(Segment(0.0, at.r, at.m * beta / at.r ** beta, beta - 1.0))
     plain = [sg for sg in radial.segments if sg.e is None]
     together = len(plain) < len(radial.segments) and not (
         all(sg.c >= 0.0 for sg in radial.segments if sg.e is not None)
         and segments_nonnegative(plain)
     )
-    for sg in radial.segments:
-        if sg.e is not None or together:
-            rest_segments.append(sg)
-            continue
-        seg_terms, log_form = _segment_image_terms(sg, beta)
-        terms += seg_terms
-        if log_form is not None:
-            log_forms.append(log_form)
+    rest_segments = [sg for sg in radial.segments if sg.e is not None or together]
+    mapped = [sg for sg in radial.segments if not (sg.e is not None or together)]
+    terms, log_forms = [], []
+    for kappa, a in kernel:
+        for at in radial.atoms:
+            terms.append(Segment(0.0, at.r, at.m * kappa / at.r ** a, a - 1.0))
+        for sg in mapped:
+            seg_terms, log_form = _segment_image_terms(sg, kappa, a)
+            terms += seg_terms
+            if log_form is not None:
+                log_forms.append(log_form)
     new_segments = tuple(
         sg for _, _, covering in segments_by_range(terms) for sg in covering
     ) + tuple(log_forms)
@@ -471,62 +490,49 @@ def jbeta_radial(radial: RadialMeasure, beta: float) -> RadialMeasure:
     if rest.is_empty():
         return RadialMeasure((), new_segments, None)
 
+    def tail_out(us) -> np.ndarray:
+        parts = [_kernel_tail(rest, kappa, a, us) for kappa, a in kernel]
+        return sum(parts[1:], parts[0])
+
     bps = _rest_breakpoints(rest)
-    lo_ref = min(bps)
-
-    def tail_out(u: float) -> float:
-        return float(transformed_tail(rest, beta, np.array([u]))[0])
-
     r_top = max(bps)
-    r_floor = lo_ref * 1e-2
-    while r_floor * r_floor * tail_out(r_floor) > 1e-10 and r_floor > 1e-18:
+    r_floor = min(bps) * 1e-2
+    while r_floor * r_floor * float(tail_out(r_floor)[0]) > 1e-10 and r_floor > 1e-18:
         r_floor /= 8.0
 
     n_nodes = int(min(32769, max(4097, 1024.0 * math.log(r_top / r_floor))))
     us = np.geomspace(r_floor, r_top, n_nodes)
     us = np.union1d(us, [b for b in bps if r_floor < b < r_top] + [1.0])
     us = us[(us >= r_floor) & (us <= r_top)]
-    tails = transformed_tail(rest, beta, us)
-    tails = np.minimum.accumulate(np.maximum(tails, 0.0))
+    tails = np.minimum.accumulate(np.maximum(tail_out(us), 0.0))
     return RadialMeasure((), new_segments, GridTail(us, tails))
 
 
-def jbeta_measure(measure: SpectralMeasure, beta: float) -> SpectralMeasure:
-    """Jump measure of the jbeta image, ray by ray."""
-    measure.require_valid()
-    if not beta > 0.0:
-        raise ValueError(f"beta must be positive, got {beta}")
-    return SpectralMeasure(
-        measure.dim,
-        tuple(Ray(r.direction, jbeta_radial(r.radial, beta)) for r in measure.rays),
-    )
+def map_triplet(m: IntegralMap, trip: LevyTriplet) -> LevyTriplet:
+    """Generating triplet of the image under ``m`` of a law given by its triplet.
+
+    Each power kernel (kappa, a) of the map adds kappa/(a+1) times (shift
+    + mean of x/|x| |x|**-a beyond the unit ball) to the shift and
+    kappa/(a+2) times the covariance; the jump measure transforms ray by
+    ray (:func:`_radial_image`).
+    """
+    trip.require_valid()
+    kernel = POWER_KERNELS[m.kind](m.beta)
+    shifts, covs = [], []
+    for kappa, a in kernel:
+        correction = np.zeros(trip.dim)
+        for ray_ in trip.levy.rays:
+            w = ray_.radial.power_moment_above1(-a)
+            correction = correction + w * ray_.direction
+        shifts.append((kappa / (a + 1.0)) * (trip.shift + correction))
+        covs.append((kappa / (a + 2.0)) * trip.cov)
+    levy = SpectralMeasure(trip.dim, tuple(
+        Ray(r.direction, _radial_image(r.radial, kernel)) for r in trip.levy.rays
+    ))
+    # summed onto the first term: a start of 0 would turn a -0.0 into 0.0
+    return LevyTriplet(trip.dim, sum(shifts[1:], shifts[0]), sum(covs[1:], covs[0]), levy)
 
 
 def jbeta_triplet(trip: LevyTriplet, beta: float) -> LevyTriplet:
-    """Generating triplet of the jbeta image of a law given by its triplet.
-
-    shift picks up beta/(beta+1) times (shift + mean of x/|x| beyond the
-    unit ball), covariance scales by beta/(beta+2), and the jump measure
-    transforms ray by ray.
-    """
-    if not beta > 0.0:
-        raise ValueError(f"beta must be positive, got {beta}")
-    trip.require_valid()
-    correction = np.zeros(trip.dim)
-    for ray_ in trip.levy.rays:
-        w = ray_.radial.power_moment_above1(-beta)
-        correction = correction + w * ray_.direction
-    shift = (beta / (beta + 1.0)) * (trip.shift + correction)
-    cov = (beta / (beta + 2.0)) * trip.cov
-    return LevyTriplet(trip.dim, shift, cov, jbeta_measure(trip.levy, beta))
-
-
-def log_moment_preserved(measure: SpectralMeasure, beta: float) -> tuple[float, float, bool]:
-    """Log moments before and after the jbeta map, plus finiteness agreement.
-
-    Returns (transformed, original, same_finiteness). Finiteness of the log
-    moment is invariant under the map; the numeric values differ.
-    """
-    before = measure.log_moment()
-    after = jbeta_measure(measure, beta).log_moment()
-    return after, before, bool(np.isfinite(after) == np.isfinite(before))
+    """The jbeta image of a triplet, :func:`map_triplet` at ``jbeta_map(beta)``."""
+    return map_triplet(jbeta_map(beta), trip)

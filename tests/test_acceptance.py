@@ -101,8 +101,9 @@ def test_triplet_transform_agrees_with_exponent_transform():
 
     logmom_err = 0.0
     for beta in (1.0, 2.0):
-        after, before, same = maps.log_moment_preserved(levy, beta)
-        assert same
+        before = trip.log_moment()
+        after = maps.map_triplet(maps.jbeta_map(beta), trip).log_moment()
+        assert math.isfinite(after) == math.isfinite(before)
         # independent route: integrate log(u) against each image segment
         want = 0.0
         for r, m in atoms:

@@ -270,12 +270,19 @@ class TestTransform:
         doc = json.loads(path.read_text())
         assert doc["triplet"]["cov"][0][0] == pytest.approx(0.5)
 
-    def test_only_power_map_supported(self, capsys, law_files):
-        code, _, err = run(
-            capsys, "transform", "--law", law_files["cp"], "--map", "ijbeta",
-            "--beta", "1",
+    @pytest.mark.parametrize("kind, beta", [("i", None), ("ubetaf", 1.3), ("ijbeta", 1.3)])
+    def test_every_map_image_reloads_as_map_triplet(self, capsys, law_files, kind, beta):
+        flags = [] if beta is None else ["--beta", str(beta)]
+        code, out, _ = run(
+            capsys, "transform", "--law", law_files["cp"], "--map", kind, *flags
         )
-        assert code == 2
+        assert code == 0
+        doc = json.loads(out)
+        jsonschema.validate(doc, load_report_schema())
+        assert (doc["map"], doc["beta"]) == (kind, beta)
+        image = law_from_dict(doc["triplet"]).triplet
+        direct = maps.map_triplet(maps.IntegralMap(kind, beta), load_law(law_files["cp"]).triplet)
+        assert triplet_to_dict(image) == triplet_to_dict(direct) == doc["triplet"]
 
     def test_law_without_triplet(self, capsys, law_files):
         code, _, err = run(

@@ -24,7 +24,6 @@ from idlaw.exponent import (
     convolve,
     from_callable,
     from_triplet,
-    iter_triplets,
     log_sinhc,
     xcothx,
 )
@@ -152,17 +151,6 @@ class TestFromCallableAndTriplets:
         m = SpectralMeasure(1, (ray([1.0], segments=[(0.5, 3.0, 0.3, -1.4)]),))
         phi = from_triplet(LevyTriplet(1, [0.0], [[0.0]], m))
         assert abs(phi(0.0)) < 1e-12
-
-    def test_iter_triplets_walks_sums_and_scalings(self):
-        m = SpectralMeasure(1, ())
-        a = from_triplet(LevyTriplet(1, [0.1], [[1.0]], m))
-        b = from_triplet(LevyTriplet(1, [0.2], [[2.0]], m))
-        combined = conv_power(convolve(a, b), 0.5)
-        shifts = sorted(t.shift[0] for t in iter_triplets(combined))
-        assert shifts == pytest.approx([0.1, 0.2])
-
-    def test_iter_triplets_empty_for_closed_forms(self, gaussian_phi):
-        assert list(iter_triplets(gaussian_phi)) == []
 
 
 def unfolded(phi, Y, tol=None):

@@ -7,7 +7,7 @@ import warnings
 import mpmath as mp
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import idlaw.maps as maps
 from idlaw import quadrature
@@ -333,6 +333,19 @@ class TestSamplers:
             sim.sample_jbeta_integral(gauss_spec(), 1.0, 0, seed=1)
 
 
+@st.composite
+def samples_and_grid(draw):
+    """Samples of shape (n, dim) in [-50, 50] and a grid of shape (m, dim) in [-5, 5]."""
+    dim, n, m = draw(st.integers(1, 2)), draw(st.integers(2, 64)), draw(st.integers(1, 6))
+
+    def block(rows, bound):
+        vals = st.floats(-bound, bound)
+        flat = draw(st.lists(vals, min_size=rows * dim, max_size=rows * dim))
+        return np.array(flat).reshape(rows, dim)
+
+    return block(n, 50.0), block(m, 5.0)
+
+
 class TestEmpiricalCF:
     def test_value_at_zero_is_exactly_one(self):
         x = np.random.default_rng(0).normal(size=257)
@@ -403,21 +416,19 @@ class TestEmpiricalCF:
         assert ecf.se_real[0] == 0.0 and ecf.se_imag[0] == 0.0
 
     @settings(max_examples=60, deadline=None)
-    @given(
-        dim=st.integers(1, 2),
-        n=st.integers(2, 64),
-        m=st.integers(1, 6),
-        data=st.data(),
-    )
-    def test_matches_cos_sin_two_pass_reference(self, dim, n, m, data):
-        def block(rows, bound):
-            vals = st.floats(-bound, bound)
-            flat = data.draw(st.lists(vals, min_size=rows * dim, max_size=rows * dim))
-            return np.array(flat).reshape(rows, dim)
-
-        x, y = block(n, 50.0), block(m, 5.0)
+    @given(case=samples_and_grid())
+    # y @ x.T rounds the last angle one ulp away from the ordered sum, and
+    # the cosine mean moves by 1.4e-14
+    @example(case=(
+        np.array([[0.0, 0.0], [0.0, 0.0], [0.0, 0.0], [28.0, -27.114984289416583]]),
+        np.array([[0.0, 0.0], [5.0, -4.375]]),
+    ))
+    def test_matches_cos_sin_two_pass_reference(self, case):
+        x, y = case
+        n, dim = x.shape
         ecf = sim.empirical_cf(x, y)
-        theta = y @ x.T
+        # the angles as empirical_cf builds them, summed over coordinates in order
+        theta = sum(y[:, c : c + 1] * x[:, c] for c in range(dim))
         cos, sin = np.cos(theta), np.sin(theta)
         np.testing.assert_allclose(
             ecf.estimate, cos.mean(axis=1) + 1j * sin.mean(axis=1), rtol=0, atol=1e-14
