@@ -32,7 +32,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import quadrature
-from .errors import DimensionMismatchError, NotLogIntegrableError, QuadratureError
+from .errors import (
+    DimensionMismatchError,
+    InvalidMeasureError,
+    NotLogIntegrableError,
+    QuadratureError,
+)
 from .exponent import CharExponent, from_callable
 from .spectral import (
     GridTail,
@@ -414,23 +419,33 @@ def _segment_image_terms(sg: Segment, kappa: float, a: float) -> tuple[list, Seg
     (hi**e - lo**e)/e on (0, lo) and (c kappa/e)(hi**e u**(a-1) - u**p)
     on (lo, hi); for hi = inf, where e < 0, only the u**p term remains.
     Within ``LOG_FORM_BAND`` of e = 0 the (lo, hi) piece comes back as one
-    log-form segment instead, c kappa u**p ((hi/u)**e - 1)/e.
+    log-form segment instead, c kappa u**p ((hi/u)**e - 1)/e. A
+    coefficient past the float range raises InvalidMeasureError.
     """
     lo, hi, p = sg.lo, sg.hi, sg.p
     e, cb = p + (1.0 - a), sg.c * kappa
-    terms = []
-    if math.isinf(hi):
-        if lo > 0.0:
-            terms.append(Segment(0.0, lo, cb * lo ** e / -e, a - 1.0))
-        terms.append(Segment(lo, hi, cb / -e, p))
-        return terms, None
-    if lo > 0.0:
-        coef = cb * lo ** e * float(_expm1_ratio(e, math.log(hi / lo)))
-        terms.append(Segment(0.0, lo, coef, a - 1.0))
-    if abs(e) < LOG_FORM_BAND:
-        return terms, Segment(lo, hi, cb, p, e)
-    terms += [Segment(lo, hi, cb * hi ** e / e, a - 1.0), Segment(lo, hi, -cb / e, p)]
-    return terms, None
+    terms, log_form = [], None
+    try:
+        if math.isinf(hi):
+            if lo > 0.0:
+                terms.append(Segment(0.0, lo, cb * lo ** e / -e, a - 1.0))
+            terms.append(Segment(lo, hi, cb / -e, p))
+        else:
+            if lo > 0.0:
+                coef = cb * lo ** e * float(_expm1_ratio(e, math.log(hi / lo)))
+                terms.append(Segment(0.0, lo, coef, a - 1.0))
+            if abs(e) < LOG_FORM_BAND:
+                log_form = Segment(lo, hi, cb, p, e)
+            else:
+                terms += [Segment(lo, hi, cb * hi ** e / e, a - 1.0), Segment(lo, hi, -cb / e, p)]
+        overflow = not all(math.isfinite(t.c) for t in terms)
+    except OverflowError:
+        overflow = True
+    if overflow:
+        raise InvalidMeasureError(
+            f"the image of {sg} under the power kernel {kappa} u**{a - 1.0} overflows"
+        )
+    return terms, log_form
 
 
 def _rest_breakpoints(rest: RadialMeasure) -> list[float]:

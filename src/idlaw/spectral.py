@@ -9,11 +9,16 @@ that is how the exact image of a power segment under a map, a difference
 of two power terms, is held. Admissibility means integral of min(1, r**2)
 against the radial part is finite on every ray.
 
-Point masses, atoms and tabulated-tail nodes alike, and the closed-form
-compound-Poisson exponent share one kernel for exp(i theta) - 1,
-:func:`_cis_m1`: one tangent per angle, summed over atoms in a fixed
-order in cache-sized blocks, so a row's value does not depend on its
-batch.
+A measure's exponent runs from flat tables built once per measure
+(:class:`JumpTables`). Atoms and the node weights of tabulated tails
+become one (jumps x dim) table of jump vectors r * direction with their
+masses, summed by the one kernel for exp(i theta) - 1, :func:`_cis_m1`,
+which the closed-form compound-Poisson exponent shares; the compensation
+of jumps inside the unit ball is one drift vector. Segments, split at
+radius 1, become rows of a piece table (:class:`_Pieces`), which one
+array program evaluates for all (row, piece) elements of a batch at once.
+Every step sums in an order set by the tables alone, so a row's value
+does not depend on its batch.
 """
 
 from __future__ import annotations
@@ -32,13 +37,15 @@ UNIT_NORM_TOL = 1e-12
 # largest (atoms x rows) block the exp(i theta) - 1 kernel evaluates at
 # once: its two float temporaries of 128 KiB each stay in cache
 CIS_CHUNK_ELEMENTS = 1 << 14
-# arguments per segment evaluation: the power series and Gauss-Laguerre
-# arrays of a segment take at most 53 and 34 columns per argument, so with
-# the few such temporaries of a log form a batch stays near 20 MB
-SEGMENT_CHUNK = 4096
+# (rows x pieces) elements the segment-piece program evaluates at once:
+# their two (SERIES_TERMS x elements) term tables take 3 MB
+PIECE_CHUNK_ELEMENTS = 1 << 12
 # a segment's exponent takes its power series in a = |w| r up to this a,
 # and the rotated contour integral beyond it
 SERIES_EDGE = 8.0
+# series terms run over k = 1..SERIES_TERMS; up to a = 8.2 no term past
+# k = 48 is kept (see _KEEP)
+SERIES_TERMS = 48
 # a signed sum of segment densities may dip this far below zero, relative
 # to the sum of its terms' magnitudes: rounding in terms that cancel
 # exactly at a point, such as the two terms of a segment image at hi
@@ -47,13 +54,32 @@ SIGN_SLACK = 1e-12
 # segments; panels at rounding level are accepted whatever their size
 LOG_FORM_TOL = 1e-14
 
-# 1/k! for k = 0..52, correctly rounded (int / int rounds once); at
-# a = SERIES_EDGE the series terms past k = 52 are below 1e-21
-_INV_FACT = np.array([1 / math.factorial(k) for k in range(53)])
-_K = np.arange(_INV_FACT.size)
-# i**k / k! as (real, imaginary) columns: real for even k, imaginary for odd
-_I_POW_FACT = np.zeros((_K.size, 2))
-_I_POW_FACT[_K, _K % 2] = (-1.0) ** (_K // 2) * _INV_FACT
+# 1/k! for k = 0..SERIES_TERMS, correctly rounded (int / int rounds once)
+_INV_FACT = np.array([1 / math.factorial(k) for k in range(SERIES_TERMS + 1)])
+# the series terms k = 1..SERIES_TERMS as a column, and the real
+# coefficients of i**k / k!: real part for even k, imaginary for odd
+_TERM_K = np.arange(1.0, SERIES_TERMS + 1.0)[:, None]
+_TERM_COEF = (-1.0) ** (_TERM_K // 2) * _INV_FACT[1:, None]
+
+
+def _keep_thresholds() -> np.ndarray:
+    """Smallest z at which the series keeps term k, for k = 3..SERIES_TERMS.
+
+    A term stays while z**k / k! is at least 1e-18 times min(1, z**2 / 2),
+    the leading term of the compensated kernel, or 1. Both sides are
+    monotone in z, so each term has one threshold: below sqrt(2), where
+    z**2 / 2 is 1, it is where z**(k-2) reaches 1e-18 k!/2, and above it
+    where z**k reaches 1e-18 k!.
+    """
+    out = []
+    for k in range(3, SERIES_TERMS + 1):
+        z = (0.5e-18 * math.factorial(k)) ** (1.0 / (k - 2))
+        out.append(z if z < math.sqrt(2.0) else (1e-18 * math.factorial(k)) ** (1.0 / k))
+    return np.array(out)
+
+
+# an element with z = |w| top keeps the terms up to k = 2 + searchsorted(_KEEP, z, "right")
+_KEEP = _keep_thresholds()
 # 34-point Gauss-Laguerre rule: nodes and weights for integrals against
 # exp(-v) over (0, inf), Newton-refined roots of L_34 at 60 digits. On
 # (1 + i v/a)**p it is within 3e-16 of the integral for a >= SERIES_EDGE.
@@ -145,20 +171,34 @@ def _quad_form(Y: np.ndarray, S: np.ndarray) -> np.ndarray:
     return out
 
 
-def _fold_sum(v: np.ndarray) -> np.ndarray:
-    """Sum of the rows of v, by halving in place (overwrites v)."""
-    k = v.shape[0]
+def _fold_sum(v: np.ndarray, k: int | None = None) -> np.ndarray:
+    """Sum of the rows of v, by halving in place (overwrites v).
+
+    The halving order is that of ``k`` rows (default: v's own), where rows
+    past v's count read as +0.0: a short v sums like its zero-padded form,
+    to the same bytes as long as none of its rows holds -0.0.
+    """
+    n = v.shape[0]
+    k = n if k is None else k
     while k > 1:
         h = k // 2
-        v[:h] += v[k - h : k]
+        if n > k - h:
+            v[: n - (k - h)] += v[k - h : n]
         k -= h
+        n = min(n, k)
     return v[0]
 
 
-def _expm1_ratio(e: float, t):
-    """(exp(e*t) - 1)/e without cancellation as e -> 0, where it is t; t may be complex."""
+def _expm1_ratio(e, t):
+    """(exp(e*t) - 1)/e without cancellation as e -> 0, where it is t; t may be complex.
+
+    Broadcasts over e and t.
+    """
     t = np.asarray(t)
-    return t if e == 0.0 else np.expm1(e * t) / e
+    if np.ndim(e) == 0:
+        return t if e == 0.0 else np.expm1(e * t) / e
+    zero = e == 0.0
+    return np.where(zero, t, np.expm1(e * t) / np.where(zero, 1.0, e))
 
 
 def _unit_ints(log_rho, x):
@@ -174,14 +214,29 @@ def _unit_ints(log_rho, x):
 def _power_ints(a, b, q: float) -> np.ndarray:
     """Integral of r**(q-1) over (a, b), per pair of 0 <= a <= b < inf.
 
-    Written as a**q (exp(q log(b/a)) - 1)/q through expm1, so it stays
-    accurate as q -> 0; from a = 0 it is b**q/q, or inf when q <= 0.
+    From a > 0 it is :func:`_ints_from`; from a = 0 it is b**q/q, or inf
+    when q <= 0.
     """
     a = np.asarray(a, dtype=float)
     pos = a > 0.0
-    a_pos = np.where(pos, a, b)
     at_zero = b ** q / q if q > 0.0 else math.inf
-    return np.where(pos, a_pos ** q * _expm1_ratio(q, np.log(b / a_pos)), at_zero)
+    return np.where(pos, _ints_from(np.where(pos, a, b), b, q), at_zero)
+
+
+def _ints_from(a, b, q) -> np.ndarray:
+    """Integral of r**(q-1) over (a, b), for 0 < a <= b < inf, broadcast over a, b and q.
+
+    Written as a**q (exp(q log(b/a)) - 1)/q through expm1, so it stays
+    accurate as q -> 0. Where q log(b/a) passes 700, (a/b)**q is below
+    1e-304 and nothing cancels: it is b**q/q, and expm1 would overflow.
+    """
+    span = np.log(b / a)
+    far = q * span > 700.0
+    if not far.any():
+        return a ** q * _expm1_ratio(q, span)
+    q_far = np.where(far, q, 1.0)
+    val = a ** q * _expm1_ratio(q, np.where(far, 0.0, span))
+    return np.where(far, b ** q_far / q_far, val)
 
 
 def _t_exp_ints(q: float, T) -> np.ndarray:
@@ -261,8 +316,14 @@ class Segment:
         if hi <= lo:
             return 0.0
         if self.e is None:
-            # r**s times the density is a power density of exponent p + s
-            return float(Segment(lo, hi, self.c, self.p + s).tail(lo))
+            # r**s times the density is a power density of exponent q - 1
+            q = self.p + s + 1.0
+            if math.isinf(hi):
+                if q >= 0.0:
+                    return self.c * math.inf
+                with np.errstate(divide="ignore"):
+                    return self.c * float(-(np.asarray(lo) ** q) / q)
+            return self.c * float(_power_ints(lo, hi, q))
         if lo == 0.0 and self.p - self.e + 1.0 + s <= 0.0:
             return math.inf  # r**s times the density is not integrable at 0
         if lo > 0.0 and s < 0.0:
@@ -288,14 +349,15 @@ def _moment(sg: Segment, a, b, k) -> np.ndarray:
     """
     if sg.e is None:
         return _power_ints(a, b, sg.p + (k + 1.0))
-    return b ** (sg.p + 1.0 + k) * _log_form_ratio(sg, a, b, k)
+    return b ** (sg.p + 1.0 + k) * _log_form_ratio(sg.p, sg.e, sg.hi, a, b, k)
 
 
-def _log_form_ratio(sg: Segment, a, b, k) -> np.ndarray:
+def _log_form_ratio(p, e, hi, a, b, k) -> np.ndarray:
     """A log form's :func:`_moment` over b**(p + 1 + k), closed form.
 
-    Needs lo <= a <= b <= hi and K = p - e + 1 + k >= 0, broadcast over
-    a, b and k. The density at c = 1 is r**(K-k-1) times the integral of
+    For the log form of exponent p, offset e and end hi; needs
+    lo <= a <= b <= hi and K = p - e + 1 + k >= 0, broadcast over p, e,
+    hi, a, b and k. The density at c = 1 is r**(K-k-1) times the integral of
     u**(e-1) over (r, hi), so swapping the order of integration gives, with
     rho = a/b, T = log(1/rho), q = K + e and U_x = (1 - rho**x)/x,
 
@@ -310,7 +372,7 @@ def _log_form_ratio(sg: Segment, a, b, k) -> np.ndarray:
     h_(m-1) (-T)**(m-1) T**2 / (m+1)!, h_n = q h_(n-1) + K**n, h_0 = 1,
     which takes over where max(|q|, K) T < 1.
     """
-    e, K = sg.e, sg.p - sg.e + 1.0 + k
+    K = p - e + 1.0 + k
     q = K + e
     with np.errstate(divide="ignore", invalid="ignore"):
         log_rho = np.log(np.asarray(a, dtype=float) / b)
@@ -328,7 +390,7 @@ def _log_form_ratio(sg: Segment, a, b, k) -> np.ndarray:
                 h = q * h + K_pow
                 series = series + h * c
             first = np.where(near, series, first)
-        out = first + _unit_ints(log_rho, K) * sg.factor(b)
+        out = first + _unit_ints(log_rho, K) * _expm1_ratio(e, np.log(hi / b))
     return np.where((K == 0.0) & (log_rho == -math.inf), math.inf, out)
 
 
@@ -353,19 +415,6 @@ def log_form_integral(
 
     val, _ = quadrature.integrate(f, 0.0, 1.0, tol=LOG_FORM_TOL, columns=a.size)
     return np.real(val)
-
-
-def _point_mass_exponent(
-    w: np.ndarray, r: np.ndarray, m: np.ndarray, m_comp: np.ndarray
-) -> np.ndarray:
-    """Jump integrand against point masses m at radii r, batched over signed w.
-
-    The sum of m (exp(i w r) - 1), from :func:`_cis_m1`, minus i w times the
-    first moment of the compensated masses ``m_comp`` (those at r <= 1).
-    """
-    out = _cis_m1(w[:, None], r[:, None], m)
-    out.imag -= w * float(r @ m_comp)
-    return out
 
 
 @dataclass(frozen=True, eq=False)
@@ -459,17 +508,18 @@ class GridTail:
         val += np.asarray(g_above(r[n_above:]), dtype=float) @ wt_above[n_above:]
         return float(val)
 
+    @cached_property
+    def _radial(self) -> "RadialMeasure":
+        return RadialMeasure(grid_tail=self)
+
     def exponent_integral(self, w: np.ndarray) -> np.ndarray:
         """Jump-part integrand against the tabulated measure, batched over w.
 
         The node weights of the endpoint-average rule are point masses, the
-        ones in (0, 1] compensated; :func:`_point_mass_exponent` sums them.
+        ones in (0, 1] compensated: the tables of a radial measure with this
+        tail alone (:meth:`RadialMeasure.exponent_integral`).
         """
-        wt_below, wt_above = self._node_weights
-        return _point_mass_exponent(
-            np.atleast_1d(np.asarray(w, dtype=float)),
-            self._unit_split[0], wt_below + wt_above, wt_below,
-        )
+        return self._radial.exponent_integral(w)
 
     def scaled(self, factor: float) -> "GridTail":
         return GridTail(self.radii, self.tail * factor)
@@ -588,31 +638,26 @@ class RadialMeasure:
             )
         return val
 
+    @cached_property
+    def tables(self) -> JumpTables:
+        """This measure's tables, as the one ray of a dim-1 measure."""
+        return JumpTables.build(1, [(np.ones(1), self)])
+
     def exponent_integral(self, w: np.ndarray) -> np.ndarray:
         """Jump integrand against this measure, batched over signed arguments w.
 
         Computes, for each w, the integral of
-        exp(i*w*r) - 1 - i*w*r*[r <= 1] over r. Atoms and grid-tail nodes
-        are point masses, summed in bounded chunks by
-        :func:`_point_mass_exponent`. Segments, power and log form alike,
-        take a closed form (:func:`_segment_exponent`): a power series in
-        |w| r up to SERIES_EDGE, and past it a fixed Gauss-Laguerre rule
-        along a contour in the upper half plane, where the oscillation
-        becomes decay. No piece runs a quadrature, and the error is at
-        rounding level at any |w|. Every piece takes w of either sign, so
-        the value at -w is the conjugate of the one at w piece by piece.
+        exp(i*w*r) - 1 - i*w*r*[r <= 1] over r, from :attr:`tables`. Atoms
+        and grid-tail nodes are point masses. Segments, power and log form
+        alike, take a closed form: a power series in |w| r up to
+        SERIES_EDGE, and past it a fixed Gauss-Laguerre rule along a
+        contour in the upper half plane, where the oscillation becomes
+        decay. No piece runs a quadrature, and the error is at rounding
+        level at any |w|. Every piece takes w of either sign, so the value
+        at -w is the conjugate of the one at w piece by piece.
         """
         w = np.asarray(w, dtype=float).ravel()
-        out = np.zeros(w.shape, dtype=complex)
-        if self.atoms:
-            r = np.array([at.r for at in self.atoms])
-            m = np.array([at.m for at in self.atoms])
-            out += _point_mass_exponent(w, r, m, m * (r <= 1.0))
-        for sg in self.segments:
-            out += _segment_exponent(sg, w)
-        if self.grid_tail is not None:
-            out += self.grid_tail.exponent_integral(w)
-        return out
+        return self.tables.exponent(w[:, None], -self.tables.comp)
 
     def scaled(self, factor: float) -> "RadialMeasure":
         if factor < 0.0:
@@ -846,134 +891,350 @@ def _density_nonnegative(segments: list[Segment], a: float, b: float) -> bool:
     return True
 
 
-def _segment_exponent(sg: Segment, w: np.ndarray) -> np.ndarray:
-    """c * integral of r**p F(r) (exp(i w r) - 1 - i w r [r <= 1]) over a segment.
+def _powers(z: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """z**1, z**2, ... down the rows of ``out``, each by at most log2(rows) products."""
+    rows = out.shape[0]
+    out[0] = z
+    n = 1
+    while n < rows:
+        c = min(n, rows - n)
+        np.multiply(out[:c], out[n - 1], out=out[n : n + c])
+        n += c
+    return out
 
-    F is the density factor of :meth:`Segment.factor`: 1 for a power
-    segment, ((hi/r)**e - 1)/e for a log form. The range splits at radius
-    1 into a compensated piece below and a raw piece above, each taken in
-    closed form by :func:`_power_piece` at |w|; w < 0 follows by
-    conjugation, since F is real on the real axis, and w = 0 gives exactly
-    0. Arguments go in chunks of at most ``SEGMENT_CHUNK``, so the
-    per-argument arrays stay bounded for any batch.
+
+def _zero_term_row(p: float, k0: int) -> int:
+    """Row of the series term k >= k0 with q = p + 1 + k = 0, or -1."""
+    k = -p - 1.0
+    return int(k) - 1 if k == int(k) and k0 <= k <= SERIES_TERMS else -1
+
+
+def _log_1is(a: np.ndarray) -> np.ndarray:
+    """log(1 + i v/a) at the Laguerre nodes v down the rows, one column per a."""
+    s = _LAG_NODES[:, None] * (1.0 / a)
+    return 0.5 * np.log1p(s * s) + 1j * np.arctan(s)
+
+
+# the power pieces' log(1 + i v/a) at the series edge a = SERIES_EDGE
+_LOG_1IS_EDGE = _log_1is(np.array([SERIES_EDGE]))
+# q = p + 1 + j of the moments j = 0, 1 behind the rotated contour
+_MOMENT_Q = np.array([[1.0], [2.0]])
+
+
+def _laguerre_sum(p, a, log=None) -> np.ndarray:
+    """The Gauss-Laguerre rule on (1 + i v/a)**p F(x (1 + i v/a)), per element.
+
+    With s = v/a, log(1 + i s) is log1p(s**2)/2 + i arctan(s). F is 1 but
+    on the log-form elements ``log`` = (mask, e, log(hi/x)) names, where
+    it takes log(hi / r) = log(hi / x) - log(1 + i s) on the principal
+    branch. Nodes run down the rows, so the rule is a fold over a fixed
+    row count.
     """
-    out = np.zeros(w.shape, dtype=complex)
-    if sg.c == 0.0:
-        return out
-    if math.isinf(sg.hi) and sg.p >= -1.0:
-        raise InvalidMeasureError(
-            f"unbounded segment needs p < -1 for finite mass, got p={sg.p}"
+    log_1is = _log_1is(a)
+    f = np.exp(p * log_1is)
+    if log is not None:
+        mask, e, log_hi_x = log
+        f[:, mask] *= _expm1_ratio(e, log_hi_x - log_1is[:, mask])
+    f *= _LAG_WEIGHTS[:, None]
+    return _fold_sum(f)
+
+
+@dataclass(frozen=True, eq=False)
+class _Pieces:
+    """Segments split at radius 1 into pieces, as columns with one entry per piece.
+
+    A piece is c * r**p F(r) on (a, b) of ray ``ray``, F the density factor
+    of :meth:`Segment.factor`: e is nan for a power segment, and hi is the
+    segment's own end. k0 = 2 marks the compensated kernel below radius 1,
+    k0 = 1 the raw one above it. Pieces are sorted into power pieces from
+    a = 0, power pieces from a > 0 and log forms; ``kinds`` holds the
+    indices where the last two start. Per piece, ``coef`` holds the series
+    coefficients of i**k / k! for k = 1..SERIES_TERMS, zero below k0; on
+    power pieces they are divided by q = p + 1 + k where q is not 0, and
+    negated from a > 0, where the series multiplies them by
+    expm1(q log(rho)). ``q`` holds the rows q; ``zero_row`` the row where q
+    is 0 on a power piece from a > 0, -1 elsewhere, or None when there is
+    none; and ``edge_lag`` the Laguerre sum at the series edge, read for
+    power pieces.
+    """
+
+    a: np.ndarray
+    b: np.ndarray
+    c: np.ndarray
+    p: np.ndarray
+    e: np.ndarray
+    hi: np.ndarray
+    k0: np.ndarray
+    ray: np.ndarray
+    kinds: tuple[int, int]
+    coef: np.ndarray
+    q: np.ndarray
+    zero_row: np.ndarray | None
+    edge_lag: np.ndarray
+
+    @classmethod
+    def build(cls, rows: list[tuple]) -> "_Pieces":
+        """Pieces from rows (a, b, c, p, e, hi, k0, ray), e = nan for power segments."""
+        kind = [2 if not math.isnan(r[4]) else int(r[0] > 0.0) for r in rows]
+        rows = [r for _, r in sorted(zip(kind, rows), key=lambda pair: pair[0])]
+        n0, n1 = kind.count(0), kind.count(0) + kind.count(1)
+        a, b, c, p, e, hi, k0, ray_ = np.array(rows).T
+        q = p + 1.0 + _TERM_K
+        coef = _TERM_COEF * (_TERM_K >= k0)
+        coef[:, :n1] /= np.where(q[:, :n1] == 0.0, 1.0, q[:, :n1])
+        coef[:, n0:n1] *= -1.0
+        zero_row = [_zero_term_row(r[3], r[6]) if n0 <= i < n1 else -1 for i, r in enumerate(rows)]
+        return cls(
+            a, b, c, p, e, hi, k0, ray_.astype(int), (n0, n1), coef, q,
+            np.array(zero_row) if max(zero_row) >= 0 else None,
+            _fold_sum(_LAG_WEIGHTS[:, None] * np.exp(_LOG_1IS_EDGE * p)),
         )
-    top, bottom = min(sg.hi, 1.0), max(sg.lo, 1.0)
-    for j in range(0, w.size, SEGMENT_CHUNK):
-        part = w[j : j + SEGMENT_CHUNK]
-        idx = np.flatnonzero(part)
-        W = np.abs(part[idx])
-        val = np.zeros(W.shape, dtype=complex)
+
+    def add_exponent(self, out: np.ndarray, Y: np.ndarray, dirs: np.ndarray) -> None:
+        """Add to out, per row y of Y, the pieces' jump integrals summed.
+
+        A piece's is c * integral of r**p F(r) (exp(i w r) - 1 - i w r [r <= 1])
+        over (a, b), with w the projection of y on the piece's ray, from the
+        ray directions ``dirs`` (rays x dim) as ordered column sums.
+        Rows go in blocks of at most PIECE_CHUNK_ELEMENTS (rows x pieces)
+        elements, which share one work buffer for the series terms, so
+        memory stays bounded for any batch and the buffer is paged in once.
+        """
+        n = Y.shape[0]
+        step = max(1, PIECE_CHUNK_ELEMENTS // self.a.size)
+        work = np.empty((2, SERIES_TERMS * min(n, step) * self.a.size))
+        for lo in range(0, n, step):
+            y = Y[lo : lo + step]
+            proj = dirs[:, :1] * y[:, 0]
+            for c in range(1, y.shape[1]):
+                proj += dirs[:, c : c + 1] * y[:, c]
+            out[lo : lo + step] += self._block(proj, work)
+
+    def _block(self, proj: np.ndarray, work: np.ndarray) -> np.ndarray:
+        """The sum over pieces for one block of rows, from their projections (rays x n).
+
+        Elements (piece, row) are taken piece-major and split by the edge
+        radius 8/|w|: the part of (a, b) below it goes to the power series
+        (:meth:`_series`), the part above to the rotated contour
+        (:meth:`_tails`); an element may have both. Both run at |w|, and
+        w < 0 takes the conjugate, since F is real on the real axis; w = 0
+        gives exactly 0. Pieces add per row by a fold in table order.
+        """
+        n = proj.shape[1]
+        w = proj[self.ray]
+        W = np.abs(w)
+        # no edge at w = 0, which falls in neither part
+        edge = SERIES_EDGE / np.where(W > 0.0, W, np.nan)
+        W, edge = W.ravel(), edge.ravel()
+        val = np.zeros(W.size, dtype=complex)
+        below = (edge.reshape(w.shape) > self.a[:, None]).ravel().nonzero()[0]
+        if below.size:
+            val[below] = self._series(below // n, W[below], edge[below], work)
+        above = (edge.reshape(w.shape) < self.b[:, None]).ravel().nonzero()[0]
+        if above.size:
+            val[above] += self._tails(above // n, W[above], edge[above])
+        val = val.reshape(w.shape)
+        val *= self.c[:, None]
+        np.negative(val.imag, out=val.imag, where=w < 0.0)
+        return _fold_sum(val)
+
+    def _series(
+        self, k: np.ndarray, W: np.ndarray, edge: np.ndarray, work: np.ndarray
+    ) -> np.ndarray:
+        """The integral over (a, top), top = min(edge, b), for elements of pieces k.
+
+        Termwise it is the sum over k0 <= j of (i W)**j / j! times the
+        integral M_j of r**j against the piece at c = 1 over (a, top). With
+        z = W top, that is top**(p+1) times the sum of (i z)**j / j! *
+        M_j / top**(p+1+j). For a power piece, with rho = a / top and
+        q = p + j + 1, the ratio is (1 - rho**q) / q, so no term cancels at
+        its two ends: 1/q from a = 0, and -log(rho) at q = 0. The table's
+        coefficients hold the -1/q, so from a > 0 the terms take
+        expm1(q log(rho)), or log(rho) at q = 0. For a log form the ratio
+        is :func:`_log_form_ratio`. Each element keeps its terms
+        while z**j / j! is at least 1e-18 of min(1, z**2 / 2) (``_KEEP``);
+        the rest are zeroed, and the real and imaginary parts fold over
+        the term rows in the order of all SERIES_TERMS rows, so the value
+        does not depend on the other elements. The term tables live in the
+        two rows of ``work``.
+        """
+        p = self.p[k]
+        top = np.minimum(edge, self.b[k])
+        z = W * top
+        last = 2 + np.searchsorted(_KEEP, z, "right")
+        # an even row count pairs each odd term with the even one after it
+        rows, m = int(last.max() + 1) & ~1, z.size
+        terms = _powers(z, work[0, : rows * m].reshape(rows, m))
+        tmp = work[1, : rows * m].reshape(rows, m)
+        terms *= np.take(self.coef[:rows], k, axis=1, out=tmp, mode="clip")
+        i1, i2 = np.searchsorted(k, self.kinds)
+        if i2 > i1:
+            kk = k[i1:i2]
+            log_rho = np.log(self.a[kk] / top[i1:i2])
+            ratio = work[1, : rows * kk.size].reshape(rows, kk.size)
+            np.take(self.q[:rows], kk, axis=1, out=ratio, mode="clip")
+            ratio *= log_rho
+            np.expm1(ratio, out=ratio)
+            if self.zero_row is not None:
+                zero = self.zero_row[kk]
+                at = np.flatnonzero((zero >= 0) & (zero < rows))
+                ratio[zero[at], at] = log_rho[at]
+            terms[:, i1:i2] *= ratio
+        if k.size > i2:
+            kk = k[i2:]
+            terms[:, i2:] *= _log_form_ratio(
+                p[i2:], self.e[kk], self.hi[kk], self.a[kk], top[i2:], _TERM_K[:rows]
+            )
+        terms *= np.less_equal(_TERM_K[:rows], last, out=tmp)
+        terms += 0.0  # no -0.0 rows, so the fold reads absent rows as zeros
+        # rows of (odd term, even term) pairs: imaginary then real parts
+        odd_even = _fold_sum(terms.reshape(rows // 2, 2 * m), SERIES_TERMS // 2)
+        scale = top ** (p + 1.0)
+        out = np.empty(m, dtype=complex)
+        out.real = odd_even[m:] * scale
+        out.imag = odd_even[:m] * scale
+        return out
+
+    def _tails(self, k: np.ndarray, W: np.ndarray, edge: np.ndarray) -> np.ndarray:
+        """The integral over (x, b), x = max(edge, a), for elements of pieces k.
+
+        It is T(x) - T(b) - P_0 - i W P_1, where T is :meth:`_rotated_tail`
+        and P_j the integral of r**j against the piece at c = 1 over
+        (x, b). An unbounded piece has T(b) = 0 and P_0 = -x**(p+1)/(p+1);
+        a raw piece (k0 = 1) takes P_1 over (x, x), that is 0.
+        """
+        m, b = k.size, self.b[k]
+        x = np.maximum(edge, self.a[k])
+        bounded = b < math.inf
+        ends = np.concatenate([x, np.where(bounded, b, x)])
+        T = self._rotated_tail(np.concatenate([k, k]), ends, np.concatenate([W, W]))
+        moments = self._moments(k, x, np.array([b, np.where(self.k0[k] == 2, b, x)]))
+        val = T[:m] - T[m:] * bounded - moments[0]
+        val -= 1j * W * moments[1]
+        return val
+
+    def _moments(self, k: np.ndarray, x: np.ndarray, ends: np.ndarray) -> np.ndarray:
+        """Integrals of r**j against pieces k at c = 1 over (x, ends[j]), rows j = 0, 1."""
+        p = self.p[k]
+        q = p + _MOMENT_Q
+        out = _ints_from(x, ends, q)
+        log = k >= self.kinds[1]
+        if log.any():
+            kl = k[log]
+            b = ends[:, log]
+            out[:, log] = b ** q[:, log] * _log_form_ratio(
+                p[log], self.e[kl], self.hi[kl], x[log], b, _MOMENT_Q - 1.0
+            )
+        return out
+
+    def _rotated_tail(self, k: np.ndarray, x: np.ndarray, W: np.ndarray) -> np.ndarray:
+        """T(x) = integral of r**p F(r) exp(i W r) over (x, inf), for W x >= SERIES_EDGE.
+
+        On the contour r = x (1 + i v / a), a = W x, the oscillation turns
+        into decay: T(x) = i exp(i a) x**p / W times the integral of
+        (1 + i v/a)**p F(x (1 + i v/a)) exp(-v) over v > 0, which the fixed
+        Gauss-Laguerre rule takes (:func:`_laguerre_sum`); F is analytic in
+        the upper half plane. The contour continues T to p >= -1, where the
+        real integral diverges; a difference T(x) - T(b) is the integral
+        over (x, b) for every p. A power piece at the edge, a =
+        SERIES_EDGE, reads its Laguerre sum from the table.
+        """
+        a = np.maximum(W * x, SERIES_EDGE)
+        lag = self.edge_lag[k]
+        need = np.flatnonzero((a > SERIES_EDGE) | (k >= self.kinds[1]))
+        if need.size:
+            kn = k[need]
+            log = kn >= self.kinds[1]
+            args = None
+            if log.any():
+                kl = kn[log]
+                args = (log, self.e[kl], np.log(self.hi[kl] / x[need][log]))
+            lag[need] = _laguerre_sum(self.p[kn], a[need], args)
+        return 1j * np.exp(1j * a) * x ** self.p[k] / W * lag
+
+
+def _piece_rows(segments: Iterable[Segment], ray_index: int) -> list[tuple]:
+    """Rows (a, b, c, p, e, hi, k0, ray) of the segments' pieces below and above radius 1."""
+    rows = []
+    for sg in segments:
+        if sg.c == 0.0:
+            continue
+        if math.isinf(sg.hi) and sg.p >= -1.0:
+            raise InvalidMeasureError(
+                f"unbounded segment needs p < -1 for finite mass, got p={sg.p}"
+            )
+        e = math.nan if sg.e is None else sg.e
+        top, bottom = min(sg.hi, 1.0), max(sg.lo, 1.0)
         if top > sg.lo:
-            val += _power_piece(sg, sg.lo, top, W, 2)
+            rows.append((sg.lo, top, sg.c, sg.p, e, sg.hi, 2, ray_index))
         if sg.hi > bottom:
-            val += _power_piece(sg, bottom, sg.hi, W, 1)
-        out[j + idx] = np.where(part[idx] > 0.0, sg.c * val, sg.c * np.conj(val))
-    return out
+            rows.append((bottom, sg.hi, sg.c, sg.p, e, sg.hi, 1, ray_index))
+    return rows
 
 
-def _power_piece(sg: Segment, a: float, b: float, W: np.ndarray, k0: int) -> np.ndarray:
-    """Integral of r**p F(r) (exp(i W r) - sum over k < k0 of (i W r)**k / k!) over (a, b).
+@dataclass(frozen=True, eq=False)
+class JumpTables:
+    """A jump measure compiled into flat tables for its exponent.
 
-    Batched over W > 0; k0 = 2 is the compensated kernel, k0 = 1 the raw
-    one. Below the edge radius x_e = SERIES_EDGE / W the power series of
-    :func:`_series_int` takes the range. Above it, over (x, b) with
-    x = max(a, x_e), the integral is T(x) - T(b) - P_0 - i W P_1, the last
-    term for k0 = 2 only, where T is :func:`_rotated_tail` (T(inf) = 0)
-    and P_j the integral of r**j against the segment at c = 1 over (x, b)
-    from :func:`_moment`.
+    ``jumps`` (K x dim) holds every atom and tabulated-tail node as a jump
+    vector r * direction, with its mass in ``masses``; a tail's nodes
+    carry the weights of its endpoint-average rule (:meth:`GridTail._node_weights`).
+    ``comp`` is the sum of the jumps inside the unit ball times their
+    masses, the compensation as one drift vector. ``dirs`` (rays x dim)
+    holds the ray directions and ``pieces`` the segment-piece table, or
+    None when there are no segments.
     """
-    edge = SERIES_EDGE / W
-    out = np.zeros(W.shape, dtype=complex)
-    below = edge > a
-    if below.any():
-        out[below] = _series_int(sg, a, np.minimum(edge[below], b), W[below], k0)
-    above = edge < b
-    if above.any():
-        x, Wa = np.maximum(edge[above], a), W[above]
-        val = _rotated_tail(sg, x, Wa)
-        if math.isinf(b):
-            val += x ** (sg.p + 1.0) / (sg.p + 1.0)
+
+    dirs: np.ndarray
+    jumps: np.ndarray
+    masses: np.ndarray
+    comp: np.ndarray
+    pieces: _Pieces | None
+
+    @classmethod
+    def build(cls, dim: int, rays: Iterable[tuple[np.ndarray, "RadialMeasure"]]) -> "JumpTables":
+        """Tables of the rays given as (direction, radial measure) pairs."""
+        dirs, jumps, masses, comp, rows = [], [np.zeros((0, dim))], [np.zeros(0)], np.zeros(dim), []
+        for index, (direction, radial) in enumerate(rays):
+            dirs.append(direction)
+            rows += _piece_rows(radial.segments, index)
+            if not radial.atoms and radial.grid_tail is None:
+                continue
+            r = np.array([at.r for at in radial.atoms], dtype=float)
+            m = np.array([at.m for at in radial.atoms], dtype=float)
+            m_comp = m * (r <= 1.0)
+            if radial.grid_tail is not None:
+                wt_below, wt_above = radial.grid_tail._node_weights
+                r = np.concatenate([r, radial.grid_tail._unit_split[0]])
+                m = np.concatenate([m, wt_below + wt_above])
+                m_comp = np.concatenate([m_comp, wt_below])
+            jumps.append(np.multiply.outer(r, direction))
+            masses.append(m)
+            comp = comp + float(r @ m_comp) * direction
+        return cls(
+            np.array(dirs, dtype=float).reshape(-1, dim),
+            np.concatenate(jumps),
+            np.concatenate(masses),
+            comp,
+            _Pieces.build(rows) if rows else None,
+        )
+
+    def exponent(self, Y: np.ndarray, drift: np.ndarray) -> np.ndarray:
+        """i<y, drift> plus the uncompensated jump integral, per row y of Y.
+
+        Passing drift = -comp gives the compensated jump integral. Atoms
+        and nodes go through one :func:`_cis_m1` call, segments through
+        the piece table (:meth:`_Pieces.add_exponent`).
+        """
+        if self.masses.size:
+            out = _cis_m1(Y, self.jumps, self.masses)
         else:
-            val -= _rotated_tail(sg, b, Wa) + _moment(sg, x, b, 0)
-            if k0 == 2:
-                val -= 1j * Wa * _moment(sg, x, b, 1)
-        out[above] += val
-    return out
-
-
-def _series_int(sg: Segment, a: float, top: np.ndarray, W: np.ndarray, k0: int) -> np.ndarray:
-    """The integral of :func:`_power_piece` over (a, top), where W top <= SERIES_EDGE.
-
-    Termwise it is the sum over k >= k0 of (i W)**k / k! times the integral
-    M_k of r**k against the segment at c = 1 over (a, top). With z = W top,
-    that is top**(p+1) times the sum of (i z)**k / k! * M_k / top**(p+1+k).
-    For a power segment, with rho = a / top and q = p + k + 1, the ratio is
-    (1 - rho**q) / q from :func:`_unit_ints`, so no term cancels at its two
-    ends; for a log form it is :func:`_log_form_ratio`. Terms stop where
-    z**k / k! falls below 1e-18 of the leading term, or of 1 if that is
-    larger.
-    """
-    p = sg.p
-    z = W * top
-    mags = float(z.max()) ** _K[k0:] * _INV_FACT[k0:]
-    n = k0 + int(np.flatnonzero(mags >= 1e-18 * min(1.0, mags[0]))[-1]) + 1
-    q = p + 1.0 + _K[k0:n]
-    terms = np.repeat(z[:, None], n - 1, axis=1).cumprod(axis=1)[:, k0 - 1 :]
-    coef = _I_POW_FACT[k0:n]
-    if sg.e is not None:
-        terms *= _log_form_ratio(sg, a, top[:, None], _K[k0:n])
-    elif a > 0.0:
-        terms *= _unit_ints(np.log(a / top)[:, None], q)
-    else:
-        coef = coef / q[:, None]
-    re, im = (terms @ coef).T
-    return top ** (p + 1.0) * (re + 1j * im)
-
-
-def _rotated_tail(sg: Segment, x, W: np.ndarray) -> np.ndarray:
-    """T(x) = integral of r**p F(r) exp(i W r) over (x, inf), for W x >= SERIES_EDGE.
-
-    On the contour r = x (1 + i v / a), a = W x, the oscillation turns into
-    decay: T(x) = i exp(i a) x**p / W times the integral of
-    (1 + i v/a)**p F(x (1 + i v/a)) exp(-v) over v > 0, which the fixed
-    Gauss-Laguerre rule takes; F is analytic in the upper half plane. The
-    contour continues T to p >= -1, where the real integral diverges; a
-    difference T(x) - T(b) is the integral over (x, b) for every p. For a
-    power segment (F = 1) all arguments at the edge, a = SERIES_EDGE, share
-    one Laguerre sum.
-    """
-    a = np.maximum(W * x, SERIES_EDGE)
-    if sg.e is not None:
-        lag = _laguerre_sum(sg, a, x)
-    else:
-        at_edge = a == SERIES_EDGE
-        lag = np.empty(a.shape, dtype=complex)
-        if at_edge.any():
-            lag[at_edge] = _laguerre_sum(sg, np.array([SERIES_EDGE]), x)[0]
-        lag[~at_edge] = _laguerre_sum(sg, a[~at_edge], x)
-    return 1j * np.exp(1j * a) * x ** sg.p / W * lag
-
-
-def _laguerre_sum(sg: Segment, a: np.ndarray, x) -> np.ndarray:
-    """The Gauss-Laguerre rule on (1 + i v/a)**p F(x (1 + i v/a)), per a and x.
-
-    With s = v/a, log(1 + i s) is log1p(s**2)/2 + i arctan(s), and F takes
-    log(hi / r) = log(hi / x) - log(1 + i s) on the principal branch; x,
-    a scalar or one per a, is not read for a power segment.
-    """
-    s = np.multiply.outer(1.0 / a, _LAG_NODES)
-    log_1is = 0.5 * np.log1p(s * s) + 1j * np.arctan(s)
-    f = np.exp(sg.p * log_1is)
-    if sg.e is not None:
-        f *= _expm1_ratio(sg.e, np.log(sg.hi / np.asarray(x))[..., None] - log_1is)
-    return f @ _LAG_WEIGHTS
+            out = np.zeros(Y.shape[0], dtype=complex)
+        if np.any(drift):
+            out.imag += _dot(Y, drift)
+        if self.pieces is not None:
+            self.pieces.add_exponent(out, Y, self.dirs)
+        return out
 
 
 @dataclass(frozen=True, eq=False)
@@ -1036,6 +1297,13 @@ class SpectralMeasure:
     def is_valid(self) -> bool:
         return not self.issues()
 
+    @cached_property
+    def tables(self) -> JumpTables:
+        """The flat tables the exponent runs from, built once."""
+        return JumpTables.build(
+            self.dim, [(r.direction, r.radial) for r in self.rays if not r.radial.is_empty()]
+        )
+
     def require_valid(self) -> None:
         if not self.is_valid:
             raise InvalidMeasureError("; ".join(self.issues()))
@@ -1054,12 +1322,7 @@ class SpectralMeasure:
             raise DimensionMismatchError(
                 f"grid shape {Y.shape} does not match dim {self.dim}"
             )
-        out = np.zeros(Y.shape[0], dtype=complex)
-        for ray in self.rays:
-            if ray.radial.is_empty():
-                continue
-            out += ray.radial.exponent_integral(_dot(Y, ray.direction))
-        return out
+        return self.tables.exponent(Y, -self.tables.comp)
 
     def scaled(self, factor: float) -> "SpectralMeasure":
         return SpectralMeasure(

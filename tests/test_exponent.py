@@ -27,7 +27,7 @@ from idlaw.exponent import (
     log_sinhc,
     xcothx,
 )
-from idlaw.spectral import SpectralMeasure, ray
+from idlaw.spectral import GridTail, SpectralMeasure, ray
 from idlaw.triplet import LevyTriplet
 
 
@@ -332,8 +332,10 @@ class TestBatchIndependence:
         r, m = rng.uniform(0.01, 5.0, k), rng.uniform(0.0, 2.0, k)
         w = rng.uniform(-50.0, 50.0, n)
 
+        radial = spectral.RadialMeasure(tuple(spectral.Atom(*a) for a in zip(r, m)))
+
         def fn(w_rows):
-            return spectral._point_mass_exponent(w_rows, r, m, m * (r <= 1.0))
+            return radial.exponent_integral(w_rows)
 
         with mock.patch.object(spectral, "CIS_CHUNK_ELEMENTS", budget):
             assert _rows_alone_and_in_batch(fn, w, rng.integers(0, n, 8)) == []
@@ -357,6 +359,72 @@ class TestBatchIndependence:
         Y = rng.uniform(-1.0, 1.0, (n, 2)) * 10.0 ** rng.uniform(-3.0, 2.0, (n, 1))
         positions = rng.integers(0, n, 8)
         assert _rows_alone_and_in_batch(law.exponent_grid, Y, positions) == []
+
+
+    @staticmethod
+    def _triplet_law(rng: np.random.Generator, dim: int) -> LevyTriplet:
+        """Atoms, power segments from 0, from lo > 0 and unbounded, log forms and a grid tail."""
+        rays = []
+        for _ in range(int(rng.integers(1, 4))):
+            d = rng.normal(size=dim)
+            lo = float(rng.uniform(0.05, 2.0))
+            hi = lo + float(rng.uniform(0.05, 3.0))
+            segments = [
+                (0.0, float(rng.uniform(0.1, 2.0)), float(rng.uniform(0.05, 1.0)),
+                 float(rng.uniform(-2.9, 1.0))),
+                (lo, hi, float(rng.uniform(0.05, 1.0)), float(rng.uniform(-3.0, 1.0))),
+                (float(rng.uniform(0.5, 3.0)), math.inf, float(rng.uniform(0.05, 1.0)),
+                 float(rng.uniform(-2.9, -1.1))),
+                # log forms need p - e >= -1, from 0 also p > -3
+                (lo, hi, float(rng.uniform(0.05, 1.0)), float(rng.uniform(-0.9, 1.0)),
+                 float(rng.uniform(-0.01, 0.01))),
+                (0.0, hi, float(rng.uniform(0.05, 1.0)), float(rng.uniform(-0.9, 1.0)), 0.0),
+            ]
+            keep = rng.random(len(segments)) < 0.6
+            radii = np.geomspace(lo, hi + 1.0, int(rng.integers(2, 30)))
+            grid = GridTail(radii, np.linspace(1.0, 0.0, radii.size) * rng.uniform(0.1, 1.0))
+            radii_masses = rng.uniform(0.05, 4.0, 3), rng.uniform(0.0, 2.0, 3)
+            rays.append(ray(
+                d / np.linalg.norm(d),
+                atoms=list(zip(*radii_masses))[: int(rng.integers(0, 4))],
+                segments=[sg for sg, k in zip(segments, keep) if k],
+                grid_tail=grid if rng.random() < 0.4 else None,
+            ))
+        a = rng.normal(size=(dim, dim))
+        law = LevyTriplet(dim, rng.normal(size=dim), a @ a.T, SpectralMeasure(dim, rays))
+        law.require_valid()
+        return law
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        dim=st.integers(min_value=1, max_value=2),
+        n=st.integers(min_value=1, max_value=20_000),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    def test_triplet_rows(self, dim, n, seed):
+        # every primitive of a triplet law; |y| from 1e-3 to 1e2 takes both
+        # the series and the rotated contour, at and past the series edge
+        rng = np.random.default_rng(seed)
+        law = self._triplet_law(rng, dim)
+        Y = rng.uniform(-1.0, 1.0, (n, dim)) * 10.0 ** rng.uniform(-3.0, 2.0, (n, 1))
+        positions = rng.integers(0, n, 8)
+        assert _rows_alone_and_in_batch(law.exponent_grid, Y, positions) == []
+
+    def test_mapped_segment_law_columns(self):
+        # a map's quadrature batches a column's abscissas with the other
+        # columns'; over a segment law each column keeps its bytes
+        levy = SpectralMeasure(1, (
+            ray(1.0, atoms=[(2.0, 1.0)],
+                segments=[(0.0, 0.8, 0.5, -1.2), (0.5, 3.0, 0.3, 0.3, 0.004)]),
+            ray(-1.0, segments=[(1.5, math.inf, 0.3, -2.4)]),
+        ))
+        phi = from_triplet(LevyTriplet(1, [0.25], [[0.2]], levy))
+        Y = np.array([[-4.0], [-0.3], [0.7], [1.9], [4.5]])
+        m = maps.jbeta_map(1.3)
+        together = maps.map_exponent_grid(m, phi, Y, 1e-8)
+        for j in range(Y.shape[0]):
+            alone = maps.map_exponent_grid(m, phi, Y[j : j + 1], 1e-8)
+            assert alone.tobytes() == together[j : j + 1].tobytes(), j
 
 
 class TestCompoundPoissonAccuracy:

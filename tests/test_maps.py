@@ -240,6 +240,14 @@ class TestDivergenceDetection:
         with pytest.raises(InvalidMeasureError):
             mapped(maps.i_map(), phi, 1.0, 1e-8)
 
+    def test_overflowing_segment_image_is_a_typed_error(self):
+        # lo**e = (1.6e-260)**-2 leaves the float range; the segment is admissible
+        levy = SpectralMeasure(1, (ray([1.0], segments=[(1.6e-260, 1.0, 1.0, -2.0)]),))
+        trip = LevyTriplet(1, [0.0], [[0.0]], levy)
+        trip.require_valid()
+        with pytest.raises(InvalidMeasureError, match=r"lo=1\.6e-260.*overflows"):
+            maps.map_triplet(maps.jbeta_map(1.0), trip)
+
     def test_convergent_laws_pass_the_same_gate(self, mix_phi):
         # sanity guard: the divergence heuristic must not fire on good input
         val = mapped(maps.i_map(), mix_phi, 1.0, 1e-9)

@@ -14,7 +14,7 @@ from scipy.integrate import quad
 
 import idlaw
 import idlaw.spectral as spectral
-from idlaw import quadrature
+from idlaw import maps, quadrature
 from idlaw import triplet as tripmod
 from idlaw.errors import InvalidMeasureError
 from idlaw.spectral import GridTail, SpectralMeasure, ray
@@ -23,6 +23,11 @@ from idlaw.spectral import GridTail, SpectralMeasure, ray
 def poly_terms(coefs, shift=0.0):
     # (c, p) power terms of shift + sum of coefs[k] r^k
     return [(c + (shift if k == 0 else 0.0), float(k)) for k, c in enumerate(coefs)]
+
+
+def segment_exponent(sg, ws):
+    # the exponent integral of a radial measure holding one segment
+    return spectral.RadialMeasure((), (sg,)).exponent_integral(ws)
 
 
 def jump_kernel(r, w):
@@ -271,7 +276,7 @@ class TestExponentIntegrals:
                 if w != 0.0:
                     z = mp.mpc(0.0, -w)
                     want[k] = complex(z ** (-p - 1.0) * mp.gammainc(p + 1.0, z * lo) - mass)
-        got = spectral._segment_exponent(spectral.Segment(lo, math.inf, 1.0, p), ws)
+        got = segment_exponent(spectral.Segment(lo, math.inf, 1.0, p), ws)
         assert got[0] == 0.0
         assert np.max(np.abs(got - want)) < 1e-12
 
@@ -313,24 +318,48 @@ class TestExponentIntegrals:
         w = np.linspace(0.0, 5.0, 100_001)[1:]
         tracemalloc.start()
         try:
-            spectral._segment_exponent(sg, w)
+            segment_exponent(sg, w)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 64e6
         # chunked and single-batch results agree within twice the default
-        # tolerance, for the compensated, raw and unbounded parts and a
-        # log form alike
+        # tolerance, and to the byte, for the compensated, raw and
+        # unbounded parts and a log form alike; a budget of 7 elements
+        # takes 3 rows at a time for a segment of two pieces
         tol = quadrature.default_tol()
         sub = np.linspace(0.05, 8.0, 40)
         for seg in (sg, spectral.Segment(0.5, 3.0, 0.3, -1.4),
                     spectral.Segment(1.5, math.inf, 0.3, -1.6),
                     spectral.Segment(0.0, 2.0, 0.2, -0.9, -0.008)):
-            whole = spectral._segment_exponent(seg, sub)
-            monkeypatch.setattr(spectral, "SEGMENT_CHUNK", 7)
-            chunked = spectral._segment_exponent(seg, sub)
+            whole = segment_exponent(seg, sub)
+            monkeypatch.setattr(spectral, "PIECE_CHUNK_ELEMENTS", 7)
+            chunked = segment_exponent(seg, sub)
             monkeypatch.undo()
             assert np.max(np.abs(chunked - whole)) < 2.0 * tol
+            assert chunked.tobytes() == whole.tobytes()
+
+    def test_image_leaf_memory_is_bounded_for_large_batches(self):
+        # 200,000 rows of a jbeta image law, six segments in seven pieces:
+        # the piece table runs in blocks of PIECE_CHUNK_ELEMENTS elements
+        # that share one work buffer (7.6 MiB peak); the per-segment chunks
+        # it replaced peaked at 23 MiB
+        levy = SpectralMeasure(1, (
+            ray(1.0, atoms=[(2.0, 1.0), (1.0, 0.5)], segments=[(0.0, 0.8, 0.5, -2.2)]),
+            ray(-1.0, segments=[(1.5, math.inf, 0.3, -1.6)]),
+        ))
+        law = maps.jbeta_triplet(tripmod.LevyTriplet(1, [0.25], [[0.2]], levy), 1.0)
+        Y = np.linspace(-5.0, 5.0, 200_000)[:, None]
+        law.exponent_grid(Y[:2])
+        tracemalloc.start()
+        try:
+            got = law.exponent_grid(Y)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 23 * 2**20
+        rows = np.arange(0, Y.shape[0], 9973)
+        assert got[rows].tobytes() == law.exponent_grid(Y[rows]).tobytes()
 
     @pytest.mark.parametrize("tol", [1e-10, 1e-11])
     @pytest.mark.parametrize("W", [1e3, 3e3, 1e4])
@@ -338,7 +367,7 @@ class TestExponentIntegrals:
     def test_power_segment_holds_at_large_frequencies(self, p, W, tol):
         # the adaptive quadrature this replaced raised QuadratureError here
         sg = spectral.Segment(0.0, 0.8, 0.5, p)
-        got = spectral._segment_exponent(sg, np.array([W, -W]))
+        got = segment_exponent(sg, np.array([W, -W]))
         want = power_segment_oracle(0.0, 0.8, 0.5, p, W)
         floor = max(tol, 50.0 * np.finfo(float).eps * abs(want))
         assert abs(got[0] - want) <= floor
@@ -356,7 +385,7 @@ class TestExponentIntegrals:
         # every end, the unit radius included, on both sides of the switch
         # between the power series and the rotated contour
         ws = np.array([1e-12, -1e-12, 1e-6, *edge_frequencies(seg[0], seg[1], 1.0)])
-        got = spectral._segment_exponent(spectral.Segment(*seg), ws)
+        got = segment_exponent(spectral.Segment(*seg), ws)
         want = np.array([power_segment_oracle(*seg, w) for w in ws])
         assert np.all(np.abs(got - want) <= 100.0 * np.finfo(float).eps * np.abs(want))
 
@@ -540,6 +569,17 @@ class TestValidation:
         bad = [(1.0, math.inf, -1.0, -2.0), (1.0, math.inf, 1.0, -2.5)]
         assert not tripmod.validate(SpectralMeasure(1, (ray(1.0, segments=bad),))).is_valid
 
+    def test_segment_at_extreme_radii_validates(self):
+        # a**q expm1(q log(b/a)) / q at a = 1.6e-260, q = 3 was 0 * inf:
+        # the admissible segment was judged "diverges"
+        m = SpectralMeasure(1, (ray([1.0], segments=[(1.6e-260, 1.0 + 1.6e-260, 1.0, 0.0)]),))
+        assert tripmod.validate(m).is_valid
+        assert m.min1r2() == pytest.approx(1.0 / 3.0, rel=1e-15)
+        # nothing cancels past q log(b/a) = 700: the value is b**q / q
+        got = spectral._power_ints(np.array([1.6e-260, 0.5]), 1.0, 3.0)
+        assert got[0] == 1.0 / 3.0
+        assert got[1] == pytest.approx(7.0 / 24.0, rel=1e-15)
+
     def test_clean_measure_validates(self):
         m = SpectralMeasure(1, (ray(1.0, atoms=[(2.0, 1.0)], segments=[(0.1, 1.0, 0.5, -0.5)]),))
         rep = tripmod.validate(m)
@@ -620,7 +660,7 @@ class TestLogFormSegment:
         # between the power series and the rotated contour; -w gives the
         # conjugate
         ws = np.array([0.7, 40.0, -0.7, -40.0, *edge_frequencies(sg[0], sg[1], 1.0)])
-        got = spectral._segment_exponent(spectral.Segment(*sg), ws)
+        got = segment_exponent(spectral.Segment(*sg), ws)
         want = np.array([log_form_oracle(*sg, w) for w in ws])
         assert np.all(np.abs(got - want) <= 1e-13 * np.abs(want))
 
@@ -633,7 +673,7 @@ class TestLogFormSegment:
     def test_exponent_holds_at_large_frequencies(self, sg, want):
         # the adaptive quadrature this replaced raised QuadratureError here
         # at tol 1e-12
-        got = spectral._segment_exponent(spectral.Segment(*sg), np.array([1e4, -1e4]))
+        got = segment_exponent(spectral.Segment(*sg), np.array([1e4, -1e4]))
         assert abs(got[0] - want) <= 1e-13 * abs(want)
         assert abs(got[1] - want.conjugate()) <= 1e-13 * abs(want)
 

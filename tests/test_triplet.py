@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from idlaw.exponent import closed_form
 from idlaw.spectral import (
     DimensionMismatchError,
     InvalidMeasureError,
@@ -58,6 +59,25 @@ class TestExponent:
         trip = LevyTriplet(2, [0.0, 0.0], cov, empty_measure(2))
         y = np.array([1.0, -1.0])
         assert trip.exponent(y) == pytest.approx(-0.5 * y @ cov @ y, abs=1e-14)
+
+    @pytest.mark.parametrize("jumps, rate", [
+        ([2.0, -1.25, 0.75], 2.0),
+        ([0.3, 1.7, -0.6, 2.5], 1.3),
+    ])
+    def test_atoms_only_triplet_matches_compound_poisson(self, jumps, rate):
+        # the same law twice: its atoms on two rays, with the compensation
+        # of the jumps inside the unit ball in the shift, and the closed form
+        jumps = np.array(jumps)
+        masses = rate / jumps.size
+        shift = float(np.sum(jumps * masses * (np.abs(jumps) <= 1.0)))
+        levy = SpectralMeasure(1, (
+            ray([1.0], atoms=[(j, masses) for j in jumps if j > 0.0]),
+            ray([-1.0], atoms=[(-j, masses) for j in jumps if j < 0.0]),
+        ))
+        trip = LevyTriplet(1, [shift], [[0.0]], levy)
+        cp = closed_form("compound_poisson", rate=rate, jumps=jumps[:, None])
+        Y = np.linspace(-50.0, 50.0, 2001)[:, None]
+        assert np.max(np.abs(trip.exponent_grid(Y) - cp.eval_grid(Y))) <= 1e-15
 
     def test_wrong_grid_dim_raises(self):
         trip = LevyTriplet(1, [0.0], [[1.0]], empty_measure())
