@@ -19,9 +19,10 @@ through its right tail,
 
     tail_out(u) = kappa * u**a * integral_u^inf tail(w) w**(-a-1) dw,
 
-which this module evaluates exactly piece by piece; only tabulated tails
-and log-form segments have no power-form image and are re-tabulated
-from it.
+which this module evaluates in closed form piece by piece, from the
+closed-form segment moments of :mod:`idlaw.spectral`; no quadrature runs
+below the exponent-level maps. Only tabulated tails and log-form segments
+have no power-form image, and their transformed tail is re-tabulated.
 """
 
 from __future__ import annotations
@@ -46,9 +47,9 @@ from .spectral import (
     Segment,
     SpectralMeasure,
     _expm1_ratio,
-    _power_ints,
-    _t_exp_ints,
-    log_form_integral,
+    _ints_from,
+    _log_moment,
+    _moment,
     segments_by_range,
     segments_nonnegative,
 )
@@ -302,34 +303,6 @@ def _mass_above(kappa: float, a: float, x) -> np.ndarray:
     return -kappa * np.log(x) if a == 0.0 else kappa / a * (1.0 - x ** a)
 
 
-def _segment_tail_transform(sg: Segment, a: float, us: np.ndarray) -> np.ndarray:
-    """integral_u^inf tail_sg(w) w**(-a-1) dw for one power segment.
-
-    Vectorized over query radii us > 0. On (u, lo) the segment's tail is
-    its whole mass. From L = max(u, lo) on, swapping the order of
-    integration turns the rest into the integral of c r**p
-    (L**-a - r**-a)/a over (L, hi): two power integrals, taken through
-    expm1 so that neither p + 1 -> 0 nor p - a + 1 -> 0 cancels. At a = 0
-    the weight is log(r/L), and the rest is c L**(p+1) times the integral
-    of t exp((p+1) t) over (0, log(hi/L)).
-    """
-    c, p, lo, hi = sg.c, sg.p, sg.lo, sg.hi
-    L = np.maximum(us, lo)
-    val = np.zeros_like(us)
-    if lo > 0.0:
-        val += np.where(us < lo, float(sg.tail(lo)) * _p_neg(a, np.minimum(us, lo), lo), 0.0)
-    e = p + (1.0 - a)
-    L = np.minimum(L, hi)
-    if math.isinf(hi):
-        # p < -1 here, else the tail itself is infinite
-        val += (c / (-(p + 1.0))) * (-(L ** e) / e)
-    elif a == 0.0:
-        val += c * L ** (p + 1.0) * _t_exp_ints(p + 1.0, np.log(hi / L))
-    else:
-        val += (c / a) * (L ** -a * _power_ints(L, hi, p + 1.0) - _power_ints(L, hi, e))
-    return np.where(us < hi, val, 0.0)
-
-
 def _grid_tail_transform(gt: GridTail, a: float, us: np.ndarray) -> np.ndarray:
     """integral_u^inf tail_gt(w) w**(-a-1) dw, vectorized over query radii.
 
@@ -344,7 +317,7 @@ def _grid_tail_transform(gt: GridTail, a: float, us: np.ndarray) -> np.ndarray:
 
     def p_one(x, y):
         # integral of w**-a over (x, y), without cancellation near a = 1
-        return _power_ints(x, y, 1.0 - a)
+        return _ints_from(x, y, 1.0 - a, np.log(y / x))
 
     cell_full = alpha * _p_neg(a, r[:-1], r[1:]) + slope * p_one(r[:-1], r[1:])
     suffix = np.concatenate([np.cumsum(cell_full[::-1])[::-1], [0.0]])
@@ -367,9 +340,13 @@ def _kernel_tail(radial: RadialMeasure, kappa: float, a: float, us) -> np.ndarra
     """Right tail of the image of a radial measure under one power kernel.
 
     tail_out(u) = kappa * u**a * integral_u^inf tail(w) w**(-a-1) dw.
-    Atoms contribute m times :func:`_mass_above` at u/r; power segments
-    and grid tails integrate in closed form piece by piece, and log-form
-    segments by quadrature in log r.
+    Atoms contribute m times :func:`_mass_above` at u/r, and grid tails
+    integrate in closed form cell by cell. For a segment, swapping the
+    order of integration turns the integral into (u**-a M_0 - M_(-a))/a,
+    with M_k the integral of r**k against it over (L, hi), L = max(u, lo);
+    at a = 0 it is W + log(L/u) M_0, with W the integral of log(r/L).
+    Power segments and log forms alike take these moments in closed form
+    (:func:`_moment`, :func:`_log_moment`).
     """
     us = np.atleast_1d(np.asarray(us, dtype=float))
     if np.any(us <= 0.0):
@@ -379,16 +356,15 @@ def _kernel_tail(radial: RadialMeasure, kappa: float, a: float, us) -> np.ndarra
         out += at.m * _mass_above(kappa, a, us / at.r)
     integ = np.zeros_like(us)
     for sg in radial.segments:
-        if sg.e is None:
-            integ += _segment_tail_transform(sg, a, us)
-            continue
-        # a log-form segment's mass above u, each point x weighted by the
-        # share of it that the kernel carries above u
         inside = us < sg.hi
-        u_in = us[inside]
-        out[inside] += log_form_integral(
-            sg, np.maximum(u_in, sg.lo), lambda r, j: _mass_above(kappa, a, u_in[j] / r)
-        )
+        u = us[inside]
+        L = np.maximum(u, sg.lo)
+        if a == 0.0:
+            mass = _moment(sg, L, sg.hi, 0.0)
+            integ[inside] += sg.c * (_log_moment(sg, L, sg.hi) + np.log(L / u) * mass)
+        else:
+            mass, m_a = _moment(sg, L, sg.hi, np.array([[0.0], [-a]]))
+            integ[inside] += (sg.c / a) * (u ** -a * mass - m_a)
     if radial.grid_tail is not None:
         integ += _grid_tail_transform(radial.grid_tail, a, us)
     out += kappa * us ** a * integ
@@ -473,8 +449,8 @@ def _radial_image(radial: RadialMeasure, kernel) -> RadialMeasure:
     measure is validated.
 
     Grid tails and log-form segments have no power-form image. Their
-    transformed tail is evaluated in closed form (by quadrature for log
-    form) and re-tabulated as a grid tail on a log-spaced grid wide
+    transformed tail is evaluated in closed form (:func:`_kernel_tail`)
+    and re-tabulated as a grid tail on a log-spaced grid wide
     enough that the discarded pieces are negligible, with 1024 nodes per
     e-fold of its width, at least 4097 and at most 32769.
     Both parts of the image must be nonnegative measures of their own, so

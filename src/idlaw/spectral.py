@@ -24,6 +24,7 @@ does not depend on its batch.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Sequence
@@ -31,7 +32,6 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import DimensionMismatchError, InvalidMeasureError
-from . import quadrature
 
 UNIT_NORM_TOL = 1e-12
 # largest (atoms x rows) block the exp(i theta) - 1 kernel evaluates at
@@ -50,9 +50,6 @@ SERIES_TERMS = 48
 # to the sum of its terms' magnitudes: rounding in terms that cancel
 # exactly at a point, such as the two terms of a segment image at hi
 SIGN_SLACK = 1e-12
-# absolute tolerance of the quadratures behind the moments of log-form
-# segments; panels at rounding level are accepted whatever their size
-LOG_FORM_TOL = 1e-14
 
 # 1/k! for k = 0..SERIES_TERMS, correctly rounded (int / int rounds once)
 _INV_FACT = np.array([1 / math.factorial(k) for k in range(SERIES_TERMS + 1)])
@@ -192,81 +189,100 @@ def _fold_sum(v: np.ndarray, k: int | None = None) -> np.ndarray:
 def _expm1_ratio(e, t):
     """(exp(e*t) - 1)/e without cancellation as e -> 0, where it is t; t may be complex.
 
-    Broadcasts over e and t.
+    Broadcasts over e and t. It is t also where e*t falls below the
+    smallest normal double: there the product has lost bits to underflow,
+    and t is within that of the value.
     """
     t = np.asarray(t)
-    if np.ndim(e) == 0:
-        return t if e == 0.0 else np.expm1(e * t) / e
-    zero = e == 0.0
-    return np.where(zero, t, np.expm1(e * t) / np.where(zero, 1.0, e))
+    if np.ndim(e) == 0 and e == 0.0:
+        return t
+    et = e * t
+    small = (np.abs(et) < sys.float_info.min) | (e == 0.0)
+    # e + small is e, or 1 where the value is t
+    return np.where(small, t, np.expm1(et) / (e + small))
 
 
-def _unit_ints(log_rho, x):
-    """Integral of s**(x-1) over (rho, 1), from log(rho) <= 0: (1 - rho**x)/x.
+def _log_ratio(x, y):
+    """log(x/y) for x, y >= 0, accurate relative to the result as x/y -> 1.
 
-    Through expm1, so it stays accurate as rho -> 1; read as -log(rho) at
-    x = 0, and at rho = 0 it is 1/x, or inf when x <= 0.
+    The rounding of x/y costs log(x/y) up to eps/(2 |log(x/y)|) relative:
+    16 eps while x and y differ by y/32, without bound as x/y -> 1. Closer
+    than that, x - y is exact, and log1p((x - y)/y) keeps full accuracy.
     """
-    x_safe = np.where(x == 0.0, 1.0, x)
-    return np.where(x == 0.0, -log_rho, -np.expm1(log_rho * x) / x_safe)
+    d = x - y
+    close = np.abs(d) < y / 32.0
+    out = np.log(x / y)
+    return np.where(close, np.log1p(d / y), out) if np.count_nonzero(close) else out
 
 
-def _power_ints(a, b, q: float) -> np.ndarray:
-    """Integral of r**(q-1) over (a, b), per pair of 0 <= a <= b < inf.
+def _power_ints(a, b, q) -> np.ndarray:
+    """Integral of r**(q-1) over (a, b), per 0 <= a <= b <= inf, broadcast over a, b and q.
 
-    From a > 0 it is :func:`_ints_from`; from a = 0 it is b**q/q, or inf
-    when q <= 0.
+    From a > 0 to b < inf it is :func:`_ints_from` over the span :func:`_log_ratio`;
+    from a = 0 it is b**q/q and to b = inf -a**q/q, or inf where that diverges.
     """
     a = np.asarray(a, dtype=float)
     pos = a > 0.0
-    at_zero = b ** q / q if q > 0.0 else math.inf
-    return np.where(pos, _ints_from(np.where(pos, a, b), b, q), at_zero)
+    inner = pos & (b < math.inf)
+    n_inner = np.count_nonzero(inner)
+    if n_inner == np.size(inner):
+        return _ints_from(a, b, q, _log_ratio(b, a))
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        # finite from a = 0 for q > 0, to b = inf for q < 0
+        ends = np.where((q < 0.0) == pos, np.where(pos, a, b) ** q / np.where(pos, -q, q), math.inf)
+        if not n_inner:
+            return ends
+        return np.where(inner, _ints_from(a, b, q, _log_ratio(b, a)), ends)
 
 
-def _ints_from(a, b, q) -> np.ndarray:
-    """Integral of r**(q-1) over (a, b), for 0 < a <= b < inf, broadcast over a, b and q.
+def _ints_from(a, b, q, span) -> np.ndarray:
+    """Integral of r**(q-1) over (a, b) from span = log(b/a), for 0 < a <= b < inf.
 
-    Written as a**q (exp(q log(b/a)) - 1)/q through expm1, so it stays
-    accurate as q -> 0. Where q log(b/a) passes 700, (a/b)**q is below
-    1e-304 and nothing cancels: it is b**q/q, and expm1 would overflow.
+    Broadcast over a, b, q and span. Written as a**q (exp(q span) - 1)/q
+    through expm1, so it stays accurate as q -> 0. Where q span passes
+    700, (a/b)**q is below 1e-304 and nothing cancels: it is b**q/q, and
+    expm1 would overflow.
     """
-    span = np.log(b / a)
     far = q * span > 700.0
-    if not far.any():
+    if not np.count_nonzero(far):
         return a ** q * _expm1_ratio(q, span)
     q_far = np.where(far, q, 1.0)
     val = a ** q * _expm1_ratio(q, np.where(far, 0.0, span))
     return np.where(far, b ** q_far / q_far, val)
 
 
-def _t_exp_ints(q: float, T) -> np.ndarray:
-    """Integral of t exp(q t) over (0, T), per T >= 0; by its power series where
-    |q T| < 0.1, where the closed form (T exp(q T) - expm1(q T)/q)/q cancels."""
-    T = np.asarray(T, dtype=float)
-    z = q * T
-    series = T * T * sum(z ** k / (math.factorial(k) * (k + 2)) for k in range(12))
-    if q == 0.0:
-        return series
-    return np.where(np.abs(z) < 0.1, series, (T * np.exp(z) - np.expm1(z) / q) / q)
+def _exp_divdiff(S, nodes: tuple[float, ...]) -> np.ndarray:
+    """Divided difference of x -> exp(x S) over sorted ``nodes``, per finite S >= 0.
 
-
-def _log_power_int(lo: float, hi: float, p: float) -> float:
-    """Integral of log(r) * r**p over (lo, hi) with 1 <= lo; inf when divergent.
-
-    In r = lo * exp(t) it is lo**q (log(lo) F + G) with q = p + 1,
-    F = integral of exp(q t) and G = :func:`_t_exp_ints` over
-    (0, log(hi/lo)).
+    A node repeated m times reads derivatives up to order m - 1. Where S
+    times the nodes' spread is below 1 it is the Taylor series about their
+    mean x0: exp(x0 S) S**n times the sum over j of h_j(S (x - x0))/(n + j)!
+    for n + 1 nodes, h_j the complete homogeneous symmetric polynomial of
+    degree j; each shifted node is below 1 in size, so 20 terms reach
+    rounding. Otherwise it is the recursion (D(x_1..x_n) - D(x_0..x_(n-1)))
+    / (x_n - x_0), whose two terms then cancel little (McCurdy, Ng and
+    Parlett 1984, Math. Comp. 43).
     """
-    if hi <= lo:
-        return 0.0
-    q = p + 1.0
-    if math.isinf(hi):
-        if q >= 0.0:
-            return math.inf
-        return lo ** q * (1.0 - q * math.log(lo)) / (q * q)
-    span = math.log(hi / lo)
-    g = float(_t_exp_ints(q, span))
-    return lo ** q * (math.log(lo) * float(_expm1_ratio(q, span)) + g)
+    n = len(nodes) - 1
+    if n == 0:
+        return np.exp(nodes[0] * S)
+    spread = nodes[-1] - nodes[0]
+    near = S * spread < 1.0
+    out = np.empty(S.shape)
+    if np.count_nonzero(near):
+        s = S[near]
+        mean = sum(nodes) / (n + 1)
+        h = [np.ones_like(s)] + [np.zeros_like(s)] * 20
+        for x in nodes:
+            z = (x - mean) * s
+            for j in range(1, 21):
+                h[j] = h[j] + z * h[j - 1]
+        total = sum(h[j] / math.factorial(n + j) for j in range(20, -1, -1))
+        out[near] = np.exp(mean * s) * s ** n * total
+    if np.count_nonzero(near) < near.size:
+        s = S[~near]
+        out[~near] = (_exp_divdiff(s, nodes[1:]) - _exp_divdiff(s, nodes[:-1])) / spread
+    return out
 
 
 @dataclass(frozen=True)
@@ -293,95 +309,76 @@ class Segment:
     p: float
     e: float | None = None
 
-    def factor(self, r):
-        """Density over c * r**p: 1, or ((hi/r)**e - 1)/e in the log form."""
-        if self.e is None:
-            return 1.0
-        return _expm1_ratio(self.e, np.log(self.hi / r))
-
     def tail(self, u) -> np.ndarray:
         """Mass of (u, inf), vectorized over u >= 0."""
         lower = np.maximum(np.asarray(u, dtype=float), self.lo)
-        q = self.p + 1.0
-        if math.isinf(self.hi):
-            with np.errstate(divide="ignore"):
-                return self.c * np.where(q < 0.0, -(lower ** q) / q, math.inf)
         inside = lower < self.hi
         start = np.where(inside, lower, self.lo)
         return np.where(inside, self.c * _moment(self, start, self.hi, 0), 0.0)
 
-    def power_integral(self, a: float, b: float, s: float) -> float:
-        """Integral of r**s against the segment over (a, b); inf when divergent."""
-        lo, hi = max(a, self.lo), min(b, self.hi)
-        if hi <= lo:
-            return 0.0
-        if self.e is None:
-            # r**s times the density is a power density of exponent q - 1
-            q = self.p + s + 1.0
-            if math.isinf(hi):
-                if q >= 0.0:
-                    return self.c * math.inf
-                with np.errstate(divide="ignore"):
-                    return self.c * float(-(np.asarray(lo) ** q) / q)
-            return self.c * float(_power_ints(lo, hi, q))
-        if lo == 0.0 and self.p - self.e + 1.0 + s <= 0.0:
-            return math.inf  # r**s times the density is not integrable at 0
-        if lo > 0.0 and s < 0.0:
-            # the closed form would need p - e + 1 + s > 0
-            return float(log_form_integral(self, np.array([lo]), lambda r, j: r ** s, hi)[0])
-        return self.c * float(_moment(self, lo, hi, s))
-
     def log_integral_above1(self) -> float:
-        """Integral of log(r) against the segment over r > 1; inf when divergent."""
+        """Integral of log(r) against the segment over r > 1; inf when divergent.
+
+        With L = max(lo, 1) it is the log moment about L plus log(L) times
+        the mass above L.
+        """
         lo = max(self.lo, 1.0)
-        if self.e is None:
-            return self.c * _log_power_int(lo, self.hi, self.p)
         if self.hi <= lo:
             return 0.0
-        return float(log_form_integral(self, np.array([lo]), lambda r, j: np.log(r))[0])
+        val = _log_moment(self, lo, self.hi)
+        if lo > 1.0:
+            val = val + math.log(lo) * _moment(self, lo, self.hi, 0)
+        return self.c * float(val)
 
 
 def _moment(sg: Segment, a, b, k) -> np.ndarray:
-    """Integral of r**k against the segment at c = 1 over (a, b).
+    """Integral of r**k against the segment at c = 1 over (a, b), for any real k.
 
-    Vectorized over a; a log form's, b**(p + 1 + k) times
-    :func:`_log_form_ratio`, broadcasts over a, b and k alike.
+    Needs lo <= a <= b <= hi; inf where the integral diverges. A power
+    segment's is :func:`_power_ints`; a log form's, b**(p + 1 + k) times
+    :func:`_log_form_ratio`. Broadcasts over a, b and k, and over the
+    fields of ``sg`` when they hold arrays of segments of one kind.
     """
     if sg.e is None:
-        return _power_ints(a, b, sg.p + (k + 1.0))
-    return b ** (sg.p + 1.0 + k) * _log_form_ratio(sg.p, sg.e, sg.hi, a, b, k)
+        return _power_ints(a, b, sg.p + k + 1.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log_rho, log_hi_b = _log_ratio(np.asarray(a, dtype=float), b), _log_ratio(sg.hi, b)
+        return b ** (sg.p + 1.0 + k) * _log_form_ratio(sg.p, sg.e, log_rho, log_hi_b, k)
 
 
-def _log_form_ratio(p, e, hi, a, b, k) -> np.ndarray:
-    """A log form's :func:`_moment` over b**(p + 1 + k), closed form.
+def _log_form_ratio(p, e, log_rho, log_hi_b, k) -> np.ndarray:
+    """A log form's :func:`_moment` over (a, b) divided by b**(p + 1 + k), closed form.
 
-    For the log form of exponent p, offset e and end hi; needs
-    lo <= a <= b <= hi and K = p - e + 1 + k >= 0, broadcast over p, e,
-    hi, a, b and k. The density at c = 1 is r**(K-k-1) times the integral of
-    u**(e-1) over (r, hi), so swapping the order of integration gives, with
-    rho = a/b, T = log(1/rho), q = K + e and U_x = (1 - rho**x)/x,
+    For the log form of exponent p, offset e and end hi, from log_rho =
+    log(a/b) and log_hi_b = log(hi/b), lo <= a <= b <= hi; broadcast over
+    p, e, log_rho, log_hi_b and k. The density at c = 1 is r**(K-k-1),
+    K = p - e + 1 + k, times the integral of u**(e-1) over (r, hi), so
+    swapping the order of integration gives, with rho = a/b,
+    T = log(1/rho), q = K + e and U_x = (1 - rho**x)/x through expm1
+    (-log(rho) at x = 0; 1/x, or inf for x <= 0, at rho = 0),
 
         (U_q - rho**K U_e) / K + U_K F(b),
 
-    where F(b) = ((hi/b)**e - 1)/e is the density factor at b. At K = 0
-    the first term is its limit (T exp(-q T) - U_q)/q + T U_q, and the
-    mass from a = 0 is inf. The rho**K term vanishes at a = 0, where U_q
-    is inf when the density is not integrable. Every term stays finite for
+    where F(b) = ((hi/b)**e - 1)/e is the density factor at b. The first
+    term, the divided difference of exp(-x T) over {0, K, q}, is also
+    (U_K - rho**K U_e) / q; each form cancels to about the ratio of the
+    other divisor to its own, so it divides by q where |q| > 2 |K|, K = 0
+    included. From a = 0, where the rho**K term vanishes, it is finite
+    only for min(q, K) > 0. Every term stays finite for
     any small b, so the power series of the exponent can take it at any
     |w|. The first term cancels as rho -> 1: it is the sum over m >= 1 of
     h_(m-1) (-T)**(m-1) T**2 / (m+1)!, h_n = q h_(n-1) + K**n, h_0 = 1,
-    which takes over where max(|q|, K) T < 1.
+    which takes over where max(|q|, |K|) T < 1.
     """
     K = p - e + 1.0 + k
     q = K + e
-    with np.errstate(divide="ignore", invalid="ignore"):
-        log_rho = np.log(np.asarray(a, dtype=float) / b)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         T = -log_rho
-        U_q = _unit_ints(log_rho, q)
-        below = np.where(log_rho > -math.inf, np.exp(K * log_rho) * _unit_ints(log_rho, e), 0.0)
-        first = np.where(K == 0.0, (T * np.exp(-q * T) - U_q) / q + T * U_q, (U_q - below) / K)
-        near = np.maximum(abs(q), K) * T < 1.0
-        if np.any(near):
+        U_q, U_K, U_e = (-_expm1_ratio(x, log_rho) for x in (q, K, e))
+        below = np.where(log_rho > -math.inf, np.exp(K * log_rho) * U_e, 0.0)
+        first = np.where(abs(q) > 2.0 * abs(K), (U_K - below) / q, (U_q - below) / K)
+        near = np.maximum(abs(q), abs(K)) * T < 1.0
+        if np.count_nonzero(near):
             T = np.where(near, T, 0.0)
             c, h, K_pow = 0.5 * T * T, 1.0, 1.0
             series = c
@@ -390,31 +387,30 @@ def _log_form_ratio(p, e, hi, a, b, k) -> np.ndarray:
                 h = q * h + K_pow
                 series = series + h * c
             first = np.where(near, series, first)
-        out = first + _unit_ints(log_rho, K) * _expm1_ratio(e, np.log(hi / b))
-    return np.where((K == 0.0) & (log_rho == -math.inf), math.inf, out)
+        out = first + U_K * _expm1_ratio(e, log_hi_b)
+    return np.where((np.minimum(q, K) <= 0.0) & (log_rho == -math.inf), math.inf, out)
 
 
-def log_form_integral(
-    sg: Segment, a: np.ndarray, kernel, b: float | None = None
-) -> np.ndarray:
-    """Integral of kernel(r, j) against a log-form segment over (a_j, b), per a_j.
+def _log_moment(sg: Segment, a, b: float) -> np.ndarray:
+    """Integral of log(r/a) against the segment at c = 1 over (a, b), per a in (0, b].
 
-    ``b`` defaults to the segment's hi, and every a_j must lie in (0, b].
-    In t = log(r/a_j)/log(b/a_j) each range becomes (0, 1) and the
-    integrand is smooth, so one batched quadrature covers all starts, one
-    column per a_j; ``kernel`` maps radii and their start indices j, two
-    arrays of one shape, to values of that shape.
+    Needs b <= hi, and b = hi for a log form; vectorized over a. In
+    r = a exp(t), t in (0, S) with S = log(b/a), a power segment's is
+    a**q E[0, q, q], q = p + 1 and E the divided difference of exp(x S)
+    (:func:`_exp_divdiff`); to b = inf it is a**q/q**2, or inf for q >= 0.
+    A log form's is a**q E[0, e, q, q]. Each divided difference is shifted
+    by its largest node m, a**q exp(m S) = a**(q-m) b**m, so no exponential
+    overflows.
     """
     a = np.asarray(a, dtype=float)
-    span = np.log((sg.hi if b is None else b) / a)
-
-    def f(pairs: np.ndarray) -> np.ndarray:
-        j = pairs["col"]
-        r = a[j] * np.exp(pairs["x"] * span[j])
-        return span[j] * r * sg.c * r ** sg.p * sg.factor(r) * kernel(r, j)
-
-    val, _ = quadrature.integrate(f, 0.0, 1.0, tol=LOG_FORM_TOL, columns=a.size)
-    return np.real(val)
+    q = sg.p + 1.0
+    if math.isinf(b):
+        with np.errstate(divide="ignore"):
+            return np.where(q < 0.0, a ** q / (q * q), math.inf)
+    nodes = (0.0, q, q) if sg.e is None else (0.0, sg.e, q, q)
+    top = max(nodes)
+    shifted = tuple(sorted(x - top for x in nodes))
+    return a ** (q - top) * b ** top * _exp_divdiff(_log_ratio(b, a), shifted)
 
 
 @dataclass(frozen=True, eq=False)
@@ -588,17 +584,8 @@ class RadialMeasure:
         ]
 
     def min1r2(self) -> float:
-        """Integral of min(1, r**2) against the radial measure."""
-        val = 0.0
-        for at in self.atoms:
-            val += at.m * min(1.0, at.r * at.r)
-        for sg in self.segments:
-            val += sg.power_integral(0.0, 1.0, 2.0) + sg.power_integral(1.0, math.inf, 0.0)
-        if self.grid_tail is not None:
-            val += self.grid_tail.split_integral(
-                lambda r: r * r, lambda r: np.ones_like(r)
-            )
-        return val
+        """Integral of min(1, r**2) against the radial measure (:func:`_min1r2`)."""
+        return float(_min1r2([self])[0])
 
     def tail(self, u) -> np.ndarray:
         """Measure of (u, inf), vectorized over u >= 0."""
@@ -631,7 +618,9 @@ class RadialMeasure:
             if at.r > 1.0:
                 val += at.m * at.r ** s
         for sg in self.segments:
-            val += sg.power_integral(1.0, math.inf, s)
+            lo = max(sg.lo, 1.0)
+            if sg.hi > lo:
+                val += sg.c * float(_moment(sg, lo, sg.hi, s))
         if self.grid_tail is not None:
             val += self.grid_tail.split_integral(
                 np.zeros_like, lambda r: r ** s
@@ -678,6 +667,35 @@ class RadialMeasure:
         return RadialMeasure(
             self.atoms + other.atoms, self.segments + other.segments, merged
         )
+
+
+def _min1r2(radials: Sequence[RadialMeasure]) -> np.ndarray:
+    """Integral of min(1, r**2) against each radial measure.
+
+    Atoms and grid tails add one measure at a time. The nonempty ranges
+    of all their segments take one array pass per kind through
+    :func:`_moment`: r**2 over a segment's part of (0, 1] and 1 over its
+    part of (1, inf). A divergent range reads inf.
+    """
+    out = np.zeros(len(radials))
+    for i, rad in enumerate(radials):
+        for at in rad.atoms:
+            out[i] += at.m * min(1.0, at.r * at.r)
+        if rad.grid_tail is not None:
+            out[i] += rad.grid_tail.split_integral(lambda r: r * r, lambda r: np.ones_like(r))
+    rows = [
+        (i, a, b, k, sg) for i, rad in enumerate(radials) for sg in rad.segments
+        for a, b, k in ((max(sg.lo, 0.0), min(sg.hi, 1.0), 2.0), (max(sg.lo, 1.0), sg.hi, 0.0))
+        if b > a
+    ]
+    for log_form in (False, True):
+        kind = [(i, a, b, k, sg.lo, sg.hi, sg.c, sg.p, sg.e or 0.0)
+                for i, a, b, k, sg in rows if (sg.e is not None) == log_form]
+        if kind:
+            ray, a, b, k, lo, hi, c, p, e = np.array(kind).T
+            table = Segment(lo, hi, c, p, e if log_form else None)
+            out += np.bincount(ray.astype(int), c * _moment(table, a, b, k), len(radials))
+    return out
 
 
 def segments_by_range(
@@ -944,12 +962,13 @@ class _Pieces:
     """Segments split at radius 1 into pieces, as columns with one entry per piece.
 
     A piece is c * r**p F(r) on (a, b) of ray ``ray``, F the density factor
-    of :meth:`Segment.factor`: e is nan for a power segment, and hi is the
-    segment's own end. k0 = 2 marks the compensated kernel below radius 1,
-    k0 = 1 the raw one above it. Pieces are sorted into power pieces from
-    a = 0, power pieces from a > 0 and log forms; ``kinds`` holds the
-    indices where the last two start. Per piece, ``coef`` holds the series
-    coefficients of i**k / k! for k = 1..SERIES_TERMS, zero below k0; on
+    of its segment: 1, or ((hi/r)**e - 1)/e for a log form. e is nan for a
+    power segment, and hi is the segment's own end. k0 = 2 marks the
+    compensated kernel below radius 1, k0 = 1 the raw one above it. Pieces
+    are sorted into power pieces from a = 0, power pieces from a > 0 and
+    log forms; ``kinds`` holds the indices where the last two start. Per
+    piece, ``coef`` holds the series coefficients of i**k / k! for
+    k = 1..SERIES_TERMS, zero below k0; on
     power pieces they are divided by q = p + 1 + k where q is not 0, and
     negated from a > 0, where the series multiplies them by
     expm1(q log(rho)). ``q`` holds the rows q; ``zero_row`` the row where q
@@ -1082,8 +1101,10 @@ class _Pieces:
             terms[:, i1:i2] *= ratio
         if k.size > i2:
             kk = k[i2:]
+            with np.errstate(divide="ignore"):
+                log_rho = np.log(self.a[kk] / top[i2:])
             terms[:, i2:] *= _log_form_ratio(
-                p[i2:], self.e[kk], self.hi[kk], self.a[kk], top[i2:], _TERM_K[:rows]
+                p[i2:], self.e[kk], log_rho, np.log(self.hi[kk] / top[i2:]), _TERM_K[:rows]
             )
         terms *= np.less_equal(_TERM_K[:rows], last, out=tmp)
         terms += 0.0  # no -0.0 rows, so the fold reads absent rows as zeros
@@ -1117,13 +1138,13 @@ class _Pieces:
         """Integrals of r**j against pieces k at c = 1 over (x, ends[j]), rows j = 0, 1."""
         p = self.p[k]
         q = p + _MOMENT_Q
-        out = _ints_from(x, ends, q)
+        out = _ints_from(x, ends, q, np.log(ends / x))
         log = k >= self.kinds[1]
         if log.any():
             kl = k[log]
             b = ends[:, log]
             out[:, log] = b ** q[:, log] * _log_form_ratio(
-                p[log], self.e[kl], self.hi[kl], x[log], b, _MOMENT_Q - 1.0
+                p[log], self.e[kl], np.log(x[log] / b), np.log(self.hi[kl] / b), _MOMENT_Q - 1.0
             )
         return out
 
@@ -1284,13 +1305,10 @@ class SpectralMeasure:
                 )
                 continue
             out.extend(ray.issues(k))
-        for k, ray in enumerate(self.rays):
-            if ray.direction.shape == (self.dim,):
-                v = ray.radial.min1r2()
-                if not math.isfinite(v):
-                    out.append(
-                        f"ray {k}: integral of min(1, r^2) diverges"
-                    )
+        shaped = [k for k, ray in enumerate(self.rays) if ray.direction.shape == (self.dim,)]
+        for k, v in zip(shaped, _min1r2([self.rays[k].radial for k in shaped])):
+            if not math.isfinite(v):
+                out.append(f"ray {k}: integral of min(1, r^2) diverges")
         return out
 
     @cached_property
@@ -1309,7 +1327,7 @@ class SpectralMeasure:
             raise InvalidMeasureError("; ".join(self.issues()))
 
     def min1r2(self) -> float:
-        return sum(ray.radial.min1r2() for ray in self.rays)
+        return float(_min1r2([ray.radial for ray in self.rays]).sum())
 
     def log_moment(self) -> float:
         """Integral of log(|x|) over |x| > 1; inf when divergent."""

@@ -1,6 +1,7 @@
 """Triplet-level images of laws under the four integral maps.
 
-Run as a script to rewrite the golden digests of the jbeta images:
+Run as a script to rewrite the golden digests of the jbeta images; it
+first prints the keys whose digest changed:
 
     PYTHONPATH=src python tests/test_map_triplet.py
 """
@@ -11,6 +12,7 @@ import math
 import warnings
 from pathlib import Path
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -21,6 +23,7 @@ from idlaw.exponent import convolve, from_triplet
 from idlaw.lawio import triplet_to_dict
 from idlaw.spectral import GridTail, SpectralMeasure, ray
 from idlaw.triplet import LevyTriplet
+from test_spectral import gauss_legendre
 
 GOLDEN = Path(__file__).parent / "golden" / "jbeta_images.json"
 
@@ -243,12 +246,16 @@ def test_random_laws_map_under_every_map(atoms, segs, tail_p, kind, beta):
     assert np.max(diff) < 1e-9
 
 
-def test_i_image_of_a_near_log_segment_has_infinite_mass_near_zero():
-    # p + 1 = -3e-3 is in the log-form band: the image is c u**p ((2/u)**e - 1)/e
-    # with p - e = -1 exactly, from 0
-    trip = LevyTriplet(1, [0.0], [[0.0]], SpectralMeasure(1, (
+def near_log_law() -> LevyTriplet:
+    # p + 1 = -3e-3 is in the log-form band of the i map
+    return LevyTriplet(1, [0.0], [[0.0]], SpectralMeasure(1, (
         ray([1.0], segments=[(0.0, 2.0, 0.5, -1.003)]),
     )))
+
+
+def test_i_image_of_a_near_log_segment_has_infinite_mass_near_zero():
+    # the image is c u**p ((2/u)**e - 1)/e with p - e = -1 exactly, from 0
+    trip = near_log_law()
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         img = maps.map_triplet(maps.i_map(), trip)
@@ -261,5 +268,64 @@ def test_i_image_of_a_near_log_segment_has_infinite_mass_near_zero():
     assert np.max(diff) < 1e-9
 
 
+# images holding a log form, each mapped again by every map below
+FIRST_IMAGES = {
+    "jbeta1.3-near-band": lambda: j(1.3, hash_panel()["near-band"]),
+    "i-near-log": lambda: maps.map_triplet(maps.i_map(), near_log_law()),
+}
+REMAPS = (maps.jbeta_map(2.0), maps.jbeta_map(0.5), maps.i_map(), maps.i_jbeta_map(1.3),
+          maps.ubetaf_map(1.0))
+
+
+def kernel_tail_oracle(log_forms, kernel, u):
+    """30-digit tail at u of the image of log-form segments under a kernel.
+
+    Each power kernel (kappa, a) weighs the density at r > u by kappa (1 -
+    (u/r)**a)/a, or kappa log(r/u) at a = 0; the integral over (max(u, lo),
+    hi) is Gauss-Legendre in log r on panels over which every exponential
+    rate of the integrand moves by at most 1.
+    """
+    with mp.workdps(30):
+        u_, total = mp.mpf(u), mp.mpf(0)
+        for sg in log_forms:
+            if u >= sg.hi:
+                continue
+            L, hi, p, e = max(u_, mp.mpf(sg.lo)), mp.mpf(sg.hi), mp.mpf(sg.p), mp.mpf(sg.e)
+            S = mp.log(hi / L)
+            for kappa, a in kernel:
+                rate = max(1, *(abs(p + 1 - x - y) for x in (0, e) for y in (0, a)))
+                n = int(mp.ceil(S * rate))
+                for k in range(n):
+                    mid, half = S * (2 * k + 1) / (2 * n), S / (2 * n)
+                    for x, wt in gauss_legendre(20):
+                        r = L * mp.exp(mid + half * x)
+                        log_hi_r = mp.log(hi / r)
+                        F = log_hi_r if e == 0 else mp.expm1(e * log_hi_r) / e
+                        w = mp.log(r / u_) if a == 0 else -mp.expm1(a * mp.log(u_ / r)) / a
+                        total += kappa * sg.c * wt * half * r ** (p + 1) * F * w
+        return float(total)
+
+
+@pytest.mark.parametrize("second", REMAPS, ids=lambda m: f"{m.kind}{m.beta or ''}")
+@pytest.mark.parametrize("first", sorted(FIRST_IMAGES))
+def test_images_of_log_form_images_match_oracle(first, second):
+    # the log form of the first image has no power-form image: the second
+    # map re-tabulates its closed-form transformed tail as a grid tail
+    img = FIRST_IMAGES[first]()
+    log_forms = [sg for sg in img.levy.rays[0].radial.segments if sg.e is not None]
+    assert log_forms
+    grid = maps.map_triplet(second, img).levy.rays[0].radial.grid_tail
+    nodes = np.linspace(0, grid.radii.size - 2, 6).astype(int)
+    kernel = maps.POWER_KERNELS[second.kind](second.beta)
+    want = np.array([kernel_tail_oracle(log_forms, kernel, grid.radii[i]) for i in nodes])
+    assert np.max(np.abs(grid.tail[nodes] - want)) <= 1e-14 * np.max(want)
+
+
 if __name__ == "__main__":
-    GOLDEN.write_text(json.dumps(image_digests(), indent=2, sort_keys=True) + "\n")
+    # name the keys whose digest moved, then rewrite the file
+    old = json.loads(GOLDEN.read_text()) if GOLDEN.exists() else {}
+    new = image_digests()
+    for key in sorted(set(old) | set(new)):
+        if old.get(key) != new.get(key):
+            print(key)
+    GOLDEN.write_text(json.dumps(new, indent=2, sort_keys=True) + "\n")
