@@ -8,8 +8,8 @@ A law document takes one of three shapes:
   plus an optional ``"name"``, and no other keys. Each ray has a unit
   ``direction`` plus optional ``atoms`` ``[{"r":, "m":}]``, ``segments``
   ``[{"lo":, "hi": (number or "inf"), "c":, "p":}]`` (with an optional
-  ``"e"`` for a log-form segment) and ``grid_tail``
-  ``{"radii": [...], "tail": [...]}``.
+  ``"e"``, a number or a list of two or more, for a log form) and
+  ``grid_tail`` ``{"radii": [...], "tail": [...]}``.
 
 Whenever the description pins down a finite-activity process (drift +
 Gaussian + finitely many jump atoms), a simulation spec is derived so the
@@ -177,6 +177,12 @@ def _parse_hi(v) -> float:
     return float(v)
 
 
+def _parse_offsets(v):
+    if isinstance(v, list) and len(v) < 2:
+        raise LawSpecError(f"segment 'e' must be a number or a list of two or more, got {v!r}")
+    return v
+
+
 def _ray_from_dict(doc, dim) -> Ray:
     _object(doc, "ray")
     raw_dir = doc.get("dir", doc.get("direction"))
@@ -188,7 +194,7 @@ def _ray_from_dict(doc, dim) -> Ray:
     atoms = [(float(a["r"]), float(a["m"])) for a in doc.get("atoms", [])]
     segments = [
         (float(s["lo"]), _parse_hi(s["hi"]), float(s["c"]), float(s["p"]))
-        + ((float(s["e"]),) if s.get("e") is not None else ())
+        + ((_parse_offsets(s["e"]),) if s.get("e") is not None else ())
         for s in doc.get("segments", [])
     ]
     gt = None
@@ -260,7 +266,7 @@ def triplet_to_dict(trip: LevyTriplet) -> dict:
                     "hi": ("inf" if math.isinf(s.hi) else s.hi),
                     "c": s.c,
                     "p": s.p,
-                    **({} if s.e is None else {"e": s.e}),
+                    **({"e": s.e[0] if len(s.e) == 1 else list(s.e)} if s.e else {}),
                 }
                 for s in rad.segments
             ],

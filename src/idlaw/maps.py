@@ -13,16 +13,16 @@ exponent scale:
 Every map also acts on generating triplets in closed form
 (:func:`map_triplet`). In u, each kernel is a short sum of power kernels
 kappa * u**(a-1) du, and each power kernel scales shift and covariance by
-kappa/(a+1) and kappa/(a+2) and maps atoms and power segments of the jump
-measure to exact sums of power segments. Any radial part transforms
-through its right tail,
+kappa/(a+1) and kappa/(a+2) and maps atoms and segments of the jump
+measure exactly, a log form to one with a node more. Any radial part
+transforms through its right tail,
 
     tail_out(u) = kappa * u**a * integral_u^inf tail(w) w**(-a-1) dw,
 
 which this module evaluates in closed form piece by piece, from the
 closed-form segment moments of :mod:`idlaw.spectral`; no quadrature runs
-below the exponent-level maps. Only tabulated tails and log-form segments
-have no power-form image, and their transformed tail is re-tabulated.
+below the exponent-level maps. Only a tabulated tail has no exact image,
+and its transformed tail is re-tabulated.
 """
 
 from __future__ import annotations
@@ -51,7 +51,6 @@ from .spectral import (
     _log_moment,
     _moment,
     segments_by_range,
-    segments_nonnegative,
 )
 from .triplet import LevyTriplet
 
@@ -288,11 +287,6 @@ def jbeta_inverse(phi_mu: CharExponent, beta: float) -> CharExponent:
 # -- closed-form transformed tails --------------------------------------------
 
 
-def _p_neg(a: float, x, y):
-    """Integral of w**(-a-1) over (x, y); y may be inf for a > 0."""
-    return np.log(y / x) if a == 0.0 else (x ** (-a) - y ** (-a)) / a
-
-
 def _mass_above(kappa: float, a: float, x) -> np.ndarray:
     """kappa times the integral of t**(a-1) over (x, 1), zero for x >= 1.
 
@@ -307,19 +301,15 @@ def _grid_tail_transform(gt: GridTail, a: float, us: np.ndarray) -> np.ndarray:
     """integral_u^inf tail_gt(w) w**(-a-1) dw, vectorized over query radii.
 
     The tabulated tail is linear on each cell and zero past the last node,
-    so every cell integrates in closed form; suffix sums make the whole
-    batch O(cells + queries).
+    so every cell integrates in closed form, its two powers w**-a and
+    w**(-a-1) by :func:`_ints_from`; suffix sums make the whole batch
+    O(cells + queries).
     """
     r = gt.radii
     T = gt.tail
     slope = np.diff(T) / np.diff(r)
     alpha = T[:-1] - slope * r[:-1]
-
-    def p_one(x, y):
-        # integral of w**-a over (x, y), without cancellation near a = 1
-        return _ints_from(x, y, 1.0 - a, np.log(y / x))
-
-    cell_full = alpha * _p_neg(a, r[:-1], r[1:]) + slope * p_one(r[:-1], r[1:])
+    cell_full = alpha * _ints_from(r[:-1], r[1:], -a) + slope * _ints_from(r[:-1], r[1:], 1.0 - a)
     suffix = np.concatenate([np.cumsum(cell_full[::-1])[::-1], [0.0]])
 
     us = np.asarray(us, dtype=float)
@@ -328,10 +318,12 @@ def _grid_tail_transform(gt: GridTail, a: float, us: np.ndarray) -> np.ndarray:
     if np.any(inside):
         ui = np.minimum(np.maximum(us[inside], r[0]), r[-1])
         idx = np.clip(np.searchsorted(r, ui, side="right") - 1, 0, len(r) - 2)
-        partial = alpha[idx] * _p_neg(a, ui, r[idx + 1]) + slope[idx] * p_one(ui, r[idx + 1])
-        vals = partial + suffix[idx + 1]
+        top = r[idx + 1]
+        vals = alpha[idx] * _ints_from(ui, top, -a) + slope[idx] * _ints_from(ui, top, 1.0 - a)
+        vals = vals + suffix[idx + 1]
         below = us[inside] < r[0]
-        vals = vals + np.where(below, T[0] * _p_neg(a, np.maximum(us[inside], 1e-300), r[0]), 0.0)
+        low = np.maximum(us[inside], 1e-300)
+        vals = vals + np.where(below, T[0] * _ints_from(low, r[0], -a), 0.0)
         out[inside] = vals
     return out
 
@@ -389,20 +381,25 @@ LOG_FORM_BAND = 1e-2
 
 
 def _segment_image_terms(sg: Segment, kappa: float, a: float) -> tuple[list, Segment | None]:
-    """Image of one power segment under one power kernel, as Segments.
+    """Image of one segment under one power kernel, as Segments.
 
-    With e = p - a + 1 the image density is c kappa u**(a-1)
+    With e = p - a + 1 a power segment's image density is c kappa u**(a-1)
     (hi**e - lo**e)/e on (0, lo) and (c kappa/e)(hi**e u**(a-1) - u**p)
     on (lo, hi); for hi = inf, where e < 0, only the u**p term remains.
-    Within ``LOG_FORM_BAND`` of e = 0 the (lo, hi) piece comes back as one
-    log-form segment instead, c kappa u**p ((hi/u)**e - 1)/e. A
-    coefficient past the float range raises InvalidMeasureError.
+    Within ``LOG_FORM_BAND`` of e = 0 the (lo, hi) piece is the log form
+    c kappa u**p ((hi/u)**e - 1)/e. A log form gives only its (0, lo) term
+    c kappa M_(-a) u**(a-1), M_(-a) its moment of r**-a (see
+    :func:`_form_image`). A coefficient past the float range raises
+    InvalidMeasureError.
     """
     lo, hi, p = sg.lo, sg.hi, sg.p
     e, cb = p + (1.0 - a), sg.c * kappa
     terms, log_form = [], None
     try:
-        if math.isinf(hi):
+        if sg.e:
+            if lo > 0.0:
+                terms.append(Segment(0.0, lo, cb * float(_moment(sg, lo, hi, -a)), a - 1.0))
+        elif math.isinf(hi):
             if lo > 0.0:
                 terms.append(Segment(0.0, lo, cb * lo ** e / -e, a - 1.0))
             terms.append(Segment(lo, hi, cb / -e, p))
@@ -424,76 +421,62 @@ def _segment_image_terms(sg: Segment, kappa: float, a: float) -> tuple[list, Seg
     return terms, log_form
 
 
-def _rest_breakpoints(rest: RadialMeasure) -> list[float]:
-    bps = []
-    for sg in rest.segments:
-        if sg.lo > 0.0:
-            bps.append(sg.lo)
-        if math.isfinite(sg.hi):
-            bps.append(sg.hi)
-    if rest.grid_tail is not None:
-        bps.extend([float(rest.grid_tail.radii[0]), float(rest.grid_tail.radii[-1])])
-    return sorted(set(bps))
+def _form_image(sg: Segment, kernel) -> Segment:
+    """The (lo, hi) image of a log form under a map's power kernels, one log form.
+
+    A power kernel (kappa, a) maps c r**p D[N], D the divided difference
+    over the nodes N (:class:`Segment`), to kappa c u**p D[N, p - a + 1];
+    the kernels of ``ubetaf`` and ``ijbeta``, kappa_2 = -kappa_1, to
+    kappa_1 (a_2 - a_1) c u**p D[N, p - a_1 + 1, p - a_2 + 1], of c's sign.
+    """
+    (kappa, a), *rest = kernel
+    coef = kappa * sg.c * (rest[0][1] - a if rest else 1.0)
+    return Segment(sg.lo, sg.hi, coef, sg.p, sg.e + tuple(sg.p + (1.0 - x) for _, x in kernel))
 
 
 def _radial_image(radial: RadialMeasure, kernel) -> RadialMeasure:
     """Radial part of the image of one ray's radial measure under a kernel.
 
-    ``kernel`` is a sequence of power kernels (kappa, a). Atoms and power
-    segments map exactly: under each power kernel an atom m at r becomes
-    the density m kappa u**(a-1) / r**a on (0, r), and a power segment
-    becomes power terms of exponents a - 1 and p (see
-    :func:`_segment_image_terms`), or a log-form segment when the two
-    nearly coincide. Terms sharing an exponent are summed on each range
-    between breakpoints, and their sum is certified nonnegative when the
-    measure is validated.
-
-    Grid tails and log-form segments have no power-form image. Their
-    transformed tail is evaluated in closed form (:func:`_kernel_tail`)
-    and re-tabulated as a grid tail on a log-spaced grid wide
+    ``kernel`` is a sequence of power kernels (kappa, a). Under each, an
+    atom m at r becomes the density m kappa u**(a-1) / r**a on (0, r), a
+    power segment power terms or a log form (:func:`_segment_image_terms`),
+    and a log form a power term and a log form with a node more
+    (:func:`_form_image`). Power terms sharing an exponent are summed on
+    each range between breakpoints; the sum is certified nonnegative when
+    the measure is validated. Only a grid tail is re-tabulated: its
+    transformed tail (:func:`_kernel_tail`) on a log-spaced grid wide
     enough that the discarded pieces are negligible, with 1024 nodes per
     e-fold of its width, at least 4097 and at most 32769.
-    Both parts of the image must be nonnegative measures of their own, so
-    log-form segments are re-tabulated apart from the power segments only
-    when each part is certified nonnegative; otherwise all segments are
-    re-tabulated together.
     """
-    plain = [sg for sg in radial.segments if sg.e is None]
-    together = len(plain) < len(radial.segments) and not (
-        all(sg.c >= 0.0 for sg in radial.segments if sg.e is not None)
-        and segments_nonnegative(plain)
-    )
-    rest_segments = [sg for sg in radial.segments if sg.e is not None or together]
-    mapped = [sg for sg in radial.segments if not (sg.e is not None or together)]
     terms, log_forms = [], []
     for kappa, a in kernel:
         for at in radial.atoms:
             terms.append(Segment(0.0, at.r, at.m * kappa / at.r ** a, a - 1.0))
-        for sg in mapped:
+        for sg in radial.segments:
             seg_terms, log_form = _segment_image_terms(sg, kappa, a)
             terms += seg_terms
             if log_form is not None:
                 log_forms.append(log_form)
+    log_forms += [_form_image(sg, kernel) for sg in radial.segments if sg.e]
     new_segments = tuple(
         sg for _, _, covering in segments_by_range(terms) for sg in covering
     ) + tuple(log_forms)
-    rest = RadialMeasure((), tuple(rest_segments), radial.grid_tail)
-    if rest.is_empty():
+    gt = radial.grid_tail
+    if gt is None:
         return RadialMeasure((), new_segments, None)
+    rest = RadialMeasure(grid_tail=gt)
 
     def tail_out(us) -> np.ndarray:
         parts = [_kernel_tail(rest, kappa, a, us) for kappa, a in kernel]
         return sum(parts[1:], parts[0])
 
-    bps = _rest_breakpoints(rest)
-    r_top = max(bps)
-    r_floor = min(bps) * 1e-2
+    r_first, r_top = float(gt.radii[0]), float(gt.radii[-1])
+    r_floor = r_first * 1e-2
     while r_floor * r_floor * float(tail_out(r_floor)[0]) > 1e-10 and r_floor > 1e-18:
         r_floor /= 8.0
 
     n_nodes = int(min(32769, max(4097, 1024.0 * math.log(r_top / r_floor))))
-    us = np.geomspace(r_floor, r_top, n_nodes)
-    us = np.union1d(us, [b for b in bps if r_floor < b < r_top] + [1.0])
+    us = np.union1d(np.geomspace(r_floor, r_top, n_nodes), [r_first, 1.0])
     us = us[(us >= r_floor) & (us <= r_top)]
     tails = np.minimum.accumulate(np.maximum(tail_out(us), 0.0))
     return RadialMeasure((), new_segments, GridTail(us, tails))

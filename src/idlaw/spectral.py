@@ -198,8 +198,7 @@ def _expm1_ratio(e, t):
         return t
     et = e * t
     small = (np.abs(et) < sys.float_info.min) | (e == 0.0)
-    # e + small is e, or 1 where the value is t
-    return np.where(small, t, np.expm1(et) / (e + small))
+    return np.where(small, t, np.expm1(et) / np.where(small, 1.0, e))
 
 
 def _log_ratio(x, y):
@@ -212,37 +211,38 @@ def _log_ratio(x, y):
     d = x - y
     close = np.abs(d) < y / 32.0
     out = np.log(x / y)
-    return np.where(close, np.log1p(d / y), out) if np.count_nonzero(close) else out
+    return np.where(close, np.log1p(np.where(close, d / y, 0.0)), out) if close.any() else out
 
 
 def _power_ints(a, b, q) -> np.ndarray:
     """Integral of r**(q-1) over (a, b), per 0 <= a <= b <= inf, broadcast over a, b and q.
 
-    From a > 0 to b < inf it is :func:`_ints_from` over the span :func:`_log_ratio`;
-    from a = 0 it is b**q/q and to b = inf -a**q/q, or inf where that diverges.
+    From a > 0 to b < inf it is :func:`_ints_from`; from a = 0 it is
+    b**q/q and to b = inf -a**q/q, or inf where that diverges.
     """
     a = np.asarray(a, dtype=float)
     pos = a > 0.0
     inner = pos & (b < math.inf)
     n_inner = np.count_nonzero(inner)
     if n_inner == np.size(inner):
-        return _ints_from(a, b, q, _log_ratio(b, a))
+        return _ints_from(a, b, q)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         # finite from a = 0 for q > 0, to b = inf for q < 0
         ends = np.where((q < 0.0) == pos, np.where(pos, a, b) ** q / np.where(pos, -q, q), math.inf)
         if not n_inner:
             return ends
-        return np.where(inner, _ints_from(a, b, q, _log_ratio(b, a)), ends)
+        return np.where(inner, _ints_from(a, b, q), ends)
 
 
-def _ints_from(a, b, q, span) -> np.ndarray:
-    """Integral of r**(q-1) over (a, b) from span = log(b/a), for 0 < a <= b < inf.
+def _ints_from(a, b, q) -> np.ndarray:
+    """Integral of r**(q-1) over (a, b), for 0 < a <= b < inf.
 
-    Broadcast over a, b, q and span. Written as a**q (exp(q span) - 1)/q
-    through expm1, so it stays accurate as q -> 0. Where q span passes
-    700, (a/b)**q is below 1e-304 and nothing cancels: it is b**q/q, and
-    expm1 would overflow.
+    Broadcast over a, b and q. Written as a**q (exp(q S) - 1)/q through
+    expm1, S = log(b/a) by :func:`_log_ratio`, so it stays accurate as
+    q -> 0 and as b -> a. Where q S passes 700, (a/b)**q is below 1e-304
+    and nothing cancels: it is b**q/q, and expm1 would overflow.
     """
+    span = _log_ratio(b, a)
     far = q * span > 700.0
     if not np.count_nonzero(far):
         return a ** q * _expm1_ratio(q, span)
@@ -251,38 +251,72 @@ def _ints_from(a, b, q, span) -> np.ndarray:
     return np.where(far, b ** q_far / q_far, val)
 
 
-def _exp_divdiff(S, nodes: tuple[float, ...]) -> np.ndarray:
-    """Divided difference of x -> exp(x S) over sorted ``nodes``, per finite S >= 0.
+def _exp_divdiff(S, nodes) -> np.ndarray:
+    """Divided difference of x -> exp(x S) over ``nodes``, sorted per element.
 
-    A node repeated m times reads derivatives up to order m - 1. Where S
-    times the nodes' spread is below 1 it is the Taylor series about their
-    mean x0: exp(x0 S) S**n times the sum over j of h_j(S (x - x0))/(n + j)!
-    for n + 1 nodes, h_j the complete homogeneous symmetric polynomial of
-    degree j; each shifted node is below 1 in size, so 20 terms reach
-    rounding. Otherwise it is the recursion (D(x_1..x_n) - D(x_0..x_(n-1)))
-    / (x_n - x_0), whose two terms then cancel little (McCurdy, Ng and
-    Parlett 1984, Math. Comp. 43).
+    S (finite, real >= 0 or complex) and the nodes (floats or arrays)
+    broadcast; a node held m times reads derivatives to order m - 1. Where
+    |S| times the nodes' spread is below 1 it is the Taylor series about
+    their mean x0, exp(x0 S) S**n times the sum over j <= 20 of
+    h_j(S (x - x0))/(n + j)!, n + 1 nodes, h_j the complete homogeneous
+    symmetric polynomial of degree j; otherwise the recursion (D(x_1..x_n)
+    - D(x_0..x_(n-1))) / (x_n - x_0) (McCurdy, Ng and Parlett 1984).
     """
+    shape = np.broadcast_shapes(np.shape(S), *(np.shape(x) for x in nodes))
+    S = np.broadcast_to(S, shape).astype(np.result_type(S, float)).ravel()
+    nodes = [np.broadcast_to(x, shape).ravel() for x in nodes]
     n = len(nodes) - 1
     if n == 0:
-        return np.exp(nodes[0] * S)
-    spread = nodes[-1] - nodes[0]
-    near = S * spread < 1.0
-    out = np.empty(S.shape)
+        return np.exp(nodes[0] * S).reshape(shape)
+    near = np.abs(S) * (nodes[-1] - nodes[0]) < 1.0
+    out = np.empty(S.shape, dtype=S.dtype)
     if np.count_nonzero(near):
-        s = S[near]
-        mean = sum(nodes) / (n + 1)
+        s, xs = S[near], [x[near] for x in nodes]
+        mean = sum(xs) / (n + 1)
         h = [np.ones_like(s)] + [np.zeros_like(s)] * 20
-        for x in nodes:
+        for x in xs:
             z = (x - mean) * s
             for j in range(1, 21):
                 h[j] = h[j] + z * h[j - 1]
         total = sum(h[j] / math.factorial(n + j) for j in range(20, -1, -1))
         out[near] = np.exp(mean * s) * s ** n * total
     if np.count_nonzero(near) < near.size:
-        s = S[~near]
-        out[~near] = (_exp_divdiff(s, nodes[1:]) - _exp_divdiff(s, nodes[:-1])) / spread
-    return out
+        s, xs = S[~near], [x[~near] for x in nodes]
+        out[~near] = (_exp_divdiff(s, xs[1:]) - _exp_divdiff(s, xs[:-1])) / (xs[-1] - xs[0])
+    return out.reshape(shape)
+
+
+def _form_nodes(e) -> list[float]:
+    """The sorted nodes of a log form's factor: 0 and the offsets ``e``."""
+    return sorted((0.0, *e))
+
+
+def _form_ratio(nodes, q, A, S) -> np.ndarray:
+    """Integral of r**(q-1) D over (a, b) over b**q, D a log form's factor.
+
+    D is the divided difference of exp(x log(hi/r)) over the sorted
+    ``nodes`` n_0..n_m; A = log(hi/b), S = log(b/a), inf from a = 0; all
+    broadcast. By the Leibniz rule at log(hi/r) = A + log(b/r) it is the
+    sum over j of D_A[n_0..n_j] exp(-q S) D_S[n_j..n_m, q], positive terms,
+    each shifted by its largest node t to exp((t - q) S) D_S[n_j - t..q - t]
+    so that no exponential overflows. From a = 0 the second factor is the
+    product of 1/(q - n) over n_j..n_m, and the ratio inf unless q > n_m.
+    """
+    q = np.asarray(q, dtype=float)
+    finite = np.isfinite(S)
+    S0 = np.where(finite, S, 0.0)
+    diverges = ~finite & ~(q > nodes[-1])
+    out = 0.0
+    for j in range(len(nodes)):
+        tail = np.sort(np.stack(np.broadcast_arrays(q, *nodes[j:])), axis=0)
+        with np.errstate(over="ignore"):
+            part = np.exp((tail[-1] - q) * S0) * _exp_divdiff(S0, list(tail - tail[-1]))
+        if not finite.all():
+            with np.errstate(divide="ignore", invalid="ignore"):
+                from_zero = 1.0 / math.prod(q - x for x in nodes[j:])
+            part = np.where(finite, part, np.where(diverges, 0.0, from_zero))
+        out = out + _exp_divdiff(A, nodes[: j + 1]) * part
+    return np.where(diverges, math.inf, out)
 
 
 @dataclass(frozen=True)
@@ -297,17 +331,22 @@ class Atom:
 class Segment:
     """Density c * r**p on (lo, hi); hi may be math.inf.
 
-    With ``e`` set, the density is c * r**p * ((hi/r)**e - 1)/e instead,
-    read as c * r**p * log(hi/r) at e = 0, on a finite range: the log
-    form. It is a power segment's image under a power kernel when the
-    image's two power terms, of exponents p and p - e, would cancel.
+    With offsets ``e`` (a number or a sequence, kept as a sorted tuple,
+    empty for a power segment) the density is c * r**p times the divided
+    difference of x -> exp(x log(hi/r)) over {0, e_1, ..., e_m} on a
+    finite range: a log form, c * r**p * ((hi/r)**e - 1)/e for one offset,
+    positive for c > 0. A power kernel adds a node (:mod:`idlaw.maps`).
     """
 
     lo: float
     hi: float
     c: float
     p: float
-    e: float | None = None
+    e: tuple[float, ...] = ()
+
+    def __post_init__(self):
+        if type(self.e) is not tuple or self.e:  # the default () needs no work
+            object.__setattr__(self, "e", tuple(sorted(map(float, np.atleast_1d(self.e)))))
 
     def tail(self, u) -> np.ndarray:
         """Mass of (u, inf), vectorized over u >= 0."""
@@ -335,79 +374,34 @@ def _moment(sg: Segment, a, b, k) -> np.ndarray:
     """Integral of r**k against the segment at c = 1 over (a, b), for any real k.
 
     Needs lo <= a <= b <= hi; inf where the integral diverges. A power
-    segment's is :func:`_power_ints`; a log form's, b**(p + 1 + k) times
-    :func:`_log_form_ratio`. Broadcasts over a, b and k, and over the
-    fields of ``sg`` when they hold arrays of segments of one kind.
+    segment's is :func:`_power_ints`, a log form's b**q :func:`_form_ratio`,
+    q = p + 1 + k. Broadcasts over a, b and k.
     """
-    if sg.e is None:
-        return _power_ints(a, b, sg.p + k + 1.0)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        log_rho, log_hi_b = _log_ratio(np.asarray(a, dtype=float), b), _log_ratio(sg.hi, b)
-        return b ** (sg.p + 1.0 + k) * _log_form_ratio(sg.p, sg.e, log_rho, log_hi_b, k)
-
-
-def _log_form_ratio(p, e, log_rho, log_hi_b, k) -> np.ndarray:
-    """A log form's :func:`_moment` over (a, b) divided by b**(p + 1 + k), closed form.
-
-    For the log form of exponent p, offset e and end hi, from log_rho =
-    log(a/b) and log_hi_b = log(hi/b), lo <= a <= b <= hi; broadcast over
-    p, e, log_rho, log_hi_b and k. The density at c = 1 is r**(K-k-1),
-    K = p - e + 1 + k, times the integral of u**(e-1) over (r, hi), so
-    swapping the order of integration gives, with rho = a/b,
-    T = log(1/rho), q = K + e and U_x = (1 - rho**x)/x through expm1
-    (-log(rho) at x = 0; 1/x, or inf for x <= 0, at rho = 0),
-
-        (U_q - rho**K U_e) / K + U_K F(b),
-
-    where F(b) = ((hi/b)**e - 1)/e is the density factor at b. The first
-    term, the divided difference of exp(-x T) over {0, K, q}, is also
-    (U_K - rho**K U_e) / q; each form cancels to about the ratio of the
-    other divisor to its own, so it divides by q where |q| > 2 |K|, K = 0
-    included. From a = 0, where the rho**K term vanishes, it is finite
-    only for min(q, K) > 0. Every term stays finite for
-    any small b, so the power series of the exponent can take it at any
-    |w|. The first term cancels as rho -> 1: it is the sum over m >= 1 of
-    h_(m-1) (-T)**(m-1) T**2 / (m+1)!, h_n = q h_(n-1) + K**n, h_0 = 1,
-    which takes over where max(|q|, |K|) T < 1.
-    """
-    K = p - e + 1.0 + k
-    q = K + e
+    q = sg.p + k + 1.0
+    if not sg.e:
+        return _power_ints(a, b, q)
+    # a = 0 reads S = inf; an inadmissible form (hi = inf) reads nan
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        T = -log_rho
-        U_q, U_K, U_e = (-_expm1_ratio(x, log_rho) for x in (q, K, e))
-        below = np.where(log_rho > -math.inf, np.exp(K * log_rho) * U_e, 0.0)
-        first = np.where(abs(q) > 2.0 * abs(K), (U_K - below) / q, (U_q - below) / K)
-        near = np.maximum(abs(q), abs(K)) * T < 1.0
-        if np.count_nonzero(near):
-            T = np.where(near, T, 0.0)
-            c, h, K_pow = 0.5 * T * T, 1.0, 1.0
-            series = c
-            for m in range(1, 20):
-                c, K_pow = c * -T / (m + 2), K_pow * K
-                h = q * h + K_pow
-                series = series + h * c
-            first = np.where(near, series, first)
-        out = first + U_K * _expm1_ratio(e, log_hi_b)
-    return np.where((np.minimum(q, K) <= 0.0) & (log_rho == -math.inf), math.inf, out)
+        S = _log_ratio(b, np.asarray(a, dtype=float))
+        return b ** q * _form_ratio(_form_nodes(sg.e), q, _log_ratio(sg.hi, b), S)
 
 
 def _log_moment(sg: Segment, a, b: float) -> np.ndarray:
     """Integral of log(r/a) against the segment at c = 1 over (a, b), per a in (0, b].
 
-    Needs b <= hi, and b = hi for a log form; vectorized over a. In
-    r = a exp(t), t in (0, S) with S = log(b/a), a power segment's is
-    a**q E[0, q, q], q = p + 1 and E the divided difference of exp(x S)
-    (:func:`_exp_divdiff`); to b = inf it is a**q/q**2, or inf for q >= 0.
-    A log form's is a**q E[0, e, q, q]. Each divided difference is shifted
-    by its largest node m, a**q exp(m S) = a**(q-m) b**m, so no exponential
-    overflows.
+    Needs b <= hi, and b = hi for a form; vectorized over a. In
+    r = a exp(t), t in (0, S) with S = log(b/a), it is a**q E[0, e_1, ...,
+    e_m, q, q], q = p + 1, E the divided difference of exp(x S)
+    (:func:`_exp_divdiff`) and e_i the offsets; to b = inf a power
+    segment's is a**q/q**2, or inf for q >= 0. E is shifted by its largest
+    node t, a**q exp(t S) = a**(q-t) b**t, so no exponential overflows.
     """
     a = np.asarray(a, dtype=float)
     q = sg.p + 1.0
     if math.isinf(b):
         with np.errstate(divide="ignore"):
             return np.where(q < 0.0, a ** q / (q * q), math.inf)
-    nodes = (0.0, q, q) if sg.e is None else (0.0, sg.e, q, q)
+    nodes = (0.0, *sg.e, q, q)
     top = max(nodes)
     shifted = tuple(sorted(x - top for x in nodes))
     return a ** (q - top) * b ** top * _exp_divdiff(_log_ratio(b, a), shifted)
@@ -552,10 +546,10 @@ class RadialMeasure:
             if sg.lo < 0.0 or not sg.hi > sg.lo:
                 out.append(f"{label}: segment {k} has bad range ({sg.lo}, {sg.hi})")
                 continue
-            if sg.e is not None and not (math.isfinite(sg.hi) and sg.p - sg.e >= -1.0):
+            if sg.e and not (np.isfinite([sg.hi, *sg.e]).all() and sg.p - sg.e[-1] >= -1.0):
                 out.append(
-                    f"{label}: log-form segment {k} needs a finite hi and "
-                    f"p - e >= -1, got hi={sg.hi}, p={sg.p}, e={sg.e}"
+                    f"{label}: log-form segment {k} needs a finite hi and finite "
+                    f"offsets e with p - e >= -1, got hi={sg.hi}, p={sg.p}, e={sg.e}"
                 )
             if sg.lo == 0.0 and sg.p <= -3.0:
                 out.append(
@@ -672,29 +666,27 @@ class RadialMeasure:
 def _min1r2(radials: Sequence[RadialMeasure]) -> np.ndarray:
     """Integral of min(1, r**2) against each radial measure.
 
-    Atoms and grid tails add one measure at a time. The nonempty ranges
-    of all their segments take one array pass per kind through
-    :func:`_moment`: r**2 over a segment's part of (0, 1] and 1 over its
-    part of (1, inf). A divergent range reads inf.
+    Atoms, grid tails and log forms add one at a time. The nonempty
+    ranges of all power segments take one array pass through
+    :func:`_power_ints`: r**2 over a segment's part of (0, 1] and 1 over
+    its part of (1, inf). A divergent range reads inf.
     """
     out = np.zeros(len(radials))
+    rows = []
     for i, rad in enumerate(radials):
         for at in rad.atoms:
             out[i] += at.m * min(1.0, at.r * at.r)
         if rad.grid_tail is not None:
             out[i] += rad.grid_tail.split_integral(lambda r: r * r, lambda r: np.ones_like(r))
-    rows = [
-        (i, a, b, k, sg) for i, rad in enumerate(radials) for sg in rad.segments
-        for a, b, k in ((max(sg.lo, 0.0), min(sg.hi, 1.0), 2.0), (max(sg.lo, 1.0), sg.hi, 0.0))
-        if b > a
-    ]
-    for log_form in (False, True):
-        kind = [(i, a, b, k, sg.lo, sg.hi, sg.c, sg.p, sg.e or 0.0)
-                for i, a, b, k, sg in rows if (sg.e is not None) == log_form]
-        if kind:
-            ray, a, b, k, lo, hi, c, p, e = np.array(kind).T
-            table = Segment(lo, hi, c, p, e if log_form else None)
-            out += np.bincount(ray.astype(int), c * _moment(table, a, b, k), len(radials))
+        for sg in rad.segments:
+            for a, b, k in ((max(sg.lo, 0.0), min(sg.hi, 1.0), 2.0), (max(sg.lo, 1.0), sg.hi, 0.0)):
+                if b > a and sg.e:
+                    out[i] += sg.c * float(_moment(sg, a, b, k))
+                elif b > a:
+                    rows.append((i, a, b, k, sg.c, sg.p))
+    if rows:
+        ray, a, b, k, c, p = np.array(rows).T
+        out += np.bincount(ray.astype(int), c * _power_ints(a, b, p + k + 1.0), len(radials))
     return out
 
 
@@ -716,7 +708,7 @@ def segments_by_range(
         for sg in segments:
             if not (sg.lo <= a and b <= sg.hi):
                 continue
-            if sg.e is None:
+            if not sg.e:
                 coef[sg.p] = coef.get(sg.p, 0.0) + sg.c
             else:
                 log_forms.append(sg)
@@ -726,25 +718,22 @@ def segments_by_range(
 
 
 def _uncertified_ranges(segments: Iterable[Segment]) -> list[tuple[float, float]]:
-    """Ranges on which well-formed segments are not certified to sum to >= 0."""
+    """Ranges where well-formed segments are not certified to sum to >= 0,
+    whole or without their positive log forms (say, of a node held thrice)."""
     segs = [sg for sg in segments if sg.lo >= 0.0 and sg.hi > sg.lo]
     if all(sg.c >= 0.0 for sg in segs):
         return []
     return [
         (a, b) for a, b, covering in segments_by_range(segs)
         if not _density_nonnegative(covering, a, b)
+        and not _density_nonnegative([sg for sg in covering if not sg.e or sg.c < 0.0], a, b)
     ]
-
-
-def segments_nonnegative(segments: Iterable[Segment]) -> bool:
-    """Whether the segments are certified to sum to a nonnegative density."""
-    return not _uncertified_ranges(segments)
 
 
 # A density on a range, written in t = log r, is certified as a sum of
 # groups (x + y t) exp(p t), held as (p, x, y) sorted by p: a power term
-# is one group with y = 0, a log-form segment one group at e = 0 and two
-# power terms otherwise.
+# is one group with y = 0, and a log form one group per distinct node by
+# partial fractions.
 
 
 def _summed(terms) -> list[tuple[float, float, float]]:
@@ -756,18 +745,28 @@ def _summed(terms) -> list[tuple[float, float, float]]:
     return [(p, x, y) for p, (x, y) in sorted(acc.items()) if x != 0.0 or y != 0.0]
 
 
-def _groups(segments: list[Segment]) -> list[tuple[float, float, float]]:
-    """The segments' density as (p, x, y) groups, summed by p."""
+def _groups(segments: list[Segment]) -> list[tuple[float, float, float]] | None:
+    """The segments' density as (p, x, y) groups summed by p; None if it has none.
+
+    A log form splits by partial fractions into a group of exponent p - n
+    per distinct node n: exp(n L)/W, or for a double node its derivative in
+    n, exp(n L)/W (L - sum of m_v/(n - v)); L = log(hi) - t and W the
+    product of (n - v)**m_v over the other nodes v. A triple node has none.
+    """
     terms = []
     for sg in segments:
-        if sg.e is None:
+        if not sg.e:
             terms.append((sg.p, sg.c, 0.0))
-        elif sg.e == 0.0:
-            # c r**p log(hi/r) = (c log(hi) - c t) exp(p t)
-            terms.append((sg.p, sg.c * math.log(sg.hi), -sg.c))
-        else:
-            terms.append((sg.p - sg.e, sg.c * sg.hi ** sg.e / sg.e, 0.0))
-            terms.append((sg.p, -sg.c / sg.e, 0.0))
+            continue
+        nodes = _form_nodes(sg.e)
+        mult = {n: nodes.count(n) for n in nodes}
+        if max(mult.values()) > 2:
+            return None
+        for n, m in mult.items():
+            base = sg.c * sg.hi ** n / math.prod((n - v) ** mv for v, mv in mult.items() if v != n)
+            pull = sum(mv / (n - v) for v, mv in mult.items() if v != n)
+            x = base * (math.log(sg.hi) - pull) if m == 2 else base
+            terms.append((sg.p - n, x, -base if m == 2 else 0.0))
     return _summed(terms)
 
 
@@ -874,8 +873,8 @@ def _densities_at(segments: list[Segment], t: float) -> list[float]:
     out = []
     for sg, lg in zip(segments, logs):
         val = sg.c * math.exp(lg - top)
-        if sg.e is not None:
-            val *= float(_expm1_ratio(sg.e, math.log(sg.hi) - t))
+        if sg.e:
+            val *= float(_exp_divdiff(math.log(sg.hi) - t, _form_nodes(sg.e)))
         out.append(val)
     return out
 
@@ -893,6 +892,8 @@ def _density_nonnegative(segments: list[Segment], a: float, b: float) -> bool:
     if all(sg.c > 0.0 for sg in segments):
         return True
     groups = _groups(segments)
+    if groups is None:
+        return False
     if not groups:
         return True
     ta = math.log(a) if a > 0.0 else -math.inf
@@ -939,20 +940,17 @@ _LOG_1IS_EDGE = _log_1is(np.array([SERIES_EDGE]))
 _MOMENT_Q = np.array([[1.0], [2.0]])
 
 
-def _laguerre_sum(p, a, log=None) -> np.ndarray:
+def _laguerre_sum(p, a, forms=()) -> np.ndarray:
     """The Gauss-Laguerre rule on (1 + i v/a)**p F(x (1 + i v/a)), per element.
 
-    With s = v/a, log(1 + i s) is log1p(s**2)/2 + i arctan(s). F is 1 but
-    on the log-form elements ``log`` = (mask, e, log(hi/x)) names, where
-    it takes log(hi / r) = log(hi / x) - log(1 + i s) on the principal
-    branch. Nodes run down the rows, so the rule is a fold over a fixed
-    row count.
+    With s = v/a, log(1 + i s) is log1p(s**2)/2 + i arctan(s). F is 1 but on
+    the log forms, ``forms`` groups (columns, nodes, log(hi/x)), where
+    log(hi/r) = log(hi/x) - log(1 + i s). Nodes run down the rows: a fold.
     """
     log_1is = _log_1is(a)
     f = np.exp(p * log_1is)
-    if log is not None:
-        mask, e, log_hi_x = log
-        f[:, mask] *= _expm1_ratio(e, log_hi_x - log_1is[:, mask])
+    for cols, nodes, log_hi_x in forms:
+        f[:, cols] *= _exp_divdiff(log_hi_x - log_1is[:, cols], nodes)
     f *= _LAG_WEIGHTS[:, None]
     return _fold_sum(f)
 
@@ -962,13 +960,13 @@ class _Pieces:
     """Segments split at radius 1 into pieces, as columns with one entry per piece.
 
     A piece is c * r**p F(r) on (a, b) of ray ``ray``, F the density factor
-    of its segment: 1, or ((hi/r)**e - 1)/e for a log form. e is nan for a
-    power segment, and hi is the segment's own end. k0 = 2 marks the
-    compensated kernel below radius 1, k0 = 1 the raw one above it. Pieces
-    are sorted into power pieces from a = 0, power pieces from a > 0 and
-    log forms; ``kinds`` holds the indices where the last two start. Per
-    piece, ``coef`` holds the series coefficients of i**k / k! for
-    k = 1..SERIES_TERMS, zero below k0; on
+    of its segment, 1 or a log form's; ``nodes`` holds its sorted nodes
+    (:func:`_form_nodes`), padded with nan, and hi the segment's end.
+    k0 = 2 marks the compensated kernel below radius 1, k0 = 1 the raw one
+    above it. Pieces are sorted into power pieces from a = 0, power pieces
+    from a > 0 and log forms; ``kinds`` holds the indices where the last
+    two start. Per piece, ``coef`` holds the series
+    coefficients of i**k / k! for k = 1..SERIES_TERMS, zero below k0; on
     power pieces they are divided by q = p + 1 + k where q is not 0, and
     negated from a > 0, where the series multiplies them by
     expm1(q log(rho)). ``q`` holds the rows q; ``zero_row`` the row where q
@@ -981,10 +979,10 @@ class _Pieces:
     b: np.ndarray
     c: np.ndarray
     p: np.ndarray
-    e: np.ndarray
     hi: np.ndarray
     k0: np.ndarray
     ray: np.ndarray
+    nodes: np.ndarray
     kinds: tuple[int, int]
     coef: np.ndarray
     q: np.ndarray
@@ -993,21 +991,38 @@ class _Pieces:
 
     @classmethod
     def build(cls, rows: list[tuple]) -> "_Pieces":
-        """Pieces from rows (a, b, c, p, e, hi, k0, ray), e = nan for power segments."""
-        kind = [2 if not math.isnan(r[4]) else int(r[0] > 0.0) for r in rows]
+        """Pieces from rows (a, b, c, p, hi, k0, ray, e), e () for power segments."""
+        kind = [2 if r[7] else int(r[0] > 0.0) for r in rows]
         rows = [r for _, r in sorted(zip(kind, rows), key=lambda pair: pair[0])]
         n0, n1 = kind.count(0), kind.count(0) + kind.count(1)
-        a, b, c, p, e, hi, k0, ray_ = np.array(rows).T
+        a, b, c, p, hi, k0, ray_ = np.array([r[:7] for r in rows]).T
+        width = max(len(r[7]) for r in rows)
+        nodes = np.array([_form_nodes(r[7]) + [np.nan] * (width - len(r[7])) for r in rows])
         q = p + 1.0 + _TERM_K
         coef = _TERM_COEF * (_TERM_K >= k0)
         coef[:, :n1] /= np.where(q[:, :n1] == 0.0, 1.0, q[:, :n1])
         coef[:, n0:n1] *= -1.0
-        zero_row = [_zero_term_row(r[3], r[6]) if n0 <= i < n1 else -1 for i, r in enumerate(rows)]
+        zero_row = [_zero_term_row(r[3], r[5]) if n0 <= i < n1 else -1 for i, r in enumerate(rows)]
         return cls(
-            a, b, c, p, e, hi, k0, ray_.astype(int), (n0, n1), coef, q,
+            a, b, c, p, hi, k0, ray_.astype(int), nodes, (n0, n1), coef, q,
             np.array(zero_row) if max(zero_row) >= 0 else None,
             _fold_sum(_LAG_WEIGHTS[:, None] * np.exp(_LOG_1IS_EDGE * p)),
         )
+
+    def _node_groups(self, k: np.ndarray):
+        """(mask over k, node columns) per node count of the log-form pieces k."""
+        counts = np.count_nonzero(self.nodes[k] == self.nodes[k], axis=1)  # not nan
+        for n in np.unique(counts):
+            yield counts == n, list(self.nodes[k[counts == n], :n].T)
+
+    def _form_ratios(self, k, q, a, b) -> np.ndarray:
+        """:func:`_form_ratio` of log-form pieces k over (a, b), elements down the last axis."""
+        with np.errstate(divide="ignore"):
+            S, A = _log_ratio(b, a), _log_ratio(self.hi[k], b)
+        out = np.empty(np.broadcast_shapes(q.shape, S.shape))
+        for at, nodes in self._node_groups(k):
+            out[..., at] = _form_ratio(nodes, q[..., at], A[..., at], S[..., at])
+        return out
 
     def add_exponent(self, out: np.ndarray, Y: np.ndarray, dirs: np.ndarray) -> None:
         """Add to out, per row y of Y, the pieces' jump integrals summed.
@@ -1069,13 +1084,14 @@ class _Pieces:
         q = p + j + 1, the ratio is (1 - rho**q) / q, so no term cancels at
         its two ends: 1/q from a = 0, and -log(rho) at q = 0. The table's
         coefficients hold the -1/q, so from a > 0 the terms take
-        expm1(q log(rho)), or log(rho) at q = 0. For a log form the ratio
-        is :func:`_log_form_ratio`. Each element keeps its terms
-        while z**j / j! is at least 1e-18 of min(1, z**2 / 2) (``_KEEP``);
-        the rest are zeroed, and the real and imaginary parts fold over
-        the term rows in the order of all SERIES_TERMS rows, so the value
-        does not depend on the other elements. The term tables live in the
-        two rows of ``work``.
+        expm1(q log(rho)), or log(rho) at q = 0 (:func:`_log_ratio`). A log
+        form's is :func:`_form_ratio`, set to zero below k0, where from
+        a = 0 it may diverge. Each element keeps its terms while z**j / j!
+        is at least 1e-18 of min(1, z**2 / 2) (``_KEEP``); the rest are
+        zeroed, and the real and imaginary parts fold over the term rows in
+        the order of all SERIES_TERMS rows, so the value does not depend on
+        the other elements. The term tables live in the two rows of
+        ``work``.
         """
         p = self.p[k]
         top = np.minimum(edge, self.b[k])
@@ -1089,7 +1105,7 @@ class _Pieces:
         i1, i2 = np.searchsorted(k, self.kinds)
         if i2 > i1:
             kk = k[i1:i2]
-            log_rho = np.log(self.a[kk] / top[i1:i2])
+            log_rho = _log_ratio(self.a[kk], top[i1:i2])
             ratio = work[1, : rows * kk.size].reshape(rows, kk.size)
             np.take(self.q[:rows], kk, axis=1, out=ratio, mode="clip")
             ratio *= log_rho
@@ -1101,11 +1117,9 @@ class _Pieces:
             terms[:, i1:i2] *= ratio
         if k.size > i2:
             kk = k[i2:]
-            with np.errstate(divide="ignore"):
-                log_rho = np.log(self.a[kk] / top[i2:])
-            terms[:, i2:] *= _log_form_ratio(
-                p[i2:], self.e[kk], log_rho, np.log(self.hi[kk] / top[i2:]), _TERM_K[:rows]
-            )
+            ratio = self._form_ratios(kk, self.q[:rows, kk], self.a[kk], top[i2:])
+            ratio[_TERM_K[:rows] < self.k0[kk]] = 0.0
+            terms[:, i2:] *= ratio
         terms *= np.less_equal(_TERM_K[:rows], last, out=tmp)
         terms += 0.0  # no -0.0 rows, so the fold reads absent rows as zeros
         # rows of (odd term, even term) pairs: imaginary then real parts
@@ -1136,16 +1150,12 @@ class _Pieces:
 
     def _moments(self, k: np.ndarray, x: np.ndarray, ends: np.ndarray) -> np.ndarray:
         """Integrals of r**j against pieces k at c = 1 over (x, ends[j]), rows j = 0, 1."""
-        p = self.p[k]
-        q = p + _MOMENT_Q
-        out = _ints_from(x, ends, q, np.log(ends / x))
+        q = self.p[k] + _MOMENT_Q
+        out = _ints_from(x, ends, q)
         log = k >= self.kinds[1]
         if log.any():
-            kl = k[log]
             b = ends[:, log]
-            out[:, log] = b ** q[:, log] * _log_form_ratio(
-                p[log], self.e[kl], np.log(x[log] / b), np.log(self.hi[kl] / b), _MOMENT_Q - 1.0
-            )
+            out[:, log] = b ** q[:, log] * self._form_ratios(k[log], q[:, log], x[log], b)
         return out
 
     def _rotated_tail(self, k: np.ndarray, x: np.ndarray, W: np.ndarray) -> np.ndarray:
@@ -1165,17 +1175,17 @@ class _Pieces:
         need = np.flatnonzero((a > SERIES_EDGE) | (k >= self.kinds[1]))
         if need.size:
             kn = k[need]
-            log = kn >= self.kinds[1]
-            args = None
-            if log.any():
-                kl = kn[log]
-                args = (log, self.e[kl], np.log(self.hi[kl] / x[need][log]))
-            lag[need] = _laguerre_sum(self.p[kn], a[need], args)
+            cols = np.flatnonzero(kn >= self.kinds[1])
+            forms = []
+            if cols.size:
+                kf, log_hi_x = kn[cols], _log_ratio(self.hi[kn[cols]], x[need][cols])
+                forms = [(cols[at], nodes, log_hi_x[at]) for at, nodes in self._node_groups(kf)]
+            lag[need] = _laguerre_sum(self.p[kn], a[need], forms)
         return 1j * np.exp(1j * a) * x ** self.p[k] / W * lag
 
 
 def _piece_rows(segments: Iterable[Segment], ray_index: int) -> list[tuple]:
-    """Rows (a, b, c, p, e, hi, k0, ray) of the segments' pieces below and above radius 1."""
+    """Rows (a, b, c, p, hi, k0, ray, e) of the segments' pieces below and above radius 1."""
     rows = []
     for sg in segments:
         if sg.c == 0.0:
@@ -1184,12 +1194,11 @@ def _piece_rows(segments: Iterable[Segment], ray_index: int) -> list[tuple]:
             raise InvalidMeasureError(
                 f"unbounded segment needs p < -1 for finite mass, got p={sg.p}"
             )
-        e = math.nan if sg.e is None else sg.e
         top, bottom = min(sg.hi, 1.0), max(sg.lo, 1.0)
         if top > sg.lo:
-            rows.append((sg.lo, top, sg.c, sg.p, e, sg.hi, 2, ray_index))
+            rows.append((sg.lo, top, sg.c, sg.p, sg.hi, 2, ray_index, sg.e))
         if sg.hi > bottom:
-            rows.append((bottom, sg.hi, sg.c, sg.p, e, sg.hi, 1, ray_index))
+            rows.append((bottom, sg.hi, sg.c, sg.p, sg.hi, 1, ray_index, sg.e))
     return rows
 
 
@@ -1373,7 +1382,8 @@ def ray(
 ) -> Ray:
     """Convenience builder: ray from plain tuples.
 
-    Segments are (lo, hi, c, p), or (lo, hi, c, p, e) in log form.
+    Segments are (lo, hi, c, p), or (lo, hi, c, p, e) in log form, e a
+    number or a sequence of offsets.
     """
     if np.isscalar(direction):
         direction = [float(direction)]
@@ -1381,7 +1391,7 @@ def ray(
         np.asarray(direction, dtype=float),
         RadialMeasure(
             tuple(Atom(float(r), float(m)) for r, m in atoms),
-            tuple(Segment(*(float(v) for v in sg)) for sg in segments),
+            tuple(Segment(*(float(v) for v in sg[:4]), *sg[4:]) for sg in segments),
             grid_tail,
         ),
     )

@@ -8,7 +8,7 @@ import pytest
 
 from idlaw.errors import InvalidMeasureError, LawSpecError
 from idlaw.exponent import closed_form
-from idlaw.lawio import BUILTIN_LAWS, builtin_law, law_from_dict, load_law
+from idlaw.lawio import BUILTIN_LAWS, builtin_law, law_from_dict, load_law, triplet_to_dict
 from idlaw.simulate import SimSpec
 
 
@@ -127,6 +127,26 @@ class TestTripletDocs:
         }
         with pytest.raises(LawSpecError, match="hi"):
             law_from_dict(doc)
+
+    @staticmethod
+    def log_form_doc(*offsets):
+        doc = triplet_doc()
+        doc["levy"]["rays"][0] = {"dir": [1.0], "atoms": [], "grid_tail": None, "segments": [
+            {"lo": 0.5, "hi": 3.0, "c": 0.3, "p": 0.3, "e": e} for e in offsets
+        ]}
+        return doc
+
+    def test_log_form_offsets_round_trip(self):
+        # one offset reads and writes as a number, two or more as a list
+        doc = self.log_form_doc(0.0, [-0.7, 0.0, 0.0])
+        trip = law_from_dict(doc).triplet
+        assert [sg.e for sg in trip.levy.rays[0].radial.segments] == [(0.0,), (-0.7, 0.0, 0.0)]
+        assert triplet_to_dict(trip) == doc
+
+    @pytest.mark.parametrize("e", [[], [0.3], [0.1, "x"], [[0.1, 0.2], [0.3]]])
+    def test_malformed_offset_lists_rejected(self, e):
+        with pytest.raises(LawSpecError):
+            law_from_dict(self.log_form_doc(e))
 
     def test_cov_defaults_to_zero(self):
         doc = triplet_doc()

@@ -1,7 +1,8 @@
 """Triplet-level images of laws under the four integral maps.
 
 Run as a script to rewrite the golden digests of the jbeta images; it
-first prints the keys whose digest changed:
+first prints each key whose digest changed, with the part that moved,
+``document`` (the image document) or ``exponent`` (its 41-point exponent):
 
     PYTHONPATH=src python tests/test_map_triplet.py
 """
@@ -21,9 +22,9 @@ import idlaw.factor as factor
 import idlaw.maps as maps
 from idlaw.exponent import convolve, from_triplet
 from idlaw.lawio import triplet_to_dict
-from idlaw.spectral import GridTail, SpectralMeasure, ray
+from idlaw.spectral import GridTail, RadialMeasure, SpectralMeasure, ray
 from idlaw.triplet import LevyTriplet
-from test_spectral import gauss_legendre
+from test_spectral import divided_difference, form_nodes, gauss_legendre
 
 GOLDEN = Path(__file__).parent / "golden" / "jbeta_images.json"
 
@@ -110,8 +111,8 @@ def _sha(*parts: bytes) -> str:
     return hashlib.sha256(b"".join(parts)).hexdigest()
 
 
-def image_digests() -> dict[str, str]:
-    """sha256 of each jbeta image document plus its 41-point exponent, and of cor5 sides."""
+def image_digests() -> dict[str, dict[str, str]]:
+    """sha256 of each jbeta image document and of its 41-point exponent, and of cor5 sides."""
     out = {}
     for name, trip in hash_panel().items():
         grid = factor.default_grid(trip.dim)
@@ -119,19 +120,26 @@ def image_digests() -> dict[str, str]:
             img = maps.jbeta_triplet(trip, beta)
             doc = json.dumps(triplet_to_dict(img), sort_keys=True).encode()
             vals = from_triplet(img).eval_grid(grid)
-            out[f"{name}/beta={beta:g}"] = _sha(doc, vals.tobytes())
+            out[f"{name}/beta={beta:g}"] = {"document": _sha(doc), "exponent": _sha(vals.tobytes())}
     for k, measure in enumerate(atomic_measures(9002)):
         for beta in COR5_BETAS:
             rep = factor.spectral_factor_check(measure, beta)
-            out[f"cor5/{k}/beta={beta:g}"] = _sha(rep.lhs.tobytes(), rep.rhs.tobytes())
+            out[f"cor5/{k}/beta={beta:g}"] = {"exponent": _sha(rep.lhs.tobytes(), rep.rhs.tobytes())}
     return out
 
 
+def moved_digests(old: dict, new: dict) -> list[str]:
+    """'key part' for each digest part that differs between two golden tables."""
+    return [
+        f"{key} {part}"
+        for key in sorted(set(old) | set(new))
+        for part in sorted(set(old.get(key, {})) | set(new.get(key, {})))
+        if old.get(key, {}).get(part) != new.get(key, {}).get(part)
+    ]
+
+
 def test_jbeta_images_keep_their_bytes():
-    want = json.loads(GOLDEN.read_text())
-    got = image_digests()
-    assert sorted(got) == sorted(want)
-    assert [k for k in want if got[k] != want[k]] == []
+    assert moved_digests(json.loads(GOLDEN.read_text()), image_digests()) == []
 
 
 ALL_MAPS = ("jbeta", "i", "ubetaf", "ijbeta")
@@ -222,12 +230,21 @@ def test_identities_hold_at_triplet_level(panel, identity):
             assert np.max(diff) < 1e-13, (identity, beta)
 
 
+# log-form offsets as image offsets p + 1 - a, a in (0.01, 3): up to three,
+# one of them repeated
+POWERS_A = st.floats(0.01, 3.0)
+OFFSET_POWERS = st.one_of(
+    st.just([]), st.lists(POWERS_A, min_size=1, max_size=3),
+    st.lists(POWERS_A, min_size=1, max_size=2).map(lambda xs: xs + xs[:1]),
+)
+
+
 @settings(max_examples=25, deadline=None)
 @given(
     atoms=st.lists(st.tuples(st.floats(0.2, 3.0), st.floats(0.05, 2.0)), max_size=2),
     segs=st.lists(
         st.tuples(st.one_of(st.just(0.0), st.floats(0.05, 2.0)), st.floats(0.1, 2.0),
-                  st.floats(0.05, 1.0), st.floats(-2.5, 1.0)),
+                  st.floats(0.05, 1.0), st.floats(-2.5, 1.0), OFFSET_POWERS),
         min_size=1, max_size=2,
     ),
     tail_p=st.one_of(st.none(), st.floats(-2.9, -1.1)),
@@ -235,7 +252,10 @@ def test_identities_hold_at_triplet_level(panel, identity):
     beta=st.floats(0.3, 2.5),
 )
 def test_random_laws_map_under_every_map(atoms, segs, tail_p, kind, beta):
-    segments = [(lo, lo + length, c, p) for lo, length, c, p in segs]
+    segments = [
+        (lo, lo + length, c, p, tuple(p + 1.0 - a for a in powers))
+        for lo, length, c, p, powers in segs
+    ]
     if tail_p is not None:
         segments.append((3.0, math.inf, 0.3, tail_p))
     levy = SpectralMeasure(1, (ray([1.0], atoms=atoms, segments=segments),))
@@ -261,7 +281,7 @@ def test_i_image_of_a_near_log_segment_has_infinite_mass_near_zero():
         img = maps.map_triplet(maps.i_map(), trip)
         img.require_valid()
         (sg,) = img.levy.rays[0].radial.segments
-        assert sg.e is not None and sg.p - sg.e == -1.0
+        assert len(sg.e) == 1 and sg.p - sg.e[0] == -1.0
         assert img.levy.rays[0].radial.tail(0.0) == math.inf
         grid = np.linspace(-3.0, 3.0, 7)[:, None]
         diff = np.abs(from_triplet(img).eval_grid(grid) - exponent_route(maps.i_map(), trip, grid))
@@ -290,17 +310,17 @@ def kernel_tail_oracle(log_forms, kernel, u):
         for sg in log_forms:
             if u >= sg.hi:
                 continue
-            L, hi, p, e = max(u_, mp.mpf(sg.lo)), mp.mpf(sg.hi), mp.mpf(sg.p), mp.mpf(sg.e)
+            L, hi, p = max(u_, mp.mpf(sg.lo)), mp.mpf(sg.hi), mp.mpf(sg.p)
+            nodes = form_nodes(sg.e)
             S = mp.log(hi / L)
             for kappa, a in kernel:
-                rate = max(1, *(abs(p + 1 - x - y) for x in (0, e) for y in (0, a)))
+                rate = max(1, *(abs(p + 1 - x - y) for x in nodes for y in (0, a)))
                 n = int(mp.ceil(S * rate))
                 for k in range(n):
                     mid, half = S * (2 * k + 1) / (2 * n), S / (2 * n)
                     for x, wt in gauss_legendre(20):
                         r = L * mp.exp(mid + half * x)
-                        log_hi_r = mp.log(hi / r)
-                        F = log_hi_r if e == 0 else mp.expm1(e * log_hi_r) / e
+                        F = divided_difference(nodes, mp.log(hi / r))
                         w = mp.log(r / u_) if a == 0 else -mp.expm1(a * mp.log(u_ / r)) / a
                         total += kappa * sg.c * wt * half * r ** (p + 1) * F * w
         return float(total)
@@ -309,23 +329,49 @@ def kernel_tail_oracle(log_forms, kernel, u):
 @pytest.mark.parametrize("second", REMAPS, ids=lambda m: f"{m.kind}{m.beta or ''}")
 @pytest.mark.parametrize("first", sorted(FIRST_IMAGES))
 def test_images_of_log_form_images_match_oracle(first, second):
-    # the log form of the first image has no power-form image: the second
-    # map re-tabulates its closed-form transformed tail as a grid tail
+    # the log form of the first image maps to a log form with one node
+    # more per power kernel, exactly: no grid tail, the tail of its image
+    # matches the oracle at six radii from hi/1000 to just below hi, and
+    # the whole image matches the exponent route
     img = FIRST_IMAGES[first]()
-    log_forms = [sg for sg in img.levy.rays[0].radial.segments if sg.e is not None]
+    log_forms = [sg for sg in img.levy.rays[0].radial.segments if sg.e]
     assert log_forms
-    grid = maps.map_triplet(second, img).levy.rays[0].radial.grid_tail
-    nodes = np.linspace(0, grid.radii.size - 2, 6).astype(int)
     kernel = maps.POWER_KERNELS[second.kind](second.beta)
-    want = np.array([kernel_tail_oracle(log_forms, kernel, grid.radii[i]) for i in nodes])
-    assert np.max(np.abs(grid.tail[nodes] - want)) <= 1e-14 * np.max(want)
+    hi = max(sg.hi for sg in log_forms)
+    radii = hi * np.array([1e-3, 1e-2, 0.1, 0.4, 0.8, 0.99])
+    image = maps._radial_image(RadialMeasure((), tuple(log_forms)), kernel)
+    assert image.grid_tail is None
+    want = np.array([kernel_tail_oracle(log_forms, kernel, u) for u in radii])
+    assert np.max(np.abs(image.tail(radii) - want)) <= 1e-14 * np.max(want)
+    again = maps.map_triplet(second, img)
+    assert all(r.radial.grid_tail is None for r in again.levy.rays)
+    grid = np.array([[-3.0], [-1.0], [0.5], [1.0], [2.0], [4.0]])
+    via_phi = maps.map_exponent_grid(second, from_triplet(img), grid, 1e-12)
+    assert np.max(np.abs(triplet_route(second, img, grid) - via_phi)) <= 1e-10
+
+
+def test_three_nested_images_of_a_near_band_law_are_exact():
+    # at beta 1.3 the segment's image offset p - beta + 1 is 0 up to
+    # rounding, and the atom's image power u**0.3 maps into the band too:
+    # each image adds a node, repeated ones included, and holds no grid
+    trip = LevyTriplet(1, [0.1], [[0.0]], SpectralMeasure(1, (
+        ray([1.0], atoms=[(1.5, 0.3)], segments=[(0.2, 3.0, 0.7, 0.3)]),
+    )))
+    m = maps.jbeta_map(1.3)
+    first = maps.map_triplet(m, trip)
+    third = maps.map_triplet(m, maps.map_triplet(m, first))
+    third.require_valid()
+    assert third.levy.rays[0].radial.grid_tail is None
+    assert max(len(sg.e) for sg in third.levy.rays[0].radial.segments) == 3
+    grid = np.array([[0.5], [1.0]])
+    twice = maps.map_exponent_grid(m, maps.apply_map(m, from_triplet(first)), grid, 1e-11)
+    assert np.max(np.abs(from_triplet(third).eval_grid(grid) - twice)) <= 1e-10
 
 
 if __name__ == "__main__":
-    # name the keys whose digest moved, then rewrite the file
+    # name the digests that moved, then rewrite the file
     old = json.loads(GOLDEN.read_text()) if GOLDEN.exists() else {}
     new = image_digests()
-    for key in sorted(set(old) | set(new)):
-        if old.get(key) != new.get(key):
-            print(key)
+    for line in moved_digests(old, new):
+        print(line)
     GOLDEN.write_text(json.dumps(new, indent=2, sort_keys=True) + "\n")

@@ -172,19 +172,50 @@ def gauss_legendre(n):
     return out
 
 
+def form_nodes(e):
+    # the nodes {0} and the offsets e, a number or a sequence, sorted
+    return sorted([0.0, *np.atleast_1d(e).tolist()])
+
+
+def divided_difference(nodes, t):
+    """Divided difference of x -> exp(x t) over the sorted nodes, t >= 0.
+
+    Where t times the spread of the nodes is below 1 it is the Taylor series
+    about their mean to 60 terms, and elsewhere the recursion, at twice
+    the working precision: nodes as close as 1e-7 cancel little then.
+    """
+    with mp.workdps(2 * mp.mp.dps):
+        def dd(xs):
+            n, spread = len(xs) - 1, xs[-1] - xs[0]
+            if t * spread < 1:
+                mean = mp.fsum(xs) / (n + 1)
+                h = [mp.mpf(1)] + [mp.mpf(0)] * 60
+                for x in xs:
+                    for j in range(1, 61):
+                        h[j] += (x - mean) * t * h[j - 1]
+                return mp.exp(mean * t) * t ** n * mp.fsum(
+                    h[j] / mp.factorial(n + j) for j in range(61)
+                )
+            return (dd(xs[1:]) - dd(xs[:-1])) / spread
+
+        return +dd([mp.mpf(x) for x in nodes])
+
+
 def log_form_oracle(lo, hi, c, p, e, w, nodes=16):
-    # 30-digit quadrature of c r^p ((hi/r)^e - 1)/e (exp(i w r) - 1 - i w r [r <= 1])
+    # 30-digit quadrature of c r^p D (exp(i w r) - 1 - i w r [r <= 1]), D the
+    # divided difference of exp(x log(hi/r)) over {0} and the offsets e,
     # over (lo, hi) split at 1: equal panels, at least one per oscillation,
     # of Gauss-Legendre rules, and tanh-sinh on a panel that starts at 0
     with mp.workdps(30):
         rule = gauss_legendre(nodes)
-        hi_, p_, e_, W = mp.mpf(hi), mp.mpf(p), mp.mpf(e), mp.mpf(abs(w))
+        hi_, p_, W = mp.mpf(hi), mp.mpf(p), mp.mpf(abs(w))
+        node_list = form_nodes(e)
 
         def f(r, comp):
             t = mp.log(hi_ / r)
             theta = mp.mpc(0, W * r)
             kernel = mp.expm1(theta) - (theta if comp else 0)
-            return r ** p_ * (t if e == 0.0 else mp.expm1(e_ * t) / e_) * kernel
+            return r ** p_ * divided_difference(node_list, t) * kernel
 
         total = mp.mpc(0)
         for a, b, comp in ((mp.mpf(lo), min(hi_, 1), True), (max(mp.mpf(lo), 1), hi_, False)):
@@ -207,20 +238,19 @@ def moment_oracle(sg, a, b, k=None):
 
     From a > 0 to a finite b: in r = a exp(t) it is a^q times the integral
     of t^[k is None] exp(q t) F over (0, log(b/a)), q = p + 1 + k and F the
-    density factor, by Gauss-Legendre on panels over which both
-    exponential rates, q and q - e, move by at most 1. From a = 0 and to
-    b = inf it is the closed form.
+    density factor, by Gauss-Legendre on panels over which every
+    exponential rate, q - n for the nodes n of F, moves by at most 1. From
+    a = 0 a log form's is tanh-sinh in s = log(b/r) over (0, inf), and a
+    power segment's, like one to b = inf, the closed form.
     """
     with mp.workdps(30):
         p, a_, b_, hi = mp.mpf(sg.p), mp.mpf(a), mp.mpf(b), mp.mpf(sg.hi)
-        e = None if sg.e is None else mp.mpf(sg.e)
+        nodes = form_nodes(sg.e)
         q = p + 1 + (0 if k is None else mp.mpf(k))
-        K = q - (e or 0)  # the density near 0 times r^k is about r^(K-1)
+        K = q - nodes[-1]  # the density near 0 times r^k is about r^(K-1)
 
         def factor(log_hi_r):
-            if e is None:
-                return mp.mpf(1)
-            return log_hi_r if e == 0 else mp.expm1(e * log_hi_r) / e
+            return divided_difference(nodes, log_hi_r) if sg.e else mp.mpf(1)
 
         if math.isinf(b):
             if q >= 0:
@@ -229,11 +259,14 @@ def moment_oracle(sg, a, b, k=None):
         if a == 0.0:
             if min(q, K) <= 0:
                 return math.inf
-            if e is None:
+            if not sg.e:
                 return float(b_ ** q / q)
-            return float(b_ ** q * ((hi / b_) ** e / (q * K) + factor(mp.log(hi / b_)) / q))
+            H = mp.log(hi / b_)
+            return float(b_ ** q * mp.quad(
+                lambda s: mp.exp(-q * s) * factor(H + s), [0, 1, 10, mp.inf]
+            ))
         S, H = mp.log(b_ / a_), mp.log(hi / a_)
-        n = int(mp.ceil(S * max(1, abs(q), abs(K))))
+        n = int(mp.ceil(S * max(1, *(abs(q - x) for x in nodes))))
         total = mp.mpf(0)
         for j in range(n):
             mid, half = S * (2 * j + 1) / (2 * n), S / (2 * n)
@@ -247,14 +280,17 @@ def moment_oracle(sg, a, b, k=None):
 def segment_ranges(draw, from_zero=True):
     """(segment at c = 1, a, b): a power segment or log form and a range (a, b) in it.
 
-    p is within 0.01 of -1 or anywhere in (-3, 2); e is 0, within 0.01 of
-    0 or anywhere in (-3, 3). The range starts at lo, at 0 when
+    p is within 0.01 of -1 or anywhere in (-3, 2). A log form has one to
+    three offsets, each 0, within 0.01 of 0 or anywhere in (-3, 3), and
+    with two or three one may repeat. The range starts at lo, at 0 when
     ``from_zero``, and spans log(b/a) from 1e-6 to 30; it runs to hi, to a
     power segment's unbounded end or, for a log form, short of hi.
     """
     p = draw(st.one_of(st.floats(-1.01, -0.99), st.floats(-3.0, 2.0)))
+    offset = st.one_of(st.just(0.0), st.floats(-0.01, 0.01), st.floats(-3.0, 3.0))
     e = draw(st.one_of(
-        st.none(), st.just(0.0), st.floats(-0.01, 0.01), st.floats(-3.0, 3.0)
+        st.none(), offset, st.lists(offset, min_size=2, max_size=3),
+        st.lists(offset, min_size=1, max_size=2).map(lambda xs: xs + xs[:1]),
     ))
     if from_zero and draw(st.booleans()):
         a, b = 0.0, 10.0 ** draw(st.floats(-2.0, 2.0))
@@ -266,7 +302,7 @@ def segment_ranges(draw, from_zero=True):
         b = hi = math.inf
     elif e is not None and draw(st.booleans()):
         hi = b * 10.0 ** draw(st.floats(1e-6, 1.0))
-    return spectral.Segment(a, hi, 1.0, p, e), a, b
+    return spectral.Segment(a, hi, 1.0, p, () if e is None else e), a, b
 
 
 # admissible log forms (p - e > -1): lo = 0 and lo > 0, e = 0 and near 0,
@@ -281,6 +317,17 @@ ORACLE_SEGMENTS = [
     (0.3, 4.0, 0.4, -0.7, 0.009),
     (0.0, 1.0, 0.3, 0.5, -0.005),
     (1.0, 6.0, 0.2, -0.95, 0.0),
+    # from 0 with p <= -2, where the zeroed k = 1 series row diverges: it
+    # read nan times the coefficient 0
+    (0.0, 0.8, 0.5, -2.2, -2.2),
+    (0.0, 0.8, 0.5, -2.2, -1.7),
+    (0.0, 0.8, 0.5, -2.6, -2.6),
+    # two and three offsets, repeated ones included
+    (0.5, 3.0, 0.39, 0.3, (-0.7, 0.0)),
+    (0.0, 2.0, 0.2, -0.9, (-0.008, -0.008)),
+    (0.3, 4.0, 0.4, -0.7, (-1.2, -1.2, 0.009)),
+    (0.3, 2.5, 0.7, -0.9, (0.0, 0.0, 0.0)),
+    (0.0, 0.8, 0.5, -0.95, (-1.1, -0.3, 0.003)),
 ]
 
 
@@ -588,13 +635,16 @@ class TestSegmentMoments:
         tol = 1e-13 * abs(want)
         if a == 0.0 or math.isinf(b):
             # a moment that reaches 0 or inf is about C/x, and inf for x <= 0,
-            # with x = p + k + 1, or the least of it and p - e + k + 1 for a
-            # log form from 0; x is summed in doubles, and its rounding, up to
-            # 2 eps (|p| + |e| + |k| + 1), moves the moment by that over |x|
-            # relative, or across x = 0, whatever the algorithm
+            # with x = p + k + 1, or the least of p - n + k + 1 over the nodes
+            # n of a log form from 0; x is summed in doubles, and its
+            # rounding, up to 2 eps (|p| + |n| + |k| + 1), moves the moment by
+            # that over |x| relative, or across x = 0, whatever the algorithm
             q = math.fsum((sg.p, k, 1.0))
-            x = min(abs(q), abs(q - (sg.e or 0.0)))
-            slack = 2.0 * np.finfo(float).eps * (abs(sg.p) + abs(sg.e or 0.0) + abs(k) + 1.0)
+            nodes = form_nodes(sg.e)
+            x = min(abs(q - n) for n in nodes)
+            slack = 2.0 * np.finfo(float).eps * (
+                abs(sg.p) + max(abs(n) for n in nodes) + abs(k) + 1.0
+            )
             if x <= slack:
                 return
             tol += abs(want) * slack / x
@@ -607,7 +657,7 @@ class TestSegmentMoments:
     @given(case=segment_ranges(from_zero=False))
     def test_log_moment_matches_oracle(self, case):
         sg, a, b = case
-        b = b if sg.e is None else sg.hi  # a log form's runs to its end
+        b = sg.hi if sg.e else b  # a log form's runs to its end
         want = moment_oracle(sg, a, b)
         got = float(spectral._log_moment(sg, a, b))
         if math.isinf(want):
@@ -730,10 +780,10 @@ class TestLogFormSegment:
 
     @staticmethod
     def density(sg, r):
-        e = sg.e
         log_ratio = math.log(sg.hi / r)
-        if e is None:
+        if not sg.e:
             return sg.c * r ** sg.p
+        (e,) = sg.e
         return sg.c * r ** sg.p * (log_ratio if e == 0.0 else math.expm1(e * log_ratio) / e)
 
     def moment(self, sg, a, b, g):
@@ -838,6 +888,28 @@ class TestLogFormSegment:
         self.measure(neg, spectral.Segment(0.5, 3.0, 0.75, 0.0)).require_valid()
         with pytest.raises(InvalidMeasureError, match="nonnegative"):
             self.measure(neg, spectral.Segment(0.5, 3.0, 0.3, 0.0)).require_valid()
+
+    @pytest.mark.parametrize("lift, valid", [(1.02, True), (0.98, False)])
+    def test_log_forms_of_several_offsets_enter_the_sign_certificate(self, lift, valid):
+        # -r^0.3 D[-0.2, 0, 0] on (0.5, 3), D = (L - (1 - exp(-0.2 L))/0.2)/0.2
+        # at L = log(3/r), plus a constant: by partial fractions one (x + y t)
+        # group for the double node and a power group; it is nonnegative
+        # once the constant reaches the form's largest density
+        neg = spectral.Segment(0.5, 3.0, -1.0, 0.3, (-0.2, 0.0))
+        r = np.geomspace(0.5, 3.0, 20001)
+        L = np.log(3.0 / r)
+        top = np.max(r ** 0.3 * (L + np.expm1(-0.2 * L) / 0.2) / 0.2)
+        lifted = self.measure(neg, spectral.Segment(0.5, 3.0, lift * top, 0.0))
+        assert lifted.is_valid is valid
+
+    def test_a_node_held_three_times_is_not_certified(self):
+        # -r^0.3 log(3/r)^2 / 2 has no (x + y t) groups: with any lift the
+        # range is reported uncertified
+        neg = spectral.Segment(0.5, 3.0, -1.0, 0.3, (0.0, 0.0))
+        with pytest.raises(InvalidMeasureError, match="not certified"):
+            self.measure(neg, spectral.Segment(0.5, 3.0, 100.0, 0.0)).require_valid()
+        # alone and positive, it needs no certificate
+        self.measure(spectral.Segment(0.5, 3.0, 1.0, 0.3, (0.0, 0.0))).require_valid()
 
     def test_exponents_that_round_together_form_one_group(self):
         # the second jbeta image (betas 0.5 then 1.09375) of an atom (1, 0.5)
