@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import DimensionMismatchError, LawSpecError
 from .spectral import _cis_m1, _dot, _quad_form
-from .triplet import LevyTriplet
+from .triplet import LevyTriplet, cov_issues
 
 
 def as_grid(y, dim: int) -> tuple[np.ndarray, bool]:
@@ -250,6 +250,9 @@ def _build_gaussian(mean=0.0, cov=1.0):
         cov = cov * np.eye(dim)
     if cov.shape != (dim, dim):
         raise LawSpecError(f"gaussian cov shape {cov.shape} does not match dim {dim}")
+    issues = cov_issues(cov)
+    if issues:
+        raise LawSpecError("; ".join(issues))
 
     def fn(Y, tol):
         quad = _quad_form(Y, cov)

@@ -11,9 +11,14 @@ A law document takes one of three shapes:
   ``"e"``, a number or a list of two or more, for a log form) and
   ``grid_tail`` ``{"radii": [...], "tail": [...]}``.
 
-Whenever the description pins down a finite-activity process (drift +
-Gaussian + finitely many jump atoms), a simulation spec is derived so the
-law can also be sampled exactly.
+Every law but ``levy_area_bdlp`` loads as one generating triplet, and its
+exponent is that triplet's. A ``gaussian``, ``dirac`` or
+``compound_poisson`` document reads its params into a
+:class:`~idlaw.simulate.SimSpec`, which validates them, and takes the
+spec's triplet; a convolution of triplet laws is their triplet sum. Only
+``levy_area_bdlp``, and any convolution that includes it, is an exponent
+alone. A law whose triplet is atoms only (drift + Gaussian + finitely many
+jump atoms) also has a sampler spec, read back from the triplet.
 """
 
 from __future__ import annotations
@@ -21,11 +26,12 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .errors import INPUT_ERRORS, LawSpecError
-from .exponent import CharExponent, closed_form, convolve, from_triplet, jump_atoms
+from .exponent import CLOSED_FORMS, CharExponent, closed_form, convolve, from_triplet, jump_atoms
 from .simulate import SimSpec
 from .spectral import GridTail, Ray, SpectralMeasure, ray
 from .triplet import LevyTriplet
@@ -33,16 +39,24 @@ from .triplet import LevyTriplet
 
 @dataclass(frozen=True)
 class LoadedLaw:
-    """A law with every representation the description supports."""
+    """A law's exponent, and the generating triplet behind it where there is one."""
 
     name: str
     exponent: CharExponent
     triplet: LevyTriplet | None = None
-    sim: SimSpec | None = None
 
     @property
     def dim(self) -> int:
         return self.exponent.dim
+
+    @cached_property
+    def sim(self) -> SimSpec | None:
+        """The sampler spec of an atoms-only triplet; None for any other law."""
+        return None if self.triplet is None else SimSpec.from_triplet(self.triplet)
+
+
+def _law_of(name: str, trip: LevyTriplet) -> LoadedLaw:
+    return LoadedLaw(name, from_triplet(trip), trip)
 
 
 def _object(v, what: str) -> dict:
@@ -61,94 +75,43 @@ def _as_matrix(v, dim, what):
     return arr
 
 
-def _gaussian_law(params) -> LoadedLaw:
+def _gaussian_spec(params) -> SimSpec:
     mean = np.atleast_1d(np.asarray(params.get("mean", 0.0), dtype=float))
     d = mean.shape[0]
-    cov = _as_matrix(params.get("cov", 1.0), d, "cov")
-    exp_ = closed_form("gaussian", mean=mean, cov=cov)
-    trip = LevyTriplet(d, mean, cov, SpectralMeasure(d, ()))
-    sim = SimSpec(d, mean, cov)
-    return LoadedLaw("gaussian", exp_, trip, sim)
+    return SimSpec(d, mean, _as_matrix(params.get("cov", 1.0), d, "cov"))
 
 
-def _dirac_law(params) -> LoadedLaw:
+def _dirac_spec(params) -> SimSpec:
     shift = np.atleast_1d(np.asarray(params["shift"], dtype=float))
-    d = shift.shape[0]
-    exp_ = closed_form("dirac", shift=shift)
-    trip = LevyTriplet(d, shift, np.zeros((d, d)), SpectralMeasure(d, ()))
-    sim = SimSpec(d, shift, np.zeros((d, d)))
-    return LoadedLaw("dirac", exp_, trip, sim)
+    return SimSpec(shift.shape[0], shift, 0.0)
 
 
-def _cp_triplet(rate, jumps, probs) -> LevyTriplet:
-    d = jumps.shape[1]
-    rays: dict[tuple, tuple[list, np.ndarray]] = {}
-    shift = np.zeros(d)
-    for x, p in zip(jumps, probs):
-        r = float(np.linalg.norm(x))
-        m = rate * float(p)
-        if m == 0.0:
-            continue
-        if r == 0.0:
-            # a jump of size zero contributes nothing
-            continue
-        u = x / r
-        if r <= 1.0:
-            shift += m * x
-        key = tuple(np.round(u, 15))
-        rays.setdefault(key, ([], u))[0].append((r, m))
-    measure = SpectralMeasure(
-        d, tuple(ray(u, atoms=atoms) for atoms, u in rays.values())
-    )
-    return LevyTriplet(d, shift, np.zeros((d, d)), measure)
-
-
-def _cp_law(params) -> LoadedLaw:
-    rate = float(params["rate"])
+def _cp_spec(params) -> SimSpec:
+    rate = params["rate"]
     jumps, probs = jump_atoms(params["jumps"], params.get("probs"))
     d = jumps.shape[1]
-    exp_ = closed_form("compound_poisson", rate=rate, jumps=jumps, probs=probs)
-    trip = _cp_triplet(rate, jumps, probs) if rate > 0.0 else LevyTriplet(
-        d, np.zeros(d), np.zeros((d, d)), SpectralMeasure(d, ())
-    )
-    sim = SimSpec(d, np.zeros(d), np.zeros((d, d)), rate=rate, jumps=jumps, probs=probs)
-    return LoadedLaw("compound_poisson", exp_, trip, sim)
+    return SimSpec(d, np.zeros(d), 0.0, rate=rate, jumps=jumps, probs=probs)
 
 
-def _area_law(params) -> LoadedLaw:
-    u = float(params["u"])
-    return LoadedLaw("levy_area_bdlp", closed_form("levy_area_bdlp", u=u))
-
-
-_CLOSED_FORM_LOADERS = {
-    "gaussian": _gaussian_law,
-    "dirac": _dirac_law,
-    "compound_poisson": _cp_law,
-    "levy_area_bdlp": _area_law,
+# the closed forms with a triplet: params -> the SimSpec whose triplet the law is
+_CLOSED_FORM_SPECS = {
+    "gaussian": _gaussian_spec,
+    "dirac": _dirac_spec,
+    "compound_poisson": _cp_spec,
 }
 
 
-def _merge_sims(parts: list[LoadedLaw]) -> SimSpec | None:
-    if any(p.sim is None for p in parts):
-        return None
-    d = parts[0].dim
-    drift = np.zeros(d)
-    diff = np.zeros((d, d))
-    rate = 0.0
-    jumps, weights = [], []
-    for p in parts:
-        s = p.sim
-        drift = drift + s.drift
-        diff = diff + s.diffusion
-        if s.has_jumps:
-            rate += s.rate
-            jumps.append(s.jumps)
-            weights.append(s.rate * s.probs)
-    if rate > 0.0:
-        jumps = np.concatenate(jumps, axis=0)
-        probs = np.concatenate(weights) / rate
-        return SimSpec(d, drift, diff, rate=rate, jumps=jumps, probs=probs)
-    return SimSpec(d, drift, diff)
+def _closed_form_law(kind, params, name: str | None) -> LoadedLaw:
+    if kind not in CLOSED_FORMS:
+        raise LawSpecError(f"unknown closed form {kind!r}; known: {sorted(CLOSED_FORMS)}")
+    params = _object(params, f"closed form {kind!r} params")
+    try:
+        if kind not in _CLOSED_FORM_SPECS:
+            # levy_area_bdlp, the one closed form without a triplet
+            return LoadedLaw(name or kind, closed_form(kind, u=float(params["u"])))
+        return _law_of(name or kind, _CLOSED_FORM_SPECS[kind](params).triplet)
+    except KeyError as exc:
+        raise LawSpecError(f"closed form {kind!r} is missing parameter {exc}") from None
 
 
 def _convolve_law(docs: list, name: str) -> LoadedLaw:
@@ -158,15 +121,12 @@ def _convolve_law(docs: list, name: str) -> LoadedLaw:
     dims = {p.dim for p in parts}
     if len(dims) != 1:
         raise LawSpecError(f"convolved laws disagree on dimension: {sorted(dims)}")
-    exp_ = parts[0].exponent
+    if any(p.triplet is None for p in parts):
+        return LoadedLaw(name, convolve(*(p.exponent for p in parts)))
+    trip = parts[0].triplet
     for p in parts[1:]:
-        exp_ = convolve(exp_, p.exponent)
-    trip = None
-    if all(p.triplet is not None for p in parts):
-        trip = parts[0].triplet
-        for p in parts[1:]:
-            trip = trip.convolve(p.triplet)
-    return LoadedLaw(name, exp_, trip, _merge_sims(parts))
+        trip = trip.convolve(p.triplet)
+    return _law_of(name, trip)
 
 
 def _parse_hi(v) -> float:
@@ -204,34 +164,6 @@ def _ray_from_dict(doc, dim) -> Ray:
     return ray(direction, atoms=atoms, segments=segments, grid_tail=gt)
 
 
-def _atoms_only_sim(trip: LevyTriplet) -> SimSpec | None:
-    levy = trip.levy
-    jumps, masses = [], []
-    comp = np.zeros(trip.dim)
-    for ray_ in levy.rays:
-        rad = ray_.radial
-        if rad.segments or rad.grid_tail is not None:
-            return None
-        for at in rad.atoms:
-            x = at.r * ray_.direction
-            jumps.append(x)
-            masses.append(at.m)
-            if at.r <= 1.0:
-                comp += at.m * x
-    rate = float(sum(masses))
-    drift = trip.shift - comp
-    if rate > 0.0:
-        return SimSpec(
-            trip.dim,
-            drift,
-            trip.cov,
-            rate=rate,
-            jumps=np.asarray(jumps),
-            probs=np.asarray(masses) / rate,
-        )
-    return SimSpec(trip.dim, drift, trip.cov)
-
-
 def _triplet_law(doc, name: str) -> LoadedLaw:
     unknown = sorted(set(doc) - {"name", "dim", "shift", "cov", "levy"})
     if unknown:
@@ -249,7 +181,7 @@ def _triplet_law(doc, name: str) -> LoadedLaw:
     levy = SpectralMeasure(dim, rays)
     trip = LevyTriplet(dim, shift, cov, levy)
     trip.require_valid()
-    return LoadedLaw(name, from_triplet(trip), trip, _atoms_only_sim(trip))
+    return _law_of(name, trip)
 
 
 def triplet_to_dict(trip: LevyTriplet) -> dict:
@@ -306,17 +238,7 @@ def _law_from_doc(doc: dict, name: str | None) -> LoadedLaw:
     _object(doc, "law description")
     label = name or doc.get("name")
     if "closed_form" in doc:
-        kind = doc["closed_form"]
-        loader = _CLOSED_FORM_LOADERS.get(kind)
-        if loader is None:
-            raise LawSpecError(
-                f"unknown closed form {kind!r}; known: {sorted(_CLOSED_FORM_LOADERS)}"
-            )
-        try:
-            law = loader(_object(doc.get("params", {}), f"closed form {kind!r} params"))
-        except KeyError as exc:
-            raise LawSpecError(f"closed form {kind!r} is missing parameter {exc}") from None
-        return LoadedLaw(label or law.name, law.exponent, law.triplet, law.sim)
+        return _closed_form_law(doc["closed_form"], doc.get("params", {}), label)
     if "convolve" in doc:
         return _convolve_law(doc["convolve"], label or "convolution")
     if "levy" in doc or ("shift" in doc and "dim" in doc):

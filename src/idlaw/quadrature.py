@@ -127,10 +127,8 @@ def integrate(
         unless a unit hit rounding level (50 eps of its absolute integral).
         A column's value and its pairs do not depend on the other columns,
         as long as each pair's integrand value does not depend on the batch
-        it rides in. Closed-form, point-mass and atoms-only triplet leaves
-        keep that; power segments do not (a segment's series length follows
-        its batch's largest |w|), so a map over a triplet law with power
-        segments rounds a column with its batch.
+        it rides in. Every leaf keeps that: closed forms, and triplets with
+        any mix of atoms, power segments, log forms and grid tails.
 
     Raises
     ------

@@ -44,9 +44,10 @@ import numpy as np
 
 from . import maps
 from .errors import LawSpecError
-from .exponent import CharExponent, as_grid, closed_form, convolve, jump_atoms
+from .exponent import CharExponent, as_grid, from_triplet, jump_atoms
 from .report import CheckReport
-from .triplet import cov_issues
+from .spectral import SpectralMeasure, ray
+from .triplet import LevyTriplet, cov_issues
 
 _TAIL_BOUND = 1e-6
 # envelope segments for the thinned jump times live on an absolute grid of
@@ -146,30 +147,59 @@ class SimSpec:
         """Square roots of var_factor * diffusion by var_factor, one eigh each."""
         return {}
 
+    @cached_property
+    def triplet(self) -> LevyTriplet:
+        """The generating triplet of the law at unit time.
+
+        One ray per jump direction, in order of first appearance, holds that
+        direction's atoms; the shift is the drift plus the compensation of
+        the jumps inside the unit ball. Jumps of size or mass zero add
+        nothing and are dropped.
+        """
+        shift = self.drift.copy()
+        rays: dict[tuple, tuple[list, np.ndarray]] = {}
+        if self.has_jumps:
+            for x, p in zip(self.jumps, self.probs):
+                r = float(np.linalg.norm(x))
+                m = self.rate * float(p)
+                if m == 0.0 or r == 0.0:
+                    continue
+                u = x / r
+                if r <= 1.0:
+                    shift += m * x
+                rays.setdefault(tuple(np.round(u, 15)), ([], u))[0].append((r, m))
+        measure = SpectralMeasure(
+            self.dim, tuple(ray(u, atoms=atoms) for atoms, u in rays.values())
+        )
+        return LevyTriplet(self.dim, shift, self.diffusion, measure)
+
+    @classmethod
+    def from_triplet(cls, trip: LevyTriplet) -> SimSpec | None:
+        """The spec of an atoms-only triplet, ray by ray; None if it has segments or a grid tail."""
+        jumps, masses = [], []
+        comp = np.zeros(trip.dim)
+        for ray_ in trip.levy.rays:
+            rad = ray_.radial
+            if rad.segments or rad.grid_tail is not None:
+                return None
+            for at in rad.atoms:
+                x = at.r * ray_.direction
+                jumps.append(x)
+                masses.append(at.m)
+                if at.r <= 1.0:
+                    comp += at.m * x
+        rate = float(sum(masses))
+        drift = trip.shift - comp
+        if rate > 0.0:
+            return cls(
+                trip.dim, drift, trip.cov,
+                rate=rate, jumps=np.asarray(jumps), probs=np.asarray(masses) / rate,
+            )
+        return cls(trip.dim, drift, trip.cov)
+
     def char_exponent(self) -> CharExponent:
         """Exponent of the law at unit time: log E exp(i <y, X_1>)."""
-        parts = []
-        if np.any(self.drift != 0.0):
-            parts.append(closed_form("dirac", shift=self.drift))
-        if self.has_gaussian:
-            parts.append(
-                closed_form("gaussian", mean=np.zeros(self.dim), cov=self.diffusion)
-            )
-        if self.has_jumps:
-            parts.append(
-                closed_form(
-                    "compound_poisson",
-                    rate=self.rate,
-                    jumps=self.jumps,
-                    probs=self.probs,
-                )
-            )
-        if not parts:
-            parts.append(closed_form("dirac", shift=np.zeros(self.dim)))
-        out = parts[0]
-        for p in parts[1:]:
-            out = convolve(out, p)
-        return out
+        return from_triplet(self.triplet)
 
 
 def _cov_factor(cov: np.ndarray) -> np.ndarray:

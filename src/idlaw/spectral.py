@@ -719,7 +719,7 @@ def segments_by_range(
 
 def _uncertified_ranges(segments: Iterable[Segment]) -> list[tuple[float, float]]:
     """Ranges where well-formed segments are not certified to sum to >= 0,
-    whole or without their positive log forms (say, of a node held thrice)."""
+    whole or without their positive log forms."""
     segs = [sg for sg in segments if sg.lo >= 0.0 and sg.hi > sg.lo]
     if all(sg.c >= 0.0 for sg in segs):
         return []
@@ -745,29 +745,34 @@ def _summed(terms) -> list[tuple[float, float, float]]:
     return [(p, x, y) for p, (x, y) in sorted(acc.items()) if x != 0.0 or y != 0.0]
 
 
-def _groups(segments: list[Segment]) -> list[tuple[float, float, float]] | None:
-    """The segments' density as (p, x, y) groups summed by p; None if it has none.
+def _terms(sg: Segment) -> list[tuple[float, float, float]] | None:
+    """One segment's density as (p, x, y) terms; None if it has none.
 
-    A log form splits by partial fractions into a group of exponent p - n
-    per distinct node n: exp(n L)/W, or for a double node its derivative in
-    n, exp(n L)/W (L - sum of m_v/(n - v)); L = log(hi) - t and W the
-    product of (n - v)**m_v over the other nodes v. A triple node has none.
+    A power segment is one term. A log form splits by partial fractions
+    into a term of exponent p - n per distinct node n: exp(n L)/W, or for a
+    double node its derivative in n, exp(n L)/W (L - sum of m_v/(n - v));
+    L = log(hi) - t and W the product of (n - v)**m_v over the other nodes
+    v. A triple node has none, and neither has a form whose weights are not
+    finite, as when nodes 3.8e-239 apart make W underflow to 0.
     """
+    if not sg.e:
+        return [(sg.p, sg.c, 0.0)]
+    nodes = _form_nodes(sg.e)
+    mult = {n: nodes.count(n) for n in nodes}
+    if max(mult.values()) > 2:
+        return None
     terms = []
-    for sg in segments:
-        if not sg.e:
-            terms.append((sg.p, sg.c, 0.0))
-            continue
-        nodes = _form_nodes(sg.e)
-        mult = {n: nodes.count(n) for n in nodes}
-        if max(mult.values()) > 2:
+    for n, m in mult.items():
+        gaps = [(n - v, mv) for v, mv in mult.items() if v != n]
+        w = math.prod(d ** mv for d, mv in gaps)
+        if w == 0.0:
             return None
-        for n, m in mult.items():
-            base = sg.c * sg.hi ** n / math.prod((n - v) ** mv for v, mv in mult.items() if v != n)
-            pull = sum(mv / (n - v) for v, mv in mult.items() if v != n)
-            x = base * (math.log(sg.hi) - pull) if m == 2 else base
-            terms.append((sg.p - n, x, -base if m == 2 else 0.0))
-    return _summed(terms)
+        base = sg.c * sg.hi ** n / w
+        x = base * (math.log(sg.hi) - sum(mv / d for d, mv in gaps)) if m == 2 else base
+        if not (math.isfinite(base) and math.isfinite(x)):
+            return None
+        terms.append((sg.p - n, x, -base if m == 2 else 0.0))
+    return terms
 
 
 def _sign(v: float) -> int:
@@ -867,16 +872,24 @@ def _sign_change_points(groups, a: float, b: float) -> list[float]:
 
 
 def _densities_at(segments: list[Segment], t: float) -> list[float]:
-    """Each segment's density at r = exp(t), all over the largest exp(p t)."""
-    logs = [sg.p * t for sg in segments]
-    top = max(logs)
-    out = []
-    for sg, lg in zip(segments, logs):
-        val = sg.c * math.exp(lg - top)
+    """Each segment's density at r = exp(t), all over the largest exponential factor.
+
+    A log form's divided difference of exp(x S), S = log(hi) - t, is
+    shifted by its largest node n into the factor exp(p t + n S), as in
+    :func:`_log_moment`, so no exponential overflows.
+    """
+    logs, scales = [], []
+    for sg in segments:
+        lg, scale = sg.p * t, sg.c
         if sg.e:
-            val *= float(_exp_divdiff(math.log(sg.hi) - t, _form_nodes(sg.e)))
-        out.append(val)
-    return out
+            nodes = _form_nodes(sg.e)
+            top, S = nodes[-1], math.log(sg.hi) - t
+            lg += top * S
+            scale *= float(_exp_divdiff(S, tuple(n - top for n in nodes)))
+        logs.append(lg)
+        scales.append(scale)
+    top = max(logs)
+    return [scale * math.exp(lg - top) for scale, lg in zip(scales, logs)]
 
 
 def _density_nonnegative(segments: list[Segment], a: float, b: float) -> bool:
@@ -891,9 +904,13 @@ def _density_nonnegative(segments: list[Segment], a: float, b: float) -> bool:
     """
     if all(sg.c > 0.0 for sg in segments):
         return True
-    groups = _groups(segments)
-    if groups is None:
+    split = [(sg, _terms(sg)) for sg in segments]
+    if any(terms is None and sg.c < 0.0 for sg, terms in split):
         return False
+    # a positive log form without terms only adds to the density: the rest
+    # is certified in its place
+    segments = [sg for sg, terms in split if terms is not None]
+    groups = _summed(t for _, terms in split if terms is not None for t in terms)
     if not groups:
         return True
     ta = math.log(a) if a > 0.0 else -math.inf

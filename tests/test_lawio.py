@@ -1,15 +1,24 @@
-"""Law descriptions: JSON documents to exponents, triplets, and samplers."""
+"""Law descriptions: JSON documents to exponents, triplets, and samplers.
 
+Run as a script to print the sample digests of the builtin laws, and the
+keys whose digest moved from the pinned ``SAMPLE_DIGESTS``:
+
+    PYTHONPATH=src python tests/test_lawio.py
+"""
+
+import hashlib
 import json
 import math
 
 import numpy as np
 import pytest
 
+import idlaw.maps as maps
 from idlaw.errors import InvalidMeasureError, LawSpecError
-from idlaw.exponent import closed_form
+from idlaw.exponent import closed_form, convolve
+from idlaw.factor import default_grid
 from idlaw.lawio import BUILTIN_LAWS, builtin_law, law_from_dict, load_law, triplet_to_dict
-from idlaw.simulate import SimSpec
+from idlaw.simulate import SimSpec, sample_integral
 
 
 def triplet_doc(**kw):
@@ -170,11 +179,14 @@ class TestTripletDocs:
             ([[1e12, 1.0], [0.0, 1e12]], "loaded"),
             ([[1.0, 1e-3], [0.0, 1.0]], "cov is not symmetric"),
             ([[1.0, 0.0], [0.0, -1e-3]], "cov has negative eigenvalue -1.000e-03"),
+            ([[1.0, 2.0], [0.0, 1.0]], "cov is not symmetric"),
+            ([[-1.0]], "cov has negative eigenvalue -1.000e+00"),
         ],
     )
     def test_one_covariance_rule_with_or_without_a_sampler(self, cov, want):
         # an atoms-only law also builds a sampler spec and a segment drops
-        # it; the sampler spec must judge the covariance as the triplet does
+        # it; the sampler spec and the gaussian closed form must judge the
+        # covariance as the triplet does
         def verdict(build):
             try:
                 build()
@@ -182,15 +194,18 @@ class TestTripletDocs:
                 return str(exc)
             return "loaded"
 
-        atoms = {"dir": [1.0, 0.0], "atoms": [{"r": 0.5, "m": 2.0}]}
-        segment = {"dir": [0.0, 1.0], "segments": [{"lo": 0.5, "hi": 2.0, "c": 1.0, "p": 0.0}]}
+        dim = len(cov)
+        atoms = {"dir": list(np.eye(dim)[0]), "atoms": [{"r": 0.5, "m": 2.0}]}
+        segment = {"dir": list(np.eye(dim)[-1]),
+                   "segments": [{"lo": 0.5, "hi": 2.0, "c": 1.0, "p": 0.0}]}
         docs = [
-            {"dim": 2, "shift": [0.0, 0.0], "cov": cov, "levy": {"rays": rays}}
+            {"dim": dim, "shift": [0.0] * dim, "cov": cov, "levy": {"rays": rays}}
             for rays in ([atoms], [atoms, segment])
         ]
         assert verdict(lambda: law_from_dict(docs[0])) == want
         assert verdict(lambda: law_from_dict(docs[1])) == want
-        assert verdict(lambda: SimSpec(2, [0.0, 0.0], cov)) == want
+        assert verdict(lambda: SimSpec(dim, [0.0] * dim, cov)) == want
+        assert verdict(lambda: closed_form("gaussian", mean=[0.0] * dim, cov=cov)) == want
 
     def test_exponent_matches_triplet_route(self):
         law = law_from_dict(triplet_doc())
@@ -364,3 +379,91 @@ class TestBuiltins:
     def test_unknown_builtin(self):
         with pytest.raises(LawSpecError, match="unknown builtin"):
             builtin_law("cauchy")
+
+
+# documents whose triplet regroups the atoms: by direction, in order of
+# first appearance, with the compensation of those inside the unit ball
+REGROUPED_DOCS = {
+    "interleaved atoms": {
+        "closed_form": "compound_poisson",
+        "params": {"rate": 1.5, "jumps": [2.0, -1.25, 0.75], "probs": [0.25, 0.25, 0.5]},
+    },
+    "2-d atoms": {
+        "closed_form": "compound_poisson",
+        "params": {"rate": 2.0, "jumps": [[3.0, 4.0], [0.0, 1.0], [-0.3, 0.4], [0.6, 0.8]]},
+    },
+    "atoms inside the unit ball": {
+        "closed_form": "compound_poisson",
+        "params": {"rate": 1.0, "jumps": [[0.5], [-0.25], [2.0]], "probs": [0.5, 0.25, 0.25]},
+    },
+    "convolve with a small jump": {"convolve": [
+        {"closed_form": "gaussian", "params": {"mean": [0.3], "cov": [[0.5]]}},
+        {"closed_form": "compound_poisson", "params": {"rate": 0.5, "jumps": [[0.5]]}},
+    ]},
+    "2-d convolve": {"convolve": [
+        {"closed_form": "gaussian", "params": {"mean": [0.1, -0.2], "cov": [[1.0, 0.3], [0.3, 0.5]]}},
+        {"closed_form": "dirac", "params": {"shift": [0.7, 0.0]}},
+        {"closed_form": "compound_poisson",
+         "params": {"rate": 3.0, "jumps": [[0.3, -0.4], [1.0, 2.0], [0.6, -0.8]]}},
+    ]},
+}
+CLOSED_FORM_DOCS = {**{f"builtin {k}": v for k, v in BUILTIN_LAWS.items()}, **REGROUPED_DOCS}
+
+
+def closed_form_of(doc):
+    """The exponent of a closed-form or convolve document, built from the closed-form callbacks."""
+    if "convolve" in doc:
+        return convolve(*(closed_form_of(part) for part in doc["convolve"]))
+    return closed_form(doc["closed_form"], **doc["params"])
+
+
+@pytest.mark.parametrize("doc", CLOSED_FORM_DOCS.values(), ids=CLOSED_FORM_DOCS.keys())
+def test_loaded_exponent_matches_the_closed_forms(doc):
+    law = law_from_dict(doc)
+    grid = default_grid(law.dim)
+    want = closed_form_of(doc).eval_grid(grid)
+    got = law.exponent.eval_grid(grid)
+    assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
+
+
+# sha256 of n = 5000 samples (one whole block and part of a second) at
+# seed 11 and beta 1.3, drawn from the sampler spec of each builtin law
+SAMPLE_DIGESTS = {
+    "gaussian/jbeta": "67af9a0c2ab9bbda54bbb39bc70386a8fd5feb904ea562af2d1b9c88ce729e68",
+    "gaussian/ijbeta": "03f22324c121c0ce90d3b3fe657a943b6076644633431c0720a006432c797877",
+    "drift/jbeta": "505505da0b17e1677f3edd5faba50a74c8cdc70e2ac8f634937a6413593bef4d",
+    "drift/ijbeta": "e05b50eafd5982f00238d95e836af6a27d0de6989c8fa683b13ce014cdeeca41",
+    "cp/jbeta": "b5c243b2d7ec9d417e463a35a6801471160735b3798054dbfc393d1077e7090c",
+    "cp/ijbeta": "dd8bbaa1863cb3c2d5ac6aa8657b923d8b7a78e9ee32c2bb9b84e1a32a7fa3f5",
+    "gauss_cp_mix/jbeta": "8b878fa64f2a49956677178671b4d0f9a624ee5120ff928d02a53114c4e4b9c9",
+    "gauss_cp_mix/ijbeta": "86e7b4efd614d410db33975380100d9d48682bb68f2e7584585c0668d64a966a",
+}
+
+
+def sample_digests() -> dict[str, str]:
+    """sha256 of the jbeta and time-change (ijbeta) samples of each builtin law with a sampler."""
+    out = {}
+    for name in BUILTIN_LAWS:
+        spec = builtin_law(name).sim
+        if spec is None:
+            continue
+        for m in (maps.jbeta_map(1.3), maps.i_jbeta_map(1.3)):
+            samples = sample_integral(spec, m, 5000, seed=11)
+            out[f"{name}/{m.kind}"] = hashlib.sha256(samples.tobytes()).hexdigest()
+    return out
+
+
+def moved_samples(old: dict, new: dict) -> list[str]:
+    return [key for key in sorted(set(old) | set(new)) if old.get(key) != new.get(key)]
+
+
+def test_builtin_law_samples_keep_their_bytes():
+    assert moved_samples(SAMPLE_DIGESTS, sample_digests()) == []
+
+
+if __name__ == "__main__":
+    # the digests to pin, then the keys that moved
+    new = sample_digests()
+    print(json.dumps(new, indent=4))
+    for key in moved_samples(SAMPLE_DIGESTS, new):
+        print(f"moved: {key}")

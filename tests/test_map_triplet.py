@@ -16,7 +16,7 @@ from pathlib import Path
 import mpmath as mp
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import idlaw.factor as factor
 import idlaw.maps as maps
@@ -251,6 +251,15 @@ OFFSET_POWERS = st.one_of(
     kind=st.sampled_from(ALL_MAPS),
     beta=st.floats(0.3, 2.5),
 )
+# image forms with nodes 0, 0 and 3.8e-239 (or 2.23e-249): their
+# partial-fraction weights are not finite
+@example(atoms=[], segs=[(0.0, 1.0, 1.0, 0.0, []), (0.0, 1.0, 1.0, 3.8e-239, [1.0])],
+         tail_p=None, kind="ubetaf", beta=1.0)
+@example(atoms=[(1.0, 1.0)], segs=[(0.0, 1.0, 1.0, 2.23e-249, [1.0])],
+         tail_p=None, kind="ubetaf", beta=1.0)
+# a form whose divided difference would overflow at t = -1140 unshifted
+@example(atoms=[(1.0, 1.0)], segs=[(0.0, 1.0, 1.0, 2.23e-249, [0.25, 0.25])],
+         tail_p=None, kind="ubetaf", beta=0.75)
 def test_random_laws_map_under_every_map(atoms, segs, tail_p, kind, beta):
     segments = [
         (lo, lo + length, c, p, tuple(p + 1.0 - a for a in powers))
