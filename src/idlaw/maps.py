@@ -191,10 +191,19 @@ def _kernel_integral(phi, Y, tol, a, b, kern, scale, mass=1.0, splits=()):
 
 # Lower-limit walk in s = log u: probes start at u = 8**-5 and step down by
 # a factor 8. The range above the start, where the integrand may still
-# oscillate, is cut at every step. exp(s) must stay a normal double.
+# oscillate, is cut at every step. exp(s) must stay a normal double, so
+# the walk's limits, stepped down by repeated subtraction, end at the floor.
 _WALK_STEP = math.log(8.0)
 _WALK_CUTS = _WALK_STEP * np.arange(-5, 0)
 _WALK_FLOOR = math.log(np.finfo(float).tiny)
+_WALK_LIMITS = [float(_WALK_CUTS[0])]
+while _WALK_LIMITS[-1] - _WALK_STEP >= _WALK_FLOOR:
+    _WALK_LIMITS.append(_WALK_LIMITS[-1] - _WALK_STEP)
+# probes in the walk's first batch, and in its largest: as many as the
+# final integral's first depth has abscissas (21 on each of 6 panels), so
+# a batch never evaluates more rows than that depth does
+_WALK_FIRST = 8
+_WALK_MOST = (len(_WALK_CUTS) + 1) * 21
 
 
 def _singular_grid(phi, Y, tol, weight):
@@ -210,23 +219,52 @@ def _singular_grid(phi, Y, tol, weight):
     remainder does not shrink either are reported as a missing log
     moment, and a limit past the double range raises QuadratureError. The
     kernel's mass in s is the range length.
+
+    The probes are evaluated in stacked batches, one ``eval_grid`` call
+    each, and the rules above are replayed over them in order, so the
+    limit, the remainder and the value are those of probing one limit at a
+    time. The first batch holds the first ``_WALK_FIRST`` limits; each
+    later one reaches the stop predicted from the last measured decay
+    rate, or doubles when there is none, up to ``_WALK_MOST`` limits and
+    never past the floor. A batch runs at its deepest probe's inner
+    tolerance, the tightest of its probes, and an antisymmetric grid
+    contributes its upper half to the stack and is mirrored per probe as
+    :meth:`CharExponent.eval_grid` mirrors it; so wherever the exponent's
+    rows do not depend on their batch or on ``tol``, as a leaf's do not,
+    every probe has the bytes of its own call.
     """
+    n = Y.shape[0]
+    mirror = n > 1 and np.array_equal(Y[0], -Y[-1]) and np.array_equal(Y, -Y[::-1])
+    rows = Y[n // 2 :] if mirror else Y
+    h = len(rows)
 
-    def probe(s: float) -> np.ndarray:
-        ss = np.array([s])
-        return weight(ss)[0] * phi.eval_grid(np.exp(ss)[0] * Y, _INNER_SHARE * tol / -s)
+    def walk():
+        """(limit, probe) pairs down to the floor, evaluated batch by batch."""
+        done, size = 0, _WALK_FIRST
+        while done < len(_WALK_LIMITS):
+            limits = _WALK_LIMITS[done : done + size]
+            ss = [np.array([s]) for s in limits]
+            stack = np.concatenate([np.exp(x)[0] * rows for x in ss])
+            vals = phi.eval_grid(stack, _INNER_SHARE * tol / -limits[-1])
+            for k, x in enumerate(ss):
+                v = vals[k * h : (k + 1) * h]
+                if mirror:
+                    v = np.concatenate([np.conj(v[n % 2 :][::-1]) + 0.0, v])
+                yield limits[k], weight(x)[0] * v
+            done += len(limits)
+            # read after the loop below has judged the batch's last probe:
+            # the remainder shrinks by exp(-rate _WALK_STEP) per step
+            if prev_rest < math.inf:
+                steps = math.log(prev_rest / (0.25 * tol)) / (rate * _WALK_STEP)
+                size = math.ceil(min(steps, _WALK_MOST))
+            else:
+                size = min(2 * size, _WALK_MOST)
 
-    s_lo = float(_WALK_CUTS[0])
-    prev_norm = float(np.max(np.abs(probe(s_lo)), initial=0.0))
-    prev_rest, strikes = math.inf, 0
-    while True:
-        s_lo -= _WALK_STEP
-        if s_lo < _WALK_FLOOR:
-            raise QuadratureError(
-                "the integrand of the logarithmic map does not decay within "
-                f"the double range (|integrand| {prev_norm:.3e} at u = 1e-300)"
-            )
-        edge = probe(s_lo)
+    pairs = walk()
+    s_lo, edge = next(pairs)
+    prev_norm = float(np.max(np.abs(edge), initial=0.0))
+    prev_rest, strikes, rate = math.inf, 0, 0.0
+    for s_lo, edge in pairs:
         norm = float(np.max(np.abs(edge), initial=0.0))
         if norm == 0.0:
             tail = edge
@@ -252,6 +290,13 @@ def _singular_grid(phi, Y, tol, weight):
             tail = edge / rate
             break
         prev_norm, prev_rest = norm, rest
+    else:
+        raise QuadratureError(
+            "the integrand of the logarithmic map does not decay within "
+            f"the double range (|integrand| {prev_norm:.3e} at u = 1e-300)"
+        )
+    # the last batch is freed before the final integral runs
+    pairs.close()
 
     val = _kernel_integral(
         phi, Y, 0.75 * tol, s_lo, 0.0, weight, np.exp, mass=-s_lo, splits=_WALK_CUTS

@@ -239,15 +239,17 @@ def _skip(bitgen: np.random.BitGenerator, m: int) -> None:
     bitgen.random_raw(m % 4)
 
 
-def _pick_atoms(table: np.ndarray, u: np.ndarray) -> np.ndarray:
+def _pick_atoms(table: np.ndarray, u: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """np.searchsorted(table, u) for a table padded with +inf to a power of two.
 
     A branch-free bisection: at each level, a key moves its index up by the
     step when the entry step - 1 past the index is below it. Keys go in
     chunks through reused buffers, since a fresh temporary per level costs
-    more than the level.
+    more than the level. The index goes into ``out`` (intp, len(u)) when
+    given.
     """
-    idx = np.zeros(len(u), dtype=np.intp)
+    idx = np.empty(len(u), dtype=np.intp) if out is None else out
+    idx[...] = 0
     steps = [1 << e for e in reversed(range(len(table).bit_length() - 1))]
     if not steps:
         return idx
@@ -271,11 +273,17 @@ def _add_jumps(
     owner: np.ndarray,
     weight: np.ndarray,
     u_atom: np.ndarray,
+    idx: np.ndarray | None = None,
+    terms: np.ndarray | None = None,
 ) -> None:
-    """Scatter-add weight[j] * atom(u_atom[j]) into row owner[j] of x."""
-    idx = _pick_atoms(spec._pick_table, u_atom)
+    """Scatter-add weight[j] * atom(u_atom[j]) into row owner[j] of x.
+
+    ``idx`` (intp) and ``terms`` (float), as long as ``weight``, take the
+    atom index and the terms when given, else fresh arrays do.
+    """
+    idx = _pick_atoms(spec._pick_table, u_atom, idx)
     for c, atoms in enumerate(spec.jumps.T):
-        terms = atoms[idx]
+        terms = np.take(atoms, idx, out=terms, mode="clip")
         terms *= weight
         x[:, c] += np.bincount(owner, weights=terms, minlength=BLOCK)
 
@@ -374,27 +382,35 @@ def _timechange_block(
             counts = g.poisson(spec.rate * length, BLOCK)
             kept = counts[:rows]
             k, km = int(counts.sum()), int(kept.sum())
+            # the segments share the block's scratch arrays, grown only when a
+            # segment draws more, since fresh ones fault in new pages each
+            # time; km <= k, so the kept jumps fit in half the draws' length
+            if j == 0 or k + km > size:
+                size = k + km + (k + km) // 16
+                draws, clocks = np.empty(size), np.empty(size // 2)
+                keeps, picks = np.empty(size // 2, dtype=bool), np.empty(size // 2, dtype=np.intp)
             # the k envelope times, then the accept uniforms of the km kept
             # jumps; the stream skips the other k - km exactly, so the next
             # segment draws what it draws in a whole block
-            u = g.random(k + km)
+            u = g.random(out=draws[: k + km])
             if km < k:
                 _skip(g.bit_generator, k - km)
             # the kept times become minus the envelope times, -(lo + length u)
             neg_s, v = u[:km], u[k:]
             neg_s *= -length
             neg_s -= lo
-            clock = neg_s * beta
+            clock = np.multiply(neg_s, beta, out=clocks[:km])
             np.expm1(clock, out=clock)
             np.negative(clock, out=clock)
-            keep = v < clock
+            keep = np.less(v, clock, out=keeps[:km])
             # an accepted v is uniform on [0, clock(s)), so v / clock(s) is a
             # fresh uniform, independent of s, and picks the atom; a rejected
             # jump is never divided (its clock may be 0) and gets weight 0
             np.divide(v, clock, out=v, where=keep)
             weight = np.exp(neg_s, out=neg_s)
             weight *= keep
-            _add_jumps(x, spec, np.repeat(_ROWS[:rows], kept), weight, v)
+            # the clock is spent, so its buffer takes the terms
+            _add_jumps(x, spec, np.repeat(_ROWS[:rows], kept), weight, v, picks[:km], clock)
     return x[:rows]
 
 

@@ -211,7 +211,11 @@ def _log_ratio(x, y):
     d = x - y
     close = np.abs(d) < y / 32.0
     out = np.log(x / y)
-    return np.where(close, np.log1p(np.where(close, d / y, 0.0)), out) if close.any() else out
+    if not close.any():
+        return out
+    if np.ndim(out) == 0:
+        return np.log1p(d / y)
+    return np.log1p(d / y, out=out, where=close)
 
 
 def _power_ints(a, b, q) -> np.ndarray:
@@ -753,11 +757,19 @@ def _terms(sg: Segment) -> list[tuple[float, float, float]] | None:
     double node its derivative in n, exp(n L)/W (L - sum of m_v/(n - v));
     L = log(hi) - t and W the product of (n - v)**m_v over the other nodes
     v. A triple node has none, and neither has a form whose weights are not
-    finite, as when nodes 3.8e-239 apart make W underflow to 0.
+    finite, as when nodes 3.8e-239 apart make W underflow to 0. On a form
+    with lo > 0, a node within eps / log(hi/lo) of the one below is taken as
+    that node: their two terms, of size 1/gap, would cancel to rounding,
+    and the merged node moves the density by a relative gap log(hi/r) of
+    at most eps.
     """
     if not sg.e:
         return [(sg.p, sg.c, 0.0)]
     nodes = _form_nodes(sg.e)
+    span = math.log(sg.hi / sg.lo) if sg.lo > 0.0 else math.inf
+    for k in range(1, len(nodes)):
+        if (nodes[k] - nodes[k - 1]) * span <= sys.float_info.epsilon:
+            nodes[k] = nodes[k - 1]
     mult = {n: nodes.count(n) for n in nodes}
     if max(mult.values()) > 2:
         return None
@@ -861,7 +873,10 @@ def _sign_change_points(groups, a: float, b: float) -> list[float]:
         roots = [] if y == 0.0 else [-x / y]
     elif len(groups) == 2 and groups[0][2] == 0.0 == groups[1][2]:
         (p0, x0, _), (p1, x1, _) = groups
-        roots = [] if (x0 > 0.0) == (x1 > 0.0) else [math.log(-x0 / x1) / (p1 - p0)]
+        # the logs of |x0| and |x1|, since their ratio may leave the double range
+        roots = [] if (x0 > 0.0) == (x1 > 0.0) else [
+            (math.log(abs(x0)) - math.log(abs(x1))) / (p1 - p0)
+        ]
     else:
         p0 = groups[0][0]
         slope = _slope([(p - p0, x, y) for p, x, y in groups])

@@ -46,6 +46,41 @@ def grid5():
     return np.linspace(-2.0, 2.0, 5)[:, None]
 
 
+class LeafCalls:
+    """Top-level ``CharExponent.eval_grid`` calls: the rows of each, in order.
+
+    A call made while another is running, such as a nested map's inner
+    exponent, is part of the outer call and is not counted.
+    """
+
+    def __init__(self):
+        self.rows: list[int] = []
+        self.depth = 0
+
+    @property
+    def count(self) -> int:
+        return len(self.rows)
+
+
+@pytest.fixture()
+def leaf_calls(monkeypatch):
+    """A LeafCalls recording every eval_grid call the test makes."""
+    calls = LeafCalls()
+    eval_grid = exponent.CharExponent.eval_grid
+
+    def recorded(self, Y, tol=None):
+        if calls.depth == 0:
+            calls.rows.append(len(Y))
+        calls.depth += 1
+        try:
+            return eval_grid(self, Y, tol)
+        finally:
+            calls.depth -= 1
+
+    monkeypatch.setattr(exponent.CharExponent, "eval_grid", recorded)
+    return calls
+
+
 @pytest.fixture()
 def law_files(tmp_path):
     """Write every builtin law description to disk, return name -> path."""

@@ -9,10 +9,16 @@ from scipy.integrate import quad
 
 import idlaw.factor as factor
 import idlaw.maps as maps
-from idlaw.errors import DimensionMismatchError, InvalidMeasureError, NotLogIntegrableError
+from idlaw.errors import (
+    DimensionMismatchError,
+    InvalidMeasureError,
+    NotLogIntegrableError,
+    QuadratureError,
+)
 from idlaw.exponent import convolve, from_callable, from_triplet
 from idlaw.spectral import GridTail, RadialMeasure, Ray, Segment, SpectralMeasure, ray
 from idlaw.triplet import LevyTriplet
+from test_map_triplet import panel_laws
 
 
 def no_log_moment(Y, tol):
@@ -254,6 +260,158 @@ class TestDivergenceDetection:
         assert np.isfinite(val.real) and np.isfinite(val.imag)
 
 
+def heavy_tail(p):
+    """A law whose only jumps are an unbounded power tail c r**p from 1.5."""
+    levy = SpectralMeasure(1, (ray([1.0], segments=[(1.5, math.inf, 0.3, p)]),))
+    return from_triplet(LevyTriplet(1, [0.0], [[0.0]], levy))
+
+
+def sequential_log_map(m, phi, Y, tol):
+    """The ``i`` or ``ijbeta`` map of phi with one eval_grid call per walk probe.
+
+    The lower-limit walk of ``maps._singular_grid`` before its probes were
+    batched, kept as the reference the batched walk must reproduce.
+    """
+    Y = np.asarray(Y, dtype=float)
+    weight = np.ones_like if m.kind == "i" else (lambda s: -np.expm1(m.beta * s))
+
+    def probe(s):
+        ss = np.array([s])
+        return weight(ss)[0] * phi.eval_grid(np.exp(ss)[0] * Y, maps._INNER_SHARE * tol / -s)
+
+    s_lo = float(maps._WALK_CUTS[0])
+    prev_norm = float(np.max(np.abs(probe(s_lo)), initial=0.0))
+    prev_rest, strikes = math.inf, 0
+    while True:
+        s_lo -= maps._WALK_STEP
+        if s_lo < maps._WALK_FLOOR:
+            raise QuadratureError(
+                "the integrand of the logarithmic map does not decay within "
+                f"the double range (|integrand| {prev_norm:.3e} at u = 1e-300)"
+            )
+        edge = probe(s_lo)
+        norm = float(np.max(np.abs(edge), initial=0.0))
+        if norm == 0.0:
+            tail = edge
+            break
+        rate = math.log(prev_norm / norm) / maps._WALK_STEP if norm < prev_norm else 0.0
+        rest = norm / rate if rate > 0.0 else math.inf
+        if norm > 1e-12 and norm > 0.75 * prev_norm and not rest < prev_rest:
+            strikes += 1
+            if strikes >= 3:
+                raise NotLogIntegrableError(
+                    "the integrand mass near u = 0 does not shrink under "
+                    f"refinement (|integrand| {norm:.3e} at u = "
+                    f"exp({s_lo:.1f})); the input law appears to lack the "
+                    "required log moment"
+                )
+        else:
+            strikes = 0
+        if rest <= 0.25 * tol:
+            tail = edge / rate
+            break
+        prev_norm, prev_rest = norm, rest
+    val = maps._kernel_integral(
+        phi, Y, 0.75 * tol, s_lo, 0.0, weight, np.exp, mass=-s_lo, splits=maps._WALK_CUTS
+    )
+    return val + tail
+
+
+LOG_MAPS = [maps.i_map()] + [maps.i_jbeta_map(b) for b in (0.5, 1.0, 2.0)]
+WALK_GRIDS = {
+    "antisymmetric": np.linspace(-5.0, 5.0, 11)[:, None],
+    "skew": np.array([[0.0], [0.7], [2.5], [-1.3]]),
+}
+# the grid and tolerance of the benchmark's i-map check on its panel laws
+PANEL_MAP_GRID, PANEL_MAP_TOL = np.array([[0.0], [2.5]]), 1e-6
+
+
+@pytest.fixture(scope="module")
+def walk_laws(cp_phi, mix_phi):
+    """Leaf exponents of every kind the logarithmic maps walk over."""
+    radii = np.geomspace(0.5, 4.0, 50)
+    tabulated = GridTail(radii, 0.3 * (radii ** -1.5 - 4.0 ** -1.5))
+    grid_tail = LevyTriplet(1, [0.1], [[0.2]], SpectralMeasure(1, (
+        Ray(np.array([1.0]), RadialMeasure((), (), tabulated)),
+    )))
+    return {
+        "cp": cp_phi,
+        "cp+gaussian": mix_phi,
+        "panel": from_triplet(panel_laws(9002, 1)[0]),
+        "tail-1.1": heavy_tail(-1.1),
+        "tail-1.05": heavy_tail(-1.05),
+        "grid-tail": from_triplet(grid_tail),
+    }
+
+
+class TestBatchedWalk:
+    """The lower-limit walk of the logarithmic maps, probed in batches."""
+
+    @pytest.mark.parametrize("grid", WALK_GRIDS)
+    @pytest.mark.parametrize(
+        "law", ["cp", "cp+gaussian", "panel", "tail-1.1", "tail-1.05", "grid-tail"]
+    )
+    def test_leaf_laws_keep_the_bytes_of_the_sequential_walk(self, walk_laws, law, grid):
+        phi, Y = walk_laws[law], WALK_GRIDS[grid]
+        for m in LOG_MAPS:
+            got = maps.map_exponent_grid(m, phi, Y, 1e-10)
+            assert np.array_equal(got, sequential_log_map(m, phi, Y, 1e-10)), (m, law, grid)
+
+    @pytest.mark.parametrize("grid", WALK_GRIDS)
+    @pytest.mark.parametrize("beta", [1.0, 2.0])
+    def test_nested_map_agrees_within_tol(self, mix_phi, beta, grid):
+        # the batch runs the inner map at its deepest probe's tolerance, the
+        # tightest of the batch, so values agree within tol, not to the bit
+        inner = maps.apply_map(maps.jbeta_map(beta), mix_phi)
+        Y = WALK_GRIDS[grid]
+        got = maps.map_exponent_grid(maps.i_map(), inner, Y, 1e-8)
+        ref = sequential_log_map(maps.i_map(), inner, Y, 1e-8)
+        np.testing.assert_allclose(got, ref, rtol=0, atol=1e-8)
+
+    @pytest.mark.parametrize("m", [maps.i_map(), maps.i_jbeta_map(1.0)], ids=lambda m: m.kind)
+    def test_failures_keep_their_type_and_message(self, m):
+        # no_log_moment takes log(|y|) on every row, so no row is 0
+        Y = np.array([[-2.5], [1.0], [2.5]])
+        for phi, error in (
+            (from_callable(no_log_moment, dim=1), NotLogIntegrableError),
+            (heavy_tail(-1.02), QuadratureError),
+        ):
+            with pytest.raises(error) as batched:
+                maps.map_exponent_grid(m, phi, Y, 1e-10)
+            with pytest.raises(error) as sequential:
+                sequential_log_map(m, phi, Y, 1e-10)
+            assert str(batched.value) == str(sequential.value)
+        assert "at u = 1e-300" in str(batched.value)
+
+    @pytest.mark.parametrize("index", range(4))
+    @pytest.mark.parametrize("m", [maps.i_map(), maps.i_jbeta_map(1.0)], ids=lambda m: m.kind)
+    def test_panel_law_map_makes_at_most_three_leaf_calls(self, leaf_calls, m, index):
+        # probing one limit per call took 5 to 10 calls, the final integral's included
+        phi = from_triplet(panel_laws(9002, 4)[index])
+        maps.map_exponent_grid(m, phi, PANEL_MAP_GRID, PANEL_MAP_TOL)
+        assert 1 <= leaf_calls.count <= 3
+
+    @pytest.mark.parametrize("m", [maps.i_map(), maps.i_jbeta_map(1.0)], ids=lambda m: m.kind)
+    def test_long_walks_make_at_most_ten_leaf_calls(self, leaf_calls, m):
+        # the p = -1.05 tail walks 277 steps and the p = -1.02 tail to the
+        # floor, one call per step before batching; no batch holds more rows
+        # than the final integral's first depth, 6 panels of 21 per column
+        Y = WALK_GRIDS["antisymmetric"]
+        maps.map_exponent_grid(m, heavy_tail(-1.05), Y, 1e-10)
+        assert leaf_calls.count <= 10
+        assert max(leaf_calls.rows) <= 6 * 21 * len(Y)
+        leaf_calls.rows.clear()
+        with pytest.raises(QuadratureError):
+            maps.map_exponent_grid(m, heavy_tail(-1.02), Y, 1e-10)
+        assert leaf_calls.count <= 10
+        assert max(leaf_calls.rows) <= 6 * 21 * len(Y)
+
+    @pytest.mark.parametrize("grid, rows", [("antisymmetric", 6), ("skew", 4)])
+    def test_an_antisymmetric_grid_stacks_its_upper_half(self, leaf_calls, cp_phi, grid, rows):
+        maps.map_exponent_grid(maps.i_map(), cp_phi, WALK_GRIDS[grid], 1e-10)
+        assert leaf_calls.rows[0] == 8 * rows
+
+
 class TestMeasureTransform:
     def atom_triplet(self):
         m = SpectralMeasure(1, (ray([1.0], atoms=[(2.0, 1.0)]),))
@@ -467,6 +625,16 @@ class TestMeasureTransform:
     # take the two as one group (it divided by their difference, zero)
     @example(data=[(1.0, 1.0, 1.0, 0.0920383834908358)], first_at_zero=False,
              tail_p=None, beta=0.5, beta2=1.09375)
+    # p = 5e-324: the first image's two power terms on (0.25, 0.375) change
+    # sign at t = -745, whose exp(t) the ratio of their coefficients
+    # underflowed to 0 (a math domain error in the certificate)
+    @example(data=[(0.25, 0.125, 1.0, 5e-324)], first_at_zero=False,
+             tail_p=None, beta=2.0, beta2=1.0)
+    # and the second image's log form of offset 5e-324 had partial-fraction
+    # weights 1/5e-324 = inf, so it was left out and the rest, -2 + r on
+    # (1, 2), was not certified
+    @example(data=[(1.0, 1.0, 1.0, 5e-324)], first_at_zero=False,
+             tail_p=None, beta=2.0, beta2=1.0)
     def test_images_of_segment_sets_are_certified(
         self, data, first_at_zero, tail_p, beta, beta2
     ):

@@ -209,6 +209,52 @@ class TestSamplers:
         assert np.all(np.abs(x.mean(axis=0) - mean_want) < 5.0 * se)
         np.testing.assert_allclose(x.var(axis=0), var_want, rtol=0.1)
 
+    @staticmethod
+    def _fresh_array_block(g, spec, beta, s_max, rows):
+        """The time-change block with a fresh array for every draw and product."""
+        x = sim._base_block(
+            g, spec, sim.time_change_drift_factor(beta, s_max),
+            sim.time_change_variance_factor(beta, s_max),
+        )
+        for j in range(int(math.ceil(s_max / sim._SEG_LEN))):
+            lo = j * sim._SEG_LEN
+            length = min(lo + sim._SEG_LEN, s_max) - lo
+            counts = g.poisson(spec.rate * length, sim.BLOCK)
+            kept = counts[:rows]
+            k, km = int(counts.sum()), int(kept.sum())
+            u = g.random(k + km)
+            if km < k:
+                sim._skip(g.bit_generator, k - km)
+            neg_s, v = -(lo + length * u[:km]), u[k:]
+            clock = -np.expm1(beta * neg_s)
+            keep = v < clock
+            v = np.divide(v, clock, out=v.copy(), where=keep)
+            idx = np.searchsorted(spec.jump_cdf()[:-1], v)
+            for c, atoms in enumerate(spec.jumps.T):
+                x[:, c] += np.bincount(np.repeat(np.arange(rows), kept),
+                                       weights=atoms[idx] * (np.exp(neg_s) * keep),
+                                       minlength=sim.BLOCK)
+        return x[:rows]
+
+    @pytest.mark.parametrize("spec", [
+        mix_spec(),
+        # about 16 envelope jumps per segment, so a later segment often draws
+        # more than the scratch arrays the first one sized; and about 0.8,
+        # so the first segment often draws none
+        sim.SimSpec(1, [0.0], 0.0, rate=4e-4, jumps=[[1.0], [-0.5]], probs=[0.3, 0.7]),
+        sim.SimSpec(1, [0.0], 0.0, rate=2e-5, jumps=[[1.0], [-0.5]], probs=[0.3, 0.7]),
+        sim.SimSpec(2, [0.3, -0.2], [[1.0, 0.6], [0.6, 0.5]], rate=1.5,
+                    jumps=[[1.0, -2.0], [0.5, 0.5], [-1.5, 0.25]], probs=[0.2, 0.5, 0.3]),
+    ], ids=["mix", "sparse", "rare", "dim2-K3"])
+    @pytest.mark.parametrize("rows, s_max", [(sim.BLOCK, 30.0), (17, 45.0)])
+    def test_time_change_block_matches_fresh_arrays(self, spec, rows, s_max):
+        for key in range(4):
+            block = []
+            for body in (sim._timechange_block, self._fresh_array_block):
+                g = np.random.Generator(np.random.Philox(key=[key, 7]))
+                block.append(body(g, spec, 0.7, s_max, rows))
+            assert block[0].tobytes() == block[1].tobytes()
+
     class _ScriptedStream:
         """Stands in for a block's Generator: scripted counts and uniforms."""
 
@@ -219,9 +265,10 @@ class TestSamplers:
         def poisson(self, lam, size):
             return self.counts.pop(0)
 
-        def random(self, size):
-            out = self.uniforms.pop(0)
-            assert out.shape == (size,)
+        def random(self, out):
+            uniforms = self.uniforms.pop(0)
+            assert out.shape == uniforms.shape
+            out[...] = uniforms
             return out
 
     def _one_jump_block(self, spec, beta, u_time, v):

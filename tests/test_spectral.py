@@ -674,6 +674,22 @@ class TestSegmentMoments:
             whole = f(starts)
             assert whole.tobytes() == np.array([float(f(u)) for u in starts]).tobytes()
 
+    def test_log_ratio_takes_each_element_alone(self):
+        # rows (x, x), close to x and far from it, broadcast against x, and
+        # scalars: every element is log1p(d/y) within y/32 and log(x/y) beyond
+        x = np.geomspace(0.01, 5.0, 13)
+        ends = np.stack([x, x * (1.0 + np.linspace(-0.05, 0.05, 13)), x[::-1], np.full(13, 0.8)])
+
+        def alone(a, b):
+            a, b = np.array([a]), np.array([b])
+            close = abs(a - b) < b / 32.0
+            return (np.log1p((a - b) / b) if close[0] else np.log(a / b))[0]
+
+        want = np.array([[alone(a, b) for a, b in zip(row, x)] for row in ends])
+        assert spectral._log_ratio(ends, x).tobytes() == want.tobytes()
+        for a, b in ((0.8, 0.8), (0.81, 0.8), (2.0, 0.8)):
+            assert spectral._log_ratio(a, np.float64(b)) == alone(a, b)
+
 
 def test_spectral_runs_no_quadrature():
     # every moment of the measure layer is closed form
