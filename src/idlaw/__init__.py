@@ -70,6 +70,6 @@ from .simulate import (
     time_change_equivalence,
 )
 from .spectral import Atom, GridTail, RadialMeasure, Ray, Segment, SpectralMeasure, ray
-from .triplet import LevyTriplet, ValidationReport, validate
+from .triplet import LevyTriplet
 
 __version__ = "0.1.0"

@@ -50,6 +50,44 @@ def as_grid(y, dim: int) -> tuple[np.ndarray, bool]:
     raise DimensionMismatchError(f"argument must be at most 2-d, got shape {arr.shape}")
 
 
+def default_grid(dim: int, n_points: int = 41) -> np.ndarray:
+    """Standard verification grid: symmetric line on [-5, 5] (d=1) or a radial fan.
+
+    For d >= 2 the grid is the origin plus 8 fixed directions at radii
+    1, ..., 5, so the default point count stays at 41.
+    """
+    if dim == 1:
+        return np.linspace(-5.0, 5.0, n_points)[:, None]
+    if dim == 2:
+        angles = np.arange(8) * (np.pi / 4.0)
+        dirs = np.stack([np.cos(angles), np.sin(angles)], axis=1)
+    else:
+        gen = np.random.Generator(np.random.Philox(key=np.array([0, 0], dtype=np.uint64)))
+        dirs = gen.standard_normal((8, dim))
+        dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+    radii = np.linspace(1.0, 5.0, 5)
+    pts = (dirs[:, None, :] * radii[None, :, None]).reshape(-1, dim)
+    return np.vstack([np.zeros((1, dim)), pts])
+
+
+def _folded(evaluate: Callable[[np.ndarray], np.ndarray], Y: np.ndarray) -> np.ndarray:
+    """evaluate(Y) as (n,) complex, by the symmetry Phi(-y) = conj Phi(y).
+
+    The exponent of a law on R^dim satisfies it, and every node and map
+    keeps it exactly, tabulated tails included. So on a grid that is its
+    own negative reversed (Y == -Y[::-1], as a symmetric linspace is) only
+    the upper half Y[n // 2:] is evaluated and the lower half is its
+    mirrored conjugate; the nested maps below then see half the columns.
+    Adding 0.0 keeps imaginary parts +0.0 where conj would give -0.0.
+    """
+    n = Y.shape[0]
+    # the end rows reject stacked inner batches before the O(n) comparison
+    if n > 1 and np.array_equal(Y[0], -Y[-1]) and np.array_equal(Y, -Y[::-1]):
+        half = np.asarray(evaluate(Y[n // 2 :]), dtype=complex)
+        return np.concatenate([np.conj(half[n % 2 :][::-1]) + 0.0, half])
+    return np.asarray(evaluate(Y), dtype=complex)
+
+
 class _Node:
     def eval(self, Y: np.ndarray, tol: float | None) -> np.ndarray:
         raise NotImplementedError
@@ -110,27 +148,14 @@ class CharExponent:
     node: _Node
 
     def eval_grid(self, Y: np.ndarray, tol: float | None = None) -> np.ndarray:
-        """Evaluate on a grid of shape (n, dim); returns (n,) complex.
-
-        The exponent of a law on R^dim satisfies Phi(-y) = conj Phi(y), and
-        every node keeps that exactly, up to rounding in tabulated tails,
-        which take signed arguments. So on a grid that is its own negative
-        reversed (Y == -Y[::-1], as a symmetric linspace is) only the upper
-        half Y[n // 2:] is evaluated and the lower half is its mirrored
-        conjugate; the nested maps below then see half the columns. Adding
-        0.0 keeps imaginary parts +0.0 where conj would give -0.0.
-        """
+        """Evaluate on a grid of shape (n, dim); returns (n,) complex, folded
+        on an antisymmetric grid (:func:`_folded`)."""
         Y = np.asarray(Y, dtype=float)
         if Y.ndim != 2 or Y.shape[1] != self.dim:
             raise DimensionMismatchError(
                 f"grid shape {Y.shape} does not match dim {self.dim}"
             )
-        n = Y.shape[0]
-        # the end rows reject stacked inner batches before the O(n) comparison
-        if n > 1 and np.array_equal(Y[0], -Y[-1]) and np.array_equal(Y, -Y[::-1]):
-            half = np.asarray(self.node.eval(Y[n // 2 :], tol), dtype=complex)
-            return np.concatenate([np.conj(half[n % 2 :][::-1]) + 0.0, half])
-        return np.asarray(self.node.eval(Y, tol), dtype=complex)
+        return _folded(lambda rows: self.node.eval(rows, tol), Y)
 
     def __call__(self, y, tol: float | None = None):
         """Evaluate at one point (complex) or a batch (complex array)."""
@@ -147,8 +172,8 @@ def from_callable(fn, dim: int) -> CharExponent:
     """Wrap fn(Y, tol) -> (n,) complex as an exponent node.
 
     fn must satisfy fn(-Y) = conj fn(Y), as the exponent of every law on
-    R^dim does: :meth:`CharExponent.eval_grid` evaluates only half of an
-    antisymmetric grid and mirrors the rest by conjugation.
+    R^dim does: exponents and maps evaluate only half of an antisymmetric
+    grid and mirror the rest by conjugation (:func:`_folded`).
     """
     return CharExponent(dim, _CallbackNode(fn))
 
@@ -256,7 +281,9 @@ def _build_gaussian(mean=0.0, cov=1.0):
 
     def fn(Y, tol):
         quad = _quad_form(Y, cov)
-        return 1j * _dot(Y, mean) - 0.5 * quad
+        # adding 0.0 turns the -0.0 that 1j * x leaves in the real part at
+        # x < 0 into +0.0, so Phi(-y) is conj Phi(y) to the bit
+        return 1j * _dot(Y, mean) - 0.5 * quad + 0.0
 
     return dim, fn
 
@@ -266,7 +293,7 @@ def _build_dirac(shift):
     dim = shift.shape[0]
 
     def fn(Y, tol):
-        return 1j * _dot(Y, shift)
+        return 1j * _dot(Y, shift) + 0.0  # +0.0 real parts, as for the Gaussian
 
     return dim, fn
 

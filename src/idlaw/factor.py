@@ -21,29 +21,17 @@ from typing import Any, Callable
 import numpy as np
 
 from . import maps, simulate
-from .exponent import CharExponent, closed_form, conv_power, convolve, log_sinhc, xcothx
+from .exponent import (
+    CharExponent,
+    closed_form,
+    conv_power,
+    convolve,
+    default_grid,
+    log_sinhc,
+    xcothx,
+)
 from .report import CheckReport, abs_diff
 from .spectral import SpectralMeasure
-
-
-def default_grid(dim: int, n_points: int = 41) -> np.ndarray:
-    """Standard verification grid: symmetric line on [-5, 5] (d=1) or a radial fan.
-
-    For d >= 2 the grid is the origin plus 8 fixed directions at radii
-    1, ..., 5, so the default point count stays at 41.
-    """
-    if dim == 1:
-        return np.linspace(-5.0, 5.0, n_points)[:, None]
-    if dim == 2:
-        angles = np.arange(8) * (np.pi / 4.0)
-        dirs = np.stack([np.cos(angles), np.sin(angles)], axis=1)
-    else:
-        gen = np.random.Generator(np.random.Philox(key=np.array([0, 0], dtype=np.uint64)))
-        dirs = gen.standard_normal((8, dim))
-        dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-    radii = np.linspace(1.0, 5.0, 5)
-    pts = (dirs[:, None, :] * radii[None, :, None]).reshape(-1, dim)
-    return np.vstack([np.zeros((1, dim)), pts])
 
 
 @dataclass(frozen=True, eq=False)

@@ -39,7 +39,7 @@ from .errors import (
     NotLogIntegrableError,
     QuadratureError,
 )
-from .exponent import CharExponent, from_callable
+from .exponent import CharExponent, _folded, _MappedNode, from_callable
 from .spectral import (
     GridTail,
     RadialMeasure,
@@ -102,8 +102,6 @@ def i_jbeta_map(beta: float) -> IntegralMap:
 
 def apply_map(m: IntegralMap, phi: CharExponent) -> CharExponent:
     """Deferred application: returns the transformed exponent as a node."""
-    from .exponent import _MappedNode
-
     return CharExponent(phi.dim, _MappedNode(m, phi))
 
 
@@ -136,7 +134,11 @@ def inner_clock_rate(beta: float, s) -> np.ndarray:
 def map_exponent_grid(
     m: IntegralMap, phi: CharExponent, Y: np.ndarray, tol: float | None = None
 ) -> np.ndarray:
-    """Evaluate the transformed exponent on a grid of shape (n, dim)."""
+    """Evaluate the transformed exponent on a grid of shape (n, dim).
+
+    Folded like :meth:`CharExponent.eval_grid` (:func:`_folded`): of an
+    antisymmetric grid only the upper half is integrated.
+    """
     if tol is None:
         tol = quadrature.default_tol()
     Y = np.asarray(Y, dtype=float)
@@ -144,11 +146,10 @@ def map_exponent_grid(
         raise DimensionMismatchError(
             f"grid shape {Y.shape} does not match dim {phi.dim}"
         )
-    if m.kind == "i":
-        return _singular_grid(phi, Y, tol, np.ones_like)
     beta = m.beta
-    if m.kind == "ijbeta":
-        return _singular_grid(phi, Y, tol, lambda s: -np.expm1(beta * s))
+    if m.kind in ("i", "ijbeta"):
+        weight = np.ones_like if m.kind == "i" else (lambda s: -np.expm1(beta * s))
+        return _folded(lambda rows: _singular_grid(phi, rows, tol, weight), Y)
     # the jbeta and ubetaf kernels are probability densities on (0, 1); for
     # beta >= 1 they are substituted into forms with a bounded kernel
     if m.kind == "jbeta" and beta >= 1.0:
@@ -160,7 +161,7 @@ def map_exponent_grid(
         scale = lambda z: z
     else:
         kern, scale = (lambda v: 2.0 * v), (lambda v: (1.0 - v) ** (1.0 / beta))
-    return _kernel_integral(phi, Y, tol, 0.0, 1.0, kern, scale)
+    return _folded(lambda rows: _kernel_integral(phi, rows, tol, 0.0, 1.0, kern, scale), Y)
 
 
 # Share of a map's tolerance granted to the inner exponent; the outer
@@ -227,76 +228,64 @@ def _singular_grid(phi, Y, tol, weight):
     later one reaches the stop predicted from the last measured decay
     rate, or doubles when there is none, up to ``_WALK_MOST`` limits and
     never past the floor. A batch runs at its deepest probe's inner
-    tolerance, the tightest of its probes, and an antisymmetric grid
-    contributes its upper half to the stack and is mirrored per probe as
-    :meth:`CharExponent.eval_grid` mirrors it; so wherever the exponent's
-    rows do not depend on their batch or on ``tol``, as a leaf's do not,
-    every probe has the bytes of its own call.
+    tolerance, the tightest of its probes; so wherever the exponent's rows
+    do not depend on their batch or on ``tol``, as a leaf's do not, every
+    probe has the bytes of its own call. An antisymmetric grid arrives
+    folded (:func:`map_exponent_grid`): Y is its upper half.
     """
     n = Y.shape[0]
-    mirror = n > 1 and np.array_equal(Y[0], -Y[-1]) and np.array_equal(Y, -Y[::-1])
-    rows = Y[n // 2 :] if mirror else Y
-    h = len(rows)
-
-    def walk():
-        """(limit, probe) pairs down to the floor, evaluated batch by batch."""
-        done, size = 0, _WALK_FIRST
-        while done < len(_WALK_LIMITS):
-            limits = _WALK_LIMITS[done : done + size]
-            ss = [np.array([s]) for s in limits]
-            stack = np.concatenate([np.exp(x)[0] * rows for x in ss])
-            vals = phi.eval_grid(stack, _INNER_SHARE * tol / -limits[-1])
-            for k, x in enumerate(ss):
-                v = vals[k * h : (k + 1) * h]
-                if mirror:
-                    v = np.concatenate([np.conj(v[n % 2 :][::-1]) + 0.0, v])
-                yield limits[k], weight(x)[0] * v
-            done += len(limits)
-            # read after the loop below has judged the batch's last probe:
+    done, size = 0, _WALK_FIRST
+    prev_norm, prev_rest, strikes, tail = None, math.inf, 0, None
+    while tail is None:
+        if done == len(_WALK_LIMITS):
+            raise QuadratureError(
+                "the integrand of the logarithmic map does not decay within "
+                f"the double range (|integrand| {prev_norm:.3e} at u = 1e-300)"
+            )
+        limits = _WALK_LIMITS[done : done + size]
+        done += len(limits)
+        ss = [np.array([s]) for s in limits]
+        stack = np.concatenate([np.exp(x)[0] * Y for x in ss])
+        vals = phi.eval_grid(stack, _INNER_SHARE * tol / -limits[-1])
+        for k, (s_lo, x) in enumerate(zip(limits, ss)):
+            edge = weight(x)[0] * vals[k * n : (k + 1) * n]
+            norm = float(np.max(np.abs(edge), initial=0.0))
+            if prev_norm is None:
+                prev_norm = norm
+                continue
+            if norm == 0.0:
+                tail = edge
+                break
+            # integrand ~ edge * exp(rate (s - s_lo)) below s_lo
+            rate = math.log(prev_norm / norm) / _WALK_STEP if norm < prev_norm else 0.0
+            rest = norm / rate if rate > 0.0 else math.inf
+            # for an integrable singularity the probes must shrink geometrically;
+            # a stalled (or growing) probe whose remainder does not shrink either
+            # means the transform diverges
+            if norm > 1e-12 and norm > 0.75 * prev_norm and not rest < prev_rest:
+                strikes += 1
+                if strikes >= 3:
+                    raise NotLogIntegrableError(
+                        "the integrand mass near u = 0 does not shrink under "
+                        f"refinement (|integrand| {norm:.3e} at u = "
+                        f"exp({s_lo:.1f})); the input law appears to lack the "
+                        "required log moment"
+                    )
+            else:
+                strikes = 0
+            if rest <= 0.25 * tol:
+                tail = edge / rate
+                break
+            prev_norm, prev_rest = norm, rest
+        else:
             # the remainder shrinks by exp(-rate _WALK_STEP) per step
             if prev_rest < math.inf:
                 steps = math.log(prev_rest / (0.25 * tol)) / (rate * _WALK_STEP)
                 size = math.ceil(min(steps, _WALK_MOST))
             else:
                 size = min(2 * size, _WALK_MOST)
-
-    pairs = walk()
-    s_lo, edge = next(pairs)
-    prev_norm = float(np.max(np.abs(edge), initial=0.0))
-    prev_rest, strikes, rate = math.inf, 0, 0.0
-    for s_lo, edge in pairs:
-        norm = float(np.max(np.abs(edge), initial=0.0))
-        if norm == 0.0:
-            tail = edge
-            break
-        # integrand ~ edge * exp(rate (s - s_lo)) below s_lo
-        rate = math.log(prev_norm / norm) / _WALK_STEP if norm < prev_norm else 0.0
-        rest = norm / rate if rate > 0.0 else math.inf
-        # for an integrable singularity the probes must shrink geometrically;
-        # a stalled (or growing) probe whose remainder does not shrink either
-        # means the transform diverges
-        if norm > 1e-12 and norm > 0.75 * prev_norm and not rest < prev_rest:
-            strikes += 1
-            if strikes >= 3:
-                raise NotLogIntegrableError(
-                    "the integrand mass near u = 0 does not shrink under "
-                    f"refinement (|integrand| {norm:.3e} at u = "
-                    f"exp({s_lo:.1f})); the input law appears to lack the "
-                    "required log moment"
-                )
-        else:
-            strikes = 0
-        if rest <= 0.25 * tol:
-            tail = edge / rate
-            break
-        prev_norm, prev_rest = norm, rest
-    else:
-        raise QuadratureError(
-            "the integrand of the logarithmic map does not decay within "
-            f"the double range (|integrand| {prev_norm:.3e} at u = 1e-300)"
-        )
     # the last batch is freed before the final integral runs
-    pairs.close()
+    del stack, vals
 
     val = _kernel_integral(
         phi, Y, 0.75 * tol, s_lo, 0.0, weight, np.exp, mass=-s_lo, splits=_WALK_CUTS

@@ -44,7 +44,7 @@ import numpy as np
 
 from . import maps
 from .errors import LawSpecError
-from .exponent import CharExponent, as_grid, from_triplet, jump_atoms
+from .exponent import CharExponent, as_grid, default_grid, from_triplet, jump_atoms
 from .report import CheckReport
 from .spectral import SpectralMeasure, ray
 from .triplet import LevyTriplet, cov_issues
@@ -196,10 +196,6 @@ class SimSpec:
                 rate=rate, jumps=np.asarray(jumps), probs=np.asarray(masses) / rate,
             )
         return cls(trip.dim, drift, trip.cov)
-
-    def char_exponent(self) -> CharExponent:
-        """Exponent of the law at unit time: log E exp(i <y, X_1>)."""
-        return from_triplet(self.triplet)
 
 
 def _cov_factor(cov: np.ndarray) -> np.ndarray:
@@ -706,7 +702,7 @@ def mc_vs_quadrature(
     """
     samples = sample_integral(spec, m, n, seed, s_max=s_max, workers=workers)
     return mc_report(
-        samples, m, spec.char_exponent(), y_grid, seed,
+        samples, m, from_triplet(spec.triplet), y_grid, seed,
         z_max=z_max, s_max=s_max,
     )
 
@@ -727,8 +723,6 @@ def time_change_equivalence(
     with two-sample z-scores.
     """
     if y_grid is None:
-        from .factor import default_grid
-
         y_grid = default_grid(spec.dim, n_points=21)
     Y, _ = as_grid(y_grid, spec.dim)
     s1 = sample_jbeta_integral(spec, beta, n, seed, workers=workers)

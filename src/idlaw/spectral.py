@@ -722,15 +722,13 @@ def segments_by_range(
 
 
 def _uncertified_ranges(segments: Iterable[Segment]) -> list[tuple[float, float]]:
-    """Ranges where well-formed segments are not certified to sum to >= 0,
-    whole or without their positive log forms."""
+    """Ranges where well-formed segments are not certified to sum to >= 0."""
     segs = [sg for sg in segments if sg.lo >= 0.0 and sg.hi > sg.lo]
     if all(sg.c >= 0.0 for sg in segs):
         return []
     return [
         (a, b) for a, b, covering in segments_by_range(segs)
         if not _density_nonnegative(covering, a, b)
-        and not _density_nonnegative([sg for sg in covering if not sg.e or sg.c < 0.0], a, b)
     ]
 
 
@@ -1373,15 +1371,6 @@ class SpectralMeasure:
     def log_moment(self) -> float:
         """Integral of log(|x|) over |x| > 1; inf when divergent."""
         return sum(ray.radial.log_moment() for ray in self.rays)
-
-    def exponent_jump_integral(self, Y: np.ndarray) -> np.ndarray:
-        """Jump part of the characteristic exponent on a grid Y of shape (n, d)."""
-        Y = np.asarray(Y, dtype=float)
-        if Y.ndim != 2 or Y.shape[1] != self.dim:
-            raise DimensionMismatchError(
-                f"grid shape {Y.shape} does not match dim {self.dim}"
-            )
-        return self.tables.exponent(Y, -self.tables.comp)
 
     def scaled(self, factor: float) -> "SpectralMeasure":
         return SpectralMeasure(

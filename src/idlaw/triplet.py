@@ -19,7 +19,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Union
 
 import numpy as np
 
@@ -110,11 +109,6 @@ class LevyTriplet:
             out.real -= 0.5 * _quad_form(Y, self.cov)
         return out
 
-    def exponent(self, y) -> complex:
-        """Characteristic exponent at a single argument."""
-        y = np.atleast_1d(np.asarray(y, dtype=float))
-        return complex(self.exponent_grid(y[None, :])[0])
-
     def log_moment(self) -> float:
         return self.levy.log_moment()
 
@@ -136,32 +130,3 @@ class LevyTriplet:
         if not c > 0.0:
             raise ValueError(f"convolution power must be positive, got {c}")
         return LevyTriplet(self.dim, c * self.shift, c * self.cov, self.levy.scaled(c))
-
-
-@dataclass(frozen=True)
-class ValidationReport:
-    """Outcome of semantic checks on a measure or triplet."""
-
-    target: str
-    issues: tuple[str, ...]
-
-    @property
-    def is_valid(self) -> bool:
-        return not self.issues
-
-    def summary(self) -> str:
-        if self.is_valid:
-            return f"{self.target}: ok"
-        lines = [f"{self.target}: {len(self.issues)} problem(s)"]
-        lines.extend(f"  - {msg}" for msg in self.issues)
-        return "\n".join(lines)
-
-
-def validate(obj: Union[LevyTriplet, SpectralMeasure]) -> ValidationReport:
-    """Run admissibility checks; returns a report instead of raising."""
-    if isinstance(obj, LevyTriplet):
-        return ValidationReport("triplet", tuple(obj.issues()))
-    if isinstance(obj, SpectralMeasure):
-        return ValidationReport("measure", tuple(obj.issues()))
-    raise TypeError(f"cannot validate {type(obj).__name__}")
-

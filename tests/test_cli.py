@@ -66,6 +66,22 @@ class TestEval:
         assert code == 0
         assert out.strip() == "-0.1666666666666667+0j"
 
+    def test_folded_grid_prints_the_rows_of_one_row_calls(self, capsys, law_files, monkeypatch):
+        # the default grid is antisymmetric, so the map integrates its upper
+        # half only; the text, signed zeros included, is that of evaluating
+        # each row on its own
+        argv = ("eval", "--law", law_files["cp"], "--map", "jbeta", "--beta", "1")
+        _, folded, _ = run(capsys, *argv)
+        whole = maps.map_exponent_grid
+
+        def row_by_row(m, phi, Y, tol=None):
+            return np.concatenate([whole(m, phi, Y[k : k + 1], tol) for k in range(len(Y))])
+
+        monkeypatch.setattr(maps, "map_exponent_grid", row_by_row)
+        _, rows, _ = run(capsys, *argv)
+        assert len(folded.splitlines()) == 41
+        assert folded == rows
+
     def test_plain_exponent_grid(self, capsys, law_files, tmp_path):
         out_path = tmp_path / "eval.json"
         code, out, _ = run(

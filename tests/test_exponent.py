@@ -181,6 +181,25 @@ FOLD_CHECKS = [
 ]
 
 
+# every primitive of a triplet law: atoms, power and log-form segments, an
+# unbounded power tail and a tabulated grid tail
+FOLD_TRIPLET = LevyTriplet(1, [0.2], [[0.5]], SpectralMeasure(1, (
+    ray([1.0], atoms=[(0.4, 0.5), (2.0, 1.0)],
+        segments=[(0.0, 0.8, 0.5, -0.7), (0.5, 3.0, 0.3, 0.3, 0.004)],
+        grid_tail=GridTail(np.geomspace(0.5, 4.0, 30), np.linspace(1.0, 0.0, 30))),
+    ray([-1.0], segments=[(1.5, math.inf, 0.3, -1.6)]),
+)))
+CONJUGATE_LAWS = {
+    "gaussian": closed_form("gaussian", mean=0.3, cov=0.5),
+    # no quadratic term to cover the real part left by the drift
+    "gaussian-degenerate": closed_form("gaussian", mean=0.3, cov=0.0),
+    "dirac": closed_form("dirac", shift=0.7),
+    "compound_poisson": FOLD_CP,
+    "levy_area_bdlp": closed_form("levy_area_bdlp", u=1.0),
+    "triplet": from_triplet(FOLD_TRIPLET),
+}
+
+
 class TestHermitianFold:
     """eval_grid evaluates half of an antisymmetric grid and mirrors it."""
 
@@ -233,6 +252,20 @@ class TestHermitianFold:
         batches.clear()
         maps.apply_map(maps.jbeta_map(2.0), phi).eval_grid(self.GRID, 1e-9)
         assert batches and all(len(b) % 21 == 0 and np.all(b >= 0.0) for b in batches)
+        # and so does every map called on the grid directly
+        for m in (maps.jbeta_map(0.5), maps.ubetaf_map(2.0), maps.i_map(), maps.i_jbeta_map(1.0)):
+            batches.clear()
+            maps.map_exponent_grid(m, phi, self.GRID, 1e-9)
+            assert batches and all(np.all(b >= 0.0) for b in batches), m
+
+    @pytest.mark.parametrize("law", CONJUGATE_LAWS)
+    def test_negated_rows_have_the_conjugate_bytes(self, law):
+        # what one fold relies on, row by row and to the bit: Phi(-y) is
+        # conj Phi(y) + 0.0, tabulated tails included
+        rng = np.random.default_rng(2200)
+        Y = rng.uniform(-1.0, 1.0, (200, 1)) * 10.0 ** rng.uniform(-3.0, 2.0, (200, 1))
+        phi = CONJUGATE_LAWS[law]
+        assert phi.eval_grid(-Y).tobytes() == (np.conj(phi.eval_grid(Y)) + 0.0).tobytes()
 
     def test_gaussian_keeps_positive_zero_imaginary_parts(self, gaussian_phi):
         vals = gaussian_phi.eval_grid(self.GRID)

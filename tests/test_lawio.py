@@ -210,7 +210,7 @@ class TestTripletDocs:
     def test_exponent_matches_triplet_route(self):
         law = law_from_dict(triplet_doc())
         y = 1.3
-        assert law.exponent(y) == pytest.approx(law.triplet.exponent([y]), abs=1e-14)
+        assert law.exponent(y) == pytest.approx(law.triplet.exponent_grid([[y]])[0], abs=1e-14)
 
 
 MALFORMED_DOCS = {

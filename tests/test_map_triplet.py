@@ -257,6 +257,10 @@ OFFSET_POWERS = st.one_of(
          tail_p=None, kind="ubetaf", beta=1.0)
 @example(atoms=[(1.0, 1.0)], segs=[(0.0, 1.0, 1.0, 2.23e-249, [1.0])],
          tail_p=None, kind="ubetaf", beta=1.0)
+# an image form that holds the node 0 three times, so it has no
+# partial-fraction terms: positive, it is left out of the certified sum
+@example(atoms=[(1.0, 1.0)], segs=[(0.0, 1.0, 1.0, 0.0, [1.0])],
+         tail_p=None, kind="ubetaf", beta=1.0)
 # a form whose divided difference would overflow at t = -1140 unshifted
 @example(atoms=[(1.0, 1.0)], segs=[(0.0, 1.0, 1.0, 2.23e-249, [0.25, 0.25])],
          tail_p=None, kind="ubetaf", beta=0.75)

@@ -9,6 +9,7 @@ from scipy.integrate import quad
 
 import idlaw.factor as factor
 import idlaw.maps as maps
+from idlaw import lawio
 from idlaw.errors import (
     DimensionMismatchError,
     InvalidMeasureError,
@@ -18,6 +19,7 @@ from idlaw.errors import (
 from idlaw.exponent import convolve, from_callable, from_triplet
 from idlaw.spectral import GridTail, RadialMeasure, Ray, Segment, SpectralMeasure, ray
 from idlaw.triplet import LevyTriplet
+from test_exponent import FOLD_TRIPLET
 from test_map_triplet import panel_laws
 
 
@@ -410,6 +412,32 @@ class TestBatchedWalk:
     def test_an_antisymmetric_grid_stacks_its_upper_half(self, leaf_calls, cp_phi, grid, rows):
         maps.map_exponent_grid(maps.i_map(), cp_phi, WALK_GRIDS[grid], 1e-10)
         assert leaf_calls.rows[0] == 8 * rows
+
+
+FOLD_MAPS = [
+    maps.jbeta_map(0.5), maps.jbeta_map(1.3), maps.ubetaf_map(0.5), maps.ubetaf_map(2.0),
+    maps.i_map(), maps.i_jbeta_map(1.0),
+]
+
+
+@pytest.mark.parametrize("law", [*lawio.BUILTIN_LAWS, "triplet"])
+def test_folding_keeps_the_bytes(law):
+    # an antisymmetric grid integrates its upper half and mirrors it; every
+    # row keeps the bytes of the unfolded evaluation, signed zeros included
+    if law == "triplet":
+        phi = from_triplet(FOLD_TRIPLET)
+    else:
+        phi = lawio.builtin_law(law).exponent
+    Y = np.linspace(-4.0, 4.0, 9)[:, None]
+    for m in FOLD_MAPS:
+        folded = maps.map_exponent_grid(m, phi, Y, 1e-8)
+        # the same rows in an order that is not antisymmetric
+        rolled = maps.map_exponent_grid(m, phi, np.roll(Y, 1, axis=0), 1e-8)
+        assert folded.tobytes() == np.roll(rolled, -1).tobytes(), m
+        if m.kind in ("jbeta", "ubetaf"):
+            # no walk ties the columns together: each is its own one-row call
+            rows = [maps.map_exponent_grid(m, phi, Y[k : k + 1], 1e-8) for k in range(len(Y))]
+            assert folded.tobytes() == np.concatenate(rows).tobytes(), m
 
 
 class TestMeasureTransform:

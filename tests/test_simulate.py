@@ -13,6 +13,7 @@ import idlaw.maps as maps
 from idlaw import quadrature
 import idlaw.simulate as sim
 from idlaw.errors import LawSpecError
+from idlaw.exponent import from_triplet
 from idlaw.factor import default_grid
 
 
@@ -66,13 +67,13 @@ class TestSimSpec:
         spec = mix_spec()
         Y = np.linspace(-3.0, 3.0, 9)[:, None]
         np.testing.assert_allclose(
-            spec.char_exponent().eval_grid(Y), mix_phi.eval_grid(Y),
+            from_triplet(spec.triplet).eval_grid(Y), mix_phi.eval_grid(Y),
             rtol=0, atol=1e-14,
         )
 
     def test_trivial_spec_is_point_mass_at_zero(self):
         spec = sim.SimSpec(1, [0.0], 0.0)
-        assert spec.char_exponent()(1.3) == 0.0
+        assert from_triplet(spec.triplet)(1.3) == 0.0
 
 
 class TestSamplers:
@@ -348,7 +349,7 @@ class TestSamplers:
         # the discarded integral over u in (0, exp(-s_max)], in s = -log u:
         # Phi(exp(-s) y)(1 - exp(-beta s)) over s > s_max, past s_max + 60
         # below 1e-26 of its size
-        phi = spec.char_exponent()
+        phi = from_triplet(spec.triplet)
         rng = np.random.default_rng(11)
         dirs = np.vstack([np.eye(spec.dim), rng.normal(size=(4, spec.dim))])
         Y = 5.0 * dirs / np.linalg.norm(dirs, axis=1)[:, None]

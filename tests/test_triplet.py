@@ -5,14 +5,14 @@ import math
 import numpy as np
 import pytest
 
-from idlaw.exponent import closed_form
+from idlaw.exponent import closed_form, from_triplet
 from idlaw.spectral import (
     DimensionMismatchError,
     InvalidMeasureError,
     SpectralMeasure,
     ray,
 )
-from idlaw.triplet import LevyTriplet, validate
+from idlaw.triplet import LevyTriplet
 
 
 def empty_measure(dim=1):
@@ -27,38 +27,38 @@ def atom_measure(r, m, direction=(1.0,)):
 class TestExponent:
     def test_pure_gaussian_value(self):
         trip = LevyTriplet(1, [0.0], [[1.0]], empty_measure())
-        assert trip.exponent([2.0]) == pytest.approx(-2.0, abs=1e-15)
-        assert trip.exponent([2.0]).imag == 0.0
+        assert from_triplet(trip)([2.0]) == pytest.approx(-2.0, abs=1e-15)
+        assert from_triplet(trip)([2.0]).imag == 0.0
 
     def test_shift_adds_linear_imaginary_part(self):
         trip = LevyTriplet(1, [0.7], [[1.0]], empty_measure())
-        got = trip.exponent([1.5])
+        got = from_triplet(trip)([1.5])
         assert got == pytest.approx(0.7 * 1.5j - 0.5 * 1.5**2, abs=1e-15)
 
     def test_large_atom_is_uncompensated(self):
         # atom beyond the unit ball: exp(i y r) - 1 with no linear term
         trip = LevyTriplet(1, [0.0], [[0.0]], atom_measure(2.0, 1.0))
-        got = trip.exponent([math.pi / 2])
+        got = from_triplet(trip)([math.pi / 2])
         assert got == pytest.approx(-2.0, abs=1e-14)
 
     def test_small_atom_is_compensated(self):
         r, m, y = 0.5, 1.3, 1.7
         trip = LevyTriplet(1, [0.0], [[0.0]], atom_measure(r, m))
         want = m * (np.exp(1j * y * r) - 1.0 - 1j * y * r)
-        assert trip.exponent([y]) == pytest.approx(want, abs=1e-14)
+        assert from_triplet(trip)([y]) == pytest.approx(want, abs=1e-14)
 
     def test_grid_evaluation_matches_pointwise(self):
         trip = LevyTriplet(1, [0.3], [[0.8]], atom_measure(2.0, 0.5))
         Y = np.linspace(-2.0, 2.0, 7)[:, None]
         grid = trip.exponent_grid(Y)
         for k, y in enumerate(Y[:, 0]):
-            assert grid[k] == pytest.approx(trip.exponent([y]), abs=1e-15)
+            assert grid[k] == pytest.approx(from_triplet(trip)([y]), abs=1e-15)
 
     def test_two_dimensional_gaussian(self):
         cov = np.array([[2.0, 0.5], [0.5, 1.0]])
         trip = LevyTriplet(2, [0.0, 0.0], cov, empty_measure(2))
         y = np.array([1.0, -1.0])
-        assert trip.exponent(y) == pytest.approx(-0.5 * y @ cov @ y, abs=1e-14)
+        assert from_triplet(trip)(y) == pytest.approx(-0.5 * y @ cov @ y, abs=1e-14)
 
     @pytest.mark.parametrize("jumps, rate", [
         ([2.0, -1.25, 0.75], 2.0),
@@ -92,7 +92,7 @@ class TestExponent:
         )
         trip = LevyTriplet(1, [0.0], [[0.0]], bad)
         with pytest.raises(InvalidMeasureError):
-            trip.exponent([1.0])
+            from_triplet(trip)([1.0])
 
 
 class TestConstruction:
@@ -152,33 +152,29 @@ class TestAlgebra:
 class TestValidation:
     def test_clean_triplet_is_valid(self):
         trip = LevyTriplet(1, [0.1], [[2.0]], atom_measure(0.5, 1.0))
-        rep = validate(trip)
-        assert rep.is_valid
-        assert rep.summary().endswith("ok")
+        assert trip.issues() == []
 
     def test_asymmetric_cov_is_flagged(self):
         trip = LevyTriplet(2, [0.0, 0.0], [[1.0, 0.3], [0.0, 1.0]], empty_measure(2))
-        rep = validate(trip)
-        assert not rep.is_valid
-        assert any("symmetric" in msg for msg in rep.issues)
+        issues = trip.issues()
+        assert issues
+        assert any("symmetric" in msg for msg in issues)
 
     def test_negative_eigenvalue_is_flagged(self):
         trip = LevyTriplet(1, [0.0], [[-1.0]], empty_measure())
-        rep = validate(trip)
-        assert not rep.is_valid
-        assert any("eigenvalue" in msg for msg in rep.issues)
+        issues = trip.issues()
+        assert issues
+        assert any("eigenvalue" in msg for msg in issues)
 
     def test_divergent_small_jump_segment_is_flagged(self):
         bad = SpectralMeasure(
             1, (ray([1.0], segments=[(0.0, 1.0, 1.0, -3.0)]),)
         )
-        rep = validate(bad)
-        assert not rep.is_valid
-        assert "problem" in rep.summary()
+        assert not bad.is_valid
+        assert bad.issues()
 
-    def test_validate_accepts_bare_measure(self):
-        rep = validate(atom_measure(1.0, 1.0))
-        assert rep.is_valid
+    def test_bare_measure_is_valid(self):
+        assert atom_measure(1.0, 1.0).is_valid
 
 
 class TestLogMoment:
