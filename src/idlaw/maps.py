@@ -49,6 +49,7 @@ from .spectral import (
     _expm1_ratio,
     _ints_from,
     _log_moment,
+    _log_ratio,
     _moment,
     segments_by_range,
 )
@@ -439,7 +440,7 @@ def _segment_image_terms(sg: Segment, kappa: float, a: float) -> tuple[list, Seg
             terms.append(Segment(lo, hi, cb / -e, p))
         else:
             if lo > 0.0:
-                coef = cb * lo ** e * float(_expm1_ratio(e, math.log(hi / lo)))
+                coef = cb * lo ** e * float(_expm1_ratio(e, _log_ratio(hi, lo)))
                 terms.append(Segment(0.0, lo, coef, a - 1.0))
             if abs(e) < LOG_FORM_BAND:
                 log_form = Segment(lo, hi, cb, p, e)

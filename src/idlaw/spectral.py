@@ -260,11 +260,14 @@ def _exp_divdiff(S, nodes) -> np.ndarray:
 
     S (finite, real >= 0 or complex) and the nodes (floats or arrays)
     broadcast; a node held m times reads derivatives to order m - 1. Where
-    |S| times the nodes' spread is below 1 it is the Taylor series about
-    their mean x0, exp(x0 S) S**n times the sum over j <= 20 of
+    |S| times the nodes' spread is below 2 it is the Taylor series about
+    their mean x0, exp(x0 S) S**n times the sum over j <= J of
     h_j(S (x - x0))/(n + j)!, n + 1 nodes, h_j the complete homogeneous
-    symmetric polynomial of degree j; otherwise the recursion (D(x_1..x_n)
-    - D(x_0..x_(n-1))) / (x_n - x_0) (McCurdy, Ng and Parlett 1984).
+    symmetric polynomial of degree j, and J 20 below 1 and 30 from 1, so
+    the first omitted term stays below 1e-19 of the sum; otherwise the
+    recursion (D(x_1..x_n) - D(x_0..x_(n-1))) / (x_n - x_0) (McCurdy, Ng
+    and Parlett 1984). Each step of the recursion cancels by about n over
+    |S| times the spread, which is why the series reaches 2.
     """
     shape = np.broadcast_shapes(np.shape(S), *(np.shape(x) for x in nodes))
     S = np.broadcast_to(S, shape).astype(np.result_type(S, float)).ravel()
@@ -272,21 +275,23 @@ def _exp_divdiff(S, nodes) -> np.ndarray:
     n = len(nodes) - 1
     if n == 0:
         return np.exp(nodes[0] * S).reshape(shape)
-    near = np.abs(S) * (nodes[-1] - nodes[0]) < 1.0
+    rho = np.abs(S) * (nodes[-1] - nodes[0])
     out = np.empty(S.shape, dtype=S.dtype)
-    if np.count_nonzero(near):
-        s, xs = S[near], [x[near] for x in nodes]
-        mean = sum(xs) / (n + 1)
-        h = [np.ones_like(s)] + [np.zeros_like(s)] * 20
-        for x in xs:
-            z = (x - mean) * s
-            for j in range(1, 21):
-                h[j] = h[j] + z * h[j - 1]
-        total = sum(h[j] / math.factorial(n + j) for j in range(20, -1, -1))
-        out[near] = np.exp(mean * s) * s ** n * total
-    if np.count_nonzero(near) < near.size:
-        s, xs = S[~near], [x[~near] for x in nodes]
-        out[~near] = (_exp_divdiff(s, xs[1:]) - _exp_divdiff(s, xs[:-1])) / (xs[-1] - xs[0])
+    for near, terms in ((rho < 1.0, 20), ((rho >= 1.0) & (rho < 2.0), 30)):
+        if np.count_nonzero(near):
+            s, xs = S[near], [x[near] for x in nodes]
+            mean = sum(xs) / (n + 1)
+            h = [np.ones_like(s)] + [np.zeros_like(s)] * terms
+            for x in xs:
+                z = (x - mean) * s
+                for j in range(1, terms + 1):
+                    h[j] = h[j] + z * h[j - 1]
+            total = sum(h[j] / math.factorial(n + j) for j in range(terms, -1, -1))
+            out[near] = np.exp(mean * s) * s ** n * total
+    far = ~(rho < 2.0)  # and nan, which reads nan through the recursion
+    if np.count_nonzero(far):
+        s, xs = S[far], [x[far] for x in nodes]
+        out[far] = (_exp_divdiff(s, xs[1:]) - _exp_divdiff(s, xs[:-1])) / (xs[-1] - xs[0])
     return out.reshape(shape)
 
 
@@ -351,27 +356,6 @@ class Segment:
     def __post_init__(self):
         if type(self.e) is not tuple or self.e:  # the default () needs no work
             object.__setattr__(self, "e", tuple(sorted(map(float, np.atleast_1d(self.e)))))
-
-    def tail(self, u) -> np.ndarray:
-        """Mass of (u, inf), vectorized over u >= 0."""
-        lower = np.maximum(np.asarray(u, dtype=float), self.lo)
-        inside = lower < self.hi
-        start = np.where(inside, lower, self.lo)
-        return np.where(inside, self.c * _moment(self, start, self.hi, 0), 0.0)
-
-    def log_integral_above1(self) -> float:
-        """Integral of log(r) against the segment over r > 1; inf when divergent.
-
-        With L = max(lo, 1) it is the log moment about L plus log(L) times
-        the mass above L.
-        """
-        lo = max(self.lo, 1.0)
-        if self.hi <= lo:
-            return 0.0
-        val = _log_moment(self, lo, self.hi)
-        if lo > 1.0:
-            val = val + math.log(lo) * _moment(self, lo, self.hi, 0)
-        return self.c * float(val)
 
 
 def _moment(sg: Segment, a, b, k) -> np.ndarray:
@@ -581,10 +565,6 @@ class RadialMeasure:
             for a, b in _uncertified_ranges(self.segments)
         ]
 
-    def min1r2(self) -> float:
-        """Integral of min(1, r**2) against the radial measure (:func:`_min1r2`)."""
-        return float(_min1r2([self])[0])
-
     def tail(self, u) -> np.ndarray:
         """Measure of (u, inf), vectorized over u >= 0."""
         u = np.asarray(u, dtype=float)
@@ -592,7 +572,10 @@ class RadialMeasure:
         for at in self.atoms:
             val = val + at.m * (u < at.r)
         for sg in self.segments:
-            val = val + sg.tail(u)
+            lower = np.maximum(u, sg.lo)
+            inside = lower < sg.hi
+            start = np.where(inside, lower, sg.lo)
+            val = val + np.where(inside, sg.c * _moment(sg, start, sg.hi, 0), 0.0)
         if self.grid_tail is not None:
             val = val + self.grid_tail.tail_at(u)
         return val
@@ -604,7 +587,14 @@ class RadialMeasure:
             if at.r > 1.0:
                 val += at.m * math.log(at.r)
         for sg in self.segments:
-            val += sg.log_integral_above1()
+            # with L = max(lo, 1), the log moment about L plus log(L) times
+            # the mass above L
+            lo = max(sg.lo, 1.0)
+            if sg.hi > lo:
+                seg = _log_moment(sg, lo, sg.hi)
+                if lo > 1.0:
+                    seg = seg + math.log(lo) * _moment(sg, lo, sg.hi, 0)
+                val += sg.c * float(seg)
         if self.grid_tail is not None:
             val += self.grid_tail.split_integral(np.zeros_like, np.log)
         return val
@@ -1364,9 +1354,6 @@ class SpectralMeasure:
     def require_valid(self) -> None:
         if not self.is_valid:
             raise InvalidMeasureError("; ".join(self.issues()))
-
-    def min1r2(self) -> float:
-        return float(_min1r2([ray.radial for ray in self.rays]).sum())
 
     def log_moment(self) -> float:
         """Integral of log(|x|) over |x| > 1; inf when divergent."""

@@ -109,9 +109,6 @@ class LevyTriplet:
             out.real -= 0.5 * _quad_form(Y, self.cov)
         return out
 
-    def log_moment(self) -> float:
-        return self.levy.log_moment()
-
     def convolve(self, other: "LevyTriplet") -> "LevyTriplet":
         """Triplet of the convolution (independent sum) of the two laws."""
         if self.dim != other.dim:

@@ -24,7 +24,7 @@ from idlaw.exponent import convolve, from_triplet
 from idlaw.lawio import triplet_to_dict
 from idlaw.spectral import GridTail, RadialMeasure, SpectralMeasure, ray
 from idlaw.triplet import LevyTriplet
-from test_spectral import divided_difference, form_nodes, gauss_legendre
+from test_spectral import log_power_moment, power_moment, power_terms
 
 GOLDEN = Path(__file__).parent / "golden" / "jbeta_images.json"
 
@@ -314,29 +314,30 @@ def kernel_tail_oracle(log_forms, kernel, u):
     """30-digit tail at u of the image of log-form segments under a kernel.
 
     Each power kernel (kappa, a) weighs the density at r > u by kappa (1 -
-    (u/r)**a)/a, or kappa log(r/u) at a = 0; the integral over (max(u, lo),
-    hi) is Gauss-Legendre in log r on panels over which every exponential
-    rate of the integrand moves by at most 1.
+    (u/r)**a)/a, or kappa log(r/u) at a = 0. Over (L, hi), L = max(u, lo),
+    each power term c r**(x-1) of a form's partial fractions (power_terms)
+    gives kappa c (M(x) - u**a M(x - a))/a, or kappa c (M_log(x) + log(L/u)
+    M(x)), with M its moment (power_moment) and M_log its log moment
+    (log_power_moment) over (L, hi).
     """
-    with mp.workdps(30):
-        u_, total = mp.mpf(u), mp.mpf(0)
-        for sg in log_forms:
-            if u >= sg.hi:
-                continue
-            L, hi, p = max(u_, mp.mpf(sg.lo)), mp.mpf(sg.hi), mp.mpf(sg.p)
-            nodes = form_nodes(sg.e)
-            S = mp.log(hi / L)
-            for kappa, a in kernel:
-                rate = max(1, *(abs(p + 1 - x - y) for x in nodes for y in (0, a)))
-                n = int(mp.ceil(S * rate))
-                for k in range(n):
-                    mid, half = S * (2 * k + 1) / (2 * n), S / (2 * n)
-                    for x, wt in gauss_legendre(20):
-                        r = L * mp.exp(mid + half * x)
-                        F = divided_difference(nodes, mp.log(hi / r))
-                        w = mp.log(r / u_) if a == 0 else -mp.expm1(a * mp.log(u_ / r)) / a
-                        total += kappa * sg.c * wt * half * r ** (p + 1) * F * w
-        return float(total)
+    total = mp.mpf(0)
+    for sg in log_forms:
+        if u >= sg.hi:
+            continue
+        L = max(u, sg.lo)
+        terms, dps = power_terms(sg.p, sg.e, sg.hi, math.log(sg.hi / L))
+        with mp.workdps(dps):
+            u_, L, hi = mp.mpf(u), mp.mpf(L), mp.mpf(sg.hi)
+
+            def weighed(kappa, a, x):
+                if a == 0:
+                    return kappa * (log_power_moment(x, L, hi) + mp.log(L / u_) * power_moment(x, L, hi))
+                return kappa * (power_moment(x, L, hi) - u_ ** a * power_moment(x - a, L, hi)) / a
+
+            total += sg.c * mp.fsum(
+                coef * weighed(kappa, a, power + 1) for kappa, a in kernel for coef, power in terms
+            )
+    return float(total)
 
 
 @pytest.mark.parametrize("second", REMAPS, ids=lambda m: f"{m.kind}{m.beta or ''}")

@@ -529,7 +529,7 @@ class TestMeasureTransform:
             if u >= hi:
                 return 0.0
             L = max(u, lo)
-            val = float(seg.tail(lo)) * neg(u, lo) if u < lo else 0.0
+            val = float(RadialMeasure((), (seg,)).tail(lo)) * neg(u, lo) if u < lo else 0.0
             if math.isinf(hi):
                 val += c / -(p + 1.0) * pow_int(L, hi, p - beta)
             elif p == -1.0:
@@ -551,6 +551,16 @@ class TestMeasureTransform:
         radii = np.union1d(np.geomspace(0.5e-2 / 512, 3.0, 12938), [0.5, 1.0])
         direct = maps.transformed_tail(rad, 1.5, radii)
         np.testing.assert_allclose(img.tail(radii), direct, rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize("rel_len", [1e-4, 3e-5, 1e-6])
+    def test_short_segment_image_is_exact_below_lo(self, rel_len):
+        # the (0, lo) term's coefficient takes the range's log-length; as
+        # log(hi/lo) it carried the rounding of hi/lo, eps/(2 rel_len)
+        # relative: 3e-13 to 3e-11 off here
+        rad = RadialMeasure((), (Segment(0.7, 0.7 * (1.0 + rel_len), 0.3, -1.4),), None)
+        img = image_radial(rad, 1.5)
+        us = np.geomspace(1e-3, 0.6, 9)
+        np.testing.assert_allclose(img.tail(us), maps.transformed_tail(rad, 1.5, us), rtol=1e-14)
 
     def test_grid_tail_image_is_tabulated_consistently(self):
         radii = np.geomspace(0.5, 3.0, 40)
@@ -732,8 +742,8 @@ class TestMeasureTransform:
     @staticmethod
     def log_moments(src, beta):
         trip = LevyTriplet(1, [0.0], [[0.0]], src)
-        after = maps.map_triplet(maps.jbeta_map(beta), trip).log_moment()
-        return after, trip.log_moment(), math.isfinite(after) == math.isfinite(trip.log_moment())
+        after = maps.map_triplet(maps.jbeta_map(beta), trip).levy.log_moment()
+        return after, src.log_moment(), math.isfinite(after) == math.isfinite(src.log_moment())
 
     def test_log_moment_finiteness_is_preserved(self):
         src = SpectralMeasure(1, (ray([1.0], atoms=[(math.e, 1.0)]),))

@@ -180,7 +180,7 @@ class TestValidation:
 class TestLogMoment:
     def test_single_atom_beyond_unit_ball(self):
         trip = LevyTriplet(1, [0.0], [[0.0]], atom_measure(math.e, 1.0))
-        val = trip.log_moment()
+        val = trip.levy.log_moment()
         assert math.isfinite(val)
         assert val == pytest.approx(1.0, abs=1e-15)
 
