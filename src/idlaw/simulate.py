@@ -22,21 +22,34 @@ samples) elements, at least one row, so memory stays at a few rows of
 samples however large the grid.
 
 Randomness is counter based: samples come in blocks of BLOCK = 4096, and
-block b draws all of its samples at once, as arrays, from one Philox stream
-keyed by (seed, b). Sample k is row k % BLOCK of block k // BLOCK, so it does
-not depend on n, and chunked or parallel execution (chunks are whole blocks)
-reproduces the exact byte stream of a serial run. The last block of a run
-may keep only its first rows. It still draws every row's normals and Poisson
-counts, whose share of the stream varies, and every jump time; the uniforms
-after the times, and all per-jump work, are only for the kept rows' jumps.
-Between segments the stream skips the unused uniforms exactly, so the kept
-rows are those of a whole block.
+block b draws all of its samples from one Philox stream keyed by (seed, b).
+Sample k is row k % BLOCK of block k // BLOCK, so it does not depend on n,
+and chunked, parallel or threaded execution (each block is drawn whole by
+one thread) reproduces the exact byte stream of a serial run. The last block
+of a run may keep only its first rows. It still draws every row's normals
+and Poisson counts, whose share of the stream varies; the jump times and
+uniforms, and all per-jump work, are only for the kept rows' jumps, and the
+stream skips the other rows' draws exactly, so the kept rows are those of a
+whole block.
+
+The time-changed sampler works through each segment in row chunks of at
+most PICK_CHUNK jumps (one row at least), so its scratch does not grow with
+the rate. A segment's stream holds all envelope times before all accept
+uniforms; a second cursor, set that many draws ahead, reads a chunk's
+accept uniforms while the block's stream reads its times. A chunk holds
+whole rows, so one bincount sums each row's terms in the order a whole
+segment would. When a call has several blocks and a block's envelope
+exceeds one chunk, helper threads (one per other CPU, started and joined
+inside the call) draw blocks alongside the caller.
 """
 
 from __future__ import annotations
 
+import copy
 import math
 import operator
+import os
+from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -147,6 +160,12 @@ class SimSpec:
         """Square roots of var_factor * diffusion by var_factor, one eigh each."""
         return {}
 
+    def _gauss_root(self, var_factor: float) -> np.ndarray:
+        roots = self._gauss_roots
+        if var_factor not in roots:
+            roots[var_factor] = _cov_factor(var_factor * self.diffusion)
+        return roots[var_factor]
+
     @cached_property
     def triplet(self) -> LevyTriplet:
         """The generating triplet of the law at unit time.
@@ -213,10 +232,7 @@ def _base_block(
     if spec.has_gaussian:
         # all BLOCK rows: a normal takes a variable share of the stream
         z = g.standard_normal((BLOCK, spec.dim))
-        roots = spec._gauss_roots
-        if var_factor not in roots:
-            roots[var_factor] = _cov_factor(var_factor * spec.diffusion)
-        x += z @ roots[var_factor]
+        x += z @ spec._gauss_root(var_factor)
     return x
 
 
@@ -274,14 +290,15 @@ def _add_jumps(
 ) -> None:
     """Scatter-add weight[j] * atom(u_atom[j]) into row owner[j] of x.
 
-    ``idx`` (intp) and ``terms`` (float), as long as ``weight``, take the
-    atom index and the terms when given, else fresh arrays do.
+    Every row of x gets one sum, in jump order, even if it is 0. ``idx``
+    (intp) and ``terms`` (float), as long as ``weight``, take the atom index
+    and the terms when given, else fresh arrays do.
     """
     idx = _pick_atoms(spec._pick_table, u_atom, idx)
     for c, atoms in enumerate(spec.jumps.T):
         terms = np.take(atoms, idx, out=terms, mode="clip")
         terms *= weight
-        x[:, c] += np.bincount(owner, weights=terms, minlength=BLOCK)
+        x[:, c] += np.bincount(owner, weights=terms, minlength=len(x))
 
 
 # -- the power-kernel integral over (0,1) ---------------------------------------
@@ -296,9 +313,12 @@ def _jbeta_block(
         counts = g.poisson(spec.rate, BLOCK)
         kept = counts[:rows]
         k, km = int(counts.sum()), int(kept.sum())
-        # the k jump times, then the atom uniforms of the km kept jumps only
-        u = g.random(k + km)
-        _add_jumps(x, spec, np.repeat(_ROWS[:rows], kept), u[:km] ** (1.0 / beta), u[k:])
+        # the stream holds the k jump times, then the atom uniforms: the kept
+        # jumps draw theirs, and the other k - km times are skipped
+        times = g.random(km)
+        if km < k:
+            _skip(g.bit_generator, k - km)
+        _add_jumps(x, spec, np.repeat(_ROWS[:rows], kept), times ** (1.0 / beta), g.random(km))
     return x[:rows]
 
 
@@ -377,36 +397,53 @@ def _timechange_block(
             length = min(lo + _SEG_LEN, s_max) - lo
             counts = g.poisson(spec.rate * length, BLOCK)
             kept = counts[:rows]
-            k, km = int(counts.sum()), int(kept.sum())
-            # the segments share the block's scratch arrays, grown only when a
-            # segment draws more, since fresh ones fault in new pages each
-            # time; km <= k, so the kept jumps fit in half the draws' length
-            if j == 0 or k + km > size:
-                size = k + km + (k + km) // 16
-                draws, clocks = np.empty(size), np.empty(size // 2)
-                keeps, picks = np.empty(size // 2, dtype=bool), np.empty(size // 2, dtype=np.intp)
-            # the k envelope times, then the accept uniforms of the km kept
-            # jumps; the stream skips the other k - km exactly, so the next
+            k = int(counts.sum())
+            # row r's jumps are first[r]..first[r + 1] - 1
+            first = np.zeros(rows + 1, dtype=np.intp)
+            np.cumsum(kept, out=first[1:])
+            km = int(first[-1])
+            # the chunks share the block's scratch, sized for the largest (a
+            # full chunk, or one row with more jumps) and grown only when a
+            # segment needs more, since fresh arrays fault in new pages
+            need = max(min(km, PICK_CHUNK), int(kept.max()))
+            if j == 0 or need > len(picks):
+                floats = np.empty((3, need))
+                keeps, picks = np.empty(need, dtype=bool), np.empty(need, dtype=np.intp)
+            # the segment's stream holds the k envelope times, then the k
+            # accept uniforms: a second cursor, a copy of the stream k draws
+            # ahead, reads a chunk's accepts while the stream reads its times
+            accepts = copy.deepcopy(g)
+            _skip(accepts.bit_generator, k)
+            r0 = 0
+            while r0 < rows:
+                # rows r0..r1 - 1: whole rows, at most PICK_CHUNK jumps unless
+                # one row has more
+                a = int(first[r0])
+                r1 = max(r0 + 1, int(first.searchsorted(a + PICK_CHUNK, "right")) - 1)
+                m = int(first[r1]) - a
+                # the times become minus the envelope times, -(lo + length u)
+                neg_s = g.random(out=floats[0, :m])
+                v = accepts.random(out=floats[1, :m])
+                neg_s *= -length
+                neg_s -= lo
+                clock = np.multiply(neg_s, beta, out=floats[2, :m])
+                np.expm1(clock, out=clock)
+                np.negative(clock, out=clock)
+                keep = np.less(v, clock, out=keeps[:m])
+                # an accepted v is uniform on [0, clock(s)), so v / clock(s) is
+                # a fresh uniform, independent of s, and picks the atom; a
+                # rejected jump is never divided (its clock may be 0) and gets
+                # weight 0
+                np.divide(v, clock, out=v, where=keep)
+                weight = np.exp(neg_s, out=neg_s)
+                weight *= keep
+                # the clock is spent, so its buffer takes the terms
+                owner = np.repeat(_ROWS[: r1 - r0], kept[r0:r1])
+                _add_jumps(x[r0:r1], spec, owner, weight, v, picks[:m], clock)
+                r0 = r1
+            # past the other rows' times and all k accepts, so the next
             # segment draws what it draws in a whole block
-            u = g.random(out=draws[: k + km])
-            if km < k:
-                _skip(g.bit_generator, k - km)
-            # the kept times become minus the envelope times, -(lo + length u)
-            neg_s, v = u[:km], u[k:]
-            neg_s *= -length
-            neg_s -= lo
-            clock = np.multiply(neg_s, beta, out=clocks[:km])
-            np.expm1(clock, out=clock)
-            np.negative(clock, out=clock)
-            keep = np.less(v, clock, out=keeps[:km])
-            # an accepted v is uniform on [0, clock(s)), so v / clock(s) is a
-            # fresh uniform, independent of s, and picks the atom; a rejected
-            # jump is never divided (its clock may be 0) and gets weight 0
-            np.divide(v, clock, out=v, where=keep)
-            weight = np.exp(neg_s, out=neg_s)
-            weight *= keep
-            # the clock is spent, so its buffer takes the terms
-            _add_jumps(x, spec, np.repeat(_ROWS[:rows], kept), weight, v, picks[:km], clock)
+            _skip(g.bit_generator, 2 * k - km)
     return x[:rows]
 
 
@@ -442,8 +479,14 @@ def sample_time_changed_integral(
             f"s_max={s_max} discards exponent mass {bound:.3e} >= {_TAIL_BOUND}; "
             "increase the horizon"
         )
+    # blocks whose envelope outgrows one chunk pay for helper threads, which
+    # only read the spec's caches, so they are filled here
+    threaded = spec.rate * s_max * BLOCK > PICK_CHUNK
+    if threaded:
+        spec._gauss_root(time_change_variance_factor(beta, s_max))
+        spec._pick_table
     return _run_chunked(
-        _timechange_block, (spec, beta, s_max), seed, TAG_TIMECHANGE, n, workers
+        _timechange_block, (spec, beta, s_max), seed, TAG_TIMECHANGE, n, workers, threaded
     )
 
 
@@ -493,24 +536,62 @@ def sample_integral(
 # -- chunked execution -----------------------------------------------------------
 
 
+def _cpus() -> int:
+    """The number of CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _sample_blocks(
-    block_fn, args: tuple, seed: int, tag: int, start: int, stop: int
+    block_fn, args: tuple, seed: int, tag: int, start: int, stop: int, threaded: bool = False
 ) -> np.ndarray:
-    """Samples start..stop-1 (start a multiple of BLOCK), one stream per block."""
-    parts = []
-    for b in range(start // BLOCK, (stop - 1) // BLOCK + 1):
+    """Samples start..stop-1 (start a multiple of BLOCK), one stream per block.
+
+    Threaded, the caller and one helper thread per other CPU take the blocks
+    in order from one queue; the helpers end before the call returns.
+    """
+    blocks = range(start // BLOCK, (stop - 1) // BLOCK + 1)
+
+    def draw(b: int) -> np.ndarray:
         g = np.random.Generator(
             np.random.Philox(
                 counter=np.array([0, 0, 0, tag], dtype=np.uint64),
                 key=np.array([seed, b], dtype=np.uint64),
             )
         )
-        parts.append(block_fn(g, *args, min(BLOCK, stop - b * BLOCK)))
-    return np.concatenate(parts, axis=0)
+        return block_fn(g, *args, min(BLOCK, stop - b * BLOCK))
+
+    helpers = min(len(blocks), _cpus()) - 1 if threaded else 0
+    if helpers < 1:
+        return np.concatenate([draw(b) for b in blocks], axis=0)
+    from concurrent.futures import ThreadPoolExecutor
+
+    parts = {}
+    todo = deque(blocks)
+
+    def drain() -> None:
+        while True:
+            try:
+                b = todo.popleft()
+            except IndexError:
+                return
+            parts[b] = draw(b)
+
+    with ThreadPoolExecutor(max_workers=helpers) as pool:
+        futs = [pool.submit(drain) for _ in range(helpers)]
+        try:
+            drain()
+        finally:
+            # after an error here the helpers stop at their current block
+            todo.clear()
+        for f in futs:
+            f.result()
+    return np.concatenate([parts[b] for b in blocks], axis=0)
 
 
 def _run_chunked(
-    block_fn, args: tuple, seed: int, tag: int, n: int, workers: int
+    block_fn, args: tuple, seed: int, tag: int, n: int, workers: int, threaded: bool = False
 ) -> np.ndarray:
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
@@ -518,7 +599,7 @@ def _run_chunked(
     chunk = -(-n // (BLOCK * workers)) * BLOCK
     starts = range(0, n, chunk)
     if len(starts) == 1:
-        return _sample_blocks(block_fn, args, seed, tag, 0, n)
+        return _sample_blocks(block_fn, args, seed, tag, 0, n, threaded)
     from concurrent.futures import ProcessPoolExecutor
 
     with ProcessPoolExecutor(max_workers=len(starts)) as pool:

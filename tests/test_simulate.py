@@ -1,8 +1,14 @@
 """Monte Carlo samplers, empirical CFs, and simulation-vs-quadrature checks."""
 
 import math
+import os
+import subprocess
+import sys
+import textwrap
+import threading
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import mpmath as mp
 import numpy as np
@@ -256,12 +262,133 @@ class TestSamplers:
                 block.append(body(g, spec, 0.7, s_max, rows))
             assert block[0].tobytes() == block[1].tobytes()
 
-    class _ScriptedStream:
-        """Stands in for a block's Generator: scripted counts and uniforms."""
+    @pytest.mark.parametrize("chunk", [1, 5, 64, 1000])
+    @pytest.mark.parametrize("rows", [sim.BLOCK, 17])
+    def test_row_chunk_size_does_not_change_a_byte(self, chunk, rows, monkeypatch):
+        # about 200 envelope jumps per segment and at most a few per row, so
+        # a chunk of 1 or 5 jumps often holds one row with more
+        spec = sim.SimSpec(2, [0.3, -0.2], [[1.0, 0.6], [0.6, 0.5]], rate=5e-3,
+                           jumps=[[1.0, -2.0], [0.5, 0.5], [-1.5, 0.25]], probs=[0.2, 0.5, 0.3])
+        for key in range(2):
+            g = np.random.Generator(np.random.Philox(key=[key, 7]))
+            want = self._fresh_array_block(g, spec, 0.7, 30.0, rows)
+            monkeypatch.setattr(sim, "PICK_CHUNK", chunk)
+            g = np.random.Generator(np.random.Philox(key=[key, 7]))
+            got = sim._timechange_block(g, spec, 0.7, 30.0, rows)
+            monkeypatch.undo()
+            assert got.tobytes() == want.tobytes()
 
-        def __init__(self, counts, uniforms):
+    @pytest.mark.parametrize("gaussian", [0.0, 1.0], ids=["cp", "mix"])
+    @pytest.mark.parametrize("beta", [0.7, 1.0, 2.0])
+    def test_threads_do_not_change_a_byte(self, gaussian, beta, monkeypatch):
+        # three helper threads, whatever this host has, against one thread
+        spec = sim.SimSpec(1, [0.0], gaussian, rate=2.0, jumps=[[2.0], [-2.0]])
+        for n in (1, sim.BLOCK - 1, sim.BLOCK, sim.BLOCK + 1, 10000, 3 * sim.BLOCK + 1):
+            got = []
+            for cpus in (4, 1):
+                monkeypatch.setattr(sim, "_cpus", lambda cpus=cpus: cpus)
+                got.append(sim.sample_time_changed_integral(spec, beta, n, seed=29))
+            assert got[0].shape == (n, 1)
+            assert got[0].tobytes() == got[1].tobytes()
+
+    def test_blocks_run_on_helper_threads_that_end_with_the_call(self, monkeypatch):
+        # the first two blocks meet at a barrier, so they must run at once
+        meet = threading.Barrier(2, timeout=60)
+        idents = []
+        block = sim._timechange_block
+
+        def met(g, *args):
+            idents.append(threading.get_ident())
+            if len(idents) <= 2:
+                meet.wait()
+            return block(g, *args)
+
+        monkeypatch.setattr(sim, "_cpus", lambda: 2)
+        before = threading.active_count()
+        serial = sim._sample_blocks(block, (mix_spec(), 1.0, 30.0), 3, sim.TAG_TIMECHANGE, 0, 10000)
+        monkeypatch.setattr(sim, "_timechange_block", met)
+        got = sim.sample_time_changed_integral(mix_spec(), 1.0, 10000, seed=3)
+        assert len(idents) == 3 and len(set(idents)) == 2
+        assert threading.active_count() == before
+        assert got.tobytes() == serial.tobytes()
+
+    def test_many_helpers_draw_each_block_once(self, monkeypatch):
+        # seven helpers on small blocks, switching threads every microsecond:
+        # a block taken twice or lost changes the count or the bytes
+        calls = []
+
+        def counted(g, *args):
+            calls.append(None)
+            return sim._jbeta_block(g, *args)
+
+        args, n = (mix_spec(), 1.3), 40 * sim.BLOCK + 3
+        serial = sim._sample_blocks(sim._jbeta_block, args, 5, sim.TAG_JBETA, 0, n)
+        monkeypatch.setattr(sim, "_cpus", lambda: 8)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            got = sim._sample_blocks(counted, args, 5, sim.TAG_JBETA, 0, n, threaded=True)
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(calls) == 41
+        assert got.tobytes() == serial.tobytes()
+
+    def test_time_change_memory_is_bounded_for_large_rates(self):
+        # about 2 million envelope jumps per segment, 16 MB for each array
+        # of them; the chunks' scratch stays under 1 MB
+        spec = sim.SimSpec(1, [0], [[1]], rate=50, jumps=[[0.05], [-0.05]])
+        tracemalloc.start()
+        try:
+            sim.sample_time_changed_integral(spec, 1.0, sim.BLOCK, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8e6
+
+    def test_process_workers_after_a_threaded_call(self):
+        # worker processes fork from a process whose helper threads have all
+        # ended, so they neither hang nor change a byte
+        script = textwrap.dedent("""
+            import threading
+            import idlaw.simulate as sim
+            sim._cpus = lambda: 2
+            spec = sim.SimSpec(1, [0.0], 1.0, rate=2.0, jumps=[[2.0], [-2.0]])
+            n = 2 * sim.BLOCK + 17
+            one = sim.sample_time_changed_integral(spec, 1.0, n, seed=13)
+            assert threading.active_count() == 1
+            two = sim.sample_time_changed_integral(spec, 1.0, n, seed=13, workers=2)
+            assert one.tobytes() == two.tobytes()
+            print("same")
+        """)
+        src = str(Path(sim.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                              text=True, timeout=60)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "same"
+
+    class _ScriptedStream:
+        """Stands in for a block's Generator: scripted counts and uniforms.
+
+        A deep copy is a segment's second cursor: it draws the next scripted
+        accept uniforms. Skips move nothing, since the script is the stream.
+        """
+
+        def __init__(self, counts, uniforms, accepts=()):
             self.counts = list(counts)
             self.uniforms = list(uniforms)
+            self.accepts = list(accepts)
+            self.bit_generator = self
+            self.state = {"buffer_pos": 4}
+
+        def __deepcopy__(self, memo):
+            return type(self)([], [self.accepts.pop(0)])
+
+        def random_raw(self, m):
+            pass
+
+        def advance(self, m):
+            pass
 
         def poisson(self, lam, size):
             return self.counts.pop(0)
@@ -278,8 +405,9 @@ class TestSamplers:
         counts = np.zeros(sim.BLOCK, dtype=np.int64)
         counts[3] = 1
         empty = np.zeros(sim.BLOCK, dtype=np.int64)
+        none = [np.zeros(0), np.zeros(0)]
         stream = self._ScriptedStream(
-            [counts, empty, empty], [np.array([u_time, v]), np.zeros(0), np.zeros(0)]
+            [counts, empty, empty], [np.array([u_time]), *none], [np.array([v]), *none]
         )
         return sim._timechange_block(stream, spec, beta, 30.0)
 
