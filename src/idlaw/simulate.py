@@ -38,9 +38,9 @@ the rate. A segment's stream holds all envelope times before all accept
 uniforms; a second cursor, set that many draws ahead, reads a chunk's
 accept uniforms while the block's stream reads its times. A chunk holds
 whole rows, so one bincount sums each row's terms in the order a whole
-segment would. When a call has several blocks and a block's envelope
-exceeds one chunk, helper threads (one per other CPU, started and joined
-inside the call) draw blocks alongside the caller.
+segment would. When a call has several blocks and a block expects more
+than _THREAD_JUMPS envelope jumps, the blocks run on one thread per CPU,
+started and joined inside the call.
 """
 
 from __future__ import annotations
@@ -49,7 +49,6 @@ import copy
 import math
 import operator
 import os
-from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -76,6 +75,12 @@ PICK_CHUNK = 1 << 14
 # largest (grid points x samples) row block of the empirical CF: its three
 # float planes of 256 KiB each stay in cache
 ECF_CHUNK_ELEMENTS = 1 << 15
+
+# expected envelope jumps per time-changed block above which its blocks run
+# on threads: on two CPUs at n = 10,000 and s_max = 30, a second thread made
+# a call slower up to rate 0.3 (36,864 jumps per block) and faster from rate
+# 0.35 (43,008)
+_THREAD_JUMPS = 40_000
 
 # stream tags: fourth Philox counter word, so the per-purpose streams of one
 # (seed, block) pair never overlap
@@ -479,14 +484,14 @@ def sample_time_changed_integral(
             f"s_max={s_max} discards exponent mass {bound:.3e} >= {_TAIL_BOUND}; "
             "increase the horizon"
         )
-    # blocks whose envelope outgrows one chunk pay for helper threads, which
-    # only read the spec's caches, so they are filled here
-    threaded = spec.rate * s_max * BLOCK > PICK_CHUNK
-    if threaded:
+    threads = 1
+    if spec.rate * s_max * BLOCK > _THREAD_JUMPS:
+        # the block threads only read the spec's caches, so they are filled here
+        threads = _cpus()
         spec._gauss_root(time_change_variance_factor(beta, s_max))
         spec._pick_table
     return _run_chunked(
-        _timechange_block, (spec, beta, s_max), seed, TAG_TIMECHANGE, n, workers, threaded
+        _timechange_block, (spec, beta, s_max), seed, TAG_TIMECHANGE, n, workers, threads
     )
 
 
@@ -544,12 +549,12 @@ def _cpus() -> int:
 
 
 def _sample_blocks(
-    block_fn, args: tuple, seed: int, tag: int, start: int, stop: int, threaded: bool = False
+    block_fn, args: tuple, seed: int, tag: int, start: int, stop: int, threads: int = 1
 ) -> np.ndarray:
     """Samples start..stop-1 (start a multiple of BLOCK), one stream per block.
 
-    Threaded, the caller and one helper thread per other CPU take the blocks
-    in order from one queue; the helpers end before the call returns.
+    With ``threads`` > 1 the blocks run on that many threads, started and
+    joined inside the call.
     """
     blocks = range(start // BLOCK, (stop - 1) // BLOCK + 1)
 
@@ -562,44 +567,26 @@ def _sample_blocks(
         )
         return block_fn(g, *args, min(BLOCK, stop - b * BLOCK))
 
-    helpers = min(len(blocks), _cpus()) - 1 if threaded else 0
-    if helpers < 1:
+    if threads == 1:
         return np.concatenate([draw(b) for b in blocks], axis=0)
     from concurrent.futures import ThreadPoolExecutor
 
-    parts = {}
-    todo = deque(blocks)
-
-    def drain() -> None:
-        while True:
-            try:
-                b = todo.popleft()
-            except IndexError:
-                return
-            parts[b] = draw(b)
-
-    with ThreadPoolExecutor(max_workers=helpers) as pool:
-        futs = [pool.submit(drain) for _ in range(helpers)]
-        try:
-            drain()
-        finally:
-            # after an error here the helpers stop at their current block
-            todo.clear()
-        for f in futs:
-            f.result()
-    return np.concatenate([parts[b] for b in blocks], axis=0)
+    with ThreadPoolExecutor(threads) as pool:
+        return np.concatenate(list(pool.map(draw, blocks)), axis=0)
 
 
 def _run_chunked(
-    block_fn, args: tuple, seed: int, tag: int, n: int, workers: int, threaded: bool = False
+    block_fn, args: tuple, seed: int, tag: int, n: int, workers: int, threads: int = 1
 ) -> np.ndarray:
+    """Samples 0..n-1: on up to ``threads`` threads in one process, or, with
+    ``workers`` > 1, on that many processes that draw their blocks serially."""
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
     # whole blocks per worker, so every block is drawn by one process
     chunk = -(-n // (BLOCK * workers)) * BLOCK
     starts = range(0, n, chunk)
     if len(starts) == 1:
-        return _sample_blocks(block_fn, args, seed, tag, 0, n, threaded)
+        return _sample_blocks(block_fn, args, seed, tag, 0, n, min(threads, -(-n // BLOCK)))
     from concurrent.futures import ProcessPoolExecutor
 
     with ProcessPoolExecutor(max_workers=len(starts)) as pool:

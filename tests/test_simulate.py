@@ -281,7 +281,7 @@ class TestSamplers:
     @pytest.mark.parametrize("gaussian", [0.0, 1.0], ids=["cp", "mix"])
     @pytest.mark.parametrize("beta", [0.7, 1.0, 2.0])
     def test_threads_do_not_change_a_byte(self, gaussian, beta, monkeypatch):
-        # three helper threads, whatever this host has, against one thread
+        # four threads, whatever this host has, against one
         spec = sim.SimSpec(1, [0.0], gaussian, rate=2.0, jumps=[[2.0], [-2.0]])
         for n in (1, sim.BLOCK - 1, sim.BLOCK, sim.BLOCK + 1, 10000, 3 * sim.BLOCK + 1):
             got = []
@@ -291,7 +291,7 @@ class TestSamplers:
             assert got[0].shape == (n, 1)
             assert got[0].tobytes() == got[1].tobytes()
 
-    def test_blocks_run_on_helper_threads_that_end_with_the_call(self, monkeypatch):
+    def test_blocks_run_on_threads_that_end_with_the_call(self, monkeypatch):
         # the first two blocks meet at a barrier, so they must run at once
         meet = threading.Barrier(2, timeout=60)
         idents = []
@@ -312,26 +312,33 @@ class TestSamplers:
         assert threading.active_count() == before
         assert got.tobytes() == serial.tobytes()
 
-    def test_many_helpers_draw_each_block_once(self, monkeypatch):
-        # seven helpers on small blocks, switching threads every microsecond:
-        # a block taken twice or lost changes the count or the bytes
-        calls = []
+    @pytest.mark.parametrize("rate, s_max, threaded", [
+        (0.0, 30.0, False), (0.3, 30.0, False), (0.35, 30.0, True), (0.2, 45.0, False),
+        (0.2, 50.0, True),
+    ])
+    def test_only_blocks_with_many_envelope_jumps_run_on_threads(self, rate, s_max, threaded,
+                                                                  monkeypatch):
+        # below about 40,000 expected envelope jumps per block (rate x s_max x
+        # BLOCK) a second thread costs more than it saves; jbeta blocks are
+        # always too small
+        idents = set()
 
-        def counted(g, *args):
-            calls.append(None)
-            return sim._jbeta_block(g, *args)
+        def recorded(block):
+            def draw(g, *args):
+                idents.add(threading.get_ident())
+                return block(g, *args)
+            return draw
 
-        args, n = (mix_spec(), 1.3), 40 * sim.BLOCK + 3
-        serial = sim._sample_blocks(sim._jbeta_block, args, 5, sim.TAG_JBETA, 0, n)
-        monkeypatch.setattr(sim, "_cpus", lambda: 8)
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            got = sim._sample_blocks(counted, args, 5, sim.TAG_JBETA, 0, n, threaded=True)
-        finally:
-            sys.setswitchinterval(interval)
-        assert len(calls) == 41
-        assert got.tobytes() == serial.tobytes()
+        for name in ("_timechange_block", "_jbeta_block"):
+            monkeypatch.setattr(sim, name, recorded(getattr(sim, name)))
+        monkeypatch.setattr(sim, "_cpus", lambda: 2)
+        spec = sim.SimSpec(1, [0.0], 1.0, rate=rate, jumps=[[2.0], [-2.0]])
+        sim.sample_time_changed_integral(spec, 1.0, 3 * sim.BLOCK, seed=1, s_max=s_max)
+        assert (idents != {threading.get_ident()}) == threaded
+        idents.clear()
+        sim.sample_jbeta_integral(mix_spec(), 1.0, 3 * sim.BLOCK, seed=1)
+        sim.sample_clocked_integral(mix_spec(), 1.0, 3 * sim.BLOCK, seed=1)
+        assert idents == {threading.get_ident()}
 
     def test_time_change_memory_is_bounded_for_large_rates(self):
         # about 2 million envelope jumps per segment, 16 MB for each array
@@ -346,7 +353,7 @@ class TestSamplers:
         assert peak < 8e6
 
     def test_process_workers_after_a_threaded_call(self):
-        # worker processes fork from a process whose helper threads have all
+        # worker processes fork from a process whose block threads have all
         # ended, so they neither hang nor change a byte
         script = textwrap.dedent("""
             import threading
