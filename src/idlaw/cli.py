@@ -363,14 +363,14 @@ def _build_parser() -> argparse.ArgumentParser:
     add_common(sp)
     sp.add_argument("--y", help="evaluation points: 'a,b,c' or 'a,b;c,d' for vectors")
     sp.add_argument("--tol", type=_positive, default=None, help="quadrature tolerance")
-    sp.set_defaults(fn=_cmd_eval, needs_law=True)
+    sp.set_defaults(fn=_cmd_eval)
 
     sp = sub.add_parser("transform", help="closed-form triplet transform")
     sp.add_argument("--law", help="path to a law JSON file")
     sp.add_argument("--map", default="jbeta", choices=list(maps.POWER_KERNELS))
     sp.add_argument("--beta", type=_positive, help="map index (not for 'i')")
     sp.add_argument("--out")
-    sp.set_defaults(fn=_cmd_transform, needs_law=True)
+    sp.set_defaults(fn=_cmd_transform)
 
     sp = sub.add_parser("verify", help="run one named identity check")
     sp.add_argument("--identity", required=True)

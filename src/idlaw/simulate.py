@@ -25,22 +25,19 @@ Randomness is counter based: samples come in blocks of BLOCK = 4096, and
 block b draws all of its samples from one Philox stream keyed by (seed, b).
 Sample k is row k % BLOCK of block k // BLOCK, so it does not depend on n,
 and chunked, parallel or threaded execution (each block is drawn whole by
-one thread) reproduces the exact byte stream of a serial run. The last block
-of a run may keep only its first rows. It still draws every row's normals
-and Poisson counts, whose share of the stream varies; the jump times and
-uniforms, and all per-jump work, are only for the kept rows' jumps, and the
-stream skips the other rows' draws exactly, so the kept rows are those of a
-whole block.
-
-The time-changed sampler works through each segment in row chunks of at
-most PICK_CHUNK jumps (one row at least), so its scratch does not grow with
-the rate. A segment's stream holds all envelope times before all accept
-uniforms; a second cursor, set that many draws ahead, reads a chunk's
-accept uniforms while the block's stream reads its times. A chunk holds
-whole rows, so one bincount sums each row's terms in the order a whole
-segment would. When a call has several blocks and a block expects more
-than _THREAD_JUMPS envelope jumps, the blocks run on one thread per CPU,
-started and joined inside the call.
+one thread) reproduces the exact byte stream of a serial run. One block body
+serves both integrals; a law gives its factors and envelope segments, one
+(0, 1) for the power kernel and 10-unit ones for the time change. A
+segment's stream holds every row's Poisson count, then all jump times, then
+all second uniforms. The kept rows draw theirs and skip the others' exactly,
+so a last block that keeps only its first rows has those of a whole block. A
+segment goes in row chunks of whole rows and at most PICK_CHUNK jumps (one
+row at least), so the scratch does not grow with the rate and one bincount
+sums each row's terms in the order a whole segment would. One chunk reads
+its second uniforms from the block's stream; more read them through a second
+cursor. A call's blocks run on one thread per CPU when it has two of at
+least BLOCK / 2 rows and a block expects more than _THREAD_JUMPS envelope
+jumps.
 """
 
 from __future__ import annotations
@@ -49,8 +46,9 @@ import copy
 import math
 import operator
 import os
+from collections.abc import Callable
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -76,10 +74,9 @@ PICK_CHUNK = 1 << 14
 # float planes of 256 KiB each stay in cache
 ECF_CHUNK_ELEMENTS = 1 << 15
 
-# expected envelope jumps per time-changed block above which its blocks run
-# on threads: on two CPUs at n = 10,000 and s_max = 30, a second thread made
-# a call slower up to rate 0.3 (36,864 jumps per block) and faster from rate
-# 0.35 (43,008)
+# expected envelope jumps per block above which a call's blocks run on
+# threads: on two CPUs at n = 10,000, threads paid from about 37,000 for the
+# time change and from about 55,000 for the power kernel (README)
 _THREAD_JUMPS = 40_000
 
 # stream tags: fourth Philox counter word, so the per-purpose streams of one
@@ -161,17 +158,6 @@ class SimSpec:
         return table
 
     @cached_property
-    def _gauss_roots(self) -> dict[float, np.ndarray]:
-        """Square roots of var_factor * diffusion by var_factor, one eigh each."""
-        return {}
-
-    def _gauss_root(self, var_factor: float) -> np.ndarray:
-        roots = self._gauss_roots
-        if var_factor not in roots:
-            roots[var_factor] = _cov_factor(var_factor * self.diffusion)
-        return roots[var_factor]
-
-    @cached_property
     def triplet(self) -> LevyTriplet:
         """The generating triplet of the law at unit time.
 
@@ -229,24 +215,14 @@ def _cov_factor(cov: np.ndarray) -> np.ndarray:
     return vecs * np.sqrt(vals) @ vecs.T
 
 
-def _base_block(
-    g: np.random.Generator, spec: SimSpec, drift_factor: float, var_factor: float
-) -> np.ndarray:
-    """Drift plus Gaussian part of one block, shape (BLOCK, dim)."""
-    x = np.tile(drift_factor * spec.drift, (BLOCK, 1))
-    if spec.has_gaussian:
-        # all BLOCK rows: a normal takes a variable share of the stream
-        z = g.standard_normal((BLOCK, spec.dim))
-        x += z @ spec._gauss_root(var_factor)
-    return x
-
-
 def _skip(bitgen: np.random.BitGenerator, m: int) -> None:
     """Move a Philox stream past m 64-bit draws, as m uniforms would.
 
     A counter step yields four draws: the rest of the current four come from
     the buffer, whole steps from ``advance`` and the remainder by drawing.
     """
+    if not m:
+        return
     head = min(m, 4 - bitgen.state["buffer_pos"])
     bitgen.random_raw(head)
     m -= head
@@ -306,25 +282,97 @@ def _add_jumps(
         x[:, c] += np.bincount(owner, weights=terms, minlength=len(x))
 
 
+# -- one block body for every law ------------------------------------------------
+
+
+@dataclass(frozen=True, eq=False)
+class _Law:
+    """What one block draws: the drift factor, the square root of the
+    Gaussian part's covariance, the envelope segments (start, length), and
+    ``jumps(beta, start, length, times, seconds, spare, keeps)``, which turns
+    a chunk's uniforms into weights and atom uniforms in its buffers (module
+    level, so the law pickles)."""
+
+    spec: SimSpec
+    beta: float
+    drift_factor: float
+    root: np.ndarray
+    segments: tuple[tuple[float, float], ...]
+    jumps: Callable
+
+
+def _row_chunks(kept: np.ndarray, km: int) -> list[tuple[int, int, int]]:
+    """(r0, r1, jumps) of each chunk of rows r0..r1 - 1 that share ``km``
+    jumps: whole rows, at most PICK_CHUNK jumps unless one row has more."""
+    if km <= PICK_CHUNK:
+        return [(0, len(kept), km)]
+    # row r's jumps are first[r]..first[r + 1] - 1
+    first = np.zeros(len(kept) + 1, dtype=np.intp)
+    np.cumsum(kept, out=first[1:])
+    chunks, r0 = [], 0
+    while r0 < len(kept):
+        r1 = max(r0 + 1, int(first.searchsorted(first[r0] + PICK_CHUNK, "right")) - 1)
+        chunks.append((r0, r1, int(first[r1] - first[r0])))
+        r0 = r1
+    return chunks
+
+
+def _block(g: np.random.Generator, law: _Law, rows: int = BLOCK) -> np.ndarray:
+    """The first ``rows`` samples of one block, shape (rows, dim)."""
+    spec = law.spec
+    x = np.tile(law.drift_factor * spec.drift, (BLOCK, 1))
+    if spec.has_gaussian:
+        # all BLOCK rows: a normal takes a variable share of the stream
+        x += g.standard_normal((BLOCK, spec.dim)) @ law.root
+    if not spec.has_jumps:
+        return x[:rows]
+    # strictly segment-by-segment draws: the randomness consumed by segment j
+    # depends only on segments <= j, so a longer horizon appends new draws
+    # without disturbing earlier ones
+    for j, (lo, length) in enumerate(law.segments):
+        counts = g.poisson(spec.rate * length, BLOCK)
+        kept = counts[:rows]
+        k, km = int(counts.sum()), int(kept.sum())
+        chunks = _row_chunks(kept, km)
+        # the chunks share the block's scratch, sized for the largest and
+        # grown only when a segment needs more, since fresh arrays fault in
+        # new pages
+        need = max(m for _, _, m in chunks)
+        if j == 0 or need > len(picks):
+            floats = np.empty((3, need))
+            keeps, picks = np.empty(need, dtype=bool), np.empty(need, dtype=np.intp)
+        # one chunk skips the other rows' times to its second uniforms; more use
+        # a second cursor k draws ahead (a copy costs more than a small segment)
+        one = len(chunks) == 1
+        seconds = g if one else copy.deepcopy(g)
+        if not one:
+            _skip(seconds.bit_generator, k)
+        for r0, r1, m in chunks:
+            t = g.random(out=floats[0, :m])
+            if one:
+                _skip(g.bit_generator, k - km)
+            u = seconds.random(out=floats[1, :m])
+            weight, u_atom = law.jumps(law.beta, lo, length, t, u, floats[2, :m], keeps[:m])
+            # the spare buffer is spent, so it takes the terms
+            owner = np.repeat(_ROWS[: r1 - r0], kept[r0:r1])
+            _add_jumps(x[r0:r1], spec, owner, weight, u_atom, picks[:m], floats[2, :m])
+        # past the other rows' draws, so the next segment draws as in a whole block
+        _skip(g.bit_generator, k - km if one else 2 * k - km)
+    return x[:rows]
+
+
 # -- the power-kernel integral over (0,1) ---------------------------------------
 
 
-def _jbeta_block(
-    g: np.random.Generator, spec: SimSpec, beta: float, rows: int = BLOCK
-) -> np.ndarray:
-    """The first ``rows`` samples of one block, shape (rows, dim)."""
-    x = _base_block(g, spec, beta / (beta + 1.0), beta / (beta + 2.0))
-    if spec.has_jumps:
-        counts = g.poisson(spec.rate, BLOCK)
-        kept = counts[:rows]
-        k, km = int(counts.sum()), int(kept.sum())
-        # the stream holds the k jump times, then the atom uniforms: the kept
-        # jumps draw theirs, and the other k - km times are skipped
-        times = g.random(km)
-        if km < k:
-            _skip(g.bit_generator, k - km)
-        _add_jumps(x, spec, np.repeat(_ROWS[:rows], kept), times ** (1.0 / beta), g.random(km))
-    return x[:rows]
+def _power_jumps(beta, lo, length, t, u, spare, keeps):
+    """A jump at time t weighs t**(1/beta); its second uniform picks the atom."""
+    t **= 1.0 / beta
+    return t, u
+
+
+def _power_law(spec: SimSpec, beta: float) -> _Law:
+    root = _cov_factor(beta / (beta + 2.0) * spec.diffusion)
+    return _Law(spec, beta, beta / (beta + 1.0), root, ((0.0, 1.0),), _power_jumps)
 
 
 def sample_jbeta_integral(
@@ -342,11 +390,7 @@ def sample_jbeta_integral(
     pure function of (spec, beta, seed, k // BLOCK, k % BLOCK), so neither n
     nor the worker count changes it.
     """
-    if not beta > 0.0:
-        raise ValueError(f"beta must be positive, got {beta}")
-    if n < 1:
-        raise ValueError(f"need n >= 1 samples, got {n}")
-    return _run_chunked(_jbeta_block, (spec, beta), seed, TAG_JBETA, n, workers)
+    return _run_chunked(_power_law, spec, beta, n, seed, TAG_JBETA, workers)
 
 
 # -- the killed integral against the time-changed process -----------------------
@@ -383,73 +427,41 @@ def truncation_tail_bound(
     return first * reach + sigma * reach * reach / 4.0
 
 
-def _timechange_block(
-    g: np.random.Generator, spec: SimSpec, beta: float, s_max: float, rows: int = BLOCK
-) -> np.ndarray:
-    """The first ``rows`` samples of one block, shape (rows, dim)."""
-    x = _base_block(
-        g,
+def _clock_jumps(beta, lo, length, t, v, spare, keeps):
+    """Thinning at s = lo + length t (see sample_time_changed_integral): a
+    kept jump weighs exp(-s), a rejected one 0 and is never divided (its
+    clock may be 0)."""
+    # the times become minus the envelope times, -(lo + length t)
+    neg_s = np.multiply(t, -length, out=t)
+    neg_s -= lo
+    clock = np.multiply(neg_s, beta, out=spare)
+    np.expm1(clock, out=clock)
+    np.negative(clock, out=clock)
+    keep = np.less(v, clock, out=keeps)
+    np.divide(v, clock, out=v, where=keep)
+    weight = np.exp(neg_s, out=neg_s)
+    weight *= keep
+    return weight, v
+
+
+def _time_change_law(spec: SimSpec, beta: float, s_max: float) -> _Law:
+    if not s_max > 0.0:
+        raise ValueError(f"s_max must be positive, got {s_max}")
+    bound = truncation_tail_bound(spec, beta, s_max)
+    if bound >= _TAIL_BOUND:
+        raise ValueError(
+            f"s_max={s_max} discards exponent mass {bound:.3e} >= {_TAIL_BOUND}; "
+            "increase the horizon"
+        )
+    starts = [j * _SEG_LEN for j in range(int(math.ceil(s_max / _SEG_LEN)))]
+    return _Law(
         spec,
+        beta,
         time_change_drift_factor(beta, s_max),
-        time_change_variance_factor(beta, s_max),
+        _cov_factor(time_change_variance_factor(beta, s_max) * spec.diffusion),
+        tuple((lo, min(lo + _SEG_LEN, s_max) - lo) for lo in starts),
+        _clock_jumps,
     )
-    if spec.has_jumps:
-        # strictly segment-by-segment draws: the randomness consumed by
-        # segment j depends only on segments <= j, so enlarging s_max
-        # appends new draws without disturbing earlier ones
-        for j in range(int(math.ceil(s_max / _SEG_LEN))):
-            lo = j * _SEG_LEN
-            length = min(lo + _SEG_LEN, s_max) - lo
-            counts = g.poisson(spec.rate * length, BLOCK)
-            kept = counts[:rows]
-            k = int(counts.sum())
-            # row r's jumps are first[r]..first[r + 1] - 1
-            first = np.zeros(rows + 1, dtype=np.intp)
-            np.cumsum(kept, out=first[1:])
-            km = int(first[-1])
-            # the chunks share the block's scratch, sized for the largest (a
-            # full chunk, or one row with more jumps) and grown only when a
-            # segment needs more, since fresh arrays fault in new pages
-            need = max(min(km, PICK_CHUNK), int(kept.max()))
-            if j == 0 or need > len(picks):
-                floats = np.empty((3, need))
-                keeps, picks = np.empty(need, dtype=bool), np.empty(need, dtype=np.intp)
-            # the segment's stream holds the k envelope times, then the k
-            # accept uniforms: a second cursor, a copy of the stream k draws
-            # ahead, reads a chunk's accepts while the stream reads its times
-            accepts = copy.deepcopy(g)
-            _skip(accepts.bit_generator, k)
-            r0 = 0
-            while r0 < rows:
-                # rows r0..r1 - 1: whole rows, at most PICK_CHUNK jumps unless
-                # one row has more
-                a = int(first[r0])
-                r1 = max(r0 + 1, int(first.searchsorted(a + PICK_CHUNK, "right")) - 1)
-                m = int(first[r1]) - a
-                # the times become minus the envelope times, -(lo + length u)
-                neg_s = g.random(out=floats[0, :m])
-                v = accepts.random(out=floats[1, :m])
-                neg_s *= -length
-                neg_s -= lo
-                clock = np.multiply(neg_s, beta, out=floats[2, :m])
-                np.expm1(clock, out=clock)
-                np.negative(clock, out=clock)
-                keep = np.less(v, clock, out=keeps[:m])
-                # an accepted v is uniform on [0, clock(s)), so v / clock(s) is
-                # a fresh uniform, independent of s, and picks the atom; a
-                # rejected jump is never divided (its clock may be 0) and gets
-                # weight 0
-                np.divide(v, clock, out=v, where=keep)
-                weight = np.exp(neg_s, out=neg_s)
-                weight *= keep
-                # the clock is spent, so its buffer takes the terms
-                owner = np.repeat(_ROWS[: r1 - r0], kept[r0:r1])
-                _add_jumps(x[r0:r1], spec, owner, weight, v, picks[:m], clock)
-                r0 = r1
-            # past the other rows' times and all k accepts, so the next
-            # segment draws what it draws in a whole block
-            _skip(g.bit_generator, 2 * k - km)
-    return x[:rows]
 
 
 def sample_time_changed_integral(
@@ -472,27 +484,8 @@ def sample_time_changed_integral(
     integrals over [0, s_max]. Raises if the discarded tail beyond s_max
     is not negligible.
     """
-    if not beta > 0.0:
-        raise ValueError(f"beta must be positive, got {beta}")
-    if n < 1:
-        raise ValueError(f"need n >= 1 samples, got {n}")
-    if not s_max > 0.0:
-        raise ValueError(f"s_max must be positive, got {s_max}")
-    bound = truncation_tail_bound(spec, beta, s_max)
-    if bound >= _TAIL_BOUND:
-        raise ValueError(
-            f"s_max={s_max} discards exponent mass {bound:.3e} >= {_TAIL_BOUND}; "
-            "increase the horizon"
-        )
-    threads = 1
-    if spec.rate * s_max * BLOCK > _THREAD_JUMPS:
-        # the block threads only read the spec's caches, so they are filled here
-        threads = _cpus()
-        spec._gauss_root(time_change_variance_factor(beta, s_max))
-        spec._pick_table
-    return _run_chunked(
-        _timechange_block, (spec, beta, s_max), seed, TAG_TIMECHANGE, n, workers, threads
-    )
+    law = partial(_time_change_law, s_max=s_max)
+    return _run_chunked(law, spec, beta, n, seed, TAG_TIMECHANGE, workers)
 
 
 # -- second integral form of the defining identity ------------------------------
@@ -508,11 +501,7 @@ def sample_clocked_integral(
     sub-stream of the same seed so the two samplers give statistically
     independent sample sets.
     """
-    if not beta > 0.0:
-        raise ValueError(f"beta must be positive, got {beta}")
-    if n < 1:
-        raise ValueError(f"need n >= 1 samples, got {n}")
-    return _run_chunked(_jbeta_block, (spec, beta), seed, TAG_TIMECHANGE_ALT, n, workers)
+    return _run_chunked(_power_law, spec, beta, n, seed, TAG_TIMECHANGE_ALT, workers)
 
 
 def sample_integral(
@@ -549,7 +538,7 @@ def _cpus() -> int:
 
 
 def _sample_blocks(
-    block_fn, args: tuple, seed: int, tag: int, start: int, stop: int, threads: int = 1
+    law: _Law, seed: int, tag: int, start: int, stop: int, threads: int = 1
 ) -> np.ndarray:
     """Samples start..stop-1 (start a multiple of BLOCK), one stream per block.
 
@@ -565,7 +554,7 @@ def _sample_blocks(
                 key=np.array([seed, b], dtype=np.uint64),
             )
         )
-        return block_fn(g, *args, min(BLOCK, stop - b * BLOCK))
+        return _block(g, law, min(BLOCK, stop - b * BLOCK))
 
     if threads == 1:
         return np.concatenate([draw(b) for b in blocks], axis=0)
@@ -576,26 +565,37 @@ def _sample_blocks(
 
 
 def _run_chunked(
-    block_fn, args: tuple, seed: int, tag: int, n: int, workers: int, threads: int = 1
+    make_law, spec: SimSpec, beta: float, n: int, seed: int, tag: int, workers: int
 ) -> np.ndarray:
-    """Samples 0..n-1: on up to ``threads`` threads in one process, or, with
-    ``workers`` > 1, on that many processes that draw their blocks serially."""
+    """Samples 0..n-1 of ``make_law(spec, beta)``: on threads in one
+    process, or, with ``workers`` > 1, on that many processes that draw
+    their blocks serially."""
+    # before the law, whose factors divide by beta + 1
+    if not beta > 0.0:
+        raise ValueError(f"beta must be positive, got {beta}")
+    if n < 1:
+        raise ValueError(f"need n >= 1 samples, got {n}")
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
+    law = make_law(spec, beta)
     # whole blocks per worker, so every block is drawn by one process
     chunk = -(-n // (BLOCK * workers)) * BLOCK
     starts = range(0, n, chunk)
     if len(starts) == 1:
-        return _sample_blocks(block_fn, args, seed, tag, 0, n, min(threads, -(-n // BLOCK)))
+        # one thread per CPU and per block of at least BLOCK / 2 rows, when a
+        # block expects more than _THREAD_JUMPS envelope jumps
+        big = n // BLOCK + (n % BLOCK >= BLOCK // 2)
+        threaded = big > 1 and spec.rate * sum(d for _, d in law.segments) * BLOCK > _THREAD_JUMPS
+        if threaded:
+            # the block threads only read the spec's atom table, so it is built here
+            spec._pick_table
+        return _sample_blocks(law, seed, tag, 0, n, min(_cpus(), big) if threaded else 1)
     from concurrent.futures import ProcessPoolExecutor
 
+    stops = [min(s + chunk, n) for s in starts]
     with ProcessPoolExecutor(max_workers=len(starts)) as pool:
-        futs = [
-            pool.submit(_sample_blocks, block_fn, args, seed, tag, s, min(s + chunk, n))
-            for s in starts
-        ]
-        parts = [f.result() for f in futs]
-    return np.concatenate(parts, axis=0)
+        parts = pool.map(partial(_sample_blocks, law, seed, tag), starts, stops)
+        return np.concatenate(list(parts), axis=0)
 
 
 def samples_to_csv(samples: np.ndarray, path: str) -> None:

@@ -1,5 +1,6 @@
 """Monte Carlo samplers, empirical CFs, and simulation-vs-quadrature checks."""
 
+import dataclasses
 import math
 import os
 import subprocess
@@ -33,6 +34,31 @@ def gauss_spec(v=1.0):
 
 def mix_spec():
     return sim.SimSpec(1, [0.0], 1.0, rate=2.0, jumps=[[2.0], [-2.0]])
+
+
+def dim2_spec(rate):
+    return sim.SimSpec(2, [0.3, -0.2], [[1.0, 0.6], [0.6, 0.5]], rate=rate,
+                       jumps=[[1.0, -2.0], [0.5, 0.5], [-1.5, 0.25]], probs=[0.2, 0.5, 0.3])
+
+
+def power_block(g, spec, beta, rows=sim.BLOCK):
+    return sim._block(g, sim._power_law(spec, beta), rows)
+
+
+def time_change_block(g, spec, beta, s_max, rows=sim.BLOCK):
+    return sim._block(g, sim._time_change_law(spec, beta, s_max), rows)
+
+
+def philox(key):
+    return np.random.Generator(np.random.Philox(key=[key, 7]))
+
+
+def base_block(g, spec, drift_factor, var_factor):
+    """Drift plus Gaussian part of one block, as every block draws it first."""
+    x = np.tile(drift_factor * spec.drift, (sim.BLOCK, 1))
+    if spec.has_gaussian:
+        x += g.standard_normal((sim.BLOCK, spec.dim)) @ sim._cov_factor(var_factor * spec.diffusion)
+    return x
 
 
 class TestSimSpec:
@@ -201,6 +227,12 @@ class TestSamplers:
                         sim.sample_time_changed_integral):
             whole = sampler(spec, 0.7, (j + 1) * sim.BLOCK, seed=19)
             assert sampler(spec, 0.7, n, seed=19).tobytes() == whole[:n].tobytes()
+        # the power kernel from almost no jumps to several chunks a block
+        for rate in (2e-5, 0.1, 2.0, 50.0):
+            law = dataclasses.replace(spec, rate=rate)
+            for sampler in (sim.sample_jbeta_integral, sim.sample_clocked_integral):
+                whole = sampler(law, 0.7, (j + 1) * sim.BLOCK, seed=19)
+                assert sampler(law, 0.7, n, seed=19).tobytes() == whole[:n].tobytes()
 
     def test_time_change_atom_pick_matches_closed_form_moments(self):
         # one atom per coordinate with unequal probabilities: coordinate c
@@ -219,10 +251,8 @@ class TestSamplers:
     @staticmethod
     def _fresh_array_block(g, spec, beta, s_max, rows):
         """The time-change block with a fresh array for every draw and product."""
-        x = sim._base_block(
-            g, spec, sim.time_change_drift_factor(beta, s_max),
-            sim.time_change_variance_factor(beta, s_max),
-        )
+        x = base_block(g, spec, sim.time_change_drift_factor(beta, s_max),
+                       sim.time_change_variance_factor(beta, s_max))
         for j in range(int(math.ceil(s_max / sim._SEG_LEN))):
             lo = j * sim._SEG_LEN
             length = min(lo + sim._SEG_LEN, s_max) - lo
@@ -243,6 +273,23 @@ class TestSamplers:
                                        minlength=sim.BLOCK)
         return x[:rows]
 
+    @staticmethod
+    def _whole_array_jbeta_block(g, spec, beta, rows):
+        """The power-kernel block with each draw and product one array."""
+        x = base_block(g, spec, beta / (beta + 1.0), beta / (beta + 2.0))
+        if spec.has_jumps:
+            counts = g.poisson(spec.rate, sim.BLOCK)
+            kept = counts[:rows]
+            k, km = int(counts.sum()), int(kept.sum())
+            # the stream holds the k jump times, then the atom uniforms: the
+            # kept jumps draw theirs, and the other k - km times are skipped
+            times = g.random(km)
+            if km < k:
+                sim._skip(g.bit_generator, k - km)
+            sim._add_jumps(x, spec, np.repeat(np.arange(rows), kept), times ** (1.0 / beta),
+                           g.random(km))
+        return x[:rows]
+
     @pytest.mark.parametrize("spec", [
         mix_spec(),
         # about 16 envelope jumps per segment, so a later segment often draws
@@ -250,52 +297,68 @@ class TestSamplers:
         # so the first segment often draws none
         sim.SimSpec(1, [0.0], 0.0, rate=4e-4, jumps=[[1.0], [-0.5]], probs=[0.3, 0.7]),
         sim.SimSpec(1, [0.0], 0.0, rate=2e-5, jumps=[[1.0], [-0.5]], probs=[0.3, 0.7]),
-        sim.SimSpec(2, [0.3, -0.2], [[1.0, 0.6], [0.6, 0.5]], rate=1.5,
-                    jumps=[[1.0, -2.0], [0.5, 0.5], [-1.5, 0.25]], probs=[0.2, 0.5, 0.3]),
+        dim2_spec(1.5),
     ], ids=["mix", "sparse", "rare", "dim2-K3"])
     @pytest.mark.parametrize("rows, s_max", [(sim.BLOCK, 30.0), (17, 45.0)])
     def test_time_change_block_matches_fresh_arrays(self, spec, rows, s_max):
         for key in range(4):
             block = []
-            for body in (sim._timechange_block, self._fresh_array_block):
-                g = np.random.Generator(np.random.Philox(key=[key, 7]))
-                block.append(body(g, spec, 0.7, s_max, rows))
+            for body in (time_change_block, self._fresh_array_block):
+                block.append(body(philox(key), spec, 0.7, s_max, rows))
             assert block[0].tobytes() == block[1].tobytes()
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    @pytest.mark.parametrize("rows", [sim.BLOCK, 17, 1])
+    @pytest.mark.parametrize("rate", [2e-5, 0.1, 2.0, 50.0])
+    def test_power_block_matches_whole_arrays(self, rate, rows, dim):
+        # from blocks with no jumps to one chunk per segment (read from the
+        # block's stream) and, at rate 50, about 12 (read by a second cursor)
+        spec = dim2_spec(rate) if dim == 2 else sim.SimSpec(
+            1, [0.2], 0.7, rate=rate, jumps=[[1.5], [-0.5]], probs=[0.3, 0.7])
+        for beta in (0.7, 1.0, 2.0):
+            for key in range(2):
+                want = self._whole_array_jbeta_block(philox(key), spec, beta, rows)
+                got = power_block(philox(key), spec, beta, rows)
+                assert got.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("chunk", [1, 5, 64, 1000])
     @pytest.mark.parametrize("rows", [sim.BLOCK, 17])
     def test_row_chunk_size_does_not_change_a_byte(self, chunk, rows, monkeypatch):
         # about 200 envelope jumps per segment and at most a few per row, so
-        # a chunk of 1 or 5 jumps often holds one row with more
-        spec = sim.SimSpec(2, [0.3, -0.2], [[1.0, 0.6], [0.6, 0.5]], rate=5e-3,
-                           jumps=[[1.0, -2.0], [0.5, 0.5], [-1.5, 0.25]], probs=[0.2, 0.5, 0.3])
+        # a chunk of 1 or 5 jumps often holds one row with more; the power
+        # kernel at rate 2 has about 8,000 jumps, 2 a row
         for key in range(2):
-            g = np.random.Generator(np.random.Philox(key=[key, 7]))
-            want = self._fresh_array_block(g, spec, 0.7, 30.0, rows)
+            want = self._fresh_array_block(philox(key), dim2_spec(5e-3), 0.7, 30.0, rows)
+            want_power = self._whole_array_jbeta_block(philox(key), dim2_spec(2.0), 0.7, rows)
             monkeypatch.setattr(sim, "PICK_CHUNK", chunk)
-            g = np.random.Generator(np.random.Philox(key=[key, 7]))
-            got = sim._timechange_block(g, spec, 0.7, 30.0, rows)
+            got = time_change_block(philox(key), dim2_spec(5e-3), 0.7, 30.0, rows)
+            got_power = power_block(philox(key), dim2_spec(2.0), 0.7, rows)
             monkeypatch.undo()
             assert got.tobytes() == want.tobytes()
+            assert got_power.tobytes() == want_power.tobytes()
 
     @pytest.mark.parametrize("gaussian", [0.0, 1.0], ids=["cp", "mix"])
     @pytest.mark.parametrize("beta", [0.7, 1.0, 2.0])
     def test_threads_do_not_change_a_byte(self, gaussian, beta, monkeypatch):
-        # four threads, whatever this host has, against one
+        # four threads, whatever this host has, against one; both laws run
+        # their blocks on threads (the power kernel's expect 81,920 jumps)
         spec = sim.SimSpec(1, [0.0], gaussian, rate=2.0, jumps=[[2.0], [-2.0]])
+        power = sim.SimSpec(1, [0.0], gaussian, rate=20.0, jumps=[[2.0], [-2.0]])
         for n in (1, sim.BLOCK - 1, sim.BLOCK, sim.BLOCK + 1, 10000, 3 * sim.BLOCK + 1):
-            got = []
-            for cpus in (4, 1):
-                monkeypatch.setattr(sim, "_cpus", lambda cpus=cpus: cpus)
-                got.append(sim.sample_time_changed_integral(spec, beta, n, seed=29))
-            assert got[0].shape == (n, 1)
-            assert got[0].tobytes() == got[1].tobytes()
+            for sampler, law in ((sim.sample_time_changed_integral, spec),
+                                 (sim.sample_jbeta_integral, power)):
+                got = []
+                for cpus in (4, 1):
+                    monkeypatch.setattr(sim, "_cpus", lambda cpus=cpus: cpus)
+                    got.append(sampler(law, beta, n, seed=29))
+                assert got[0].shape == (n, 1)
+                assert got[0].tobytes() == got[1].tobytes()
 
     def test_blocks_run_on_threads_that_end_with_the_call(self, monkeypatch):
         # the first two blocks meet at a barrier, so they must run at once
         meet = threading.Barrier(2, timeout=60)
         idents = []
-        block = sim._timechange_block
+        block = sim._block
 
         def met(g, *args):
             idents.append(threading.get_ident())
@@ -305,40 +368,66 @@ class TestSamplers:
 
         monkeypatch.setattr(sim, "_cpus", lambda: 2)
         before = threading.active_count()
-        serial = sim._sample_blocks(block, (mix_spec(), 1.0, 30.0), 3, sim.TAG_TIMECHANGE, 0, 10000)
-        monkeypatch.setattr(sim, "_timechange_block", met)
+        law = sim._time_change_law(mix_spec(), 1.0, 30.0)
+        serial = sim._sample_blocks(law, 3, sim.TAG_TIMECHANGE, 0, 10000)
+        monkeypatch.setattr(sim, "_block", met)
         got = sim.sample_time_changed_integral(mix_spec(), 1.0, 10000, seed=3)
         assert len(idents) == 3 and len(set(idents)) == 2
         assert threading.active_count() == before
         assert got.tobytes() == serial.tobytes()
 
+    def _block_threads(self, monkeypatch, sampler, *args, **kwargs):
+        """The threads that draw the blocks of one call on two CPUs."""
+        idents = set()
+        block = sim._block
+
+        def draw(g, *args):
+            idents.add(threading.get_ident())
+            return block(g, *args)
+
+        monkeypatch.setattr(sim, "_block", draw)
+        monkeypatch.setattr(sim, "_cpus", lambda: 2)
+        sampler(*args, **kwargs)
+        monkeypatch.undo()
+        return idents
+
     @pytest.mark.parametrize("rate, s_max, threaded", [
         (0.0, 30.0, False), (0.3, 30.0, False), (0.35, 30.0, True), (0.2, 45.0, False),
-        (0.2, 50.0, True),
+        (0.2, 50.0, True), (2.0, None, False), (9.5, None, False), (10.0, None, True),
     ])
     def test_only_blocks_with_many_envelope_jumps_run_on_threads(self, rate, s_max, threaded,
                                                                   monkeypatch):
-        # below about 40,000 expected envelope jumps per block (rate x s_max x
-        # BLOCK) a second thread costs more than it saves; jbeta blocks are
-        # always too small
-        idents = set()
-
-        def recorded(block):
-            def draw(g, *args):
-                idents.add(threading.get_ident())
-                return block(g, *args)
-            return draw
-
-        for name in ("_timechange_block", "_jbeta_block"):
-            monkeypatch.setattr(sim, name, recorded(getattr(sim, name)))
-        monkeypatch.setattr(sim, "_cpus", lambda: 2)
+        # below _THREAD_JUMPS expected envelope jumps per block (rate x
+        # horizon x BLOCK) a second thread costs more than it saves; s_max
+        # None is the power kernel, whose horizon is 1
         spec = sim.SimSpec(1, [0.0], 1.0, rate=rate, jumps=[[2.0], [-2.0]])
-        sim.sample_time_changed_integral(spec, 1.0, 3 * sim.BLOCK, seed=1, s_max=s_max)
-        assert (idents != {threading.get_ident()}) == threaded
-        idents.clear()
-        sim.sample_jbeta_integral(mix_spec(), 1.0, 3 * sim.BLOCK, seed=1)
-        sim.sample_clocked_integral(mix_spec(), 1.0, 3 * sim.BLOCK, seed=1)
-        assert idents == {threading.get_ident()}
+        if s_max is None:
+            samplers = [(sim.sample_jbeta_integral, {}), (sim.sample_clocked_integral, {})]
+        else:
+            samplers = [(sim.sample_time_changed_integral, {"s_max": s_max})]
+        for sampler, kwargs in samplers:
+            idents = self._block_threads(monkeypatch, sampler, spec, 1.0, 3 * sim.BLOCK,
+                                         seed=1, **kwargs)
+            assert (idents != {threading.get_ident()}) == threaded
+
+    def test_only_blocks_of_half_a_block_or_more_get_a_thread(self, monkeypatch):
+        # a call of one whole block and one row draws both on the caller's
+        # thread; two whole blocks meet at a barrier, so they run at once
+        caller = {threading.get_ident()}
+        n = sim.BLOCK + 1
+        assert self._block_threads(monkeypatch, sim.sample_time_changed_integral, mix_spec(),
+                                   1.0, n, seed=2) == caller
+        meet = threading.Barrier(2, timeout=60)
+        block = sim._block
+
+        def met(g, *args):
+            meet.wait()
+            return block(g, *args)
+
+        monkeypatch.setattr(sim, "_block", met)
+        idents = self._block_threads(monkeypatch, sim.sample_time_changed_integral, mix_spec(),
+                                     1.0, 2 * sim.BLOCK, seed=2)
+        assert len(idents) == 2 and not idents & caller
 
     def test_time_change_memory_is_bounded_for_large_rates(self):
         # about 2 million envelope jumps per segment, 16 MB for each array
@@ -347,6 +436,20 @@ class TestSamplers:
         tracemalloc.start()
         try:
             sim.sample_time_changed_integral(spec, 1.0, sim.BLOCK, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8e6
+
+    @pytest.mark.parametrize("sampler", [sim.sample_jbeta_integral, sim.sample_clocked_integral])
+    def test_power_kernel_memory_is_bounded_for_large_rates(self, sampler):
+        # about 800,000 jumps per block, 6.5 MB for each array of them (the
+        # whole-array block peaked at 39.5 MB); the chunks' scratch stays
+        # under 1 MB
+        spec = sim.SimSpec(1, [0], [[1]], rate=200, jumps=[[0.05], [-0.05]])
+        tracemalloc.start()
+        try:
+            sampler(spec, 1.0, sim.BLOCK, seed=1)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -377,19 +480,14 @@ class TestSamplers:
     class _ScriptedStream:
         """Stands in for a block's Generator: scripted counts and uniforms.
 
-        A deep copy is a segment's second cursor: it draws the next scripted
-        accept uniforms. Skips move nothing, since the script is the stream.
+        Skips move nothing, since the script is the stream.
         """
 
-        def __init__(self, counts, uniforms, accepts=()):
+        def __init__(self, counts, uniforms):
             self.counts = list(counts)
             self.uniforms = list(uniforms)
-            self.accepts = list(accepts)
             self.bit_generator = self
             self.state = {"buffer_pos": 4}
-
-        def __deepcopy__(self, memo):
-            return type(self)([], [self.accepts.pop(0)])
 
         def random_raw(self, m):
             pass
@@ -407,16 +505,16 @@ class TestSamplers:
             return out
 
     def _one_jump_block(self, spec, beta, u_time, v):
-        # one envelope jump, on row 3 in the first segment; the other two
-        # segments of s_max = 30 stay empty
+        # one envelope jump, on row 3 in the first segment, whose one chunk
+        # reads the time and then the accept uniform; the other two segments
+        # of s_max = 30 stay empty
         counts = np.zeros(sim.BLOCK, dtype=np.int64)
         counts[3] = 1
         empty = np.zeros(sim.BLOCK, dtype=np.int64)
-        none = [np.zeros(0), np.zeros(0)]
         stream = self._ScriptedStream(
-            [counts, empty, empty], [np.array([u_time]), *none], [np.array([v]), *none]
+            [counts, empty, empty], [np.array([u_time]), np.array([v]), *[np.zeros(0)] * 4]
         )
-        return sim._timechange_block(stream, spec, beta, 30.0)
+        return time_change_block(stream, spec, beta, 30.0)
 
     def test_accept_uniform_just_below_the_clock_picks_an_atom_in_range(self):
         # v / clock(s) comes out at most 1 - 2**-53, above the last cdf entry
@@ -510,10 +608,16 @@ class TestSamplers:
         np.testing.assert_array_equal(a, b)
 
     def test_bad_arguments(self):
-        with pytest.raises(ValueError):
-            sim.sample_jbeta_integral(gauss_spec(), 0.0, 4, seed=1)
-        with pytest.raises(ValueError):
-            sim.sample_jbeta_integral(gauss_spec(), 1.0, 0, seed=1)
+        for sampler in (sim.sample_jbeta_integral, sim.sample_clocked_integral,
+                        sim.sample_time_changed_integral):
+            # beta = -1 is refused before the law's factors divide by beta + 1
+            for beta in (0.0, -1.0):
+                with pytest.raises(ValueError, match="beta must be positive"):
+                    sampler(gauss_spec(), beta, 4, seed=1)
+            with pytest.raises(ValueError, match="n >= 1"):
+                sampler(gauss_spec(), 1.0, 0, seed=1)
+            with pytest.raises(ValueError, match="workers"):
+                sampler(gauss_spec(), 1.0, 4, seed=1, workers=0)
 
 
 @st.composite
