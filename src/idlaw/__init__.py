@@ -9,6 +9,7 @@ Monte Carlo samplers validate the distributional claims.
 
 from .errors import (
     DimensionMismatchError,
+    HorizonError,
     InvalidMeasureError,
     LawSpecError,
     NotLogIntegrableError,

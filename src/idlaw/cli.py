@@ -40,7 +40,7 @@ _LAW_SUBJECTS = {
 
 
 def _count(text: str) -> int:
-    """argparse type for sample and worker counts: an integer >= 1."""
+    """argparse type for sample counts: an integer >= 1."""
     value = int(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
@@ -89,18 +89,19 @@ def _parse_points(text: str, dim: int) -> np.ndarray:
     text = text.strip()
     if not text:
         raise LawSpecError("empty --y value")
+    rows = text.split(";") if dim > 1 or ";" in text else text.split(",")
     try:
-        if dim == 1 and ";" not in text:
-            vals = [float(v) for v in text.split(",")]
-            return np.asarray(vals, dtype=float)[:, None]
-        pts = [[float(v) for v in chunk.split(",")] for chunk in text.split(";")]
+        pts = [[float(v) for v in row.split(",")] for row in rows]
     except ValueError as exc:
         raise LawSpecError(f"cannot parse --y {text!r}: {exc}") from None
     sizes = {len(pt) for pt in pts}
     if sizes != {dim}:
         got = " or ".join(str(n) for n in sorted(sizes))
         raise LawSpecError(f"--y points have {got} components, law has dim {dim}")
-    return np.asarray(pts, dtype=float)
+    Y = np.asarray(pts, dtype=float)
+    if not np.isfinite(Y).all():
+        raise LawSpecError(f"--y points must be finite, got {text!r}")
+    return Y
 
 
 def _make_map(kind: str | None, beta: float | None) -> maps.IntegralMap:
@@ -214,19 +215,20 @@ def _cmd_simulate(args) -> int:
             "the law is not simulable: need drift + Gaussian + finite jump atoms"
         )
     m = _make_map(args.map, args.beta)
-    samples = simulate.sample_integral(
-        law.sim, m, args.n, args.seed, s_max=args.s_max, workers=args.workers
+    Y = (
+        _parse_points(args.y, law.dim)
+        if args.y is not None
+        else factor.default_grid(law.dim, n_points=21)
     )
+    if m.kind == "ijbeta":
+        # a comparison reaches the grid's largest |y|, past the sampler's own check
+        simulate.check_horizon(law.sim, m.beta, args.s_max, Y)
+    samples = simulate.sample_integral(law.sim, m, args.n, args.seed, s_max=args.s_max)
     if args.out:
         simulate.samples_to_csv(samples, args.out)
         print(f"wrote {samples.shape[0]} samples to {args.out}")
     code = 0
     if args.y is not None or args.report:
-        Y = (
-            _parse_points(args.y, law.dim)
-            if args.y is not None
-            else factor.default_grid(law.dim, n_points=21)
-        )
         rep = simulate.mc_report(
             samples, m, law.exponent, Y, args.seed, z_max=args.z_max, s_max=args.s_max
         )
@@ -310,7 +312,6 @@ def _cmd_suite(args) -> int:
         n=n,
         seed=seed,
         z_max=z_max,
-        workers=1,
     )
     checks = []
     for identity in identities:
@@ -383,7 +384,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--n", type=_count, default=20000, help="MC sample count")
     sp.add_argument("--seed", type=_seed, default=0)
     sp.add_argument("--z-max", type=_positive, default=4.0, dest="z_max")
-    sp.add_argument("--workers", type=_count, default=1)
     sp.set_defaults(fn=_cmd_verify)
 
     sp = sub.add_parser("simulate", help="draw exact samples, dump CSV")
@@ -393,7 +393,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--n", type=_count, required=True)
     sp.add_argument("--seed", type=_seed, required=True)
     sp.add_argument("--s-max", type=_positive, default=30.0, dest="s_max")
-    sp.add_argument("--workers", type=_count, default=1)
     sp.add_argument("--out", help="samples CSV path")
     sp.add_argument("--y", help="grid for an empirical-CF comparison")
     sp.add_argument("--report", help="write the comparison report JSON here")

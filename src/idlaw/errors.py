@@ -17,8 +17,13 @@ class LawSpecError(ValueError):
     """A law description (dict or JSON file) is malformed."""
 
 
+class HorizonError(ValueError):
+    """A time-change horizon discards too much of the exponent on the grid it serves."""
+
+
 # errors that mean the input is wrong, not that a computation failed
-INPUT_ERRORS = (DimensionMismatchError, InvalidMeasureError, NotLogIntegrableError, LawSpecError)
+INPUT_ERRORS = (DimensionMismatchError, InvalidMeasureError, NotLogIntegrableError, LawSpecError,
+                HorizonError)
 
 
 class QuadratureError(RuntimeError):

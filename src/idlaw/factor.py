@@ -402,7 +402,7 @@ class Identity:
     "jumps" (a SpectralMeasure), "sim" (a simulate.SimSpec) or None.
     ``run(subject, value, opts)`` returns the report, where ``value`` is
     the index named by ``param`` and ``opts`` has the attributes tol,
-    cor5_tol, grid, n, seed, z_max and workers.
+    cor5_tol, grid, n, seed and z_max.
     """
 
     subject: str | None
@@ -431,7 +431,7 @@ IDENTITIES: dict[str, Identity] = {
     "eq2-timechange": Identity(
         "sim",
         lambda spec, beta, o: simulate.time_change_equivalence(
-            spec, beta, o.n, o.seed, z_max=o.z_max, workers=o.workers
+            spec, beta, o.n, o.seed, z_max=o.z_max
         ),
     ),
     "area": Identity(None, lambda _, u, o: levy_area_demo(u, tol=o.tol), param="u"),

@@ -411,8 +411,9 @@ def transformed_tail(radial: RadialMeasure, beta: float, us) -> np.ndarray:
 
 # A segment image whose exponent offset e = p - a + 1 is this close to
 # zero is kept in log form: its two power terms, of size 1/|e|, would
-# cancel to about eps/|e| of the density.
-LOG_FORM_BAND = 1e-2
+# cancel to about eps/|e| of the density, and an image of them to about
+# eps/e**2 (1.9e-12 at e = -0.014; at most 8.9e-14 past this band).
+LOG_FORM_BAND = 5e-2
 
 
 def _segment_image_terms(sg: Segment, kappa: float, a: float) -> tuple[list, Segment | None]:

@@ -24,8 +24,8 @@ samples however large the grid.
 Randomness is counter based: samples come in blocks of BLOCK = 4096, and
 block b draws all of its samples from one Philox stream keyed by (seed, b).
 Sample k is row k % BLOCK of block k // BLOCK, so it does not depend on n,
-and chunked, parallel or threaded execution (each block is drawn whole by
-one thread) reproduces the exact byte stream of a serial run. One block body
+and threaded execution (each block is drawn whole by one thread) reproduces
+the exact byte stream of a serial run. One block body
 serves both integrals; a law gives its factors and envelope segments, one
 (0, 1) for the power kernel and 10-unit ones for the time change. A
 segment's stream holds every row's Poisson count, then all jump times, then
@@ -37,7 +37,7 @@ sums each row's terms in the order a whole segment would. One chunk reads
 its second uniforms from the block's stream; more read them through a second
 cursor. A call's blocks run on one thread per CPU when it has two of at
 least BLOCK / 2 rows and a block expects more than _THREAD_JUMPS envelope
-jumps.
+jumps, or on ``workers`` threads when a caller asks for more than one.
 """
 
 from __future__ import annotations
@@ -53,7 +53,7 @@ from functools import cached_property, partial
 import numpy as np
 
 from . import maps
-from .errors import LawSpecError
+from .errors import HorizonError, LawSpecError
 from .exponent import CharExponent, as_grid, default_grid, from_triplet, jump_atoms
 from .report import CheckReport
 from .spectral import SpectralMeasure, ray
@@ -290,8 +290,7 @@ class _Law:
     """What one block draws: the drift factor, the square root of the
     Gaussian part's covariance, the envelope segments (start, length), and
     ``jumps(beta, start, length, times, seconds, spare, keeps)``, which turns
-    a chunk's uniforms into weights and atom uniforms in its buffers (module
-    level, so the law pickles)."""
+    a chunk's uniforms into weights and atom uniforms in its buffers."""
 
     spec: SimSpec
     beta: float
@@ -444,15 +443,25 @@ def _clock_jumps(beta, lo, length, t, v, spare, keeps):
     return weight, v
 
 
-def _time_change_law(spec: SimSpec, beta: float, s_max: float) -> _Law:
+def check_horizon(spec: SimSpec, beta: float, s_max: float, y_grid=None) -> None:
+    """Raise HorizonError unless s_max > 0 discards exponent mass below _TAIL_BOUND
+    (:func:`truncation_tail_bound`) at |y| <= 5 and up to the largest |y| of ``y_grid``."""
     if not s_max > 0.0:
-        raise ValueError(f"s_max must be positive, got {s_max}")
-    bound = truncation_tail_bound(spec, beta, s_max)
+        raise HorizonError(f"s_max must be positive, got {s_max}")
+    reach = 5.0
+    if y_grid is not None:
+        Y, _ = as_grid(y_grid, spec.dim)
+        reach = max(reach, float(np.linalg.norm(Y, axis=1).max(initial=0.0)))
+    bound = truncation_tail_bound(spec, beta, s_max, reach)
     if bound >= _TAIL_BOUND:
-        raise ValueError(
-            f"s_max={s_max} discards exponent mass {bound:.3e} >= {_TAIL_BOUND}; "
-            "increase the horizon"
+        raise HorizonError(
+            f"s_max={s_max} discards exponent mass {bound:.3e} >= {_TAIL_BOUND} "
+            f"at |y| = {reach:g}; increase the horizon"
         )
+
+
+def _time_change_law(spec: SimSpec, beta: float, s_max: float) -> _Law:
+    check_horizon(spec, beta, s_max)
     starts = [j * _SEG_LEN for j in range(int(math.ceil(s_max / _SEG_LEN)))]
     return _Law(
         spec,
@@ -481,8 +490,8 @@ def sample_time_changed_integral(
     on [0, clock rate), so v / clock rate is a fresh uniform that picks J.
     The envelope is drawn segment by segment, so a larger s_max only
     appends draws. Drift and Gaussian parts use the closed-form kernel
-    integrals over [0, s_max]. Raises if the discarded tail beyond s_max
-    is not negligible.
+    integrals over [0, s_max]. Raises HorizonError if the discarded tail
+    beyond s_max is not negligible (:func:`check_horizon`).
     """
     law = partial(_time_change_law, s_max=s_max)
     return _run_chunked(law, spec, beta, n, seed, TAG_TIMECHANGE, workers)
@@ -537,39 +546,12 @@ def _cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _sample_blocks(
-    law: _Law, seed: int, tag: int, start: int, stop: int, threads: int = 1
-) -> np.ndarray:
-    """Samples start..stop-1 (start a multiple of BLOCK), one stream per block.
-
-    With ``threads`` > 1 the blocks run on that many threads, started and
-    joined inside the call.
-    """
-    blocks = range(start // BLOCK, (stop - 1) // BLOCK + 1)
-
-    def draw(b: int) -> np.ndarray:
-        g = np.random.Generator(
-            np.random.Philox(
-                counter=np.array([0, 0, 0, tag], dtype=np.uint64),
-                key=np.array([seed, b], dtype=np.uint64),
-            )
-        )
-        return _block(g, law, min(BLOCK, stop - b * BLOCK))
-
-    if threads == 1:
-        return np.concatenate([draw(b) for b in blocks], axis=0)
-    from concurrent.futures import ThreadPoolExecutor
-
-    with ThreadPoolExecutor(threads) as pool:
-        return np.concatenate(list(pool.map(draw, blocks)), axis=0)
-
-
 def _run_chunked(
     make_law, spec: SimSpec, beta: float, n: int, seed: int, tag: int, workers: int
 ) -> np.ndarray:
-    """Samples 0..n-1 of ``make_law(spec, beta)``: on threads in one
-    process, or, with ``workers`` > 1, on that many processes that draw
-    their blocks serially."""
+    """Samples 0..n-1 of ``make_law(spec, beta)``, one stream per block, on
+    ``workers`` threads when that is more than one, else by the thread rule.
+    The threads are started and joined inside the call."""
     # before the law, whose factors divide by beta + 1
     if not beta > 0.0:
         raise ValueError(f"beta must be positive, got {beta}")
@@ -578,24 +560,33 @@ def _run_chunked(
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
     law = make_law(spec, beta)
-    # whole blocks per worker, so every block is drawn by one process
-    chunk = -(-n // (BLOCK * workers)) * BLOCK
-    starts = range(0, n, chunk)
-    if len(starts) == 1:
+    blocks = range(-(-n // BLOCK))
+    threads = min(workers, len(blocks))
+    if workers == 1:
         # one thread per CPU and per block of at least BLOCK / 2 rows, when a
         # block expects more than _THREAD_JUMPS envelope jumps
         big = n // BLOCK + (n % BLOCK >= BLOCK // 2)
         threaded = big > 1 and spec.rate * sum(d for _, d in law.segments) * BLOCK > _THREAD_JUMPS
-        if threaded:
-            # the block threads only read the spec's atom table, so it is built here
-            spec._pick_table
-        return _sample_blocks(law, seed, tag, 0, n, min(_cpus(), big) if threaded else 1)
-    from concurrent.futures import ProcessPoolExecutor
+        threads = min(_cpus(), big) if threaded else 1
 
-    stops = [min(s + chunk, n) for s in starts]
-    with ProcessPoolExecutor(max_workers=len(starts)) as pool:
-        parts = pool.map(partial(_sample_blocks, law, seed, tag), starts, stops)
-        return np.concatenate(list(parts), axis=0)
+    def draw(b: int) -> np.ndarray:
+        g = np.random.Generator(
+            np.random.Philox(
+                counter=np.array([0, 0, 0, tag], dtype=np.uint64),
+                key=np.array([seed, b], dtype=np.uint64),
+            )
+        )
+        return _block(g, law, min(BLOCK, n - b * BLOCK))
+
+    if threads == 1:
+        return np.concatenate([draw(b) for b in blocks], axis=0)
+    if spec.has_jumps:
+        # the block threads only read the spec's atom table, so it is built here
+        spec._pick_table
+    from concurrent.futures import ThreadPoolExecutor
+
+    with ThreadPoolExecutor(threads) as pool:
+        return np.concatenate(list(pool.map(draw, blocks)), axis=0)
 
 
 def samples_to_csv(samples: np.ndarray, path: str) -> None:
@@ -766,8 +757,10 @@ def mc_vs_quadrature(
     """Empirical CF of the sampled integral vs. exp of the mapped exponent.
 
     :func:`sample_integral` followed by :func:`mc_report` against the
-    driving law's own exponent.
+    driving law's own exponent; an ``ijbeta`` horizon is first checked on the grid.
     """
+    if m.kind == "ijbeta":
+        check_horizon(spec, m.beta, s_max, y_grid)
     samples = sample_integral(spec, m, n, seed, s_max=s_max, workers=workers)
     return mc_report(
         samples, m, from_triplet(spec.triplet), y_grid, seed,

@@ -1,9 +1,19 @@
 import json
+import threading
 
 import numpy as np
 import pytest
 
 from idlaw import exponent, lawio
+
+
+@pytest.fixture(autouse=True)
+def no_threads_left():
+    """Fail a test that leaves more threads alive than it started with: a
+    sampler's block threads end with its call."""
+    before = threading.active_count()
+    yield
+    assert threading.active_count() <= before, f"threads left: {threading.enumerate()}"
 
 
 @pytest.fixture(scope="session")

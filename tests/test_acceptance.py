@@ -11,7 +11,6 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-import idlaw.cli as cli
 import idlaw.factor as factor
 import idlaw.maps as maps
 import idlaw.simulate as simulate
@@ -196,21 +195,16 @@ def test_inverse_transform_recovers_registry_exponents():
           "over all registry closed forms")
 
 
-def test_sample_dumps_are_byte_identical_across_worker_counts(
-    law_files, tmp_path, capsys
-):
-    for map_name, beta in (("jbeta", "1"), ("ijbeta", "1")):
+def test_sample_dumps_are_byte_identical_across_worker_counts(tmp_path, capsys):
+    spec = builtin_law("gauss_cp_mix").sim
+    for m in (maps.jbeta_map(1.0), maps.i_jbeta_map(1.0)):
         dumps = []
-        for w in ("1", "2"):
-            path = tmp_path / f"{map_name}_w{w}.csv"
-            code = cli.main([
-                "simulate", "--law", law_files["gauss_cp_mix"], "--map",
-                map_name, "--beta", beta, "--n", "4096", "--seed", "99",
-                "--workers", w, "--out", str(path),
-            ])
-            assert code == 0
+        for w in (1, 2):
+            path = tmp_path / f"{m.kind}_w{w}.csv"
+            samples = simulate.sample_integral(spec, m, 4096, 99, workers=w)
+            simulate.samples_to_csv(samples, str(path))
             dumps.append(path.read_bytes())
-        assert dumps[0] == dumps[1], f"{map_name} dump differs across workers"
+        assert dumps[0] == dumps[1], f"{m.kind} dump differs across workers"
     capsys.readouterr()
     print("determinism: jbeta and ijbeta sample CSVs byte-identical "
           "for 1 vs 2 workers (n=4096, seed=99)")

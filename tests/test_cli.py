@@ -355,20 +355,19 @@ class TestTransform:
         assert ray_["segments"][1] == {"lo": 0.5, "hi": 3.0, "c": 0.39, "p": 0.3, "e": e}
 
 
-class TestSimulate:
-    def test_csv_output_worker_invariant(self, capsys, law_files, tmp_path):
-        outs = []
-        for w in ("1", "2"):
-            path = tmp_path / f"s{w}.csv"
-            code, _, _ = run(
-                capsys, "simulate", "--law", law_files["gauss_cp_mix"], "--map",
-                "jbeta", "--beta", "1", "--n", "257", "--seed", "11",
-                "--workers", w, "--out", str(path),
-            )
-            assert code == 0
-            outs.append(path.read_bytes())
-        assert outs[0] == outs[1]
+@pytest.mark.parametrize("y", ["nan", "inf", "1,-inf", "0.5,nan,2"])
+@pytest.mark.parametrize("head", [
+    ["eval"],
+    ["verify", "--identity", "eq3"],
+    ["simulate", "--map", "jbeta", "--beta", "1", "--n", "8", "--seed", "0"],
+])
+def test_nonfinite_points_are_usage_errors(capsys, law_files, head, y):
+    code, out, err = run(capsys, *head, "--law", law_files["cp"], f"--y={y}")
+    assert code == 2
+    assert err.startswith("error: ") and "must be finite" in err and not out
 
+
+class TestSimulate:
     def test_report_validates_and_passes(self, capsys, law_files, tmp_path):
         rep_path = tmp_path / "mc.json"
         code, out, _ = run(
@@ -392,21 +391,45 @@ class TestSimulate:
         assert code == 2
         assert "not simulable" in err
 
+    @staticmethod
+    def sampler_head(command):
+        if command == "simulate":
+            return ["simulate", "--map", "jbeta", "--beta", "1"]
+        return ["verify", "--identity", "eq2-timechange"]
+
     @pytest.mark.parametrize("command", ["simulate", "verify"])
-    @pytest.mark.parametrize("flag, value", [("--n", "0"), ("--workers", "0"), ("--seed", "-1")])
+    @pytest.mark.parametrize("flag, value", [("--n", "0"), ("--seed", "-1")])
     def test_bad_sampler_arguments_are_usage_errors(self, capsys, law_files, command, flag, value):
-        args = {"--n": "8", "--seed": "0", "--workers": "1", flag: value}
-        head = (
-            ["simulate", "--map", "jbeta", "--beta", "1"]
-            if command == "simulate"
-            else ["verify", "--identity", "eq2-timechange"]
-        )
+        args = {"--n": "8", "--seed": "0", flag: value}
         code, _, err = run(
-            capsys, *head, "--law", law_files["gauss_cp_mix"],
+            capsys, *self.sampler_head(command), "--law", law_files["gauss_cp_mix"],
             *[part for item in args.items() for part in item],
         )
         assert code == 2
         assert f"error: argument {flag}" in err
+
+    @pytest.mark.parametrize("command", ["simulate", "verify"])
+    def test_workers_flag_is_gone(self, capsys, law_files, command):
+        code, out, err = run(
+            capsys, *self.sampler_head(command), "--law", law_files["gauss_cp_mix"],
+            "--n", "8", "--seed", "0", "--workers", "2",
+        )
+        assert code == 2
+        assert "unrecognized arguments: --workers 2" in err and not out
+
+    # the cp law (rate 2, jumps +-2) has |Phi(z)| <= 4|z|, so s_max 16 may
+    # discard 2.3e-6 of its exponent at |y| = 5, and s_max 17 8.3e-7 at 5
+    # but 3.3e-6 at the grid's 20
+    @pytest.mark.parametrize("s_max, y", [("16", None), ("17", "-20,-5,5,20")])
+    def test_short_horizons_are_usage_errors(self, capsys, law_files, s_max, y):
+        grid = [] if y is None else [f"--y={y}"]
+        code, out, err = run(
+            capsys, "simulate", "--law", law_files["cp"], "--map", "ijbeta", "--beta", "1",
+            "--n", "4096", "--seed", "1", f"--s-max={s_max}", *grid,
+        )
+        assert code == 2
+        assert err.startswith("error: s_max=") and "increase the horizon" in err
+        assert "Traceback" not in err and not out
 
     @pytest.mark.parametrize(
         "head, flag",

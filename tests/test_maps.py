@@ -673,6 +673,18 @@ class TestMeasureTransform:
     # (1, 2), was not certified
     @example(data=[(1.0, 1.0, 1.0, 5e-324)], first_at_zero=False,
              tail_p=None, beta=2.0, beta2=1.0)
+    # the second map's offset e of the (1.49, 3.63) piece is -0.0140: as two
+    # power terms of size 1/|e| its image at u = 2.5 was 1.9e-12 off a
+    # 40-digit reference, as a log form it is within 8e-15
+    @example(data=[(1.3398205807665011, 0.05, 1.0, 0.0),
+                   (0.1, 2.139700267967132, 1.834231159539489, 0.7908691283894895),
+                   (2.0, 1.3398205807665011, 1.5, 0.05)],
+             first_at_zero=False, tail_p=None, beta=1.4785943495274398,
+             beta2=1.8048866523422935)
+    # and the first image's 64 u**0.96875 term on (3, 5), of offset -0.03125
+    # under the second map, was 6.7e-12 off
+    @example(data=[(1.0, 1.0, 1.0, 0.0), (1.0, 2.0, 1.0, 0.96875)], first_at_zero=False,
+             tail_p=None, beta=2.0, beta2=2.0)
     def test_images_of_segment_sets_are_certified(
         self, data, first_at_zero, tail_p, beta, beta2
     ):

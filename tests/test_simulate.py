@@ -2,14 +2,10 @@
 
 import dataclasses
 import math
-import os
-import subprocess
-import sys
-import textwrap
+import multiprocessing
 import threading
 import tracemalloc
 import warnings
-from pathlib import Path
 
 import mpmath as mp
 import numpy as np
@@ -19,7 +15,8 @@ from hypothesis import example, given, settings, strategies as st
 import idlaw.maps as maps
 from idlaw import quadrature
 import idlaw.simulate as sim
-from idlaw.errors import LawSpecError
+from idlaw.errors import HorizonError, LawSpecError
+from idlaw.lawio import builtin_law
 from idlaw.exponent import from_triplet
 from idlaw.factor import default_grid
 
@@ -118,6 +115,16 @@ class TestSamplers:
         a = sim.sample_jbeta_integral(mix_spec(), 1.0, 64, seed=5)
         b = sim.sample_jbeta_integral(mix_spec(), 1.0, 64, seed=6)
         assert np.any(a != b)
+
+    def test_csv_output_worker_invariant(self, tmp_path):
+        spec = builtin_law("gauss_cp_mix").sim
+        outs = []
+        for w in (1, 2):
+            path = tmp_path / f"s{w}.csv"
+            sim.samples_to_csv(sim.sample_integral(spec, maps.jbeta_map(1.0), 257, 11, workers=w),
+                               str(path))
+            outs.append(path.read_bytes())
+        assert outs[0] == outs[1]
 
     def test_workers_do_not_change_the_stream(self):
         one = sim.sample_jbeta_integral(mix_spec(), 2.0, 301, seed=8, workers=1)
@@ -355,26 +362,36 @@ class TestSamplers:
                 assert got[0].tobytes() == got[1].tobytes()
 
     def test_blocks_run_on_threads_that_end_with_the_call(self, monkeypatch):
-        # the first two blocks meet at a barrier, so they must run at once
-        meet = threading.Barrier(2, timeout=60)
-        idents = []
+        # the first two blocks meet at a barrier, so they must run at once:
+        # the time change's by the thread rule, and the rate-2 power
+        # kernel's, which the rule draws serially, on two workers
+        def no_process(self):
+            raise AssertionError("a sampler started a process")
+
+        monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", no_process)
         block = sim._block
+        cases = [(sim.sample_time_changed_integral, 10000, 1),
+                 (sim.sample_jbeta_integral, 2 * sim.BLOCK + 17, 2)]
+        for sampler, n, workers in cases:
+            meet = threading.Barrier(2, timeout=60)
+            idents = []
 
-        def met(g, *args):
-            idents.append(threading.get_ident())
-            if len(idents) <= 2:
-                meet.wait()
-            return block(g, *args)
+            def met(g, *args):
+                idents.append(threading.get_ident())
+                if len(idents) <= 2:
+                    meet.wait()
+                return block(g, *args)
 
-        monkeypatch.setattr(sim, "_cpus", lambda: 2)
-        before = threading.active_count()
-        law = sim._time_change_law(mix_spec(), 1.0, 30.0)
-        serial = sim._sample_blocks(law, 3, sim.TAG_TIMECHANGE, 0, 10000)
-        monkeypatch.setattr(sim, "_block", met)
-        got = sim.sample_time_changed_integral(mix_spec(), 1.0, 10000, seed=3)
-        assert len(idents) == 3 and len(set(idents)) == 2
-        assert threading.active_count() == before
-        assert got.tobytes() == serial.tobytes()
+            before = threading.active_count()
+            monkeypatch.setattr(sim, "_cpus", lambda: 1)
+            serial = sampler(mix_spec(), 1.0, n, seed=3)
+            monkeypatch.setattr(sim, "_cpus", lambda: 2)
+            monkeypatch.setattr(sim, "_block", met)
+            got = sampler(mix_spec(), 1.0, n, seed=3, workers=workers)
+            monkeypatch.setattr(sim, "_block", block)
+            assert len(idents) == 3 and len(set(idents)) == 2
+            assert threading.active_count() == before
+            assert got.tobytes() == serial.tobytes()
 
     def _block_threads(self, monkeypatch, sampler, *args, **kwargs):
         """The threads that draw the blocks of one call on two CPUs."""
@@ -454,28 +471,6 @@ class TestSamplers:
         finally:
             tracemalloc.stop()
         assert peak < 8e6
-
-    def test_process_workers_after_a_threaded_call(self):
-        # worker processes fork from a process whose block threads have all
-        # ended, so they neither hang nor change a byte
-        script = textwrap.dedent("""
-            import threading
-            import idlaw.simulate as sim
-            sim._cpus = lambda: 2
-            spec = sim.SimSpec(1, [0.0], 1.0, rate=2.0, jumps=[[2.0], [-2.0]])
-            n = 2 * sim.BLOCK + 17
-            one = sim.sample_time_changed_integral(spec, 1.0, n, seed=13)
-            assert threading.active_count() == 1
-            two = sim.sample_time_changed_integral(spec, 1.0, n, seed=13, workers=2)
-            assert one.tobytes() == two.tobytes()
-            print("same")
-        """)
-        src = str(Path(sim.__file__).resolve().parents[1])
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-        done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
-                              text=True, timeout=60)
-        assert done.returncode == 0, done.stderr
-        assert done.stdout.strip() == "same"
 
     class _ScriptedStream:
         """Stands in for a block's Generator: scripted counts and uniforms.
@@ -566,8 +561,17 @@ class TestSamplers:
         np.testing.assert_array_equal(x.ravel(), np.full(4, fac))
 
     def test_too_small_horizon_is_refused(self):
-        with pytest.raises(ValueError, match="horizon"):
+        with pytest.raises(HorizonError, match="horizon"):
             sim.sample_time_changed_integral(gauss_spec(), 1.0, 4, seed=1, s_max=2.0)
+
+    def test_horizon_is_checked_up_to_the_compared_grid(self):
+        # the cp law discards 8.3e-7 of its exponent past s_max 17 at |y| = 5,
+        # where the sampler checks, but 3.3e-6 at |y| = 20
+        spec = builtin_law("cp").sim
+        m = maps.i_jbeta_map(1.0)
+        with pytest.raises(HorizonError, match=r"at \|y\| = 20;"):
+            sim.mc_vs_quadrature(spec, m, [-20.0, -5.0, 5.0, 20.0], n=64, seed=1, s_max=17.0)
+        sim.mc_vs_quadrature(spec, m, [-5.0, 5.0], n=64, seed=1, s_max=17.0)
 
     @pytest.mark.parametrize("spec", [
         drift_spec(-0.7),
