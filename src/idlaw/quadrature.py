@@ -7,10 +7,12 @@ Gauss rule embedded in it gives the panel's error estimate |K21 - G10|.
 The adaptive unit is a (panel, column) pair, accepted on its own estimate
 against its own column's budget, so a column stops refining once it has
 converged, whatever the other columns still need. Refinement is breadth
-first: the 21 abscissas of every active unit at a given depth go into one
-integrand call, as (abscissa, column) pairs. Nested transforms stay
-affordable because an outer integration hands its inner integration one
-large stacked batch per level instead of one call per node.
+first: the 21 abscissas of the active units at a given depth go to the
+integrand as (abscissa, column) pairs, in chunks of at most
+:data:`CHUNK_PAIRS` pairs. Nested transforms stay affordable because an
+outer integration hands its inner integration stacked batches, one call
+per chunk instead of one per node, and bounded because no chunk at any
+level exceeds that size.
 """
 
 from __future__ import annotations
@@ -25,10 +27,18 @@ from .errors import QuadratureError
 DEFAULT_TOL = 1e-10
 # interval halvings before a unit is abandoned
 MAX_DEPTH = 40
-# (abscissa, column) pairs handed to the integrand in one call, 26x the
-# largest batch the test suite and the benchmark workloads reach (316,428);
-# past it refinement stops, since a nested integrand's memory grows with it
+# (abscissa, column) pairs one depth may evaluate, 26x the largest depth
+# the test suite and the benchmark workloads reach (316,428); past it
+# refinement stops. It caps the work of a depth; its integrand calls hold
+# at most CHUNK_PAIRS pairs each whatever the depth's size
 MAX_PAIRS = 1 << 23
+# (abscissa, column) pairs handed to the integrand in one call at most: a
+# depth runs in balanced chunks of whole units, and only per-unit arrays
+# outlive a chunk, so a nested integrand's temporaries reuse freed pages.
+# At 2**14 the identity-nested workload's prop2 still faulted in fresh
+# pages (154 minor faults per check), at 12,288 and 2**13 it did not;
+# 12,288 leaves that workload's other depths (at most 9,261 pairs) whole
+CHUNK_PAIRS = 12_288
 
 # QUADPACK qk21 (Piessens et al., QUADPACK, 1983): the positive Kronrod
 # abscissas on [-1, 1] in decreasing order down to the centre, their
@@ -103,7 +113,10 @@ def integrate(
     f : callable
         Batched integrand: maps a 1-d array of dtype :data:`PAIR`, whose
         fields ``x`` and ``col`` hold abscissas and column indices, to one
-        complex value per pair, shape (m,). Pairs must be independent.
+        complex value per pair, shape (m,). Pairs must be independent. A
+        depth's units go to ``f`` in unit order, in balanced chunks of at
+        most :data:`CHUNK_PAIRS` pairs (one unit when that is below 21),
+        so memory stays bounded however many units are active.
     a, b : float
         Integration limits, ``a <= b``. ``f`` is only evaluated strictly
         inside each panel, so an integrable singularity at a limit is
@@ -126,16 +139,21 @@ def integrate(
         column sum of the accepted units' |K21 - G10|, at most ``tol``
         unless a unit hit rounding level (50 eps of its absolute integral).
         A column's value and its pairs do not depend on the other columns,
-        as long as each pair's integrand value does not depend on the batch
-        it rides in. Every leaf keeps that: closed forms, and triplets with
-        any mix of atoms, power segments, log forms and grid tails.
+        nor on how a depth is chunked, as long as each pair's integrand
+        value does not depend on the batch it rides in. Every leaf keeps
+        that: closed forms, and triplets with any mix of atoms, power
+        segments, log forms and grid tails; so do the ``jbeta`` and
+        ``ubetaf`` maps over them. The walked maps (``i``, ``ijbeta``) do
+        not: their walk stops on the largest row of a batch, so one nested
+        inside another map's integrand may move with the chunking, within
+        the tolerance.
 
     Raises
     ------
     QuadratureError
         If units of some column hit :data:`MAX_DEPTH` and that column's error
         estimate is above ``tol``, or if the active units of a depth would
-        hand the integrand more than :data:`MAX_PAIRS` pairs. The exception
+        evaluate more than :data:`MAX_PAIRS` pairs. The exception
         carries the best values and the worst column's estimate; with the
         pair cap, the units still active count at their last estimate.
     """
@@ -171,26 +189,22 @@ def integrate(
             raise _over_pair_cap(a, b, tol, 21 * k, total, spent, last)
         span = xr - xl
         mid, half = 0.5 * (xl + xr), 0.5 * span
-        pairs = np.empty((k, 21), dtype=PAIR)
-        # (nodes, units) order runs the arithmetic along long rows
-        pairs["x"] = (_NODES[:, None] * half + mid).T
-        pairs["col"] = col[:, None]
-        vals = np.ascontiguousarray(f(pairs.reshape(-1)), dtype=complex)
-        if vals.shape != (21 * k,):
-            raise ValueError(f"integrand returned shape {vals.shape} for {21 * k} pairs")
-        vals = vals.reshape(k, 21)
-        # (real, imaginary) x (K21, K21 - G10) per unit, one small product
-        # each, so a unit rounds the same in any batch (one BLAS product
-        # over all units would not)
-        rules = vals.view(float).reshape(k, 21, 2).transpose(0, 2, 1) @ _RULES
-        err = half * np.hypot(rules[:, 0, 1], rules[:, 1, 1])
         width = np.bincount(col, weights=span, minlength=columns)
-        done = err <= span * (np.maximum(tol - spent, 0.0)[col] / width[col])
-        if not done.all():
-            # units over their share may still be at rounding level, or
-            # too narrow to bisect
-            noise = _ROUNDOFF * half * np.einsum("kj,j->k", abs(vals), _KRONROD_WEIGHTS)
-            done |= (err <= noise) | (mid <= xl) | (mid >= xr)
+        # acceptance reads the budget left at the start of the depth
+        share = span * (np.maximum(tol - spent, 0.0)[col] / width[col])
+        most = max(CHUNK_PAIRS // 21, 1)
+        if k <= most:
+            rules, err, done = _evaluate_units(f, xl, xr, mid, half, col, share)
+        else:
+            # balanced chunks of whole units in unit order; only per-unit
+            # arrays outlive a chunk
+            chunks = -(-k // most)
+            cuts = [k * c // chunks for c in range(chunks + 1)]
+            parts = [
+                _evaluate_units(f, *(v[i:j] for v in (xl, xr, mid, half, col, share)))
+                for i, j in zip(cuts[:-1], cuts[1:])
+            ]
+            rules, err, done = map(np.concatenate, zip(*parts))
         if depth >= MAX_DEPTH and not done.all():
             stuck[col[~done]] = True
             done[:] = True
@@ -217,6 +231,35 @@ def integrate(
             error_estimate=worst,
         )
     return values, worst
+
+
+def _evaluate_units(f, xl, xr, mid, half, col, share):
+    """Evaluate units of one depth in one integrand call.
+
+    Returns each unit's (real, imaginary) x (K21, K21 - G10) sums, its
+    |K21 - G10| and whether it is accepted against its ``share`` of the
+    budget.
+    """
+    k = xl.size
+    pairs = np.empty((k, 21), dtype=PAIR)
+    # (nodes, units) order runs the arithmetic along long rows
+    pairs["x"] = (_NODES[:, None] * half + mid).T
+    pairs["col"] = col[:, None]
+    vals = np.ascontiguousarray(f(pairs.reshape(-1)), dtype=complex)
+    if vals.shape != (21 * k,):
+        raise ValueError(f"integrand returned shape {vals.shape} for {21 * k} pairs")
+    vals = vals.reshape(k, 21)
+    # one small product per unit, so a unit rounds the same in any batch
+    # (one BLAS product over all units would not)
+    rules = vals.view(float).reshape(k, 21, 2).transpose(0, 2, 1) @ _RULES
+    err = half * np.hypot(rules[:, 0, 1], rules[:, 1, 1])
+    done = err <= share
+    if not done.all():
+        # units over their share may still be at rounding level, or too
+        # narrow to bisect
+        noise = _ROUNDOFF * half * np.einsum("kj,j->k", abs(vals), _KRONROD_WEIGHTS)
+        done |= (err <= noise) | (mid <= xl) | (mid >= xr)
+    return rules, err, done
 
 
 def _over_pair_cap(a, b, tol, n_pairs, total, spent, last) -> QuadratureError:

@@ -42,7 +42,6 @@ jumps, or on ``workers`` threads when a caller asks for more than one.
 
 from __future__ import annotations
 
-import copy
 import math
 import operator
 import os
@@ -343,9 +342,14 @@ def _block(g: np.random.Generator, law: _Law, rows: int = BLOCK) -> np.ndarray:
         # one chunk skips the other rows' times to its second uniforms; more use
         # a second cursor k draws ahead (a copy costs more than a small segment)
         one = len(chunks) == 1
-        seconds = g if one else copy.deepcopy(g)
-        if not one:
-            _skip(seconds.bit_generator, k)
+        if one:
+            seconds = g
+        else:
+            # a fresh Philox takes g's state (cheaper than copy.deepcopy(g))
+            bits = np.random.Philox(key=0)
+            bits.state = g.bit_generator.state
+            seconds = np.random.Generator(bits)
+            _skip(bits, k)
         for r0, r1, m in chunks:
             t = g.random(out=floats[0, :m])
             if one:
@@ -428,8 +432,8 @@ def truncation_tail_bound(
 
 def _clock_jumps(beta, lo, length, t, v, spare, keeps):
     """Thinning at s = lo + length t (see sample_time_changed_integral): a
-    kept jump weighs exp(-s), a rejected one 0 and is never divided (its
-    clock may be 0)."""
+    kept jump weighs exp(-s), a rejected one 0, so its atom uniform, divided
+    by a clock that may be 0, never reaches a sum."""
     # the times become minus the envelope times, -(lo + length t)
     neg_s = np.multiply(t, -length, out=t)
     neg_s -= lo
@@ -437,7 +441,9 @@ def _clock_jumps(beta, lo, length, t, v, spare, keeps):
     np.expm1(clock, out=clock)
     np.negative(clock, out=clock)
     keep = np.less(v, clock, out=keeps)
-    np.divide(v, clock, out=v, where=keep)
+    # a divide masked to the kept jumps costs 10x the whole one
+    with np.errstate(divide="ignore", invalid="ignore"):
+        np.divide(v, clock, out=v)
     weight = np.exp(neg_s, out=neg_s)
     weight *= keep
     return weight, v

@@ -4,7 +4,7 @@ import threading
 import numpy as np
 import pytest
 
-from idlaw import exponent, lawio
+from idlaw import exponent, lawio, simulate
 
 
 @pytest.fixture(autouse=True)
@@ -14,6 +14,34 @@ def no_threads_left():
     before = threading.active_count()
     yield
     assert threading.active_count() <= before, f"threads left: {threading.enumerate()}"
+
+
+@pytest.fixture()
+def on_two_threads(monkeypatch):
+    """Run a sampler call and return its result, failing unless two threads
+    drew its blocks: the first two blocks meet at a barrier, which times out
+    when one thread draws both."""
+
+    def run(call):
+        block = simulate._block
+        meet = threading.Barrier(2, timeout=60)
+        idents = []
+
+        def met(g, *args):
+            idents.append(threading.get_ident())
+            if len(idents) <= 2:
+                meet.wait()
+            return block(g, *args)
+
+        monkeypatch.setattr(simulate, "_block", met)
+        try:
+            out = call()
+        finally:
+            monkeypatch.setattr(simulate, "_block", block)
+        assert len(set(idents)) == 2
+        return out
+
+    return run
 
 
 @pytest.fixture(scope="session")

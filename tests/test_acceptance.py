@@ -6,6 +6,7 @@ Each test prints a one-line verdict with the measured numbers; the pytest
 
 import math
 import time
+from functools import partial
 
 import numpy as np
 import pytest
@@ -195,16 +196,21 @@ def test_inverse_transform_recovers_registry_exponents():
           "over all registry closed forms")
 
 
-def test_sample_dumps_are_byte_identical_across_worker_counts(tmp_path, capsys):
+def test_sample_dumps_are_byte_identical_across_worker_counts(
+    tmp_path, capsys, monkeypatch, on_two_threads
+):
+    # three blocks: one worker draws them serially, two on two threads
     spec = builtin_law("gauss_cp_mix").sim
+    n = 2 * simulate.BLOCK + 17
+    monkeypatch.setattr(simulate, "_cpus", lambda: 1)
     for m in (maps.jbeta_map(1.0), maps.i_jbeta_map(1.0)):
         dumps = []
         for w in (1, 2):
             path = tmp_path / f"{m.kind}_w{w}.csv"
-            samples = simulate.sample_integral(spec, m, 4096, 99, workers=w)
-            simulate.samples_to_csv(samples, str(path))
+            draw = partial(simulate.sample_integral, spec, m, n, 99, workers=w)
+            simulate.samples_to_csv(draw() if w == 1 else on_two_threads(draw), str(path))
             dumps.append(path.read_bytes())
         assert dumps[0] == dumps[1], f"{m.kind} dump differs across workers"
     capsys.readouterr()
-    print("determinism: jbeta and ijbeta sample CSVs byte-identical "
-          "for 1 vs 2 workers (n=4096, seed=99)")
+    print(f"determinism: jbeta and ijbeta sample CSVs byte-identical "
+          f"for 1 worker vs 2 threads (n={n}, three blocks, seed=99)")

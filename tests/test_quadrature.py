@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,6 +11,8 @@ from idlaw.errors import QuadratureError
 from idlaw.exponent import from_triplet
 from idlaw.spectral import SpectralMeasure, ray
 from idlaw.triplet import LevyTriplet
+
+from test_map_triplet import panel_laws
 
 GAUSS_WEIGHTS = quadrature._GAUSS_WEIGHTS
 GAUSS = GAUSS_WEIGHTS > 0.0
@@ -248,8 +251,8 @@ def test_pair_cap_before_any_estimate_reports_an_infinite_one(monkeypatch):
 
 
 def test_nested_map_over_the_pair_cap_raises_a_typed_error(monkeypatch):
-    # a nested map's inner batch holds every active outer pair times its
-    # own; over the cap it ends in QuadratureError, never in MemoryError
+    # a nested map's inner depth holds every pair of an outer chunk times
+    # its own; over the cap it ends in QuadratureError, never in MemoryError
     monkeypatch.setattr(quadrature, "MAX_PAIRS", 50_000)
     phi = lawio.builtin_law("gauss_cp_mix").exponent
     nested = maps.apply_map(maps.i_map(), maps.apply_map(maps.jbeta_map(1.3), phi))
@@ -282,3 +285,97 @@ def test_zero_columns_integrate_to_an_empty_array():
 
     vals, err = quadrature.integrate(f, 0.0, 1.0, columns=0)
     assert vals.shape == (0,) and vals.dtype == complex and err == 0.0
+
+
+class TestChunkedDepths:
+    """A depth runs in chunks of at most CHUNK_PAIRS pairs, with the bytes
+    of one call per depth."""
+
+    # five units per chunk
+    SMALL = 5 * 21
+
+    @staticmethod
+    def _nested_mix():
+        phi = lawio.builtin_law("gauss_cp_mix").exponent
+        return maps.apply_map(maps.i_map(), maps.apply_map(maps.jbeta_map(1.0), phi))
+
+    def _same_in_small_chunks(self, monkeypatch, run):
+        """``run`` returns (values, estimate), with the same bytes in small chunks."""
+
+        def outcome():
+            vals, err = run()
+            return np.asarray(vals).tobytes(), np.float64(err).tobytes()
+
+        whole = outcome()
+        monkeypatch.setattr(quadrature, "CHUNK_PAIRS", self.SMALL)
+        assert outcome() == whole
+
+    def test_split_columns(self, monkeypatch):
+        def f(pairs):
+            return pairs["x"] ** -0.4 * (1.0 + pairs["col"])
+
+        self._same_in_small_chunks(monkeypatch, lambda: quadrature.integrate(
+            f, 0.0, 1.0, tol=1e-8, splits=(0.3,), columns=3))
+
+    def test_jbeta_image_of_a_panel_law(self, monkeypatch):
+        # panel law 3: its unbounded tail has power -1.6 (jittered)
+        phi = from_triplet(panel_laws(9002, 4)[3])
+        Y = np.linspace(-5.0, 5.0, 41)[:, None]
+        self._same_in_small_chunks(monkeypatch, lambda: (
+            maps.map_exponent_grid(maps.jbeta_map(1.0), phi, Y, 1e-9), 0.0))
+
+    def test_nested_map(self, monkeypatch):
+        nested = self._nested_mix()
+        Y = np.linspace(-5.0, 5.0, 41)[:, None]
+        self._same_in_small_chunks(monkeypatch, lambda: (nested.eval_grid(Y, 1e-8), 0.0))
+
+    @pytest.mark.parametrize("cap", ["MAX_DEPTH", "MAX_PAIRS"])
+    def test_errors_carry_the_same_values(self, monkeypatch, cap):
+        monkeypatch.setattr(quadrature, cap, 4 if cap == "MAX_DEPTH" else 21 * 24)
+        freqs = np.array([1.0, 1000.0, 3.0])
+
+        def f(pairs):
+            return np.cos(freqs[pairs["col"]] * pairs["x"])
+
+        def run():
+            with pytest.raises(QuadratureError, match="max depth|MAX_PAIRS") as exc:
+                quadrature.integrate(f, 0.0, 1.0, tol=1e-14, columns=3)
+            return exc.value.value, exc.value.error_estimate
+
+        self._same_in_small_chunks(monkeypatch, run)
+
+    def test_no_call_holds_more_than_a_chunk(self, monkeypatch):
+        # every integrand call at every level of a nested map, whose depths
+        # split into more calls than at the default size
+        calls = []
+        integrate = quadrature.integrate
+
+        def recorded(f, *args, **kwargs):
+            def g(pairs):
+                calls.append(pairs.size)
+                return f(pairs)
+
+            return integrate(g, *args, **kwargs)
+
+        monkeypatch.setattr(quadrature, "integrate", recorded)
+        Y = np.linspace(-5.0, 5.0, 41)[:, None]
+        self._nested_mix().eval_grid(Y, 1e-8)
+        whole = len(calls)
+        assert max(calls) > self.SMALL
+        calls.clear()
+        monkeypatch.setattr(quadrature, "CHUNK_PAIRS", self.SMALL)
+        self._nested_mix().eval_grid(Y, 1e-8)
+        assert max(calls) <= self.SMALL and len(calls) > whole
+
+    def test_nested_map_memory_is_bounded(self):
+        # one call per depth peaked at 172 MB here: the inner depth held
+        # every pair of the outer one
+        nested = self._nested_mix()
+        Y = np.linspace(-5.0, 5.0, 801)[:, None]
+        tracemalloc.start()
+        try:
+            nested.eval_grid(Y, 1e-10)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16e6

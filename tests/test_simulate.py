@@ -6,6 +6,7 @@ import multiprocessing
 import threading
 import tracemalloc
 import warnings
+from functools import partial
 
 import mpmath as mp
 import numpy as np
@@ -116,13 +117,16 @@ class TestSamplers:
         b = sim.sample_jbeta_integral(mix_spec(), 1.0, 64, seed=6)
         assert np.any(a != b)
 
-    def test_csv_output_worker_invariant(self, tmp_path):
+    def test_csv_output_worker_invariant(self, tmp_path, monkeypatch, on_two_threads):
+        # three blocks, drawn serially and on two threads
         spec = builtin_law("gauss_cp_mix").sim
+        monkeypatch.setattr(sim, "_cpus", lambda: 1)
         outs = []
         for w in (1, 2):
             path = tmp_path / f"s{w}.csv"
-            sim.samples_to_csv(sim.sample_integral(spec, maps.jbeta_map(1.0), 257, 11, workers=w),
-                               str(path))
+            draw = partial(sim.sample_integral, spec, maps.jbeta_map(1.0), 2 * sim.BLOCK + 17, 11,
+                           workers=w)
+            sim.samples_to_csv(draw() if w == 1 else on_two_threads(draw), str(path))
             outs.append(path.read_bytes())
         assert outs[0] == outs[1]
 
@@ -525,8 +529,8 @@ class TestSamplers:
         assert x[3, 0] == math.exp(-s) * 2.0 and np.count_nonzero(x) == 1
 
     def test_time_uniform_at_zero_adds_nothing_and_does_not_warn(self):
-        # s = 0 has clock rate 0, so no accept uniform passes and nothing is
-        # divided by the zero clock
+        # s = 0 has clock rate 0, so no accept uniform passes, and dividing
+        # it by the zero clock neither warns nor reaches a sum
         spec = sim.SimSpec(1, [0.0], 0.0, rate=1.0, jumps=[[1.0], [2.0]])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
