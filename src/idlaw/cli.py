@@ -19,7 +19,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from . import factor, maps, report, simulate
-from .errors import INPUT_ERRORS, LawSpecError, QuadratureError
+from .errors import INPUT_ERRORS, LawSpecError, QuadratureError, refuse_unknown
 from .lawio import BUILTIN_LAWS, LoadedLaw, builtin_law, law_from_dict, load_law, triplet_to_dict
 from .spectral import SpectralMeasure, ray
 
@@ -265,11 +265,13 @@ def _cmd_suite(args) -> int:
     if args.config:
         try:
             with open(args.config, "r", encoding="utf-8") as fh:
-                config.update(_config_typed(json.load(fh), dict, "config"))
+                user = _config_typed(json.load(fh), dict, "config")
         except OSError as exc:
             raise LawSpecError(f"cannot read config {args.config}: {exc}") from exc
         except json.JSONDecodeError as exc:
             raise LawSpecError(f"config is not valid JSON: {exc}") from exc
+        refuse_unknown(user, DEFAULT_SUITE_CONFIG, "suite config")
+        config.update(user)
     identities = _config_typed(config.get("identities", []), list, "config 'identities'")
     if not identities:
         print("suite config has an empty identity list", file=sys.stderr)
@@ -287,6 +289,7 @@ def _cmd_suite(args) -> int:
     area_u = _config_positives(config.get("area_u", [1.0]), "'area_u'")
     mc = dict(DEFAULT_SUITE_CONFIG["mc"])
     mc.update(_config_typed(config.get("mc", {}), dict, "config 'mc'"))
+    refuse_unknown(mc, DEFAULT_SUITE_CONFIG["mc"], "suite config 'mc'")
     mc_betas = _config_positives(mc["betas"], "'mc.betas'")
     z_max = _config_value(_positive, mc["z_max"], "'mc.z_max'")
     n = _config_value(_count, mc["n"], "'mc.n'")
@@ -379,7 +382,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--beta", type=_positive, default=1.0, help="index (default 1)")
     sp.add_argument("--tol", type=_positive, default=1e-8, help="identity tolerance")
     sp.add_argument("--cor5-tol", type=_positive, default=1e-9, dest="cor5_tol")
-    sp.add_argument("--y", help="override the verification grid")
+    sp.add_argument("--y", help="override the verification grid (area: t values; cor5: none)")
     sp.add_argument("--u", type=_positive, default=1.0, help="area parameter")
     sp.add_argument("--n", type=_count, default=20000, help="MC sample count")
     sp.add_argument("--seed", type=_seed, default=0)

@@ -1,4 +1,4 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the check for unknown keys."""
 
 
 class DimensionMismatchError(ValueError):
@@ -19,6 +19,13 @@ class LawSpecError(ValueError):
 
 class HorizonError(ValueError):
     """A time-change horizon discards too much of the exponent on the grid it serves."""
+
+
+def refuse_unknown(keys, known, what: str) -> None:
+    """LawSpecError naming the keys outside ``known`` and the known ones, if any are."""
+    unknown = sorted(set(keys) - set(known))
+    if unknown:
+        raise LawSpecError(f"{what} has unknown fields {unknown}; known: {', '.join(known)}")
 
 
 # errors that mean the input is wrong, not that a computation failed

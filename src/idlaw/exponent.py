@@ -15,12 +15,13 @@ and `dirac` sum coordinates in order, with no matrix product, and
 
 from __future__ import annotations
 
+import inspect
 from dataclasses import dataclass
 from typing import Any, Callable
 
 import numpy as np
 
-from .errors import DimensionMismatchError, LawSpecError
+from .errors import DimensionMismatchError, LawSpecError, refuse_unknown
 from .spectral import _cis_m1, _dot, _quad_form
 from .triplet import LevyTriplet, cov_issues
 
@@ -263,8 +264,14 @@ def closed_form(name: str, **params) -> CharExponent:
         raise LawSpecError(
             f"unknown closed form {name!r}; available: {', '.join(sorted(CLOSED_FORMS))}"
         )
+    refuse_unknown(params, closed_form_params(name), f"closed form {name!r} params")
     dim, fn = builder(**params)
     return CharExponent(dim, _CallbackNode(fn))
+
+
+def closed_form_params(name: str) -> tuple[str, ...]:
+    """The parameter names of the closed form ``name``."""
+    return tuple(inspect.signature(CLOSED_FORMS[name]).parameters)
 
 
 def _build_gaussian(mean=0.0, cov=1.0):

@@ -6,8 +6,12 @@ background factor is
     rho = (2 beta)-transform of the half convolution power of nu,
 
 and the beta-transform of nu factors as (beta-transform of rho) * rho.
-Each checker evaluates both sides of one such identity on a grid and
-reports pointwise residuals. :data:`IDENTITIES` maps the identity tokens
+The grid identities eq3, eq15, cor1a and prop2 are written once, in
+:data:`SIDES`, with three operations (map, convolve, power): on a
+CharExponent they build exponent nodes, on a LevyTriplet triplets in
+closed form. Each grid checker evaluates both sides of one identity
+at a quadrature tolerance derived from the check's own and reports
+pointwise residuals. :data:`IDENTITIES` maps the identity tokens
 (eq3, eq15, cor1a, cor5, prop2, eq2-timechange, area), the stable CLI
 vocabulary, to the checks that run them.
 """
@@ -21,6 +25,7 @@ from typing import Any, Callable
 import numpy as np
 
 from . import maps, simulate
+from .errors import LawSpecError
 from .exponent import (
     CharExponent,
     closed_form,
@@ -32,6 +37,7 @@ from .exponent import (
 )
 from .report import CheckReport, abs_diff
 from .spectral import SpectralMeasure
+from .triplet import LevyTriplet
 
 
 @dataclass(frozen=True, eq=False)
@@ -62,7 +68,7 @@ class FactorizationReport(CheckReport):
         return float(self.residuals.max())
 
 
-def _derived_quad_tol(tol: float) -> float:
+def _quadrature_tol(tol: float) -> float:
     """Quadrature tolerance for an identity check at tolerance ``tol``.
 
     One order tighter than the check itself, clamped so that extreme
@@ -70,6 +76,26 @@ def _derived_quad_tol(tol: float) -> float:
     non-convergence.
     """
     return min(max(0.1 * tol, 1e-10), 1e-6)
+
+
+# the operations SIDES builds with: exponent nodes on a CharExponent,
+# closed-form triplets on a LevyTriplet
+
+
+def _map(m: maps.IntegralMap, law):
+    return maps.map_triplet(m, law) if isinstance(law, LevyTriplet) else maps.apply_map(m, law)
+
+
+def _jbeta(beta: float, law):
+    return _map(maps.jbeta_map(beta), law)
+
+
+def _convolve(a, b):
+    return a.convolve(b) if isinstance(a, LevyTriplet) else convolve(a, b)
+
+
+def _power(law, c: float):
+    return law.conv_power(c) if isinstance(law, LevyTriplet) else conv_power(law, c)
 
 
 def rho_from_nu(phi_nu: CharExponent, beta: float) -> CharExponent:
@@ -80,63 +106,39 @@ def rho_from_nu(phi_nu: CharExponent, beta: float) -> CharExponent:
     """
     if not beta > 0.0:
         raise ValueError(f"beta must be positive, got {beta}")
-    return maps.apply_map(maps.jbeta_map(2.0 * beta), conv_power(phi_nu, 0.5))
+    return _jbeta(2.0 * beta, _power(phi_nu, 0.5))
 
 
 def mu_from_rho(phi_rho: CharExponent, beta: float) -> CharExponent:
     """Reassembled image law: beta-transform of rho, convolved with rho."""
     if not beta > 0.0:
         raise ValueError(f"beta must be positive, got {beta}")
-    return convolve(maps.apply_map(maps.jbeta_map(beta), phi_rho), phi_rho)
+    return _convolve(_jbeta(beta, phi_rho), phi_rho)
 
 
 def _grid_check(
-    identity: str,
-    lhs: CharExponent,
-    rhs: CharExponent,
-    beta: float,
-    grid: np.ndarray | None,
-    tol: float,
-    quad_tol: float | None,
+    identity: str, phi: CharExponent, beta: float, grid: np.ndarray | None, tol: float
 ) -> FactorizationReport:
-    """Evaluate two independently built sides of an identity on one grid."""
-    if quad_tol is None:
-        quad_tol = _derived_quad_tol(tol)
+    """Evaluate the two sides of a :data:`SIDES` identity on one grid."""
+    lhs, rhs = SIDES[identity](phi, beta)
+    qtol = _quadrature_tol(tol)
     if grid is None:
         grid = default_grid(lhs.dim)
     grid = np.asarray(grid, dtype=float)
     return FactorizationReport(
-        identity,
-        {"beta": beta},
-        grid,
-        lhs.eval_grid(grid, quad_tol),
-        rhs.eval_grid(grid, quad_tol),
-        tol,
+        identity, {"beta": beta}, grid, lhs.eval_grid(grid, qtol), rhs.eval_grid(grid, qtol), tol
     )
 
 
 def verify_factorization(
-    phi_nu: CharExponent,
-    beta: float,
-    grid: np.ndarray | None = None,
-    tol: float = 1e-8,
-    quad_tol: float | None = None,
+    phi_nu: CharExponent, beta: float, grid: np.ndarray | None = None, tol: float = 1e-8
 ) -> FactorizationReport:
     """Check that the beta-transform of nu equals its two-factor assembly."""
-    return _grid_check(
-        "eq3",
-        mu_from_rho(rho_from_nu(phi_nu, beta), beta),
-        maps.apply_map(maps.jbeta_map(beta), phi_nu),
-        beta, grid, tol, quad_tol,
-    )
+    return _grid_check("eq3", phi_nu, beta, grid, tol)
 
 
 def identity_e_check(
-    phi_rho: CharExponent,
-    beta: float,
-    grid: np.ndarray | None = None,
-    tol: float = 1e-8,
-    quad_tol: float | None = None,
+    phi_rho: CharExponent, beta: float, grid: np.ndarray | None = None, tol: float = 1e-8
 ) -> FactorizationReport:
     """Check the rebracketing identity on transforms of a factor rho.
 
@@ -144,41 +146,22 @@ def identity_e_check(
     with rho]. Right side: beta-transform of the squared convolution
     power of rho.
     """
-    return _grid_check(
-        "eq15",
-        maps.apply_map(maps.jbeta_map(2.0 * beta), mu_from_rho(phi_rho, beta)),
-        maps.apply_map(maps.jbeta_map(beta), conv_power(phi_rho, 2.0)),
-        beta, grid, tol, quad_tol,
-    )
+    return _grid_check("eq15", phi_rho, beta, grid, tol)
 
 
 def ubeta_f_membership(
-    phi_nu: CharExponent,
-    beta: float,
-    grid: np.ndarray | None = None,
-    tol: float = 1e-8,
-    quad_tol: float | None = None,
+    phi_nu: CharExponent, beta: float, grid: np.ndarray | None = None, tol: float = 1e-8
 ) -> FactorizationReport:
     """Check that the square-root kernel map equals the two-step composition.
 
     Left side: the (1 - sqrt(t))**(1/beta) kernel applied to nu. Right
     side: the (2 beta)-transform of the beta-transform of nu.
     """
-    inner = maps.apply_map(maps.jbeta_map(beta), phi_nu)
-    return _grid_check(
-        "cor1a",
-        maps.apply_map(maps.ubetaf_map(beta), phi_nu),
-        maps.apply_map(maps.jbeta_map(2.0 * beta), inner),
-        beta, grid, tol, quad_tol,
-    )
+    return _grid_check("cor1a", phi_nu, beta, grid, tol)
 
 
 def clock_composition_check(
-    phi_nu: CharExponent,
-    beta: float,
-    grid: np.ndarray | None = None,
-    tol: float = 1e-8,
-    quad_tol: float | None = None,
+    phi_nu: CharExponent, beta: float, grid: np.ndarray | None = None, tol: float = 1e-8
 ) -> FactorizationReport:
     """Check the combined-kernel map against the explicit two-map composition.
 
@@ -186,13 +169,7 @@ def clock_composition_check(
     also the law of integrating exp(-s) against the time-changed process.
     Right side: the logarithmic map applied after the beta-transform.
     """
-    inner = maps.apply_map(maps.jbeta_map(beta), phi_nu)
-    return _grid_check(
-        "prop2",
-        maps.apply_map(maps.i_jbeta_map(beta), phi_nu),
-        maps.apply_map(maps.i_map(), inner),
-        beta, grid, tol, quad_tol,
-    )
+    return _grid_check("prop2", phi_nu, beta, grid, tol)
 
 
 def default_radius_grid(G: SpectralMeasure, n_points: int = 20) -> np.ndarray:
@@ -362,7 +339,6 @@ def levy_area_demo(
     u: float,
     t_grid: np.ndarray | None = None,
     tol: float = 1e-8,
-    quad_tol: float | None = None,
 ) -> LevyAreaReport:
     """Check the stochastic-area factorization numerically.
 
@@ -373,8 +349,6 @@ def levy_area_demo(
     driving exponent to document its defective t -> 0 limit.
     """
     case = LevyAreaCase(u)
-    if quad_tol is None:
-        quad_tol = _derived_quad_tol(tol)
     if t_grid is None:
         t_grid = np.linspace(0.1, 5.0, 25)
     t_grid = np.asarray(t_grid, dtype=float)
@@ -382,7 +356,9 @@ def levy_area_demo(
         raise ValueError("t grid must be a non-empty 1-d array")
     phi_nu = case.driving_char_exponent()
     # evaluate on an explicit (n, 1) grid so singleton inputs stay arrays
-    i_part_quad = maps.map_exponent_grid(maps.i_map(), phi_nu, t_grid[:, None], quad_tol)
+    i_part_quad = maps.map_exponent_grid(
+        maps.i_map(), phi_nu, t_grid[:, None], _quadrature_tol(tol)
+    )
     i_part_closed = case.class_l_exponent(t_grid).astype(complex)
     chi_quad = np.exp(case.bdlp_exponent(t_grid) + i_part_quad)
     chi_closed = case.chi(t_grid).astype(complex)
@@ -391,7 +367,16 @@ def levy_area_demo(
     )
 
 
-# -- identity table --------------------------------------------------------------
+# -- identity tables -------------------------------------------------------------
+
+# token -> (law, beta) -> (lhs, rhs): the grid identities, each written once
+# with _map, _convolve and _power, so it holds for exponents and triplets alike
+SIDES: dict[str, Callable[[Any, float], tuple[Any, Any]]] = {
+    "eq3": lambda nu, b: (mu_from_rho(rho_from_nu(nu, b), b), _jbeta(b, nu)),
+    "eq15": lambda rho, b: (_jbeta(2.0 * b, mu_from_rho(rho, b)), _jbeta(b, _power(rho, 2.0))),
+    "cor1a": lambda nu, b: (_map(maps.ubetaf_map(b), nu), _jbeta(2.0 * b, _jbeta(b, nu))),
+    "prop2": lambda nu, b: (_map(maps.i_jbeta_map(b), nu), _map(maps.i_map(), _jbeta(b, nu))),
+}
 
 
 @dataclass(frozen=True)
@@ -410,29 +395,30 @@ class Identity:
     param: str = "beta"
 
 
+def _cor5(G: SpectralMeasure, beta: float, o) -> FactorizationReport:
+    if o.grid is not None:
+        raise LawSpecError("cor5 compares tails at radii of its own; it takes no grid of points")
+    return spectral_factor_check(G, beta, tol=o.cor5_tol)
+
+
 # the lambdas look the checks up when they run, so a replaced module
 # attribute (a tracer's wrapper, a test double) takes effect
 IDENTITIES: dict[str, Identity] = {
-    "eq3": Identity(
-        "exponent", lambda phi, beta, o: verify_factorization(phi, beta, o.grid, o.tol)
-    ),
-    "eq15": Identity(
-        "exponent", lambda phi, beta, o: identity_e_check(phi, beta, o.grid, o.tol)
-    ),
-    "cor1a": Identity(
-        "exponent", lambda phi, beta, o: ubeta_f_membership(phi, beta, o.grid, o.tol)
-    ),
-    "cor5": Identity(
-        "jumps", lambda G, beta, o: spectral_factor_check(G, beta, tol=o.cor5_tol)
-    ),
-    "prop2": Identity(
-        "exponent", lambda phi, beta, o: clock_composition_check(phi, beta, o.grid, o.tol)
-    ),
+    "eq3": Identity("exponent", lambda phi, b, o: verify_factorization(phi, b, o.grid, o.tol)),
+    "eq15": Identity("exponent", lambda phi, b, o: identity_e_check(phi, b, o.grid, o.tol)),
+    "cor1a": Identity("exponent", lambda phi, b, o: ubeta_f_membership(phi, b, o.grid, o.tol)),
+    "cor5": Identity("jumps", _cor5),
+    "prop2": Identity("exponent", lambda phi, b, o: clock_composition_check(phi, b, o.grid, o.tol)),
     "eq2-timechange": Identity(
         "sim",
         lambda spec, beta, o: simulate.time_change_equivalence(
-            spec, beta, o.n, o.seed, z_max=o.z_max
+            spec, beta, o.n, o.seed, o.grid, z_max=o.z_max
         ),
     ),
-    "area": Identity(None, lambda _, u, o: levy_area_demo(u, tol=o.tol), param="u"),
+    # the grid's points are the area's t values
+    "area": Identity(
+        None,
+        lambda _, u, o: levy_area_demo(u, None if o.grid is None else o.grid[:, 0], o.tol),
+        param="u",
+    ),
 }

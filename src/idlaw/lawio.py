@@ -4,12 +4,16 @@ A law document takes one of three shapes:
 
 * closed form: ``{"closed_form": "gaussian", "params": {...}}``
 * convolution: ``{"convolve": [doc, doc, ...]}``
-* triplet: ``{"dim": d, "shift": [...], "cov": [[...]], "levy": {"rays": [...]}}``
-  plus an optional ``"name"``, and no other keys. Each ray has a unit
-  ``direction`` plus optional ``atoms`` ``[{"r":, "m":}]``, ``segments``
+* triplet: ``{"dim": d, "shift": [...], "cov": [[...]], "levy": {"rays": [...]}}``.
+  Each ray has a unit ``direction`` (or ``dir``) plus optional ``atoms``
+  ``[{"r":, "m":}]``, ``segments``
   ``[{"lo":, "hi": (number or "inf"), "c":, "p":}]`` (with an optional
   ``"e"``, a number or a list of two or more, for a log form) and
   ``grid_tail`` ``{"radii": [...], "tail": [...]}``.
+
+Each shape takes an optional ``"name"`` too. An object of a document with
+any other key not named here (in ``params``, one that is not a parameter
+of the closed form) raises LawSpecError.
 
 Every law but ``levy_area_bdlp`` loads as one generating triplet, and its
 exponent is that triplet's. A ``gaussian``, ``dirac`` or
@@ -30,8 +34,10 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import INPUT_ERRORS, LawSpecError
-from .exponent import CLOSED_FORMS, CharExponent, closed_form, convolve, from_triplet, jump_atoms
+from .errors import INPUT_ERRORS, LawSpecError, refuse_unknown
+from .exponent import (
+    CLOSED_FORMS, CharExponent, closed_form, closed_form_params, convolve, from_triplet, jump_atoms,
+)
 from .simulate import SimSpec
 from .spectral import GridTail, Ray, SpectralMeasure, ray
 from .triplet import LevyTriplet
@@ -59,10 +65,13 @@ def _law_of(name: str, trip: LevyTriplet) -> LoadedLaw:
     return LoadedLaw(name, from_triplet(trip), trip)
 
 
-def _object(v, what: str) -> dict:
-    """v itself when it is a JSON object; otherwise LawSpecError naming ``what``."""
+def _object(v, what: str, known: tuple[str, ...] | None = None) -> dict:
+    """v itself when it is a JSON object with no keys outside ``known`` (when
+    given); otherwise LawSpecError naming ``what``."""
     if not isinstance(v, dict):
         raise LawSpecError(f"{what} must be a JSON object, got {type(v).__name__}")
+    if known is not None:
+        refuse_unknown(v, known, what)
     return v
 
 
@@ -104,7 +113,7 @@ _CLOSED_FORM_SPECS = {
 def _closed_form_law(kind, params, name: str | None) -> LoadedLaw:
     if kind not in CLOSED_FORMS:
         raise LawSpecError(f"unknown closed form {kind!r}; known: {sorted(CLOSED_FORMS)}")
-    params = _object(params, f"closed form {kind!r} params")
+    params = _object(params, f"closed form {kind!r} params", closed_form_params(kind))
     try:
         if kind not in _CLOSED_FORM_SPECS:
             # levy_area_bdlp, the one closed form without a triplet
@@ -144,37 +153,38 @@ def _parse_offsets(v):
 
 
 def _ray_from_dict(doc, dim) -> Ray:
-    _object(doc, "ray")
+    _object(doc, "ray", ("dir", "direction", "atoms", "segments", "grid_tail"))
     raw_dir = doc.get("dir", doc.get("direction"))
     if raw_dir is None:
         raise LawSpecError("ray needs a 'dir' entry")
     direction = np.asarray(raw_dir, dtype=float)
     if direction.shape != (dim,):
         raise LawSpecError(f"ray direction must have {dim} components")
-    atoms = [(float(a["r"]), float(a["m"])) for a in doc.get("atoms", [])]
-    segments = [
-        (float(s["lo"]), _parse_hi(s["hi"]), float(s["c"]), float(s["p"]))
-        + ((_parse_offsets(s["e"]),) if s.get("e") is not None else ())
-        for s in doc.get("segments", [])
-    ]
+    atoms = [_object(a, "atom", ("r", "m")) for a in doc.get("atoms", [])]
+    segments = [_object(s, "segment", ("lo", "hi", "c", "p", "e")) for s in doc.get("segments", [])]
     gt = None
-    if "grid_tail" in doc and doc["grid_tail"] is not None:
-        g = doc["grid_tail"]
+    if doc.get("grid_tail") is not None:
+        g = _object(doc["grid_tail"], "grid_tail", ("radii", "tail"))
         gt = GridTail(np.asarray(g["radii"], dtype=float), np.asarray(g["tail"], dtype=float))
-    return ray(direction, atoms=atoms, segments=segments, grid_tail=gt)
+    return ray(
+        direction,
+        atoms=[(float(a["r"]), float(a["m"])) for a in atoms],
+        segments=[
+            (float(s["lo"]), _parse_hi(s["hi"]), float(s["c"]), float(s["p"]))
+            + ((_parse_offsets(s["e"]),) if s.get("e") is not None else ())
+            for s in segments
+        ],
+        grid_tail=gt,
+    )
 
 
 def _triplet_law(doc, name: str) -> LoadedLaw:
-    unknown = sorted(set(doc) - {"name", "dim", "shift", "cov", "levy"})
-    if unknown:
-        raise LawSpecError(
-            f"triplet law has unknown fields {unknown}; known: name, dim, shift, cov, levy"
-        )
+    refuse_unknown(doc, ("name", "dim", "shift", "cov", "levy"), "triplet law")
     try:
         dim = int(doc["dim"])
         shift = np.asarray(doc["shift"], dtype=float)
         cov = _as_matrix(doc.get("cov", 0.0), dim, "cov")
-        levy = _object(doc.get("levy", {}), "triplet 'levy'")
+        levy = _object(doc.get("levy", {}), "triplet 'levy'", ("rays",))
         rays = tuple(_ray_from_dict(r, dim) for r in levy.get("rays", []))
     except KeyError as exc:
         raise LawSpecError(f"triplet law is missing field {exc}") from None
@@ -238,8 +248,10 @@ def _law_from_doc(doc: dict, name: str | None) -> LoadedLaw:
     _object(doc, "law description")
     label = name or doc.get("name")
     if "closed_form" in doc:
+        refuse_unknown(doc, ("name", "closed_form", "params"), "closed-form law")
         return _closed_form_law(doc["closed_form"], doc.get("params", {}), label)
     if "convolve" in doc:
+        refuse_unknown(doc, ("name", "convolve"), "convolution law")
         return _convolve_law(doc["convolve"], label or "convolution")
     if "levy" in doc or ("shift" in doc and "dim" in doc):
         return _triplet_law(doc, label or "triplet")

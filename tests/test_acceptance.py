@@ -48,7 +48,7 @@ def test_factorization_identity_sweep_under_runtime_budget():
 def test_background_driving_identity_sweep_with_spot_value():
     worst = sweep(factor.identity_e_check)
     rep = factor.identity_e_check(
-        builtin_law("gaussian").exponent, 1.0, grid=SPOT, quad_tol=1e-12
+        builtin_law("gaussian").exponent, 1.0, grid=SPOT
     )
     assert rep.lhs[0] == pytest.approx(-1.0 / 3.0, abs=1e-10)
     assert rep.rhs[0] == pytest.approx(-1.0 / 3.0, abs=1e-10)
@@ -59,7 +59,7 @@ def test_background_driving_identity_sweep_with_spot_value():
 def test_membership_composition_sweep_with_spot_value():
     worst = sweep(factor.ubeta_f_membership)
     rep = factor.ubeta_f_membership(
-        builtin_law("gaussian").exponent, 1.0, grid=SPOT, quad_tol=1e-12
+        builtin_law("gaussian").exponent, 1.0, grid=SPOT
     )
     assert rep.lhs[0] == pytest.approx(-1.0 / 12.0, abs=1e-10)
     print(f"membership sweep: worst residual {worst:.3e} (<1e-8), "
@@ -69,7 +69,7 @@ def test_membership_composition_sweep_with_spot_value():
 def test_clock_composition_sweep_with_spot_value():
     worst = sweep(factor.clock_composition_check)
     rep = factor.clock_composition_check(
-        builtin_law("gaussian").exponent, 1.0, grid=SPOT, quad_tol=1e-12
+        builtin_law("gaussian").exponent, 1.0, grid=SPOT
     )
     assert rep.lhs[0] == pytest.approx(-1.0 / 12.0, abs=1e-10)
     assert rep.rhs[0] == pytest.approx(-1.0 / 12.0, abs=1e-10)

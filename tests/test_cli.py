@@ -183,6 +183,27 @@ class TestVerify:
         )
         assert code == 0
 
+    @pytest.mark.parametrize("identity, law", [("area", None), ("eq2-timechange", "cp")])
+    def test_points_are_the_grid_of_every_grid_identity(
+        self, capsys, law_files, tmp_path, identity, law
+    ):
+        # area reads them as its t values, eq2-timechange as its y grid
+        out_path = tmp_path / "rep.json"
+        argv = ["verify", "--identity", identity, "--y", "0.5,2", "--out", str(out_path)]
+        if law is not None:
+            argv += ["--law", law_files[law], "--n", "2000"]
+        code, _, _ = run(capsys, *argv)
+        assert code == 0
+        rows = json.loads(out_path.read_text())["rows"]
+        assert np.ravel([row["input"] for row in rows]).tolist() == [0.5, 2.0]
+
+    def test_radius_identity_refuses_points(self, capsys, law_files):
+        code, _, err = run(
+            capsys, "verify", "--identity", "cor5", "--law", law_files["cp"], "--y", "0.5,1"
+        )
+        assert code == 2
+        assert "cor5" in err and "no grid of points" in err
+
     def test_unknown_identity(self, capsys, law_files):
         code, _, err = run(
             capsys, "verify", "--identity", "eq99", "--law", law_files["cp"]
@@ -575,6 +596,20 @@ class TestSuite:
         assert code == 2
         assert message in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "doc, message",
+        [
+            ({"identities": ["eq3"], "betaz": [2.0]}, "suite config has unknown fields ['betaz']"),
+            ({"identities": ["eq2-timechange"], "mc": {"nn": 5}},
+             "suite config 'mc' has unknown fields ['nn']"),
+        ],
+        ids=["config", "mc"],
+    )
+    def test_unknown_config_keys_are_usage_errors(self, capsys, tmp_path, doc, message):
+        code, _, err = run(capsys, "suite", "--config", self.write_config(tmp_path, doc))
+        assert code == 2
+        assert message in err and "known: " in err
 
     def test_missing_config_file(self, capsys, tmp_path):
         code, _, err = run(capsys, "suite", "--config", str(tmp_path / "no.json"))

@@ -1,6 +1,8 @@
 """Factorization checkers: dual-route identity reports and the area law."""
 
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,6 +15,18 @@ from idlaw.spectral import SpectralMeasure, ray
 
 
 GRID1 = np.array([[1.0]])
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def test_identity_tables_and_readme_agree():
+    # the README's token table lists every identity token, and SIDES holds
+    # the two sides of exactly the identities checked on an exponent's grid
+    tokens = re.findall(r"^\| `([^`]+)` +\|", README.read_text(), flags=re.M)
+    assert sorted(tokens) == sorted(factor.IDENTITIES)
+    on_exponents = {k for k, v in factor.IDENTITIES.items() if v.subject == "exponent"}
+    assert set(factor.SIDES) == on_exponents
 
 
 class TestGrids:
@@ -122,7 +136,7 @@ class TestFactorizationCheck:
 class TestBackgroundDrivingCheck:
     def test_gaussian_spot_value(self, gaussian_phi):
         rep = factor.identity_e_check(
-            gaussian_phi, 1.0, grid=GRID1, quad_tol=1e-12
+            gaussian_phi, 1.0, grid=GRID1
         )
         assert rep.passed
         assert rep.lhs[0] == pytest.approx(-1.0 / 3.0, abs=1e-10)
@@ -136,7 +150,7 @@ class TestBackgroundDrivingCheck:
 class TestMembershipCheck:
     def test_gaussian_spot_value(self, gaussian_phi):
         rep = factor.ubeta_f_membership(
-            gaussian_phi, 1.0, grid=GRID1, quad_tol=1e-12
+            gaussian_phi, 1.0, grid=GRID1
         )
         assert rep.passed
         assert rep.lhs[0] == pytest.approx(-1.0 / 12.0, abs=1e-10)
@@ -151,7 +165,7 @@ class TestMembershipCheck:
 class TestClockCompositionCheck:
     def test_gaussian_spot_value(self, gaussian_phi):
         rep = factor.clock_composition_check(
-            gaussian_phi, 1.0, grid=GRID1, quad_tol=1e-12
+            gaussian_phi, 1.0, grid=GRID1
         )
         assert rep.passed
         assert rep.lhs[0] == pytest.approx(-1.0 / 12.0, abs=1e-10)
@@ -159,7 +173,7 @@ class TestClockCompositionCheck:
 
     def test_drift_spot_value(self, drift_phi):
         rep = factor.clock_composition_check(
-            drift_phi, 2.0, grid=GRID1, quad_tol=1e-12
+            drift_phi, 2.0, grid=GRID1
         )
         assert rep.passed
         assert rep.lhs[0] == pytest.approx(0.7 * 2.0 / 3.0 * 1j, abs=1e-10)

@@ -286,6 +286,39 @@ def test_triplet_with_unknown_top_level_key_is_refused():
         law_from_dict(doc)
 
 
+def one_ray(**fields):
+    return triplet_doc(levy={"rays": [{"dir": [1.0], **fields}]})
+
+
+GAUSSIAN_DOC = {"closed_form": "gaussian", "params": {"mean": [0.0], "cov": [[4.0]]}}
+# one misspelled or extra key per level of a document: (document, the key)
+UNKNOWN_KEY_DOCS = {
+    "closed-form top level": ({**GAUSSIAN_DOC, "parms": {}}, "parms"),
+    "closed-form params": (
+        {"closed_form": "gaussian", "params": {"mean": [0.0], "covv": [[4.0]]}}, "covv"
+    ),
+    "convolution top level": ({"convolve": [GAUSSIAN_DOC], "rate": 2.0}, "rate"),
+    "levy": (triplet_doc(levy={"rayz": []}), "rayz"),
+    "ray": (one_ray(segmets=[{"lo": 0.0, "hi": 1.0, "c": 1.0, "p": -0.5}]), "segmets"),
+    "atom": (one_ray(atoms=[{"r": 0.5, "m": 2.0, "mass": 1.0}]), "mass"),
+    "segment": (one_ray(segments=[{"lo": 0.0, "hi": 1.0, "c": 1.0, "pp": -0.5}]), "pp"),
+    "grid_tail": (
+        one_ray(grid_tail={"radii": [1.0, 2.0], "tail": [0.5, 0.0], "tails": []}), "tails"
+    ),
+}
+
+
+@pytest.mark.parametrize("doc, key", UNKNOWN_KEY_DOCS.values(), ids=UNKNOWN_KEY_DOCS.keys())
+def test_unknown_keys_are_refused_at_every_level(doc, key):
+    with pytest.raises(LawSpecError, match=f"unknown fields \\['{key}'\\]; known: "):
+        law_from_dict(doc)
+
+
+def test_closed_form_refuses_unknown_parameters():
+    with pytest.raises(LawSpecError, match="unknown fields \\['covv'\\]; known: mean, cov"):
+        closed_form("gaussian", covv=[[4.0]])
+
+
 def test_own_errors_are_not_rewrapped():
     doc = triplet_doc()
     doc["levy"]["rays"][0] = {

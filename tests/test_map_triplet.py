@@ -20,8 +20,8 @@ from hypothesis import example, given, settings, strategies as st
 
 import idlaw.factor as factor
 import idlaw.maps as maps
-from idlaw.exponent import convolve, from_triplet
-from idlaw.lawio import triplet_to_dict
+from idlaw.exponent import from_triplet
+from idlaw.lawio import BUILTIN_LAWS, builtin_law, triplet_to_dict
 from idlaw.spectral import GridTail, RadialMeasure, SpectralMeasure, ray
 from idlaw.triplet import LevyTriplet
 from test_spectral import log_power_moment, power_moment, power_terms
@@ -200,34 +200,40 @@ def test_shift_and_covariance_sum_over_power_kernels():
         assert img.cov[0, 0] == pytest.approx(0.8 * f_cov, rel=1e-15)
 
 
-def j(beta, trip):
-    return maps.map_triplet(maps.jbeta_map(beta), trip)
-
-
-def identity_sides(identity, trip, beta):
-    """Both sides of an identity, each composed at triplet level on its own."""
-    if identity == "eq3":
-        rho = j(2.0 * beta, trip.conv_power(0.5))
-        lhs = convolve(from_triplet(j(beta, rho)), from_triplet(rho))
-        return lhs, from_triplet(j(beta, trip))
-    if identity == "eq15":
-        lhs = j(2.0 * beta, j(beta, trip).convolve(trip))
-        return from_triplet(lhs), from_triplet(j(beta, trip.conv_power(2.0)))
-    if identity == "cor1a":
-        ubetaf = maps.map_triplet(maps.ubetaf_map(beta), trip)
-        return from_triplet(ubetaf), from_triplet(j(2.0 * beta, j(beta, trip)))
-    ijbeta = maps.map_triplet(maps.i_jbeta_map(beta), trip)
-    return from_triplet(ijbeta), from_triplet(maps.map_triplet(maps.i_map(), j(beta, trip)))
-
-
-@pytest.mark.parametrize("identity", ["eq3", "eq15", "cor1a", "prop2"])
+@pytest.mark.parametrize("identity", list(factor.SIDES))
 def test_identities_hold_at_triplet_level(panel, identity):
     grid = factor.default_grid(1)
     for trip in panel:
         for beta in BETAS:
-            lhs, rhs = identity_sides(identity, trip, beta)
-            diff = np.abs(lhs.eval_grid(grid) - rhs.eval_grid(grid))
+            lhs, rhs = factor.SIDES[identity](trip, beta)
+            diff = np.abs(from_triplet(lhs).eval_grid(grid) - from_triplet(rhs).eval_grid(grid))
             assert np.max(diff) < 1e-13, (identity, beta)
+
+
+def cross_route_cases():
+    """(name, triplet, beta): every builtin law with a triplet at beta 0.5, 1
+    and 2, and panel law 0 at beta 1."""
+    cases = [
+        (name, builtin_law(name).triplet, beta)
+        for name in BUILTIN_LAWS if builtin_law(name).triplet is not None
+        for beta in (0.5, 1.0, 2.0)
+    ]
+    return cases + [("panel0", panel_laws(9002, 1)[0], 1.0)]
+
+
+@pytest.mark.parametrize("identity", list(factor.SIDES))
+def test_each_side_agrees_across_routes(identity):
+    # a side built on the exponent and evaluated by quadrature at the check's
+    # quadrature tolerance matches the same side built on the triplet
+    tol = 1e-8
+    grid = factor.default_grid(1, 21)
+    for name, trip, beta in cross_route_cases():
+        by_exponent = factor.SIDES[identity](from_triplet(trip), beta)
+        by_triplet = factor.SIDES[identity](trip, beta)
+        for phi, img in zip(by_exponent, by_triplet):
+            want = from_triplet(img).eval_grid(grid)
+            diff = np.abs(phi.eval_grid(grid, factor._quadrature_tol(tol)) - want)
+            assert np.max(diff) < tol, (name, beta)
 
 
 # log-form offsets as image offsets p + 1 - a, a in (0.01, 3): up to three,
@@ -303,7 +309,7 @@ def test_i_image_of_a_near_log_segment_has_infinite_mass_near_zero():
 
 # images holding a log form, each mapped again by every map below
 FIRST_IMAGES = {
-    "jbeta1.3-near-band": lambda: j(1.3, hash_panel()["near-band"]),
+    "jbeta1.3-near-band": lambda: maps.jbeta_triplet(hash_panel()["near-band"], 1.3),
     "i-near-log": lambda: maps.map_triplet(maps.i_map(), near_log_law()),
 }
 REMAPS = (maps.jbeta_map(2.0), maps.jbeta_map(0.5), maps.i_map(), maps.i_jbeta_map(1.3),
