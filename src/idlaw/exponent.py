@@ -83,9 +83,13 @@ def _folded(evaluate: Callable[[np.ndarray], np.ndarray], Y: np.ndarray) -> np.n
     """
     n = Y.shape[0]
     # the end rows reject stacked inner batches before the O(n) comparison
-    if n > 1 and np.array_equal(Y[0], -Y[-1]) and np.array_equal(Y, -Y[::-1]):
-        half = np.asarray(evaluate(Y[n // 2 :]), dtype=complex)
-        return np.concatenate([np.conj(half[n % 2 :][::-1]) + 0.0, half])
+    if n > 1 and Y[0, 0] == -Y[-1, 0] and np.array_equal(Y, -Y[::-1]):
+        out = np.empty(n, dtype=complex)
+        out[n // 2 :] = evaluate(Y[n // 2 :])
+        lower = out[: n // 2]
+        np.conjugate(out[: n // 2 - 1 + n % 2 : -1], out=lower)
+        lower += 0.0
+        return out
     return np.asarray(evaluate(Y), dtype=complex)
 
 
@@ -116,9 +120,10 @@ class _SumNode(_Node):
     parts: tuple[_Node, ...]
 
     def eval(self, Y, tol):
-        out = np.zeros(Y.shape[0], dtype=complex)
-        for part in self.parts:
-            out = out + part.eval(Y, tol)
+        # summed from +0.0, onto a copy of the first part
+        out = np.add(self.parts[0].eval(Y, tol), 0.0, dtype=complex)
+        for part in self.parts[1:]:
+            out += part.eval(Y, tol)
         return out
 
 
@@ -264,7 +269,11 @@ def closed_form(name: str, **params) -> CharExponent:
         raise LawSpecError(
             f"unknown closed form {name!r}; available: {', '.join(sorted(CLOSED_FORMS))}"
         )
-    refuse_unknown(params, closed_form_params(name), f"closed form {name!r} params")
+    signature = inspect.signature(builder).parameters
+    refuse_unknown(params, tuple(signature), f"closed form {name!r} params")
+    for param in signature.values():
+        if param.default is param.empty and param.name not in params:
+            raise LawSpecError(f"closed form {name!r} is missing parameter {param.name!r}")
     dim, fn = builder(**params)
     return CharExponent(dim, _CallbackNode(fn))
 
@@ -287,10 +296,13 @@ def _build_gaussian(mean=0.0, cov=1.0):
         raise LawSpecError("; ".join(issues))
 
     def fn(Y, tol):
-        quad = _quad_form(Y, cov)
-        # adding 0.0 turns the -0.0 that 1j * x leaves in the real part at
-        # x < 0 into +0.0, so Phi(-y) is conj Phi(y) to the bit
-        return 1j * _dot(Y, mean) - 0.5 * quad + 0.0
+        # 1j * <y, mean> - 0.5 <y, cov y>, with 0.0 added to both parts so
+        # that no -0.0 is left and Phi(-y) is conj Phi(y) to the bit
+        out = np.empty(Y.shape[0], dtype=complex)
+        np.multiply(_quad_form(Y, cov), -0.5, out=out.real)
+        out.real += 0.0
+        np.add(_dot(Y, mean), 0.0, out=out.imag)
+        return out
 
     return dim, fn
 
@@ -300,7 +312,9 @@ def _build_dirac(shift):
     dim = shift.shape[0]
 
     def fn(Y, tol):
-        return 1j * _dot(Y, shift) + 0.0  # +0.0 real parts, as for the Gaussian
+        out = np.zeros(Y.shape[0], dtype=complex)  # +0.0 real parts, as for the Gaussian
+        np.add(_dot(Y, shift), 0.0, out=out.imag)
+        return out
 
     return dim, fn
 

@@ -148,15 +148,17 @@ def map_exponent_grid(
             f"grid shape {Y.shape} does not match dim {phi.dim}"
         )
     beta = m.beta
+    # a kernel of None is identically 1, and its product is skipped
     if m.kind in ("i", "ijbeta"):
-        weight = np.ones_like if m.kind == "i" else (lambda s: -np.expm1(beta * s))
+        weight = None if m.kind == "i" else (lambda s: -np.expm1(beta * s))
         return _folded(lambda rows: _singular_grid(phi, rows, tol, weight), Y)
     # the jbeta and ubetaf kernels are probability densities on (0, 1); for
-    # beta >= 1 they are substituted into forms with a bounded kernel
-    if m.kind == "jbeta" and beta >= 1.0:
+    # beta > 1 (beta >= 1 for ubetaf) they are substituted into forms with
+    # a bounded kernel
+    if m.kind == "jbeta" and beta > 1.0:
         kern, scale = (lambda w: beta * w ** (beta - 1.0)), (lambda w: w)
     elif m.kind == "jbeta":
-        kern, scale = np.ones_like, (lambda t: t ** (1.0 / beta))
+        kern, scale = None, (lambda t: t ** (1.0 / beta))
     elif beta >= 1.0:
         kern = lambda z: 2.0 * beta * z ** (beta - 1.0) * (1.0 - z ** beta)
         scale = lambda z: z
@@ -176,14 +178,21 @@ def _kernel_integral(phi, Y, tol, a, b, kern, scale, mass=1.0, splits=()):
     Each grid point is one column of the quadrature and refines on its
     own. Inner errors reach the value weighted by the kernel's mass on
     (a, b), so the inner exponent gets its share of ``tol`` divided by
-    that mass.
+    that mass. The kernel and the scale are evaluated once per panel of
+    an integrand call and the grid row once per unit; a kernel of None is
+    identically 1.
     """
     inner_tol = _INNER_SHARE * tol / mass
+    dim = Y.shape[1]
 
     def f(pairs: np.ndarray) -> np.ndarray:
-        xs = pairs["x"]
-        W = scale(xs)[:, None] * Y.take(pairs["col"], axis=0)
-        return kern(xs) * phi.eval_grid(W, inner_tol)
+        units = pairs.reshape(-1, 21)
+        nodes, panel = quadrature._panels(units["x"])
+        rows = scale(nodes)[panel][:, :, None] * Y.take(units["col"][:, 0], axis=0)[:, None, :]
+        vals = phi.eval_grid(rows.reshape(-1, dim), inner_tol)
+        if kern is None:
+            return vals
+        return (kern(nodes)[panel] * vals.reshape(-1, 21)).reshape(-1)
 
     val, _ = quadrature.integrate(
         f, a, b, tol=(1.0 - _INNER_SHARE) * tol, splits=splits, columns=Y.shape[0]
@@ -245,12 +254,14 @@ def _singular_grid(phi, Y, tol, weight):
             )
         limits = _WALK_LIMITS[done : done + size]
         done += len(limits)
-        ss = [np.array([s]) for s in limits]
-        stack = np.concatenate([np.exp(x)[0] * Y for x in ss])
-        vals = phi.eval_grid(stack, _INNER_SHARE * tol / -limits[-1])
-        for k, (s_lo, x) in enumerate(zip(limits, ss)):
-            edge = weight(x)[0] * vals[k * n : (k + 1) * n]
-            norm = float(np.max(np.abs(edge), initial=0.0))
+        ss = np.array(limits)
+        stack = (np.exp(ss)[:, None, None] * Y).reshape(-1, Y.shape[1])
+        vals = phi.eval_grid(stack, _INNER_SHARE * tol / -limits[-1]).reshape(ss.size, n)
+        if weight is not None:
+            vals = weight(ss)[:, None] * vals
+        norms = np.abs(vals).max(axis=1, initial=0.0)
+        for k, s_lo in enumerate(limits):
+            edge, norm = vals[k], float(norms[k])
             if prev_norm is None:
                 prev_norm = norm
                 continue

@@ -13,6 +13,15 @@ integrand as (abscissa, column) pairs, in chunks of at most
 outer integration hands its inner integration stacked batches, one call
 per chunk instead of one per node, and bounded because no chunk at any
 level exceeds that size.
+
+A depth is a list of panels and a list of units, each a panel index and
+a column. The first depth holds every (panel, column) pair, panel by
+panel; each later one holds the left halves of the rejected units, in
+their order, then the right halves, so the units on one panel stay
+adjacent. What depends on a panel alone, its abscissas among them, is
+computed once per panel, and what depends on a column once per unit; an
+integrand can share its own per-panel work the same way
+(:func:`_panels`).
 """
 
 from __future__ import annotations
@@ -116,7 +125,12 @@ def integrate(
         complex value per pair, shape (m,). Pairs must be independent. A
         depth's units go to ``f`` in unit order, in balanced chunks of at
         most :data:`CHUNK_PAIRS` pairs (one unit when that is below 21),
-        so memory stays bounded however many units are active.
+        so memory stays bounded however many units are active. The pairs
+        are unit-major: ``pairs.reshape(-1, 21)`` has one row per unit,
+        its panel's 21 abscissas from left to right, each with the unit's
+        column, and the units on one panel are adjacent rows, so that an
+        integrand can do the work that depends on the panel alone once per
+        panel (:func:`_panels`).
     a, b : float
         Integration limits, ``a <= b``. ``f`` is only evaluated strictly
         inside each panel, so an integrable singularity at a limit is
@@ -171,58 +185,75 @@ def integrate(
         if a < s < b and s != points[-1]:
             points.append(s)
     points.append(b)
-    # units are (panel, column) pairs; a column's own units keep one order
-    # whatever the other columns do, so its sums round the same way
+    # a depth's units are (panel, column) pairs, and a column's own units
+    # keep one order whatever the other columns do, so its sums round the
+    # same way
     edges = np.array(points if a < b else [a])
-    xl, xr = np.repeat(edges[:-1], columns), np.repeat(edges[1:], columns)
-    col = np.tile(np.arange(columns), edges.size - 1)
+    left, right = edges[:-1], edges[1:]
+    panel, col = np.divmod(np.arange(left.size * columns), columns)
 
-    total = np.zeros((2, columns))
+    # each column's value, as (real, imaginary), and its spent estimate
+    total = np.zeros((columns, 2))
     spent = np.zeros(columns)
-    stuck = np.zeros(columns, dtype=bool)
+    stuck = None
+    most = max(CHUNK_PAIRS // 21, 1)
     depth = 0
     # the previous depth's units: (column, half width, rules, estimate, rejected)
     last = None
-    while xl.size:
-        k = xl.size
+    while col.size:
+        k = col.size
         if 21 * k > MAX_PAIRS:
             raise _over_pair_cap(a, b, tol, 21 * k, total, spent, last)
-        span = xr - xl
-        mid, half = 0.5 * (xl + xr), 0.5 * span
+        span = right - left
+        mid, half = 0.5 * (left + right), 0.5 * span
+        # each panel's abscissas, once per panel however many units it holds
+        nodes = half[:, None] * _NODES + mid[:, None]
+        bounds = (left, mid, right)
+        span, half = span[panel], half[panel]
         width = np.bincount(col, weights=span, minlength=columns)
         # acceptance reads the budget left at the start of the depth
         share = span * (np.maximum(tol - spent, 0.0)[col] / width[col])
-        most = max(CHUNK_PAIRS // 21, 1)
         if k <= most:
-            rules, err, done = _evaluate_units(f, xl, xr, mid, half, col, share)
+            rules, err, over = _evaluate_units(f, nodes, bounds, panel, col, half, share)
         else:
             # balanced chunks of whole units in unit order; only per-unit
             # arrays outlive a chunk
             chunks = -(-k // most)
             cuts = [k * c // chunks for c in range(chunks + 1)]
             parts = [
-                _evaluate_units(f, *(v[i:j] for v in (xl, xr, mid, half, col, share)))
+                _evaluate_units(f, nodes, bounds, *(v[i:j] for v in (panel, col, half, share)))
                 for i, j in zip(cuts[:-1], cuts[1:])
             ]
-            rules, err, done = map(np.concatenate, zip(*parts))
-        if depth >= MAX_DEPTH and not done.all():
-            stuck[col[~done]] = True
-            done[:] = True
-        value = np.where(done[:, None], half[:, None] * rules[:, :, 0], 0.0)
-        total[0] += np.bincount(col, weights=value[:, 0], minlength=columns)
-        total[1] += np.bincount(col, weights=value[:, 1], minlength=columns)
-        spent += np.bincount(col, weights=np.where(done, err, 0.0), minlength=columns)
-        keep = ~done
-        last = (col, half, rules, err, keep)
-        cut, col = mid[keep], col[keep]
-        xl, xr = np.concatenate([xl[keep], cut]), np.concatenate([cut, xr[keep]])
-        col = np.concatenate([col, col])
+            rules, err, over = zip(*parts)
+            rules, err = np.concatenate(rules), np.concatenate(err)
+            over = np.concatenate([u + i for u, i in zip(over, cuts)])
+        if depth >= MAX_DEPTH and over.size:
+            stuck = np.zeros(columns, dtype=bool)
+            stuck[col[over]] = True
+            over = over[:0]
+        if not over.size:
+            _accumulate(total, spent, col, half, rules, err)
+            break
+        done = np.ones(k, dtype=bool)
+        done[over] = False
+        _accumulate(total, spent, col, half, rules, err, done)
+        last = (col, half, rules, err, ~done)
+        # the panels of rejected units are halved, left halves first: the
+        # units keep their order, and the units of each half stay adjacent
+        panel, col = panel[over], col[over]
+        # panels left without units are dropped
+        cut = np.zeros(left.size, dtype=bool)
+        cut[panel] = True
+        panel = (np.add.accumulate(cut, dtype=np.intp) - 1)[panel]
+        left, mid, right = left[cut], mid[cut], right[cut]
+        left, right = np.concatenate((left, mid)), np.concatenate((mid, right))
+        panel = np.concatenate((panel, panel + mid.size))
+        col = np.concatenate((col, col))
         depth += 1
 
-    values = np.empty(columns, dtype=complex)
-    values.real, values.imag = total
+    values = total.view(complex)[:, 0]
     worst = float(spent.max(initial=0.0))
-    if np.any(stuck & (spent > tol)):
+    if stuck is not None and np.any(stuck & (spent > tol)):
         raise QuadratureError(
             f"Gauss-Kronrod quadrature did not converge on [{a}, {b}]: "
             f"worst column error estimate {worst:.3e} > tol {tol:.3e} with "
@@ -233,17 +264,18 @@ def integrate(
     return values, worst
 
 
-def _evaluate_units(f, xl, xr, mid, half, col, share):
+def _evaluate_units(f, nodes, bounds, panel, col, half, share):
     """Evaluate units of one depth in one integrand call.
 
-    Returns each unit's (real, imaginary) x (K21, K21 - G10) sums, its
-    |K21 - G10| and whether it is accepted against its ``share`` of the
-    budget.
+    ``nodes`` holds the abscissas of the depth's panels and ``bounds``
+    their (left end, midpoint, right end). Returns each unit's (real,
+    imaginary) x (K21, K21 - G10) sums, its |K21 - G10| and the indices of
+    the units not accepted against their ``share`` of the budget.
     """
-    k = xl.size
+    k = col.size
     pairs = np.empty((k, 21), dtype=PAIR)
-    # (nodes, units) order runs the arithmetic along long rows
-    pairs["x"] = (_NODES[:, None] * half + mid).T
+    # one panel's abscissas broadcast over all its units
+    pairs["x"] = nodes if nodes.shape[0] == 1 else nodes[panel]
     pairs["col"] = col[:, None]
     vals = np.ascontiguousarray(f(pairs.reshape(-1)), dtype=complex)
     if vals.shape != (21 * k,):
@@ -253,13 +285,59 @@ def _evaluate_units(f, xl, xr, mid, half, col, share):
     # (one BLAS product over all units would not)
     rules = vals.view(float).reshape(k, 21, 2).transpose(0, 2, 1) @ _RULES
     err = half * np.hypot(rules[:, 0, 1], rules[:, 1, 1])
-    done = err <= share
-    if not done.all():
+    over = (~(err <= share)).nonzero()[0]
+    if over.size:
         # units over their share may still be at rounding level, or too
         # narrow to bisect
-        noise = _ROUNDOFF * half * np.einsum("kj,j->k", abs(vals), _KRONROD_WEIGHTS)
-        done |= (err <= noise) | (mid <= xl) | (mid >= xr)
-    return rules, err, done
+        noise = _ROUNDOFF * half[over] * np.einsum("kj,j->k", abs(vals[over]), _KRONROD_WEIGHTS)
+        left, mid, right = bounds
+        narrow = (mid <= left) | (mid >= right)
+        over = over[~((err[over] <= noise) | narrow[panel[over]])]
+    return rules, err, over
+
+
+def _accumulate(total, spent, col, half, rules, err, done=None) -> None:
+    """Add units' K21 values and estimates to their columns' sums, in unit order.
+
+    Units outside the mask ``done`` add +0.0, which changes no sum started
+    at +0.0.
+    """
+    n = spent.size
+    parts = (half * rules[:, 0, 0], half * rules[:, 1, 0], err)
+    if done is not None:
+        parts = [np.where(done, v, 0.0) for v in parts]
+    for out, v in zip((total[:, 0], total[:, 1], spent), parts):
+        out += np.bincount(col, weights=v, minlength=n)
+
+
+def _panels(x: np.ndarray) -> tuple[np.ndarray, np.ndarray | slice]:
+    """The panels of one integrand call, from its (units, 21) abscissas.
+
+    Returns one row of abscissas per panel and an index that takes a table
+    of per-panel rows to per-unit rows: an array of panel indices or, when
+    every unit is on one panel, a slice that leaves its row to broadcast.
+    So work that depends on the panel alone runs once per panel. Units on
+    one panel are adjacent rows (:func:`integrate`), and a new panel starts
+    where the centre abscissa, the panel's midpoint, changes: the panels of
+    a depth are disjoint, so two of them share a midpoint only at a common
+    end, both too narrow to bisect, and the row of such a panel repeats
+    its midpoint as its first or last abscissa. Should a group's first row
+    do so, every unit is returned as its own panel.
+    """
+    k = x.shape[0]
+    # (first abscissa, midpoint, last abscissa) of the first and the last unit
+    ends = x[:: max(k - 1, 1), ::10].tolist()
+    (a, m, b), last = ends[0], ends[-1][1]
+    if m == last:
+        return (x[:1], slice(None)) if a < m < b else (x, slice(None))
+    centre = x[:, 10]
+    first = np.empty(k, dtype=bool)
+    first[0] = True
+    np.not_equal(centre[1:], centre[:-1], out=first[1:])
+    rows = x.take(first.nonzero()[0], axis=0)
+    if all(a < m < b for a, m, b in rows[:, ::10].tolist()):
+        return rows, np.add.accumulate(first, dtype=np.intp) - 1
+    return x, slice(None)
 
 
 def _over_pair_cap(a, b, tol, n_pairs, total, spent, last) -> QuadratureError:
@@ -269,18 +347,12 @@ def _over_pair_cap(a, b, tol, n_pairs, total, spent, last) -> QuadratureError:
     still active, and its estimate adds theirs; before any depth ran, the
     values are 0 and the estimate is inf.
     """
-    columns = spent.size
     best, err = total.copy(), spent.copy()
     if last is None:
         err[:] = math.inf
     else:
-        col, half, rules, unit_err, keep = last
-        col = col[keep]
-        best[0] += np.bincount(col, weights=half[keep] * rules[keep, 0, 0], minlength=columns)
-        best[1] += np.bincount(col, weights=half[keep] * rules[keep, 1, 0], minlength=columns)
-        err += np.bincount(col, weights=unit_err[keep], minlength=columns)
-    values = np.empty(columns, dtype=complex)
-    values.real, values.imag = best
+        _accumulate(best, err, *last)
+    values = best.view(complex)[:, 0]
     worst = float(err.max(initial=0.0))
     return QuadratureError(
         f"Gauss-Kronrod quadrature on [{a}, {b}] stopped: the next depth would "

@@ -956,8 +956,6 @@ def _log_1is(a: np.ndarray) -> np.ndarray:
 
 # the power pieces' log(1 + i v/a) at the series edge a = SERIES_EDGE
 _LOG_1IS_EDGE = _log_1is(np.array([SERIES_EDGE]))
-# q = p + 1 + j of the moments j = 0, 1 behind the rotated contour
-_MOMENT_Q = np.array([[1.0], [2.0]])
 
 
 def _laguerre_sum(p, a, forms=()) -> np.ndarray:
@@ -1156,26 +1154,27 @@ class _Pieces:
         It is T(x) - T(b) - P_0 - i W P_1, where T is :meth:`_rotated_tail`
         and P_j the integral of r**j against the piece at c = 1 over
         (x, b). An unbounded piece has T(b) = 0 and P_0 = -x**(p+1)/(p+1);
-        a raw piece (k0 = 1) takes P_1 over (x, x), that is 0.
+        only the compensated pieces (k0 = 2) take P_1, which is 0 on a raw
+        one.
         """
         m, b = k.size, self.b[k]
         x = np.maximum(edge, self.a[k])
         bounded = b < math.inf
         ends = np.concatenate([x, np.where(bounded, b, x)])
         T = self._rotated_tail(np.concatenate([k, k]), ends, np.concatenate([W, W]))
-        moments = self._moments(k, x, np.array([b, np.where(self.k0[k] == 2, b, x)]))
-        val = T[:m] - T[m:] * bounded - moments[0]
-        val -= 1j * W * moments[1]
+        val = T[:m] - T[m:] * bounded - self._moment(k, x, b, 0.0)
+        comp = (self.k0[k] == 2).nonzero()[0]
+        if comp.size:
+            val[comp] -= 1j * W[comp] * self._moment(k[comp], x[comp], b[comp], 1.0)
         return val
 
-    def _moments(self, k: np.ndarray, x: np.ndarray, ends: np.ndarray) -> np.ndarray:
-        """Integrals of r**j against pieces k at c = 1 over (x, ends[j]), rows j = 0, 1."""
-        q = self.p[k] + _MOMENT_Q
-        out = _ints_from(x, ends, q)
+    def _moment(self, k: np.ndarray, x: np.ndarray, b: np.ndarray, j: float) -> np.ndarray:
+        """Integral of r**j against pieces k at c = 1 over (x, b)."""
+        q = self.p[k] + (j + 1.0)
+        out = _ints_from(x, b, q)
         log = k >= self.kinds[1]
         if log.any():
-            b = ends[:, log]
-            out[:, log] = b ** q[:, log] * self._form_ratios(k[log], q[:, log], x[log], b)
+            out[log] = b[log] ** q[log] * self._form_ratios(k[log], q[log], x[log], b[log])
         return out
 
     def _rotated_tail(self, k: np.ndarray, x: np.ndarray, W: np.ndarray) -> np.ndarray:

@@ -1,5 +1,6 @@
 """Exponent objects: closed forms, algebra, invariants, special functions."""
 
+import inspect
 import math
 from types import SimpleNamespace
 from unittest import mock
@@ -43,6 +44,36 @@ class TestRegistry:
     def test_unknown_name_raises_and_lists_choices(self):
         with pytest.raises(LawSpecError, match="gaussian"):
             closed_form("no_such_law")
+
+    # valid values of every required parameter
+    REQUIRED = {
+        "dirac": {"shift": [0.5]},
+        "compound_poisson": {"rate": 1.0, "jumps": [1.0, -2.0]},
+        "levy_area_bdlp": {"u": 1.0},
+    }
+
+    def test_required_parameters_are_the_listed_ones(self):
+        required = {
+            name: {
+                p.name for p in inspect.signature(build).parameters.values()
+                if p.default is p.empty
+            }
+            for name, build in CLOSED_FORMS.items()
+        }
+        assert required == {name: set(self.REQUIRED.get(name, ())) for name in CLOSED_FORMS}
+        for name, params in self.REQUIRED.items():
+            closed_form(name, **params)
+
+    @pytest.mark.parametrize("name, missing", [
+        (name, key) for name, params in REQUIRED.items() for key in params
+    ])
+    def test_missing_parameter_is_named(self, name, missing):
+        # the message of the law-document route
+        params = {k: v for k, v in self.REQUIRED[name].items() if k != missing}
+        with pytest.raises(
+            LawSpecError, match=f"^closed form '{name}' is missing parameter '{missing}'$"
+        ):
+            closed_form(name, **params)
 
 
 class TestClosedFormValues:

@@ -1,5 +1,13 @@
-"""Factorization checkers: dual-route identity reports and the area law."""
+"""Factorization checkers: dual-route identity reports and the area law.
 
+Run as a script to print the digests of the grid identities' report
+bytes, and the keys whose digest moved from the pinned ``IDENTITY_DIGESTS``:
+
+    PYTHONPATH=src python tests/test_factor.py
+"""
+
+import hashlib
+import json
 import math
 import re
 from pathlib import Path
@@ -300,3 +308,78 @@ class TestAreaLaw:
         assert d["rows"][0]["cosh_variant_exponent"] == pytest.approx(
             1.0 - math.cosh(1.0)
         )
+
+
+# The four grid identities on a compound-Poisson law (jumps 2, -1.25 and
+# 0.75 at rate 2) and on the same law convolved with a Gaussian of variance
+# 0.5, at four betas on the 41-point default grid and tol 1e-8: the sha256
+# of each report's lhs and rhs bytes.
+IDENTITY_CP = closed_form("compound_poisson", rate=2.0, jumps=[2.0, -1.25, 0.75])
+IDENTITY_LAWS = {
+    "cp": IDENTITY_CP,
+    "mix": convolve(closed_form("gaussian", mean=[0.0], cov=[[0.5]]), IDENTITY_CP),
+}
+IDENTITY_CHECKERS = ("verify_factorization", "identity_e_check", "ubeta_f_membership",
+                     "clock_composition_check")
+IDENTITY_DIGESTS = {
+    "eq3/cp/beta=0.5": "b6c07438fc86f1b994a26c9bf4a59d6e026a80d79e7098e0064ebf76516623af",
+    "eq3/cp/beta=1": "76b16a589a0dddde62db8ab29d6843f73b1b08d2458387fcadb425caedb063d4",
+    "eq3/cp/beta=2": "d55e77b22aeab3b667562bfe9480b6787f845aca5e7489aa68894c6a7f376313",
+    "eq3/cp/beta=3": "7949565271a5bd54a1de47c2899b75cec989b19794151d7b2984541c7e96e29c",
+    "eq3/mix/beta=0.5": "151b198c12bcb9c6a6f3b52fcdc3f75c99cd0973a5ce735bd8e793211645ebf3",
+    "eq3/mix/beta=1": "8dd1eacf8dd0f3001dc901e1197fb31e7a174b8146db31a162b8e9ac9ea1451c",
+    "eq3/mix/beta=2": "9282f2221036139ac7093d9adc02a0dc53705f0f5d893ae235a8b3e79955ada6",
+    "eq3/mix/beta=3": "a82bfc5fbde4305d6cef9084e1a354cd07dace32010fd388a29120ff6c60f036",
+    "eq15/cp/beta=0.5": "9307d8ac856455c57c4a346ee22dfad43f8f1c612dfd3f3e989f5c0a084400e8",
+    "eq15/cp/beta=1": "5d1cc3bb41c51a6e3a601abe13ae66a6e0d6304ebab3ce115d839cca21b19087",
+    "eq15/cp/beta=2": "01d75021aeb496228b8bbcb01b36d659245ca4c381e5fa303bdcecf6b7e6e281",
+    "eq15/cp/beta=3": "defbe8a86f540146b9df1026d20c92acf925ce972ce3f37242cfac24b4f8aedc",
+    "eq15/mix/beta=0.5": "7830c93113c8e250411273d1cc343671980057eb4b07aa49436eb30b6dae6298",
+    "eq15/mix/beta=1": "05b7ee3a384ebc8ee0e2faf2fd02210167539fd7ecbb0668acdb93ce73feb3f2",
+    "eq15/mix/beta=2": "86f9ea288920d4c5395505df0c0499ad3715e0227e1a5c3ec4d84146499279f5",
+    "eq15/mix/beta=3": "cbf748559a88e117a31db5ca9fd93e0fb0d1753c53bc411dcb7f085a74e2c724",
+    "cor1a/cp/beta=0.5": "3e6b18c94b2f9df38cf02bf9dc0b591e9e091d4156d2e752b7103bbdd1f8a41a",
+    "cor1a/cp/beta=1": "ee98c63ef6d60f758f38db024dd975379cd215b34c57eb4e6381fd34f394efb8",
+    "cor1a/cp/beta=2": "f15f1777ed0a13c29e2455998c7c834368ac92aae3313211ba6f6f87211badd3",
+    "cor1a/cp/beta=3": "b7ff6b51d470efbfc62b869bf739e6558f0b62c0a380d4a55224cf25943d6fd4",
+    "cor1a/mix/beta=0.5": "101f9f191644d3dddeeefaa4ed9264311360e4d215dd124d388badd9610596a3",
+    "cor1a/mix/beta=1": "d54c62def3c393bb7413e93f21cbea3ad412647d75b2f30f0b60155384576e5e",
+    "cor1a/mix/beta=2": "c1842b4cd186b591c8f4f14fef6c4cd77eba0cb7942e5a4e742ade23096ee6df",
+    "cor1a/mix/beta=3": "ab0d8d4fa3e19ab074a6ac1e11b9f13107feb62c1513b04fabe46f784ebe3aa4",
+    "prop2/cp/beta=0.5": "415d083ef2deade853c2add58d1496e52ee4e37213d65d56ca98af616665a736",
+    "prop2/cp/beta=1": "8e06da9c54c6fd9e28f4f849cb5396c0dedb44e8b98bc5fe69cd97596bdc0b33",
+    "prop2/cp/beta=2": "9b851ca6b3ce6547ad1ffa587fefb5947b04dbc51fbf607207a201d697de37bd",
+    "prop2/cp/beta=3": "4add1794028a29c4e568b5476cb32ebeb219c9998d2fba0167cbe32cfcc8d560",
+    "prop2/mix/beta=0.5": "1044733cb93658d5e5720af8db9066ee31556d07e187dea562bb94cab137176f",
+    "prop2/mix/beta=1": "493afd91b218773447001908da581e315b3dd8386d3a10b5d9afd0f1e66a530f",
+    "prop2/mix/beta=2": "204753487cb82c70196f73077b355c076d9e83ccb585cb07b7fcfba3f7a5ae97",
+    "prop2/mix/beta=3": "ada8c9b3bb868f0fc3865790be324789f51491da05cfe302cdba99d7512989aa",
+}
+
+
+def identity_digests() -> dict[str, str]:
+    """sha256 of the lhs and rhs bytes of each grid identity, law and beta."""
+    out = {}
+    for checker in IDENTITY_CHECKERS:
+        for law, phi in IDENTITY_LAWS.items():
+            for beta in (0.5, 1.0, 2.0, 3.0):
+                rep = getattr(factor, checker)(phi, beta, tol=1e-8)
+                key = f"{rep.identity}/{law}/beta={beta:g}"
+                out[key] = hashlib.sha256(rep.lhs.tobytes() + rep.rhs.tobytes()).hexdigest()
+    return out
+
+
+def moved_identities(old: dict, new: dict) -> list[str]:
+    return [key for key in sorted(set(old) | set(new)) if old.get(key) != new.get(key)]
+
+
+def test_grid_identities_keep_their_bytes():
+    assert moved_identities(IDENTITY_DIGESTS, identity_digests()) == []
+
+
+if __name__ == "__main__":
+    # the digests to pin, then the keys that moved
+    new = identity_digests()
+    print(json.dumps(new, indent=4))
+    for key in moved_identities(IDENTITY_DIGESTS, new):
+        print(f"moved: {key}")

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from idlaw import lawio, maps, quadrature
 from idlaw.errors import QuadratureError
-from idlaw.exponent import from_triplet
+from idlaw.exponent import closed_form, from_triplet
 from idlaw.spectral import SpectralMeasure, ray
 from idlaw.triplet import LevyTriplet
 
@@ -379,3 +379,52 @@ class TestChunkedDepths:
         finally:
             tracemalloc.stop()
         assert peak < 16e6
+
+
+def test_units_on_one_panel_share_its_kernel_and_scale(monkeypatch):
+    # a jbeta map at beta 2 (kernel 2 w, scale w) over 441 columns that
+    # refines no further than its one first panel
+    cp = closed_form("compound_poisson", rate=2.0, jumps=[2.0, -1.25, 0.75])
+    m, Y = maps.jbeta_map(2.0), np.linspace(0.01, 5.0, 441)[:, None]
+    sizes = []
+    kernel_integral = maps._kernel_integral
+
+    def counted(phi, Y, tol, a, b, kern, scale, *args, **kwargs):
+        def count(fn):
+            def g(x):
+                sizes.append(np.size(x))
+                return fn(x)
+
+            return g
+
+        return kernel_integral(phi, Y, tol, a, b, count(kern), count(scale), *args, **kwargs)
+
+    monkeypatch.setattr(maps, "_kernel_integral", counted)
+    maps.map_exponent_grid(m, cp, Y, 1e-9)
+    # the kernel and the scale each on the panel's 21 abscissas, not 9,261
+    assert sizes == [21, 21]
+    monkeypatch.setattr(maps, "_kernel_integral", kernel_integral)
+    singles = [maps.map_exponent_grid(m, cp, Y[j : j + 1], 1e-9).tobytes() for j in range(441)]
+    for chunk in (quadrature.CHUNK_PAIRS, 21):
+        monkeypatch.setattr(quadrature, "CHUNK_PAIRS", chunk)
+        vals = maps.map_exponent_grid(m, cp, Y, 1e-9)
+        assert [vals[j : j + 1].tobytes() for j in range(441)] == singles
+
+
+def test_panels_of_one_call():
+    # panels (0, 0.5) and (0.5, 1) of one depth, with two and three units
+    nodes = 0.25 * quadrature._NODES + np.array([[0.25], [0.75]])
+    x = nodes[[0, 0, 1, 1, 1]]
+    rows, index = quadrature._panels(x)
+    assert np.array_equal(rows, nodes) and np.array_equal(rows[index], x)
+    # units on one panel: its row, left to broadcast
+    rows, index = quadrature._panels(x[2:])
+    assert np.array_equal(rows[index], nodes[1:])
+    # the panels on both sides of 1.0 are too narrow to bisect: they share
+    # their midpoint, which their rows repeat, and every unit is its own panel
+    left, right = np.array([np.nextafter(1.0, 0.0), 1.0]), np.array([1.0, np.nextafter(1.0, 2.0)])
+    mid, half = 0.5 * (left + right), 0.5 * (right - left)
+    assert np.all(mid == 1.0)
+    x = half[:, None] * quadrature._NODES + mid[:, None]
+    rows, index = quadrature._panels(x)
+    assert np.array_equal(rows[index], x) and rows[index].shape == (2, 21)
