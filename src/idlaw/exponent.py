@@ -324,10 +324,10 @@ def _build_compound_poisson(rate, jumps, probs=None):
     if rate < 0.0:
         raise LawSpecError(f"compound_poisson rate must be >= 0, got {rate}")
     jumps, probs = jump_atoms(jumps, probs)
-    masses = rate * probs
+    half, mass2 = 0.5 * jumps, 2.0 * (rate * probs)[:, None]
 
     def fn(Y, tol):
-        return _cis_m1(Y, jumps, masses)
+        return _cis_m1(Y, half, mass2)
 
     return jumps.shape[1], fn
 

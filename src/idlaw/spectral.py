@@ -57,6 +57,8 @@ _INV_FACT = np.array([1 / math.factorial(k) for k in range(SERIES_TERMS + 1)])
 # coefficients of i**k / k!: real part for even k, imaginary for odd
 _TERM_K = np.arange(1.0, SERIES_TERMS + 1.0)[:, None]
 _TERM_COEF = (-1.0) ** (_TERM_K // 2) * _INV_FACT[1:, None]
+# the coefficients with the terms below k0 zeroed, one column per k0 = 0, 1, 2
+_K0_COEF = _TERM_COEF * (_TERM_K >= np.arange(3.0))
 
 
 def _keep_thresholds() -> np.ndarray:
@@ -75,8 +77,10 @@ def _keep_thresholds() -> np.ndarray:
     return np.array(out)
 
 
-# an element with z = |w| top keeps the terms up to k = 2 + searchsorted(_KEEP, z, "right")
+# an element with z = |w| top keeps the terms up to k = 2 + searchsorted(_KEEP, z, "right"):
+# term k where z reaches row k - 1 of _TERM_KEEP, and terms 1 and 2 always
 _KEEP = _keep_thresholds()
+_TERM_KEEP = np.concatenate([[-math.inf, -math.inf], _KEEP])[:, None]
 # 34-point Gauss-Laguerre rule: nodes and weights for integrals against
 # exp(-v) over (0, inf), Newton-refined roots of L_34 at 60 digits. On
 # (1 + i v/a)**p it is within 3e-16 of the integral for a >= SERIES_EDGE.
@@ -110,25 +114,24 @@ _LAG_WEIGHTS = np.array([
 ])
 
 
-def _cis_m1(Y: np.ndarray, J: np.ndarray, m: np.ndarray) -> np.ndarray:
-    """Sum over atoms k of m_k (exp(i theta_jk) - 1), per row j of Y.
+def _cis_m1(Y: np.ndarray, H: np.ndarray, m2: np.ndarray) -> np.ndarray:
+    """Sum over atoms k of m_k (exp(i theta_jk) - 1), per row j of the float grid Y.
 
-    The angles are theta_jk = sum over c of Y[j, c] J[k, c], built as
-    elementwise products in column order, never a matrix product. Each
-    angle takes one libm call, the tangent of the half angle
-    t = tan(theta/2): with q = t/(1 + t**2), cos(theta) - 1 = -2 t q and
-    sin(theta) = 2 q, so there is no cancellation near theta = 0, and t**2
-    stays finite next to odd multiples of pi, where t is largest. Atoms go
-    in tiles of at most ``CIS_CHUNK_ELEMENTS`` and rows in blocks that keep
-    (atoms x rows) within it, so temporaries stay in cache whatever the
-    batch size. A block's atoms are summed by halving, in an order set by
-    the tile's atom count alone, and tiles add in order; so every row
-    rounds the same in any batch.
+    The atoms come as their jumps J halved, H = J/2 (atoms x dim), and
+    their masses doubled, as a column m2 = 2 m: a table built once keeps
+    them so. The half angles are sums over c of Y[j, c] H[k, c], built as
+    elementwise products in column order, never a matrix product; halving
+    is exact, so they are the rounded angles halved. Each angle takes one
+    libm call, the tangent of the half angle t = tan(theta/2): with
+    q = t/(1 + t**2), cos(theta) - 1 = -2 t q and sin(theta) = 2 q, so
+    there is no cancellation near theta = 0, and t**2 stays finite next to
+    odd multiples of pi, where t is largest. Atoms go in tiles of at most
+    ``CIS_CHUNK_ELEMENTS`` and rows in blocks that keep (atoms x rows)
+    within it, so temporaries stay in cache whatever the batch size. A
+    block's atoms are summed by halving, in an order set by the tile's
+    atom count alone, and tiles add in order; so every row rounds the same
+    in any batch.
     """
-    Y = np.asarray(Y, dtype=float)
-    # halving is exact, so the half angles are the rounded angles halved
-    H = 0.5 * np.asarray(J, dtype=float)
-    m2 = 2.0 * np.asarray(m, dtype=float)[:, None]
     n, (K, d) = Y.shape[0], H.shape
     out = np.zeros(n, dtype=complex)
     re, im = out.real, out.imag
@@ -153,17 +156,23 @@ def _cis_m1(Y: np.ndarray, J: np.ndarray, m: np.ndarray) -> np.ndarray:
 
 
 def _dot(Y: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Y @ v as a sum of columns in order, so each row rounds alike in any batch."""
-    out = np.zeros(Y.shape[0])
-    for c in range(Y.shape[1]):
+    """Y @ v as a sum of columns in order, so each row rounds alike in any batch.
+
+    The sum starts from the first column's product plus 0.0, which rounds
+    as 0.0 plus it would, -0.0 included.
+    """
+    out = Y[:, 0] * v[0]
+    out += 0.0
+    for c in range(1, Y.shape[1]):
         out += Y[:, c] * v[c]
     return out
 
 
 def _quad_form(Y: np.ndarray, S: np.ndarray) -> np.ndarray:
     """<y, S y> for each row y of Y, summed in order like :func:`_dot`."""
-    out = np.zeros(Y.shape[0])
-    for c in range(Y.shape[1]):
+    out = _dot(Y, S[0]) * Y[:, 0]
+    out += 0.0
+    for c in range(1, Y.shape[1]):
         out += _dot(Y, S[c]) * Y[:, c]
     return out
 
@@ -198,6 +207,8 @@ def _expm1_ratio(e, t):
         return t
     et = e * t
     small = (np.abs(et) < sys.float_info.min) | (e == 0.0)
+    if not np.count_nonzero(small):
+        return np.expm1(et) / e
     return np.where(small, t, np.expm1(et) / np.where(small, 1.0, e))
 
 
@@ -211,7 +222,7 @@ def _log_ratio(x, y):
     d = x - y
     close = np.abs(d) < y / 32.0
     out = np.log(x / y)
-    if not close.any():
+    if not np.count_nonzero(close):
         return out
     if np.ndim(out) == 0:
         return np.log1p(d / y)
@@ -634,7 +645,8 @@ class RadialMeasure:
         at -w is the conjugate of the one at w piece by piece.
         """
         w = np.asarray(w, dtype=float).ravel()
-        return self.tables.exponent(w[:, None], -self.tables.comp)
+        comp = self.tables.comp
+        return self.tables.exponent(w[:, None], -comp if np.any(comp) else None)
 
     def scaled(self, factor: float) -> "RadialMeasure":
         if factor < 0.0:
@@ -951,7 +963,10 @@ def _zero_term_row(p: float, k0: int) -> int:
 def _log_1is(a: np.ndarray) -> np.ndarray:
     """log(1 + i v/a) at the Laguerre nodes v down the rows, one column per a."""
     s = _LAG_NODES[:, None] * (1.0 / a)
-    return 0.5 * np.log1p(s * s) + 1j * np.arctan(s)
+    out = np.empty(s.shape, dtype=complex)
+    np.multiply(np.log1p(s * s), 0.5, out=out.real)
+    np.arctan(s, out=out.imag)
+    return out
 
 
 # the power pieces' log(1 + i v/a) at the series edge a = SERIES_EDGE
@@ -973,24 +988,41 @@ def _laguerre_sum(p, a, forms=()) -> np.ndarray:
     return _fold_sum(f)
 
 
+# i exp(i a) at the series edge a = SERIES_EDGE, where every tail of a call
+# that needs no Laguerre rule starts
+_EDGE_TURN = 1j * np.exp(1j * np.array([SERIES_EDGE]))
+
+
 @dataclass(frozen=True, eq=False)
 class _Pieces:
     """Segments split at radius 1 into pieces, as columns with one entry per piece.
 
-    A piece is c * r**p F(r) on (a, b) of ray ``ray``, F the density factor
-    of its segment, 1 or a log form's; ``nodes`` holds its sorted nodes
-    (:func:`_form_nodes`), padded with nan, and hi the segment's end.
-    k0 = 2 marks the compensated kernel below radius 1, k0 = 1 the raw one
-    above it. Pieces are sorted into power pieces from a = 0, power pieces
-    from a > 0 and log forms; ``kinds`` holds the indices where the last
-    two start. Per piece, ``coef`` holds the series
+    A piece is c * r**p F(r) on (a, b) of a ray with direction ``dirs``
+    (pieces x dim), F the density factor of its segment, 1 or a log form's;
+    ``nodes`` holds its sorted nodes (:func:`_form_nodes`), padded with nan,
+    and hi the segment's end. k0 = 2 marks the compensated kernel below
+    radius 1, k0 = 1 the raw one above it. Pieces are sorted into power
+    pieces from a = 0, bounded power pieces from a > 0, unbounded ones and
+    log forms; ``kinds`` holds the indices where the last three start, and
+    ``fold`` the order in which their values add, that of the segments
+    with the bounded and unbounded pieces from a > 0 together, or None
+    when it is the table's. Per piece, ``coef`` holds the series
     coefficients of i**k / k! for k = 1..SERIES_TERMS, zero below k0; on
     power pieces they are divided by q = p + 1 + k where q is not 0, and
     negated from a > 0, where the series multiplies them by
-    expm1(q log(rho)). ``q`` holds the rows q; ``zero_row`` the row where q
-    is 0 on a power piece from a > 0, -1 elsewhere, or None when there is
-    none; and ``edge_lag`` the Laguerre sum at the series edge, read for
-    power pieces.
+    expm1(q log(rho)). ``q`` holds the rows q and ``zero_rows`` the
+    (piece, row) pairs where q is 0 on a power piece from a > 0. ``rest``
+    is the top an element takes where it has no series part, so that its
+    terms vanish: a on pieces from a > 0, where its tail then starts, and
+    b on pieces from 0, which lack a series part only at w = 0.
+    ``bounded_b`` is b on bounded pieces and 0 on unbounded ones, whose
+    tails run apart. ``edge_lag`` holds the Laguerre sum at the series
+    edge, taken once per distinct p of the power pieces; log forms never
+    read it. ``p1`` holds p + 1, the q of the moment of r**0 and the
+    exponent of the series' scale, and ``tail_p0`` holds -1/(p + 1) on the
+    unbounded pieces, whose moment of r**0 over (x, inf) is
+    x**(p+1) times it, and ``unbounded`` their indices, as columns.
+    Everything a call only reads is built here, once per law.
     """
 
     a: np.ndarray
@@ -999,39 +1031,64 @@ class _Pieces:
     p: np.ndarray
     hi: np.ndarray
     k0: np.ndarray
-    ray: np.ndarray
+    dirs: np.ndarray
     nodes: np.ndarray
-    kinds: tuple[int, int]
+    kinds: tuple[int, int, int]
+    fold: np.ndarray | None
     coef: np.ndarray
     q: np.ndarray
-    zero_row: np.ndarray | None
+    zero_rows: list[tuple[int, int]]
+    rest: np.ndarray
+    bounded_b: np.ndarray
     edge_lag: np.ndarray
+    p1: np.ndarray
+    tail_p0: np.ndarray
+    unbounded: np.ndarray
 
     @classmethod
-    def build(cls, rows: list[tuple]) -> "_Pieces":
-        """Pieces from rows (a, b, c, p, hi, k0, ray, e), e () for power segments."""
-        kind = [2 if r[7] else int(r[0] > 0.0) for r in rows]
-        rows = [r for _, r in sorted(zip(kind, rows), key=lambda pair: pair[0])]
-        n0, n1 = kind.count(0), kind.count(0) + kind.count(1)
-        a, b, c, p, hi, k0, ray_ = np.array([r[:7] for r in rows]).T
+    def build(cls, rows: list[tuple], dirs: np.ndarray) -> "_Pieces":
+        """Pieces from rows (a, b, c, p, hi, k0, ray, e), e () for power segments, on ``dirs``."""
+        group = [3 if r[7] else 2 if r[1] == math.inf else int(r[0] > 0.0) for r in rows]
+        order = sorted(range(len(rows)), key=group.__getitem__)
+        fold = None
+        if 2 in group and 1 in group[group.index(2) :]:
+            # an unbounded piece comes before a bounded one from a > 0: values
+            # add in the segments' order, those pieces together
+            fold = sorted(range(len(rows)), key=lambda at: ((group[order[at]] + 1) // 2, order[at]))
+        rows = [rows[i] for i in order]
+        n0, nu, n1 = group.count(0), group.count(0) + group.count(1), len(rows) - group.count(3)
+        a, b, c, p, hi, k0 = np.array([r[:6] for r in rows]).T
         width = max(len(r[7]) for r in rows)
-        nodes = np.array([_form_nodes(r[7]) + [np.nan] * (width - len(r[7])) for r in rows])
-        q = p + 1.0 + _TERM_K
-        coef = _TERM_COEF * (_TERM_K >= k0)
-        coef[:, :n1] /= np.where(q[:, :n1] == 0.0, 1.0, q[:, :n1])
+        nodes = np.array([_form_nodes(r[7]) + [np.nan] * (width - len(r[7])) for r in rows[n1:]])
+        p1 = p + 1.0
+        q = p1 + _TERM_K
+        coef = _K0_COEF[:, [r[5] for r in rows]]
+        np.divide(coef[:, :n1], q[:, :n1], out=coef[:, :n1], where=q[:, :n1] != 0.0)
         coef[:, n0:n1] *= -1.0
-        zero_row = [_zero_term_row(r[3], r[5]) if n0 <= i < n1 else -1 for i, r in enumerate(rows)]
+        rest = np.where(a > 0.0, a, b)
+        bounded_b = b.copy()
+        bounded_b[nu:n1] = 0.0
+        # the two pieces of a segment split at radius 1 share p, and the edge
+        # sum is taken once per distinct p (the log forms read none: slot 0)
+        slots: dict[float, int] = {}
+        slot = [slots.setdefault(r[3], len(slots)) for r in rows[:n1]] + [0] * (len(rows) - n1)
+        ps = np.array([*slots] or [0.0])
+        sums = _fold_sum(_LAG_WEIGHTS[:, None] * np.exp(_LOG_1IS_EDGE * ps))
         return cls(
-            a, b, c, p, hi, k0, ray_.astype(int), nodes, (n0, n1), coef, q,
-            np.array(zero_row) if max(zero_row) >= 0 else None,
-            _fold_sum(_LAG_WEIGHTS[:, None] * np.exp(_LOG_1IS_EDGE * p)),
+            a, b, c, p, hi, k0, dirs[[r[6] for r in rows]], nodes, (n0, nu, n1),
+            None if fold is None else np.array(fold), coef, q,
+            [(i, row) for i in range(n0, n1)
+             if (row := _zero_term_row(rows[i][3], rows[i][5])) >= 0],
+            rest, bounded_b, sums[slot], p1,
+            -1.0 / p1[nu:n1, None], np.arange(nu, n1)[:, None],
         )
 
     def _node_groups(self, k: np.ndarray):
         """(mask over k, node columns) per node count of the log-form pieces k."""
-        counts = np.count_nonzero(self.nodes[k] == self.nodes[k], axis=1)  # not nan
+        nodes = self.nodes[k - self.kinds[2]]
+        counts = np.count_nonzero(nodes == nodes, axis=1)  # not nan
         for n in np.unique(counts):
-            yield counts == n, list(self.nodes[k[counts == n], :n].T)
+            yield counts == n, list(nodes[counts == n, :n].T)
 
     def _form_ratios(self, k, q, a, b) -> np.ndarray:
         """:func:`_form_ratio` of log-form pieces k over (a, b), elements down the last axis."""
@@ -1042,58 +1099,68 @@ class _Pieces:
             out[..., at] = _form_ratio(nodes, q[..., at], A[..., at], S[..., at])
         return out
 
-    def add_exponent(self, out: np.ndarray, Y: np.ndarray, dirs: np.ndarray) -> None:
+    def add_exponent(self, out: np.ndarray, Y: np.ndarray) -> None:
         """Add to out, per row y of Y, the pieces' jump integrals summed.
 
         A piece's is c * integral of r**p F(r) (exp(i w r) - 1 - i w r [r <= 1])
-        over (a, b), with w the projection of y on the piece's ray, from the
-        ray directions ``dirs`` (rays x dim) as ordered column sums.
-        Rows go in blocks of at most PIECE_CHUNK_ELEMENTS (rows x pieces)
-        elements, which share one work buffer for the series terms, so
-        memory stays bounded for any batch and the buffer is paged in once.
+        over (a, b), with w the projection of y on the piece's ray as an
+        ordered column sum. Rows go in blocks of at most
+        PIECE_CHUNK_ELEMENTS (rows x pieces) elements, so memory stays
+        bounded for any batch.
         """
         n = Y.shape[0]
         step = max(1, PIECE_CHUNK_ELEMENTS // self.a.size)
-        work = np.empty((2, SERIES_TERMS * min(n, step) * self.a.size))
         for lo in range(0, n, step):
             y = Y[lo : lo + step]
-            proj = dirs[:, :1] * y[:, 0]
+            w = self.dirs[:, :1] * y[:, 0]
             for c in range(1, y.shape[1]):
-                proj += dirs[:, c : c + 1] * y[:, c]
-            out[lo : lo + step] += self._block(proj, work)
+                w += self.dirs[:, c : c + 1] * y[:, c]
+            out[lo : lo + step] += self._block(w)
 
-    def _block(self, proj: np.ndarray, work: np.ndarray) -> np.ndarray:
-        """The sum over pieces for one block of rows, from their projections (rays x n).
+    def _block(self, w: np.ndarray) -> np.ndarray:
+        """The sum over pieces for one block of rows, from their projections w (pieces x n).
 
-        Elements (piece, row) are taken piece-major and split by the edge
-        radius 8/|w|: the part of (a, b) below it goes to the power series
-        (:meth:`_series`), the part above to the rotated contour
-        (:meth:`_tails`); an element may have both. Both run at |w|, and
-        w < 0 takes the conjugate, since F is real on the real axis; w = 0
-        gives exactly 0. Pieces add per row by a fold in table order.
+        Each element (piece, row) is split by the edge radius 8/|w|: the
+        part of (a, b) below it goes to the power series (:meth:`_series`),
+        which runs on all elements at once, the part above to the rotated
+        contour. The unbounded pieces have that part at every w != 0 and
+        take it together (:meth:`_rotated_tail`); the bounded ones have it
+        where |w| b > 8, and take it element by element, piece-major
+        (:meth:`_tails`). Both parts run at |w|, and w < 0 takes the
+        conjugate, since F is real on the real axis; w = 0 gives exactly 0.
+        Pieces add per row by a fold in the order of ``fold``.
         """
-        n = proj.shape[1]
-        w = proj[self.ray]
+        nu, n1 = self.kinds[1:]
+        n = w.shape[1]
         W = np.abs(w)
+        moving = W > 0.0
         # no edge at w = 0, which falls in neither part
-        edge = SERIES_EDGE / np.where(W > 0.0, W, np.nan)
-        W, edge = W.ravel(), edge.ravel()
-        val = np.zeros(W.size, dtype=complex)
-        below = (edge.reshape(w.shape) > self.a[:, None]).ravel().nonzero()[0]
-        if below.size:
-            val[below] = self._series(below // n, W[below], edge[below], work)
-        above = (edge.reshape(w.shape) < self.b[:, None]).ravel().nonzero()[0]
+        edge = SERIES_EDGE / np.where(moving, W, np.nan)
+        below = edge > self.a[:, None]
+        # top ends the series part, or is rest where there is none; a part
+        # above the edge starts at top, which is then max(edge, a)
+        top = np.where(below, np.minimum(edge, self.b[:, None]), self.rest[:, None])
+        w_top, scale = W * top, top ** self.p1[:, None]
+        val = self._series(np.where(below, w_top, 0.0), top, scale, below)
+        above = (edge < self.bounded_b[:, None]).reshape(-1).nonzero()[0]
         if above.size:
-            val[above] += self._tails(above // n, W[above], edge[above])
-        val = val.reshape(w.shape)
+            flat = val.reshape(-1)
+            flat[above] += self._tails(above // n, W.reshape(-1)[above], top.reshape(-1)[above])
+        if n1 > nu:
+            # T(b) = 0 and P_0 = -x**(p+1)/(p+1) over (x, inf); the pieces are raw
+            at = slice(nu, n1)
+            x = np.maximum(edge[at], self.a[at, None])  # top, and nan at w = 0
+            tail = self._rotated_tail(self.unbounded, x, W[at], w_top[at])
+            tail -= scale[at] * self.tail_p0
+            np.add(val[at], tail, out=val[at], where=moving[at])
         val *= self.c[:, None]
         np.negative(val.imag, out=val.imag, where=w < 0.0)
-        return _fold_sum(val)
+        return _fold_sum(val if self.fold is None else val[self.fold])
 
     def _series(
-        self, k: np.ndarray, W: np.ndarray, edge: np.ndarray, work: np.ndarray
+        self, z: np.ndarray, top: np.ndarray, scale: np.ndarray, below: np.ndarray
     ) -> np.ndarray:
-        """The integral over (a, top), top = min(edge, b), for elements of pieces k.
+        """The integral over (a, top), top = min(edge, b), per element (piece, row).
 
         Termwise it is the sum over k0 <= j of (i W)**j / j! times the
         integral M_j of r**j against the piece at c = 1 over (a, top). With
@@ -1108,98 +1175,111 @@ class _Pieces:
         is at least 1e-18 of min(1, z**2 / 2) (``_KEEP``); the rest are
         zeroed, and the real and imaginary parts fold over the term rows in
         the order of all SERIES_TERMS rows, so the value does not depend on
-        the other elements. The term tables live in the two rows of
-        ``work``.
+        the other elements, nor on how many rows they need together. An
+        element with no part ``below`` the edge takes z = 0 at top = rest,
+        so every term is 0 and it reads exactly 0. ``scale`` holds
+        top**(p+1).
         """
-        p = self.p[k]
-        top = np.minimum(edge, self.b[k])
-        z = W * top
-        last = 2 + np.searchsorted(_KEEP, z, "right")
+        n0, _, n1 = self.kinds
+        pieces, n = z.shape
+        z = z.reshape(-1)
         # an even row count pairs each odd term with the even one after it
-        rows, m = int(last.max() + 1) & ~1, z.size
-        terms = _powers(z, work[0, : rows * m].reshape(rows, m))
-        tmp = work[1, : rows * m].reshape(rows, m)
-        terms *= np.take(self.coef[:rows], k, axis=1, out=tmp, mode="clip")
-        i1, i2 = np.searchsorted(k, self.kinds)
-        if i2 > i1:
-            kk = k[i1:i2]
-            log_rho = _log_ratio(self.a[kk], top[i1:i2])
-            ratio = work[1, : rows * kk.size].reshape(rows, kk.size)
-            np.take(self.q[:rows], kk, axis=1, out=ratio, mode="clip")
-            ratio *= log_rho
+        rows, m = (3 + int(_KEEP.searchsorted(z.max(), "right"))) & ~1, z.size
+        work = np.empty((2, rows * m))
+        terms = _powers(z, work[0].reshape(rows, m))
+        tmp = work[1].reshape(rows, m)
+        by_piece = terms.reshape(rows, pieces, n)
+        by_piece *= self.coef[:rows, :, None]
+        if n1 > n0:
+            log_rho = _log_ratio(self.a[n0:n1, None], top[n0:n1])
+            ratio = work[1, : rows * log_rho.size].reshape(rows, n1 - n0, n)
+            np.multiply(self.q[:rows, n0:n1, None], log_rho, out=ratio)
             np.expm1(ratio, out=ratio)
-            if self.zero_row is not None:
-                zero = self.zero_row[kk]
-                at = np.flatnonzero((zero >= 0) & (zero < rows))
-                ratio[zero[at], at] = log_rho[at]
-            terms[:, i1:i2] *= ratio
-        if k.size > i2:
-            kk = k[i2:]
-            ratio = self._form_ratios(kk, self.q[:rows, kk], self.a[kk], top[i2:])
-            ratio[_TERM_K[:rows] < self.k0[kk]] = 0.0
-            terms[:, i2:] *= ratio
-        terms *= np.less_equal(_TERM_K[:rows], last, out=tmp)
-        terms += 0.0  # no -0.0 rows, so the fold reads absent rows as zeros
+            for i, row in self.zero_rows:
+                if row < rows:
+                    ratio[row, i - n0] = log_rho[i - n0]
+            by_piece[:, n0:n1] *= ratio
+        if pieces > n1:
+            # the log forms' ratios cost the most: they are taken below the edge only
+            at = below[n1:].reshape(-1).nonzero()[0]
+            k = n1 + at // n
+            ratio = self._form_ratios(k, self.q[:rows, k], self.a[k], top[n1:].reshape(-1)[at])
+            ratio[_TERM_K[:rows] < self.k0[k]] = 0.0
+            terms[:, n1 * n + at] *= ratio
+        terms *= np.less_equal(_TERM_KEEP[:rows], z, out=tmp)
         # rows of (odd term, even term) pairs: imaginary then real parts
         odd_even = _fold_sum(terms.reshape(rows // 2, 2 * m), SERIES_TERMS // 2)
-        scale = top ** (p + 1.0)
-        out = np.empty(m, dtype=complex)
-        out.real = odd_even[m:] * scale
-        out.imag = odd_even[:m] * scale
+        # a sum that is zero reads +0.0, as if its -0.0 terms and absent rows were +0.0:
+        # the sign of a zero term changes no other sum
+        odd_even += 0.0
+        out = np.empty((pieces, n), dtype=complex)
+        np.multiply(odd_even[m:].reshape(pieces, n), scale, out=out.real)
+        np.multiply(odd_even[:m].reshape(pieces, n), scale, out=out.imag)
         return out
 
-    def _tails(self, k: np.ndarray, W: np.ndarray, edge: np.ndarray) -> np.ndarray:
-        """The integral over (x, b), x = max(edge, a), for elements of pieces k.
+    def _tails(self, k: np.ndarray, W: np.ndarray, x: np.ndarray) -> np.ndarray:
+        """The integral over (x, b), x = max(edge, a), for elements of bounded pieces k.
 
         It is T(x) - T(b) - P_0 - i W P_1, where T is :meth:`_rotated_tail`
         and P_j the integral of r**j against the piece at c = 1 over
-        (x, b). An unbounded piece has T(b) = 0 and P_0 = -x**(p+1)/(p+1);
-        only the compensated pieces (k0 = 2) take P_1, which is 0 on a raw
-        one.
+        (x, b); only the compensated pieces (k0 = 2) take P_1, which is 0 on
+        a raw one.
         """
         m, b = k.size, self.b[k]
-        x = np.maximum(edge, self.a[k])
-        bounded = b < math.inf
-        ends = np.concatenate([x, np.where(bounded, b, x)])
-        T = self._rotated_tail(np.concatenate([k, k]), ends, np.concatenate([W, W]))
-        val = T[:m] - T[m:] * bounded - self._moment(k, x, b, 0.0)
+        ends, W2 = np.concatenate([x, b]), np.concatenate([W, W])
+        T = self._rotated_tail(np.concatenate([k, k]), ends, W2, W2 * ends)
+        val = T[:m] - T[m:]
+        val -= self._moment(k, self.p1[k], x, b)
         comp = (self.k0[k] == 2).nonzero()[0]
         if comp.size:
-            val[comp] -= 1j * W[comp] * self._moment(k[comp], x[comp], b[comp], 1.0)
+            kc = k[comp]
+            val[comp] -= 1j * W[comp] * self._moment(kc, self.p[kc] + 2.0, x[comp], b[comp])
         return val
 
-    def _moment(self, k: np.ndarray, x: np.ndarray, b: np.ndarray, j: float) -> np.ndarray:
-        """Integral of r**j against pieces k at c = 1 over (x, b)."""
-        q = self.p[k] + (j + 1.0)
+    def _moment(self, k: np.ndarray, q: np.ndarray, x: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """Integral of r**(q-1) against pieces k at c = 1 over (x, b)."""
         out = _ints_from(x, b, q)
-        log = k >= self.kinds[1]
-        if log.any():
-            out[log] = b[log] ** q[log] * self._form_ratios(k[log], q[log], x[log], b[log])
+        if self.kinds[2] < self.a.size:
+            log = (k >= self.kinds[2]).nonzero()[0]
+            if log.size:
+                out[log] = b[log] ** q[log] * self._form_ratios(k[log], q[log], x[log], b[log])
         return out
 
-    def _rotated_tail(self, k: np.ndarray, x: np.ndarray, W: np.ndarray) -> np.ndarray:
-        """T(x) = integral of r**p F(r) exp(i W r) over (x, inf), for W x >= SERIES_EDGE.
+    def _rotated_tail(
+        self, k: np.ndarray, x: np.ndarray, W: np.ndarray, a: np.ndarray
+    ) -> np.ndarray:
+        """T(x) = integral of r**p F(r) exp(i W r) over (x, inf), for a = W x >= SERIES_EDGE.
 
-        On the contour r = x (1 + i v / a), a = W x, the oscillation turns
-        into decay: T(x) = i exp(i a) x**p / W times the integral of
+        Elements are those of x, W and a, and k holds their pieces, or a
+        column of pieces for rows of elements. On the contour
+        r = x (1 + i v / a), a = W x, the oscillation turns into decay:
+        T(x) = i exp(i a) x**p / W times the integral of
         (1 + i v/a)**p F(x (1 + i v/a)) exp(-v) over v > 0, which the fixed
         Gauss-Laguerre rule takes (:func:`_laguerre_sum`); F is analytic in
         the upper half plane. The contour continues T to p >= -1, where the
         real integral diverges; a difference T(x) - T(b) is the integral
         over (x, b) for every p. A power piece at the edge, a =
-        SERIES_EDGE, reads its Laguerre sum from the table.
+        SERIES_EDGE, reads its Laguerre sum from the table; the rule runs
+        only for the elements past the edge and the log forms, and a call
+        with neither reads i exp(i a) at the edge too.
         """
-        a = np.maximum(W * x, SERIES_EDGE)
+        past = a > SERIES_EDGE
+        if self.kinds[2] < self.a.size:
+            past |= k >= self.kinds[2]
+        need = past.nonzero()
+        if not need[0].size:
+            return _EDGE_TURN * x ** self.p[k] / W * self.edge_lag[k]
+        a = np.maximum(a, SERIES_EDGE)
+        if k.shape != a.shape:
+            k = np.broadcast_to(k, a.shape)
         lag = self.edge_lag[k]
-        need = np.flatnonzero((a > SERIES_EDGE) | (k >= self.kinds[1]))
-        if need.size:
-            kn = k[need]
-            cols = np.flatnonzero(kn >= self.kinds[1])
-            forms = []
-            if cols.size:
-                kf, log_hi_x = kn[cols], _log_ratio(self.hi[kn[cols]], x[need][cols])
-                forms = [(cols[at], nodes, log_hi_x[at]) for at, nodes in self._node_groups(kf)]
-            lag[need] = _laguerre_sum(self.p[kn], a[need], forms)
+        kn = k[need]
+        cols = (kn >= self.kinds[2]).nonzero()[0]
+        forms = []
+        if cols.size:
+            kf, log_hi_x = kn[cols], _log_ratio(self.hi[kn[cols]], x[need][cols])
+            forms = [(cols[at], nodes, log_hi_x[at]) for at, nodes in self._node_groups(kf)]
+        lag[need] = _laguerre_sum(self.p[kn], a[need], forms)
         return 1j * np.exp(1j * a) * x ** self.p[k] / W * lag
 
 
@@ -1225,18 +1305,18 @@ def _piece_rows(segments: Iterable[Segment], ray_index: int) -> list[tuple]:
 class JumpTables:
     """A jump measure compiled into flat tables for its exponent.
 
-    ``jumps`` (K x dim) holds every atom and tabulated-tail node as a jump
-    vector r * direction, with its mass in ``masses``; a tail's nodes
-    carry the weights of its endpoint-average rule (:meth:`GridTail._node_weights`).
-    ``comp`` is the sum of the jumps inside the unit ball times their
-    masses, the compensation as one drift vector. ``dirs`` (rays x dim)
-    holds the ray directions and ``pieces`` the segment-piece table, or
-    None when there are no segments.
+    Every atom and tabulated-tail node is a jump vector r * direction with
+    a mass; a tail's nodes carry the weights of its endpoint-average rule
+    (:meth:`GridTail._node_weights`). ``half_jumps`` (K x dim) holds the
+    jumps halved and ``mass2`` (K x 1) the masses doubled, the form
+    :func:`_cis_m1` reads. ``comp`` is the sum of the jumps inside the
+    unit ball times their masses, the compensation as one drift vector.
+    ``pieces`` holds the segment-piece table, or None when there are no
+    segments.
     """
 
-    dirs: np.ndarray
-    jumps: np.ndarray
-    masses: np.ndarray
+    half_jumps: np.ndarray
+    mass2: np.ndarray
     comp: np.ndarray
     pieces: _Pieces | None
 
@@ -1260,29 +1340,30 @@ class JumpTables:
             jumps.append(np.multiply.outer(r, direction))
             masses.append(m)
             comp = comp + float(r @ m_comp) * direction
+        dirs = np.array(dirs, dtype=float).reshape(-1, dim)
         return cls(
-            np.array(dirs, dtype=float).reshape(-1, dim),
-            np.concatenate(jumps),
-            np.concatenate(masses),
+            0.5 * np.concatenate(jumps),
+            2.0 * np.concatenate(masses)[:, None],
             comp,
-            _Pieces.build(rows) if rows else None,
+            _Pieces.build(rows, dirs) if rows else None,
         )
 
-    def exponent(self, Y: np.ndarray, drift: np.ndarray) -> np.ndarray:
-        """i<y, drift> plus the uncompensated jump integral, per row y of Y.
+    def exponent(self, Y: np.ndarray, drift: np.ndarray | None) -> np.ndarray:
+        """i<y, drift> plus the uncompensated jump integral, per row y of the float grid Y.
 
-        Passing drift = -comp gives the compensated jump integral. Atoms
-        and nodes go through one :func:`_cis_m1` call, segments through
-        the piece table (:meth:`_Pieces.add_exponent`).
+        Passing drift = -comp gives the compensated jump integral; None
+        stands for a zero drift. Atoms and nodes go through one
+        :func:`_cis_m1` call, segments through the piece table
+        (:meth:`_Pieces.add_exponent`).
         """
-        if self.masses.size:
-            out = _cis_m1(Y, self.jumps, self.masses)
+        if self.mass2.size:
+            out = _cis_m1(Y, self.half_jumps, self.mass2)
         else:
             out = np.zeros(Y.shape[0], dtype=complex)
-        if np.any(drift):
+        if drift is not None:
             out.imag += _dot(Y, drift)
         if self.pieces is not None:
-            self.pieces.add_exponent(out, Y, self.dirs)
+            self.pieces.add_exponent(out, Y)
         return out
 
 

@@ -90,10 +90,12 @@ class LevyTriplet:
         self.levy.require_valid()
 
     @cached_property
-    def compiled(self) -> tuple[JumpTables, np.ndarray, bool]:
-        """The jump tables, the shift less their compensation, and whether cov is nonzero."""
+    def compiled(self) -> tuple[JumpTables, np.ndarray | None, bool]:
+        """The jump tables, the shift less their compensation or None if that is zero, and
+        whether cov is nonzero."""
         tables = self.levy.tables
-        return tables, self.shift - tables.comp, bool(np.any(self.cov))
+        drift = self.shift - tables.comp
+        return tables, drift if np.any(drift) else None, bool(np.any(self.cov))
 
     def exponent_grid(self, Y: np.ndarray) -> np.ndarray:
         """Characteristic exponent on a grid Y of shape (n, dim)."""

@@ -579,7 +579,7 @@ class TestCisKernel:
 
     @staticmethod
     def _rel_errors(theta: np.ndarray) -> np.ndarray:
-        got = spectral._cis_m1(theta[:, None], np.ones((1, 1)), np.ones(1))
+        got = spectral._cis_m1(theta[:, None], np.full((1, 1), 0.5), np.full((1, 1), 2.0))
         out = []
         with mp.workdps(40):
             for th, g in zip(theta, got):
@@ -600,7 +600,7 @@ class TestCisKernel:
         assert self._rel_errors(np.concatenate([theta, -theta])).max() <= 1e-15
 
     def test_zero_angle_is_exactly_zero(self):
-        got = spectral._cis_m1(np.zeros((3, 2)), np.ones((4, 2)), np.ones(4))
+        got = spectral._cis_m1(np.zeros((3, 2)), np.full((4, 2), 0.5), np.full((4, 1), 2.0))
         assert got.tobytes() == np.zeros(3, dtype=complex).tobytes()
 
 
