@@ -26,7 +26,8 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
+from itertools import zip_longest
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -734,85 +735,84 @@ def _uncertified_ranges(segments: Iterable[Segment]) -> list[tuple[float, float]
     ]
 
 
-# A density on a range, written in t = log r, is certified as a sum of
-# groups (x + y t) exp(p t), held as (p, x, y) sorted by p: a power term
-# is one group with y = 0, and a log form one group per distinct node by
-# partial fractions.
+def _summed(groups) -> list[tuple[float, list[float]]]:
+    """Groups P(t) exp(p t), t = log r, held as (p, coefficients of 1, t, ...), summed by p.
+
+    Sorted by p; zero top coefficients and zero groups are dropped.
+    """
+    acc: dict[float, list[float]] = {}
+    for p, P in groups:
+        Q = acc.get(p)
+        acc[p] = list(P) if Q is None else [x + y for x, y in zip_longest(Q, P, fillvalue=0.0)]
+    for P in acc.values():
+        while P and P[-1] == 0.0:
+            P.pop()
+    return [(p, acc[p]) for p in sorted(acc) if acc[p]]
 
 
-def _summed(terms) -> list[tuple[float, float, float]]:
-    """(p, x, y) terms summed by p into groups sorted by p, zero groups dropped."""
-    acc: dict[float, tuple[float, float]] = {}
-    for p, x, y in terms:
-        x0, y0 = acc.get(p, (0.0, 0.0))
-        acc[p] = (x0 + x, y0 + y)
-    return [(p, x, y) for p, (x, y) in sorted(acc.items()) if x != 0.0 or y != 0.0]
+def _groups(sg: Segment) -> list[tuple[float, list[float]]] | None:
+    """One segment's density as (p, P) groups; None if its weights are not finite.
 
-
-def _terms(sg: Segment) -> list[tuple[float, float, float]] | None:
-    """One segment's density as (p, x, y) terms; None if it has none.
-
-    A power segment is one term. A log form splits by partial fractions
-    into a term of exponent p - n per distinct node n: exp(n L)/W, or for a
-    double node its derivative in n, exp(n L)/W (L - sum of m_v/(n - v));
-    L = log(hi) - t and W the product of (n - v)**m_v over the other nodes
-    v. A triple node has none, and neither has a form whose weights are not
-    finite, as when nodes 3.8e-239 apart make W underflow to 0. On a form
-    with lo > 0, a node within eps / log(hi/lo) of the one below is taken as
-    that node: their two terms, of size 1/gap, would cancel to rounding,
-    and the merged node moves the density by a relative gap log(hi/r) of
-    at most eps.
+    A power segment is one group of degree 0. A log form c r**p D(log(hi)
+    - t) is the sum of the residues of c exp(p t) hi**z exp(-z t)/W(z) at
+    its nodes n, W the product of (z - v)**m_v over the nodes v, each held
+    m_v times: a group of exponent p - n and degree m_n - 1 with P_i =
+    (-1)**i G_(m_n-1-i)/i!, G_k the Taylor coefficients at n of c hi**z
+    (z - n)**m_n/W(z). G' = G h, h = log(hi) + the sum of m_v/(v - z) over
+    the other nodes. Weights are not finite as when nodes 3.8e-239 apart
+    make 1/W overflow. On a form with lo > 0, a node within eps /
+    log(hi/lo) of the one below is taken as that node: their two groups,
+    of size 1/gap, would cancel to rounding, and the merged node moves the
+    density by a relative gap log(hi/r) of at most eps.
     """
     if not sg.e:
-        return [(sg.p, sg.c, 0.0)]
+        return [(sg.p, [sg.c])]
     nodes = _form_nodes(sg.e)
     span = math.log(sg.hi / sg.lo) if sg.lo > 0.0 else math.inf
     for k in range(1, len(nodes)):
         if (nodes[k] - nodes[k - 1]) * span <= sys.float_info.epsilon:
             nodes[k] = nodes[k - 1]
-    mult = {n: nodes.count(n) for n in nodes}
-    if max(mult.values()) > 2:
-        return None
-    terms = []
+    mult, lam, groups = {n: nodes.count(n) for n in nodes}, math.log(sg.hi), []
     for n, m in mult.items():
-        gaps = [(n - v, mv) for v, mv in mult.items() if v != n]
-        w = math.prod(d ** mv for d, mv in gaps)
-        if w == 0.0:
-            return None
-        base = sg.c * sg.hi ** n / w
-        x = base * (math.log(sg.hi) - sum(mv / d for d, mv in gaps)) if m == 2 else base
-        if not (math.isfinite(base) and math.isfinite(x)):
-            return None
-        terms.append((sg.p - n, x, -base if m == 2 else 0.0))
-    return terms
+        # products, not powers, so that a weight out of range reads inf, not an error
+        inv = [(1.0 / (v - n), mv) for v, mv in mult.items() if v != n]
+        G = [sg.c * sg.hi ** n * math.prod(-a for a, mv in inv for _ in range(mv))]
+        h = [lam * (k == 1) + sum(mv * math.prod([a] * k) for a, mv in inv) for k in range(1, m)]
+        for k in range(1, m):
+            G.append(sum(h[i] * G[k - 1 - i] for i in range(k)) / k)
+        groups.append((sg.p - n, [(-1) ** i * G[m - 1 - i] / math.factorial(i) for i in range(m)]))
+    return groups if all(math.isfinite(x) for _, P in groups for x in P) else None
 
 
 def _sign(v: float) -> int:
     return (v > 0.0) - (v < 0.0)
 
 
-def _sign_at(groups: list[tuple[float, float, float]], t: float) -> int:
-    """Sign of the sum of the groups at t, or its limit at t = -inf or inf."""
-    if t == math.inf:
-        _, x, y = groups[-1]
-        return _sign(y) if y != 0.0 else _sign(x)
-    if t == -math.inf:
-        _, x, y = groups[0]
-        return -_sign(y) if y != 0.0 else _sign(x)
-    logs = [p * t for p, _, _ in groups]
+def _sign_at(groups: list[tuple[float, list[float]]], t: float) -> int:
+    """Sign of the sum of the groups at t, or its limit at t = -inf or inf.
+
+    The limit has the sign of the last group's top coefficient at inf, and
+    of the first group's times (-1)**degree at -inf. Powers of t are
+    products, so where they overflow they read inf, not an error.
+    """
+    if math.isinf(t):
+        P = groups[-1][1] if t > 0.0 else groups[0][1]
+        return _sign(P[-1]) * (-1 if t < 0.0 and len(P) % 2 == 0 else 1)
+    logs = [p * t for p, _ in groups]
     top = max(logs)
-    return _sign(math.fsum(
-        (x + y * t) * math.exp(lg - top) for (_, x, y), lg in zip(groups, logs)
-    ))
+    vals = [reduce(lambda v, x: v * t + x, reversed(P), 0.0) * math.exp(lg - top)
+            for (_, P), lg in zip(groups, logs)]
+    return _sign(math.fsum(vals))
 
 
-def _slope(groups: list[tuple[float, float, float]]) -> list[tuple[float, float, float]]:
-    """Groups of the derivative in t: (x + y t) exp(p t) gives (p x + y + p y t) exp(p t).
+def _slope(groups: list[tuple[float, list[float]]]) -> list[tuple[float, list[float]]]:
+    """Groups of the derivative in t: P(t) exp(p t) gives (p P + P')(t) exp(p t).
 
     Exponents shifted by the lowest one (see :func:`_sign_change_points`)
     can round to the same double, so groups are summed by p again.
     """
-    return _summed((p, p * x + y, p * y) for p, x, y in groups)
+    return _summed((p, [p * x + k * y for k, (x, y) in enumerate(zip(P, P[1:] + [0.0]), 1)])
+                   for p, P in groups)
 
 
 def _finite_end(groups, end: float, other: float, sign: int) -> float:
@@ -859,27 +859,27 @@ def _monotone_piece_root(groups, a: float, b: float) -> float | None:
 def _sign_change_points(groups, a: float, b: float) -> list[float]:
     """Points of (a, b) that include every sign change of a sum of groups.
 
-    One group changes sign at most once, and two pure exponentials too,
-    both in closed form. Otherwise the sum over the lowest exponential,
-    exp(p_1 t), has the same sign changes, and its derivative has one
-    degree of freedom fewer: the lowest group loses its t term, or
-    vanishes when it has none. By Rolle's theorem the derivative's sign
-    changes, found by recursion, split (a, b) into pieces on which the
-    sum is monotone: at most one change each, found by bisection. The
+    One group of degree at most 1 changes sign at most once, and two
+    groups of degree 0 too, both in closed form. Otherwise the sum over
+    the lowest exponential, exp(p_1 t), has the same sign changes, and its
+    derivative has one degree of freedom fewer: the lowest group loses a
+    degree, or vanishes at degree 0. By Rolle's theorem the derivative's
+    sign changes, found by recursion, split (a, b) into pieces on which
+    the sum is monotone: at most one change each, found by bisection. The
     piece ends are returned too.
     """
-    if len(groups) == 1:
-        _, x, y = groups[0]
-        roots = [] if y == 0.0 else [-x / y]
-    elif len(groups) == 2 and groups[0][2] == 0.0 == groups[1][2]:
-        (p0, x0, _), (p1, x1, _) = groups
+    if len(groups) == 1 and len(groups[0][1]) <= 2:
+        P = groups[0][1]
+        roots = [-P[0] / P[1]] if len(P) == 2 else []
+    elif len(groups) == 2 and len(groups[0][1]) == 1 == len(groups[1][1]):
+        (p0, (x0,)), (p1, (x1,)) = groups
         # the logs of |x0| and |x1|, since their ratio may leave the double range
         roots = [] if (x0 > 0.0) == (x1 > 0.0) else [
             (math.log(abs(x0)) - math.log(abs(x1))) / (p1 - p0)
         ]
     else:
         p0 = groups[0][0]
-        slope = _slope([(p - p0, x, y) for p, x, y in groups])
+        slope = _slope([(p - p0, P) for p, P in groups])
         knots = _sign_change_points(slope, a, b) if slope else []
         ends = [a, *knots, b]
         roots = knots + [_monotone_piece_root(groups, u, v) for u, v in zip(ends, ends[1:])]
@@ -919,13 +919,13 @@ def _density_nonnegative(segments: list[Segment], a: float, b: float) -> bool:
     """
     if all(sg.c > 0.0 for sg in segments):
         return True
-    split = [(sg, _terms(sg)) for sg in segments]
-    if any(terms is None and sg.c < 0.0 for sg, terms in split):
+    split = [(sg, _groups(sg)) for sg in segments]
+    if any(gs is None and sg.c < 0.0 for sg, gs in split):
         return False
-    # a positive log form without terms only adds to the density: the rest
+    # a positive log form without groups only adds to the density: the rest
     # is certified in its place
-    segments = [sg for sg, terms in split if terms is not None]
-    groups = _summed(t for _, terms in split if terms is not None for t in terms)
+    segments = [sg for sg, gs in split if gs is not None]
+    groups = _summed(g for _, gs in split if gs is not None for g in gs)
     if not groups:
         return True
     ta = math.log(a) if a > 0.0 else -math.inf

@@ -236,6 +236,29 @@ def test_each_side_agrees_across_routes(identity):
             assert np.max(diff) < tol, (name, beta)
 
 
+def lifted_log_law() -> LevyTriplet:
+    # -0.3 r^0.3 log(3/r) + 0.75 on (0.5, 3): the jbeta 1.3 image's form has
+    # the nodes -5.6e-17, 0 and 0, which the merge rule holds as one triple
+    # node
+    return LevyTriplet(1, [0.1], [[0.05]], SpectralMeasure(1, (
+        ray([1.0], segments=[(0.5, 3.0, -0.3, 0.3, 0.0), (0.5, 3.0, 0.75, 0.0)]),
+    )))
+
+
+def test_images_with_a_triple_node_are_certified():
+    grid = factor.default_grid(1)
+    trip = lifted_log_law()
+    m = maps.jbeta_map(1.3)
+    assert np.max(np.abs(triplet_route(m, trip, grid) - exponent_route(m, trip, grid))) < 1e-11
+    for identity, sides in factor.SIDES.items():
+        for beta in (0.65, 1.3):
+            lhs, rhs = sides(trip, beta)
+            lhs.require_valid()
+            rhs.require_valid()
+            diff = np.abs(from_triplet(lhs).eval_grid(grid) - from_triplet(rhs).eval_grid(grid))
+            assert np.max(diff) < 1e-13, (identity, beta)
+
+
 # log-form offsets as image offsets p + 1 - a, a in (0.01, 3): up to three,
 # one of them repeated
 POWERS_A = st.floats(0.01, 3.0)
@@ -263,8 +286,8 @@ OFFSET_POWERS = st.one_of(
          tail_p=None, kind="ubetaf", beta=1.0)
 @example(atoms=[(1.0, 1.0)], segs=[(0.0, 1.0, 1.0, 2.23e-249, [1.0])],
          tail_p=None, kind="ubetaf", beta=1.0)
-# an image form that holds the node 0 three times, so it has no
-# partial-fraction terms: positive, it is left out of the certified sum
+# an image form that holds the node 0 three times: certified like any
+# other, as one group of degree 2
 @example(atoms=[(1.0, 1.0)], segs=[(0.0, 1.0, 1.0, 0.0, [1.0])],
          tail_p=None, kind="ubetaf", beta=1.0)
 # a form whose divided difference would overflow at t = -1140 unshifted

@@ -904,24 +904,33 @@ class TestLogFormSegment:
             self.measure(neg, spectral.Segment(0.5, 3.0, 0.3, 0.0)).require_valid()
 
     @pytest.mark.parametrize("lift, valid", [(1.02, True), (0.98, False)])
-    def test_log_forms_of_several_offsets_enter_the_sign_certificate(self, lift, valid):
-        # -r^0.3 D[-0.2, 0, 0] on (0.5, 3), D = (L - (1 - exp(-0.2 L))/0.2)/0.2
-        # at L = log(3/r), plus a constant: by partial fractions one (x + y t)
-        # group for the double node and a power group; it is nonnegative
-        # once the constant reaches the form's largest density
-        neg = spectral.Segment(0.5, 3.0, -1.0, 0.3, (-0.2, 0.0))
+    @pytest.mark.parametrize(
+        "e", [(-0.2, 0.0), (0.0, 0.0), (-0.2, 0.0, 0.0), (0.0, 0.0, 0.0), (-0.2, -0.2, 0.0, 0.0)]
+    )
+    def test_log_forms_of_several_offsets_enter_the_sign_certificate(self, e, lift, valid):
+        # -r^0.3 D[0, e] on (0.5, 3), D the divided difference at log(3/r),
+        # plus a constant: by partial fractions one group of degree m - 1 per
+        # node held m times (the node 0 up to four times), and a power
+        # group; it is nonnegative once the constant reaches the form's
+        # largest density
+        neg = spectral.Segment(0.5, 3.0, -1.0, 0.3, e)
         r = np.geomspace(0.5, 3.0, 20001)
-        L = np.log(3.0 / r)
-        top = np.max(r ** 0.3 * (L + np.expm1(-0.2 * L) / 0.2) / 0.2)
+        top = np.max(r ** 0.3 * spectral._exp_divdiff(np.log(3.0 / r), spectral._form_nodes(e)))
         lifted = self.measure(neg, spectral.Segment(0.5, 3.0, lift * top, 0.0))
         assert lifted.is_valid is valid
+        if valid:
+            # alone and positive, a form needs no certificate
+            assert self.measure(spectral.Segment(0.5, 3.0, 1.0, 0.3, e)).is_valid
 
     def test_a_node_held_three_times_is_not_certified(self):
-        # -r^0.3 log(3/r)^2 / 2 has no (x + y t) groups: with any lift the
-        # range is reported uncertified
+        # -r^0.3 log(3/r)^2 / 2 is one group of degree 2 at the node 0; it
+        # falls in r, to 0.5^0.3 log(6)^2 / 2 = 1.304 at r = 0.5: a lift of 1.2
+        # leaves the range uncertified, lifts of 1.4 and 100 are certified
         neg = spectral.Segment(0.5, 3.0, -1.0, 0.3, (0.0, 0.0))
         with pytest.raises(InvalidMeasureError, match="not certified"):
-            self.measure(neg, spectral.Segment(0.5, 3.0, 100.0, 0.0)).require_valid()
+            self.measure(neg, spectral.Segment(0.5, 3.0, 1.2, 0.0)).require_valid()
+        for lift in (1.4, 100.0):
+            self.measure(neg, spectral.Segment(0.5, 3.0, lift, 0.0)).require_valid()
         # alone and positive, it needs no certificate
         self.measure(spectral.Segment(0.5, 3.0, 1.0, 0.3, (0.0, 0.0))).require_valid()
 
@@ -952,6 +961,81 @@ class TestLogFormSegment:
             spectral.Segment(0.5, 3.0, k / 3.0, 1.3),
         )
         assert self.measure(*segs).is_valid is valid
+
+
+def groups_at(groups, t):
+    # the sum of (p, P) groups P(t) exp(p t), vectorized over t
+    return sum(np.polynomial.polynomial.polyval(t, P) * np.exp(p * t) for p, P in groups)
+
+
+class TestDensityGroups:
+    @pytest.mark.parametrize("e, sizes", [
+        ((), [1]),
+        ((0.3,), [1, 1]),
+        ((0.0,), [2]),
+        ((0.0, 0.0), [3]),
+        ((0.0, 0.0, 0.0), [4]),
+        ((-0.2, 0.0), [1, 2]),
+        ((-0.2, -0.2, 0.0, 0.0), [2, 3]),
+        ((-0.4, 0.3, 0.3, 0.3, 0.6), [1, 1, 1, 3]),
+        ((-0.4, -0.2, 0.3, 0.6), [1, 1, 1, 1, 1]),
+        # nodes within eps / log(6) of the one below are merged into it
+        ((-5.6e-17, 0.0), [3]),
+        ((1e-17,), [2]),
+        ((0.3, math.nextafter(0.3, 1.0)), [1, 2]),
+    ])
+    def test_groups_match_the_divided_difference(self, e, sizes):
+        # one group of degree m - 1 per distinct node held m times
+        sg = spectral.Segment(0.5, 3.0, -0.7, 0.3, e)
+        groups = spectral._groups(sg)
+        assert sorted(len(P) for _, P in groups) == sizes
+        r = np.geomspace(0.5, 3.0, 201)
+        want = sg.c * r ** sg.p * spectral._exp_divdiff(np.log(3.0 / r), spectral._form_nodes(sg.e))
+        assert np.max(np.abs(groups_at(groups, np.log(r)) - want)) <= 1e-11 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("p, P, roots", [
+        (0.0, [-2.0, 1.0, 1.0], [-2.0, 1.0]),  # (t - 1)(t + 2)
+        (0.7, [1.0, -2.5, 0.5, 1.0], [-2.0, 0.5, 1.0]),  # (t - 1)(t + 2)(t - 0.5) exp(0.7 t)
+    ])
+    def test_sign_change_points_bracket_the_roots_of_one_group(self, p, P, roots):
+        for a, b in ((-10.0, 10.0), (-math.inf, math.inf)):
+            points = spectral._sign_change_points([(p, P)], a, b)
+            assert all(a < x < b for x in points)
+            for root in roots:
+                assert min(abs(x - root) for x in points) <= 1e-12, (a, root)
+
+    @pytest.mark.parametrize("end", [math.inf, -math.inf])
+    def test_finite_end_walks_out_on_degree_2_groups(self, end):
+        # 1e-300 t^2 - 1.7e308 is positive only past |t| = 1.3e304, where t^2
+        # overflows: evaluated by products it reads inf there, and the walk
+        # stops at a finite t
+        for groups in ([(0.0, [-1e300, 0.0, 1.0])], [(0.0, [-1.7e308, 0.0, 1e-300])]):
+            t = spectral._finite_end(groups, end, 0.0, 1)
+            assert math.isfinite(t) and spectral._sign_at(groups, t) == 1
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    e=st.lists(st.sampled_from((-0.4, -0.2, 0.0, 0.3, 0.6)), min_size=1, max_size=3).map(
+        lambda xs: xs + xs[:1]
+    ),
+    p=st.floats(-0.5, 1.0),
+    lift=st.floats(0.9, 1.1),
+)
+def test_sign_certificate_agrees_with_a_dense_grid(e, p, lift):
+    # a negative form with a repeated node plus a constant: certified when its
+    # minimum on 20,001 points is above 1e-6 of the form's largest density,
+    # refused when it is below -1e-6 of it
+    neg = spectral.Segment(0.5, 3.0, -1.0, p, tuple(e))
+    r = np.geomspace(0.5, 3.0, 20001)
+    form = r ** p * spectral._exp_divdiff(np.log(3.0 / r), spectral._form_nodes(neg.e))
+    const = lift * np.max(form)
+    low = np.min(const - form) / np.max(form)
+    certified = not spectral._uncertified_ranges([neg, spectral.Segment(0.5, 3.0, const, 0.0)])
+    if low >= 1e-6:
+        assert certified
+    elif low <= -1e-6:
+        assert not certified
 
 
 class TestRequireValid:
