@@ -176,13 +176,11 @@ def default_radius_grid(G: SpectralMeasure, n_points: int = 20) -> np.ndarray:
     """Radii spanning the support of G's rays for tail comparisons."""
     rmax = 0.0
     for ray_ in G.rays:
-        rad = ray_.radial
-        for at in rad.atoms:
+        atoms, segments = ray_.radial.parts
+        for at in atoms:
             rmax = max(rmax, at.r)
-        for sg in rad.segments:
+        for sg in segments:
             rmax = max(rmax, sg.hi if math.isfinite(sg.hi) else 4.0 * max(sg.lo, 1.0))
-        if rad.grid_tail is not None:
-            rmax = max(rmax, float(rad.grid_tail.radii[-1]))
     if rmax <= 0.0:
         rmax = 2.0
     return np.linspace(0.05 * rmax, 1.2 * rmax, n_points)

@@ -14,15 +14,15 @@ Every map also acts on generating triplets in closed form
 (:func:`map_triplet`). In u, each kernel is a short sum of power kernels
 kappa * u**(a-1) du, and each power kernel scales shift and covariance by
 kappa/(a+1) and kappa/(a+2) and maps atoms and segments of the jump
-measure exactly, a log form to one with a node more. Any radial part
-transforms through its right tail,
+measure exactly, a log form to one with a node more; a tabulated tail is
+its cells, p = 0 segments, and its end atom, and maps as they do. Any
+radial part transforms through its right tail,
 
     tail_out(u) = kappa * u**a * integral_u^inf tail(w) w**(-a-1) dw,
 
 which this module evaluates in closed form piece by piece, from the
 closed-form segment moments of :mod:`idlaw.spectral`; no quadrature runs
-below the exponent-level maps. Only a tabulated tail has no exact image,
-and its transformed tail is re-tabulated.
+below the exponent-level maps.
 """
 
 from __future__ import annotations
@@ -41,13 +41,11 @@ from .errors import (
 )
 from .exponent import CharExponent, _folded, _MappedNode, from_callable
 from .spectral import (
-    GridTail,
     RadialMeasure,
     Ray,
     Segment,
     SpectralMeasure,
     _expm1_ratio,
-    _ints_from,
     _log_moment,
     _log_ratio,
     _moment,
@@ -343,43 +341,12 @@ def _mass_above(kappa: float, a: float, x) -> np.ndarray:
     return -kappa * np.log(x) if a == 0.0 else kappa / a * (1.0 - x ** a)
 
 
-def _grid_tail_transform(gt: GridTail, a: float, us: np.ndarray) -> np.ndarray:
-    """integral_u^inf tail_gt(w) w**(-a-1) dw, vectorized over query radii.
-
-    The tabulated tail is linear on each cell and zero past the last node,
-    so every cell integrates in closed form, its two powers w**-a and
-    w**(-a-1) by :func:`_ints_from`; suffix sums make the whole batch
-    O(cells + queries).
-    """
-    r = gt.radii
-    T = gt.tail
-    slope = np.diff(T) / np.diff(r)
-    alpha = T[:-1] - slope * r[:-1]
-    cell_full = alpha * _ints_from(r[:-1], r[1:], -a) + slope * _ints_from(r[:-1], r[1:], 1.0 - a)
-    suffix = np.concatenate([np.cumsum(cell_full[::-1])[::-1], [0.0]])
-
-    us = np.asarray(us, dtype=float)
-    out = np.zeros_like(us)
-    inside = us < r[-1]
-    if np.any(inside):
-        ui = np.minimum(np.maximum(us[inside], r[0]), r[-1])
-        idx = np.clip(np.searchsorted(r, ui, side="right") - 1, 0, len(r) - 2)
-        top = r[idx + 1]
-        vals = alpha[idx] * _ints_from(ui, top, -a) + slope[idx] * _ints_from(ui, top, 1.0 - a)
-        vals = vals + suffix[idx + 1]
-        below = us[inside] < r[0]
-        low = np.maximum(us[inside], 1e-300)
-        vals = vals + np.where(below, T[0] * _ints_from(low, r[0], -a), 0.0)
-        out[inside] = vals
-    return out
-
-
 def _kernel_tail(radial: RadialMeasure, kappa: float, a: float, us) -> np.ndarray:
     """Right tail of the image of a radial measure under one power kernel.
 
     tail_out(u) = kappa * u**a * integral_u^inf tail(w) w**(-a-1) dw.
-    Atoms contribute m times :func:`_mass_above` at u/r, and grid tails
-    integrate in closed form cell by cell. For a segment, swapping the
+    Atoms contribute m times :func:`_mass_above` at u/r, a grid tail's end
+    atom among them (:attr:`RadialMeasure.parts`). For a segment, swapping the
     order of integration turns the integral into (u**-a M_0 - M_(-a))/a,
     with M_k the integral of r**k against it over (L, hi), L = max(u, lo);
     at a = 0 it is W + log(L/u) M_0, with W the integral of log(r/L).
@@ -390,10 +357,11 @@ def _kernel_tail(radial: RadialMeasure, kappa: float, a: float, us) -> np.ndarra
     if np.any(us <= 0.0):
         raise ValueError("tail queries must be at positive radii")
     out = np.zeros_like(us)
-    for at in radial.atoms:
+    atoms, segments = radial.parts
+    for at in atoms:
         out += at.m * _mass_above(kappa, a, us / at.r)
     integ = np.zeros_like(us)
-    for sg in radial.segments:
+    for sg in segments:
         inside = us < sg.hi
         u = us[inside]
         L = np.maximum(u, sg.lo)
@@ -403,8 +371,6 @@ def _kernel_tail(radial: RadialMeasure, kappa: float, a: float, us) -> np.ndarra
         else:
             mass, m_a = _moment(sg, L, sg.hi, np.array([[0.0], [-a]]))
             integ[inside] += (sg.c / a) * (u ** -a * mass - m_a)
-    if radial.grid_tail is not None:
-        integ += _grid_tail_transform(radial.grid_tail, a, us)
     out += kappa * us ** a * integ
     return out
 
@@ -488,45 +454,25 @@ def _radial_image(radial: RadialMeasure, kernel) -> RadialMeasure:
     atom m at r becomes the density m kappa u**(a-1) / r**a on (0, r), a
     power segment power terms or a log form (:func:`_segment_image_terms`),
     and a log form a power term and a log form with a node more
-    (:func:`_form_image`). Power terms sharing an exponent are summed on
-    each range between breakpoints; the sum is certified nonnegative when
-    the measure is validated. Only a grid tail is re-tabulated: its
-    transformed tail (:func:`_kernel_tail`) on a log-spaced grid wide
-    enough that the discarded pieces are negligible, with 1024 nodes per
-    e-fold of its width, at least 4097 and at most 32769.
+    (:func:`_form_image`). A grid tail maps as its end atom and its cells
+    (:attr:`RadialMeasure.parts`). Power terms sharing an exponent are
+    summed on each range between breakpoints; the sum is certified
+    nonnegative when the measure is validated.
     """
+    atoms, segments = radial.parts
     terms, log_forms = [], []
     for kappa, a in kernel:
-        for at in radial.atoms:
+        for at in atoms:
             terms.append(Segment(0.0, at.r, at.m * kappa / at.r ** a, a - 1.0))
-        for sg in radial.segments:
+        for sg in segments:
             seg_terms, log_form = _segment_image_terms(sg, kappa, a)
             terms += seg_terms
             if log_form is not None:
                 log_forms.append(log_form)
-    log_forms += [_form_image(sg, kernel) for sg in radial.segments if sg.e]
-    new_segments = tuple(
+    log_forms += [_form_image(sg, kernel) for sg in segments if sg.e]
+    return RadialMeasure((), tuple(
         sg for _, _, covering in segments_by_range(terms) for sg in covering
-    ) + tuple(log_forms)
-    gt = radial.grid_tail
-    if gt is None:
-        return RadialMeasure((), new_segments, None)
-    rest = RadialMeasure(grid_tail=gt)
-
-    def tail_out(us) -> np.ndarray:
-        parts = [_kernel_tail(rest, kappa, a, us) for kappa, a in kernel]
-        return sum(parts[1:], parts[0])
-
-    r_first, r_top = float(gt.radii[0]), float(gt.radii[-1])
-    r_floor = r_first * 1e-2
-    while r_floor * r_floor * float(tail_out(r_floor)[0]) > 1e-10 and r_floor > 1e-18:
-        r_floor /= 8.0
-
-    n_nodes = int(min(32769, max(4097, 1024.0 * math.log(r_top / r_floor))))
-    us = np.union1d(np.geomspace(r_floor, r_top, n_nodes), [r_first, 1.0])
-    us = us[(us >= r_floor) & (us <= r_top)]
-    tails = np.minimum.accumulate(np.maximum(tail_out(us), 0.0))
-    return RadialMeasure((), new_segments, GridTail(us, tails))
+    ) + tuple(log_forms))
 
 
 def map_triplet(m: IntegralMap, trip: LevyTriplet) -> LevyTriplet:

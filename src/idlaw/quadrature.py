@@ -156,7 +156,7 @@ def integrate(
         nor on how a depth is chunked, as long as each pair's integrand
         value does not depend on the batch it rides in. Every leaf keeps
         that: closed forms, and triplets with any mix of atoms, power
-        segments, log forms and grid tails; so do the ``jbeta`` and
+        segments, log forms and grid-tail cells; so do the ``jbeta`` and
         ``ubetaf`` maps over them. The walked maps (``i``, ``ijbeta``) do
         not: their walk stops on the largest row of a batch, so one nested
         inside another map's integrand may move with the chunking, within

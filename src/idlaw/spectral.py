@@ -3,20 +3,22 @@
 A measure is a finite family of rays. Each ray carries a unit direction and
 a radial measure on (0, inf) made of point atoms, power-law density
 segments c * r**p on (lo, hi] (hi may be inf), and optionally a tabulated
-right-tail function for shapes with no closed form. Segments may overlap
-and carry negative scales as long as their sum is certified nonnegative;
-that is how the exact image of a power segment under a map, a difference
-of two power terms, is held. Admissibility means integral of min(1, r**2)
-against the radial part is finite on every ray.
+right-tail function, read as what it stores: p = 0 segments on its cells
+and an atom at its last node. Segments may overlap and carry negative
+scales as long as their sum is certified nonnegative; that is how the
+exact image of a power segment under a map, a difference of two power
+terms, is held. Admissibility means integral of min(1, r**2) against the
+radial part is finite on every ray.
 
 A measure's exponent runs from flat tables built once per measure
-(:class:`JumpTables`). Atoms and the node weights of tabulated tails
-become one (jumps x dim) table of jump vectors r * direction with their
-masses, summed by the one kernel for exp(i theta) - 1, :func:`_cis_m1`,
-which the closed-form compound-Poisson exponent shares; the compensation
-of jumps inside the unit ball is one drift vector. Segments, split at
-radius 1, become rows of a piece table (:class:`_Pieces`), which one
-array program evaluates for all (row, piece) elements of a batch at once.
+(:class:`JumpTables`). Atoms become one (jumps x dim) table of jump
+vectors r * direction with their masses, summed by the one kernel for
+exp(i theta) - 1, :func:`_cis_m1`, which the closed-form compound-Poisson
+exponent shares; a tabulated tail's cells take that kernel too, by parts
+at their nodes (:class:`_Cells`); the compensation of jumps inside the
+unit ball is one drift vector. Segments, split at radius 1, become rows
+of a piece table (:class:`_Pieces`), which one array program evaluates
+for all (row, piece) elements of a batch at once.
 Every step sums in an order set by the tables alone, so a row's value
 does not depend on its batch.
 """
@@ -41,6 +43,12 @@ CIS_CHUNK_ELEMENTS = 1 << 14
 # (rows x pieces) elements the segment-piece program evaluates at once:
 # their two (SERIES_TERMS x elements) term tables take 3 MB
 PIECE_CHUNK_ELEMENTS = 1 << 12
+# a grid-tail node's G(theta) = exp(i theta) - 1 - i theta takes its series,
+# n = 2..CELL_TERMS, below |theta| = CELL_EDGE: to 4e-20 of the node's weight;
+# nodes from CELL_SERIES_R on, whose r**CELL_TERMS nears the float range, never
+CELL_EDGE = 0.5
+CELL_TERMS = 16
+CELL_SERIES_R = 1e18
 # a segment's exponent takes its power series in a = |w| r up to this a,
 # and the rotated contour integral beyond it
 SERIES_EDGE = 8.0
@@ -115,7 +123,7 @@ _LAG_WEIGHTS = np.array([
 ])
 
 
-def _cis_m1(Y: np.ndarray, H: np.ndarray, m2: np.ndarray) -> np.ndarray:
+def _cis_m1(Y: np.ndarray, H: np.ndarray, m2: np.ndarray, start=None) -> np.ndarray:
     """Sum over atoms k of m_k (exp(i theta_jk) - 1), per row j of the float grid Y.
 
     The atoms come as their jumps J halved, H = J/2 (atoms x dim), and
@@ -131,7 +139,8 @@ def _cis_m1(Y: np.ndarray, H: np.ndarray, m2: np.ndarray) -> np.ndarray:
     within it, so temporaries stay in cache whatever the batch size. A
     block's atoms are summed by halving, in an order set by the tile's
     atom count alone, and tiles add in order; so every row rounds the same
-    in any batch.
+    in any batch. With ``start``, row j sums only the atoms k >= start[j]:
+    the others get angle 0.
     """
     n, (K, d) = Y.shape[0], H.shape
     out = np.zeros(n, dtype=complex)
@@ -145,6 +154,8 @@ def _cis_m1(Y: np.ndarray, H: np.ndarray, m2: np.ndarray) -> np.ndarray:
             t = h[:, :1] * y[:, 0]
             for c in range(1, d):
                 t += h[:, c : c + 1] * y[:, c]
+            if start is not None:
+                t *= np.arange(a, a + h.shape[0])[:, None] >= start[lo : lo + rows]
             np.tan(t, out=t)
             q = t * t
             q += 1.0
@@ -411,12 +422,11 @@ def _log_moment(sg: Segment, a, b: float) -> np.ndarray:
 class GridTail:
     """Right-tail function tabulated on an increasing radius grid.
 
-    ``tail[k]`` approximates the measure of (radii[k], inf); between nodes
-    the tail is linear in r, so cell (r_k, r_{k+1}] carries mass
-    tail[k] - tail[k+1]. Any residual tail[-1] is collapsed onto the last
-    node as an atom. There is no mass below radii[0]. The exponent takes
-    the endpoint-average rule, not this measure: on radii (0.5, 1, 2, 3)
-    with tails (1, 0.6, 0.2, 0.05) the two differ by 0.185 at |y| = 4.
+    ``tail[k]`` is the measure of (radii[k], inf); between nodes the tail
+    is linear in r, and there is no mass below radii[0]. So the measure
+    is exactly :attr:`cells`: a p = 0 power segment on each cell, density
+    (tail[k] - tail[k+1])/(radii[k+1] - radii[k]), and the residual
+    tail[-1] as an atom at the last node. Every reader takes it so.
     """
 
     radii: np.ndarray
@@ -464,65 +474,40 @@ class GridTail:
         return r, t
 
     @cached_property
-    def _node_weights(self) -> tuple[np.ndarray, np.ndarray]:
-        """The endpoint-average rule folded into per-node weights.
+    def cells(self) -> tuple[tuple[Atom, ...], tuple[Segment, ...]]:
+        """(atoms, segments): the end atom and a p = 0 segment per cell of :attr:`_unit_split`.
 
-        Each cell gives half its mass to each endpoint, in the first vector
-        when the cell lies in (0, 1] and in the second otherwise; the
-        residual mass past the last node goes to that node. So the first
-        vector is zero on nodes above 1 and the second on nodes below 1.
+        A tail that rises by a hair (as :meth:`issues` allows) reads as no
+        mass there; cells and an end atom without mass are left out.
         """
         r, t = self._unit_split
-        half = 0.5 * np.maximum(-np.diff(t), 0.0)
-        below = r[1:] <= 1.0
-        wt_below, wt_above = np.zeros_like(r), np.zeros_like(r)
-        for wts, cells in ((wt_below, half * below), (wt_above, half * ~below)):
-            wts[:-1] += cells
-            wts[1:] += cells
-        (wt_below if r[-1] <= 1.0 else wt_above)[-1] += t[-1]
-        return wt_below, wt_above
-
-    def split_integral(self, g_below, g_above) -> float:
-        """Stieltjes integral with separate kernels on (0, 1] and (1, inf).
-
-        Cells use the endpoint average of whichever kernel covers them
-        (exact for kernels linear over a cell); the residual mass past the
-        last node counts as an atom there. Each kernel is evaluated only
-        on the nodes where it has weight.
-        """
-        r = self._unit_split[0]
-        wt_below, wt_above = self._node_weights
-        n_below = int(np.searchsorted(r, 1.0, side="right"))
-        n_above = int(np.searchsorted(r, 1.0, side="left"))
-        val = np.asarray(g_below(r[:n_below]), dtype=float) @ wt_below[:n_below]
-        val += np.asarray(g_above(r[n_above:]), dtype=float) @ wt_above[n_above:]
-        return float(val)
+        density = np.maximum(-np.diff(t), 0.0) / np.diff(r)
+        segments = tuple(
+            Segment(lo, hi, c, 0.0)
+            for lo, hi, c in zip(r[:-1].tolist(), r[1:].tolist(), density.tolist()) if c > 0.0
+        )
+        return ((Atom(float(r[-1]), float(t[-1])),) if t[-1] > 0.0 else ()), segments
 
     @cached_property
     def _radial(self) -> "RadialMeasure":
         return RadialMeasure(grid_tail=self)
 
     def exponent_integral(self, w: np.ndarray) -> np.ndarray:
-        """Jump-part integrand against the tabulated measure, batched over w.
-
-        The node weights of the endpoint-average rule are point masses, the
-        ones in (0, 1] compensated: the tables of a radial measure with this
-        tail alone (:meth:`RadialMeasure.exponent_integral`).
-        """
+        """Jump-part integrand against the tabulated measure, batched over w:
+        :meth:`RadialMeasure.exponent_integral` of this tail alone."""
         return self._radial.exponent_integral(w)
 
     def scaled(self, factor: float) -> "GridTail":
         return GridTail(self.radii, self.tail * factor)
 
 
-def _merge_grid_tails(a: GridTail, b: GridTail) -> GridTail:
-    radii = np.union1d(a.radii, b.radii)
-    return GridTail(radii, a.tail_at(radii) + b.tail_at(radii))
-
-
 @dataclass(frozen=True, eq=False)
 class RadialMeasure:
-    """Radial part of one ray: atoms + power segments + optional grid tail."""
+    """Radial part of one ray: atoms, segments and optionally a grid tail.
+
+    Readers take :attr:`parts`, where the grid tail's cells join the atoms
+    and segments; only the exponent's tables keep them apart (:class:`JumpTables`).
+    """
 
     atoms: tuple[Atom, ...] = ()
     segments: tuple[Segment, ...] = ()
@@ -534,6 +519,14 @@ class RadialMeasure:
 
     def is_empty(self) -> bool:
         return not self.atoms and not self.segments and self.grid_tail is None
+
+    @cached_property
+    def parts(self) -> tuple[tuple[Atom, ...], tuple[Segment, ...]]:
+        """Atoms and segments, with the grid tail's cells after the measure's own."""
+        if self.grid_tail is None:
+            return self.atoms, self.segments
+        atoms, segments = self.grid_tail.cells
+        return self.atoms + atoms, self.segments + segments
 
     def issues(self, label: str) -> list[str]:
         out = []
@@ -581,24 +574,24 @@ class RadialMeasure:
         """Measure of (u, inf), vectorized over u >= 0."""
         u = np.asarray(u, dtype=float)
         val = np.zeros_like(u)
-        for at in self.atoms:
+        atoms, segments = self.parts
+        for at in atoms:
             val = val + at.m * (u < at.r)
-        for sg in self.segments:
+        for sg in segments:
             lower = np.maximum(u, sg.lo)
             inside = lower < sg.hi
             start = np.where(inside, lower, sg.lo)
             val = val + np.where(inside, sg.c * _moment(sg, start, sg.hi, 0), 0.0)
-        if self.grid_tail is not None:
-            val = val + self.grid_tail.tail_at(u)
         return val
 
     def log_moment(self) -> float:
         """Integral of log(r) over r > 1; inf when divergent."""
         val = 0.0
-        for at in self.atoms:
+        atoms, segments = self.parts
+        for at in atoms:
             if at.r > 1.0:
                 val += at.m * math.log(at.r)
-        for sg in self.segments:
+        for sg in segments:
             # with L = max(lo, 1), the log moment about L plus log(L) times
             # the mass above L
             lo = max(sg.lo, 1.0)
@@ -607,24 +600,19 @@ class RadialMeasure:
                 if lo > 1.0:
                     seg = seg + math.log(lo) * _moment(sg, lo, sg.hi, 0)
                 val += sg.c * float(seg)
-        if self.grid_tail is not None:
-            val += self.grid_tail.split_integral(np.zeros_like, np.log)
         return val
 
     def power_moment_above1(self, s: float) -> float:
         """Integral of r**s over r > 1; inf when divergent."""
         val = 0.0
-        for at in self.atoms:
+        atoms, segments = self.parts
+        for at in atoms:
             if at.r > 1.0:
                 val += at.m * at.r ** s
-        for sg in self.segments:
+        for sg in segments:
             lo = max(sg.lo, 1.0)
             if sg.hi > lo:
                 val += sg.c * float(_moment(sg, lo, sg.hi, s))
-        if self.grid_tail is not None:
-            val += self.grid_tail.split_integral(
-                np.zeros_like, lambda r: r ** s
-            )
         return val
 
     @cached_property
@@ -637,13 +625,14 @@ class RadialMeasure:
 
         Computes, for each w, the integral of
         exp(i*w*r) - 1 - i*w*r*[r <= 1] over r, from :attr:`tables`. Atoms
-        and grid-tail nodes are point masses. Segments, power and log form
-        alike, take a closed form: a power series in |w| r up to
-        SERIES_EDGE, and past it a fixed Gauss-Laguerre rule along a
-        contour in the upper half plane, where the oscillation becomes
-        decay. No piece runs a quadrature, and the error is at rounding
-        level at any |w|. Every piece takes w of either sign, so the value
-        at -w is the conjugate of the one at w piece by piece.
+        are point masses, and grid-tail cells sum by parts at their nodes.
+        Segments, power and log form alike, take a closed form: a power
+        series in |w| r up to SERIES_EDGE, and past it a fixed
+        Gauss-Laguerre rule along a contour in the upper half plane, where
+        the oscillation becomes decay. No piece runs a quadrature, and the
+        error is at rounding level at any |w|. Every piece takes w of
+        either sign, so the value at -w is the conjugate of the one at w
+        piece by piece.
         """
         w = np.asarray(w, dtype=float).ravel()
         comp = self.tables.comp
@@ -661,31 +650,27 @@ class RadialMeasure:
     def __add__(self, other: "RadialMeasure") -> "RadialMeasure":
         if not isinstance(other, RadialMeasure):
             return NotImplemented
-        if self.grid_tail is None or other.grid_tail is None:
-            merged = self.grid_tail or other.grid_tail
-        else:
-            merged = _merge_grid_tails(self.grid_tail, other.grid_tail)
-        return RadialMeasure(
-            self.atoms + other.atoms, self.segments + other.segments, merged
-        )
+        if self.grid_tail is not None and other.grid_tail is not None:
+            other = RadialMeasure(*other.parts)  # one grid tail stays a table
+        grid_tail = self.grid_tail or other.grid_tail
+        return RadialMeasure(self.atoms + other.atoms, self.segments + other.segments, grid_tail)
 
 
 def _min1r2(radials: Sequence[RadialMeasure]) -> np.ndarray:
     """Integral of min(1, r**2) against each radial measure.
 
-    Atoms, grid tails and log forms add one at a time. The nonempty
-    ranges of all power segments take one array pass through
+    Atoms and log forms add one at a time. The nonempty ranges of all
+    power segments, grid-tail cells included, take one array pass through
     :func:`_power_ints`: r**2 over a segment's part of (0, 1] and 1 over
     its part of (1, inf). A divergent range reads inf.
     """
     out = np.zeros(len(radials))
     rows = []
     for i, rad in enumerate(radials):
-        for at in rad.atoms:
+        atoms, segments = rad.parts
+        for at in atoms:
             out[i] += at.m * min(1.0, at.r * at.r)
-        if rad.grid_tail is not None:
-            out[i] += rad.grid_tail.split_integral(lambda r: r * r, lambda r: np.ones_like(r))
-        for sg in rad.segments:
+        for sg in segments:
             for a, b, k in ((max(sg.lo, 0.0), min(sg.hi, 1.0), 2.0), (max(sg.lo, 1.0), sg.hi, 0.0)):
                 if b > a and sg.e:
                     out[i] += sg.c * float(_moment(sg, a, b, k))
@@ -1302,15 +1287,79 @@ def _piece_rows(segments: Iterable[Segment], ray_index: int) -> list[tuple]:
 
 
 @dataclass(frozen=True, eq=False)
+class _Cells:
+    """One ray's grid-tail cells, p = 0 segments, summed by parts at their nodes.
+
+    With delta_k = f_(k-1) - f_k the drop in density at node r_k, the
+    cells' uncompensated jump integral is sum_k delta_k G(w r_k)/(i w),
+    G(theta) = exp(i theta) - 1 - i theta. Nodes with |w| r_k < CELL_EDGE,
+    a prefix of ``r`` (the nodes below CELL_SERIES_R), take G's series from
+    the prefix sums ``series`` of delta_k r_k**n / n!, n = 2..CELL_TERMS;
+    the rest take :func:`_cis_m1` on ``half_r`` and ``delta2``, less their
+    suffix sum ``above`` of delta_k r_k. ``comp`` is the cells' first
+    moment below radius 1.
+    """
+
+    direction: np.ndarray
+    r: np.ndarray
+    half_r: np.ndarray
+    delta2: np.ndarray
+    series: np.ndarray
+    above: np.ndarray
+    comp: float
+
+    @classmethod
+    def build(cls, direction: np.ndarray, cells: Sequence[Segment]) -> "_Cells":
+        lo, hi, c = np.array([(sg.lo, sg.hi, sg.c) for sg in cells]).T
+        r, node = np.unique(np.concatenate([lo, hi]), return_inverse=True)
+        delta = np.bincount(node, np.concatenate([-c, c]), r.size)
+        k, n = int(np.searchsorted(r, CELL_SERIES_R)), np.arange(2, CELL_TERMS + 1)[:, None]
+        series = np.zeros((n.size, k + 1))
+        np.cumsum(delta[:k] * r[:k] ** n * _INV_FACT[n], axis=1, out=series[:, 1:])
+        above = np.zeros(r.size + 1)
+        above[:-1] = np.cumsum((delta * r)[::-1])[::-1]
+        below = hi <= 1.0
+        comp = 0.5 * float(c[below] @ (hi[below] ** 2 - lo[below] ** 2))
+        return cls(direction, r[:k], 0.5 * r[:, None], 2.0 * delta[:, None], series, above, comp)
+
+    def add_exponent(self, out: np.ndarray, Y: np.ndarray) -> None:
+        """Add to out, per row y of Y, the cells' integral at w = <y, direction>.
+
+        A row sums in an order set by the tables alone; its real part is
+        even in w and its imaginary part odd, so -w gives the conjugate.
+        """
+        w = _dot(Y, self.direction)
+        with np.errstate(divide="ignore"):
+            cut = np.searchsorted(self.r, CELL_EDGE / np.abs(w))
+        x, S = -(w * w), self.series
+        re, im = S[-2][cut], S[-1][cut]
+        for k in range(S.shape[0] - 3, -1, -1):
+            if k % 2:
+                re = re * x + S[k][cut]
+            else:
+                im = im * x + S[k][cut]
+        re *= x
+        im *= w
+        e = _cis_m1(w[:, None], self.half_r, self.delta2, cut)
+        zero = w == 0.0  # such a row reads 0 past its prefix, and no -i theta
+        w = np.where(zero, 1.0, w)
+        re += e.imag / w
+        re -= self.above[np.where(zero, -1, cut)]
+        im -= e.real / w
+        out.real += re
+        out.imag += im
+
+
+@dataclass(frozen=True, eq=False)
 class JumpTables:
     """A jump measure compiled into flat tables for its exponent.
 
-    Every atom and tabulated-tail node is a jump vector r * direction with
-    a mass; a tail's nodes carry the weights of its endpoint-average rule
-    (:meth:`GridTail._node_weights`). ``half_jumps`` (K x dim) holds the
-    jumps halved and ``mass2`` (K x 1) the masses doubled, the form
-    :func:`_cis_m1` reads. ``comp`` is the sum of the jumps inside the
-    unit ball times their masses, the compensation as one drift vector.
+    Every atom, a grid tail's end atom included, is a jump vector
+    r * direction with a mass. ``half_jumps`` (K x dim) holds the jumps
+    halved and ``mass2`` (K x 1) the masses doubled, the form
+    :func:`_cis_m1` reads. ``cells`` holds each grid tail's cells
+    (:class:`_Cells`). ``comp`` is the first moment of the atoms and cells
+    inside the unit ball, the compensation as one drift vector.
     ``pieces`` holds the segment-piece table, or None when there are no
     segments.
     """
@@ -1319,47 +1368,50 @@ class JumpTables:
     mass2: np.ndarray
     comp: np.ndarray
     pieces: _Pieces | None
+    cells: tuple[_Cells, ...]
 
     @classmethod
     def build(cls, dim: int, rays: Iterable[tuple[np.ndarray, "RadialMeasure"]]) -> "JumpTables":
         """Tables of the rays given as (direction, radial measure) pairs."""
         dirs, jumps, masses, comp, rows = [], [np.zeros((0, dim))], [np.zeros(0)], np.zeros(dim), []
+        cells = []
         for index, (direction, radial) in enumerate(rays):
             dirs.append(direction)
             rows += _piece_rows(radial.segments, index)
-            if not radial.atoms and radial.grid_tail is None:
-                continue
-            r = np.array([at.r for at in radial.atoms], dtype=float)
-            m = np.array([at.m for at in radial.atoms], dtype=float)
-            m_comp = m * (r <= 1.0)
-            if radial.grid_tail is not None:
-                wt_below, wt_above = radial.grid_tail._node_weights
-                r = np.concatenate([r, radial.grid_tail._unit_split[0]])
-                m = np.concatenate([m, wt_below + wt_above])
-                m_comp = np.concatenate([m_comp, wt_below])
-            jumps.append(np.multiply.outer(r, direction))
-            masses.append(m)
-            comp = comp + float(r @ m_comp) * direction
+            atoms = radial.parts[0]
+            if atoms:
+                r = np.array([at.r for at in atoms], dtype=float)
+                m = np.array([at.m for at in atoms], dtype=float)
+                jumps.append(np.multiply.outer(r, direction))
+                masses.append(m)
+                comp = comp + float(r @ (m * (r <= 1.0))) * direction
+            if radial.grid_tail is not None and radial.grid_tail.cells[1]:
+                cells.append(_Cells.build(direction, radial.grid_tail.cells[1]))
+                comp = comp + cells[-1].comp * direction
         dirs = np.array(dirs, dtype=float).reshape(-1, dim)
         return cls(
             0.5 * np.concatenate(jumps),
             2.0 * np.concatenate(masses)[:, None],
             comp,
             _Pieces.build(rows, dirs) if rows else None,
+            tuple(cells),
         )
 
     def exponent(self, Y: np.ndarray, drift: np.ndarray | None) -> np.ndarray:
         """i<y, drift> plus the uncompensated jump integral, per row y of the float grid Y.
 
         Passing drift = -comp gives the compensated jump integral; None
-        stands for a zero drift. Atoms and nodes go through one
-        :func:`_cis_m1` call, segments through the piece table
+        stands for a zero drift. Atoms go through one :func:`_cis_m1`
+        call, each grid tail's cells through their own kernel
+        (:meth:`_Cells.add_exponent`) and segments through the piece table
         (:meth:`_Pieces.add_exponent`).
         """
         if self.mass2.size:
             out = _cis_m1(Y, self.half_jumps, self.mass2)
         else:
             out = np.zeros(Y.shape[0], dtype=complex)
+        for cells in self.cells:
+            cells.add_exponent(out, Y)
         if drift is not None:
             out.imag += _dot(Y, drift)
         if self.pieces is not None:

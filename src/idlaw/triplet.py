@@ -10,9 +10,9 @@ with the compensation cutoff fixed at the closed unit ball.
 A triplet compiles itself once (:attr:`LevyTriplet.compiled`): the jump
 measure's flat tables (:class:`idlaw.spectral.JumpTables`), with the
 compensation of jumps inside the unit ball folded into the shift. Its
-exponent is then one ordered drift sum, one point-mass kernel call over
-every atom and tail node, the segment-piece program and, when the
-covariance is not zero, one ordered quadratic form.
+exponent is then one point-mass kernel call over every atom, one cell
+kernel call per grid tail, one ordered drift sum, the segment-piece
+program and, when the covariance is not zero, one ordered quadratic form.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ def cov_issues(cov: np.ndarray) -> tuple[str, ...]:
 
     The one rule for triplets and samplers alike: symmetric within PSD_TOL
     times max(1, largest |entry|), and no eigenvalue below -PSD_TOL times
-    max(1, largest eigenvalue).
+    max(1, largest eigenvalue). A 1 x 1 matrix is its own eigenvalue.
     """
     cov = np.asarray(cov, dtype=float)
     # exact symmetry, the usual case, skips the slower tolerance test
@@ -41,7 +41,7 @@ def cov_issues(cov: np.ndarray) -> tuple[str, ...]:
         scale = max(1.0, float(np.abs(cov).max()))
         if not np.all(np.abs(cov - cov.T) <= PSD_TOL * scale):
             return ("cov is not symmetric",)
-    eigs = np.linalg.eigvalsh(cov)
+    eigs = cov.diagonal() if cov.shape == (1, 1) else np.linalg.eigvalsh(cov)
     if eigs.size and eigs.min() < -PSD_TOL * max(1.0, eigs.max()):
         return (f"cov has negative eigenvalue {eigs.min():.3e}",)
     return ()

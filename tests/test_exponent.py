@@ -589,7 +589,9 @@ def leaf_laws() -> dict[str, LevyTriplet]:
     Panel laws 0-7 (seed 9002), their jbeta images at beta 1 and 1.3, and
     near-band's at 1.3, which holds a log form. Then a law whose unbounded
     piece comes before two bounded pieces from a > 0, so that pieces add in
-    an order other than the one they are evaluated in, and the dim-2 law.
+    an order other than the one they are evaluated in, the dim-2 law, and
+    two grid tails: hash-panel's, with an atom, and 600 nodes from 1e-3 to
+    1e4 with tail 1/r.
     """
     from test_map_triplet import dim2_law, hash_panel
 
@@ -604,6 +606,11 @@ def leaf_laws() -> dict[str, LevyTriplet]:
             segments=[(1.5, math.inf, 0.3, -2.4), (0.3, 2.5, 0.4, -1.3)]),
     )))
     laws["dim2"] = dim2_law()
+    laws["grid-tail"] = hashed["grid-tail"]
+    radii = np.geomspace(1e-3, 1e4, 600)
+    laws["grid-tail-600"] = LevyTriplet(1, [0.0], [[0.0]], SpectralMeasure(1, (
+        ray([1.0], grid_tail=GridTail(radii, 1.0 / radii)),
+    )))
     return laws
 
 
@@ -746,6 +753,14 @@ LEAF_DIGESTS = {
     "dim2/default": "634d7814250abd2bbcddbb8d10052baad60158622155ccfb7c6b593b1c306923",
     "dim2/wide": "2f7b5762183ed1e7ecc2e5da8767a4fc5bb2f3aeb96139217e3839474b5a2e9b",
     "dim2/jbeta-map": "b40d4a6b6d405f748cc549dca3cf64b323135282166f2b9caac2f48a7f1b29dc",
+    "grid-tail/one-row": "56233a17c964eb40d3b2c0ad16dcc62b2284bac8a765a234d12ea21856b3a0ae",
+    "grid-tail/default": "d31b3cf56025a445752d255d9b9bfd18a79a6fbf4b1e1f3b2b6cdf166c0ef892",
+    "grid-tail/wide": "a7cc5ed2f2cc00c3ca679c72954a8ffb102d71daf05ff346b2c453f4a946b810",
+    "grid-tail/jbeta-map": "5b460b1631e9548484b3ff56631201389c565977fdac80c991756cf4dd5cc1a3",
+    "grid-tail-600/one-row": "fd437aab48621a625748a1527457db6a5a1619c6d4c851a576f9ad262253afaf",
+    "grid-tail-600/default": "fbcfbaf5553b13c0026e3ba9630290c2c7b2a9d9c9066b46d33411e3398342af",
+    "grid-tail-600/wide": "719df50b102a92d6c2215a656fcc2a525775c188f7bd25a05ca6317afea06f11",
+    "grid-tail-600/jbeta-map": "303ecf91b55256fce220458d86423c06347d56fee6def4aaa4a508a582ac5132",
 }
 
 def moved_leaf_keys(old: dict, new: dict) -> list[str]:

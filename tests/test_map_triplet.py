@@ -1,15 +1,17 @@
 """Triplet-level images of laws under the four integral maps.
 
-Run as a script to rewrite the golden digests of the jbeta images; it
-first prints each key whose digest changed, with the part that moved,
-``document`` (the image document) or ``exponent`` (its 41-point exponent):
+Run as a script to print each key of the golden digests of the jbeta
+images whose digest changed, with the part that moved, ``document`` (the
+image document) or ``exponent`` (its 41-point exponent); with ``--write``
+it then rewrites the golden file:
 
-    PYTHONPATH=src python tests/test_map_triplet.py
+    PYTHONPATH=src python tests/test_map_triplet.py [--write]
 """
 
 import hashlib
 import json
 import math
+import sys
 import warnings
 from pathlib import Path
 
@@ -24,7 +26,7 @@ from idlaw.exponent import from_triplet
 from idlaw.lawio import BUILTIN_LAWS, builtin_law, triplet_to_dict
 from idlaw.spectral import GridTail, RadialMeasure, SpectralMeasure, ray
 from idlaw.triplet import LevyTriplet
-from test_spectral import log_power_moment, power_moment, power_terms
+from test_spectral import ORACLE_WS, grid_tail_oracle, log_power_moment, power_moment, power_terms
 
 GOLDEN = Path(__file__).parent / "golden" / "jbeta_images.json"
 
@@ -411,10 +413,74 @@ def test_three_nested_images_of_a_near_band_law_are_exact():
     assert np.max(np.abs(from_triplet(third).eval_grid(grid) - twice)) <= 1e-10
 
 
+def test_grid_tail_law_exponent_matches_40_digit_cells():
+    trip = hash_panel()["grid-tail"]
+    want = grid_tail_oracle(trip.levy.rays[0].radial, ORACLE_WS) - 0.05 * ORACLE_WS**2
+    got = trip.exponent_grid(ORACLE_WS[:, None])
+    assert np.max(np.abs(got - want)) < 1e-13 * np.max(np.abs(want))
+
+
+def image_tail_oracle(radial, kernel, us, dps=40):
+    """The image's right tail under power kernels, by a dps-digit quadrature.
+
+    Each kernel (kappa, a) gives kappa u**a times the integral over (u, inf)
+    of T(x) x**(-a-1), T the radial measure's right tail: its atoms' steps
+    plus the grid tail, linear between nodes and zero past the last. The
+    quadrature breaks at every node and atom.
+    """
+    gt = radial.grid_tail
+    out = []
+    with mp.workdps(dps):
+        r, t = [mp.mpf(float(v)) for v in gt.radii], [mp.mpf(float(v)) for v in gt.tail]
+        atoms = [(mp.mpf(at.r), mp.mpf(at.m)) for at in radial.atoms]
+        cuts = sorted(set(r) | {x for x, _ in atoms})
+
+        def T(x):
+            val = sum((m for at, m in atoms if x < at), mp.mpf(0))
+            if x < r[0]:
+                return val + t[0]
+            for r0, r1, t0, t1 in zip(r, r[1:], t, t[1:]):
+                if x < r1:
+                    return val + t0 + (t1 - t0) * (x - r0) / (r1 - r0)
+            return val
+
+        for u in us:
+            u = mp.mpf(float(u))
+            points = [u] + [x for x in cuts if x > u]
+            total = mp.mpf(0)
+            for kappa, a in kernel:
+                a = mp.mpf(a)
+                total += kappa * u**a * mp.quad(lambda x: T(x) * x ** (-a - 1), points)
+            out.append(float(total))
+    return np.array(out)
+
+
+@pytest.mark.parametrize("beta", [1.0, 1.3])
+@pytest.mark.parametrize("kind", ALL_MAPS)
+def test_grid_tail_images_are_exact(kind, beta):
+    # every cell maps to exact segments: no table is left in the image, and
+    # its tail is the transformed piecewise-linear tail
+    trip = hash_panel()["grid-tail"]
+    m = make_map(kind, beta)
+    img = maps.map_triplet(m, trip)
+    img.require_valid()
+    assert all(r.radial.grid_tail is None for r in img.levy.rays)
+    us = np.array([0.05, 0.3, 0.5, 0.7, 1.0, 1.2, 1.5, 1.7, 2.0, 2.5, 2.9, 3.0])
+    kernel = maps.POWER_KERNELS[m.kind](m.beta)
+    want = image_tail_oracle(trip.levy.rays[0].radial, kernel, us)
+    got = img.levy.rays[0].radial.tail(us)
+    assert np.max(np.abs(got - want)) < 1e-13 * np.max(np.abs(want))
+    # so the two routes agree, as on the panel laws
+    grid = np.linspace(-5.0, 5.0, 11)[:, None]
+    diff = np.abs(triplet_route(m, trip, grid) - exponent_route(m, trip, grid))
+    assert np.max(diff) < 1e-11
+
+
 if __name__ == "__main__":
-    # name the digests that moved, then rewrite the file
+    # name the digests that moved; rewrite the file only when asked
     old = json.loads(GOLDEN.read_text()) if GOLDEN.exists() else {}
     new = image_digests()
     for line in moved_digests(old, new):
         print(line)
-    GOLDEN.write_text(json.dumps(new, indent=2, sort_keys=True) + "\n")
+    if "--write" in sys.argv[1:]:
+        GOLDEN.write_text(json.dumps(new, indent=2, sort_keys=True) + "\n")

@@ -44,6 +44,38 @@ def jump_kernel(r, w):
     return val
 
 
+def grid_tail_oracle(radial, ws, dps=40):
+    """The compensated jump integral of a radial measure's atoms and grid tail, at dps digits.
+
+    The tail's cells are built here from its radii and tail values: cell k
+    carries the drop tail[k] - tail[k+1] at constant density, split at
+    radius 1 for the compensation, and tail[-1] sits on the last node.
+    Each piece is a closed form, summed exactly.
+    """
+    gt = radial.grid_tail
+    out = []
+    with mp.workdps(dps):
+        r, t = [mp.mpf(float(v)) for v in gt.radii], [mp.mpf(float(v)) for v in gt.tail]
+        atoms = [(mp.mpf(at.r), mp.mpf(at.m)) for at in radial.atoms] + [(r[-1], t[-1])]
+        for w in ws:
+            w = mp.mpf(float(w))
+            total = mp.mpc(0)
+            for r0, r1, t0, t1 in zip(r, r[1:], t, t[1:]):
+                f = (t0 - t1) / (r1 - r0)
+                for a, b in ((r0, min(r1, 1)), (max(r0, 1), r1)):
+                    if b > a and w != 0:
+                        v = (mp.expj(w * b) - mp.expj(w * a)) / (1j * w) - (b - a)
+                        total += f * (v - (1j * w * (b * b - a * a) / 2 if b <= 1 else 0))
+            for x, m in atoms:
+                total += m * (mp.expj(w * x) - 1 - (1j * w * x if x <= 1 else 0))
+            out.append(complex(total))
+    return np.array(out)
+
+
+# the arguments grid-tail exponents are checked at against the oracle
+ORACLE_WS = np.array([1e-6, -1e-6, 1e-3, -1e-3, 0.7, -0.7, 5.0, -5.0, 100.0, -100.0])
+
+
 class TestGridTail:
     def test_tail_interpolation(self):
         gt = GridTail([0.5, 1.0, 2.0, 4.0], [1.0, 0.6, 0.2, 0.0])
@@ -52,41 +84,51 @@ class TestGridTail:
         assert gt.tail_at(4.0) == 0.0
         assert gt.tail_at(7.0) == 0.0
 
-    def test_integral_uses_endpoint_averages_per_cell(self):
+    def test_cells_are_the_stored_piecewise_linear_tail(self):
         gt = GridTail([0.5, 1.5, 3.0], [0.8, 0.3, 0.0])
-        # a node is interposed at radius 1, then each cell weighs the kernel
-        # by the average of its endpoint values
-        nodes = [0.5, 1.0, 1.5, 3.0]
-        tails = [0.8, 0.55, 0.3, 0.0]
-        g = lambda r: r * r
-        truth = sum(
-            (tails[k] - tails[k + 1]) * 0.5 * (g(nodes[k]) + g(nodes[k + 1]))
-            for k in range(3)
-        )
-        assert abs(gt.split_integral(g, g) - truth) < 1e-12
+        # a node is interposed at radius 1; each cell is a p = 0 segment
+        # carrying its drop in tail, and no residual tail is left for an atom
+        atoms, cells = gt.cells
+        assert atoms == ()
+        assert [(sg.lo, sg.hi, sg.p, sg.e) for sg in cells] == [
+            (0.5, 1.0, 0.0, ()), (1.0, 1.5, 0.0, ()), (1.5, 3.0, 0.0, ())
+        ]
+        np.testing.assert_allclose([sg.c for sg in cells], [0.5, 0.5, 0.2], rtol=1e-15)
+        rad = spectral.RadialMeasure(grid_tail=gt)
+        us = np.linspace(0.0, 3.5, 71)
+        np.testing.assert_allclose(rad.tail(us), gt.tail_at(us), rtol=0, atol=1e-15)
 
-    def test_split_integral_straddles_unit_radius(self):
+    def test_min1r2_straddles_unit_radius(self):
         gt = GridTail([0.5, 1.5, 3.0], [0.8, 0.3, 0.0])
-        # below-1 kernel r^2 sees the (0.5, 1] cell, the flat kernel the rest
-        truth = 0.25 * 0.5 * (0.25 + 1.0) + 0.25 * 1.0 + 0.3 * 1.0
-        got = gt.split_integral(lambda r: r * r, lambda r: np.ones_like(r))
-        assert abs(got - truth) < 1e-12
+        # r^2 against the density 0.5 on (0.5, 1], then the mass above 1
+        truth = 0.5 * (1.0 - 0.5**3) / 3.0 + 0.25 + 0.3
+        got = spectral._min1r2([spectral.RadialMeasure(grid_tail=gt)])[0]
+        assert abs(got - truth) < 1e-15
 
     def test_residual_tail_mass_sits_on_last_node(self):
         gt = GridTail([1.0, 2.0], [0.5, 0.2])
-        got = gt.split_integral(lambda r: r, lambda r: r)
-        truth = 0.3 * 0.5 * (1.0 + 2.0) + 0.2 * 2.0
-        assert abs(got - truth) < 1e-12
+        assert gt.cells == ((spectral.Atom(2.0, 0.2),), (spectral.Segment(1.0, 2.0, 0.3, 0.0),))
+        got = spectral.RadialMeasure(grid_tail=gt).power_moment_above1(1.0)
+        truth = 0.3 * (2.0**2 - 1.0) / 2.0 + 0.2 * 2.0
+        assert abs(got - truth) < 1e-15
 
     def test_fine_tabulation_converges_to_density_integral(self):
-        # tail exp(-r) on a dense grid: endpoint averaging is second order,
-        # so the Stieltjes integral approaches the true density integral
+        # tail exp(-r) on a dense grid: the cells' r^2 moment is their exact
+        # closed form, and approaches the density integral as the grid refines
         radii = np.linspace(0.2, 20.0, 4001)
         gt = GridTail(radii, np.exp(-radii))
-        got = gt.split_integral(lambda r: r * r, lambda r: r * r)
-        truth = quad(lambda r: r * r * np.exp(-r), 0.2, 20.0, epsabs=1e-13)[0]
+        rad = spectral.RadialMeasure(grid_tail=gt)
+        got = rad.power_moment_above1(2.0)
+        atoms, cells = gt.cells
+        exact = math.fsum(sg.c * (sg.hi**3 - sg.lo**3) / 3.0 for sg in cells if sg.lo >= 1.0)
+        exact += atoms[0].m * atoms[0].r**2
+        assert abs(got - exact) < 1e-13 * exact
+        truth = quad(lambda r: r * r * np.exp(-r), 1.0, 20.0, epsabs=1e-13)[0]
         truth += np.exp(-20.0) * 20.0**2
         assert abs(got - truth) < 1e-5
+        below = spectral._min1r2([rad])[0] - rad.power_moment_above1(0.0)
+        truth = quad(lambda r: r * r * np.exp(-r), 0.2, 1.0, epsabs=1e-13)[0]
+        assert abs(below - truth) < 1e-5
 
     def test_rejects_malformed_grids(self):
         with pytest.raises(ValueError):
@@ -339,23 +381,35 @@ class TestExponentIntegrals:
         truth = -0.098531378210745869589 + 0.091804516769435187804j
         assert abs(got - truth) < 1e-12
 
-    def test_grid_tail_exponent_follows_endpoint_average_rule(self):
+    def test_grid_tail_exponent_is_its_cells(self):
         gt = GridTail([0.5, 1.5, 3.0], [0.8, 0.3, 0.0])
         m = SpectralMeasure(1, (ray(1.0, grid_tail=gt),))
         nodes = np.array([0.5, 1.0, 1.5, 3.0])
-        tails = np.array([0.8, 0.55, 0.3, 0.0])
+        density = np.array([0.5, 0.5, 0.2])
         for w in (0.9, 1.7):
             got = jump_exponent(m, np.array([[w]]))[0]
-            masses = tails[:-1] - tails[1:]
             truth = 0.0
             for k in range(3):
-                # each cell applies one kernel form, chosen by which side of
-                # the unit radius the whole cell sits on
-                comp = nodes[k + 1] <= 1.0
-                gl = np.exp(1j * w * nodes[k]) - 1.0 - (1j * w * nodes[k] if comp else 0.0)
-                gr = np.exp(1j * w * nodes[k + 1]) - 1.0 - (1j * w * nodes[k + 1] if comp else 0.0)
-                truth += masses[k] * 0.5 * (gl + gr)
+                # each cell's closed form, compensated when it lies in (0, 1]
+                a, b = nodes[k], nodes[k + 1]
+                cell = (np.exp(1j * w * b) - np.exp(1j * w * a)) / (1j * w) - (b - a)
+                if b <= 1.0:
+                    cell -= 1j * w * (b * b - a * a) / 2.0
+                truth += density[k] * cell
             assert abs(got - truth) < 1e-13
+
+    @pytest.mark.parametrize(
+        "radii",
+        # the second reaches past CELL_SERIES_R, where nodes take no series
+        [np.geomspace(1e-3, 1e4, 600), np.geomspace(1.0, 1e21, 50)],
+    )
+    def test_grid_tail_exponent_matches_40_digit_cells(self, radii):
+        rad = spectral.RadialMeasure(grid_tail=GridTail(radii, 1.0 / radii))
+        ws = np.concatenate([ORACLE_WS, [0.0, 1e-22, -1e-22]])
+        want = grid_tail_oracle(rad, ws)
+        got = rad.exponent_integral(ws)
+        assert got[-3] == 0.0
+        assert np.max(np.abs(got - want)) < 1e-13 * np.max(np.abs(want))
 
     def test_fine_grid_tail_exponent_converges_to_density_oracle(self):
         radii = np.linspace(0.2, 12.0, 3001)
@@ -401,20 +455,11 @@ class TestExponentIntegrals:
         finally:
             tracemalloc.stop()
         assert peak < 32e6
-        # the chunked sum agrees with the dense endpoint-average rule,
-        # here also in blocks of one row and fewer atoms than the nodes
+        # the chunked sum agrees with the exact cells, here also in blocks
+        # of one row and fewer nodes than the cells
         monkeypatch.setattr(spectral, "CIS_CHUNK_ELEMENTS", 7 * 40)
         sub = w[::2500]
-        r, t = gt._unit_split
-        theta = np.multiply.outer(sub, r)
-        g_plain = np.exp(1j * theta) - 1.0
-        g_comp = g_plain - 1j * theta
-        g_cell = np.where(
-            r[1:] <= 1.0,
-            0.5 * (g_comp[:, :-1] + g_comp[:, 1:]),
-            0.5 * (g_plain[:, :-1] + g_plain[:, 1:]),
-        )
-        want = g_cell @ -np.diff(t) + g_plain[:, -1] * t[-1]
+        want = grid_tail_oracle(gt._radial, sub, dps=30)
         assert np.max(np.abs(gt.exponent_integral(sub) - want)) < 1e-11
         assert np.max(np.abs(got[::2500] - want)) < 1e-11
 
@@ -1079,6 +1124,19 @@ class TestMeasureAlgebra:
         both = jump_exponent(m1 + m2, W)
         parts = jump_exponent(m1, W) + jump_exponent(m2, W)
         assert np.max(np.abs(both - parts)) < 1e-13
+
+    def test_adding_two_grid_tails_reads_the_second_as_cells(self):
+        a = spectral.RadialMeasure(
+            (spectral.Atom(0.3, 0.2),), (), GridTail([0.5, 1.0, 2.0, 3.0], [1.0, 0.6, 0.2, 0.05])
+        )
+        b = spectral.RadialMeasure(grid_tail=GridTail(np.geomspace(0.2, 5.0, 30), np.linspace(2.0, 0.1, 30)))
+        both = a + b
+        assert both.grid_tail is a.grid_tail and both.segments == b.grid_tail.cells[1]
+        w = np.linspace(-7.0, 7.0, 29)
+        diff = both.exponent_integral(w) - a.exponent_integral(w) - b.exponent_integral(w)
+        assert np.max(np.abs(diff)) < 1e-13
+        us = np.linspace(0.0, 6.0, 61)
+        np.testing.assert_allclose(both.tail(us), a.tail(us) + b.tail(us), rtol=0, atol=1e-15)
 
     def test_scaling_scales_tails_and_exponent(self):
         m = SpectralMeasure(1, (ray(1.0, atoms=[(2.0, 1.0)], segments=[(0.5, 1.5, 0.4, -1.0)]),))

@@ -12,7 +12,7 @@ from idlaw.spectral import (
     SpectralMeasure,
     ray,
 )
-from idlaw.triplet import LevyTriplet
+from idlaw.triplet import LevyTriplet, cov_issues
 
 
 def empty_measure(dim=1):
@@ -165,6 +165,23 @@ class TestValidation:
         issues = trip.issues()
         assert issues
         assert any("eigenvalue" in msg for msg in issues)
+
+    def test_one_by_one_cov_is_read_without_eigvalsh(self, monkeypatch):
+        # a 1 x 1 covariance is its own eigenvalue: same message, no eigvalsh call
+        eigvalsh = np.linalg.eigvalsh
+
+        def refuse_1x1(a, *args, **kwargs):
+            if np.shape(a) == (1, 1):
+                raise AssertionError("eigvalsh called on a 1 x 1 covariance")
+            return eigvalsh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", refuse_1x1)
+        assert cov_issues(np.array([[-1.0]])) == ("cov has negative eigenvalue -1.000e+00",)
+        assert cov_issues(np.array([[-1e-11]])) == ()
+        assert cov_issues(np.array([[0.5]])) == ()
+        assert cov_issues(np.array([[2.0, 0.0], [0.0, -1.0]])) == (
+            "cov has negative eigenvalue -1.000e+00",
+        )
 
     def test_divergent_small_jump_segment_is_flagged(self):
         bad = SpectralMeasure(
