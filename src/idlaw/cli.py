@@ -272,7 +272,7 @@ def _cmd_suite(args) -> int:
             raise LawSpecError(f"config is not valid JSON: {exc}") from exc
         refuse_unknown(user, DEFAULT_SUITE_CONFIG, "suite config")
         config.update(user)
-    identities = _config_typed(config.get("identities", []), list, "config 'identities'")
+    identities = _config_typed(config["identities"], list, "config 'identities'")
     if not identities:
         print("suite config has an empty identity list", file=sys.stderr)
         return 2
@@ -283,18 +283,18 @@ def _cmd_suite(args) -> int:
             file=sys.stderr,
         )
         return 2
-    tol = _config_value(_positive, config.get("tol", 1e-8), "'tol'")
-    cor5_tol = _config_value(_positive, config.get("cor5_tol", 1e-9), "'cor5_tol'")
-    betas = _config_positives(config.get("betas", [1.0]), "'betas'")
-    area_u = _config_positives(config.get("area_u", [1.0]), "'area_u'")
+    tol = _config_value(_positive, config["tol"], "'tol'")
+    cor5_tol = _config_value(_positive, config["cor5_tol"], "'cor5_tol'")
+    betas = _config_positives(config["betas"], "'betas'")
+    area_u = _config_positives(config["area_u"], "'area_u'")
     mc = dict(DEFAULT_SUITE_CONFIG["mc"])
-    mc.update(_config_typed(config.get("mc", {}), dict, "config 'mc'"))
+    mc.update(_config_typed(config["mc"], dict, "config 'mc'"))
     refuse_unknown(mc, DEFAULT_SUITE_CONFIG["mc"], "suite config 'mc'")
     mc_betas = _config_positives(mc["betas"], "'mc.betas'")
     z_max = _config_value(_positive, mc["z_max"], "'mc.z_max'")
     n = _config_value(_count, mc["n"], "'mc.n'")
     seed = _config_value(_seed, mc["seed"], "'mc.seed'")
-    laws = [_suite_law(e) for e in _config_typed(config.get("laws", []), list, "config 'laws'")]
+    laws = [_suite_law(e) for e in _config_typed(config["laws"], list, "config 'laws'")]
 
     subjects = {
         "exponent": [(law.name, law.exponent) for law in laws],

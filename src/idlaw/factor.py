@@ -207,28 +207,18 @@ def spectral_factor_check(
     if radius_grid.ndim != 1 or radius_grid.size == 0:
         raise ValueError("radius grid must be a non-empty 1-d array")
 
-    grids, lhs_parts, rhs_parts = [], [], []
-    rays = G.rays if G.rays else ()
+    parts = []
     kernel = maps.POWER_KERNELS["jbeta"](2.0 * beta)
-    for ray_ in rays:
+    for ray_ in G.rays:
         m_rad = maps._radial_image(ray_.radial, kernel).scaled(0.5)
         lhs = maps.transformed_tail(m_rad, beta, radius_grid) + m_rad.tail(radius_grid)
-        rhs = maps.transformed_tail(ray_.radial, beta, radius_grid)
-        grids.append(radius_grid)
-        lhs_parts.append(lhs)
-        rhs_parts.append(rhs)
-    if not rays:
+        parts.append((lhs, maps.transformed_tail(ray_.radial, beta, radius_grid)))
+    if not parts:
         # empty measure: tails vanish identically
-        grids = [radius_grid]
-        lhs_parts = [np.zeros_like(radius_grid)]
-        rhs_parts = [np.zeros_like(radius_grid)]
+        parts = [(np.zeros_like(radius_grid),) * 2]
+    lhs, rhs = (np.concatenate(side).astype(complex) for side in zip(*parts))
     return FactorizationReport(
-        "cor5",
-        {"beta": beta, "rays": max(len(rays), 0)},
-        np.concatenate(grids),
-        np.concatenate(lhs_parts).astype(complex),
-        np.concatenate(rhs_parts).astype(complex),
-        tol,
+        "cor5", {"beta": beta, "rays": len(G.rays)}, np.tile(radius_grid, len(parts)), lhs, rhs, tol
     )
 
 

@@ -176,24 +176,18 @@ def _kernel_integral(phi, Y, tol, a, b, kern, scale, mass=1.0, splits=()):
     Each grid point is one column of the quadrature and refines on its
     own. Inner errors reach the value weighted by the kernel's mass on
     (a, b), so the inner exponent gets its share of ``tol`` divided by
-    that mass. The kernel and the scale are evaluated once per panel of
-    an integrand call and the grid row once per unit; a kernel of None is
-    identically 1.
+    that mass. The quadrature applies the kernel, as its weight, and the
+    scale, once per depth (:func:`quadrature.integrate`); a kernel of None
+    is identically 1.
     """
     inner_tol = _INNER_SHARE * tol / mass
-    dim = Y.shape[1]
 
     def f(pairs: np.ndarray) -> np.ndarray:
-        units = pairs.reshape(-1, 21)
-        nodes, panel = quadrature._panels(units["x"])
-        rows = scale(nodes)[panel][:, :, None] * Y.take(units["col"][:, 0], axis=0)[:, None, :]
-        vals = phi.eval_grid(rows.reshape(-1, dim), inner_tol)
-        if kern is None:
-            return vals
-        return (kern(nodes)[panel] * vals.reshape(-1, 21)).reshape(-1)
+        return phi.eval_grid(pairs["x"][:, None] * Y.take(pairs["col"], axis=0), inner_tol)
 
     val, _ = quadrature.integrate(
-        f, a, b, tol=(1.0 - _INNER_SHARE) * tol, splits=splits, columns=Y.shape[0]
+        f, a, b, tol=(1.0 - _INNER_SHARE) * tol, splits=splits, columns=Y.shape[0],
+        weight=kern, scale=scale,
     )
     return val
 

@@ -17,11 +17,11 @@ level exceeds that size.
 A depth is a list of panels and a list of units, each a panel index and
 a column. The first depth holds every (panel, column) pair, panel by
 panel; each later one holds the left halves of the rejected units, in
-their order, then the right halves, so the units on one panel stay
-adjacent. What depends on a panel alone, its abscissas among them, is
-computed once per panel, and what depends on a column once per unit; an
-integrand can share its own per-panel work the same way
-(:func:`_panels`).
+their order, then the right halves. What depends on a panel alone is
+computed once per depth on its panels' abscissas, whatever the chunks:
+the abscissas themselves and, for an integral of w(x) f(s(x)) dx such as
+a map's, the weight w and the substitution s (:func:`integrate`). What
+depends on a column is computed once per unit.
 """
 
 from __future__ import annotations
@@ -114,23 +114,24 @@ def integrate(
     tol: float | None = None,
     splits: Sequence[float] = (),
     columns: int = 1,
+    weight: Callable | None = None,
+    scale: Callable | None = None,
 ) -> tuple[np.ndarray, float]:
     """Integrate each of ``columns`` integrands over [a, b] with adaptive G10K21.
+
+    Column j's integral is that of w(x) f(s(x), j) dx, with the weight w
+    given by ``weight`` and the substitution s by ``scale``.
 
     Parameters
     ----------
     f : callable
         Batched integrand: maps a 1-d array of dtype :data:`PAIR`, whose
-        fields ``x`` and ``col`` hold abscissas and column indices, to one
-        complex value per pair, shape (m,). Pairs must be independent. A
-        depth's units go to ``f`` in unit order, in balanced chunks of at
-        most :data:`CHUNK_PAIRS` pairs (one unit when that is below 21),
-        so memory stays bounded however many units are active. The pairs
-        are unit-major: ``pairs.reshape(-1, 21)`` has one row per unit,
-        its panel's 21 abscissas from left to right, each with the unit's
-        column, and the units on one panel are adjacent rows, so that an
-        integrand can do the work that depends on the panel alone once per
-        panel (:func:`_panels`).
+        fields ``x`` and ``col`` hold s(x) at the abscissas and column
+        indices, to one complex value per pair, shape (m,). Pairs must be
+        independent. A depth's units go to ``f`` in unit order, in
+        balanced chunks of at most :data:`CHUNK_PAIRS` pairs (one unit
+        when that is below 21), so memory stays bounded however many
+        units are active.
     a, b : float
         Integration limits, ``a <= b``. ``f`` is only evaluated strictly
         inside each panel, so an integrable singularity at a limit is
@@ -145,6 +146,13 @@ def integrate(
         is cut there before refinement starts.
     columns : int
         Number of integrands, indexed 0 .. columns - 1 by ``col``.
+    weight, scale : callable, optional
+        Elementwise functions of the abscissas, w and s; None means 1 and
+        the identity. Each is evaluated once per depth, on that depth's
+        (panels, 21) abscissas, however many units and chunks the depth
+        holds. ``f`` receives s(x) in ``x``, and its values are multiplied
+        by w(x) before the rules are applied, so the estimates and the
+        rounding-level test read w(x) f(s(x)).
 
     Returns
     -------
@@ -206,22 +214,26 @@ def integrate(
             raise _over_pair_cap(a, b, tol, 21 * k, total, spent, last)
         span = right - left
         mid, half = 0.5 * (left + right), 0.5 * span
-        # each panel's abscissas, once per panel however many units it holds
+        # each panel's abscissas, weights and substituted abscissas, once per
+        # panel however many units and chunks it holds
         nodes = half[:, None] * _NODES + mid[:, None]
+        w = None if weight is None else weight(nodes)
+        if scale is not None:
+            nodes = scale(nodes)
         bounds = (left, mid, right)
         span, half = span[panel], half[panel]
         width = np.bincount(col, weights=span, minlength=columns)
         # acceptance reads the budget left at the start of the depth
         share = span * (np.maximum(tol - spent, 0.0)[col] / width[col])
         if k <= most:
-            rules, err, over = _evaluate_units(f, nodes, bounds, panel, col, half, share)
+            rules, err, over = _evaluate_units(f, nodes, w, bounds, panel, col, half, share)
         else:
             # balanced chunks of whole units in unit order; only per-unit
             # arrays outlive a chunk
             chunks = -(-k // most)
             cuts = [k * c // chunks for c in range(chunks + 1)]
             parts = [
-                _evaluate_units(f, nodes, bounds, *(v[i:j] for v in (panel, col, half, share)))
+                _evaluate_units(f, nodes, w, bounds, *(v[i:j] for v in (panel, col, half, share)))
                 for i, j in zip(cuts[:-1], cuts[1:])
             ]
             rules, err, over = zip(*parts)
@@ -264,23 +276,27 @@ def integrate(
     return values, worst
 
 
-def _evaluate_units(f, nodes, bounds, panel, col, half, share):
+def _evaluate_units(f, nodes, w, bounds, panel, col, half, share):
     """Evaluate units of one depth in one integrand call.
 
-    ``nodes`` holds the abscissas of the depth's panels and ``bounds``
-    their (left end, midpoint, right end). Returns each unit's (real,
-    imaginary) x (K21, K21 - G10) sums, its |K21 - G10| and the indices of
+    ``nodes`` holds the substituted abscissas s(x) of the depth's panels,
+    ``w`` their weights w(x) (None for 1) and ``bounds`` their (left end,
+    midpoint, right end). Returns each unit's (real, imaginary) x (K21,
+    K21 - G10) sums of w(x) f(s(x)), its |K21 - G10| and the indices of
     the units not accepted against their ``share`` of the budget.
     """
     k = col.size
+    # one panel's rows broadcast over all its units
+    one = nodes.shape[0] == 1
     pairs = np.empty((k, 21), dtype=PAIR)
-    # one panel's abscissas broadcast over all its units
-    pairs["x"] = nodes if nodes.shape[0] == 1 else nodes[panel]
+    pairs["x"] = nodes if one else nodes[panel]
     pairs["col"] = col[:, None]
     vals = np.ascontiguousarray(f(pairs.reshape(-1)), dtype=complex)
     if vals.shape != (21 * k,):
         raise ValueError(f"integrand returned shape {vals.shape} for {21 * k} pairs")
     vals = vals.reshape(k, 21)
+    if w is not None:
+        vals = (w if one else w[panel]) * vals
     # one small product per unit, so a unit rounds the same in any batch
     # (one BLAS product over all units would not)
     rules = vals.view(float).reshape(k, 21, 2).transpose(0, 2, 1) @ _RULES
@@ -308,36 +324,6 @@ def _accumulate(total, spent, col, half, rules, err, done=None) -> None:
         parts = [np.where(done, v, 0.0) for v in parts]
     for out, v in zip((total[:, 0], total[:, 1], spent), parts):
         out += np.bincount(col, weights=v, minlength=n)
-
-
-def _panels(x: np.ndarray) -> tuple[np.ndarray, np.ndarray | slice]:
-    """The panels of one integrand call, from its (units, 21) abscissas.
-
-    Returns one row of abscissas per panel and an index that takes a table
-    of per-panel rows to per-unit rows: an array of panel indices or, when
-    every unit is on one panel, a slice that leaves its row to broadcast.
-    So work that depends on the panel alone runs once per panel. Units on
-    one panel are adjacent rows (:func:`integrate`), and a new panel starts
-    where the centre abscissa, the panel's midpoint, changes: the panels of
-    a depth are disjoint, so two of them share a midpoint only at a common
-    end, both too narrow to bisect, and the row of such a panel repeats
-    its midpoint as its first or last abscissa. Should a group's first row
-    do so, every unit is returned as its own panel.
-    """
-    k = x.shape[0]
-    # (first abscissa, midpoint, last abscissa) of the first and the last unit
-    ends = x[:: max(k - 1, 1), ::10].tolist()
-    (a, m, b), last = ends[0], ends[-1][1]
-    if m == last:
-        return (x[:1], slice(None)) if a < m < b else (x, slice(None))
-    centre = x[:, 10]
-    first = np.empty(k, dtype=bool)
-    first[0] = True
-    np.not_equal(centre[1:], centre[:-1], out=first[1:])
-    rows = x.take(first.nonzero()[0], axis=0)
-    if all(a < m < b for a, m, b in rows[:, ::10].tolist()):
-        return rows, np.add.accumulate(first, dtype=np.intp) - 1
-    return x, slice(None)
 
 
 def _over_pair_cap(a, b, tol, n_pairs, total, spent, last) -> QuadratureError:

@@ -534,6 +534,23 @@ class TestSuite:
         assert [c["params"] for c in checks if c["identity"] == "area"] == [{"u": 1.0}]
         assert {c["params"]["beta"] for c in checks if c["identity"] == "eq3"} == {1.0, 2.0}
 
+    @pytest.mark.parametrize(
+        "doc, identity, key, values",
+        [
+            ({"identities": ["eq3"], "laws": ["gaussian", "drift"]}, "eq3", "beta",
+             cli.DEFAULT_SUITE_CONFIG["betas"] * 2),
+            ({"identities": ["area"]}, "area", "u", cli.DEFAULT_SUITE_CONFIG["area_u"]),
+        ],
+        ids=["betas", "area_u"],
+    )
+    def test_omitted_sweeps_take_the_defaults(self, capsys, tmp_path, doc, identity, key, values):
+        conf = self.write_config(tmp_path, doc)
+        path = tmp_path / "suite.json"
+        assert run(capsys, "suite", "--config", conf, "--out", str(path))[0] == 0
+        checks = json.loads(path.read_text())["checks"]
+        assert {c["identity"] for c in checks} == {identity}
+        assert [c["params"][key] for c in checks] == values
+
     def test_failing_suite_exits_one(self, capsys, tmp_path):
         conf = self.write_config(
             tmp_path,

@@ -411,20 +411,103 @@ def test_units_on_one_panel_share_its_kernel_and_scale(monkeypatch):
         assert [vals[j : j + 1].tobytes() for j in range(441)] == singles
 
 
-def test_panels_of_one_call():
-    # panels (0, 0.5) and (0.5, 1) of one depth, with two and three units
-    nodes = 0.25 * quadrature._NODES + np.array([[0.25], [0.75]])
-    x = nodes[[0, 0, 1, 1, 1]]
-    rows, index = quadrature._panels(x)
-    assert np.array_equal(rows, nodes) and np.array_equal(rows[index], x)
-    # units on one panel: its row, left to broadcast
-    rows, index = quadrature._panels(x[2:])
-    assert np.array_equal(rows[index], nodes[1:])
-    # the panels on both sides of 1.0 are too narrow to bisect: they share
-    # their midpoint, which their rows repeat, and every unit is its own panel
-    left, right = np.array([np.nextafter(1.0, 0.0), 1.0]), np.array([1.0, np.nextafter(1.0, 2.0)])
-    mid, half = 0.5 * (left + right), 0.5 * (right - left)
-    assert np.all(mid == 1.0)
-    x = half[:, None] * quadrature._NODES + mid[:, None]
-    rows, index = quadrature._panels(x)
-    assert np.array_equal(rows[index], x) and rows[index].shape == (2, 21)
+class TestWeightAndScale:
+    """integrate(f, weight=w, scale=s) integrates w(x) f(s(x)), evaluating
+    w and s once per depth on the depth's panel abscissas."""
+
+    FREQS = np.array([1.0, 40.0, 3.0])
+
+    @staticmethod
+    def weight(x):
+        return 2.0 * x ** 0.5 * (1.0 - x)
+
+    @staticmethod
+    def scale(x):
+        return (1.0 - x) ** 0.7
+
+    @classmethod
+    def f(cls, pairs):
+        return np.exp(1j * cls.FREQS[pairs["col"]] * pairs["x"]) * (1.0 + pairs["col"])
+
+    @staticmethod
+    def composed(f, weight, scale):
+        """The integrand w(x) f(s(x)) of pairs."""
+
+        def g(pairs):
+            substituted = pairs.copy()
+            substituted["x"] = scale(pairs["x"])
+            return weight(pairs["x"]) * f(substituted)
+
+        return g
+
+    @staticmethod
+    def outcome(vals, err):
+        return vals.tobytes(), np.float64(err).tobytes()
+
+    @pytest.mark.parametrize("chunk", [quadrature.CHUNK_PAIRS, 21])
+    def test_once_per_depth_on_its_panels(self, monkeypatch, chunk):
+        monkeypatch.setattr(quadrature, "CHUNK_PAIRS", chunk)
+        log = []
+
+        def logged(name, fn):
+            def g(x):
+                log.append((name, x.copy()))
+                return fn(x)
+
+            return g
+
+        quadrature.integrate(
+            logged("f", self.f), 0.0, 1.0, tol=1e-10, splits=(0.3,), columns=3,
+            weight=logged("weight", self.weight), scale=logged("scale", self.scale),
+        )
+        starts = [k for k, (name, _) in enumerate(log) if name != "f"][::2]
+        assert len(starts) > 2
+        calls = 0
+        for i, j in zip(starts, starts[1:] + [len(log)]):
+            (first, x), (second, x2), *depth = log[i:j]
+            # the weight and the scale, each once, on the same abscissas
+            assert {first, second} == {"weight", "scale"} and np.array_equal(x, x2)
+            assert x.ndim == 2 and x.shape[1] == 21
+            # one row per panel, and every panel in use
+            mid, half = x[:, 10], 0.5 * (x[:, -1] - x[:, 0]) / quadrature._XGK[0]
+            np.testing.assert_allclose(x, half[:, None] * quadrature._NODES + mid[:, None],
+                                       rtol=0, atol=1e-15)
+            assert np.unique(mid).size == mid.size
+            assert depth and all(name == "f" for name, _ in depth)
+            units = np.concatenate([pairs["x"].reshape(-1, 21) for _, pairs in depth])
+            assert np.array_equal(np.unique(units, axis=0), np.unique(self.scale(x), axis=0))
+            calls += len(depth)
+        if chunk == 21:
+            assert calls > len(starts)
+
+    @pytest.mark.parametrize("chunk", [quadrature.CHUNK_PAIRS, 21])
+    def test_bytes_of_the_composed_integrand(self, monkeypatch, chunk):
+        monkeypatch.setattr(quadrature, "CHUNK_PAIRS", chunk)
+        kw = dict(tol=1e-10, splits=(0.3,), columns=3)
+        for scale in (self.scale, None):
+            keyed = quadrature.integrate(self.f, 0.0, 1.0, weight=self.weight, scale=scale, **kw)
+            g = self.composed(self.f, self.weight, scale or (lambda x: x))
+            assert self.outcome(*keyed) == self.outcome(*quadrature.integrate(g, 0.0, 1.0, **kw))
+
+    def test_adjacent_panels_too_narrow_to_bisect(self):
+        # the panels on both sides of 1.0 share their midpoint; a steep
+        # integrand is over its share on both, which are kept unbisected
+        a, b = np.nextafter(1.0, 0.0), np.nextafter(1.0, 2.0)
+        assert 0.5 * (a + 1.0) == 0.5 * (1.0 + b) == 1.0
+        calls = []
+
+        def weight(x):
+            calls.append(x.shape)
+            return np.exp(x)
+
+        def scale(x):
+            return 1e16 * (x - 1.0)
+
+        def f(pairs):
+            return np.exp(pairs["x"] * (1.0 + pairs["col"]))
+
+        kw = dict(tol=1e-300, splits=(1.0,), columns=2)
+        keyed = quadrature.integrate(f, a, b, weight=weight, scale=scale, **kw)
+        assert calls == [(2, 21)]
+        plain = quadrature.integrate(self.composed(f, weight, scale), a, b, **kw)
+        assert keyed[1] > kw["tol"] and self.outcome(*keyed) == self.outcome(*plain)
