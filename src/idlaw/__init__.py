@@ -18,7 +18,6 @@ from .errors import (
 from .exponent import (
     CharExponent,
     closed_form,
-    conv_power,
     convolve,
     from_callable,
     from_triplet,
@@ -42,7 +41,6 @@ from .factor import (
 from .lawio import BUILTIN_LAWS, LoadedLaw, builtin_law, law_from_dict, load_law
 from .maps import (
     IntegralMap,
-    apply_map,
     i_jbeta_map,
     i_map,
     inner_clock,

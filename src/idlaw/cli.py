@@ -19,7 +19,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from . import factor, maps, report, simulate
-from .errors import INPUT_ERRORS, LawSpecError, QuadratureError, refuse_unknown
+from .errors import INPUT_ERRORS, LawSpecError, QuadratureError, positive_finite, refuse_unknown
 from .lawio import BUILTIN_LAWS, LoadedLaw, builtin_law, law_from_dict, load_law, triplet_to_dict
 from .spectral import SpectralMeasure, ray
 
@@ -56,11 +56,8 @@ def _seed(text: str) -> int:
 
 
 def _positive(text: str) -> float:
-    """argparse type for indices, tolerances, horizons and limits: a float > 0."""
-    value = float(text)
-    if not value > 0.0:
-        raise argparse.ArgumentTypeError(f"must be positive, got {value}")
-    return value
+    """argparse type for indices, tolerances, horizons and limits: a finite float > 0."""
+    return positive_finite(float(text), "value", argparse.ArgumentTypeError)
 
 
 def _config_value(parse, value, where: str):

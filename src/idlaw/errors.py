@@ -1,4 +1,6 @@
-"""Exception types shared across the package, and the check for unknown keys."""
+"""Exception types shared across the package, and the checks for unknown keys and indices."""
+
+import math
 
 
 class DimensionMismatchError(ValueError):
@@ -26,6 +28,17 @@ def refuse_unknown(keys, known, what: str) -> None:
     unknown = sorted(set(keys) - set(known))
     if unknown:
         raise LawSpecError(f"{what} has unknown fields {unknown}; known: {', '.join(known)}")
+
+
+def positive_finite(value, name: str = "beta", error: type[Exception] = ValueError) -> float:
+    """``value`` as a float when it is positive and finite, else ``error`` naming it.
+
+    The one rule for map indices, convolution powers, the area parameter and
+    the CLI's numbers: nan and +-inf are refused along with the nonpositive.
+    """
+    if value is None or not 0.0 < value < math.inf:
+        raise error(f"{name} must be positive and finite, got {value}")
+    return float(value)
 
 
 # errors that mean the input is wrong, not that a computation failed

@@ -21,7 +21,7 @@ from typing import Any, Callable
 
 import numpy as np
 
-from .errors import DimensionMismatchError, LawSpecError, refuse_unknown
+from .errors import DimensionMismatchError, LawSpecError, positive_finite, refuse_unknown
 from .spectral import _cis_m1, _dot, _quad_form
 from .triplet import LevyTriplet, cov_issues
 
@@ -169,6 +169,21 @@ class CharExponent:
         vals = self.eval_grid(Y, tol)
         return complex(vals[0]) if single else vals
 
+    # the three law operations of factor.SIDES, shared with LevyTriplet
+
+    def mapped(self, m) -> "CharExponent":
+        """The image under the integral map ``m`` (:mod:`idlaw.maps`), a deferred node."""
+        return CharExponent(self.dim, _MappedNode(m, self))
+
+    def convolve(self, other: "CharExponent") -> "CharExponent":
+        """Exponent of the independent sum with ``other``: :func:`convolve`."""
+        return convolve(self, other)
+
+    def conv_power(self, c: float) -> "CharExponent":
+        """Exponent of the c-th convolution power (c times the exponent), c > 0."""
+        c = positive_finite(c, "convolution power")
+        return CharExponent(self.dim, _ScaleNode(c, self.node))
+
 
 def from_triplet(triplet: LevyTriplet) -> CharExponent:
     return CharExponent(triplet.dim, _TripletNode(triplet))
@@ -197,14 +212,6 @@ def convolve(*exponents: CharExponent) -> CharExponent:
     if len(exponents) == 1:
         return exponents[0]
     return CharExponent(dim, _SumNode(tuple(e.node for e in exponents)))
-
-
-def conv_power(exponent: CharExponent, c: float) -> CharExponent:
-    """Exponent of the c-th convolution power (c times the exponent), c > 0."""
-    c = float(c)
-    if not c > 0.0:
-        raise ValueError(f"convolution power must be positive, got {c}")
-    return CharExponent(exponent.dim, _ScaleNode(c, exponent.node))
 
 
 # -- numerically stable scalar kernels used by closed forms ------------------
@@ -337,9 +344,7 @@ def _build_levy_area_bdlp(u):
 
     Exponent 1 - t*u*coth(t*u) at argument t, for area parameter u > 0.
     """
-    u = float(u)
-    if u <= 0.0:
-        raise LawSpecError(f"levy_area_bdlp needs u > 0, got {u}")
+    u = positive_finite(float(u), "levy_area_bdlp u", LawSpecError)
 
     def fn(Y, tol):
         t = Y[:, 0]

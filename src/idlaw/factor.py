@@ -7,13 +7,15 @@ background factor is
 
 and the beta-transform of nu factors as (beta-transform of rho) * rho.
 The grid identities eq3, eq15, cor1a and prop2 are written once, in
-:data:`SIDES`, with three operations (map, convolve, power): on a
-CharExponent they build exponent nodes, on a LevyTriplet triplets in
-closed form. Each grid checker evaluates both sides of one identity
-at a quadrature tolerance derived from the check's own and reports
-pointwise residuals. :data:`IDENTITIES` maps the identity tokens
-(eq3, eq15, cor1a, cor5, prop2, eq2-timechange, area), the stable CLI
-vocabulary, to the checks that run them.
+:data:`SIDES`, with three law operations, the methods ``mapped(m)``,
+``convolve(other)`` and ``conv_power(c)``: on a CharExponent they build
+exponent nodes, on a LevyTriplet triplets in closed form, and any other
+type with the three methods runs through the table unchanged. Each grid
+checker evaluates both sides of one identity at a quadrature tolerance
+derived from the check's own and reports pointwise residuals.
+:data:`IDENTITIES` maps the identity tokens (eq3, eq15, cor1a, cor5,
+prop2, eq2-timechange, area), the stable CLI vocabulary, to the checks
+that run them.
 """
 
 from __future__ import annotations
@@ -25,19 +27,10 @@ from typing import Any, Callable
 import numpy as np
 
 from . import maps, simulate
-from .errors import LawSpecError
-from .exponent import (
-    CharExponent,
-    closed_form,
-    conv_power,
-    convolve,
-    default_grid,
-    log_sinhc,
-    xcothx,
-)
+from .errors import LawSpecError, positive_finite
+from .exponent import CharExponent, closed_form, default_grid, log_sinhc, xcothx
 from .report import CheckReport, abs_diff
 from .spectral import SpectralMeasure
-from .triplet import LevyTriplet
 
 
 @dataclass(frozen=True, eq=False)
@@ -78,42 +71,20 @@ def _quadrature_tol(tol: float) -> float:
     return min(max(0.1 * tol, 1e-10), 1e-6)
 
 
-# the operations SIDES builds with: exponent nodes on a CharExponent,
-# closed-form triplets on a LevyTriplet
-
-
-def _map(m: maps.IntegralMap, law):
-    return maps.map_triplet(m, law) if isinstance(law, LevyTriplet) else maps.apply_map(m, law)
-
-
-def _jbeta(beta: float, law):
-    return _map(maps.jbeta_map(beta), law)
-
-
-def _convolve(a, b):
-    return a.convolve(b) if isinstance(a, LevyTriplet) else convolve(a, b)
-
-
-def _power(law, c: float):
-    return law.conv_power(c) if isinstance(law, LevyTriplet) else conv_power(law, c)
-
-
-def rho_from_nu(phi_nu: CharExponent, beta: float) -> CharExponent:
+def rho_from_nu(nu, beta: float):
     """Background factor of the beta-transform image of nu.
 
     Returns the (2 beta)-transform of the half convolution power, i.e.
     Phi_rho(y) = (1/2) * integral of Phi_nu(t**(1/(2 beta)) y) dt.
     """
-    if not beta > 0.0:
-        raise ValueError(f"beta must be positive, got {beta}")
-    return _jbeta(2.0 * beta, _power(phi_nu, 0.5))
+    positive_finite(beta)
+    return nu.conv_power(0.5).mapped(maps.jbeta_map(2.0 * beta))
 
 
-def mu_from_rho(phi_rho: CharExponent, beta: float) -> CharExponent:
+def mu_from_rho(rho, beta: float):
     """Reassembled image law: beta-transform of rho, convolved with rho."""
-    if not beta > 0.0:
-        raise ValueError(f"beta must be positive, got {beta}")
-    return _convolve(_jbeta(beta, phi_rho), phi_rho)
+    positive_finite(beta)
+    return rho.mapped(maps.jbeta_map(beta)).convolve(rho)
 
 
 def _grid_check(
@@ -198,8 +169,7 @@ def spectral_factor_check(
     plus M itself has the same right tails as the beta-image of G, at each
     radius of the grid and along every ray.
     """
-    if not beta > 0.0:
-        raise ValueError(f"beta must be positive, got {beta}")
+    positive_finite(beta)
     G.require_valid()
     if radius_grid is None:
         radius_grid = default_radius_grid(G)
@@ -238,8 +208,7 @@ class LevyAreaCase:
     u: float
 
     def __post_init__(self):
-        if not self.u > 0.0:
-            raise ValueError(f"conditioning parameter u must be > 0, got {self.u}")
+        positive_finite(self.u, "conditioning parameter u")
 
     def bdlp_exponent(self, t) -> np.ndarray:
         """Exponent of the driving law: 1 - t*u*coth(t*u)."""
@@ -358,12 +327,23 @@ def levy_area_demo(
 # -- identity tables -------------------------------------------------------------
 
 # token -> (law, beta) -> (lhs, rhs): the grid identities, each written once
-# with _map, _convolve and _power, so it holds for exponents and triplets alike
+# with the law operations mapped(m), convolve(other) and conv_power(c), so it
+# holds for any type that has them: CharExponent builds exponent nodes,
+# LevyTriplet closed-form triplets
 SIDES: dict[str, Callable[[Any, float], tuple[Any, Any]]] = {
-    "eq3": lambda nu, b: (mu_from_rho(rho_from_nu(nu, b), b), _jbeta(b, nu)),
-    "eq15": lambda rho, b: (_jbeta(2.0 * b, mu_from_rho(rho, b)), _jbeta(b, _power(rho, 2.0))),
-    "cor1a": lambda nu, b: (_map(maps.ubetaf_map(b), nu), _jbeta(2.0 * b, _jbeta(b, nu))),
-    "prop2": lambda nu, b: (_map(maps.i_jbeta_map(b), nu), _map(maps.i_map(), _jbeta(b, nu))),
+    "eq3": lambda nu, b: (mu_from_rho(rho_from_nu(nu, b), b), nu.mapped(maps.jbeta_map(b))),
+    "eq15": lambda rho, b: (
+        mu_from_rho(rho, b).mapped(maps.jbeta_map(2.0 * b)),
+        rho.conv_power(2.0).mapped(maps.jbeta_map(b)),
+    ),
+    "cor1a": lambda nu, b: (
+        nu.mapped(maps.ubetaf_map(b)),
+        nu.mapped(maps.jbeta_map(b)).mapped(maps.jbeta_map(2.0 * b)),
+    ),
+    "prop2": lambda nu, b: (
+        nu.mapped(maps.i_jbeta_map(b)),
+        nu.mapped(maps.jbeta_map(b)).mapped(maps.i_map()),
+    ),
 }
 
 

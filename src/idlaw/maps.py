@@ -38,8 +38,9 @@ from .errors import (
     InvalidMeasureError,
     NotLogIntegrableError,
     QuadratureError,
+    positive_finite,
 )
-from .exponent import CharExponent, _folded, _MappedNode, from_callable
+from .exponent import CharExponent, _folded, from_callable
 from .spectral import (
     RadialMeasure,
     Ray,
@@ -79,8 +80,7 @@ class IntegralMap:
             if self.beta is not None:
                 raise ValueError("map 'i' takes no index beta")
         else:
-            if self.beta is None or not self.beta > 0.0:
-                raise ValueError(f"map {self.kind!r} needs beta > 0, got {self.beta}")
+            positive_finite(self.beta)
 
 
 def jbeta_map(beta: float) -> IntegralMap:
@@ -99,18 +99,12 @@ def i_jbeta_map(beta: float) -> IntegralMap:
     return IntegralMap("ijbeta", float(beta))
 
 
-def apply_map(m: IntegralMap, phi: CharExponent) -> CharExponent:
-    """Deferred application: returns the transformed exponent as a node."""
-    return CharExponent(phi.dim, _MappedNode(m, phi))
-
-
 # -- deterministic inner clock ------------------------------------------------
 
 
 def inner_clock(beta: float, s) -> np.ndarray:
     """sigma(s) = s + (exp(-beta s) - 1)/beta for s >= 0."""
-    if not beta > 0.0:
-        raise ValueError(f"beta must be positive, got {beta}")
+    positive_finite(beta)
     s = np.asarray(s, dtype=float)
     if np.any(s < 0.0):
         raise ValueError("clock argument must be nonnegative")
@@ -119,8 +113,7 @@ def inner_clock(beta: float, s) -> np.ndarray:
 
 def inner_clock_rate(beta: float, s) -> np.ndarray:
     """sigma'(s) = 1 - exp(-beta s), the thinning rate of the time change."""
-    if not beta > 0.0:
-        raise ValueError(f"beta must be positive, got {beta}")
+    positive_finite(beta)
     s = np.asarray(s, dtype=float)
     if np.any(s < 0.0):
         raise ValueError("clock argument must be nonnegative")
@@ -305,8 +298,7 @@ def jbeta_inverse(phi_mu: CharExponent, beta: float) -> CharExponent:
     s = 1 recovers Phi_nu(y). Uses a Richardson-extrapolated central
     difference; accurate to about 1e-10 for smooth exponents.
     """
-    if not beta > 0.0:
-        raise ValueError(f"beta must be positive, got {beta}")
+    positive_finite(beta)
     h = 1e-5
     svals = np.array([1.0 + h, 1.0 - h, 1.0 + 0.5 * h, 1.0 - 0.5 * h])
 
@@ -372,8 +364,7 @@ def _kernel_tail(radial: RadialMeasure, kappa: float, a: float, us) -> np.ndarra
 def transformed_tail(radial: RadialMeasure, beta: float, us) -> np.ndarray:
     """Right tail of the jbeta image of a radial measure, evaluated exactly:
     :func:`_kernel_tail` at kappa = a = beta."""
-    if not beta > 0.0:
-        raise ValueError(f"beta must be positive, got {beta}")
+    positive_finite(beta)
     return _kernel_tail(radial, beta, beta, us)
 
 

@@ -52,7 +52,7 @@ from functools import cached_property, partial
 import numpy as np
 
 from . import maps
-from .errors import HorizonError, LawSpecError
+from .errors import HorizonError, LawSpecError, positive_finite
 from .exponent import CharExponent, as_grid, default_grid, from_triplet, jump_atoms
 from .report import CheckReport
 from .spectral import SpectralMeasure, ray
@@ -452,8 +452,7 @@ def _clock_jumps(beta, lo, length, t, v, spare, keeps):
 def check_horizon(spec: SimSpec, beta: float, s_max: float, y_grid=None) -> None:
     """Raise HorizonError unless s_max > 0 discards exponent mass below _TAIL_BOUND
     (:func:`truncation_tail_bound`) at |y| <= 5 and up to the largest |y| of ``y_grid``."""
-    if not s_max > 0.0:
-        raise HorizonError(f"s_max must be positive, got {s_max}")
+    positive_finite(s_max, "s_max", HorizonError)
     reach = 5.0
     if y_grid is not None:
         Y, _ = as_grid(y_grid, spec.dim)
@@ -559,8 +558,7 @@ def _run_chunked(
     ``workers`` threads when that is more than one, else by the thread rule.
     The threads are started and joined inside the call."""
     # before the law, whose factors divide by beta + 1
-    if not beta > 0.0:
-        raise ValueError(f"beta must be positive, got {beta}")
+    positive_finite(beta)
     if n < 1:
         raise ValueError(f"need n >= 1 samples, got {n}")
     if workers < 1:

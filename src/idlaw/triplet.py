@@ -22,7 +22,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import DimensionMismatchError, InvalidMeasureError
+from .errors import DimensionMismatchError, InvalidMeasureError, positive_finite
 from .spectral import JumpTables, SpectralMeasure, _quad_form
 
 PSD_TOL = 1e-10
@@ -111,6 +111,14 @@ class LevyTriplet:
             out.real -= 0.5 * _quad_form(Y, self.cov)
         return out
 
+    # the three law operations of factor.SIDES, shared with CharExponent
+
+    def mapped(self, m) -> "LevyTriplet":
+        """Triplet of the image under the integral map ``m``: :func:`idlaw.maps.map_triplet`."""
+        from . import maps
+
+        return maps.map_triplet(m, self)
+
     def convolve(self, other: "LevyTriplet") -> "LevyTriplet":
         """Triplet of the convolution (independent sum) of the two laws."""
         if self.dim != other.dim:
@@ -126,6 +134,5 @@ class LevyTriplet:
 
     def conv_power(self, c: float) -> "LevyTriplet":
         """Triplet of the c-th convolution power, c > 0."""
-        if not c > 0.0:
-            raise ValueError(f"convolution power must be positive, got {c}")
+        c = positive_finite(c, "convolution power")
         return LevyTriplet(self.dim, c * self.shift, c * self.cov, self.levy.scaled(c))

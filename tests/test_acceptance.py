@@ -188,7 +188,7 @@ def test_inverse_transform_recovers_registry_exponents():
     worst = 0.0
     for phi, grid in cases:
         for beta in (1.0, 2.0):
-            img = maps.apply_map(maps.jbeta_map(beta), phi)
+            img = phi.mapped(maps.jbeta_map(beta))
             back = maps.jbeta_inverse(img, beta).eval_grid(grid, 1e-9)
             worst = max(worst, float(np.max(np.abs(back - phi.eval_grid(grid)))))
     assert worst < 1e-6

@@ -471,7 +471,7 @@ class TestSimulate:
             (["verify", "--identity=area"], "--tol"),
         ],
     )
-    @pytest.mark.parametrize("value", ["0", "-1"])
+    @pytest.mark.parametrize("value", ["0", "-1", "inf"])
     def test_nonpositive_numeric_flags_are_usage_errors(
         self, capsys, law_files, head, flag, value
     ):
@@ -587,6 +587,7 @@ class TestSuite:
             ("mc", {"betas": [-1.0]}),
             ("mc", {"n": 0}),
             ("mc", {"seed": -1}),
+            ("tol", float("inf")),
         ],
     )
     def test_nonpositive_numbers_are_usage_errors(self, capsys, tmp_path, field, value):

@@ -29,7 +29,6 @@ from idlaw.exponent import (
     LawSpecError,
     as_grid,
     closed_form,
-    conv_power,
     convolve,
     from_callable,
     from_triplet,
@@ -162,15 +161,15 @@ class TestAlgebra:
     def test_conv_power_scales(self, cp_phi):
         Y = np.linspace(-2.0, 2.0, 9)[:, None]
         np.testing.assert_allclose(
-            conv_power(cp_phi, 2.5).eval_grid(Y),
+            cp_phi.conv_power(2.5).eval_grid(Y),
             2.5 * cp_phi.eval_grid(Y),
             rtol=1e-14, atol=1e-16,
         )
 
     def test_conv_power_requires_positive(self, gaussian_phi):
-        for c in (0.0, -2.0):
+        for c in (0.0, -2.0, math.inf):
             with pytest.raises(ValueError):
-                conv_power(gaussian_phi, c)
+                gaussian_phi.conv_power(c)
 
 
 class TestFromCallableAndTriplets:
@@ -261,7 +260,7 @@ class TestHermitianFold:
             ray([-1.0], segments=[(0.3, 2.0, 0.6, -1.6)]),
         ))
         phi = from_triplet(LevyTriplet(1, [0.2], [[0.5]], m))
-        for psi in (phi, maps.apply_map(maps.i_map(), phi)):
+        for psi in (phi, phi.mapped(maps.i_map())):
             want = unfolded(psi, self.GRID, 1e-9)
             assert psi.eval_grid(self.GRID, 1e-9).tobytes() == want.tobytes()
 
@@ -289,7 +288,7 @@ class TestHermitianFold:
         # a map on the antisymmetric grid folds once at the top: every
         # batch beneath is stacked from the 21 upper points
         batches.clear()
-        maps.apply_map(maps.jbeta_map(2.0), phi).eval_grid(self.GRID, 1e-9)
+        phi.mapped(maps.jbeta_map(2.0)).eval_grid(self.GRID, 1e-9)
         assert batches and all(len(b) % 21 == 0 and np.all(b >= 0.0) for b in batches)
         # and so does every map called on the grid directly
         for m in (maps.jbeta_map(0.5), maps.ubetaf_map(2.0), maps.i_map(), maps.i_jbeta_map(1.0)):

@@ -10,6 +10,8 @@ import hashlib
 import json
 import math
 import re
+from dataclasses import dataclass
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -18,8 +20,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import idlaw.factor as factor
+from idlaw import maps
+from idlaw.errors import LawSpecError
 from idlaw.exponent import closed_form, convolve
 from idlaw.spectral import SpectralMeasure, ray
+from idlaw.triplet import LevyTriplet
 
 
 GRID1 = np.array([[1.0]])
@@ -121,6 +126,9 @@ class TestFactorConstructors:
             factor.rho_from_nu(gaussian_phi, 0.0)
         with pytest.raises(ValueError):
             factor.mu_from_rho(gaussian_phi, -1.0)
+        for beta in (math.inf, math.nan):
+            with pytest.raises(ValueError, match="beta must be positive"):
+                factor.rho_from_nu(gaussian_phi, beta)
 
 
 class TestFactorizationCheck:
@@ -282,8 +290,13 @@ class TestAreaLaw:
         assert case.cosh_variant_exponent(0.0) == 1.0
 
     def test_u_must_be_positive(self):
+        for u in (0.0, math.inf, math.nan):
+            with pytest.raises(ValueError):
+                factor.LevyAreaCase(u)
+            with pytest.raises(LawSpecError, match="levy_area_bdlp u must be positive"):
+                closed_form("levy_area_bdlp", u=u)
         with pytest.raises(ValueError):
-            factor.LevyAreaCase(0.0)
+            factor.levy_area_demo(math.inf)
 
     def test_demo_spot_values(self):
         rep = factor.levy_area_demo(1.0, t_grid=np.array([1.0, 2.0]))
@@ -308,6 +321,129 @@ class TestAreaLaw:
         assert d["rows"][0]["cosh_variant_exponent"] == pytest.approx(
             1.0 - math.cosh(1.0)
         )
+
+
+# -- the identities as exact Mellin multipliers ---------------------------------
+
+
+def poly_mul(p: tuple, q: tuple) -> tuple:
+    out = [Fraction(0)] * (len(p) + len(q) - 1)
+    for i, x in enumerate(p):
+        for j, y in enumerate(q):
+            out[i + j] += x * y
+    return tuple(out)
+
+
+def poly_add(p: tuple, q: tuple) -> tuple:
+    n = max(len(p), len(q))
+    return tuple(sum(c[k] for c in (p, q) if k < len(c)) for k in range(n))
+
+
+def poly_trim(p: tuple) -> tuple:
+    while p and p[-1] == 0:
+        p = p[:-1]
+    return p
+
+
+@dataclass(frozen=True)
+class Multiplier:
+    """What a law operation does to a jump measure's moment of order s, exactly.
+
+    A rational function num(s)/den(s), coefficients lowest degree first.
+    A power kernel (kappa, a) maps an atom m at r to the density
+    m kappa u**(a-1) / r**a on (0, r), whose moment of order s is
+    kappa/(a+s) times the atom's, so a map multiplies by the sum of its
+    kernels' kappa/(a+s); a convolution adds multipliers and a c-th power
+    scales one by c. At s = 2 it is the factor on the covariance. It has
+    the three law operations of factor.SIDES and holds no law; its
+    coefficients are the floats' exact values, so two sides compare
+    exactly, with no rounding to hide a wrong one.
+    """
+
+    num: tuple = (Fraction(1),)
+    den: tuple = (Fraction(1),)
+
+    def mapped(self, m) -> "Multiplier":
+        num, den = (Fraction(0),), (Fraction(1),)
+        for kappa, a in maps.POWER_KERNELS[m.kind](m.beta):
+            pole = (Fraction(a), Fraction(1))  # s + a
+            num = poly_add(poly_mul(num, pole), poly_mul(den, (Fraction(kappa),)))
+            den = poly_mul(den, pole)
+        return Multiplier(poly_mul(self.num, num), poly_mul(self.den, den))
+
+    def convolve(self, other: "Multiplier") -> "Multiplier":
+        num = poly_add(poly_mul(self.num, other.den), poly_mul(other.num, self.den))
+        return Multiplier(num, poly_mul(self.den, other.den))
+
+    def conv_power(self, c: float) -> "Multiplier":
+        return Multiplier(poly_mul(self.num, (Fraction(c),)), self.den)
+
+    def __call__(self, s) -> Fraction:
+        s = Fraction(s)
+        return sum(c * s**k for k, c in enumerate(self.num)) / sum(
+            c * s**k for k, c in enumerate(self.den)
+        )
+
+    def __eq__(self, other) -> bool:
+        return poly_trim(poly_mul(self.num, other.den)) == poly_trim(poly_mul(other.num, self.den))
+
+
+MULTIPLIER_BETAS = (0.5, 1.0, 1.3, 1.7, 2.0, 3.0)
+
+
+def unequal_sides(betas) -> list[tuple[str, float]]:
+    """(identity, beta) of every SIDES entry whose multipliers differ."""
+    out = []
+    for identity, sides in factor.SIDES.items():
+        for beta in betas:
+            lhs, rhs = sides(Multiplier(), beta)
+            if lhs != rhs:
+                out.append((identity, beta))
+    return out
+
+
+class TestExactMultipliers:
+    def test_every_identity_holds_exactly(self):
+        assert unequal_sides(MULTIPLIER_BETAS) == []
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.floats(1e-3, 1e3))
+    def test_every_identity_holds_exactly_at_any_beta(self, beta):
+        assert unequal_sides([beta]) == []
+
+    @pytest.mark.parametrize("identity", list(factor.SIDES))
+    def test_covariance_factor_is_the_value_at_two(self, identity):
+        # the multiplier model is the one map_triplet implements: a unit
+        # covariance comes out of each side scaled by the side's value at s = 2
+        unit = LevyTriplet(1, [0.0], [[1.0]], SpectralMeasure(1, ()))
+        for beta in MULTIPLIER_BETAS:
+            for trip, mult in zip(factor.SIDES[identity](unit, beta),
+                                  factor.SIDES[identity](Multiplier(), beta)):
+                assert trip.cov[0, 0] == pytest.approx(float(mult(2)), rel=1e-14)
+
+    def test_wrong_sides_are_refused(self, monkeypatch):
+        wrong = {
+            # cor1a without its outer (2 beta)-transform
+            "cor1a": lambda nu, b: (
+                nu.mapped(maps.ubetaf_map(b)), nu.mapped(maps.jbeta_map(b))
+            ),
+            # eq15 with a convolution power a hair off 2
+            "eq15": lambda rho, b: (
+                factor.mu_from_rho(rho, b).mapped(maps.jbeta_map(2.0 * b)),
+                rho.conv_power(2.000001).mapped(maps.jbeta_map(b)),
+            ),
+        }
+        for identity, sides in wrong.items():
+            with monkeypatch.context() as mp:
+                mp.setitem(factor.SIDES, identity, sides)
+                assert unequal_sides(MULTIPLIER_BETAS) == [
+                    (identity, beta) for beta in MULTIPLIER_BETAS
+                ]
+        # a typo of 1e-9 in the second exponent of the ubetaf kernel
+        monkeypatch.setitem(
+            maps.POWER_KERNELS, "ubetaf", lambda b: ((2.0 * b, b), (-2.0 * b, 2.0 * b + 1e-9))
+        )
+        assert unequal_sides(MULTIPLIER_BETAS) == [("cor1a", beta) for beta in MULTIPLIER_BETAS]
 
 
 # The four grid identities on a compound-Poisson law (jumps 2, -1.25 and

@@ -409,7 +409,7 @@ def test_three_nested_images_of_a_near_band_law_are_exact():
     assert third.levy.rays[0].radial.grid_tail is None
     assert max(len(sg.e) for sg in third.levy.rays[0].radial.segments) == 3
     grid = np.array([[0.5], [1.0]])
-    twice = maps.map_exponent_grid(m, maps.apply_map(m, from_triplet(first)), grid, 1e-11)
+    twice = maps.map_exponent_grid(m, from_triplet(first).mapped(m), grid, 1e-11)
     assert np.max(np.abs(from_triplet(third).eval_grid(grid) - twice)) <= 1e-10
 
 

@@ -31,7 +31,7 @@ def no_log_moment(Y, tol):
 
 
 def mapped(m, phi, y, tol=None):
-    return maps.apply_map(m, phi)(y, tol)
+    return phi.mapped(m)(y, tol)
 
 
 def image_radial(rad, beta):
@@ -83,7 +83,7 @@ class TestClosedFormSpots:
 
 class TestMapObjects:
     def test_bad_index_rejected(self):
-        for b in (0.0, -1.0):
+        for b in (0.0, -1.0, math.inf):
             with pytest.raises(ValueError):
                 maps.jbeta_map(b)
         with pytest.raises(ValueError):
@@ -113,7 +113,7 @@ class TestMappedInvariants:
         for name in ("gaussian", "cp"):
             phi = law_family[name]
             for mp_ in cases:
-                img = maps.apply_map(mp_, phi)
+                img = phi.mapped(mp_)
                 vals = img.eval_grid(grid9, 1e-10)
                 flipped = img.eval_grid(-grid9, 1e-10)
                 assert abs(img(0.0, 1e-10)) < 1e-12
@@ -126,7 +126,7 @@ class TestMappedInvariants:
     def test_nested_map_columns_meet_tol(self, mix_phi, beta):
         # prop2's right side: columns converge apart, each within tol of a
         # reference computed at a much tighter tolerance
-        img = maps.apply_map(maps.i_map(), maps.apply_map(maps.jbeta_map(beta), mix_phi))
+        img = mix_phi.mapped(maps.jbeta_map(beta)).mapped(maps.i_map())
         grid = np.linspace(-5.0, 5.0, 11)[:, None]
         got = img.eval_grid(grid, 1e-7)
         ref = img.eval_grid(grid, 1e-11)
@@ -139,11 +139,11 @@ class TestMappedInvariants:
     )
     def test_empty_grids_map_to_empty_arrays(self, mix_phi, m):
         empty = np.zeros((0, 1))
-        inner = maps.apply_map(maps.jbeta_map(2.0), mix_phi)
+        inner = mix_phi.mapped(maps.jbeta_map(2.0))
         for vals in (
             maps.map_exponent_grid(m, mix_phi, empty),
-            maps.apply_map(m, mix_phi).eval_grid(empty),
-            maps.apply_map(m, inner).eval_grid(empty, 1e-8),
+            mix_phi.mapped(m).eval_grid(empty),
+            inner.mapped(m).eval_grid(empty, 1e-8),
         ):
             assert vals.shape == (0,) and vals.dtype == complex
 
@@ -156,40 +156,34 @@ class TestAlgebraicStructure:
             (cp_phi, [(1.0, 2.0)], 1e-11),
         ):
             for b1, b2 in pairs:
-                ab = maps.apply_map(
-                    maps.jbeta_map(b2), maps.apply_map(maps.jbeta_map(b1), phi)
-                ).eval_grid(Y, 1e-9)
-                ba = maps.apply_map(
-                    maps.jbeta_map(b1), maps.apply_map(maps.jbeta_map(b2), phi)
-                ).eval_grid(Y, 1e-9)
+                ab = phi.mapped(maps.jbeta_map(b1)).mapped(maps.jbeta_map(b2)).eval_grid(Y, 1e-9)
+                ba = phi.mapped(maps.jbeta_map(b2)).mapped(maps.jbeta_map(b1)).eval_grid(Y, 1e-9)
                 np.testing.assert_allclose(ab, ba, rtol=0, atol=tol_assert)
 
     def test_map_respects_convolution(self, gaussian_phi, cp_phi):
         Y = np.linspace(-2.0, 2.0, 5)[:, None]
-        lhs = maps.apply_map(
-            maps.jbeta_map(1.5), convolve(gaussian_phi, cp_phi)
-        ).eval_grid(Y, 1e-10)
-        rhs = maps.apply_map(maps.jbeta_map(1.5), gaussian_phi).eval_grid(
+        lhs = convolve(gaussian_phi, cp_phi).mapped(maps.jbeta_map(1.5)).eval_grid(Y, 1e-10)
+        rhs = gaussian_phi.mapped(maps.jbeta_map(1.5)).eval_grid(
             Y, 1e-10
-        ) + maps.apply_map(maps.jbeta_map(1.5), cp_phi).eval_grid(Y, 1e-10)
+        ) + cp_phi.mapped(maps.jbeta_map(1.5)).eval_grid(Y, 1e-10)
         np.testing.assert_allclose(lhs, rhs, rtol=0, atol=1e-11)
 
 
 class TestInverse:
     def test_inverse_recovers_gaussian(self, gaussian_phi):
-        img = maps.apply_map(maps.jbeta_map(1.0), gaussian_phi)
+        img = gaussian_phi.mapped(maps.jbeta_map(1.0))
         inv = maps.jbeta_inverse(img, 1.0)
         assert inv(1.0, 1e-10) == pytest.approx(-0.5, abs=1e-9)
 
     def test_inverse_at_origin_is_zero(self, gaussian_phi):
         inv = maps.jbeta_inverse(
-            maps.apply_map(maps.jbeta_map(1.0), gaussian_phi), 1.0
+            gaussian_phi.mapped(maps.jbeta_map(1.0)), 1.0
         )
         assert inv(0.0, 1e-10) == 0.0
 
     def test_roundtrip_on_jump_law(self, cp_phi):
         inv = maps.jbeta_inverse(
-            maps.apply_map(maps.jbeta_map(2.0), cp_phi), 2.0
+            cp_phi.mapped(maps.jbeta_map(2.0)), 2.0
         )
         Y = np.linspace(-2.0, 2.0, 5)[:, None]
         np.testing.assert_allclose(
@@ -218,8 +212,9 @@ class TestInnerClock:
         assert np.all(v <= s)
 
     def test_bad_arguments(self):
-        with pytest.raises(ValueError):
-            maps.inner_clock(0.0, 1.0)
+        for beta in (0.0, math.inf):
+            with pytest.raises(ValueError):
+                maps.inner_clock(beta, 1.0)
         with pytest.raises(ValueError):
             maps.inner_clock(1.0, -0.5)
 
@@ -364,7 +359,7 @@ class TestBatchedWalk:
     def test_nested_map_agrees_within_tol(self, mix_phi, beta, grid):
         # the batch runs the inner map at its deepest probe's tolerance, the
         # tightest of the batch, so values agree within tol, not to the bit
-        inner = maps.apply_map(maps.jbeta_map(beta), mix_phi)
+        inner = mix_phi.mapped(maps.jbeta_map(beta))
         Y = WALK_GRIDS[grid]
         got = maps.map_exponent_grid(maps.i_map(), inner, Y, 1e-8)
         ref = sequential_log_map(maps.i_map(), inner, Y, 1e-8)

@@ -56,7 +56,7 @@ def test_i_map_on_unbounded_power_tail_returns():
         ),
     )
     phi = from_triplet(LevyTriplet(1, [0.1], [[0.2]], levy))
-    vals = maps.apply_map(maps.i_map(), phi)(np.array([[0.0], [2.5]]), 1e-6)
+    vals = phi.mapped(maps.i_map())(np.array([[0.0], [2.5]]), 1e-6)
     assert vals[0] == 0.0
     assert np.isfinite(vals[1]) and vals[1].real < 0.0
 
@@ -255,7 +255,7 @@ def test_nested_map_over_the_pair_cap_raises_a_typed_error(monkeypatch):
     # its own; over the cap it ends in QuadratureError, never in MemoryError
     monkeypatch.setattr(quadrature, "MAX_PAIRS", 50_000)
     phi = lawio.builtin_law("gauss_cp_mix").exponent
-    nested = maps.apply_map(maps.i_map(), maps.apply_map(maps.jbeta_map(1.3), phi))
+    nested = phi.mapped(maps.jbeta_map(1.3)).mapped(maps.i_map())
     with pytest.raises(QuadratureError, match="MAX_PAIRS"):
         nested.eval_grid(np.linspace(-5.0, 5.0, 41)[:, None], 1e-12)
 
@@ -297,7 +297,7 @@ class TestChunkedDepths:
     @staticmethod
     def _nested_mix():
         phi = lawio.builtin_law("gauss_cp_mix").exponent
-        return maps.apply_map(maps.i_map(), maps.apply_map(maps.jbeta_map(1.0), phi))
+        return phi.mapped(maps.jbeta_map(1.0)).mapped(maps.i_map())
 
     def _same_in_small_chunks(self, monkeypatch, run):
         """``run`` returns (values, estimate), with the same bytes in small chunks."""

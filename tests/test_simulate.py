@@ -567,6 +567,9 @@ class TestSamplers:
     def test_too_small_horizon_is_refused(self):
         with pytest.raises(HorizonError, match="horizon"):
             sim.sample_time_changed_integral(gauss_spec(), 1.0, 4, seed=1, s_max=2.0)
+        for s_max in (0.0, math.inf):
+            with pytest.raises(HorizonError, match="s_max must be positive"):
+                sim.sample_time_changed_integral(gauss_spec(), 1.0, 4, seed=1, s_max=s_max)
 
     def test_horizon_is_checked_up_to_the_compared_grid(self):
         # the cp law discards 8.3e-7 of its exponent past s_max 17 at |y| = 5,
@@ -619,7 +622,7 @@ class TestSamplers:
         for sampler in (sim.sample_jbeta_integral, sim.sample_clocked_integral,
                         sim.sample_time_changed_integral):
             # beta = -1 is refused before the law's factors divide by beta + 1
-            for beta in (0.0, -1.0):
+            for beta in (0.0, -1.0, math.inf):
                 with pytest.raises(ValueError, match="beta must be positive"):
                     sampler(gauss_spec(), beta, 4, seed=1)
             with pytest.raises(ValueError, match="n >= 1"):

@@ -144,7 +144,7 @@ class TestAlgebra:
 
     def test_conv_power_requires_positive_exponent(self):
         trip = LevyTriplet(1, [0.0], [[1.0]], empty_measure())
-        for c in (0.0, -1.0):
+        for c in (0.0, -1.0, math.inf):
             with pytest.raises(ValueError):
                 trip.conv_power(c)
 
