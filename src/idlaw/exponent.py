@@ -94,6 +94,10 @@ def _folded(evaluate: Callable[[np.ndarray], np.ndarray], Y: np.ndarray) -> np.n
 
 
 class _Node:
+    # whether the law has a power tail to r = inf (LevyTriplet.heavy_tailed);
+    # a callable's is taken as False
+    heavy_tailed = False
+
     def eval(self, Y: np.ndarray, tol: float | None) -> np.ndarray:
         raise NotImplementedError
 
@@ -101,6 +105,10 @@ class _Node:
 @dataclass(frozen=True, eq=False)
 class _TripletNode(_Node):
     triplet: LevyTriplet
+
+    @property
+    def heavy_tailed(self):
+        return self.triplet.heavy_tailed
 
     def eval(self, Y, tol):
         return self.triplet.exponent_grid(Y)
@@ -111,6 +119,10 @@ class _ScaleNode(_Node):
     factor: float
     inner: _Node
 
+    @property
+    def heavy_tailed(self):
+        return self.inner.heavy_tailed
+
     def eval(self, Y, tol):
         return self.factor * self.inner.eval(Y, tol)
 
@@ -118,6 +130,10 @@ class _ScaleNode(_Node):
 @dataclass(frozen=True, eq=False)
 class _SumNode(_Node):
     parts: tuple[_Node, ...]
+
+    @property
+    def heavy_tailed(self):
+        return any(part.heavy_tailed for part in self.parts)
 
     def eval(self, Y, tol):
         # summed from +0.0, onto a copy of the first part
@@ -131,6 +147,10 @@ class _SumNode(_Node):
 class _MappedNode(_Node):
     map: Any  # IntegralMap; typed loosely to avoid an import cycle
     inner: "CharExponent"
+
+    @property
+    def heavy_tailed(self):
+        return self.inner.heavy_tailed
 
     def eval(self, Y, tol):
         from . import maps
@@ -162,6 +182,11 @@ class CharExponent:
                 f"grid shape {Y.shape} does not match dim {self.dim}"
             )
         return _folded(lambda rows: self.node.eval(rows, tol), Y)
+
+    @property
+    def heavy_tailed(self) -> bool:
+        """Whether the law has a power tail to r = inf (:attr:`LevyTriplet.heavy_tailed`)."""
+        return self.node.heavy_tailed
 
     def __call__(self, y, tol: float | None = None):
         """Evaluate at one point (complex) or a batch (complex array)."""

@@ -145,17 +145,29 @@ def map_exponent_grid(
         return _folded(lambda rows: _singular_grid(phi, rows, tol, weight), Y)
     # the jbeta and ubetaf kernels are probability densities on (0, 1); for
     # beta > 1 (beta >= 1 for ubetaf) they are substituted into forms with
-    # a bounded kernel
+    # a bounded kernel. Each branch's scale reaches 0 at one end, and the
+    # quadrature grades its panels toward that end when the integrand is
+    # rough there: when the law has a power tail to r = inf, whose Phi
+    # behaves like |w|**(-p-1) at 0, or when the power the kernel or the
+    # scale raises the variable to (beta, or 1/beta in t and v) is not an
+    # integer
     if m.kind == "jbeta" and beta > 1.0:
         kern, scale = (lambda w: beta * w ** (beta - 1.0)), (lambda w: w)
+        power, end = beta, 0.0
     elif m.kind == "jbeta":
         kern, scale = None, (lambda t: t ** (1.0 / beta))
+        power, end = 1.0 / beta, 0.0
     elif beta >= 1.0:
         kern = lambda z: 2.0 * beta * z ** (beta - 1.0) * (1.0 - z ** beta)
         scale = lambda z: z
+        power, end = beta, 0.0
     else:
         kern, scale = (lambda v: 2.0 * v), (lambda v: (1.0 - v) ** (1.0 / beta))
-    return _folded(lambda rows: _kernel_integral(phi, rows, tol, 0.0, 1.0, kern, scale), Y)
+        power, end = 1.0 / beta, 1.0
+    rough = end if phi.heavy_tailed or not power.is_integer() else None
+    return _folded(
+        lambda rows: _kernel_integral(phi, rows, tol, 0.0, 1.0, kern, scale, rough=rough), Y
+    )
 
 
 # Share of a map's tolerance granted to the inner exponent; the outer
@@ -163,15 +175,16 @@ def map_exponent_grid(
 _INNER_SHARE = 0.25
 
 
-def _kernel_integral(phi, Y, tol, a, b, kern, scale, mass=1.0, splits=()):
+def _kernel_integral(phi, Y, tol, a, b, kern, scale, mass=1.0, splits=(), rough=None):
     """Integral over (a, b) of kern(x) * Phi(scale(x) Y) dx on the grid Y.
 
     Each grid point is one column of the quadrature and refines on its
     own. Inner errors reach the value weighted by the kernel's mass on
     (a, b), so the inner exponent gets its share of ``tol`` divided by
     that mass. The quadrature applies the kernel, as its weight, and the
-    scale, once per depth (:func:`quadrature.integrate`); a kernel of None
-    is identically 1.
+    scale, once per depth, and grades its panels toward the limit
+    ``rough`` when one is given (:func:`quadrature.integrate`); a kernel
+    of None is identically 1.
     """
     inner_tol = _INNER_SHARE * tol / mass
 
@@ -180,7 +193,7 @@ def _kernel_integral(phi, Y, tol, a, b, kern, scale, mass=1.0, splits=()):
 
     val, _ = quadrature.integrate(
         f, a, b, tol=(1.0 - _INNER_SHARE) * tol, splits=splits, columns=Y.shape[0],
-        weight=kern, scale=scale,
+        weight=kern, scale=scale, rough=rough,
     )
     return val
 

@@ -16,8 +16,13 @@ level exceeds that size.
 
 A depth is a list of panels and a list of units, each a panel index and
 a column. The first depth holds every (panel, column) pair, panel by
-panel; each later one holds the left halves of the rejected units, in
-their order, then the right halves. What depends on a panel alone is
+panel; each later one holds the left pieces of the rejected units' panels,
+in their order, then the right pieces. A rejected panel is cut at its
+midpoint, except one that touches a limit marked as the integrand's rough
+end, which is cut at :data:`ROUGH_CUT` of its width from that end: toward
+an algebraic singularity at the end, one depth then moves the panel next
+to it 8 times closer, not 2 (a geometric mesh, as in hp-refinement; Schwab,
+*p- and hp-Finite Element Methods*, 1998). What depends on a panel alone is
 computed once per depth on its panels' abscissas, whatever the chunks:
 the abscissas themselves and, for an integral of w(x) f(s(x)) dx such as
 a map's, the weight w and the substitution s (:func:`integrate`). What
@@ -34,8 +39,13 @@ import numpy as np
 from .errors import QuadratureError
 
 DEFAULT_TOL = 1e-10
-# interval halvings before a unit is abandoned
+# cuts of a unit's panel before the unit is abandoned
 MAX_DEPTH = 40
+# where a rejected panel touching the rough end is cut, as a fraction of its
+# width from that end. The jbeta(1) map of the four triplet-tail panel laws,
+# whose exponents behave like |w|**(-p-1), p in (-3, -1), at w = 0, took
+# 3/4/5/6 depths at tol 1e-9 this way and 6/7/10/13 by halving
+ROUGH_CUT = 0.125
 # (abscissa, column) pairs one depth may evaluate, 26x the largest depth
 # the test suite and the benchmark workloads reach (316,428); past it
 # refinement stops. It caps the work of a depth; its integrand calls hold
@@ -94,7 +104,7 @@ _GAUSS_WEIGHTS[1::2] = np.concatenate([_WG, _WG[::-1]])
 # columns give K21 and K21 - G10 in one product with the unit values
 _RULES = np.stack([_KRONROD_WEIGHTS, _KRONROD_WEIGHTS - _GAUSS_WEIGHTS], axis=1)
 # |K21 - G10| below this multiple of the panel's absolute integral is
-# rounding noise, and further bisection cannot reduce it
+# rounding noise, and further cuts cannot reduce it
 _ROUNDOFF = 50.0 * np.finfo(float).eps
 
 
@@ -116,6 +126,7 @@ def integrate(
     columns: int = 1,
     weight: Callable | None = None,
     scale: Callable | None = None,
+    rough: float | None = None,
 ) -> tuple[np.ndarray, float]:
     """Integrate each of ``columns`` integrands over [a, b] with adaptive G10K21.
 
@@ -153,6 +164,11 @@ def integrate(
         holds. ``f`` receives s(x) in ``x``, and its values are multiplied
         by w(x) before the rules are applied, so the estimates and the
         rounding-level test read w(x) f(s(x)).
+    rough : float, optional
+        The limit, ``a`` or ``b``, where the integrand is rough: a rejected
+        unit whose panel touches it has the panel cut at :data:`ROUGH_CUT`
+        of its width from it, not halved. None halves every panel. The cut
+        depends on the panel alone, so columns stay independent.
 
     Returns
     -------
@@ -187,6 +203,8 @@ def integrate(
         raise ValueError(f"limits must be finite, got [{a}, {b}]")
     if b < a:
         raise ValueError(f"reversed limits: [{a}, {b}]")
+    if rough is not None and rough not in (a, b):
+        raise ValueError(f"the rough end {rough} is not a limit of [{a}, {b}]")
 
     points = [a]
     for s in sorted(float(s) for s in splits):
@@ -220,7 +238,13 @@ def integrate(
         w = None if weight is None else weight(nodes)
         if scale is not None:
             nodes = scale(nodes)
-        bounds = (left, mid, right)
+        # where each panel is cut if one of its units is rejected
+        cut = mid
+        if rough == a:
+            cut = np.where(left == a, left + ROUGH_CUT * span, mid)
+        elif rough == b:
+            cut = np.where(right == b, right - ROUGH_CUT * span, mid)
+        bounds = (left, cut, right)
         span, half = span[panel], half[panel]
         width = np.bincount(col, weights=span, minlength=columns)
         # acceptance reads the budget left at the start of the depth
@@ -250,16 +274,16 @@ def integrate(
         done[over] = False
         _accumulate(total, spent, col, half, rules, err, done)
         last = (col, half, rules, err, ~done)
-        # the panels of rejected units are halved, left halves first: the
-        # units keep their order, and the units of each half stay adjacent
+        # the panels of rejected units are cut, left pieces first: the units
+        # keep their order, and the units of each piece stay adjacent
         panel, col = panel[over], col[over]
         # panels left without units are dropped
-        cut = np.zeros(left.size, dtype=bool)
-        cut[panel] = True
-        panel = (np.add.accumulate(cut, dtype=np.intp) - 1)[panel]
-        left, mid, right = left[cut], mid[cut], right[cut]
-        left, right = np.concatenate((left, mid)), np.concatenate((mid, right))
-        panel = np.concatenate((panel, panel + mid.size))
+        kept = np.zeros(left.size, dtype=bool)
+        kept[panel] = True
+        panel = (np.add.accumulate(kept, dtype=np.intp) - 1)[panel]
+        left, cut, right = left[kept], cut[kept], right[kept]
+        left, right = np.concatenate((left, cut)), np.concatenate((cut, right))
+        panel = np.concatenate((panel, panel + cut.size))
         col = np.concatenate((col, col))
         depth += 1
 
@@ -281,7 +305,7 @@ def _evaluate_units(f, nodes, w, bounds, panel, col, half, share):
 
     ``nodes`` holds the substituted abscissas s(x) of the depth's panels,
     ``w`` their weights w(x) (None for 1) and ``bounds`` their (left end,
-    midpoint, right end). Returns each unit's (real, imaginary) x (K21,
+    cut point, right end). Returns each unit's (real, imaginary) x (K21,
     K21 - G10) sums of w(x) f(s(x)), its |K21 - G10| and the indices of
     the units not accepted against their ``share`` of the budget.
     """
@@ -304,10 +328,10 @@ def _evaluate_units(f, nodes, w, bounds, panel, col, half, share):
     over = (~(err <= share)).nonzero()[0]
     if over.size:
         # units over their share may still be at rounding level, or too
-        # narrow to bisect
+        # narrow to cut
         noise = _ROUNDOFF * half[over] * np.einsum("kj,j->k", abs(vals[over]), _KRONROD_WEIGHTS)
-        left, mid, right = bounds
-        narrow = (mid <= left) | (mid >= right)
+        left, cut, right = bounds
+        narrow = (cut <= left) | (cut >= right)
         over = over[~((err[over] <= noise) | narrow[panel[over]])]
     return rules, err, over
 

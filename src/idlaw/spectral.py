@@ -1113,14 +1113,25 @@ class _Pieces:
         where |w| b > 8, and take it element by element, piece-major
         (:meth:`_tails`). Both parts run at |w|, and w < 0 takes the
         conjugate, since F is real on the real axis; w = 0 gives exactly 0.
-        Pieces add per row by a fold in the order of ``fold``.
+        Below |w| = SERIES_EDGE / (largest double) the edge is past the
+        float range, and the unbounded pieces take their small-|w| form
+        (:meth:`_small_w`). Pieces add per row by a fold in the order of
+        ``fold``.
         """
         nu, n1 = self.kinds[1:]
         n = w.shape[1]
         W = np.abs(w)
         moving = W > 0.0
         # no edge at w = 0, which falls in neither part
-        edge = SERIES_EDGE / np.where(moving, W, np.nan)
+        with np.errstate(over="ignore"):
+            edge = SERIES_EDGE / np.where(moving, W, np.nan)
+        # an unbounded piece's element whose edge is past the float range
+        # takes the small-|w| form; until then it runs at |w| = 1 in its place
+        tiny = (edge[nu:n1] == math.inf).nonzero()
+        if tiny[0].size:
+            k, col = nu + tiny[0], tiny[1]
+            small = W[k, col]
+            W[k, col], edge[k, col] = 1.0, SERIES_EDGE
         below = edge > self.a[:, None]
         # top ends the series part, or is rest where there is none; a part
         # above the edge starts at top, which is then max(edge, a)
@@ -1138,6 +1149,8 @@ class _Pieces:
             tail = self._rotated_tail(self.unbounded, x, W[at], w_top[at])
             tail -= scale[at] * self.tail_p0
             np.add(val[at], tail, out=val[at], where=moving[at])
+            if tiny[0].size:
+                val[k, col] = self._small_w(k, small)
         val *= self.c[:, None]
         np.negative(val.imag, out=val.imag, where=w < 0.0)
         return _fold_sum(val if self.fold is None else val[self.fold])
@@ -1201,6 +1214,33 @@ class _Pieces:
         np.multiply(odd_even[m:].reshape(pieces, n), scale, out=out.real)
         np.multiply(odd_even[:m].reshape(pieces, n), scale, out=out.imag)
         return out
+
+    def _small_w(self, k: np.ndarray, W: np.ndarray) -> np.ndarray:
+        """The integral over (a, inf) for elements of unbounded pieces k whose edge
+        SERIES_EDGE / W is past the float range.
+
+        It is the series part over (a, top) and the tail from top, top the
+        edge, as at any other W (:meth:`_block`), taken in L = log(top): the
+        series at z = SERIES_EDGE times its scale top**(p+1) has the terms
+        z**j coef_j (exp(q_j log(a) - j L) - exp((p+1) L)), or
+        z**j coef_j (log(a) - L) exp((p+1) L) where q_j is 0, and the tail
+        T(top) - P_0 is exp((p+1) L) (i exp(i z) lag / z + 1/(p+1)), with
+        lag the Laguerre sum at the edge.
+        """
+        L = math.log(SERIES_EDGE) - np.log(W)
+        scale = np.exp(self.p1[k] * L)
+        log_a = np.log(self.a[k])
+        rows = (3 + int(_KEEP.searchsorted(SERIES_EDGE, "right"))) & ~1
+        ratio = np.exp(self.q[:rows, k] * log_a - _TERM_K[:rows] * L) - scale
+        for i, row in self.zero_rows:
+            at = k == i
+            if row < rows and np.count_nonzero(at):
+                ratio[row, at] = (log_a[at] - L[at]) * scale[at]
+        terms = SERIES_EDGE ** _TERM_K[:rows] * self.coef[:rows, k] * ratio
+        terms *= _TERM_KEEP[:rows] <= SERIES_EDGE
+        tail = _EDGE_TURN[0] * self.edge_lag[k] / SERIES_EDGE + 1.0 / self.p1[k]
+        # odd terms are imaginary, even ones real
+        return terms[1::2].sum(axis=0) + 1j * terms[0::2].sum(axis=0) + scale * tail
 
     def _tails(self, k: np.ndarray, W: np.ndarray, x: np.ndarray) -> np.ndarray:
         """The integral over (x, b), x = max(edge, a), for elements of bounded pieces k.
@@ -1329,7 +1369,8 @@ class _Cells:
         even in w and its imaginary part odd, so -w gives the conjugate.
         """
         w = _dot(Y, self.direction)
-        with np.errstate(divide="ignore"):
+        # past the float range at the smallest |w|, where every node is below the edge
+        with np.errstate(divide="ignore", over="ignore"):
             cut = np.searchsorted(self.r, CELL_EDGE / np.abs(w))
         x, S = -(w * w), self.series
         re, im = S[-2][cut], S[-1][cut]

@@ -17,6 +17,7 @@ program and, when the covariance is not zero, one ordered quadratic form.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -88,6 +89,12 @@ class LevyTriplet:
         if self._cov_issues:
             raise InvalidMeasureError("; ".join(self._cov_issues))
         self.levy.require_valid()
+
+    @cached_property
+    def heavy_tailed(self) -> bool:
+        """Whether a ray has a segment to r = inf: its power tail makes the exponent
+        behave like |y|**(-p-1) at y = 0, a rough end for the maps' quadrature."""
+        return any(sg.hi == math.inf for ray in self.levy.rays for sg in ray.radial.segments)
 
     @cached_property
     def compiled(self) -> tuple[JumpTables, np.ndarray | None, bool]:

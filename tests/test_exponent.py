@@ -647,99 +647,99 @@ LEAF_DIGESTS = {
     "panel0/one-row": "4830cf6411c61dcdda6ae3b6ad64dd80fedb9b325d1bb6f86dc5501a8ea15fee",
     "panel0/default": "c505d154a74a6533ae3323bda438360deb0e589938b0796770121de730d478f3",
     "panel0/wide": "ebbed3c09f68e2499c2eebcb35bda033fec6c939da6cc0a6bc65f249f6df3203",
-    "panel0/jbeta-map": "2d7879c6430805f40eb76c2455c6aa2d028797057436956560cc4312989317ba",
+    "panel0/jbeta-map": "b5f9ab9655b28d430cfbf52a5e38a8f5cbcf09c3a80b79b6f555fb6a2d08c736",
     "panel1/one-row": "bf64c5fdcd98a525bc280a93dc49c501e9ea7ff54b515e5645c96941fc489f6f",
     "panel1/default": "371e9aad39288758c06237e774ca8af4d487f6fb1747a731cd84f770cd6e6d2e",
     "panel1/wide": "287b633d5d6ca7cc44542cd249e8270783cd810eb616ea5295a661c82aa600af",
-    "panel1/jbeta-map": "ea7a8dad31fc750f90bbeb3b5b76ca2d03fbab8275742d5fe8d78685c3efc34d",
+    "panel1/jbeta-map": "35755a3a2a6166f704fd331f46ac063d77b3b874797ef731f0d361a8f6ab1be4",
     "panel2/one-row": "da0e966d17815774274325bff424ccd3a4bdfd50096e0e670a154abcde8623aa",
     "panel2/default": "5bb80b62799162d53f0acf96bb91bb27a5b85ddd9614d01c3548345bc0419229",
     "panel2/wide": "76ea8039c2c0639894664e47188d625a8801107d4c6286882b8a6a70449bdfde",
-    "panel2/jbeta-map": "f96faf671c3db38c9b6d1a20f6953d375069c89a79f557f27d53b2fd3aecb8b3",
+    "panel2/jbeta-map": "0e8d293e2e3d96f4297c013953b04e136d6e41ae2edf659fa8d073ae1c27f59a",
     "panel3/one-row": "3926c3f1642003e0069c6c2e900148bd1f5673b77f77bcf95308d0237252b938",
     "panel3/default": "4b0ecb08a5a67ec90048c11e3ba44bd22fd420fa5142d507e8d07da39b5478c2",
     "panel3/wide": "410609f3b11f07e7dbc5bbe085f6a4c5b050571f1f9098b6beafef48aeffae74",
-    "panel3/jbeta-map": "c170b5000e41dc0df33716dea3fc2d1cda470a1b49c341802ba741b03e25f542",
+    "panel3/jbeta-map": "b75d9ce788c157b6cf3702f7911dfc839cb8bedf8d4723e850fb7f9264eb91a7",
     "panel4/one-row": "82ed04ac96636df37ff13c3147a0e4b361b1bf4284bd0de07c2a4f40f361dd7f",
     "panel4/default": "cdfaa2cf2fa367c8dbe2ef5028c19a0cd0548c1763b9ab35a14a79dfac1e7dde",
     "panel4/wide": "8e6db0eed5d1d25466ab37213e03b371406e517afd8e2c8d14e00d339fcffec8",
-    "panel4/jbeta-map": "1b544b37f6177d7b1c2d08b3804c431625b281b5bd45f297dd8901757b87943b",
+    "panel4/jbeta-map": "907f2fdacbb915c46542e884ef5eb61b6e1326163db34dd15ccc47421198becc",
     "panel5/one-row": "36475938c659e579730ce0cff146d921be6c734f22e95bc51a4d5aed0fa1dc38",
     "panel5/default": "31c110688f074e79dc4ac30b63f4cce79d265d07e94c53d9ea83ef0decdf3639",
     "panel5/wide": "bcbd384b807f58bd413a50fe43c79b5525ad90f7648290d0107d23abc55fcd1f",
-    "panel5/jbeta-map": "b4cc2e707135eca4cf7da706abdf12c595b3eb7e7422758476d1667a8ef3dc48",
+    "panel5/jbeta-map": "a60c65d1ee7681a1e0fe33a7880ed9edf1733501a5e390999171a36430441c71",
     "panel6/one-row": "f4c154d04cb3f9008a88c14909ad0e50c2f8f6f1e1f0281451e3694e3bed6ef0",
     "panel6/default": "27ca2e9436934bd1456aaa21c5915d770eb945c33abc8007eb470bc5602d81d5",
     "panel6/wide": "2d315eb8e43479dc6572bcfed0e0248083b96c41a3f19264b00ed96175b6581a",
-    "panel6/jbeta-map": "e45e593a3b17663b47c4cb22ef3b9d23cc4d9636ca3b58d1dc912a0e6164c83b",
+    "panel6/jbeta-map": "0c8de71fcb2f6b6f2fca0035b39184218fb40c0557429303dde469f4383dd3fc",
     "panel7/one-row": "c73d8c5bb087e094ea3a9b30610fc3d85b0a076f20d6c955981ca3f1dd6658f1",
     "panel7/default": "f6c4ad9f888faa402983caf8d3b46b0e1b7d7f463983f9952927875f051eb253",
     "panel7/wide": "9f0ec7905d880b7eaa9f84aa1c18952c33a8a51733eafd0864e234f51bccc114",
-    "panel7/jbeta-map": "85b40cec6a8240d58d7d55e06bcdd22cc02adc86efdc92784931a60ef1a85501",
+    "panel7/jbeta-map": "f582450d3a7833c60671117087f65e71b18e66bad874d07ed3850d373888f41b",
     "jbeta1-panel0/one-row": "fb98be466c54b01d6335d281ea720de3772d9da5bfdff65ac8ff5180eb674a14",
     "jbeta1-panel0/default": "0a1a93c67a4cf17211024a05e4c6f3c291dbfc0e72efd4beb97c0ccf1d0b4d41",
     "jbeta1-panel0/wide": "1cad112d623b900456f4bb3df5994ec8d3e997e087c1c225fd01b0bae3d29883",
-    "jbeta1-panel0/jbeta-map": "1eab7ccbe8e049a0593bdd3f041fcbdb853267b7f281fe4762a920bf51b71155",
+    "jbeta1-panel0/jbeta-map": "dffb1f32a5e99b5b0ba488657fe934dd04268c1d59da2c6bb6d42faddc7f937c",
     "jbeta1.3-panel0/one-row": "98d23308cc1a0d0fd6453132f9ee368635e5a5458be4a548eef6f58a508889c7",
     "jbeta1.3-panel0/default": "feae9b1934152cb45caf801ae55cd528e59b65a7c841d1536f42256755494f08",
     "jbeta1.3-panel0/wide": "3c32f3a4b8a06c55804afbfa4d26769cd8d7b8e656773d96cdda7be60ed52e95",
-    "jbeta1.3-panel0/jbeta-map": "2870d9633e6d5419c37d147ed60bf33fad2408283cdd3668a3e05f9ce25deefe",
+    "jbeta1.3-panel0/jbeta-map": "55b477c8a0634aa10f53d2ca1d9b209a5fd66bc3463fc84e2851882eb53b7f17",
     "jbeta1-panel1/one-row": "b83c328968ab302f2a654269be344d51123218e04fea6d1a6b77c97e20f807c0",
     "jbeta1-panel1/default": "d76b501cb0949e28b4c9afc25feb0938b736a22ee7133847a1110b2e78a7eed5",
     "jbeta1-panel1/wide": "684213011c05c4ac80605ab8032789fa2ae3ec14358dc7a623daf4f263071089",
-    "jbeta1-panel1/jbeta-map": "c1d842b8bf960314f56f1f7d66240bbb863638e9b3af260e181bc3f3bc8caaa1",
+    "jbeta1-panel1/jbeta-map": "7c2b8f37b8523b7a3e3d5233638c33a0308145bed932bf79760e5745e6393e66",
     "jbeta1.3-panel1/one-row": "36afcb21afac59380d52fb6e54d5b73a635269a5639c261de5a0becee431d970",
     "jbeta1.3-panel1/default": "388192300775e8b935b3932c2bb178200e0a3b3cfc8cbc068ec2b816f5d3412b",
     "jbeta1.3-panel1/wide": "361bfbfa8d921a1b747f38791724f7034133900017ad5c2a3a2dc695414117ae",
-    "jbeta1.3-panel1/jbeta-map": "659177b64dc1ea5c67aa7df6d1d9084e04fbd68fed405e30ab615745c5429ec7",
+    "jbeta1.3-panel1/jbeta-map": "e8b13592ef3b9b81c8c11ed674de9d9231f2179fc68496a813ad10304d2acea1",
     "jbeta1-panel2/one-row": "14211703995a55b8b31148db437b7d1fc7d14892635608b021ac420e90db807f",
     "jbeta1-panel2/default": "a001af66d61b92590210ca19c360a6d5589ff6db69c6030d0c6c7ecc93af277e",
     "jbeta1-panel2/wide": "e3f4ddcf726c77aa5fd985317da51767b38b678a4ae150655dd99d2f8a96b5d1",
-    "jbeta1-panel2/jbeta-map": "36f7536db8bd1b8bffb158e4f109c9ecb0d00dde9461db483b33830dd4e739bd",
+    "jbeta1-panel2/jbeta-map": "505b10ba114f82706365cbd1942fa6ff48b760f7b5a530095ad7638c94098ee7",
     "jbeta1.3-panel2/one-row": "d4f95993b9bb988489ef161c0481b430fc10098341942239f5a762dac13a7bbb",
     "jbeta1.3-panel2/default": "9d2b109e318e075047356cf76acb5597e98b429e758d910f0bb4b9d41f1b1f71",
     "jbeta1.3-panel2/wide": "d4bc65f0d9d6b362a3bf78949f63b6649d9cbae9910557aec65f185bf12a9cb1",
-    "jbeta1.3-panel2/jbeta-map": "bdd02ecfd6edbf582e5e69592441c06efc3244d66ecda56991a910c5d5ee8370",
+    "jbeta1.3-panel2/jbeta-map": "dda4c34479865aac91ef3488c7469ad1c750e08de612d524e7311003a12b63f0",
     "jbeta1-panel3/one-row": "99387231363e6090f87abaffceddd47c4bd5264804f7dfa5c4eef14ea1375a51",
     "jbeta1-panel3/default": "282c4c428a87e89763dd05aee8d0e74f5c1ed347ba22f23467494af301918602",
     "jbeta1-panel3/wide": "b3a7883aebe72a2b89a9c52dd252c49f7d48151cea9edeee6d59b6aa94351c1b",
-    "jbeta1-panel3/jbeta-map": "4e3b500cf1ab4862d705bcce378b631823a977e5bf266d2e2631264aa3830314",
+    "jbeta1-panel3/jbeta-map": "100bdadd7a3121042f65dbf80af444a21a3f128ee7ba1fd0fa8586937ba0f47a",
     "jbeta1.3-panel3/one-row": "19fc1bceffba8adb5b7b2cd912a5558b62328757249d1483b8618d02f8e65b82",
     "jbeta1.3-panel3/default": "e169d42bb7f1b716022e4535d0f969fd3eecf146d8255b2ea87df2e1ee615183",
     "jbeta1.3-panel3/wide": "d49fd1809e7410e6ee40b277785cb5571376c6d82d7266f797bf0ff681ab44c9",
-    "jbeta1.3-panel3/jbeta-map": "ba005171c486161d29705e52e7884ff415d97b151d0a84d50c54becec2b1a1da",
+    "jbeta1.3-panel3/jbeta-map": "b0941ce6abe4aa92376c5954c734029773b841b895d28c4471d033c5d6176120",
     "jbeta1-panel4/one-row": "ed5285652b3dbb1ec3624de57a05c27d6c98f4ad76f74e711d088d49f3f57f2e",
     "jbeta1-panel4/default": "592e8601412293bb2bbe6ffec3a947ebff83cc12a0a05f9bcdf1a80eee91a3d2",
     "jbeta1-panel4/wide": "2fc99e2d50c1e4ba01bc8586a0bd13f3b2df7852d59abdd5dba625f24b74cbc0",
-    "jbeta1-panel4/jbeta-map": "f13cd57ce27a984f3cc9fe65f1ac5cbbb40d0995f3a2d7c193b54dd6ffe2abd4",
+    "jbeta1-panel4/jbeta-map": "9cab776c7074b51c33da8b4c4fecc80f698f25ab4e7de1b528b54cbbdb237c7d",
     "jbeta1.3-panel4/one-row": "36c07fbc0a918baa44e07c305b06635ad3b5e99abb2f5aa10432ac36faf6a015",
     "jbeta1.3-panel4/default": "3e3fbaa5a671aa5b0e8c108f605a094e06d5175e51675ae71e5faf03120d1de4",
     "jbeta1.3-panel4/wide": "b5e72f7a4eb29898f971588a97d9f24d479e40a99c88267f704b98a7dc2babfe",
-    "jbeta1.3-panel4/jbeta-map": "a8d6e3987b97860c4eae0315e277e3df6062b1247b319ce7016eb45951f1b4d7",
+    "jbeta1.3-panel4/jbeta-map": "23152a70f9d3c3168987ad802b6ece3c6de561aa87234a364fce6cc58e3a57ca",
     "jbeta1-panel5/one-row": "d8b74ff1c5e111d0bd78972ba3f9d30ddf2d0d438ffea8a0d755fc188ec568b7",
     "jbeta1-panel5/default": "df8a6ded57dc6d41e4912c9e493fccafd98973d9fe74df451b1e23d0aeb9f0e9",
     "jbeta1-panel5/wide": "f7352d54a308b15f3ea6d4234137d07bbe64bd611801da8d6559e86b55366fb5",
-    "jbeta1-panel5/jbeta-map": "e3a75200d9f4a4bdd8746947e936a9127d9c57dc9f96080e453e5949cf951123",
+    "jbeta1-panel5/jbeta-map": "439e7d415ebb4d294b7ba960896d7e4ce8451917e265477448a3b420eb8381cf",
     "jbeta1.3-panel5/one-row": "eadc066ec94d2c517b735c97880b2920af0aa7b50ddc558147fc10c832ef56fe",
     "jbeta1.3-panel5/default": "427f9dace3681ed1ced304fa380f622b776af92c9aa68ee2b9f2c56eae7f7898",
     "jbeta1.3-panel5/wide": "39b4c39086846f4e7d0c224ad820184ce00748c1fd6f2102c8cf4815562a98d9",
-    "jbeta1.3-panel5/jbeta-map": "8cc4b55db4f09ad8e6255b07d628313b5533eadbccac344a9d3739c4fac325bd",
+    "jbeta1.3-panel5/jbeta-map": "f7afafe680e8e28e060074110318e8e9e44f865ab19effa1385f720a5b48cf15",
     "jbeta1-panel6/one-row": "5f8e683fbacfbc5b5251208b6b3944b2927b83325462a9db3dce6bfcd506087d",
     "jbeta1-panel6/default": "861ef36853157b95f2e977215875ee12d60757d9c5446a59d1ad90d75ec26d45",
     "jbeta1-panel6/wide": "70db3a31c21f9042893bc10bf718abec8506e6821c1dae2ffb499bb48c511cf7",
-    "jbeta1-panel6/jbeta-map": "2d6021bbb3792872f2dd4d92e9158a00386b4cce85c0df8f2837fcfac856f7eb",
+    "jbeta1-panel6/jbeta-map": "a66c7cb96641b346aa21f285177433b97a6d2c3c769cb70e461aa117b7a6c4b5",
     "jbeta1.3-panel6/one-row": "debc90fff941c6fa265e1b2487b8648c9c08af18200278df61f914b55beb1f79",
     "jbeta1.3-panel6/default": "c4f57f0ee97398daabb56d37b50b512c1ed5ff04a5e07df10ba8a7c7bb98055e",
     "jbeta1.3-panel6/wide": "02474b2ebed555a449d097738d71f182d35474a0a615b9c953d35951aa665a20",
-    "jbeta1.3-panel6/jbeta-map": "c16534be5ad05ef2a5c76a70b8b387002c2130346aa23771323049b2c676a07a",
+    "jbeta1.3-panel6/jbeta-map": "e59c96d43092cfa36ea96cab6da5df9cff89e42b336da87298836c53daa8c04b",
     "jbeta1-panel7/one-row": "0be97221e243911f23cca5d5080565b6847bb24f2753b653cb6ab2fa10ad6e5e",
     "jbeta1-panel7/default": "b442ac97d49ec41a015e5cd5342b60f0790575424440300f981ecf48652dd8ff",
     "jbeta1-panel7/wide": "73effb7c278210941d478b9237979d9fc36a581038df9abe098816901b163064",
-    "jbeta1-panel7/jbeta-map": "e440d465180f9bf3f343e9ba90ed8d2dfa5666450684e9669028c4c43d9b41ae",
+    "jbeta1-panel7/jbeta-map": "1e9d51687d2e30f23ed7b23701db52d70e273afaa3b52ae661129314ad73f565",
     "jbeta1.3-panel7/one-row": "27c182a2846faf3ca7c5617c1b76c13114a170e6194da8df3309d1e364cc26a4",
     "jbeta1.3-panel7/default": "df0fe96ec4d0c9302e701c092980eb189b146d64e732cda6944707c4371bdf72",
     "jbeta1.3-panel7/wide": "1796678ccdc9f2ff68b40a37b30ff79e38216106e2687e4c139f574917a47389",
-    "jbeta1.3-panel7/jbeta-map": "603d8dca1ff57d6cfc5792351f8aaf3860cd6029df809fc12f9c55b319e050c5",
+    "jbeta1.3-panel7/jbeta-map": "e5fc5bcc1d5e1c728c66dce9a718b276c2a1c7219ec9adf6186dafbbea0be697",
     "jbeta1.3-near-band/one-row": "a72b8ad70906b7bb916282957cc060d0a7a008a91905bf8a1656a4f40f219ced",
     "jbeta1.3-near-band/default": "314ba4a9ee2ba7ec0d96d878a589403a7c82629a22a36cd0aa39e38670bf1f7b",
     "jbeta1.3-near-band/wide": "feaa7e3e6e4786d2d29ffa88c9fd9baa3d24f56a982f0ec740ca75e68808be41",
@@ -747,11 +747,11 @@ LEAF_DIGESTS = {
     "unbounded-first/one-row": "a0369dcd1b01242dab64989315d51b56b784278cc79bbd11c6a86b62770930f2",
     "unbounded-first/default": "3b0688e5cb6fc0ee771a1232bf4095f7d72f23fa30323cab519cb7d189566365",
     "unbounded-first/wide": "08ff8199ff2a33b69f3b9268a3b266416bb4007ebd65a89533308905728495a3",
-    "unbounded-first/jbeta-map": "1ceeaf4ed534de849c11216f69f69ab4f88b9534a3c21cc3118463203ab969bd",
+    "unbounded-first/jbeta-map": "d6753b4418e442c9a1c38b2d67574d3fa14a2f6e2c32c767cecd391ae89e510b",
     "dim2/one-row": "bb149b387724c98f4bf94d0ef777db1d3a47d6c3d797847191fa5dffd31c63ce",
     "dim2/default": "634d7814250abd2bbcddbb8d10052baad60158622155ccfb7c6b593b1c306923",
     "dim2/wide": "2f7b5762183ed1e7ecc2e5da8767a4fc5bb2f3aeb96139217e3839474b5a2e9b",
-    "dim2/jbeta-map": "b40d4a6b6d405f748cc549dca3cf64b323135282166f2b9caac2f48a7f1b29dc",
+    "dim2/jbeta-map": "8c7327716ae812c6f15c0a73481eda3da025d561dda5b60d588421ba2702a86a",
     "grid-tail/one-row": "56233a17c964eb40d3b2c0ad16dcc62b2284bac8a765a234d12ea21856b3a0ae",
     "grid-tail/default": "d31b3cf56025a445752d255d9b9bfd18a79a6fbf4b1e1f3b2b6cdf166c0ef892",
     "grid-tail/wide": "a7cc5ed2f2cc00c3ca679c72954a8ffb102d71daf05ff346b2c453f4a946b810",

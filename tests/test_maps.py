@@ -9,7 +9,7 @@ from scipy.integrate import quad
 
 import idlaw.factor as factor
 import idlaw.maps as maps
-from idlaw import lawio
+from idlaw import lawio, quadrature
 from idlaw.errors import (
     DimensionMismatchError,
     InvalidMeasureError,
@@ -806,3 +806,76 @@ class TestPanelLawImage:
         via_trip = from_triplet(twice).eval_grid(grid, 1e-10)
         via_phi = maps.map_exponent_grid(maps.jbeta_map(2.0), from_triplet(once), grid, 1e-10)
         np.testing.assert_allclose(via_trip, via_phi, rtol=0, atol=1e-8)
+
+
+class TestRoughEnd:
+    """The jbeta and ubetaf quadratures grade their panels toward the end
+    where the map's scale reaches 0, on heavy-tailed laws and at
+    non-integer powers."""
+
+    BETAS = (0.5, 0.7, 1.0, 1.3, 1.5, 2.0)
+
+    @staticmethod
+    def rough_ends(monkeypatch, m, phi):
+        """The rough ends the map hands the quadrature."""
+        ends = []
+        integrate = quadrature.integrate
+
+        def recorded(*args, rough=None, **kwargs):
+            ends.append(rough)
+            return integrate(*args, rough=rough, **kwargs)
+
+        monkeypatch.setattr(quadrature, "integrate", recorded)
+        maps.map_exponent_grid(m, phi, np.array([[0.0], [2.5]]), 1e-6)
+        return set(ends)
+
+    def test_heavy_tails_are_carried_through_the_nodes(self, cp_phi):
+        heavy = from_triplet(panel_laws(9002, 1)[0])
+        assert heavy.heavy_tailed and not cp_phi.heavy_tailed
+        for phi in (heavy.conv_power(0.5), heavy.mapped(maps.i_map()), convolve(cp_phi, heavy)):
+            assert phi.heavy_tailed
+        radii = np.geomspace(0.5, 4.0, 20)
+        tabulated = LevyTriplet(1, [0.0], [[0.0]], SpectralMeasure(1, (
+            ray([1.0], atoms=[(0.3, 1.0)], segments=[(0.0, 2.0, 0.5, -1.5)],
+                grid_tail=GridTail(radii, radii ** -1.5 - 4.0 ** -1.5)),
+        )))
+        assert not from_triplet(tabulated).heavy_tailed
+
+    @pytest.mark.parametrize("beta", BETAS + (3.0,))
+    @pytest.mark.parametrize("kind", ["jbeta", "ubetaf"])
+    def test_the_rough_end_is_where_the_scale_reaches_zero(self, monkeypatch, cp_phi, kind, beta):
+        m = maps.IntegralMap(kind, beta)
+        end = 1.0 if kind == "ubetaf" and beta < 1.0 else 0.0
+        heavy = from_triplet(panel_laws(9002, 1)[0])
+        assert self.rough_ends(monkeypatch, m, heavy) == {end}
+        # a closed form is smooth at 0: only a non-integer power of the branch marks the end
+        power = beta if beta > 1.0 or (kind == "ubetaf" and beta == 1.0) else 1.0 / beta
+        expected = None if power.is_integer() else end
+        assert self.rough_ends(monkeypatch, m, cp_phi) == {expected}
+
+    @pytest.mark.parametrize("m", [maps.i_map(), maps.i_jbeta_map(1.3)], ids=lambda m: m.kind)
+    def test_walked_maps_keep_halving(self, monkeypatch, m):
+        assert self.rough_ends(monkeypatch, m, from_triplet(panel_laws(9002, 1)[0])) == {None}
+
+    @pytest.mark.parametrize("beta", BETAS)
+    @pytest.mark.parametrize("kind", ["jbeta", "ubetaf"])
+    def test_panel_laws_meet_the_triplet_route_in_fewer_leaf_calls(
+        self, monkeypatch, leaf_calls, kind, beta
+    ):
+        # the exponent route against the closed-form image, with the graded
+        # cut and with halving; ubetaf below beta 1 grades toward v = 1
+        m = maps.IntegralMap(kind, beta)
+        Y, tol = np.array([[0.0], [2.5], [5.0]]), 1e-9
+        laws = panel_laws(9002, 4)
+        refs = [maps.map_triplet(m, trip).exponent_grid(Y) for trip in laws]
+
+        def run():
+            start = leaf_calls.count
+            for trip, ref in zip(laws, refs):
+                got = maps.map_exponent_grid(m, from_triplet(trip), Y, tol)
+                assert np.max(np.abs(got - ref)) <= tol
+            return leaf_calls.count - start
+
+        graded = run()
+        monkeypatch.setattr(quadrature, "ROUGH_CUT", 0.5)
+        assert graded < run()

@@ -158,20 +158,32 @@ def powers(exps):
     return f, seen
 
 
-def test_easy_columns_do_not_ride_along_with_a_hard_one():
+@pytest.mark.parametrize("rough", [None, 0.0], ids=["halved", "graded"])
+def test_easy_columns_do_not_ride_along_with_a_hard_one(rough):
     # column 0 has an endpoint singularity and refines deep toward 0; the
-    # smooth columns beside it keep the values and pairs of their solo runs
+    # smooth columns beside it keep the values and pairs of their solo runs,
+    # also where the panels touching 0 are cut toward it
     exps = [-0.4, 1.0, 2.5, 7.0]
     f, seen = powers(exps)
-    vals, _ = quadrature.integrate(f, 0.0, 1.0, tol=1e-8, columns=len(exps))
+    vals, _ = quadrature.integrate(f, 0.0, 1.0, tol=1e-8, columns=len(exps), rough=rough)
     counts = np.bincount(np.concatenate(seen), minlength=len(exps))
     assert counts[0] > 10 * counts[1:].max()
     for j, p in enumerate(exps):
         g, solo_seen = powers([p])
-        solo, _ = quadrature.integrate(g, 0.0, 1.0, tol=1e-8)
+        solo, _ = quadrature.integrate(g, 0.0, 1.0, tol=1e-8, rough=rough)
         assert solo.tobytes() == vals[j : j + 1].tobytes()
         assert sum(c.size for c in solo_seen) == counts[j]
     assert np.max(np.abs(vals - 1.0 / (np.asarray(exps) + 1.0))) < 1e-8
+    if rough is not None:
+        # the graded cut reaches the singularity in fewer pairs than halving
+        g, halved = powers(exps[:1])
+        quadrature.integrate(g, 0.0, 1.0, tol=1e-8)
+        assert counts[0] < sum(c.size for c in halved)
+
+
+def test_rough_end_must_be_a_limit():
+    with pytest.raises(ValueError, match="rough end"):
+        quadrature.integrate(lambda pairs: pairs["x"], 0.0, 1.0, rough=0.5)
 
 
 @settings(max_examples=25, deadline=None)
@@ -489,11 +501,17 @@ class TestWeightAndScale:
             g = self.composed(self.f, self.weight, scale or (lambda x: x))
             assert self.outcome(*keyed) == self.outcome(*quadrature.integrate(g, 0.0, 1.0, **kw))
 
-    def test_adjacent_panels_too_narrow_to_bisect(self):
+    @pytest.mark.parametrize("end", [None, "a", "b"], ids=["halved", "rough-a", "rough-b"])
+    def test_adjacent_panels_too_narrow_to_bisect(self, end):
         # the panels on both sides of 1.0 share their midpoint; a steep
-        # integrand is over its share on both, which are kept unbisected
+        # integrand is over its share on both, which are kept uncut. A panel
+        # touching a rough end has its cut point round onto that end, and is
+        # kept too: it is never queued again
         a, b = np.nextafter(1.0, 0.0), np.nextafter(1.0, 2.0)
         assert 0.5 * (a + 1.0) == 0.5 * (1.0 + b) == 1.0
+        cut = quadrature.ROUGH_CUT
+        assert a + cut * (1.0 - a) == a and b - cut * (b - 1.0) == b
+        rough = {None: None, "a": a, "b": b}[end]
         calls = []
 
         def weight(x):
@@ -506,7 +524,7 @@ class TestWeightAndScale:
         def f(pairs):
             return np.exp(pairs["x"] * (1.0 + pairs["col"]))
 
-        kw = dict(tol=1e-300, splits=(1.0,), columns=2)
+        kw = dict(tol=1e-300, splits=(1.0,), columns=2, rough=rough)
         keyed = quadrature.integrate(f, a, b, weight=weight, scale=scale, **kw)
         assert calls == [(2, 21)]
         plain = quadrature.integrate(self.composed(f, weight, scale), a, b, **kw)

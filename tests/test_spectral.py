@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from fractions import Fraction
 from pathlib import Path
 
@@ -367,6 +368,32 @@ def jump_exponent(m, W):
 
 
 class TestExponentIntegrals:
+    # |w| at and below 8 / (largest double), where the series edge 8/|w| overflows
+    TINY_W = [5e-324, 1e-310, 1e-308, -1e-310]
+
+    def test_unbounded_rows_past_the_edge_float_range_meet_the_oracle(self):
+        # the p = -1.01 tail still reads about 5e-4 |w|**0.01 / 0.01 there
+        m = SpectralMeasure(1, (ray(1.0, segments=[(1.0, math.inf, 1.0, -1.01)]),))
+        ws = self.TINY_W + [1e-305]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = jump_exponent(m, np.array(ws)[:, None])
+        truth = np.array([power_segment_oracle(1.0, math.inf, 1.0, -1.01, w) for w in ws])
+        assert np.max(np.abs(got - truth) / np.abs(truth)) < 1e-14
+
+    def test_every_part_is_finite_past_the_edge_float_range(self):
+        # atoms, segments from 0 and a > 0, an unbounded tail and grid-tail cells
+        radii = np.geomspace(0.5, 4.0, 20)
+        m = SpectralMeasure(1, (
+            ray(1.0, atoms=[(2.0, 1.0)], segments=[(0.0, 0.8, 0.5, -2.2), (0.5, 3.0, 0.3, -1.4)],
+                grid_tail=GridTail(radii, radii ** -1.5 - 4.0 ** -1.5)),
+            ray(-1.0, segments=[(1.5, math.inf, 0.3, -2.6), (1.0, math.inf, 0.2, -1.3)]),
+        ))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = jump_exponent(m, np.array(self.TINY_W)[:, None])
+        assert np.all(np.isfinite(got)) and np.all(np.abs(got) < 1e-50)
+
     def test_segment_matches_high_precision_oracle(self):
         m = SpectralMeasure(1, (ray(1.0, segments=[(0.5, 3.0, 0.3, -1.4)]),))
         got = jump_exponent(m, np.array([[1.2]]))[0]
