@@ -237,7 +237,7 @@ def _cmd_simulate(args) -> int:
 
 
 DEFAULT_SUITE_CONFIG = {
-    "identities": list(IDENTITIES),
+    "identities": ["eq3", "eq15", "cor1a", "cor5", "prop2", "eq2-timechange", "area"],
     "laws": ["gaussian", "drift", "cp", "gauss_cp_mix"],
     "betas": [0.5, 1.0, 2.0, 3.0],
     "tol": 1e-8,

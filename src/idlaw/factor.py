@@ -88,9 +88,10 @@ def mu_from_rho(rho, beta: float):
 
 
 def _grid_check(
-    identity: str, phi: CharExponent, beta: float, grid: np.ndarray | None, tol: float
+    identity: str, phi, beta: float, grid: np.ndarray | None = None, tol: float = 1e-8
 ) -> FactorizationReport:
-    """Evaluate the two sides of a :data:`SIDES` identity on one grid."""
+    """Evaluate the two sides of a :data:`SIDES` identity on one grid, for the
+    grid checkers below: one per entry, by the names callers use."""
     lhs, rhs = SIDES[identity](phi, beta)
     qtol = _quadrature_tol(tol)
     if grid is None:
@@ -101,45 +102,23 @@ def _grid_check(
     )
 
 
-def verify_factorization(
-    phi_nu: CharExponent, beta: float, grid: np.ndarray | None = None, tol: float = 1e-8
-) -> FactorizationReport:
-    """Check that the beta-transform of nu equals its two-factor assembly."""
+def verify_factorization(phi_nu, beta, grid=None, tol=1e-8) -> FactorizationReport:
+    """eq3: the beta-transform of nu against its two-factor assembly."""
     return _grid_check("eq3", phi_nu, beta, grid, tol)
 
 
-def identity_e_check(
-    phi_rho: CharExponent, beta: float, grid: np.ndarray | None = None, tol: float = 1e-8
-) -> FactorizationReport:
-    """Check the rebracketing identity on transforms of a factor rho.
-
-    Left side: (2 beta)-transform of [beta-transform of rho, convolved
-    with rho]. Right side: beta-transform of the squared convolution
-    power of rho.
-    """
+def identity_e_check(phi_rho, beta, grid=None, tol=1e-8) -> FactorizationReport:
+    """eq15: the rebracketing identity on transforms of a factor rho."""
     return _grid_check("eq15", phi_rho, beta, grid, tol)
 
 
-def ubeta_f_membership(
-    phi_nu: CharExponent, beta: float, grid: np.ndarray | None = None, tol: float = 1e-8
-) -> FactorizationReport:
-    """Check that the square-root kernel map equals the two-step composition.
-
-    Left side: the (1 - sqrt(t))**(1/beta) kernel applied to nu. Right
-    side: the (2 beta)-transform of the beta-transform of nu.
-    """
+def ubeta_f_membership(phi_nu, beta, grid=None, tol=1e-8) -> FactorizationReport:
+    """cor1a: the square-root kernel map against the (2 beta)- after the beta-transform."""
     return _grid_check("cor1a", phi_nu, beta, grid, tol)
 
 
-def clock_composition_check(
-    phi_nu: CharExponent, beta: float, grid: np.ndarray | None = None, tol: float = 1e-8
-) -> FactorizationReport:
-    """Check the combined-kernel map against the explicit two-map composition.
-
-    Left side: single integral with kernel u**-1 - u**(beta-1), which is
-    also the law of integrating exp(-s) against the time-changed process.
-    Right side: the logarithmic map applied after the beta-transform.
-    """
+def clock_composition_check(phi_nu, beta, grid=None, tol=1e-8) -> FactorizationReport:
+    """prop2: the kernel u**-1 - u**(beta-1) against the log map after the beta-transform."""
     return _grid_check("prop2", phi_nu, beta, grid, tol)
 
 
@@ -369,14 +348,19 @@ def _cor5(G: SpectralMeasure, beta: float, o) -> FactorizationReport:
     return spectral_factor_check(G, beta, tol=o.cor5_tol)
 
 
-# the lambdas look the checks up when they run, so a replaced module
-# attribute (a tracer's wrapper, a test double) takes effect
+# each SIDES entry's checker, looked up when it runs, so that a replaced
+# module attribute (a tracer's wrapper, a test double) takes effect
+_GRID_CHECKERS = {"eq3": "verify_factorization", "eq15": "identity_e_check",
+                  "cor1a": "ubeta_f_membership", "prop2": "clock_composition_check"}
 IDENTITIES: dict[str, Identity] = {
-    "eq3": Identity("exponent", lambda phi, b, o: verify_factorization(phi, b, o.grid, o.tol)),
-    "eq15": Identity("exponent", lambda phi, b, o: identity_e_check(phi, b, o.grid, o.tol)),
-    "cor1a": Identity("exponent", lambda phi, b, o: ubeta_f_membership(phi, b, o.grid, o.tol)),
+    **{
+        token: Identity(
+            "exponent",
+            lambda phi, b, o, name=_GRID_CHECKERS[token]: globals()[name](phi, b, o.grid, o.tol),
+        )
+        for token in SIDES
+    },
     "cor5": Identity("jumps", _cor5),
-    "prop2": Identity("exponent", lambda phi, b, o: clock_composition_check(phi, b, o.grid, o.tol)),
     "eq2-timechange": Identity(
         "sim",
         lambda spec, beta, o: simulate.time_change_equivalence(

@@ -10,13 +10,14 @@ exponent scale:
   the composition of ``i`` after ``jbeta``, also realized by integrating
   against a deterministic time change with rate 1 - exp(-beta s).
 
-Every map also acts on generating triplets in closed form
-(:func:`map_triplet`). In u, each kernel is a short sum of power kernels
-kappa * u**(a-1) du, and each power kernel scales shift and covariance by
-kappa/(a+1) and kappa/(a+2) and maps atoms and segments of the jump
-measure exactly, a log form to one with a node more; a tabulated tail is
-its cells, p = 0 segments, and its end atom, and maps as they do. Any
-radial part transforms through its right tail,
+In u, each kernel is a short sum of power kernels kappa * u**(a-1) du
+(:data:`POWER_KERNELS`), and both routes read that one table. On exponents
+it picks each integral's variable, weight, scale and rough end
+(:func:`_substitution`). On generating triplets (:func:`map_triplet`) each
+power kernel scales shift and covariance by kappa/(a+1) and kappa/(a+2)
+and maps atoms and segments of the jump measure exactly, a log form to one
+with a node more, a tabulated tail as its cells, p = 0 segments, and its
+end atom. Any radial part transforms through its right tail,
 
     tail_out(u) = kappa * u**a * integral_u^inf tail(w) w**(-a-1) dw,
 
@@ -128,8 +129,9 @@ def map_exponent_grid(
 ) -> np.ndarray:
     """Evaluate the transformed exponent on a grid of shape (n, dim).
 
-    Folded like :meth:`CharExponent.eval_grid` (:func:`_folded`): of an
-    antisymmetric grid only the upper half is integrated.
+    The integral is the one :func:`_substitution` reads from the map's power
+    kernels, folded like :meth:`CharExponent.eval_grid` (:func:`_folded`):
+    of an antisymmetric grid only the upper half is integrated.
     """
     if tol is None:
         tol = quadrature.default_tol()
@@ -138,36 +140,52 @@ def map_exponent_grid(
         raise DimensionMismatchError(
             f"grid shape {Y.shape} does not match dim {phi.dim}"
         )
-    beta = m.beta
-    # a kernel of None is identically 1, and its product is skipped
-    if m.kind in ("i", "ijbeta"):
-        weight = None if m.kind == "i" else (lambda s: -np.expm1(beta * s))
+    weight, scale, rough = _substitution(POWER_KERNELS[m.kind](m.beta), phi.heavy_tailed)
+    if scale is np.exp:
         return _folded(lambda rows: _singular_grid(phi, rows, tol, weight), Y)
-    # the jbeta and ubetaf kernels are probability densities on (0, 1); for
-    # beta > 1 (beta >= 1 for ubetaf) they are substituted into forms with
-    # a bounded kernel. Each branch's scale reaches 0 at one end, and the
-    # quadrature grades its panels toward that end when the integrand is
-    # rough there: when the law has a power tail to r = inf, whose Phi
-    # behaves like |w|**(-p-1) at 0, or when the power the kernel or the
-    # scale raises the variable to (beta, or 1/beta in t and v) is not an
-    # integer
-    if m.kind == "jbeta" and beta > 1.0:
-        kern, scale = (lambda w: beta * w ** (beta - 1.0)), (lambda w: w)
-        power, end = beta, 0.0
-    elif m.kind == "jbeta":
-        kern, scale = None, (lambda t: t ** (1.0 / beta))
-        power, end = 1.0 / beta, 0.0
-    elif beta >= 1.0:
-        kern = lambda z: 2.0 * beta * z ** (beta - 1.0) * (1.0 - z ** beta)
-        scale = lambda z: z
-        power, end = beta, 0.0
-    else:
-        kern, scale = (lambda v: 2.0 * v), (lambda v: (1.0 - v) ** (1.0 / beta))
-        power, end = 1.0 / beta, 1.0
-    rough = end if phi.heavy_tailed or not power.is_integer() else None
     return _folded(
-        lambda rows: _kernel_integral(phi, rows, tol, 0.0, 1.0, kern, scale, rough=rough), Y
+        lambda rows: _kernel_integral(phi, rows, tol, 0.0, 1.0, weight, scale, rough=rough), Y
     )
+
+
+# Kernels whose lowest power a0 is below this walk in s = log u: on 41 points at
+# tol 1e-9 (cp, gaussian, panel laws 0-3) the walk took 7.5-11 ms a map at beta
+# 1e-8 to 0.5, x = u**beta 7.0-7.6 ms at 0.2-0.5, 10-11 at 0.1 and 13-18 below
+WALK_BELOW = 0.1
+
+
+def _substitution(kernel, heavy_tailed: bool):
+    """(weight, scale, rough) of a map's integral, from its power kernels.
+
+    ``kernel`` is one or two power kernels (kappa, a), the lowest a0 first
+    (:data:`POWER_KERNELS`); r = kappa_1/kappa_0 and d = a_1 - a0, both 0
+    for one. Below a0 = :data:`WALK_BELOW` the variable is s = log u,
+    walked by :func:`_singular_grid`, with the scale exp and the weight
+    kappa_0 exp(a0 s) ((1 + r) + r expm1(d s)), which loses no digits
+    where two terms cancel at s = 0. Otherwise it is x = u**q on (0, 1),
+    q = min(a0, 1), the scale x**(1/q) (None at q = 1) and the bounded
+    weight c0 x**e0 (1 + r x**(d/q)), c0 = kappa_0/q, e0 = a0/q - 1;
+    ``rough`` marks x = 0 when the law is heavy-tailed (Phi ~ |w|**(-p-1)
+    at 0) or an exponent of the weight or the scale is not an integer.
+    """
+    (k0, a0), *second = kernel
+    r, d = (second[0][0] / k0, second[0][1] - a0) if second else (0.0, 0.0)
+    if a0 < WALK_BELOW:
+        c0, e0, scale, rough = k0, a0, np.exp, False
+        lead, rest = (lambda s: np.exp(e0 * s)), (lambda s: (1.0 + r) + r * np.expm1(d * s))
+    else:
+        q = min(a0, 1.0)
+        c0, e0, d = k0 / q, a0 / q - 1.0, d / q
+        scale = None if q == 1.0 else (lambda x: x ** (1.0 / q))
+        rough = heavy_tailed or not all(float(e).is_integer() for e in (e0, d, 1.0 / q))
+        lead, rest = (lambda x: x ** e0), (lambda x: 1.0 + r * x ** d)
+
+    def weight(x):
+        # c0 lead(x) rest(x), skipping factors identically 1; None if all are
+        w = c0 * lead(x) if e0 or not r else c0
+        return w * rest(x) if r else w
+
+    return None if (c0, e0, r) == (1.0, 0.0, 0.0) else weight, scale, rough
 
 
 # Share of a map's tolerance granted to the inner exponent; the outer
@@ -175,16 +193,16 @@ def map_exponent_grid(
 _INNER_SHARE = 0.25
 
 
-def _kernel_integral(phi, Y, tol, a, b, kern, scale, mass=1.0, splits=(), rough=None):
+def _kernel_integral(phi, Y, tol, a, b, kern, scale, mass=1.0, splits=(), rough=False):
     """Integral over (a, b) of kern(x) * Phi(scale(x) Y) dx on the grid Y.
 
     Each grid point is one column of the quadrature and refines on its
     own. Inner errors reach the value weighted by the kernel's mass on
     (a, b), so the inner exponent gets its share of ``tol`` divided by
     that mass. The quadrature applies the kernel, as its weight, and the
-    scale, once per depth, and grades its panels toward the limit
-    ``rough`` when one is given (:func:`quadrature.integrate`); a kernel
-    of None is identically 1.
+    scale, once per depth, and grades its panels toward the lower limit
+    when ``rough`` is set (:func:`quadrature.integrate`); a kernel of None
+    is identically 1.
     """
     inner_tol = _INNER_SHARE * tol / mass
 
@@ -216,18 +234,19 @@ _WALK_MOST = (len(_WALK_CUTS) + 1) * 21
 
 
 def _singular_grid(phi, Y, tol, weight):
-    """Maps with an integrable 1/u-type kernel singularity at u = 0.
+    """Maps whose kernel's lowest power a0 is below :data:`WALK_BELOW`.
 
-    Integrates in s = log u, where kern(u) du becomes weight(s) ds with
-    0 <= weight <= 1, and the behaviour u**a of the exponent near u = 0
-    becomes exp(a s), which a few smooth panels resolve. The lower limit
-    walks down in fixed steps, probing the integrand at each new limit.
-    The geometric remainder below the limit is extrapolated from the last
-    two probes; the walk stops once it is within a quarter of ``tol``, and
-    it is added to the value. Probes that stop shrinking while the
-    remainder does not shrink either are reported as a missing log
-    moment, and a limit past the double range raises QuadratureError. The
-    kernel's mass in s is the range length.
+    Integrates in s = log u, where kern(u) du becomes weight(s) ds
+    (:func:`_substitution`) and the behaviour u**a of the exponent near
+    u = 0 becomes exp(a s), which a few smooth panels resolve. Every walked
+    kernel of :data:`POWER_KERNELS` has 0 <= weight(s) <= 1 for s <= 0, so
+    its mass in s is at most the range length, and a probe bounds the
+    integrand below its limit. The lower limit walks down in fixed steps,
+    probing the integrand at each new limit; the geometric remainder below
+    it, extrapolated from the last two probes, is added to the value once
+    it is within a quarter of ``tol``. Probes that stop shrinking while the
+    remainder does not shrink either are reported as a missing log moment,
+    and a limit past the double range raises QuadratureError.
 
     The probes are evaluated in stacked batches, one ``eval_grid`` call
     each, and the rules above are replayed over them in order, so the

@@ -18,11 +18,11 @@ A depth is a list of panels and a list of units, each a panel index and
 a column. The first depth holds every (panel, column) pair, panel by
 panel; each later one holds the left pieces of the rejected units' panels,
 in their order, then the right pieces. A rejected panel is cut at its
-midpoint, except one that touches a limit marked as the integrand's rough
-end, which is cut at :data:`ROUGH_CUT` of its width from that end: toward
-an algebraic singularity at the end, one depth then moves the panel next
-to it 8 times closer, not 2 (a geometric mesh, as in hp-refinement; Schwab,
-*p- and hp-Finite Element Methods*, 1998). What depends on a panel alone is
+midpoint, except one that starts at a lower limit marked as the
+integrand's rough end, which is cut at :data:`ROUGH_CUT` of its width from
+that end: toward an algebraic singularity at the end, one depth then moves
+the panel next to it 8 times closer, not 2 (a geometric mesh, as in
+hp-refinement; Schwab, *p- and hp-Finite Element Methods*, 1998). What depends on a panel alone is
 computed once per depth on its panels' abscissas, whatever the chunks:
 the abscissas themselves and, for an integral of w(x) f(s(x)) dx such as
 a map's, the weight w and the substitution s (:func:`integrate`). What
@@ -126,7 +126,7 @@ def integrate(
     columns: int = 1,
     weight: Callable | None = None,
     scale: Callable | None = None,
-    rough: float | None = None,
+    rough: bool = False,
 ) -> tuple[np.ndarray, float]:
     """Integrate each of ``columns`` integrands over [a, b] with adaptive G10K21.
 
@@ -164,11 +164,9 @@ def integrate(
         holds. ``f`` receives s(x) in ``x``, and its values are multiplied
         by w(x) before the rules are applied, so the estimates and the
         rounding-level test read w(x) f(s(x)).
-    rough : float, optional
-        The limit, ``a`` or ``b``, where the integrand is rough: a rejected
-        unit whose panel touches it has the panel cut at :data:`ROUGH_CUT`
-        of its width from it, not halved. None halves every panel. The cut
-        depends on the panel alone, so columns stay independent.
+    rough : bool
+        Whether the integrand is rough at ``a``: a rejected unit whose panel
+        starts there has it cut at :data:`ROUGH_CUT` of its width from ``a``.
 
     Returns
     -------
@@ -180,11 +178,10 @@ def integrate(
         nor on how a depth is chunked, as long as each pair's integrand
         value does not depend on the batch it rides in. Every leaf keeps
         that: closed forms, and triplets with any mix of atoms, power
-        segments, log forms and grid-tail cells; so do the ``jbeta`` and
-        ``ubetaf`` maps over them. The walked maps (``i``, ``ijbeta``) do
-        not: their walk stops on the largest row of a batch, so one nested
-        inside another map's integrand may move with the chunking, within
-        the tolerance.
+        segments, log forms and grid-tail cells; so do the maps integrated
+        on (0, 1) over them. The walked maps (``maps.WALK_BELOW``) do not:
+        their walk stops on the largest row of a batch, so one nested in
+        another map's integrand may move with the chunking, within tol.
 
     Raises
     ------
@@ -203,8 +200,6 @@ def integrate(
         raise ValueError(f"limits must be finite, got [{a}, {b}]")
     if b < a:
         raise ValueError(f"reversed limits: [{a}, {b}]")
-    if rough is not None and rough not in (a, b):
-        raise ValueError(f"the rough end {rough} is not a limit of [{a}, {b}]")
 
     points = [a]
     for s in sorted(float(s) for s in splits):
@@ -239,11 +234,7 @@ def integrate(
         if scale is not None:
             nodes = scale(nodes)
         # where each panel is cut if one of its units is rejected
-        cut = mid
-        if rough == a:
-            cut = np.where(left == a, left + ROUGH_CUT * span, mid)
-        elif rough == b:
-            cut = np.where(right == b, right - ROUGH_CUT * span, mid)
+        cut = np.where(left == a, left + ROUGH_CUT * span, mid) if rough else mid
         bounds = (left, cut, right)
         span, half = span[panel], half[panel]
         width = np.bincount(col, weights=span, minlength=columns)

@@ -55,6 +55,10 @@ SERIES_EDGE = 8.0
 # series terms run over k = 1..SERIES_TERMS; up to a = 8.2 no term past
 # k = 48 is kept (see _KEEP)
 SERIES_TERMS = 48
+# below this |w| an unbounded piece takes its small-|w| form: against 60 digits
+# the direct path (scale (8/|w|)**(p+1)) read p = -1.99 and -2.99 tails 1e-7
+# and 4e-4 off at 1e-160, and p -1.0001 to -2.9999 within 4e-14 from 1e-153 up
+SMALL_W = 1e-150
 # a signed sum of segment densities may dip this far below zero, relative
 # to the sum of its terms' magnitudes: rounding in terms that cancel
 # exactly at a point, such as the two terms of a segment image at hi
@@ -1113,8 +1117,7 @@ class _Pieces:
         where |w| b > 8, and take it element by element, piece-major
         (:meth:`_tails`). Both parts run at |w|, and w < 0 takes the
         conjugate, since F is real on the real axis; w = 0 gives exactly 0.
-        Below |w| = SERIES_EDGE / (largest double) the edge is past the
-        float range, and the unbounded pieces take their small-|w| form
+        Below |w| = SMALL_W the unbounded pieces take their small-|w| form
         (:meth:`_small_w`). Pieces add per row by a fold in the order of
         ``fold``.
         """
@@ -1125,9 +1128,9 @@ class _Pieces:
         # no edge at w = 0, which falls in neither part
         with np.errstate(over="ignore"):
             edge = SERIES_EDGE / np.where(moving, W, np.nan)
-        # an unbounded piece's element whose edge is past the float range
-        # takes the small-|w| form; until then it runs at |w| = 1 in its place
-        tiny = (edge[nu:n1] == math.inf).nonzero()
+        # an unbounded piece's element below SMALL_W takes the small-|w|
+        # form; until then it runs at |w| = 1 in its place
+        tiny = (edge[nu:n1] > SERIES_EDGE / SMALL_W).nonzero()
         if tiny[0].size:
             k, col = nu + tiny[0], tiny[1]
             small = W[k, col]
@@ -1216,27 +1219,29 @@ class _Pieces:
         return out
 
     def _small_w(self, k: np.ndarray, W: np.ndarray) -> np.ndarray:
-        """The integral over (a, inf) for elements of unbounded pieces k whose edge
-        SERIES_EDGE / W is past the float range.
+        """The integral over (a, inf) for elements of unbounded pieces k at W < SMALL_W.
 
         It is the series part over (a, top) and the tail from top, top the
         edge, as at any other W (:meth:`_block`), taken in L = log(top): the
         series at z = SERIES_EDGE times its scale top**(p+1) has the terms
-        z**j coef_j (exp(q_j log(a) - j L) - exp((p+1) L)), or
-        z**j coef_j (log(a) - L) exp((p+1) L) where q_j is 0, and the tail
+        coef_j (exp(q_j log(a) + j log(W)) - z**j exp((p+1) L)), or
+        coef_j (log(a) - L) z**j exp((p+1) L) where q_j is 0, and the tail
         T(top) - P_0 is exp((p+1) L) (i exp(i z) lag / z + 1/(p+1)), with
         lag the Laguerre sum at the edge.
         """
-        L = math.log(SERIES_EDGE) - np.log(W)
+        log_w = np.log(W)
+        L = math.log(SERIES_EDGE) - log_w
         scale = np.exp(self.p1[k] * L)
         log_a = np.log(self.a[k])
         rows = (3 + int(_KEEP.searchsorted(SERIES_EDGE, "right"))) & ~1
-        ratio = np.exp(self.q[:rows, k] * log_a - _TERM_K[:rows] * L) - scale
+        # the lower end in one exp, rounding once below the normal range
+        edge = SERIES_EDGE ** _TERM_K[:rows] * scale
+        ratio = np.exp(self.q[:rows, k] * log_a + _TERM_K[:rows] * log_w) - edge
         for i, row in self.zero_rows:
             at = k == i
             if row < rows and np.count_nonzero(at):
-                ratio[row, at] = (log_a[at] - L[at]) * scale[at]
-        terms = SERIES_EDGE ** _TERM_K[:rows] * self.coef[:rows, k] * ratio
+                ratio[row, at] = (log_a[at] - L[at]) * edge[row, at]
+        terms = self.coef[:rows, k] * ratio
         terms *= _TERM_KEEP[:rows] <= SERIES_EDGE
         tail = _EDGE_TURN[0] * self.edge_lag[k] / SERIES_EDGE + 1.0 / self.p1[k]
         # odd terms are imaginary, even ones real

@@ -474,11 +474,11 @@ IDENTITY_DIGESTS = {
     "eq15/mix/beta=1": "05b7ee3a384ebc8ee0e2faf2fd02210167539fd7ecbb0668acdb93ce73feb3f2",
     "eq15/mix/beta=2": "86f9ea288920d4c5395505df0c0499ad3715e0227e1a5c3ec4d84146499279f5",
     "eq15/mix/beta=3": "cbf748559a88e117a31db5ca9fd93e0fb0d1753c53bc411dcb7f085a74e2c724",
-    "cor1a/cp/beta=0.5": "3e6b18c94b2f9df38cf02bf9dc0b591e9e091d4156d2e752b7103bbdd1f8a41a",
+    "cor1a/cp/beta=0.5": "e5c65c22f7f0c976cb1b69c059fb54816cb9ed349bda560986a413781326b37a",
     "cor1a/cp/beta=1": "ee98c63ef6d60f758f38db024dd975379cd215b34c57eb4e6381fd34f394efb8",
     "cor1a/cp/beta=2": "f15f1777ed0a13c29e2455998c7c834368ac92aae3313211ba6f6f87211badd3",
     "cor1a/cp/beta=3": "b7ff6b51d470efbfc62b869bf739e6558f0b62c0a380d4a55224cf25943d6fd4",
-    "cor1a/mix/beta=0.5": "101f9f191644d3dddeeefaa4ed9264311360e4d215dd124d388badd9610596a3",
+    "cor1a/mix/beta=0.5": "fb2184df5194baeeb3ca789597c34e47e36b59d0311e64385bab30f1642f6bab",
     "cor1a/mix/beta=1": "d54c62def3c393bb7413e93f21cbea3ad412647d75b2f30f0b60155384576e5e",
     "cor1a/mix/beta=2": "c1842b4cd186b591c8f4f14fef6c4cd77eba0cb7942e5a4e742ade23096ee6df",
     "cor1a/mix/beta=3": "ab0d8d4fa3e19ab074a6ac1e11b9f13107feb62c1513b04fabe46f784ebe3aa4",

@@ -809,7 +809,7 @@ class TestPanelLawImage:
 
 
 class TestRoughEnd:
-    """The jbeta and ubetaf quadratures grade their panels toward the end
+    """The jbeta and ubetaf quadratures grade their panels toward x = 0,
     where the map's scale reaches 0, on heavy-tailed laws and at
     non-integer powers."""
 
@@ -817,11 +817,11 @@ class TestRoughEnd:
 
     @staticmethod
     def rough_ends(monkeypatch, m, phi):
-        """The rough ends the map hands the quadrature."""
+        """The rough flags the map hands the quadrature."""
         ends = []
         integrate = quadrature.integrate
 
-        def recorded(*args, rough=None, **kwargs):
+        def recorded(*args, rough=False, **kwargs):
             ends.append(rough)
             return integrate(*args, rough=rough, **kwargs)
 
@@ -844,18 +844,17 @@ class TestRoughEnd:
     @pytest.mark.parametrize("beta", BETAS + (3.0,))
     @pytest.mark.parametrize("kind", ["jbeta", "ubetaf"])
     def test_the_rough_end_is_where_the_scale_reaches_zero(self, monkeypatch, cp_phi, kind, beta):
+        # every map is integrated in x = u**min(beta, 1), whose scale reaches 0 at x = 0
         m = maps.IntegralMap(kind, beta)
-        end = 1.0 if kind == "ubetaf" and beta < 1.0 else 0.0
         heavy = from_triplet(panel_laws(9002, 1)[0])
-        assert self.rough_ends(monkeypatch, m, heavy) == {end}
-        # a closed form is smooth at 0: only a non-integer power of the branch marks the end
-        power = beta if beta > 1.0 or (kind == "ubetaf" and beta == 1.0) else 1.0 / beta
-        expected = None if power.is_integer() else end
-        assert self.rough_ends(monkeypatch, m, cp_phi) == {expected}
+        assert self.rough_ends(monkeypatch, m, heavy) == {True}
+        # a closed form is smooth at 0: only a non-integer power of x marks the end
+        power = beta if beta > 1.0 else 1.0 / beta
+        assert self.rough_ends(monkeypatch, m, cp_phi) == {not power.is_integer()}
 
     @pytest.mark.parametrize("m", [maps.i_map(), maps.i_jbeta_map(1.3)], ids=lambda m: m.kind)
     def test_walked_maps_keep_halving(self, monkeypatch, m):
-        assert self.rough_ends(monkeypatch, m, from_triplet(panel_laws(9002, 1)[0])) == {None}
+        assert self.rough_ends(monkeypatch, m, from_triplet(panel_laws(9002, 1)[0])) == {False}
 
     @pytest.mark.parametrize("beta", BETAS)
     @pytest.mark.parametrize("kind", ["jbeta", "ubetaf"])
@@ -863,7 +862,7 @@ class TestRoughEnd:
         self, monkeypatch, leaf_calls, kind, beta
     ):
         # the exponent route against the closed-form image, with the graded
-        # cut and with halving; ubetaf below beta 1 grades toward v = 1
+        # cut and with halving
         m = maps.IntegralMap(kind, beta)
         Y, tol = np.array([[0.0], [2.5], [5.0]]), 1e-9
         laws = panel_laws(9002, 4)
@@ -879,3 +878,88 @@ class TestRoughEnd:
         graded = run()
         monkeypatch.setattr(quadrature, "ROUGH_CUT", 0.5)
         assert graded < run()
+
+
+def small_beta_laws() -> dict[str, LevyTriplet]:
+    """The cp and gaussian builtins and panel laws 0-3, as triplets."""
+    laws = {name: lawio.builtin_law(name).triplet for name in ("cp", "gaussian")}
+    laws.update({f"panel{k}": trip for k, trip in enumerate(panel_laws(9002, 4))})
+    return laws
+
+
+class TestOneKernelTable:
+    """Both routes read POWER_KERNELS: the exponent route's variable, weight,
+    scale and rough end come from it (maps._substitution)."""
+
+    @pytest.mark.parametrize("beta", [0.05, 0.3, 0.5, 1.0, 1.3, 2.0, 3.0])
+    @pytest.mark.parametrize("kind", list(maps.POWER_KERNELS))
+    def test_the_weight_is_the_kernel_in_its_variable(self, kind, beta):
+        # weight(x) dx = sum kappa u**(a-1) du, with u = scale(x)
+        kernel = maps.POWER_KERNELS[kind](None if kind == "i" else beta)
+        weight, scale, _ = maps._substitution(kernel, False)
+        if scale is np.exp:
+            x = np.linspace(maps._WALK_FLOOR, 0.0, 101)[1:-1]
+            u = np.exp(x)
+            du = u
+        else:
+            x = np.linspace(0.0, 1.0, 101)[1:-1]
+            u = x if scale is None else scale(x)
+            # u = x**c, so du/dx = c u / x with c = log(u) / log(x)
+            du = np.log(u) / np.log(x) * u / x
+        density = sum(kappa * u ** (a - 1.0) for kappa, a in kernel) * du
+        got = np.ones_like(x) if weight is None else weight(x)
+        np.testing.assert_allclose(got, density, rtol=1e-12, atol=1e-300)
+
+    @pytest.mark.parametrize("beta", [1e-8, 1e-4, 1e-2, 0.05, 0.099, 0.5, 1.0, 3.0])
+    @pytest.mark.parametrize("kind", list(maps.POWER_KERNELS))
+    def test_walked_weights_stay_in_the_unit_interval(self, kind, beta):
+        # the walk bounds the kernel's mass in s by the range length
+        kernel = maps.POWER_KERNELS[kind](None if kind == "i" else beta)
+        weight, scale, rough = maps._substitution(kernel, True)
+        assert (scale is np.exp) == (kernel[0][1] < maps.WALK_BELOW)
+        if scale is np.exp:
+            assert rough is False
+            if weight is not None:
+                w = weight(np.linspace(maps._WALK_FLOOR, 0.0, 2001))
+                assert np.all((0.0 <= w) & (w <= 1.0))
+
+    def test_benchmark_betas_keep_their_route(self):
+        # every jbeta and ubetaf map at beta >= 0.5 is integrated in x, not walked
+        assert maps.WALK_BELOW <= 0.5
+
+    @pytest.mark.parametrize("beta", [0.05, 0.7, 1.3])
+    def test_both_routes_read_a_patched_kernel(self, monkeypatch, beta):
+        # a nearby ubetaf kernel, 2b u**(b-1) - 2b u**(2b-0.9): both routes follow it
+        m, Y, tol = maps.ubetaf_map(beta), np.array([[0.0], [1.0], [2.5], [-4.0]]), 1e-9
+        laws = [small_beta_laws()[name] for name in ("cp", "panel0")]
+        before = [maps.map_triplet(m, trip).exponent_grid(Y) for trip in laws]
+        monkeypatch.setitem(
+            maps.POWER_KERNELS, "ubetaf", lambda b: ((2.0 * b, b), (-2.0 * b, 2.0 * b + 0.1))
+        )
+        for trip, old in zip(laws, before):
+            ref = maps.map_triplet(m, trip).exponent_grid(Y)
+            assert np.max(np.abs(ref - old)) > 1e3 * tol
+            got = maps.map_exponent_grid(m, from_triplet(trip), Y, tol)
+            assert np.max(np.abs(got - ref)) <= tol
+
+
+class TestSmallBeta:
+    """jbeta and ubetaf at beta -> 0 walk in s = log u, where their mass sits
+    near u = 0 (ROADMAP item 1)."""
+
+    @pytest.mark.parametrize("beta", [1e-2, 1e-3, 1e-4, 1e-6, 1e-8])
+    @pytest.mark.parametrize("kind", ["jbeta", "ubetaf"])
+    def test_the_routes_agree(self, kind, beta):
+        m, Y, tol = maps.IntegralMap(kind, beta), factor.default_grid(1), 1e-9
+        for name, trip in small_beta_laws().items():
+            ref = maps.map_triplet(m, trip).exponent_grid(Y)
+            got = maps.map_exponent_grid(m, from_triplet(trip), Y, tol)
+            assert np.max(np.abs(got - ref)) <= tol, name
+
+    @pytest.mark.parametrize("beta", [1e-3, 1e-4])
+    @pytest.mark.parametrize("identity", list(factor.SIDES))
+    def test_grid_identities_pass(self, identity, beta):
+        laws = small_beta_laws()
+        for name in ("cp", "gaussian", "panel0"):
+            rep = factor._grid_check(identity, from_triplet(laws[name]), beta)
+            assert rep.passed, (name, rep.summary())

@@ -158,7 +158,7 @@ def powers(exps):
     return f, seen
 
 
-@pytest.mark.parametrize("rough", [None, 0.0], ids=["halved", "graded"])
+@pytest.mark.parametrize("rough", [False, True], ids=["halved", "graded"])
 def test_easy_columns_do_not_ride_along_with_a_hard_one(rough):
     # column 0 has an endpoint singularity and refines deep toward 0; the
     # smooth columns beside it keep the values and pairs of their solo runs,
@@ -174,16 +174,11 @@ def test_easy_columns_do_not_ride_along_with_a_hard_one(rough):
         assert solo.tobytes() == vals[j : j + 1].tobytes()
         assert sum(c.size for c in solo_seen) == counts[j]
     assert np.max(np.abs(vals - 1.0 / (np.asarray(exps) + 1.0))) < 1e-8
-    if rough is not None:
+    if rough:
         # the graded cut reaches the singularity in fewer pairs than halving
         g, halved = powers(exps[:1])
         quadrature.integrate(g, 0.0, 1.0, tol=1e-8)
         assert counts[0] < sum(c.size for c in halved)
-
-
-def test_rough_end_must_be_a_limit():
-    with pytest.raises(ValueError, match="rough end"):
-        quadrature.integrate(lambda pairs: pairs["x"], 0.0, 1.0, rough=0.5)
 
 
 @settings(max_examples=25, deadline=None)
@@ -394,8 +389,8 @@ class TestChunkedDepths:
 
 
 def test_units_on_one_panel_share_its_kernel_and_scale(monkeypatch):
-    # a jbeta map at beta 2 (kernel 2 w, scale w) over 441 columns that
-    # refines no further than its one first panel
+    # a jbeta map at beta 2 (kernel 2 u, and u itself the variable: no
+    # scale) over 441 columns that refines no further than its one first panel
     cp = closed_form("compound_poisson", rate=2.0, jumps=[2.0, -1.25, 0.75])
     m, Y = maps.jbeta_map(2.0), np.linspace(0.01, 5.0, 441)[:, None]
     sizes = []
@@ -407,14 +402,14 @@ def test_units_on_one_panel_share_its_kernel_and_scale(monkeypatch):
                 sizes.append(np.size(x))
                 return fn(x)
 
-            return g
+            return None if fn is None else g
 
         return kernel_integral(phi, Y, tol, a, b, count(kern), count(scale), *args, **kwargs)
 
     monkeypatch.setattr(maps, "_kernel_integral", counted)
     maps.map_exponent_grid(m, cp, Y, 1e-9)
-    # the kernel and the scale each on the panel's 21 abscissas, not 9,261
-    assert sizes == [21, 21]
+    # the kernel on the panel's 21 abscissas, not 9,261
+    assert sizes == [21]
     monkeypatch.setattr(maps, "_kernel_integral", kernel_integral)
     singles = [maps.map_exponent_grid(m, cp, Y[j : j + 1], 1e-9).tobytes() for j in range(441)]
     for chunk in (quadrature.CHUNK_PAIRS, 21):
@@ -501,17 +496,15 @@ class TestWeightAndScale:
             g = self.composed(self.f, self.weight, scale or (lambda x: x))
             assert self.outcome(*keyed) == self.outcome(*quadrature.integrate(g, 0.0, 1.0, **kw))
 
-    @pytest.mark.parametrize("end", [None, "a", "b"], ids=["halved", "rough-a", "rough-b"])
-    def test_adjacent_panels_too_narrow_to_bisect(self, end):
+    @pytest.mark.parametrize("rough", [False, True], ids=["halved", "rough-a"])
+    def test_adjacent_panels_too_narrow_to_bisect(self, rough):
         # the panels on both sides of 1.0 share their midpoint; a steep
         # integrand is over its share on both, which are kept uncut. A panel
-        # touching a rough end has its cut point round onto that end, and is
-        # kept too: it is never queued again
+        # starting at a rough lower limit has its cut point round onto that
+        # limit, and is kept too: it is never queued again
         a, b = np.nextafter(1.0, 0.0), np.nextafter(1.0, 2.0)
         assert 0.5 * (a + 1.0) == 0.5 * (1.0 + b) == 1.0
-        cut = quadrature.ROUGH_CUT
-        assert a + cut * (1.0 - a) == a and b - cut * (b - 1.0) == b
-        rough = {None: None, "a": a, "b": b}[end]
+        assert a + quadrature.ROUGH_CUT * (1.0 - a) == a
         calls = []
 
         def weight(x):

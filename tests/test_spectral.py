@@ -381,6 +381,31 @@ class TestExponentIntegrals:
         truth = np.array([power_segment_oracle(1.0, math.inf, 1.0, -1.01, w) for w in ws])
         assert np.max(np.abs(got - truth) / np.abs(truth)) < 1e-14
 
+    @staticmethod
+    def tail_near_zero(p, w):
+        """60-digit value of the integral of r**p (exp(i w r) - 1) over (1, inf), w > 0:
+        Gamma(p+1) (-i w)**(-p-1) less the series part over (0, 1), sum over
+        k >= 1 of (i w)**k / (k! (p+k+1)), for non-integer p in (-3, -1)."""
+        with mp.workdps(60):
+            p, iw = mp.mpf(p), mp.mpc(0, w)
+            val = mp.gamma(p + 1) * (-iw) ** (-p - 1)
+            val -= mp.nsum(lambda k: iw ** k / (mp.factorial(k) * (p + k + 1)), [1, mp.inf])
+            return complex(val)
+
+    @pytest.mark.parametrize("p", [-1.01, -1.3, -1.6, -2.4, -2.7])
+    def test_unbounded_rows_near_zero_meet_the_asymptotic_oracle(self, p):
+        # rows below spectral.SMALL_W take the small-|w| form; the direct path
+        # read these tails up to 100% off there. A value below the normal
+        # range holds no more than its spacing, 5e-324
+        ws = [5e-324, 1e-305, 1e-300, 1e-250, 1e-200, 1e-100]
+        m = SpectralMeasure(1, (ray(1.0, segments=[(1.0, math.inf, 1.0, p)]),))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = jump_exponent(m, np.array(ws)[:, None])
+        for g, w in zip(got, ws):
+            truth = self.tail_near_zero(p, w)
+            assert abs(g - truth) <= 1e-13 * abs(truth) + 5e-324, w
+
     def test_every_part_is_finite_past_the_edge_float_range(self):
         # atoms, segments from 0 and a > 0, an unbounded tail and grid-tail cells
         radii = np.geomspace(0.5, 4.0, 20)
