@@ -21,8 +21,9 @@ end atom. Any radial part transforms through its right tail,
 
     tail_out(u) = kappa * u**a * integral_u^inf tail(w) w**(-a-1) dw,
 
-which this module evaluates in closed form piece by piece, from the
-closed-form segment moments of :mod:`idlaw.spectral`; no quadrature runs
+which for ``jbeta`` is tail(u) - u**beta M(u), M the moment of r**-beta
+above u (:func:`transformed_tail`); every moment is in closed form
+(:meth:`idlaw.spectral.RadialMeasure.moment`), so no quadrature runs
 below the exponent-level maps.
 """
 
@@ -48,7 +49,6 @@ from .spectral import (
     Segment,
     SpectralMeasure,
     _expm1_ratio,
-    _log_moment,
     _log_ratio,
     _moment,
     segments_by_range,
@@ -349,55 +349,19 @@ def jbeta_inverse(phi_mu: CharExponent, beta: float) -> CharExponent:
 # -- closed-form transformed tails --------------------------------------------
 
 
-def _mass_above(kappa: float, a: float, x) -> np.ndarray:
-    """kappa times the integral of t**(a-1) over (x, 1), zero for x >= 1.
+def transformed_tail(radial: RadialMeasure, beta: float, us) -> np.ndarray:
+    """Right tail of the jbeta image of a radial measure, evaluated exactly.
 
-    The share of a unit mass at radius r that one power kernel carries
-    above u = x r: kappa (1 - x**a)/a, or -kappa log(x) at a = 0.
+    By Fubini beta u**beta times the integral of tail(w) w**(-beta-1) over
+    (u, inf) is T(u) - u**beta M(u), T the measure of (u, inf) and M its
+    moment of r**-beta: one :meth:`RadialMeasure.moment` call.
     """
-    x = np.minimum(x, 1.0)
-    return -kappa * np.log(x) if a == 0.0 else kappa / a * (1.0 - x ** a)
-
-
-def _kernel_tail(radial: RadialMeasure, kappa: float, a: float, us) -> np.ndarray:
-    """Right tail of the image of a radial measure under one power kernel.
-
-    tail_out(u) = kappa * u**a * integral_u^inf tail(w) w**(-a-1) dw.
-    Atoms contribute m times :func:`_mass_above` at u/r, a grid tail's end
-    atom among them (:attr:`RadialMeasure.parts`). For a segment, swapping the
-    order of integration turns the integral into (u**-a M_0 - M_(-a))/a,
-    with M_k the integral of r**k against it over (L, hi), L = max(u, lo);
-    at a = 0 it is W + log(L/u) M_0, with W the integral of log(r/L).
-    Power segments and log forms alike take these moments in closed form
-    (:func:`_moment`, :func:`_log_moment`).
-    """
+    positive_finite(beta)
     us = np.atleast_1d(np.asarray(us, dtype=float))
     if np.any(us <= 0.0):
         raise ValueError("tail queries must be at positive radii")
-    out = np.zeros_like(us)
-    atoms, segments = radial.parts
-    for at in atoms:
-        out += at.m * _mass_above(kappa, a, us / at.r)
-    integ = np.zeros_like(us)
-    for sg in segments:
-        inside = us < sg.hi
-        u = us[inside]
-        L = np.maximum(u, sg.lo)
-        if a == 0.0:
-            mass = _moment(sg, L, sg.hi, 0.0)
-            integ[inside] += sg.c * (_log_moment(sg, L, sg.hi) + np.log(L / u) * mass)
-        else:
-            mass, m_a = _moment(sg, L, sg.hi, np.array([[0.0], [-a]]))
-            integ[inside] += (sg.c / a) * (u ** -a * mass - m_a)
-    out += kappa * us ** a * integ
-    return out
-
-
-def transformed_tail(radial: RadialMeasure, beta: float, us) -> np.ndarray:
-    """Right tail of the jbeta image of a radial measure, evaluated exactly:
-    :func:`_kernel_tail` at kappa = a = beta."""
-    positive_finite(beta)
-    return _kernel_tail(radial, beta, beta, us)
+    tail, above = radial.moment(np.array([[0.0], [-beta]]), us)
+    return tail - us ** beta * above
 
 
 # -- triplet-level transform ---------------------------------------------------
@@ -435,7 +399,11 @@ def _segment_image_terms(sg: Segment, kappa: float, a: float) -> tuple[list, Seg
             terms.append(Segment(lo, hi, cb / -e, p))
         else:
             if lo > 0.0:
-                coef = cb * lo ** e * float(_expm1_ratio(e, _log_ratio(hi, lo)))
+                # cb (hi**e - lo**e)/e; past e S = 700, where expm1 overflows, lo**e
+                # is below 1e-304 of hi**e (as in :func:`idlaw.spectral._ints_from`)
+                S = _log_ratio(hi, lo)
+                far = e * S > 700.0
+                coef = cb * hi ** e / e if far else cb * lo ** e * float(_expm1_ratio(e, S))
                 terms.append(Segment(0.0, lo, coef, a - 1.0))
             if abs(e) < LOG_FORM_BAND:
                 log_form = Segment(lo, hi, cb, p, e)
@@ -502,14 +470,13 @@ def map_triplet(m: IntegralMap, trip: LevyTriplet) -> LevyTriplet:
     """
     trip.require_valid()
     kernel = POWER_KERNELS[m.kind](m.beta)
-    shifts, covs = [], []
-    for kappa, a in kernel:
-        correction = np.zeros(trip.dim)
-        for ray_ in trip.levy.rays:
-            w = ray_.radial.power_moment_above1(-a)
-            correction = correction + w * ray_.direction
-        shifts.append((kappa / (a + 1.0)) * (trip.shift + correction))
-        covs.append((kappa / (a + 2.0)) * trip.cov)
+    # one row per power kernel: the mean of x/|x| |x|**-a beyond the unit ball
+    ks = np.array([-a for _, a in kernel])
+    correction = np.zeros((len(kernel), trip.dim))
+    for ray_ in trip.levy.rays:
+        correction = correction + ray_.radial.moment(ks, 1.0)[:, None] * ray_.direction
+    shifts = [(kappa / (a + 1.0)) * (trip.shift + c) for (kappa, a), c in zip(kernel, correction)]
+    covs = [(kappa / (a + 2.0)) * trip.cov for kappa, a in kernel]
     levy = SpectralMeasure(trip.dim, tuple(
         Ray(r.direction, _radial_image(r.radial, kernel)) for r in trip.levy.rays
     ))

@@ -574,19 +574,28 @@ class RadialMeasure:
             for a, b in _uncertified_ranges(self.segments)
         ]
 
-    def tail(self, u) -> np.ndarray:
-        """Measure of (u, inf), vectorized over u >= 0."""
-        u = np.asarray(u, dtype=float)
-        val = np.zeros_like(u)
+    def moment(self, k, u) -> np.ndarray:
+        """Integral of r**k over r > u against the measure, k broadcast against u >= 0.
+
+        Atoms add m r**k and each segment :func:`_moment` over its part of
+        (u, inf), in the order of :attr:`parts`; inf where it diverges. An
+        atom at u is left out, and parts at or below every u are skipped.
+        """
+        k, u = np.asarray(k, dtype=float), np.asarray(u, dtype=float)
+        val = np.zeros(np.broadcast(k, u).shape)
+        floor = u.min(initial=math.inf)
         atoms, segments = self.parts
         for at in atoms:
-            val = val + at.m * (u < at.r)
+            if at.r > floor:
+                val += at.m * at.r ** k * (u < at.r)
         for sg in segments:
-            lower = np.maximum(u, sg.lo)
-            inside = lower < sg.hi
-            start = np.where(inside, lower, sg.lo)
-            val = val + np.where(inside, sg.c * _moment(sg, start, sg.hi, 0), 0.0)
+            if sg.hi > floor:
+                val += sg.c * _moment(sg, u.clip(sg.lo, sg.hi), sg.hi, k)
         return val
+
+    def tail(self, u) -> np.ndarray:
+        """Measure of (u, inf), vectorized over u >= 0: :meth:`moment` at k = 0."""
+        return self.moment(0.0, u)
 
     def log_moment(self) -> float:
         """Integral of log(r) over r > 1; inf when divergent."""
@@ -604,19 +613,6 @@ class RadialMeasure:
                 if lo > 1.0:
                     seg = seg + math.log(lo) * _moment(sg, lo, sg.hi, 0)
                 val += sg.c * float(seg)
-        return val
-
-    def power_moment_above1(self, s: float) -> float:
-        """Integral of r**s over r > 1; inf when divergent."""
-        val = 0.0
-        atoms, segments = self.parts
-        for at in atoms:
-            if at.r > 1.0:
-                val += at.m * at.r ** s
-        for sg in segments:
-            lo = max(sg.lo, 1.0)
-            if sg.hi > lo:
-                val += sg.c * float(_moment(sg, lo, sg.hi, s))
         return val
 
     @cached_property
@@ -1227,16 +1223,31 @@ class _Pieces:
         coef_j (exp(q_j log(a) + j log(W)) - z**j exp((p+1) L)), or
         coef_j (log(a) - L) z**j exp((p+1) L) where q_j is 0, and the tail
         T(top) - P_0 is exp((p+1) L) (i exp(i z) lag / z + 1/(p+1)), with
-        lag the Laguerre sum at the edge.
+        lag the Laguerre sum at the edge. A part of the value below the normal
+        range, where the scale rounds before the terms cancel, is taken from the
+        terms over the scale, which comes back once, through logs.
         """
         log_w = np.log(W)
         L = math.log(SERIES_EDGE) - log_w
-        scale = np.exp(self.p1[k] * L)
+        val = self._scaled_sum(k, log_w, L, 0.0)
+        sub = (np.minimum(abs(val.real), abs(val.imag)) < sys.float_info.min).nonzero()[0]
+        if sub.size:
+            shift = self.p1[k[sub]] * L[sub]
+            rel = self._scaled_sum(k[sub], log_w[sub], L[sub], shift)
+            for part, r in ((val.real, rel.real), (val.imag, rel.imag)):
+                low = np.abs(part[sub]) < sys.float_info.min
+                with np.errstate(divide="ignore"):
+                    part[sub[low]] = (np.sign(r) * np.exp(np.log(np.abs(r)) + shift))[low]
+        return val
+
+    def _scaled_sum(self, k: np.ndarray, log_w: np.ndarray, L: np.ndarray, shift) -> np.ndarray:
+        """:meth:`_small_w`'s value over exp(shift), from its terms each divided by exp(shift)."""
+        scale = np.exp(self.p1[k] * L - shift)
         log_a = np.log(self.a[k])
         rows = (3 + int(_KEEP.searchsorted(SERIES_EDGE, "right"))) & ~1
         # the lower end in one exp, rounding once below the normal range
         edge = SERIES_EDGE ** _TERM_K[:rows] * scale
-        ratio = np.exp(self.q[:rows, k] * log_a + _TERM_K[:rows] * log_w) - edge
+        ratio = np.exp(self.q[:rows, k] * log_a + _TERM_K[:rows] * log_w - shift) - edge
         for i, row in self.zero_rows:
             at = k == i
             if row < rows and np.count_nonzero(at):

@@ -137,6 +137,28 @@ class TestTripletDocs:
         with pytest.raises(LawSpecError, match="hi"):
             law_from_dict(doc)
 
+    @pytest.mark.parametrize("ray_doc, fault", [
+        ({"atoms": [{"r": 0.0, "m": 1.0}]}, r"atom 0 has radius 0\.0 <= 0"),
+        ({"atoms": [{"r": 1.0, "m": -0.5}]}, r"atom 0 has negative mass -0\.5"),
+        ({"segments": [{"lo": -0.5, "hi": 1.0, "c": 1.0, "p": 0.0}]},
+         r"segment 0 has bad range \(-0\.5, 1\.0\)"),
+        ({"segments": [{"lo": 1.0, "hi": 1.0, "c": 1.0, "p": 0.0}]},
+         r"segment 0 has bad range \(1\.0, 1\.0\)"),
+        ({"grid_tail": {"radii": [0.0, 1.0], "tail": [1.0, 0.5]}}, "grid radii must be positive"),
+        ({"grid_tail": {"radii": [2.0, 1.0], "tail": [1.0, 0.5]}},
+         "grid radii must be strictly increasing"),
+        ({"grid_tail": {"radii": [1.0, 2.0], "tail": [0.5, -0.1]}},
+         "grid tail values must be nonnegative"),
+        ({"grid_tail": {"radii": [1.0, 2.0], "tail": [0.5, 0.7]}}, "grid tail must be nonincreasing"),
+        ({"dir": [2.0]}, r"direction norm 2\.0 is not 1"),
+    ], ids=["atom-at-0", "negative-mass", "negative-lo", "empty-range", "grid-at-0",
+            "grid-decreasing", "negative-tail", "rising-tail", "direction-norm-2"])
+    def test_inadmissible_measures_are_refused_by_name(self, ray_doc, fault):
+        doc = triplet_doc()
+        doc["levy"]["rays"][0] = {"dir": [1.0], **ray_doc}
+        with pytest.raises(InvalidMeasureError, match=fault):
+            law_from_dict(doc)
+
     @staticmethod
     def log_form_doc(*offsets):
         doc = triplet_doc()

@@ -144,6 +144,25 @@ def test_jbeta_images_keep_their_bytes():
     assert moved_digests(json.loads(GOLDEN.read_text()), image_digests()) == []
 
 
+def test_pinned_cor5_sides_meet_a_40_digit_value():
+    # both sides are the right tail of the beta-image of the atoms: the sum
+    # of m (1 - (u/r)**beta) over the atoms m at r > u
+    with mp.workdps(40):
+        for measure in atomic_measures(9002):
+            radii = factor.default_radius_grid(measure)
+            for beta in COR5_BETAS:
+                rep = factor.spectral_factor_check(measure, beta)
+                truth = [
+                    sum(mp.mpf(at.m) * (1 - (mp.mpf(u) / at.r) ** beta)
+                        for at in ray_.radial.atoms if u < at.r)
+                    for ray_ in measure.rays for u in radii
+                ]
+                for side in (rep.lhs, rep.rhs):
+                    assert not side.imag.any()
+                    err = max(abs(mp.mpf(float(v)) - t) for v, t in zip(side.real, truth))
+                    assert err <= 4e-15, beta
+
+
 ALL_MAPS = ("jbeta", "i", "ubetaf", "ijbeta")
 BETAS = (0.5, 1.0, 1.3, 1.7, 2.0)
 
@@ -214,13 +233,17 @@ def test_identities_hold_at_triplet_level(panel, identity):
 
 def cross_route_cases():
     """(name, triplet, beta): every builtin law with a triplet at beta 0.5, 1
-    and 2, and panel law 0 at beta 1."""
+    and 2, panel law 0 at beta 1, and the grid-tail law of :func:`hash_panel`,
+    whose convolution powers scale a grid tail, at the betas of its digests."""
     cases = [
         (name, builtin_law(name).triplet, beta)
         for name in BUILTIN_LAWS if builtin_law(name).triplet is not None
         for beta in (0.5, 1.0, 2.0)
     ]
-    return cases + [("panel0", panel_laws(9002, 1)[0], 1.0)]
+    grid_tail = hash_panel()["grid-tail"]
+    return cases + [("panel0", panel_laws(9002, 1)[0], 1.0)] + [
+        ("grid-tail", grid_tail, beta) for beta in HASH_BETAS
+    ]
 
 
 @pytest.mark.parametrize("identity", list(factor.SIDES))

@@ -1,6 +1,7 @@
 """Integral transforms of exponents, measures, and triplets."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -250,6 +251,30 @@ class TestDivergenceDetection:
         trip.require_valid()
         with pytest.raises(InvalidMeasureError, match=r"lo=1\.6e-260.*overflows"):
             maps.map_triplet(maps.jbeta_map(1.0), trip)
+
+    @pytest.mark.parametrize(
+        "lo, hi, p", [(1e-300, 1e10, 3.0), (1e-200, 1e3, 4.0), (1e-250, 10.0, 2.0)]
+    )
+    def test_far_range_segment_images_are_finite(self, lo, hi, p):
+        # e log(hi/lo) passes 700, where expm1 overflows, yet the (0, lo)
+        # coefficient (hi**e - lo**e)/e is finite
+        levy = SpectralMeasure(1, (ray([1.0], segments=[(lo, hi, 1.0, p)]),))
+        trip = LevyTriplet(1, [0.0], [[0.0]], levy)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            img = maps.map_triplet(maps.jbeta_map(1.0), trip)
+            img.require_valid()
+            us = np.geomspace(1e-3, hi, 41)[:-1]
+            want = maps.transformed_tail(levy.rays[0].radial, 1.0, us)
+            got = img.levy.rays[0].radial.tail(us)
+        np.testing.assert_allclose(got, want, rtol=1e-14, atol=0)
+        if hi == 10.0:
+            grid = np.linspace(-2.0, 2.0, 5)[:, None]
+            np.testing.assert_allclose(
+                from_triplet(img).eval_grid(grid),
+                maps.map_exponent_grid(maps.jbeta_map(1.0), from_triplet(trip), grid, 1e-10),
+                rtol=0, atol=1e-11,
+            )
 
     def test_convergent_laws_pass_the_same_gate(self, mix_phi):
         # sanity guard: the divergence heuristic must not fire on good input
