@@ -353,15 +353,15 @@ def transformed_tail(radial: RadialMeasure, beta: float, us) -> np.ndarray:
     """Right tail of the jbeta image of a radial measure, evaluated exactly.
 
     By Fubini beta u**beta times the integral of tail(w) w**(-beta-1) over
-    (u, inf) is T(u) - u**beta M(u), T the measure of (u, inf) and M its
-    moment of r**-beta: one :meth:`RadialMeasure.moment` call.
+    (u, inf) is T(u) - M(u), T the measure of (u, inf) and M its moment of
+    (r/u)**-beta, one :meth:`RadialMeasure.moment` call: bounded at any r.
     """
     positive_finite(beta)
     us = np.atleast_1d(np.asarray(us, dtype=float))
     if np.any(us <= 0.0):
         raise ValueError("tail queries must be at positive radii")
     tail, above = radial.moment(np.array([[0.0], [-beta]]), us)
-    return tail - us ** beta * above
+    return tail - above
 
 
 # -- triplet-level transform ---------------------------------------------------
@@ -399,8 +399,7 @@ def _segment_image_terms(sg: Segment, kappa: float, a: float) -> tuple[list, Seg
             terms.append(Segment(lo, hi, cb / -e, p))
         else:
             if lo > 0.0:
-                # cb (hi**e - lo**e)/e; past e S = 700, where expm1 overflows, lo**e
-                # is below 1e-304 of hi**e (as in :func:`idlaw.spectral._ints_from`)
+                # cb (hi**e - lo**e)/e; past e S = 700, lo**e < 1e-304 hi**e (as in _ints_from)
                 S = _log_ratio(hi, lo)
                 far = e * S > 700.0
                 coef = cb * hi ** e / e if far else cb * lo ** e * float(_expm1_ratio(e, S))

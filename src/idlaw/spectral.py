@@ -575,22 +575,25 @@ class RadialMeasure:
         ]
 
     def moment(self, k, u) -> np.ndarray:
-        """Integral of r**k over r > u against the measure, k broadcast against u >= 0.
+        """Integral of (r/u)**k over r > u against the measure, k broadcast against u >= 0.
 
-        Atoms add m r**k and each segment :func:`_moment` over its part of
-        (u, inf), in the order of :attr:`parts`; inf where it diverges. An
-        atom at u is left out, and parts at or below every u are skipped.
+        Atoms add m (r/u)**k, its limit 1, 0 or inf where r/u passes the double
+        range toward u = 0, and each segment u**-k :func:`_moment` over its part
+        of (u, inf), in the order of :attr:`parts`; inf where it diverges. At
+        u = 1 it is the moment of r**k, at k = 0 the mass. An atom at u is left
+        out, and parts at or below every u are skipped.
         """
         k, u = np.asarray(k, dtype=float), np.asarray(u, dtype=float)
         val = np.zeros(np.broadcast(k, u).shape)
         floor = u.min(initial=math.inf)
         atoms, segments = self.parts
-        for at in atoms:
-            if at.r > floor:
-                val += at.m * at.r ** k * (u < at.r)
+        with np.errstate(divide="ignore", over="ignore"):
+            for at in atoms:
+                if at.r > floor:
+                    val += at.m * np.where(u < at.r, (at.r / u) ** k, 0.0)
         for sg in segments:
             if sg.hi > floor:
-                val += sg.c * _moment(sg, u.clip(sg.lo, sg.hi), sg.hi, k)
+                val += sg.c * _moment(sg, u.clip(sg.lo, sg.hi), sg.hi, k) / u ** k
         return val
 
     def tail(self, u) -> np.ndarray:
@@ -1225,38 +1228,37 @@ class _Pieces:
         T(top) - P_0 is exp((p+1) L) (i exp(i z) lag / z + 1/(p+1)), with
         lag the Laguerre sum at the edge. A part of the value below the normal
         range, where the scale rounds before the terms cancel, is taken from the
-        terms over the scale, which comes back once, through logs.
+        terms over exp(shift), which comes back once, through logs: shift is
+        the log of the scale, (p+1) L, or more where a term over the scale
+        would pass exp(700), as a steep tail's |w| a**(p+2) / |p+2| does.
         """
-        log_w = np.log(W)
+        log_w, log_a = np.log(W), np.log(self.a[k])
         L = math.log(SERIES_EDGE) - log_w
-        val = self._scaled_sum(k, log_w, L, 0.0)
-        sub = (np.minimum(abs(val.real), abs(val.imag)) < sys.float_info.min).nonzero()[0]
-        if sub.size:
-            shift = self.p1[k[sub]] * L[sub]
-            rel = self._scaled_sum(k[sub], log_w[sub], L[sub], shift)
-            for part, r in ((val.real, rel.real), (val.imag, rel.imag)):
-                low = np.abs(part[sub]) < sys.float_info.min
-                with np.errstate(divide="ignore"):
-                    part[sub[low]] = (np.sign(r) * np.exp(np.log(np.abs(r)) + shift))[low]
-        return val
-
-    def _scaled_sum(self, k: np.ndarray, log_w: np.ndarray, L: np.ndarray, shift) -> np.ndarray:
-        """:meth:`_small_w`'s value over exp(shift), from its terms each divided by exp(shift)."""
-        scale = np.exp(self.p1[k] * L - shift)
-        log_a = np.log(self.a[k])
         rows = (3 + int(_KEEP.searchsorted(SERIES_EDGE, "right"))) & ~1
-        # the lower end in one exp, rounding once below the normal range
-        edge = SERIES_EDGE ** _TERM_K[:rows] * scale
-        ratio = np.exp(self.q[:rows, k] * log_a + _TERM_K[:rows] * log_w - shift) - edge
-        for i, row in self.zero_rows:
-            at = k == i
-            if row < rows and np.count_nonzero(at):
-                ratio[row, at] = (log_a[at] - L[at]) * edge[row, at]
-        terms = self.coef[:rows, k] * ratio
-        terms *= _TERM_KEEP[:rows] <= SERIES_EDGE
+        coef = self.coef[:rows, k] * (_TERM_KEEP[:rows] <= SERIES_EDGE)
+        lower = self.q[:rows, k] * log_a + _TERM_K[:rows] * log_w
+        # no exp and no term over exp(shift) then passes exp(700)
+        top = np.max(lower + np.log(np.maximum(np.abs(coef), 1.0)), axis=0)
         tail = _EDGE_TURN[0] * self.edge_lag[k] / SERIES_EDGE + 1.0 / self.p1[k]
-        # odd terms are imaginary, even ones real
-        return terms[1::2].sum(axis=0) + 1j * terms[0::2].sum(axis=0) + scale * tail
+        sums = []
+        for shift in (0.0, np.maximum(self.p1[k] * L, top - 700.0)):
+            scale = np.exp(self.p1[k] * L - shift)
+            # the lower end in one exp, rounding once below the normal range
+            edge = SERIES_EDGE ** _TERM_K[:rows] * scale
+            ratio = np.exp(lower - shift) - edge
+            for i, row in self.zero_rows:
+                at = k == i
+                if row < rows and np.count_nonzero(at):
+                    ratio[row, at] = (log_a[at] - L[at]) * edge[row, at]
+            terms = coef * ratio
+            # odd terms are imaginary, even ones real
+            sums.append(terms[1::2].sum(axis=0) + 1j * terms[0::2].sum(axis=0) + scale * tail)
+        val, rel = sums
+        for part, r in ((val.real, rel.real), (val.imag, rel.imag)):
+            low = np.abs(part) < sys.float_info.min
+            with np.errstate(divide="ignore"):
+                part[low] = (np.sign(r) * np.exp(np.log(np.abs(r)) + shift))[low]
+        return val
 
     def _tails(self, k: np.ndarray, W: np.ndarray, x: np.ndarray) -> np.ndarray:
         """The integral over (x, b), x = max(edge, a), for elements of bounded pieces k.

@@ -474,13 +474,17 @@ class TestMeasureTransform:
         assert seg.p == 0.0
         assert img.rays[0].radial.atoms == ()
 
-    def test_atom_image_tail(self):
-        # image tail of a unit-mass atom at radius 2 is 1 - (u/2)^beta
-        u = np.array([0.5, 1.0, 1.5])
-        rad = ray([1.0], atoms=[(2.0, 1.0)]).radial
-        np.testing.assert_allclose(
-            maps.transformed_tail(rad, 1.0, u), 1.0 - u / 2.0, rtol=0, atol=1e-15
-        )
+    @pytest.mark.parametrize("r, beta", [(2.0, 1.0), (1e-200, 2.0)])
+    def test_atom_image_tail(self, r, beta):
+        # image tail of a unit-mass atom at radius r is 1 - (u/r)**beta below r;
+        # at r = 1e-200, r**-2 is past the double range and the share is not
+        u = r * np.array([1e-100, 0.1, 0.25, 0.5, 0.75, 1.0, 2.0])
+        rad = ray([1.0], atoms=[(r, 1.0)]).radial
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = maps.transformed_tail(rad, beta, u)
+        want = np.where(u < r, 1.0 - (u / r) ** beta, 0.0)
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-15)
 
     def test_gaussian_part_scales_exactly(self):
         trip = LevyTriplet(1, [0.3], [[0.8]], SpectralMeasure(1, ()))

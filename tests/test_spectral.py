@@ -158,9 +158,10 @@ class TestRadialClosedForms:
 
     def test_moment_leaves_out_an_atom_at_u(self):
         rad = ray(1.0, atoms=[(1.5, 0.5), (2.0, 1.0)]).radial
-        assert rad.moment(1.0, 1.5) == 2.0
+        # the moment of (r/u)**k: the atom at 2 alone, as 2/1.5
+        assert rad.moment(1.0, 1.5) == 2.0 / 1.5
         got = rad.moment(-1.0, np.array([1.0, 1.5, 2.0]))
-        np.testing.assert_allclose(got, [0.5 / 1.5 + 0.5, 0.5, 0.0], rtol=1e-15, atol=0)
+        np.testing.assert_allclose(got, [0.5 / 1.5 + 0.5, 0.75, 0.0], rtol=1e-15, atol=0)
 
     def test_moment_of_a_segment_ending_at_u_is_zero(self):
         for seg in ((0.5, 2.0, 0.3, -1.4), (0.5, 2.0, 0.3, -1.4, 0.2)):
@@ -178,6 +179,8 @@ class TestRadialClosedForms:
                 assert got[i, j] == rad.moment(k, u)
         # the tail at 1: the atom, and 0.6 (1 - 1/3) from the segment
         assert abs(got[0, 1] - 1.4) < 1e-15
+        # (r/2.5)**-1 against 0.6 r**-2 over (2.5, 3): 0.75 (2.5**-2 - 3**-2) = 11/300
+        assert abs(got[1, 2] - 11.0 / 300.0) < 1e-16
 
     def test_log_moment_of_unbounded_segment(self):
         rad = ray(1.0, segments=[(1.0, math.inf, 0.2, -2.5)]).radial
@@ -424,13 +427,28 @@ class TestExponentIntegrals:
             iw = mp.mpc(0, w)
             return complex(mp.expm1(iw) + iw * (-mp.ci(w) + 1j * (mp.pi / 2 - mp.si(w))))
 
-    @pytest.mark.parametrize("p", [-1.01, -1.3, -1.6, -1.99, -2.0, -2.01, -2.4, -2.7])
+    @staticmethod
+    def tail_at_integer(n, w):
+        """60-digit value of the same integral at p = -n, n >= 2, w > 0: E_n(-i w)
+        - 1/(n-1), the exponential integral's series less its k = 0 term,
+        (i w)**(n-1) (psi(n) - log(-i w)) / (n-1)! less the sum over k >= 1,
+        k != n-1, of (i w)**k / (k! (k-n+1))."""
+        with mp.workdps(60):
+            iw = mp.mpc(0, w)
+            val = iw ** (n - 1) * (mp.digamma(n) - mp.log(-iw)) / mp.factorial(n - 1)
+            val -= mp.nsum(lambda k: 0 if k == n - 1 else iw ** k / (mp.factorial(k) * (k - n + 1)),
+                           [1, mp.inf])
+            return complex(val)
+
+    @pytest.mark.parametrize("p", [-1.01, -1.3, -1.6, -1.99, -2.0, -2.01, -2.4, -2.7, -2.99, -4.0])
     def test_unbounded_rows_near_zero_meet_the_asymptotic_oracle(self, p):
         # rows below spectral.SMALL_W take the small-|w| form; the direct path
         # read these tails up to 100% off there. A value below the normal
         # range holds no more than its spacing, 5e-324; near p = -2 the value
         # is subnormal down from |w| 1e-320 and its terms cancel there, so
-        # these rows are held to 8 spacings
+        # these rows are held to 8 spacings. At p -2.99 and -4 the leading
+        # term |w|/|p+2| is far above the scale (8/|w|)**(p+1), which the
+        # subnormal parts are not divided by alone: that overflowed exp
         ws = [5e-324, 1e-305, 1e-300, 1e-250, 1e-200, 1e-100]
         near_two = abs(p + 2.0) < 0.05
         if near_two:
@@ -440,7 +458,12 @@ class TestExponentIntegrals:
             warnings.simplefilter("error")
             got = jump_exponent(m, np.array(ws)[:, None])
         for g, w in zip(got, ws):
-            truth = self.tail_at_minus_two(w) if p == -2.0 else self.tail_near_zero(p, w)
+            if p == -2.0:
+                truth = self.tail_at_minus_two(w)
+            elif p == -4.0:
+                truth = self.tail_at_integer(4, w)
+            else:
+                truth = self.tail_near_zero(p, w)
             assert abs(g - truth) <= 1e-13 * abs(truth) + (4e-323 if near_two else 5e-324), w
 
     def test_every_part_is_finite_past_the_edge_float_range(self):
