@@ -48,8 +48,7 @@ from .spectral import (
     Ray,
     Segment,
     SpectralMeasure,
-    _expm1_ratio,
-    _log_ratio,
+    _ints_from,
     _moment,
     segments_by_range,
 )
@@ -104,12 +103,8 @@ def i_jbeta_map(beta: float) -> IntegralMap:
 
 
 def inner_clock(beta: float, s) -> np.ndarray:
-    """sigma(s) = s + (exp(-beta s) - 1)/beta for s >= 0."""
-    positive_finite(beta)
-    s = np.asarray(s, dtype=float)
-    if np.any(s < 0.0):
-        raise ValueError("clock argument must be nonnegative")
-    return s + np.expm1(-beta * s) / beta
+    """sigma(s) = s + (exp(-beta s) - 1)/beta = s - sigma'(s)/beta for s >= 0."""
+    return np.asarray(s, dtype=float) - inner_clock_rate(beta, s) / beta
 
 
 def inner_clock_rate(beta: float, s) -> np.ndarray:
@@ -399,11 +394,8 @@ def _segment_image_terms(sg: Segment, kappa: float, a: float) -> tuple[list, Seg
             terms.append(Segment(lo, hi, cb / -e, p))
         else:
             if lo > 0.0:
-                # cb (hi**e - lo**e)/e; past e S = 700, lo**e < 1e-304 hi**e (as in _ints_from)
-                S = _log_ratio(hi, lo)
-                far = e * S > 700.0
-                coef = cb * hi ** e / e if far else cb * lo ** e * float(_expm1_ratio(e, S))
-                terms.append(Segment(0.0, lo, coef, a - 1.0))
+                end, ratio = _ints_from(lo, hi, e)  # cb (hi**e - lo**e)/e
+                terms.append(Segment(0.0, lo, cb * float(end) ** e * float(ratio), a - 1.0))
             if abs(e) < LOG_FORM_BAND:
                 log_form = Segment(lo, hi, cb, p, e)
             else:

@@ -45,7 +45,7 @@ CIS_CHUNK_ELEMENTS = 1 << 14
 PIECE_CHUNK_ELEMENTS = 1 << 12
 # a grid-tail node's G(theta) = exp(i theta) - 1 - i theta takes its series,
 # n = 2..CELL_TERMS, below |theta| = CELL_EDGE: to 4e-20 of the node's weight;
-# nodes from CELL_SERIES_R on, whose r**CELL_TERMS nears the float range, never
+# from CELL_SERIES_R on, where r**CELL_TERMS nears the float range, node by node
 CELL_EDGE = 0.5
 CELL_TERMS = 16
 CELL_SERIES_R = 1e18
@@ -55,15 +55,11 @@ SERIES_EDGE = 8.0
 # series terms run over k = 1..SERIES_TERMS; up to a = 8.2 no term past
 # k = 48 is kept (see _KEEP)
 SERIES_TERMS = 48
-# below this |w| an unbounded piece takes its small-|w| form: against 60 digits
-# the direct path (scale (8/|w|)**(p+1)) read p = -1.99 and -2.99 tails 1e-7
-# and 4e-4 off at 1e-160, and p -1.0001 to -2.9999 within 4e-14 from 1e-153 up
-SMALL_W = 1e-150
 # a signed sum of segment densities may dip this far below zero, relative
 # to the sum of its terms' magnitudes: rounding in terms that cancel
 # exactly at a point, such as the two terms of a segment image at hi
 SIGN_SLACK = 1e-12
-
+_TINY, _HUGE = sys.float_info.min, sys.float_info.max  # the normal double range
 # 1/k! for k = 0..SERIES_TERMS, correctly rounded (int / int rounds once)
 _INV_FACT = np.array([1 / math.factorial(k) for k in range(SERIES_TERMS + 1)])
 # the series terms k = 1..SERIES_TERMS as a column, and the real
@@ -211,33 +207,21 @@ def _fold_sum(v: np.ndarray, k: int | None = None) -> np.ndarray:
     return v[0]
 
 
-def _expm1_ratio(e, t):
-    """(exp(e*t) - 1)/e without cancellation as e -> 0, where it is t; t may be complex.
-
-    Broadcasts over e and t. It is t also where e*t falls below the
-    smallest normal double: there the product has lost bits to underflow,
-    and t is within that of the value.
-    """
-    t = np.asarray(t)
-    if np.ndim(e) == 0 and e == 0.0:
-        return t
-    et = e * t
-    small = (np.abs(et) < sys.float_info.min) | (e == 0.0)
-    if not np.count_nonzero(small):
-        return np.expm1(et) / e
-    return np.where(small, t, np.expm1(et) / np.where(small, 1.0, e))
-
-
 def _log_ratio(x, y):
     """log(x/y) for x, y >= 0, accurate relative to the result as x/y -> 1.
 
     The rounding of x/y costs log(x/y) up to eps/(2 |log(x/y)|) relative:
     16 eps while x and y differ by y/32, without bound as x/y -> 1. Closer
     than that, x - y is exact, and log1p((x - y)/y) keeps full accuracy.
+    Where x/y leaves the normal range it is log(x) - log(y); an array caller
+    whose x/y may overflow holds an errstate, as :meth:`RadialMeasure.moment` does.
     """
     d = x - y
     close = np.abs(d) < y / 32.0
     out = np.log(x / y)
+    far = np.abs(out) >= -math.log(_TINY)  # x/y lost bits below the normal range, or overflowed
+    if np.count_nonzero(far):
+        out = np.where(far, np.log(x) - np.log(y), out)
     if not np.count_nonzero(close):
         return out
     if np.ndim(out) == 0:
@@ -248,7 +232,7 @@ def _log_ratio(x, y):
 def _power_ints(a, b, q) -> np.ndarray:
     """Integral of r**(q-1) over (a, b), per 0 <= a <= b <= inf, broadcast over a, b and q.
 
-    From a > 0 to b < inf it is :func:`_ints_from`; from a = 0 it is
+    From a > 0 to b < inf it is :func:`_ints_from`'s product; from a = 0 it is
     b**q/q and to b = inf -a**q/q, or inf where that diverges.
     """
     a = np.asarray(a, dtype=float)
@@ -256,30 +240,33 @@ def _power_ints(a, b, q) -> np.ndarray:
     inner = pos & (b < math.inf)
     n_inner = np.count_nonzero(inner)
     if n_inner == np.size(inner):
-        return _ints_from(a, b, q)
+        end, ratio = _ints_from(a, b, q)
+        return end ** q * ratio
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         # finite from a = 0 for q > 0, to b = inf for q < 0
         ends = np.where((q < 0.0) == pos, np.where(pos, a, b) ** q / np.where(pos, -q, q), math.inf)
         if not n_inner:
             return ends
-        return np.where(inner, _ints_from(a, b, q), ends)
+        end, ratio = _ints_from(a, b, q)
+        return np.where(inner, end ** q * ratio, ends)
 
 
-def _ints_from(a, b, q) -> np.ndarray:
-    """Integral of r**(q-1) over (a, b), for 0 < a <= b < inf.
+def _ints_from(a, b, q) -> tuple[np.ndarray, np.ndarray]:
+    """The integral of r**(q-1) over (a, b), 0 < a <= b < inf, as end**q times a ratio.
 
-    Broadcast over a, b and q. Written as a**q (exp(q S) - 1)/q through
-    expm1, S = log(b/a) by :func:`_log_ratio`, so it stays accurate as
-    q -> 0 and as b -> a. Where q S passes 700, (a/b)**q is below 1e-304
-    and nothing cancels: it is b**q/q, and expm1 would overflow.
+    Broadcast over a, b and q. With S = log(b/a) by :func:`_log_ratio` it is
+    a**q expm1(q S)/q up to q S = 36, and b**q expm1(-q S)/-q past it, where the
+    first's exp would carry the rounding of S up to q S eps/2, and overflow past
+    709; S where q S underflows, as at q = 0. Callers multiply in their own order;
+    end is a itself where nothing is far, as a power of a broadcast a may round apart.
     """
     span = _log_ratio(b, a)
-    far = q * span > 700.0
-    if not np.count_nonzero(far):
-        return a ** q * _expm1_ratio(q, span)
-    q_far = np.where(far, q, 1.0)
-    val = a ** q * _expm1_ratio(q, np.where(far, 0.0, span))
-    return np.where(far, b ** q_far / q_far, val)
+    far = q * span > 36.0
+    end, e = (np.where(far, b, a), np.where(far, -q, q)) if np.count_nonzero(far) else (a, q)
+    small = np.abs(et := e * span) < _TINY
+    if np.count_nonzero(small):
+        return end, np.where(small, span, np.expm1(et) / np.where(small, 1.0, e))
+    return end, np.expm1(et) / e
 
 
 def _exp_divdiff(S, nodes) -> np.ndarray:
@@ -577,23 +564,43 @@ class RadialMeasure:
     def moment(self, k, u) -> np.ndarray:
         """Integral of (r/u)**k over r > u against the measure, k broadcast against u >= 0.
 
-        Atoms add m (r/u)**k, its limit 1, 0 or inf where r/u passes the double
-        range toward u = 0, and each segment u**-k :func:`_moment` over its part
-        of (u, inf), in the order of :attr:`parts`; inf where it diverges. At
-        u = 1 it is the moment of r**k, at k = 0 the mass. An atom at u is left
-        out, and parts at or below every u are skipped.
+        Atoms add m (r/u)**k, its limit 1, 0 or inf where r/u passes the double range
+        toward u = 0, and each segment u**-k :func:`_moment` over its part (a, hi) of
+        (u, inf), in the order of :attr:`parts`; inf where it diverges. Where u**k leaves the
+        normal range, or the parts' sum before u**-k is not finite or below 2**-970, where a
+        part below that range could count, a power segment adds c e**(p+1) (d/e)**(p+1)
+        (d/u)**k times its moment over (a/d, hi/d) instead, d the part's dominant end and e
+        the segment's. At u = 1 it is the moment of r**k, at k = 0 the mass. An atom at u is
+        left out, and parts at or below every u are skipped.
         """
         k, u = np.asarray(k, dtype=float), np.asarray(u, dtype=float)
         val = np.zeros(np.broadcast(k, u).shape)
         floor = u.min(initial=math.inf)
         atoms, segments = self.parts
-        with np.errstate(divide="ignore", over="ignore"):
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             for at in atoms:
                 if at.r > floor:
                     val += at.m * np.where(u < at.r, (at.r / u) ** k, 0.0)
-        for sg in segments:
-            if sg.hi > floor:
-                val += sg.c * _moment(sg, u.clip(sg.lo, sg.hi), sg.hi, k) / u ** k
+            uk, atoms_val, live = u ** k, val.copy(), [sg for sg in segments if sg.hi > floor]
+            total = 0.0  # the parts before u**-k: one below the normal range is < 2**-52 of it
+            for sg in live:
+                part = sg.c * _moment(sg, u.clip(sg.lo, sg.hi), sg.hi, k)
+                total = total + part
+                val += part / uk
+            mag, top = np.abs(total), max((sg.hi for sg in live), default=0.0)
+            redo = (uk < _TINY) | (uk > _HUGE) | ~(mag <= _HUGE) | ((mag < 2.0**-970) & (u < top))
+            if np.count_nonzero(redo):
+                kk, uu = (np.broadcast_to(x, val.shape)[redo] for x in (k, u))
+                val[redo] = atoms_val[redo]
+                for sg in live:
+                    a, e = uu.clip(sg.lo, sg.hi), sg.lo if sg.lo > 0.0 and sg.p < -1.0 else sg.hi
+                    if sg.e or math.isinf(e):
+                        part = sg.c * _moment(sg, a, sg.hi, kk) / uu ** kk
+                    else:
+                        d = np.where((sg.p + kk + 1.0 > 0.0) & (sg.hi < math.inf), sg.hi, a)
+                        part = sg.c * np.float64(e) ** (sg.p + 1.0) * (d / e) ** (sg.p + 1.0)
+                        part *= (d / uu) ** kk * _moment(sg, a / d, sg.hi / d, kk)
+                    val[redo] += np.where(a < sg.hi, part, 0.0)  # an empty part reads 0
         return val
 
     def tail(self, u) -> np.ndarray:
@@ -1010,6 +1017,8 @@ class _Pieces:
     exponent of the series' scale, and ``tail_p0`` holds -1/(p + 1) on the
     unbounded pieces, whose moment of r**0 over (x, inf) is
     x**(p+1) times it, and ``unbounded`` their indices, as columns.
+    ``far_top`` holds the top past which a power piece from a > 0 takes its
+    series in logs (:meth:`_series`), and inf on the other pieces.
     Everything a call only reads is built here, once per law.
     """
 
@@ -1032,6 +1041,7 @@ class _Pieces:
     p1: np.ndarray
     tail_p0: np.ndarray
     unbounded: np.ndarray
+    far_top: np.ndarray
 
     @classmethod
     def build(cls, rows: list[tuple], dirs: np.ndarray) -> "_Pieces":
@@ -1062,6 +1072,13 @@ class _Pieces:
         slot = [slots.setdefault(r[3], len(slots)) for r in rows[:n1]] + [0] * (len(rows) - n1)
         ps = np.array([*slots] or [0.0])
         sums = _fold_sum(_LAG_WEIGHTS[:, None] * np.exp(_LOG_1IS_EDGE * ps))
+        # past far_top (at least a) the first term's expm1((p+2) log(a/top)) passes
+        # exp(700), or top**p, the unbounded tail's x**p, falls below the normal range
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            steep = np.where(p < -2.0, a * np.exp(700.0 / -(p + 2.0)), math.inf)
+            flat = np.where(p < 0.0, np.exp(math.log(_TINY) / p), math.inf)
+        far_top = np.maximum(a, np.minimum(steep, flat))
+        far_top[:n0] = far_top[n1:] = math.inf
         return cls(
             a, b, c, p, hi, k0, dirs[[r[6] for r in rows]], nodes, (n0, nu, n1),
             None if fold is None else np.array(fold), coef, q,
@@ -1069,6 +1086,7 @@ class _Pieces:
              if (row := _zero_term_row(rows[i][3], rows[i][5])) >= 0],
             rest, bounded_b, sums[slot], p1,
             -1.0 / p1[nu:n1, None], np.arange(nu, n1)[:, None],
+            far_top[:, None],
         )
 
     def _node_groups(self, k: np.ndarray):
@@ -1116,9 +1134,8 @@ class _Pieces:
         where |w| b > 8, and take it element by element, piece-major
         (:meth:`_tails`). Both parts run at |w|, and w < 0 takes the
         conjugate, since F is real on the real axis; w = 0 gives exactly 0.
-        Below |w| = SMALL_W the unbounded pieces take their small-|w| form
-        (:meth:`_small_w`). Pieces add per row by a fold in the order of
-        ``fold``.
+        Past the double range the edge is the largest double (the series takes
+        such elements in logs, tails included). Pieces add per row by ``fold``.
         """
         nu, n1 = self.kinds[1:]
         n = w.shape[1]
@@ -1126,20 +1143,13 @@ class _Pieces:
         moving = W > 0.0
         # no edge at w = 0, which falls in neither part
         with np.errstate(over="ignore"):
-            edge = SERIES_EDGE / np.where(moving, W, np.nan)
-        # an unbounded piece's element below SMALL_W takes the small-|w|
-        # form; until then it runs at |w| = 1 in its place
-        tiny = (edge[nu:n1] > SERIES_EDGE / SMALL_W).nonzero()
-        if tiny[0].size:
-            k, col = nu + tiny[0], tiny[1]
-            small = W[k, col]
-            W[k, col], edge[k, col] = 1.0, SERIES_EDGE
+            edge = np.minimum(SERIES_EDGE / np.where(moving, W, np.nan), _HUGE)
         below = edge > self.a[:, None]
         # top ends the series part, or is rest where there is none; a part
         # above the edge starts at top, which is then max(edge, a)
         top = np.where(below, np.minimum(edge, self.b[:, None]), self.rest[:, None])
-        w_top, scale = W * top, top ** self.p1[:, None]
-        val = self._series(np.where(below, w_top, 0.0), top, scale, below)
+        scale = top ** self.p1[:, None]
+        val, far = self._series(W, top, scale, below)
         above = (edge < self.bounded_b[:, None]).reshape(-1).nonzero()[0]
         if above.size:
             flat = val.reshape(-1)
@@ -1147,41 +1157,38 @@ class _Pieces:
         if n1 > nu:
             # T(b) = 0 and P_0 = -x**(p+1)/(p+1) over (x, inf); the pieces are raw
             at = slice(nu, n1)
+            w_top = W[at] * top[at]
+            if far[0].size:  # the series holds far tails; they add none, and skip 1/|w|
+                moving[far], W[far] = False, 1.0
             x = np.maximum(edge[at], self.a[at, None])  # top, and nan at w = 0
-            tail = self._rotated_tail(self.unbounded, x, W[at], w_top[at])
+            tail = self._rotated_tail(self.unbounded, x, W[at], w_top)
             tail -= scale[at] * self.tail_p0
             np.add(val[at], tail, out=val[at], where=moving[at])
-            if tiny[0].size:
-                val[k, col] = self._small_w(k, small)
         val *= self.c[:, None]
         np.negative(val.imag, out=val.imag, where=w < 0.0)
         return _fold_sum(val if self.fold is None else val[self.fold])
 
-    def _series(
-        self, z: np.ndarray, top: np.ndarray, scale: np.ndarray, below: np.ndarray
-    ) -> np.ndarray:
-        """The integral over (a, top), top = min(edge, b), per element (piece, row).
+    def _series(self, W: np.ndarray, top: np.ndarray, scale: np.ndarray, below: np.ndarray):
+        """The integral over (a, top), top = min(edge, b), per element (piece, row), and far.
 
-        Termwise it is the sum over k0 <= j of (i W)**j / j! times the
-        integral M_j of r**j against the piece at c = 1 over (a, top). With
-        z = W top, that is top**(p+1) times the sum of (i z)**j / j! *
-        M_j / top**(p+1+j). For a power piece, with rho = a / top and
-        q = p + j + 1, the ratio is (1 - rho**q) / q, so no term cancels at
-        its two ends: 1/q from a = 0, and -log(rho) at q = 0. The table's
-        coefficients hold the -1/q, so from a > 0 the terms take
-        expm1(q log(rho)), or log(rho) at q = 0 (:func:`_log_ratio`). A log
-        form's is :func:`_form_ratio`, set to zero below k0, where from
-        a = 0 it may diverge. Each element keeps its terms while z**j / j!
-        is at least 1e-18 of min(1, z**2 / 2) (``_KEEP``); the rest are
-        zeroed, and the real and imaginary parts fold over the term rows in
-        the order of all SERIES_TERMS rows, so the value does not depend on
-        the other elements, nor on how many rows they need together. An
-        element with no part ``below`` the edge takes z = 0 at top = rest,
-        so every term is 0 and it reads exactly 0. ``scale`` holds
-        top**(p+1).
+        Termwise it is the sum over k0 <= j of (i W)**j / j! times the integral M_j of
+        r**j against the piece at c = 1 over (a, top). With z = W top, that is ``scale`` =
+        top**(p+1) times the sum of (i z)**j / j! M_j / top**(p+1+j). For a power piece,
+        with rho = a / top and q = p + j + 1, the ratio is (1 - rho**q) / q: 1/q from a = 0,
+        and from a > 0 the table's -1/q times expm1(q log(rho)), or log(rho) at q = 0, so
+        no term cancels at its two ends. A log form's is :func:`_form_ratio`, zero below
+        k0. Elements of power pieces from a > 0 whose top passes ``far_top`` take their
+        terms in logs over exp(shift), and exp(shift) as their scale (:meth:`_far_terms`);
+        their indices are returned as ``far``. An element keeps its terms while z**j / j!
+        is at least 1e-18 of min(1, z**2 / 2) (``_KEEP``), and the parts fold over all
+        SERIES_TERMS rows in order, so its value does not depend on the other elements.
+        An element with no part ``below`` the edge takes z = 0 and reads exactly 0.
         """
-        n0, _, n1 = self.kinds
-        pieces, n = z.shape
+        (n0, _, n1), (pieces, n) = self.kinds, W.shape
+        z = np.where(below, W * top, 0.0)
+        far = (top > self.far_top).nonzero()
+        if far[0].size:  # z is 8 where top is the edge
+            z[far] = z_far = np.where(top[far] < self.b[far[0]], SERIES_EDGE, W[far] * top[far])
         z = z.reshape(-1)
         # an even row count pairs each odd term with the even one after it
         rows, m = (3 + int(_KEEP.searchsorted(z.max(), "right"))) & ~1, z.size
@@ -1194,11 +1201,17 @@ class _Pieces:
             log_rho = _log_ratio(self.a[n0:n1, None], top[n0:n1])
             ratio = work[1, : rows * log_rho.size].reshape(rows, n1 - n0, n)
             np.multiply(self.q[:rows, n0:n1, None], log_rho, out=ratio)
+            if far[0].size:
+                ratio[:, far[0] - n0, far[1]] = 0.0
             np.expm1(ratio, out=ratio)
             for i, row in self.zero_rows:
                 if row < rows:
                     ratio[row, i - n0] = log_rho[i - n0]
             by_piece[:, n0:n1] *= ratio
+            if far[0].size:
+                by_piece[:, far[0], far[1]], shift = self._far_terms(far[0], W[far], z_far, rows)
+                scale = scale.copy()
+                scale[far] = np.exp(shift)
         if pieces > n1:
             # the log forms' ratios cost the most: they are taken below the edge only
             at = below[n1:].reshape(-1).nonzero()[0]
@@ -1215,50 +1228,33 @@ class _Pieces:
         out = np.empty((pieces, n), dtype=complex)
         np.multiply(odd_even[m:].reshape(pieces, n), scale, out=out.real)
         np.multiply(odd_even[:m].reshape(pieces, n), scale, out=out.imag)
-        return out
+        return out, far
 
-    def _small_w(self, k: np.ndarray, W: np.ndarray) -> np.ndarray:
-        """The integral over (a, inf) for elements of unbounded pieces k at W < SMALL_W.
+    def _far_terms(self, k: np.ndarray, W: np.ndarray, z: np.ndarray, rows: int):
+        """Series terms over exp(shift), and shift, for elements of power pieces k from a > 0.
 
-        It is the series part over (a, top) and the tail from top, top the
-        edge, as at any other W (:meth:`_block`), taken in L = log(top): the
-        series at z = SERIES_EDGE times its scale top**(p+1) has the terms
-        coef_j (exp(q_j log(a) + j log(W)) - z**j exp((p+1) L)), or
-        coef_j (log(a) - L) z**j exp((p+1) L) where q_j is 0, and the tail
-        T(top) - P_0 is exp((p+1) L) (i exp(i z) lag / z + 1/(p+1)), with
-        lag the Laguerre sum at the edge. A part of the value below the normal
-        range, where the scale rounds before the terms cancel, is taken from the
-        terms over exp(shift), which comes back once, through logs: shift is
-        the log of the scale, (p+1) L, or more where a term over the scale
-        would pass exp(700), as a steep tail's |w| a**(p+2) / |p+2| does.
+        Term j is coef_j (a**q W**j - z**j top**(p+1)), or coef_j log(a/top) z**j top**(p+1)
+        at q = 0, with log(top) = min(log(8/W), log(b)). An unbounded piece's tail, top**(p+1)
+        (i exp(8i) lag/8 + 1/(p+1)), joins terms 1 and 2 to cancel before the scale rounds.
+        shift is at least -700, log(top**(p+1)) and 700 below each log(a**q W**j coef_j).
         """
         log_w, log_a = np.log(W), np.log(self.a[k])
-        L = math.log(SERIES_EDGE) - log_w
-        rows = (3 + int(_KEEP.searchsorted(SERIES_EDGE, "right"))) & ~1
-        coef = self.coef[:rows, k] * (_TERM_KEEP[:rows] <= SERIES_EDGE)
+        L = np.minimum(math.log(SERIES_EDGE) - log_w, np.log(self.b[k]))
+        coef = self.coef[:rows, k]
         lower = self.q[:rows, k] * log_a + _TERM_K[:rows] * log_w
-        # no exp and no term over exp(shift) then passes exp(700)
-        top = np.max(lower + np.log(np.maximum(np.abs(coef), 1.0)), axis=0)
+        head = np.max(lower + np.log(np.maximum(np.abs(coef), 1.0)), axis=0)
+        shift = np.maximum(np.maximum(self.p1[k] * L, head - 700.0), -700.0)
+        scale = np.exp(self.p1[k] * L - shift)
+        upper = z ** _TERM_K[:rows] * scale
+        ratio = np.exp(lower - shift) - upper
+        for i, row in self.zero_rows:
+            if row < rows:
+                ratio[row, k == i] = ((log_a - L) * upper[row])[k == i]
+        terms = coef * ratio
         tail = _EDGE_TURN[0] * self.edge_lag[k] / SERIES_EDGE + 1.0 / self.p1[k]
-        sums = []
-        for shift in (0.0, np.maximum(self.p1[k] * L, top - 700.0)):
-            scale = np.exp(self.p1[k] * L - shift)
-            # the lower end in one exp, rounding once below the normal range
-            edge = SERIES_EDGE ** _TERM_K[:rows] * scale
-            ratio = np.exp(lower - shift) - edge
-            for i, row in self.zero_rows:
-                at = k == i
-                if row < rows and np.count_nonzero(at):
-                    ratio[row, at] = (log_a[at] - L[at]) * edge[row, at]
-            terms = coef * ratio
-            # odd terms are imaginary, even ones real
-            sums.append(terms[1::2].sum(axis=0) + 1j * terms[0::2].sum(axis=0) + scale * tail)
-        val, rel = sums
-        for part, r in ((val.real, rel.real), (val.imag, rel.imag)):
-            low = np.abs(part) < sys.float_info.min
-            with np.errstate(divide="ignore"):
-                part[low] = (np.sign(r) * np.exp(np.log(np.abs(r)) + shift))[low]
-        return val
+        tail = np.where(k >= self.kinds[1], scale * tail, 0.0)  # on the unbounded pieces
+        terms[:2] += np.array([tail.imag, tail.real])
+        return terms, shift
 
     def _tails(self, k: np.ndarray, W: np.ndarray, x: np.ndarray) -> np.ndarray:
         """The integral over (x, b), x = max(edge, a), for elements of bounded pieces k.
@@ -1281,7 +1277,8 @@ class _Pieces:
 
     def _moment(self, k: np.ndarray, q: np.ndarray, x: np.ndarray, b: np.ndarray) -> np.ndarray:
         """Integral of r**(q-1) against pieces k at c = 1 over (x, b)."""
-        out = _ints_from(x, b, q)
+        end, ratio = _ints_from(x, b, q)
+        out = end ** q * ratio
         if self.kinds[2] < self.a.size:
             log = (k >= self.kinds[2]).nonzero()[0]
             if log.size:
@@ -1351,11 +1348,11 @@ class _Cells:
     With delta_k = f_(k-1) - f_k the drop in density at node r_k, the
     cells' uncompensated jump integral is sum_k delta_k G(w r_k)/(i w),
     G(theta) = exp(i theta) - 1 - i theta. Nodes with |w| r_k < CELL_EDGE,
-    a prefix of ``r`` (the nodes below CELL_SERIES_R), take G's series from
-    the prefix sums ``series`` of delta_k r_k**n / n!, n = 2..CELL_TERMS;
-    the rest take :func:`_cis_m1` on ``half_r`` and ``delta2``, less their
-    suffix sum ``above`` of delta_k r_k. ``comp`` is the cells' first
-    moment below radius 1.
+    a prefix of ``r``, take G's series, n = 2..CELL_TERMS: below CELL_SERIES_R
+    from the prefix sums ``series`` of delta_k r_k**n / n!, and past it, where
+    r_k**n nears the float range, node by node in theta. The rest take
+    :func:`_cis_m1` on ``half_r`` and ``delta2``, less their suffix sum
+    ``above`` of delta_k r_k. ``comp`` is the cells' first moment below radius 1.
     """
 
     direction: np.ndarray
@@ -1378,7 +1375,7 @@ class _Cells:
         above[:-1] = np.cumsum((delta * r)[::-1])[::-1]
         below = hi <= 1.0
         comp = 0.5 * float(c[below] @ (hi[below] ** 2 - lo[below] ** 2))
-        return cls(direction, r[:k], 0.5 * r[:, None], 2.0 * delta[:, None], series, above, comp)
+        return cls(direction, r, 0.5 * r[:, None], 2.0 * delta[:, None], series, above, comp)
 
     def add_exponent(self, out: np.ndarray, Y: np.ndarray) -> None:
         """Add to out, per row y of Y, the cells' integral at w = <y, direction>.
@@ -1391,14 +1388,24 @@ class _Cells:
         with np.errstate(divide="ignore", over="ignore"):
             cut = np.searchsorted(self.r, CELL_EDGE / np.abs(w))
         x, S = -(w * w), self.series
-        re, im = S[-2][cut], S[-1][cut]
+        first = S.shape[1] - 1  # the first node past CELL_SERIES_R
+        prefix = np.minimum(cut, first)
+        re, im = S[-2][prefix], S[-1][prefix]
         for k in range(S.shape[0] - 3, -1, -1):
             if k % 2:
-                re = re * x + S[k][cut]
+                re = re * x + S[k][prefix]
             else:
-                im = im * x + S[k][cut]
+                im = im * x + S[k][prefix]
         re *= x
         im *= w
+        rows = (cut > first).nonzero()[0]
+        if rows.size:
+            # delta_k G(theta)/(i w) = delta_k r_k (y odd(y) + i theta even(y)), y = -theta**2
+            near = np.arange(first, self.r.size)[:, None] < cut[rows]
+            theta = self.r[first:, None] * w[rows] * near
+            y, dr = -(theta * theta), self.half_r[first:] * self.delta2[first:]
+            re[rows] += _fold_sum(dr * y * np.polyval(_INV_FACT[CELL_TERMS - 1 : 2 : -2], y))
+            im[rows] += _fold_sum(dr * theta * np.polyval(_INV_FACT[CELL_TERMS : 1 : -2], y))
         e = _cis_m1(w[:, None], self.half_r, self.delta2, cut)
         zero = w == 0.0  # such a row reads 0 past its prefix, and no -i theta
         w = np.where(zero, 1.0, w)

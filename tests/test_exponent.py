@@ -1,15 +1,17 @@
 """Exponent objects: closed forms, algebra, invariants, special functions.
 
 Run as a script to print the triplet leaf's digests (``LEAF_DIGESTS``) and the
-keys whose digest moved:
+keys whose digest moved, and with a path ending in .npz write the values
+behind them there, for ``tests/digest_diff.py``:
 
-    PYTHONPATH=src python tests/test_exponent.py
+    PYTHONPATH=src python tests/test_exponent.py [values.npz]
 """
 
 import hashlib
 import inspect
 import json
 import math
+import sys
 from types import SimpleNamespace
 from unittest import mock
 
@@ -632,15 +634,21 @@ def leaf_map_batches(trip: LevyTriplet) -> list[np.ndarray]:
     return batches
 
 
-def leaf_digests() -> dict[str, str]:
-    """sha256 of the triplet leaf's values on each law and grid, the map batches stacked."""
+def leaf_arrays() -> dict[str, np.ndarray]:
+    """The triplet leaf's values on each law and grid, the map batches stacked."""
     out = {}
     for name, trip in leaf_laws().items():
         for grid, Y in leaf_grids(trip.dim).items():
-            out[f"{name}/{grid}"] = hashlib.sha256(trip.exponent_grid(Y).tobytes()).hexdigest()
-        vals = [trip.exponent_grid(Y).tobytes() for Y in leaf_map_batches(trip)]
-        out[f"{name}/jbeta-map"] = hashlib.sha256(b"".join(vals)).hexdigest()
+            out[f"{name}/{grid}"] = trip.exponent_grid(Y)
+        batches = [trip.exponent_grid(Y) for Y in leaf_map_batches(trip)]
+        out[f"{name}/jbeta-map"] = np.concatenate(batches)
     return out
+
+
+def leaf_digests(arrays: dict[str, np.ndarray] | None = None) -> dict[str, str]:
+    """sha256 of each of :func:`leaf_arrays`' bytes."""
+    arrays = leaf_arrays() if arrays is None else arrays
+    return {key: hashlib.sha256(v.tobytes()).hexdigest() for key, v in arrays.items()}
 
 
 LEAF_DIGESTS = {
@@ -805,8 +813,13 @@ def test_default_grid_reads_the_edge_table_only(k, monkeypatch):
 
 
 if __name__ == "__main__":
-    # the digests to pin, then the keys that moved
-    new = leaf_digests()
+    # the digests to pin, then the keys that moved; the arrays behind them go
+    # to the .npz file named on the command line (see digest_diff.py)
+    from digest_diff import save_arrays
+
+    arrays = leaf_arrays()
+    new = leaf_digests(arrays)
     print(json.dumps(new, indent=4))
     for key in moved_leaf_keys(LEAF_DIGESTS, new):
         print(f"moved: {key}")
+    save_arrays(arrays, sys.argv[1:])

@@ -1,15 +1,18 @@
 """Factorization checkers: dual-route identity reports and the area law.
 
 Run as a script to print the digests of the grid identities' report
-bytes, and the keys whose digest moved from the pinned ``IDENTITY_DIGESTS``:
+bytes, and the keys whose digest moved from the pinned ``IDENTITY_DIGESTS``;
+with a path ending in .npz it writes the values behind them there, for
+``tests/digest_diff.py``:
 
-    PYTHONPATH=src python tests/test_factor.py
+    PYTHONPATH=src python tests/test_factor.py [values.npz]
 """
 
 import hashlib
 import json
 import math
 import re
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
@@ -493,16 +496,21 @@ IDENTITY_DIGESTS = {
 }
 
 
-def identity_digests() -> dict[str, str]:
-    """sha256 of the lhs and rhs bytes of each grid identity, law and beta."""
+def identity_arrays() -> dict[str, np.ndarray]:
+    """The lhs then rhs values of each grid identity, law and beta."""
     out = {}
     for checker in IDENTITY_CHECKERS:
         for law, phi in IDENTITY_LAWS.items():
             for beta in (0.5, 1.0, 2.0, 3.0):
                 rep = getattr(factor, checker)(phi, beta, tol=1e-8)
-                key = f"{rep.identity}/{law}/beta={beta:g}"
-                out[key] = hashlib.sha256(rep.lhs.tobytes() + rep.rhs.tobytes()).hexdigest()
+                out[f"{rep.identity}/{law}/beta={beta:g}"] = np.concatenate([rep.lhs, rep.rhs])
     return out
+
+
+def identity_digests(arrays: dict[str, np.ndarray] | None = None) -> dict[str, str]:
+    """sha256 of each of :func:`identity_arrays`' bytes."""
+    arrays = identity_arrays() if arrays is None else arrays
+    return {key: hashlib.sha256(v.tobytes()).hexdigest() for key, v in arrays.items()}
 
 
 def moved_identities(old: dict, new: dict) -> list[str]:
@@ -514,8 +522,13 @@ def test_grid_identities_keep_their_bytes():
 
 
 if __name__ == "__main__":
-    # the digests to pin, then the keys that moved
-    new = identity_digests()
+    # the digests to pin, then the keys that moved; the arrays behind them go
+    # to the .npz file named on the command line (see digest_diff.py)
+    from digest_diff import save_arrays
+
+    arrays = identity_arrays()
+    new = identity_digests(arrays)
     print(json.dumps(new, indent=4))
     for key in moved_identities(IDENTITY_DIGESTS, new):
         print(f"moved: {key}")
+    save_arrays(arrays, sys.argv[1:])

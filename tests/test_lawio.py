@@ -1,14 +1,17 @@
 """Law descriptions: JSON documents to exponents, triplets, and samplers.
 
 Run as a script to print the sample digests of the builtin laws, and the
-keys whose digest moved from the pinned ``SAMPLE_DIGESTS``:
+keys whose digest moved from the pinned ``SAMPLE_DIGESTS``; with a path
+ending in .npz it writes the samples behind them there, for
+``tests/digest_diff.py``:
 
-    PYTHONPATH=src python tests/test_lawio.py
+    PYTHONPATH=src python tests/test_lawio.py [values.npz]
 """
 
 import hashlib
 import json
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -495,17 +498,22 @@ SAMPLE_DIGESTS = {
 }
 
 
-def sample_digests() -> dict[str, str]:
-    """sha256 of the jbeta and time-change (ijbeta) samples of each builtin law with a sampler."""
+def sample_arrays() -> dict[str, np.ndarray]:
+    """The jbeta and time-change (ijbeta) samples of each builtin law with a sampler."""
     out = {}
     for name in BUILTIN_LAWS:
         spec = builtin_law(name).sim
         if spec is None:
             continue
         for m in (maps.jbeta_map(1.3), maps.i_jbeta_map(1.3)):
-            samples = sample_integral(spec, m, 5000, seed=11)
-            out[f"{name}/{m.kind}"] = hashlib.sha256(samples.tobytes()).hexdigest()
+            out[f"{name}/{m.kind}"] = sample_integral(spec, m, 5000, seed=11)
     return out
+
+
+def sample_digests(arrays: dict[str, np.ndarray] | None = None) -> dict[str, str]:
+    """sha256 of each of :func:`sample_arrays`' bytes."""
+    arrays = sample_arrays() if arrays is None else arrays
+    return {key: hashlib.sha256(v.tobytes()).hexdigest() for key, v in arrays.items()}
 
 
 def moved_samples(old: dict, new: dict) -> list[str]:
@@ -517,8 +525,13 @@ def test_builtin_law_samples_keep_their_bytes():
 
 
 if __name__ == "__main__":
-    # the digests to pin, then the keys that moved
-    new = sample_digests()
+    # the digests to pin, then the keys that moved; the arrays behind them go
+    # to the .npz file named on the command line (see digest_diff.py)
+    from digest_diff import save_arrays
+
+    arrays = sample_arrays()
+    new = sample_digests(arrays)
     print(json.dumps(new, indent=4))
     for key in moved_samples(SAMPLE_DIGESTS, new):
         print(f"moved: {key}")
+    save_arrays(arrays, sys.argv[1:])

@@ -3,9 +3,10 @@
 Run as a script to print each key of the golden digests of the jbeta
 images whose digest changed, with the part that moved, ``document`` (the
 image document) or ``exponent`` (its 41-point exponent); with ``--write``
-it then rewrites the golden file:
+it then rewrites the golden file. With a path ending in .npz it writes the
+values behind each digest there, for ``tests/digest_diff.py``:
 
-    PYTHONPATH=src python tests/test_map_triplet.py [--write]
+    PYTHONPATH=src python tests/test_map_triplet.py [--write] [values.npz]
 """
 
 import hashlib
@@ -113,20 +114,38 @@ def _sha(*parts: bytes) -> str:
     return hashlib.sha256(b"".join(parts)).hexdigest()
 
 
-def image_digests() -> dict[str, dict[str, str]]:
-    """sha256 of each jbeta image document and of its 41-point exponent, and of cor5 sides."""
+def _numbers(doc) -> list[float]:
+    """The numbers of a JSON document, depth first, in sorted key order."""
+    if isinstance(doc, dict):
+        return [x for key in sorted(doc) for x in _numbers(doc[key])]
+    if isinstance(doc, list):
+        return [x for item in doc for x in _numbers(item)]
+    return [float(doc)] if isinstance(doc, (int, float)) and not isinstance(doc, bool) else []
+
+
+def image_digests(arrays: dict | None = None) -> dict[str, dict[str, str]]:
+    """sha256 of each jbeta image document and of its 41-point exponent, and of cor5 sides.
+
+    With a dict ``arrays``, the values behind each digest go there too, under
+    'key part': a document's numbers, an exponent's values, cor5's lhs then rhs.
+    """
     out = {}
+    arrays = {} if arrays is None else arrays
     for name, trip in hash_panel().items():
         grid = factor.default_grid(trip.dim)
         for beta in HASH_BETAS:
             img = maps.jbeta_triplet(trip, beta)
-            doc = json.dumps(triplet_to_dict(img), sort_keys=True).encode()
+            key, doc = f"{name}/beta={beta:g}", triplet_to_dict(img)
             vals = from_triplet(img).eval_grid(grid)
-            out[f"{name}/beta={beta:g}"] = {"document": _sha(doc), "exponent": _sha(vals.tobytes())}
+            out[key] = {"document": _sha(json.dumps(doc, sort_keys=True).encode()),
+                        "exponent": _sha(vals.tobytes())}
+            arrays[f"{key} document"], arrays[f"{key} exponent"] = np.array(_numbers(doc)), vals
     for k, measure in enumerate(atomic_measures(9002)):
         for beta in COR5_BETAS:
             rep = factor.spectral_factor_check(measure, beta)
-            out[f"cor5/{k}/beta={beta:g}"] = {"exponent": _sha(rep.lhs.tobytes(), rep.rhs.tobytes())}
+            key = f"cor5/{k}/beta={beta:g}"
+            out[key] = {"exponent": _sha(rep.lhs.tobytes(), rep.rhs.tobytes())}
+            arrays[f"{key} exponent"] = np.concatenate([rep.lhs, rep.rhs])
     return out
 
 
@@ -500,10 +519,15 @@ def test_grid_tail_images_are_exact(kind, beta):
 
 
 if __name__ == "__main__":
-    # name the digests that moved; rewrite the file only when asked
+    # name the digests that moved; rewrite the file only when asked. The
+    # arrays behind them go to the .npz file named on the command line
+    from digest_diff import save_arrays
+
     old = json.loads(GOLDEN.read_text()) if GOLDEN.exists() else {}
-    new = image_digests()
+    arrays = {}
+    new = image_digests(arrays)
     for line in moved_digests(old, new):
         print(line)
+    save_arrays(arrays, sys.argv[1:])
     if "--write" in sys.argv[1:]:
         GOLDEN.write_text(json.dumps(new, indent=2, sort_keys=True) + "\n")

@@ -182,6 +182,62 @@ class TestRadialClosedForms:
         # (r/2.5)**-1 against 0.6 r**-2 over (2.5, 3): 0.75 (2.5**-2 - 3**-2) = 11/300
         assert abs(got[1, 2] - 11.0 / 300.0) < 1e-16
 
+    @staticmethod
+    def moment_truth(lo, hi, c, p, k, u):
+        """40-digit integral of (r/u)**k against c r**p over (max(u, lo), hi)."""
+        with mp.workdps(40):
+            lo, hi, c, p, k, u = map(mp.mpf, (lo, hi, c, p, k, u))
+            a, q = max(u, lo), p + k + 1
+            if a >= hi:
+                return mp.mpf(0)
+            if q == 0:
+                return c * mp.log(hi / a) / u ** k
+            return c * ((hi ** q if hi < mp.inf else 0) - a ** q) / q / u ** k
+
+    ENDS = [1e-300, 1e-200, 1e-100, 1e-10, 1.0, 1e10, 1e100, 1e200, 1e300, math.inf]
+    US = np.array([1e-300, 1e-250, 1e-200, 1e-150, 1e-100, 1e-10, 1.0, 1e10, 1e100, 1e200, 1e300])
+
+    @pytest.mark.parametrize("p", [-2.5, -1.0, 0.0, 2.0])
+    def test_tails_and_moments_at_every_scale(self, p):
+        # each segment between two ENDS, scaled to mass 1 where that scale is a
+        # double; at every u from 1e-300 to 1e300 and the segment's ends, the
+        # tail (k = 0) and the moments a jbeta image's tail reads (k = -beta)
+        # are finite and within 1e-14 relative of 40 digits, with warnings as errors
+        checked = 0
+        for lo, hi in ((lo, hi) for i, lo in enumerate(self.ENDS) for hi in self.ENDS[i + 1 :]):
+            if math.isinf(hi) and p >= -1.0:
+                continue
+            c = float(1 / self.moment_truth(lo, hi, 1.0, p, 0.0, lo))
+            if not 1e-300 <= c <= 1e300:
+                continue
+            rad = spectral.RadialMeasure((), (spectral.Segment(lo, hi, c, p),))
+            us = np.concatenate([self.US, [lo] + ([hi] if hi < math.inf else [])])
+            ks = np.array([[0.0], [-0.5], [-2.0]])
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                got = rad.moment(ks, us)
+            for k, row in zip(ks[:, 0], got):
+                for u, g in zip(us, row):
+                    want = self.moment_truth(lo, hi, c, p, k, u)
+                    assert math.isfinite(g), (lo, hi, k, u)
+                    assert abs(g - want) <= 1e-14 * abs(want) + 5e-324, (lo, hi, k, u)
+                    checked += 1
+        assert checked > 600
+
+    def test_tails_at_tiny_and_far_radii(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            # mass 0.9 less the moment of (u/r)**2, 0.09
+            tiny = spectral.RadialMeasure((), (spectral.Segment(1e-200, 1e-199, 1e199, 0.0),))
+            assert abs(maps.transformed_tail(tiny, 2.0, [1e-200])[0] - 0.81) <= 1e-14 * 0.81
+            # far above u: u**-2 overflowed; the moment is 5e-601, below the double range
+            unit = spectral.RadialMeasure((), (spectral.Segment(1.0, 2.0, 1.0, 0.0),))
+            assert unit.moment(-2.0, [1e-300]).tolist() == [0.0]
+            assert maps.transformed_tail(unit, 2.0, [1e-300]).tolist() == [1.0]
+            # b/a = 1e310 passed the double range in _log_ratio
+            far = spectral.RadialMeasure((), (spectral.Segment(1e-300, 1e10, 1.0, 3.0),))
+            assert abs(far.tail([1e-300])[0] - 2.5e39) <= 1e-15 * 2.5e39
+
     def test_log_moment_of_unbounded_segment(self):
         rad = ray(1.0, segments=[(1.0, math.inf, 0.2, -2.5)]).radial
         # int_1^inf log(r) * 0.2 r^-2.5 dr = 0.2 / 1.5^2
@@ -442,13 +498,13 @@ class TestExponentIntegrals:
 
     @pytest.mark.parametrize("p", [-1.01, -1.3, -1.6, -1.99, -2.0, -2.01, -2.4, -2.7, -2.99, -4.0])
     def test_unbounded_rows_near_zero_meet_the_asymptotic_oracle(self, p):
-        # rows below spectral.SMALL_W take the small-|w| form; the direct path
-        # read these tails up to 100% off there. A value below the normal
-        # range holds no more than its spacing, 5e-324; near p = -2 the value
-        # is subnormal down from |w| 1e-320 and its terms cancel there, so
-        # these rows are held to 8 spacings. At p -2.99 and -4 the leading
-        # term |w|/|p+2| is far above the scale (8/|w|)**(p+1), which the
-        # subnormal parts are not divided by alone: that overflowed exp
+        # these rows' top**p leaves the normal range, so the series takes them
+        # in logs, tail included; with top**p as it rounds, the tail read up
+        # to 100% off. A value below the normal range holds no more than its
+        # spacing, 5e-324; near p = -2 the value is subnormal down from |w|
+        # 1e-320 and its terms cancel there, so these rows are held to 8
+        # spacings. At p -2.99 and -4 the leading term |w|/|p+2| is far
+        # above the scale (8/|w|)**(p+1), which the terms are not divided by alone
         ws = [5e-324, 1e-305, 1e-300, 1e-250, 1e-200, 1e-100]
         near_two = abs(p + 2.0) < 0.05
         if near_two:
@@ -465,6 +521,80 @@ class TestExponentIntegrals:
             else:
                 truth = self.tail_near_zero(p, w)
             assert abs(g - truth) <= 1e-13 * abs(truth) + (4e-323 if near_two else 5e-324), w
+
+    @staticmethod
+    def tail_by_gamma(p, w):
+        """60-digit value of the same integral, w > 0, for |w| above 1e-100:
+        (-i w)**(-p-1) Gamma(p+1, -i w) - 1/(-p-1). Nearer 0 its two terms
+        cancel past 60 digits (p -5 at 1e-300 read 2.8e-71i, not 3.3e-301i)."""
+        with mp.workdps(60):
+            z = mp.mpc(0, -w)
+            return complex(z ** (-p - 1) * mp.gammainc(p + 1, z) - 1 / mp.mpf(-p - 1))
+
+    # the p = -1000 tail at |w| 1e3, by tail_by_gamma (2.6 s; 80 digits agree)
+    STEEP_AT_1E3 = -0.001133598167964477 + 0.0006945630763726055j
+
+    @pytest.mark.parametrize(
+        "p", [-1.0001, -1.5, -2.0, -2.9999, -3.0, -4.0, -5.0, -10.0, -50.0, -1000.0]
+    )
+    def test_unbounded_tails_meet_the_oracle_at_every_scale(self, p):
+        # the series' terms past far_top go to logs: p -5 to -1000 overflowed
+        # expm1 at |w| 1e-150 up, and p -1000 at every |w| up to 1
+        ws = [0.0, 5e-324, 1e-300, 1e-150, 1e-100, 1e-3, 1.0, 1e3]
+        m = SpectralMeasure(1, (ray(1.0, segments=[(1.0, math.inf, 1.0, p)]),))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = jump_exponent(m, np.array(ws)[:, None])
+        assert got[0] == 0.0
+        near_two = abs(p + 2.0) < 0.05
+        for g, w in zip(got[1:], ws[1:]):
+            if (p, w) == (-1000.0, 1e3):
+                truth = self.STEEP_AT_1E3
+            elif w > 1e-100:
+                truth = self.tail_by_gamma(p, w)
+            elif p == int(p):
+                truth = self.tail_at_integer(int(-p), w)
+            else:
+                truth = self.tail_near_zero(p, w)
+            assert abs(g - truth) <= 1e-13 * abs(truth) + (4e-323 if near_two else 5e-324), w
+
+    @staticmethod
+    def bounded_tail(a, b, p, w):
+        """60-digit integral of r**p (exp(i w r) - 1) over (a, b), w > 0: termwise,
+        sum over j >= 1 of (i w)**j / j! times the integral of r**(p+j), where
+        w b <= 8, and a difference of incomplete gamma functions past it."""
+        with mp.workdps(60):
+            a, b, p, w = map(mp.mpf, (a, b, p, w))
+            iw = mp.mpc(0, w)
+            if w * b > 8:
+                mass = (b ** (p + 1) - a ** (p + 1)) / (p + 1)
+                return complex((-iw) ** (-p - 1) * mp.gammainc(p + 1, -iw * a, -iw * b) - mass)
+            total, j = mp.mpc(0), 1
+            while True:
+                q = p + 1 + j
+                power = mp.log(b / a) if q == 0 else (b ** q - a ** q) / q
+                term = iw ** j / mp.factorial(j) * power
+                total += term
+                if j > 5 and abs(term) < mp.mpf(10) ** -60 * abs(total):
+                    return complex(total)
+                j += 1
+
+    @pytest.mark.parametrize("seg, ws", [
+        ((1.0, 1e10, -50.0), [5e-324, 1e-300, 1e-100, 1e-10, 8e-10, 1e-3, 1.0]),
+        ((1.0, 1e3, -200.0), [5e-324, 1e-300, 1e-100, 1e-3, 0.1, 1.0, 1e3]),
+        # q = p + 1 + j is 0 at j = 39, a term kept where |w| b nears 8
+        ((1.0, 1e10, -40.0), [1e-300, 1e-100, 1e-10, 5e-10, 8e-10, 1e-3]),
+    ])
+    def test_bounded_steep_segments_meet_the_oracle(self, seg, ws):
+        # the bounded pieces never took the small-|w| form: these raised
+        # "overflow encountered in expm1" at every |w| in (1e-300, 1e-3)
+        m = SpectralMeasure(1, (ray(1.0, segments=[(*seg[:2], 1.0, seg[2])]),))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = jump_exponent(m, np.array(ws)[:, None])
+        for g, w in zip(got, ws):
+            truth = self.bounded_tail(*seg, w)
+            assert abs(g - truth) <= 1e-13 * abs(truth) + 5e-324, w
 
     def test_every_part_is_finite_past_the_edge_float_range(self):
         # atoms, segments from 0 and a > 0, an unbounded tail and grid-tail cells
@@ -512,16 +642,21 @@ class TestExponentIntegrals:
 
     @pytest.mark.parametrize(
         "radii",
-        # the second reaches past CELL_SERIES_R, where nodes take no series
+        # the second reaches past CELL_SERIES_R, where nodes take G's series one by one
         [np.geomspace(1e-3, 1e4, 600), np.geomspace(1.0, 1e21, 50)],
     )
-    def test_grid_tail_exponent_matches_40_digit_cells(self, radii):
+    def test_grid_tail_exponent_matches_100_digit_cells(self, radii):
         rad = spectral.RadialMeasure(grid_tail=GridTail(radii, 1.0 / radii))
-        ws = np.concatenate([ORACLE_WS, [0.0, 1e-22, -1e-22]])
-        want = grid_tail_oracle(rad, ws)
+        ws = np.concatenate([ORACLE_WS, [0.0, 1e-22, -1e-22, 1e-20, 1e-18]])
+        # a cell's closed form cancels its length to |w| (b**2 - a**2)/2, and its
+        # real part to w**2 (b**3 - a**3)/6: up to 50 digits at |w| 1e-22 from r 1e-3
+        want = grid_tail_oracle(rad, ws, dps=100)
         got = rad.exponent_integral(ws)
-        assert got[-3] == 0.0
-        assert np.max(np.abs(got - want)) < 1e-13 * np.max(np.abs(want))
+        assert got[10] == 0.0
+        # each part of each row: past CELL_SERIES_R the nodes took exp(i theta) - 1,
+        # less i theta, and the real part read 1.2e-11 off at |w| 1e-22
+        for part in (np.real, np.imag):
+            assert np.all(np.abs(part(got) - part(want)) <= 1e-13 * np.abs(part(want)))
 
     def test_fine_grid_tail_exponent_converges_to_density_oracle(self):
         radii = np.linspace(0.2, 12.0, 3001)
