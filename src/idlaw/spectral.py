@@ -1240,8 +1240,8 @@ class _Pieces:
         """
         log_w, log_a = np.log(W), np.log(self.a[k])
         L = np.minimum(math.log(SERIES_EDGE) - log_w, np.log(self.b[k]))
-        coef = self.coef[:rows, k]
-        lower = self.q[:rows, k] * log_a + _TERM_K[:rows] * log_w
+        coef, kept = self.coef[:rows, k], _TERM_KEEP[:rows] <= z  # rows the batch adds set no shift
+        lower = np.where(kept, self.q[:rows, k] * log_a + _TERM_K[:rows] * log_w, -np.inf)
         head = np.max(lower + np.log(np.maximum(np.abs(coef), 1.0)), axis=0)
         shift = np.maximum(np.maximum(self.p1[k] * L, head - 700.0), -700.0)
         scale = np.exp(self.p1[k] * L - shift)

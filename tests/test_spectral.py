@@ -596,6 +596,15 @@ class TestExponentIntegrals:
             truth = self.bounded_tail(*seg, w)
             assert abs(g - truth) <= 1e-13 * abs(truth) + 5e-324, w
 
+    def test_far_elements_do_not_depend_on_their_batch(self):
+        # a steep piece whose top is b: its series in logs once set its shift over
+        # every row the batch's largest |w| b kept, so its bytes moved with the batch
+        rad = spectral.RadialMeasure((), (spectral.Segment(1.0, 3.0, 1.0, -800.0),))
+        for w in (1.2, 2.0, 2.5):
+            alone = rad.exponent_integral(np.array([w]))
+            together = rad.exponent_integral(np.array([w, 2.7, 1e-300, 0.5]))[:1]
+            assert alone.tobytes() == together.tobytes(), w
+
     def test_every_part_is_finite_past_the_edge_float_range(self):
         # atoms, segments from 0 and a > 0, an unbounded tail and grid-tail cells
         radii = np.geomspace(0.5, 4.0, 20)
