@@ -138,8 +138,9 @@ def map_exponent_grid(
     weight, scale, rough = _substitution(POWER_KERNELS[m.kind](m.beta), phi.heavy_tailed)
     if scale is np.exp:
         return _folded(lambda rows: _singular_grid(phi, rows, tol, weight), Y)
+    splits = _ROUGH_SPLITS if rough else ()
     return _folded(
-        lambda rows: _kernel_integral(phi, rows, tol, 0.0, 1.0, weight, scale, rough=rough), Y
+        lambda rows: _kernel_integral(phi, rows, tol, 0.0, 1.0, weight, scale, splits=splits), Y
     )
 
 
@@ -159,9 +160,13 @@ def _substitution(kernel, heavy_tailed: bool):
     kappa_0 exp(a0 s) ((1 + r) + r expm1(d s)), which loses no digits
     where two terms cancel at s = 0. Otherwise it is x = u**q on (0, 1),
     q = min(a0, 1), the scale x**(1/q) (None at q = 1) and the bounded
-    weight c0 x**e0 (1 + r x**(d/q)), c0 = kappa_0/q, e0 = a0/q - 1;
-    ``rough`` marks x = 0 when the law is heavy-tailed (Phi ~ |w|**(-p-1)
-    at 0) or an exponent of the weight or the scale is not an integer.
+    weight c0 x**e0 (1 + r x**(d/q)), c0 = kappa_0/q, e0 = a0/q - 1.
+    x = 0 is ``rough`` when the law is heavy-tailed (Phi ~ |w|**(-p-1) at
+    0) or an exponent of the weight or the scale is not an integer. A rough
+    end is integrated in v, x = v**2, with q halved: the weight 2v w(v**2)
+    and the scale s(v**2). An end behaviour x**c dx becomes 2 v**(2c+1) dv,
+    more than twice as smooth, so the panel at the end needs few cuts
+    toward it; that integral is cut at :data:`_ROUGH_SPLITS`.
     """
     (k0, a0), *second = kernel
     r, d = (second[0][0] / k0, second[0][1] - a0) if second else (0.0, 0.0)
@@ -170,9 +175,12 @@ def _substitution(kernel, heavy_tailed: bool):
         lead, rest = (lambda s: np.exp(e0 * s)), (lambda s: (1.0 + r) + r * np.expm1(d * s))
     else:
         q = min(a0, 1.0)
+        powers = (a0 / q - 1.0, d / q, 1.0 / q)
+        rough = heavy_tailed or not all(float(e).is_integer() for e in powers)
+        if rough:
+            q *= 0.5
         c0, e0, d = k0 / q, a0 / q - 1.0, d / q
         scale = None if q == 1.0 else (lambda x: x ** (1.0 / q))
-        rough = heavy_tailed or not all(float(e).is_integer() for e in (e0, d, 1.0 / q))
         lead, rest = (lambda x: x ** e0), (lambda x: 1.0 + r * x ** d)
 
     def weight(x):
@@ -183,20 +191,26 @@ def _substitution(kernel, heavy_tailed: bool):
     return None if (c0, e0, r) == (1.0, 0.0, 0.0) else weight, scale, rough
 
 
+# Where a rough end's integral in v is cut before refinement. On eq3, eq15 and
+# cor1a of cp at beta 1.3 and 1.7 (41 points, tol 1e-8, a 2-CPU host) a cut at
+# 1/2 took 1.3-1.7 ms a check, no cut 1.5-2.0 ms (more depths) and cuts at 1/4,
+# 1/2 and 3/4 3.7-4.0 ms, though three cuts made the single maps the cheapest
+_ROUGH_SPLITS = (0.5,)
+
+
 # Share of a map's tolerance granted to the inner exponent; the outer
 # quadrature keeps the rest, so inner noise cannot drive its refinement.
 _INNER_SHARE = 0.25
 
 
-def _kernel_integral(phi, Y, tol, a, b, kern, scale, mass=1.0, splits=(), rough=False):
+def _kernel_integral(phi, Y, tol, a, b, kern, scale, mass=1.0, splits=()):
     """Integral over (a, b) of kern(x) * Phi(scale(x) Y) dx on the grid Y.
 
     Each grid point is one column of the quadrature and refines on its
     own. Inner errors reach the value weighted by the kernel's mass on
     (a, b), so the inner exponent gets its share of ``tol`` divided by
     that mass. The quadrature applies the kernel, as its weight, and the
-    scale, once per depth, and grades its panels toward the lower limit
-    when ``rough`` is set (:func:`quadrature.integrate`); a kernel of None
+    scale, once per depth (:func:`quadrature.integrate`); a kernel of None
     is identically 1.
     """
     inner_tol = _INNER_SHARE * tol / mass
@@ -206,7 +220,7 @@ def _kernel_integral(phi, Y, tol, a, b, kern, scale, mass=1.0, splits=(), rough=
 
     val, _ = quadrature.integrate(
         f, a, b, tol=(1.0 - _INNER_SHARE) * tol, splits=splits, columns=Y.shape[0],
-        weight=kern, scale=scale, rough=rough,
+        weight=kern, scale=scale,
     )
     return val
 

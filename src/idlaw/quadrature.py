@@ -18,11 +18,9 @@ A depth is a list of panels and a list of units, each a panel index and
 a column. The first depth holds every (panel, column) pair, panel by
 panel; each later one holds the left pieces of the rejected units' panels,
 in their order, then the right pieces. A rejected panel is cut at its
-midpoint, except one that starts at a lower limit marked as the
-integrand's rough end, which is cut at :data:`ROUGH_CUT` of its width from
-that end: toward an algebraic singularity at the end, one depth then moves
-the panel next to it 8 times closer, not 2 (a geometric mesh, as in
-hp-refinement; Schwab, *p- and hp-Finite Element Methods*, 1998). What depends on a panel alone is
+midpoint; an integrand with an algebraic singularity at a limit is best
+given to it in a variable that flattens the singularity (as the maps do,
+:func:`idlaw.maps._substitution`). What depends on a panel alone is
 computed once per depth on its panels' abscissas, whatever the chunks:
 the abscissas themselves and, for an integral of w(x) f(s(x)) dx such as
 a map's, the weight w and the substitution s (:func:`integrate`). What
@@ -41,11 +39,6 @@ from .errors import QuadratureError
 DEFAULT_TOL = 1e-10
 # cuts of a unit's panel before the unit is abandoned
 MAX_DEPTH = 40
-# where a rejected panel touching the rough end is cut, as a fraction of its
-# width from that end. The jbeta(1) map of the four triplet-tail panel laws,
-# whose exponents behave like |w|**(-p-1), p in (-3, -1), at w = 0, took
-# 3/4/5/6 depths at tol 1e-9 this way and 6/7/10/13 by halving
-ROUGH_CUT = 0.125
 # (abscissa, column) pairs one depth may evaluate, 26x the largest depth
 # the test suite and the benchmark workloads reach (316,428); past it
 # refinement stops. It caps the work of a depth; its integrand calls hold
@@ -126,7 +119,6 @@ def integrate(
     columns: int = 1,
     weight: Callable | None = None,
     scale: Callable | None = None,
-    rough: bool = False,
 ) -> tuple[np.ndarray, float]:
     """Integrate each of ``columns`` integrands over [a, b] with adaptive G10K21.
 
@@ -164,9 +156,6 @@ def integrate(
         holds. ``f`` receives s(x) in ``x``, and its values are multiplied
         by w(x) before the rules are applied, so the estimates and the
         rounding-level test read w(x) f(s(x)).
-    rough : bool
-        Whether the integrand is rough at ``a``: a rejected unit whose panel
-        starts there has it cut at :data:`ROUGH_CUT` of its width from ``a``.
 
     Returns
     -------
@@ -233,22 +222,21 @@ def integrate(
         w = None if weight is None else weight(nodes)
         if scale is not None:
             nodes = scale(nodes)
-        # where each panel is cut if one of its units is rejected
-        cut = np.where(left == a, left + ROUGH_CUT * span, mid) if rough else mid
-        bounds = (left, cut, right)
+        # panels too narrow to cut, whose units are accepted over their share
+        narrow = (mid <= left) | (mid >= right)
         span, half = span[panel], half[panel]
         width = np.bincount(col, weights=span, minlength=columns)
         # acceptance reads the budget left at the start of the depth
         share = span * (np.maximum(tol - spent, 0.0)[col] / width[col])
         if k <= most:
-            rules, err, over = _evaluate_units(f, nodes, w, bounds, panel, col, half, share)
+            rules, err, over = _evaluate_units(f, nodes, w, narrow, panel, col, half, share)
         else:
             # balanced chunks of whole units in unit order; only per-unit
             # arrays outlive a chunk
             chunks = -(-k // most)
             cuts = [k * c // chunks for c in range(chunks + 1)]
             parts = [
-                _evaluate_units(f, nodes, w, bounds, *(v[i:j] for v in (panel, col, half, share)))
+                _evaluate_units(f, nodes, w, narrow, *(v[i:j] for v in (panel, col, half, share)))
                 for i, j in zip(cuts[:-1], cuts[1:])
             ]
             rules, err, over = zip(*parts)
@@ -272,9 +260,9 @@ def integrate(
         kept = np.zeros(left.size, dtype=bool)
         kept[panel] = True
         panel = (np.add.accumulate(kept, dtype=np.intp) - 1)[panel]
-        left, cut, right = left[kept], cut[kept], right[kept]
-        left, right = np.concatenate((left, cut)), np.concatenate((cut, right))
-        panel = np.concatenate((panel, panel + cut.size))
+        left, mid, right = left[kept], mid[kept], right[kept]
+        left, right = np.concatenate((left, mid)), np.concatenate((mid, right))
+        panel = np.concatenate((panel, panel + mid.size))
         col = np.concatenate((col, col))
         depth += 1
 
@@ -291,12 +279,12 @@ def integrate(
     return values, worst
 
 
-def _evaluate_units(f, nodes, w, bounds, panel, col, half, share):
+def _evaluate_units(f, nodes, w, narrow, panel, col, half, share):
     """Evaluate units of one depth in one integrand call.
 
     ``nodes`` holds the substituted abscissas s(x) of the depth's panels,
-    ``w`` their weights w(x) (None for 1) and ``bounds`` their (left end,
-    cut point, right end). Returns each unit's (real, imaginary) x (K21,
+    ``w`` their weights w(x) (None for 1) and ``narrow`` marks those too
+    narrow to cut. Returns each unit's (real, imaginary) x (K21,
     K21 - G10) sums of w(x) f(s(x)), its |K21 - G10| and the indices of
     the units not accepted against their ``share`` of the budget.
     """
@@ -321,8 +309,6 @@ def _evaluate_units(f, nodes, w, bounds, panel, col, half, share):
         # units over their share may still be at rounding level, or too
         # narrow to cut
         noise = _ROUNDOFF * half[over] * np.einsum("kj,j->k", abs(vals[over]), _KRONROD_WEIGHTS)
-        left, cut, right = bounds
-        narrow = (cut <= left) | (cut >= right)
         over = over[~((err[over] <= noise) | narrow[panel[over]])]
     return rules, err, over
 

@@ -1149,17 +1149,20 @@ class _Pieces:
         # above the edge starts at top, which is then max(edge, a)
         top = np.where(below, np.minimum(edge, self.b[:, None]), self.rest[:, None])
         scale = top ** self.p1[:, None]
-        val, far = self._series(W, top, scale, below)
+        val, joined = self._series(W, top, scale, below)
         above = (edge < self.bounded_b[:, None]).reshape(-1).nonzero()[0]
         if above.size:
             flat = val.reshape(-1)
-            flat[above] += self._tails(above // n, W.reshape(-1)[above], top.reshape(-1)[above])
+            took = None if joined is None else joined.reshape(-1)[above]
+            flat[above] += self._tails(
+                above // n, W.reshape(-1)[above], top.reshape(-1)[above], took
+            )
         if n1 > nu:
             # T(b) = 0 and P_0 = -x**(p+1)/(p+1) over (x, inf); the pieces are raw
             at = slice(nu, n1)
             w_top = W[at] * top[at]
-            if far[0].size:  # the series holds far tails; they add none, and skip 1/|w|
-                moving[far], W[far] = False, 1.0
+            if joined is not None:  # the series holds their tails; they add none, skip 1/|w|
+                moving[joined], W[joined] = False, 1.0
             x = np.maximum(edge[at], self.a[at, None])  # top, and nan at w = 0
             tail = self._rotated_tail(self.unbounded, x, W[at], w_top)
             tail -= scale[at] * self.tail_p0
@@ -1169,7 +1172,7 @@ class _Pieces:
         return _fold_sum(val if self.fold is None else val[self.fold])
 
     def _series(self, W: np.ndarray, top: np.ndarray, scale: np.ndarray, below: np.ndarray):
-        """The integral over (a, top), top = min(edge, b), per element (piece, row), and far.
+        """The integral over (a, top), top = min(edge, b), per element (piece, row), and joined.
 
         Termwise it is the sum over k0 <= j of (i W)**j / j! times the integral M_j of
         r**j against the piece at c = 1 over (a, top). With z = W top, that is ``scale`` =
@@ -1179,16 +1182,22 @@ class _Pieces:
         no term cancels at its two ends. A log form's is :func:`_form_ratio`, zero below
         k0. Elements of power pieces from a > 0 whose top passes ``far_top`` take their
         terms in logs over exp(shift), and exp(shift) as their scale (:meth:`_far_terms`);
-        their indices are returned as ``far``. An element keeps its terms while z**j / j!
-        is at least 1e-18 of min(1, z**2 / 2) (``_KEEP``), and the parts fold over all
-        SERIES_TERMS rows in order, so its value does not depend on the other elements.
-        An element with no part ``below`` the edge takes z = 0 and reads exactly 0.
+        where top is the edge and p is not -1 their tail from the edge joins those terms,
+        and a mask of these elements is returned as ``joined`` (None if there are none). An
+        element keeps its terms while z**j / j! is at least 1e-18 of min(1, z**2 / 2)
+        (``_KEEP``), and the parts fold over all SERIES_TERMS rows in order, so its value
+        does not depend on the other elements. An element with no part ``below`` the edge
+        takes z = 0 and reads exactly 0.
         """
         (n0, _, n1), (pieces, n) = self.kinds, W.shape
         z = np.where(below, W * top, 0.0)
-        far = (top > self.far_top).nonzero()
+        far, joined = (top > self.far_top).nonzero(), None
         if far[0].size:  # z is 8 where top is the edge
-            z[far] = z_far = np.where(top[far] < self.b[far[0]], SERIES_EDGE, W[far] * top[far])
+            edged = top[far] < self.b[far[0]]
+            z[far] = z_far = np.where(edged, SERIES_EDGE, W[far] * top[far])
+            edged &= self.p1[far[0]] != 0.0
+            joined = np.zeros(top.shape, dtype=bool)
+            joined[far] = edged
         z = z.reshape(-1)
         # an even row count pairs each odd term with the even one after it
         rows, m = (3 + int(_KEEP.searchsorted(z.max(), "right"))) & ~1, z.size
@@ -1209,7 +1218,9 @@ class _Pieces:
                     ratio[row, i - n0] = log_rho[i - n0]
             by_piece[:, n0:n1] *= ratio
             if far[0].size:
-                by_piece[:, far[0], far[1]], shift = self._far_terms(far[0], W[far], z_far, rows)
+                by_piece[:, far[0], far[1]], shift = self._far_terms(
+                    far[0], W[far], z_far, rows, edged
+                )
                 scale = scale.copy()
                 scale[far] = np.exp(shift)
         if pieces > n1:
@@ -1228,14 +1239,18 @@ class _Pieces:
         out = np.empty((pieces, n), dtype=complex)
         np.multiply(odd_even[m:].reshape(pieces, n), scale, out=out.real)
         np.multiply(odd_even[:m].reshape(pieces, n), scale, out=out.imag)
-        return out, far
+        return out, joined
 
-    def _far_terms(self, k: np.ndarray, W: np.ndarray, z: np.ndarray, rows: int):
+    def _far_terms(
+        self, k: np.ndarray, W: np.ndarray, z: np.ndarray, rows: int, joined: np.ndarray
+    ):
         """Series terms over exp(shift), and shift, for elements of power pieces k from a > 0.
 
         Term j is coef_j (a**q W**j - z**j top**(p+1)), or coef_j log(a/top) z**j top**(p+1)
-        at q = 0, with log(top) = min(log(8/W), log(b)). An unbounded piece's tail, top**(p+1)
-        (i exp(8i) lag/8 + 1/(p+1)), joins terms 1 and 2 to cancel before the scale rounds.
+        at q = 0, with log(top) = min(log(8/W), log(b)). On the ``joined`` elements, where
+        top is the edge, the tail from it, T(top) - P_0 over (top, inf) = top**(p+1) (i exp(8i)
+        lag/8 + 1/(p+1)), joins terms 1 and 2 to cancel before the scale rounds, as T(top)'s
+        top**p would underflow alone; a bounded piece's :meth:`_tails` then add the rest.
         shift is at least -700, log(top**(p+1)) and 700 below each log(a**q W**j coef_j).
         """
         log_w, log_a = np.log(W), np.log(self.a[k])
@@ -1251,24 +1266,31 @@ class _Pieces:
             if row < rows:
                 ratio[row, k == i] = ((log_a - L) * upper[row])[k == i]
         terms = coef * ratio
-        tail = _EDGE_TURN[0] * self.edge_lag[k] / SERIES_EDGE + 1.0 / self.p1[k]
-        tail = np.where(k >= self.kinds[1], scale * tail, 0.0)  # on the unbounded pieces
+        tail = np.zeros(k.size, dtype=complex)
+        kj = k[joined]
+        tail[joined] = scale[joined] * (
+            _EDGE_TURN[0] * self.edge_lag[kj] / SERIES_EDGE + 1.0 / self.p1[kj]
+        )
         terms[:2] += np.array([tail.imag, tail.real])
         return terms, shift
 
-    def _tails(self, k: np.ndarray, W: np.ndarray, x: np.ndarray) -> np.ndarray:
+    def _tails(self, k: np.ndarray, W: np.ndarray, x: np.ndarray, took=None) -> np.ndarray:
         """The integral over (x, b), x = max(edge, a), for elements of bounded pieces k.
 
         It is T(x) - T(b) - P_0 - i W P_1, where T is :meth:`_rotated_tail`
         and P_j the integral of r**j against the piece at c = 1 over
         (x, b); only the compensated pieces (k0 = 2) take P_1, which is 0 on
-        a raw one.
+        a raw one. Where the series ``took`` T(x) + x**(p+1)/(p+1)
+        (:meth:`_far_terms`), the rest, -T(b) - b**(p+1)/(p+1) - i W P_1, is left.
         """
         m, b = k.size, self.b[k]
         ends, W2 = np.concatenate([x, b]), np.concatenate([W, W])
         T = self._rotated_tail(np.concatenate([k, k]), ends, W2, W2 * ends)
         val = T[:m] - T[m:]
         val -= self._moment(k, self.p1[k], x, b)
+        if took is not None:
+            q = self.p1[k[took]]
+            val[took] = -(T[m:][took] + b[took] ** q / q)
         comp = (self.k0[k] == 2).nonzero()[0]
         if comp.size:
             kc = k[comp]

@@ -838,25 +838,41 @@ class TestPanelLawImage:
 
 
 class TestRoughEnd:
-    """The jbeta and ubetaf quadratures grade their panels toward x = 0,
-    where the map's scale reaches 0, on heavy-tailed laws and at
-    non-integer powers."""
+    """jbeta and ubetaf integrate a rough end, where the map's scale reaches
+    0 on a heavy-tailed law or at a non-integer power, in v with x = v**2,
+    on two panels split at v = 1/2 (maps._substitution)."""
 
-    BETAS = (0.5, 0.7, 1.0, 1.3, 1.5, 2.0)
+    BETAS = (0.3, 0.5, 0.7, 1.0, 1.3, 1.5, 1.7, 2.0, 2.5)
 
     @staticmethod
-    def rough_ends(monkeypatch, m, phi):
-        """The rough flags the map hands the quadrature."""
-        ends = []
+    def quadratures(monkeypatch, m, phi):
+        """(splits, scale) of each quadrature the map runs."""
+        seen = []
         integrate = quadrature.integrate
 
-        def recorded(*args, rough=False, **kwargs):
-            ends.append(rough)
-            return integrate(*args, rough=rough, **kwargs)
+        def recorded(*args, splits=(), scale=None, **kwargs):
+            seen.append((tuple(splits), scale))
+            return integrate(*args, splits=splits, scale=scale, **kwargs)
 
         monkeypatch.setattr(quadrature, "integrate", recorded)
         maps.map_exponent_grid(m, phi, np.array([[0.0], [2.5]]), 1e-6)
-        return set(ends)
+        return seen
+
+    @staticmethod
+    def unsubstituted(monkeypatch):
+        """Patch the substitution off: a rough end's integral goes back to x = v**2."""
+        substitution = maps._substitution
+
+        def in_x(kernel, heavy_tailed):
+            weight, scale, rough = substitution(kernel, heavy_tailed)
+            if not rough:
+                return weight, scale, rough
+            # dv = dx / (2 sqrt(x))
+            return (lambda x: weight(np.sqrt(x)) / (2.0 * np.sqrt(x))), (
+                lambda x: scale(np.sqrt(x))
+            ), False
+
+        monkeypatch.setattr(maps, "_substitution", in_x)
 
     def test_heavy_tails_are_carried_through_the_nodes(self, cp_phi):
         heavy = from_triplet(panel_laws(9002, 1)[0])
@@ -872,26 +888,35 @@ class TestRoughEnd:
 
     @pytest.mark.parametrize("beta", BETAS + (3.0,))
     @pytest.mark.parametrize("kind", ["jbeta", "ubetaf"])
-    def test_the_rough_end_is_where_the_scale_reaches_zero(self, monkeypatch, cp_phi, kind, beta):
-        # every map is integrated in x = u**min(beta, 1), whose scale reaches 0 at x = 0
+    def test_the_map_substitutes_exactly_at_a_rough_end(self, monkeypatch, cp_phi, kind, beta):
+        # every map is integrated in x = u**q, q = min(beta, 1); at a rough end
+        # in v = sqrt(x), so u = v**(2/q), split at v = 1/2
         m = maps.IntegralMap(kind, beta)
-        heavy = from_triplet(panel_laws(9002, 1)[0])
-        assert self.rough_ends(monkeypatch, m, heavy) == {True}
-        # a closed form is smooth at 0: only a non-integer power of x marks the end
+        q = min(beta, 1.0)
+
+        def substituted(phi):
+            (splits, scale), = self.quadratures(monkeypatch, m, phi)
+            u = 0.5 if scale is None else float(scale(np.array(0.5)))
+            assert splits in {(), (0.5,)} and u in {0.5 ** (1.0 / q), 0.5 ** (2.0 / q)}
+            return splits == (0.5,) and u == 0.5 ** (2.0 / q)
+
+        assert substituted(from_triplet(panel_laws(9002, 1)[0]))
+        # a closed form is smooth at 0: only a non-integer power of x makes the end rough
         power = beta if beta > 1.0 else 1.0 / beta
-        assert self.rough_ends(monkeypatch, m, cp_phi) == {not power.is_integer()}
+        assert substituted(cp_phi) == (not power.is_integer())
 
     @pytest.mark.parametrize("m", [maps.i_map(), maps.i_jbeta_map(1.3)], ids=lambda m: m.kind)
-    def test_walked_maps_keep_halving(self, monkeypatch, m):
-        assert self.rough_ends(monkeypatch, m, from_triplet(panel_laws(9002, 1)[0])) == {False}
+    def test_walked_maps_keep_their_variable(self, monkeypatch, m):
+        seen = self.quadratures(monkeypatch, m, from_triplet(panel_laws(9002, 1)[0]))
+        assert seen and all(scale is np.exp for _, scale in seen)
 
-    @pytest.mark.parametrize("beta", BETAS)
+    @pytest.mark.parametrize("beta", (0.5, 0.7, 1.0, 1.3, 1.5, 2.0))
     @pytest.mark.parametrize("kind", ["jbeta", "ubetaf"])
     def test_panel_laws_meet_the_triplet_route_in_fewer_leaf_calls(
         self, monkeypatch, leaf_calls, kind, beta
     ):
-        # the exponent route against the closed-form image, with the graded
-        # cut and with halving
+        # the exponent route against the closed-form image, with the
+        # substitution and with it patched off
         m = maps.IntegralMap(kind, beta)
         Y, tol = np.array([[0.0], [2.5], [5.0]]), 1e-9
         laws = panel_laws(9002, 4)
@@ -904,9 +929,49 @@ class TestRoughEnd:
                 assert np.max(np.abs(got - ref)) <= tol
             return leaf_calls.count - start
 
-        graded = run()
-        monkeypatch.setattr(quadrature, "ROUGH_CUT", 0.5)
-        assert graded < run()
+        substituted = run()
+        self.unsubstituted(monkeypatch)
+        assert substituted < run()
+
+    @pytest.mark.parametrize("kind", ["jbeta", "ubetaf"])
+    def test_the_sweep_meets_the_triplet_route(self, kind):
+        # every beta on panel laws 0-3 and cp, with warnings as errors: within
+        # 1e-12 of the closed-form image, below the 1.2e-12 the graded cut read
+        Y, tol = np.array([[0.0], [2.5], [5.0]]), 1e-9
+        laws = panel_laws(9002, 4) + [lawio.builtin_law("cp").triplet]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for beta in self.BETAS:
+                m = maps.IntegralMap(kind, beta)
+                for k, trip in enumerate(laws):
+                    ref = maps.map_triplet(m, trip).exponent_grid(Y)
+                    got = maps.map_exponent_grid(m, from_triplet(trip), Y, tol)
+                    assert np.max(np.abs(got - ref)) <= 1e-12, (beta, k)
+
+    @pytest.mark.parametrize("kind", ["jbeta", "ubetaf"])
+    def test_mild_ends_take_one_depth_more_at_most(self, leaf_calls, kind):
+        # at beta 0.5 the graded cut made panel laws 0 and 1 take 3 leaf calls
+        m, Y = maps.IntegralMap(kind, 0.5), np.array([[0.0], [2.5], [5.0]])
+        for trip in panel_laws(9002, 2):
+            start = leaf_calls.count
+            maps.map_exponent_grid(m, from_triplet(trip), Y, 1e-9)
+            assert leaf_calls.count - start <= 2
+
+    @pytest.mark.parametrize("beta", [1.3, 1.7])
+    @pytest.mark.parametrize("identity", ["eq3", "eq15", "cor1a"])
+    def test_nested_checks_at_non_integer_beta_stay_cheap(self, cp_phi, identity, beta):
+        # ROADMAP item 13: the graded cut evaluated 48,027 to 101,703 leaf
+        # rows on these checks; two panels of 21 nodes at each of two levels
+        # need about 37,000
+        rows = []
+
+        def leaf(Y, tol):
+            rows.append(len(Y))
+            return cp_phi.eval_grid(Y, tol)
+
+        rep = factor._grid_check(identity, from_callable(leaf, 1), beta)
+        assert rep.passed, rep.summary()
+        assert sum(rows) <= 42_000
 
 
 def small_beta_laws() -> dict[str, LevyTriplet]:

@@ -158,27 +158,20 @@ def powers(exps):
     return f, seen
 
 
-@pytest.mark.parametrize("rough", [False, True], ids=["halved", "graded"])
-def test_easy_columns_do_not_ride_along_with_a_hard_one(rough):
+def test_easy_columns_do_not_ride_along_with_a_hard_one():
     # column 0 has an endpoint singularity and refines deep toward 0; the
-    # smooth columns beside it keep the values and pairs of their solo runs,
-    # also where the panels touching 0 are cut toward it
+    # smooth columns beside it keep the values and pairs of their solo runs
     exps = [-0.4, 1.0, 2.5, 7.0]
     f, seen = powers(exps)
-    vals, _ = quadrature.integrate(f, 0.0, 1.0, tol=1e-8, columns=len(exps), rough=rough)
+    vals, _ = quadrature.integrate(f, 0.0, 1.0, tol=1e-8, columns=len(exps))
     counts = np.bincount(np.concatenate(seen), minlength=len(exps))
     assert counts[0] > 10 * counts[1:].max()
     for j, p in enumerate(exps):
         g, solo_seen = powers([p])
-        solo, _ = quadrature.integrate(g, 0.0, 1.0, tol=1e-8, rough=rough)
+        solo, _ = quadrature.integrate(g, 0.0, 1.0, tol=1e-8)
         assert solo.tobytes() == vals[j : j + 1].tobytes()
         assert sum(c.size for c in solo_seen) == counts[j]
     assert np.max(np.abs(vals - 1.0 / (np.asarray(exps) + 1.0))) < 1e-8
-    if rough:
-        # the graded cut reaches the singularity in fewer pairs than halving
-        g, halved = powers(exps[:1])
-        quadrature.integrate(g, 0.0, 1.0, tol=1e-8)
-        assert counts[0] < sum(c.size for c in halved)
 
 
 @settings(max_examples=25, deadline=None)
@@ -496,15 +489,12 @@ class TestWeightAndScale:
             g = self.composed(self.f, self.weight, scale or (lambda x: x))
             assert self.outcome(*keyed) == self.outcome(*quadrature.integrate(g, 0.0, 1.0, **kw))
 
-    @pytest.mark.parametrize("rough", [False, True], ids=["halved", "rough-a"])
-    def test_adjacent_panels_too_narrow_to_bisect(self, rough):
+    def test_adjacent_panels_too_narrow_to_bisect(self):
         # the panels on both sides of 1.0 share their midpoint; a steep
-        # integrand is over its share on both, which are kept uncut. A panel
-        # starting at a rough lower limit has its cut point round onto that
-        # limit, and is kept too: it is never queued again
+        # integrand is over its share on both, which are kept uncut: they are
+        # never queued again
         a, b = np.nextafter(1.0, 0.0), np.nextafter(1.0, 2.0)
         assert 0.5 * (a + 1.0) == 0.5 * (1.0 + b) == 1.0
-        assert a + quadrature.ROUGH_CUT * (1.0 - a) == a
         calls = []
 
         def weight(x):
@@ -517,7 +507,7 @@ class TestWeightAndScale:
         def f(pairs):
             return np.exp(pairs["x"] * (1.0 + pairs["col"]))
 
-        kw = dict(tol=1e-300, splits=(1.0,), columns=2, rough=rough)
+        kw = dict(tol=1e-300, splits=(1.0,), columns=2)
         keyed = quadrature.integrate(f, a, b, weight=weight, scale=scale, **kw)
         assert calls == [(2, 21)]
         plain = quadrature.integrate(self.composed(f, weight, scale), a, b, **kw)

@@ -605,6 +605,28 @@ class TestExponentIntegrals:
             together = rad.exponent_integral(np.array([w, 2.7, 1e-300, 0.5]))[:1]
             assert alone.tobytes() == together.tobytes(), w
 
+    def test_far_bounded_tails_meet_their_unbounded_twin(self):
+        # past the series edge x = 8/|w| a bounded piece's tail T(x) holds x**p,
+        # which underflows here; it joins the far series terms, as an unbounded
+        # piece's does. (1, 1e300) read 1.2e-2 off (1, inf) at these |w|, where
+        # the mass beyond 1e300 is 1e-25 of the value
+        ws = np.array([1e-250, -1e-250, 1e-220])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got, twin = (
+                spectral.RadialMeasure((), (spectral.Segment(1.0, hi, 1.0, -1.5),))
+                .exponent_integral(ws) for hi in (1e300, math.inf)
+            )
+            # p = -1 keeps its tail apart, with no division by p + 1: the integral
+            # over (w, w b) of (exp(i t) - 1)/t, in Ci and Si
+            w, b = 1e-307, 1e308
+            rad = spectral.RadialMeasure((), (spectral.Segment(1.0, b, 1.0, -1.0),))
+            one = rad.exponent_integral(np.array([w]))[0]
+        np.testing.assert_allclose(got, twin, rtol=1e-13, atol=0)
+        t, lo = mp.mpf(w) * b, mp.mpf(w)
+        truth = complex(mp.ci(t) - mp.ci(lo) - mp.log(t / lo) + 1j * (mp.si(t) - mp.si(lo)))
+        assert abs(one - truth) <= 1e-13 * abs(truth)
+
     def test_every_part_is_finite_past_the_edge_float_range(self):
         # atoms, segments from 0 and a > 0, an unbounded tail and grid-tail cells
         radii = np.geomspace(0.5, 4.0, 20)
